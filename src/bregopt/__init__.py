@@ -23,14 +23,14 @@ from .subproblem import (BallIndicator, CompositeObjective, EntropyLike,
                          ProxStepResult, QuadraticRegularizer, Regularizer,
                          SimplexIndicator, ZeroRegularizer,
                          absolute_affine_model, check_three_point,
-                         inner_solve, linear_model, prox_step,
+                         inner_solve, linear_model, prox_points_1d, prox_step,
                          prox_step_radial, solve_monotone_power)
 from .driver import (RunTrace, SolverConfig, default_lambda, fit_loglog,
                      format_csv_rows, parse_csv_rows, run_convex,
                      run_for_regime, run_mirror_descent_smooth,
                      run_model_based, sample_tstar, stepsize_constant, sweep)
-from .envelope import (EnvelopeReport, bregman_prox_point, envelope_gradient,
-                       envelope_value, stationarity)
+from .envelope import (EnvelopeReport, bregman_prox_point, bregman_prox_points,
+                       envelope_gradient, envelope_value, stationarity)
 from .problems import (OracleResult, ProblemInstance, brute_force_min,
                        default_configs, dump_config, get_problem,
                        instance_from_config, load_config, registry)

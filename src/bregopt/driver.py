@@ -387,10 +387,7 @@ def stationarity_over_tstar_law(problem, trace, tol=1e-10):
     rho = problem.oracle.constants.rho
     w = etas / (1.0 - etas * rho)
     w = w / w.sum()
-    total = 0.0
-    for t, weight in enumerate(w):
-        x = trace.iterates[t]
-        x_hat = envelope_mod.bregman_prox_point(problem, problem.phi, x,
-                                                trace.lam, tol=tol)
-        total += weight * problem.phi.bregman(x_hat, x)
-    return float(total)
+    X = trace.iterates[:etas.size]
+    X_hat = envelope_mod.bregman_prox_points(problem, problem.phi, X,
+                                             trace.lam, tol=tol)
+    return float(w @ problem.phi.bregman_rows(X_hat, X))

@@ -26,7 +26,7 @@ loop.
 
 import numpy as np
 
-from .subproblem import prox_step
+from .subproblem import prox_points_1d, prox_step
 
 
 class EnvelopeReport:
@@ -57,13 +57,28 @@ def _check_lambda(problem, lam):
         raise ValueError("need lam * (tau + rho) < 1 for a convex prox subproblem")
 
 
+def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
+    """argmin_y { F(y) + (1/lam) D(y, x) } for each row x of an (N, d) array.
+
+    In one dimension all N subproblems go to one lockstep bisection, which
+    needs the exact objective's value and subgradient to act elementwise on
+    an (N,) array; otherwise each row is one prox step.
+    """
+    _check_lambda(problem, lam)
+    X = np.asarray(X, dtype=float)
+    model = problem.exact_objective()
+    rho = _weak_modulus(problem)
+    if X.shape[1] == 1:
+        return prox_points_1d(model, problem.regularizer, phi, X[:, 0], lam,
+                              rho=rho, tol=tol)[:, None]
+    return np.array([prox_step(model, problem.regularizer, phi, x, lam, rho=rho,
+                               inner_tol=tol).minimizer for x in X])
+
+
 def bregman_prox_point(problem, phi, x, lam, tol=1e-10):
     """argmin_y { F(y) + (1/lam) D(y, x) } for the exact objective F."""
-    _check_lambda(problem, lam)
-    model = problem.exact_objective()
-    res = prox_step(model, problem.regularizer, phi, x, lam,
-                    rho=_weak_modulus(problem), inner_tol=tol)
-    return res.minimizer
+    x = np.asarray(x, dtype=float)
+    return bregman_prox_points(problem, phi, x[None, :], lam, tol=tol)[0]
 
 
 def envelope_value(problem, phi, x, lam, path="direct", tol=1e-10):

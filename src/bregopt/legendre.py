@@ -118,6 +118,29 @@ class LegendreFunction:
         g = self.gradient(x)
         return float(vy - self.value(x) - np.dot(g, y - x))
 
+    # Row-wise forms over an (N, d) array of points: one vectorized
+    # expression for radial phi, one call per row otherwise.
+    def value_rows(self, X):
+        terms = self.radial_terms()
+        if terms is None:
+            return np.array([self.value(x) for x in X])
+        coefs, powers = terms
+        r = np.linalg.norm(X, axis=1)
+        return r[:, None] ** powers @ coefs
+
+    def gradient_rows(self, X):
+        terms = self.radial_terms()
+        if terms is None:
+            return np.array([self.gradient(x) for x in X])
+        coefs, powers = terms
+        r = np.linalg.norm(X, axis=1)
+        return (r[:, None] ** (powers - 2.0) @ (coefs * powers))[:, None] * X
+
+    def bregman_rows(self, Y, X):
+        """D(y_i, x_i) for the rows of two (N, d) arrays."""
+        return (self.value_rows(Y) - self.value_rows(X)
+                - np.sum(self.gradient_rows(X) * (Y - X), axis=1))
+
     def local_dual_norm(self, x, v):
         """||hessian(x)^-1 v|| in the declared primal norm."""
         u = self.hessian_solve(x, np.asarray(v, dtype=float))

@@ -161,12 +161,15 @@ def _assemble_p1(cfg):
     reg = _make_regularizer(cfg["regularizer"])
 
     def objective():
+        # elementwise over an (N,) array of points, so that the envelope can
+        # solve all its 1-d prox points in one batch
         def val(y):
-            return float(np.dot(weights, np.abs(a2 * y[0] * y[0] - b)))
+            y = y[:, None]
+            return np.abs(a2 * y * y - b) @ weights
 
         def sub(y):
-            return np.array([float(np.dot(
-                weights, np.sign(a2 * y[0] * y[0] - b) * 2.0 * a2 * y[0]))])
+            y = y[:, None]
+            return (np.sign(a2 * y * y - b) * 2.0 * a2 * y) @ weights
 
         return PointModel(val, sub)
 

@@ -175,6 +175,9 @@ class PointModel:
       scalar_abs  (g, s): model(y) = |<g, y> + s|
       norm_term   (v, c): model(y) = <v, y> + c ||y||
       smooth      value/gradient (and optionally hessian) are exact
+
+    For a 1-d variable, value and subgradient functions that act elementwise
+    on an (N,) array let prox_points_1d solve N subproblems in one batch.
     """
 
     def __init__(self, value_fn, subgrad_fn, linear=None, scalar_abs=None,
@@ -188,7 +191,9 @@ class PointModel:
         self.hessian_fn = hessian_fn
 
     def value(self, y):
-        return float(self._value_fn(np.asarray(y, dtype=float)))
+        v = self._value_fn(np.asarray(y, dtype=float))
+        # an elementwise value function returns a 1-element array here
+        return float(v.reshape(()) if isinstance(v, np.ndarray) and v.ndim else v)
 
     def subgradient(self, y):
         return np.asarray(self._subgrad_fn(np.asarray(y, dtype=float)), dtype=float)
@@ -451,69 +456,125 @@ def _total_objective(model, reg, phi, z, eta):
     return psi
 
 
-def _solve_1d(model, reg, phi, z, eta, tol, max_iter=220):
-    """Certified 1-d solve by sign bisection on a subgradient selection."""
-    z0 = float(np.asarray(z, dtype=float)[0])
-    gz = float(phi.gradient(np.array([z0]))[0])
-    terms = phi.radial_terms()
-    if terms is not None:
-        coefs = terms[0] * terms[1]
-        expos = terms[1] - 1.0
+def _elementwise(fn, ys):
+    """fn at each entry of an (N,) array of 1-d points, as N values."""
+    out = np.asarray(fn(ys), dtype=float)
+    if out.size != ys.size:
+        raise InnerSolveError("a batch of 1-d points needs elementwise model functions")
+    return out.reshape(ys.shape)
 
-        def phi_grad_1d(y):
-            return float(np.sum(coefs * abs(y) ** expos)) * np.sign(y)
-    else:
-        def phi_grad_1d(y):
-            return float(phi.gradient(np.array([y]))[0])
 
-    def slope(y):
-        arr = np.array([y])
-        s = float(model.subgradient(arr)[0]) + float(reg.subgradient(arr)[0])
-        return s + (phi_grad_1d(y) - gz) / eta
+def _bracket_open(lo, hi):
+    return hi - lo > 1e-15 * (1.0 + np.abs(lo) + np.abs(hi))
+
+
+def _solve_1d(model, reg, phi, z, eta, max_iter=220):
+    """Lockstep sign bisection for an (N,) array of 1-d centers.
+
+    Minimizes model + r + (1/eta) D(., z_i) for every entry z_i at once by
+    bisection on a subgradient selection; the model's subgradient function
+    acts elementwise on the (N,) array.  Each element brackets its
+    own minimizer: from a positive slope it moves left (halving toward 0 on
+    positive domains, else by doubling steps), from a negative slope right by
+    doubling steps.  Returns the minimizers and the bisection count of each;
+    raises InnerSolveError if an element finds no bracket, or if a bracket
+    is still wider than 1e-15 (1 + |lo| + |hi|) after max_iter halvings.
+    """
+    z = np.asarray(z, dtype=float)
+    gz = phi.gradient_rows(z[:, None])[:, 0]
+
+    def slope(y, idx):
+        s = _elementwise(model._subgrad_fn, y) + reg.subgradient(y)
+        return s + (phi.gradient_rows(y[:, None])[:, 0] - gz[idx]) / eta
 
     positive_dom = phi.domain != "all_space"
-    lo, hi = None, None
-    s0 = slope(z0)
-    if s0 == 0.0:
-        return np.array([z0]), 1
-    if s0 > 0:
-        # expand left: halve toward 0 on positive domains, else march out
-        hi = z0
-        step = max(1.0, abs(z0))
-        for _ in range(200):
-            cand = hi / 2.0 if positive_dom else hi - step
-            if slope(cand) <= 0:
-                lo = cand
-                break
-            hi = cand
-            step *= 2.0
-        if lo is None:
-            raise InnerSolveError("failed to bracket the 1-d minimizer (left)")
-    else:
-        lo = z0
-        step = max(1.0, abs(z0))
-        for _ in range(200):
-            cand = lo + step
-            if slope(cand) >= 0:
-                hi = cand
-                break
-            lo = cand
-            step *= 2.0
-        if hi is None:
-            raise InnerSolveError("failed to bracket the 1-d minimizer (right)")
-    it = 0
-    while hi - lo > 1e-15 * (1.0 + abs(lo) + abs(hi)) and it < max_iter:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        it += 1
-    return np.array([0.5 * (lo + hi)]), it
+    s0 = slope(z, slice(None))
+    lo, hi = z.copy(), z.copy()
+    right = ~(s0 > 0)
+    pending = s0 != 0.0
+    step = np.maximum(1.0, np.abs(z))
+    for _ in range(200):
+        idx = np.flatnonzero(pending)
+        if idx.size == 0:
+            break
+        r = right[idx]
+        left_cand = hi[idx] / 2.0 if positive_dom else hi[idx] - step[idx]
+        cand = np.where(r, lo[idx] + step[idx], left_cand)
+        s = slope(cand, idx)
+        found = np.where(r, s >= 0, s <= 0)
+        # a found bracket closes on the far side; otherwise the near end moves
+        to_hi = r == found
+        hi[idx[to_hi]] = cand[to_hi]
+        lo[idx[~to_hi]] = cand[~to_hi]
+        step[idx] *= 2.0
+        pending[idx[found]] = False
+    if np.any(pending):
+        raise InnerSolveError("failed to bracket the 1-d minimizer")
+    its = np.zeros(z.size, dtype=int)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(_bracket_open(lo, hi))
+        if idx.size == 0:
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        up = slope(mid, idx) > 0
+        hi[idx[up]] = mid[up]
+        lo[idx[~up]] = mid[~up]
+        its[idx] += 1
+    if np.any(_bracket_open(lo, hi)):
+        raise InnerSolveError("1-d bisection bracket still open after %d halvings"
+                              % max_iter)
+    return 0.5 * (lo + hi), its
+
+
+def _certify_1d(model, reg, phi, z, y, eta, rho, tol):
+    """Center-probe three-point certificate of a batch of 1-d prox steps.
+
+    With the convexified split of _certify (rho = 0 gives the plain
+    inequality) the residual at the probe x = z is
+
+        eta (psi(z) - psi(y)) - D(y, z) - (1 - eta rho) D(z, y),
+
+    psi = model + r.  Raises InnerSolveError if any residual is below
+    -tol (1 + |psi(z)|), and DomainError if any center is infeasible.
+    """
+    Z, Y = z[:, None], y[:, None]
+    psi_z = _elementwise(model._value_fn, z) + np.array([reg.value(c) for c in Z])
+    if not np.all(np.isfinite(psi_z)):
+        raise DomainError("prox centers must be feasible for the objective")
+    psi_y = _elementwise(model._value_fn, y) + np.array([reg.value(c) for c in Y])
+    res = (eta * (psi_z - psi_y) - phi.bregman_rows(Y, Z)
+           - (1.0 - eta * rho) * phi.bregman_rows(Z, Y))
+    scale = tol * (1.0 + np.abs(psi_z))
+    bad = np.flatnonzero(~(res >= -scale))
+    if bad.size:
+        i = bad[0]
+        raise InnerSolveError(
+            "1-d prox point %d of %d missed tolerance: three-point residual "
+            "%.3e < -%.3e" % (i, z.size, res[i], scale[i]))
+
+
+def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
+    """Certified argmin model(y) + r(y) + (1/eta) D(y, z) for each 1-d center.
+
+    centers is an (N,) array of 1-d points, and the model's value and
+    subgradient functions must act elementwise on such arrays.  All N
+    problems are bisected in lockstep and certified together; one element
+    that fails raises InnerSolveError for the whole batch.  rho is the
+    relative weak-convexity modulus of model + r, with eta * rho < 1.
+    """
+    z = np.asarray(centers, dtype=float)
+    phi.check_interior(z)
+    y, _ = _solve_1d(model, reg, phi, z, eta)
+    _certify_1d(model, reg, phi, z, y, eta, rho, tol)
+    return y
 
 
 def _solve_newton(model, reg, phi, z, eta, tol, max_iter=120):
-    """Damped Newton for smooth models with r = 0, polished past the tolerance."""
+    """Damped Newton for smooth models with r = 0, polished past the tolerance.
+
+    Raises InnerSolveError when the line search fails, or max_iter runs out,
+    while half the Newton decrement is still above tol (1 + |psi(z)|).
+    """
     if reg.kind != "zero":
         raise InnerSolveError("Newton inner path requires a zero regularizer")
     z = np.asarray(z, dtype=float)
@@ -567,17 +628,25 @@ def _solve_newton(model, reg, phi, z, eta, tol, max_iter=120):
                     break
             t *= 0.5
         else:
+            if 0.5 * dec > tol_obj:
+                raise InnerSolveError(
+                    "Newton line search failed after 60 halvings with half "
+                    "decrement %.3e > %.3e" % (0.5 * dec, tol_obj))
             return y, it
+    if 0.5 * dec > tol_obj:
+        raise InnerSolveError(
+            "Newton solve used %d iterations with half decrement %.3e > %.3e"
+            % (max_iter, 0.5 * dec, tol_obj))
     return y, max_iter
 
 
-def _solve_mirror(model, reg, phi, z, eta, tol, max_iter=20000):
+def _solve_mirror(model, reg, phi, z, eta, max_iter=20000):
     """Diminishing-step linearized descent, the nonsmooth fallback.
 
     Linearizes both the model and the (1/eta) D(., z) term at the current
     point and applies the affine closed form with a small inner step; tracks
-    the best objective value seen.  Low accuracy by nature; callers pass a
-    tolerance consistent with that.
+    the best objective value seen.  Low accuracy by nature; the certificate
+    in inner_solve decides whether the result is accepted.
     """
     z = np.asarray(z, dtype=float)
     psi = _total_objective(model, reg, phi, z, eta)
@@ -654,13 +723,14 @@ def inner_solve(objective, phi, center, eta, tol=1e-10, probes=None, rho=0.0):
     psi = _total_objective(model, reg, phi, center, eta)
     f0 = psi(center)
     if center.size == 1:
-        y, its = _solve_1d(model, reg, phi, center, eta, tol)
+        y, its = _solve_1d(model, reg, phi, center, eta)
+        its = int(its[0])
         method = "bisection_1d"
     elif model.smooth and reg.kind == "zero":
         y, its = _solve_newton(model, reg, phi, center, eta, tol)
         method = "newton"
     else:
-        y, its = _solve_mirror(model, reg, phi, center, eta, tol)
+        y, its = _solve_mirror(model, reg, phi, center, eta)
         method = "mirror_fallback"
 
     probe_list = [center] + ([] if probes is None else list(probes))
@@ -709,9 +779,6 @@ def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
         method = "closed_form_affine"
         its = 1
     if minimizer is None and model.scalar_abs is not None:
-        if center.size == 1:
-            obj = CompositeObjective(model, reg)
-            return inner_solve(obj, phi, center, eta, tol=inner_tol, rho=rho)
         g, s = model.scalar_abs
         minimizer, its = _abs_model_prox(g, s, reg, phi, center, eta)
         method = "closed_form_abs_affine"

@@ -8,7 +8,8 @@ from bregopt.driver import (SolverConfig, default_lambda, fit_loglog,
                             format_csv_rows, parse_csv_rows, run_convex,
                             run_for_regime, run_mirror_descent_smooth,
                             run_model_based, sample_tstar, stepsize_constant,
-                            sweep)
+                            stationarity_over_tstar_law, sweep)
+from bregopt.envelope import bregman_prox_point
 from bregopt.problems import get_problem
 
 
@@ -69,6 +70,21 @@ def test_seed_determinism():
     assert a.t_star == b.t_star
     c = run_model_based(p1, SolverConfig(30, seed=43))
     assert not np.array_equal(a.iterates, c.iterates)
+
+
+def test_tstar_law_metric_matches_a_loop_over_iterates():
+    # P1 solves its prox points in one 1-d batch, P6 row by row
+    for pid in ("P1", "P6"):
+        prob = get_problem(pid)
+        tr = run_model_based(prob, SolverConfig(20, seed=5))
+        w = tr.etas / (1.0 - tr.etas * prob.oracle.constants.rho)
+        w = w / w.sum()
+        ref = 0.0
+        for weight, x in zip(w, tr.iterates):
+            x_hat = bregman_prox_point(prob, prob.phi, x, tr.lam)
+            ref += weight * prob.phi.bregman(x_hat, x)
+        got = stationarity_over_tstar_law(prob, tr)
+        assert abs(got - ref) <= 1e-12 * abs(ref), pid
 
 
 def test_feasibility_of_iterates():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from util_problems import halfsq_problem, smooth_problem
 
-from bregopt.envelope import (bregman_prox_point, envelope_gradient,
-                              envelope_value, stationarity)
+from bregopt.envelope import (bregman_prox_point, bregman_prox_points,
+                              envelope_gradient, envelope_value, stationarity)
 from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
 from bregopt.models import NoisyGradientOracle, OracleConstants
@@ -130,17 +131,12 @@ def test_lambda_admissibility_enforced():
         envelope_value(p1, p1.phi, p1.x0, -0.1)
 
 
-def test_piecewise_1d_prox_matches_golden_oracle():
-    p1 = get_problem("P1")
-    lam = 0.25
-    x = np.array([1.4])
-    x_hat = bregman_prox_point(p1, p1.phi, x, lam, tol=1e-12)
-
+def _golden_prox_1d(problem, x, lam):
+    """Golden-section minimizer of F(y) + D(y, x) / lam inside a grid bracket."""
     def total(y):
-        return p1.exact_F(np.array([y])) + p1.phi.bregman(np.array([y]), x) / lam
+        return problem.exact_F(np.array([y])) + problem.phi.bregman(np.array([y]), x) / lam
 
-    # golden section inside a coarse-grid bracket
-    ts = np.linspace(-2.5, 2.5, 20001)
+    ts = np.linspace(-2.5, 2.5, 2001)
     vals = np.array([total(t) for t in ts])
     k = int(np.argmin(vals))
     a, b = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
@@ -151,4 +147,40 @@ def test_piecewise_1d_prox_matches_golden_oracle():
             b = d
         else:
             a = c
-    assert abs(x_hat[0] - 0.5 * (a + b)) <= 1e-8
+    return 0.5 * (a + b)
+
+
+def test_piecewise_1d_prox_matches_golden_oracle():
+    p1 = get_problem("P1")
+    lam = 0.25
+    x = np.array([1.4])
+    x_hat = bregman_prox_point(p1, p1.phi, x, lam, tol=1e-12)
+    assert abs(x_hat[0] - _golden_prox_1d(p1, x, lam)) <= 1e-8
+
+    # one batch through the lockstep solve: centers within 1e-9 of the kinks
+    # +-sqrt(b_i)/a_i of F, and at the ends of the sampling box
+    a = np.asarray(p1.config["a"], dtype=float)
+    b = np.asarray(p1.config["b"], dtype=float)
+    kinks = np.sqrt(b[:4]) / a[:4]
+    centers = np.concatenate([kinks + 3e-10, -kinks - 7e-10, [2.5, -2.5, 1.4]])
+    X = centers[:, None]
+    X_hat = bregman_prox_points(p1, p1.phi, X, lam, tol=1e-12)
+    assert X_hat.shape == X.shape
+    for x, y in zip(X, X_hat):
+        assert abs(y[0] - _golden_prox_1d(p1, x, lam)) <= 1e-8, x
+        one = bregman_prox_point(p1, p1.phi, x, lam, tol=1e-12)
+        assert abs(y[0] - one[0]) <= 1e-14 * (1.0 + abs(one[0])), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(centers=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=24),
+       lam_frac=st.floats(0.02, 0.98))
+def test_batched_1d_prox_agrees_with_single_solves(centers, lam_frac):
+    # relative to 1 + |y|, the scale of the bisection's stopping width
+    p1 = get_problem("P1")
+    lam = lam_frac / p1.oracle.constants.tau
+    X = np.array(centers)[:, None]
+    X_hat = bregman_prox_points(p1, p1.phi, X, lam)
+    for x, y in zip(X, X_hat):
+        one = bregman_prox_point(p1, p1.phi, x, lam)
+        assert abs(y[0] - one[0]) <= 1e-14 * (1.0 + abs(one[0]))

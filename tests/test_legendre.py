@@ -133,6 +133,22 @@ def test_divergence_nonnegative_and_identifiable():
             assert abs(phi.bregman(x, x)) <= 1e-12, name
 
 
+def test_row_forms_match_the_pointwise_methods():
+    rng = np.random.default_rng(12)
+    for name, phi, d in zoo():
+        X = np.array([interior_point(rng, phi, d) for _ in range(7)])
+        Y = np.array([interior_point(rng, phi, d) for _ in range(7)])
+        if phi.domain == "all_space":
+            X[0] = 0.0          # radial gradients take their limit at 0
+        assert np.allclose(phi.value_rows(X), [phi.value(x) for x in X],
+                           rtol=1e-13, atol=1e-13), name
+        assert np.allclose(phi.gradient_rows(X), [phi.gradient(x) for x in X],
+                           rtol=1e-13, atol=1e-13), name
+        assert np.allclose(phi.bregman_rows(Y, X),
+                           [phi.bregman(y, x) for y, x in zip(Y, X)],
+                           rtol=1e-12, atol=1e-12), name
+
+
 def test_poly_growth_divergence_bound():
     # D(y, x) >= ((p(|x|) + p(|y|)) / 2) |x - y|^2 for the adapted phi
     rng = np.random.default_rng(12)

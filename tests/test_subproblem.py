@@ -8,8 +8,8 @@ from bregopt.subproblem import (BallIndicator, CompositeObjective, EntropyLike,
                                 QuadraticRegularizer, SimplexIndicator,
                                 ZeroRegularizer, absolute_affine_model,
                                 check_three_point, inner_solve, linear_model,
-                                prox_step, prox_step_radial,
-                                solve_monotone_power)
+                                prox_points_1d, prox_step, prox_step_radial,
+                                solve_monotone_power, _solve_1d, _solve_newton)
 
 
 def scaled_g(model, reg, eta):
@@ -120,6 +120,8 @@ def test_closed_form_agrees_with_iterative_solver():
     for d, phi, reg in [
         (1, Euclidean(), ZeroRegularizer()),
         (1, build_composite_legendre([1.0], [0.0, 0.0, 4.0]), ZeroRegularizer()),
+        (1, Burg(), ZeroRegularizer()),
+        (1, ShannonEntropy(), ZeroRegularizer()),
         (2, Euclidean(), ZeroRegularizer()),
         (2, build_poly_legendre([1.0, 0.0, 1.0]), ZeroRegularizer()),
         (3, ShannonEntropy(on_simplex=True), SimplexIndicator()),
@@ -283,3 +285,75 @@ def test_norm_term_closed_form():
     expected = (max(np.linalg.norm(u) - eta * 0.5, 0.0) / np.linalg.norm(u)) * u
     assert np.allclose(res.minimizer, expected, atol=1e-12)
     assert res.three_point_residual >= -1e-10
+
+
+def test_1d_abs_affine_step_matches_bisection():
+    # |g y + s| in one dimension takes the slope-search closed form, as in
+    # every other dimension; the certified bisection is the reference
+    phi = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
+    reg = ZeroRegularizer()
+    for g, s, z, eta in [(2.1, -1.3, 1.7, 0.3), (-0.8, 0.2, -0.4, 0.05),
+                         (3.0, -3.0, 1.0 + 1e-3, 0.2), (0.5, 4.0, 0.9, 0.4)]:
+        model = absolute_affine_model(np.array([g]), s)
+        center = np.array([z])
+        res = prox_step(model, reg, phi, center, eta)
+        assert res.method == "closed_form_abs_affine"
+        ref = inner_solve(CompositeObjective(model, reg), phi, center, eta)
+        assert ref.method == "bisection_1d"
+        assert abs(res.minimizer[0] - ref.minimizer[0]) <= 1e-12 * (1.0 + abs(ref.minimizer[0]))
+
+
+def test_1d_bisection_brackets_far_minimizers():
+    # several bracket-expansion rounds: halving toward 0 on a positive domain,
+    # doubling steps on all of R, against the closed forms
+    for phi, z, v in [(Burg(), 1.0, 20.0), (Euclidean(), 0.5, 300.0),
+                      (Euclidean(), 0.5, -300.0)]:
+        model = linear_model(np.array([v]))
+        center = np.array([z])
+        closed = prox_step(model, ZeroRegularizer(), phi, center, 1.0)
+        assert closed.method == "closed_form_affine"
+        res = inner_solve(CompositeObjective(model, ZeroRegularizer()), phi,
+                          center, 1.0)
+        assert res.method == "bisection_1d"
+        assert abs(res.minimizer[0] - closed.minimizer[0]) <= 1e-13 * abs(closed.minimizer[0])
+
+
+def _lying_model():
+    # value 0.5 y^2 + 10 on |y| < 0.5, but the subgradient of 0.5 y^2 alone
+    return PointModel(lambda y: 0.5 * y * y + 10.0 * (np.abs(y) < 0.5),
+                      lambda y: y)
+
+
+def test_one_failing_element_fails_the_batch():
+    phi, reg = Euclidean(), ZeroRegularizer()
+    ok = prox_points_1d(_lying_model(), reg, phi, np.array([3.0, -2.0]), 1.0)
+    assert np.allclose(ok, [1.5, -1.0], rtol=1e-15)
+    # the step from 0.6 lands at 0.3, where the value jumps by 10
+    with pytest.raises(InnerSolveError):
+        prox_points_1d(_lying_model(), reg, phi, np.array([3.0, 0.6, -2.0]), 1.0)
+    # an element whose bracket is still open at max_iter fails the batch too;
+    # the center 0 is its own minimizer and needs no halving at all
+    model = PointModel(lambda y: 0.5 * y * y, lambda y: y)
+    y, its = _solve_1d(model, reg, phi, np.array([0.0, 1e6]), 1.0)
+    assert y[0] == 0.0 and its[0] == 0 and its[1] > 10
+    with pytest.raises(InnerSolveError):
+        _solve_1d(model, reg, phi, np.array([0.0, 1e6]), 1.0, max_iter=10)
+
+
+def test_newton_raises_when_line_search_fails():
+    z = np.array([0.5, -0.5])
+    model = PointModel(lambda y: 0.0 if np.array_equal(y, z) else np.inf,
+                       lambda y: np.ones(2), smooth=True,
+                       hessian_fn=lambda y: np.zeros((2, 2)))
+    with pytest.raises(InnerSolveError):
+        inner_solve(CompositeObjective(model, ZeroRegularizer()), Euclidean(), z, 0.5)
+
+
+def test_newton_raises_when_iterations_run_out():
+    model = PointModel(lambda y: float(np.sum(np.exp(y))), np.exp, smooth=True,
+                       hessian_fn=lambda y: np.diag(np.exp(y)))
+    z = np.array([2.0, -1.0])
+    y, its = _solve_newton(model, ZeroRegularizer(), Euclidean(), z, 0.5, 1e-10)
+    assert its > 1
+    with pytest.raises(InnerSolveError):
+        _solve_newton(model, ZeroRegularizer(), Euclidean(), z, 0.5, 1e-10, max_iter=1)
