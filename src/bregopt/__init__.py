@@ -18,13 +18,13 @@ from .models import (CompositeData, LinearMirrorOracle, ModelOracle,
                      ProximalPointOracle, SaddleData, SaddleOracle,
                      verify_lipschitz, verify_one_sided,
                      verify_relative_smoothness, verify_variance)
-from .subproblem import (BallIndicator, CompositeObjective, EntropyLike,
-                         InnerSolveError, L1Regularizer, PointModel,
-                         ProxStepResult, QuadraticRegularizer, Regularizer,
-                         SimplexIndicator, ZeroRegularizer,
-                         absolute_affine_model, check_three_point,
-                         inner_solve, linear_model, prox_points_1d, prox_step,
-                         prox_step_radial, solve_monotone_power)
+from .subproblem import (BallIndicator, EntropyLike, InnerSolveError,
+                         L1Regularizer, PointModel, ProxStepResult,
+                         QuadraticRegularizer, Regularizer, SimplexIndicator,
+                         ZeroRegularizer, absolute_affine_model,
+                         center_certificate, check_three_point, inner_solve,
+                         linear_model, prox_points_1d, prox_step,
+                         solve_monotone_power)
 from .driver import (RunTrace, SolverConfig, default_lambda, fit_loglog,
                      format_csv_rows, parse_csv_rows, run_convex,
                      run_for_regime, run_mirror_descent_smooth,

@@ -167,7 +167,7 @@ def _run_loop(problem, config, regime, algorithm):
         xi_ids.append(xi)
         model_values.append(model.value(x_next))
         r_values.append(reg.value(x_next))
-        divergences.append(phi.bregman(x_next, x))
+        divergences.append(res.divergence)
         residuals.append(res.three_point_residual)
         iterates.append(x_next.copy())
         x = x_next

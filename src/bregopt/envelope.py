@@ -81,19 +81,27 @@ def bregman_prox_point(problem, phi, x, lam, tol=1e-10):
     return bregman_prox_points(problem, phi, x[None, :], lam, tol=tol)[0]
 
 
-def envelope_value(problem, phi, x, lam, path="direct", tol=1e-10):
-    """The envelope at x by the requested evaluation path."""
-    x = np.asarray(x, dtype=float)
-    x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
-    if path == "direct":
-        return problem.exact_F(x_hat) + phi.bregman(x_hat, x) / lam
-    if path != "conjugate":
-        raise ValueError("path must be 'direct' or 'conjugate'")
+def _envelope_values(problem, phi, x, x_hat, lam):
+    """D(x_hat, x) and the direct and conjugate envelope values at x."""
+    F_hat = problem.exact_F(x_hat)
+    div = phi.bregman(x_hat, x)
+    direct = F_hat + div / lam
     gx = phi.gradient(x)
     u = gx / lam
     # (F + phi/lam)^* at u; the supremum is attained at the proximal point
-    conj = float(np.dot(u, x_hat)) - problem.exact_F(x_hat) - phi.value(x_hat) / lam
-    return -conj - phi.value(x) / lam + float(np.dot(gx, x)) / lam
+    conj = float(np.dot(u, x_hat)) - F_hat - phi.value(x_hat) / lam
+    conjugate = -conj - phi.value(x) / lam + float(np.dot(gx, x)) / lam
+    return div, direct, conjugate
+
+
+def envelope_value(problem, phi, x, lam, path="direct", tol=1e-10):
+    """The envelope at x by the requested evaluation path."""
+    if path not in ("direct", "conjugate"):
+        raise ValueError("path must be 'direct' or 'conjugate'")
+    x = np.asarray(x, dtype=float)
+    x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
+    _, direct, conjugate = _envelope_values(problem, phi, x, x_hat, lam)
+    return direct if path == "direct" else conjugate
 
 
 def envelope_gradient(problem, phi, x, lam, tol=1e-10):
@@ -114,12 +122,7 @@ def stationarity(problem, phi, x, lam, tol=1e-10):
     """
     x = np.asarray(x, dtype=float)
     x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
-    div = phi.bregman(x_hat, x)
-    direct = problem.exact_F(x_hat) + div / lam
-    gx = phi.gradient(x)
-    u = gx / lam
-    conj = float(np.dot(u, x_hat)) - problem.exact_F(x_hat) - phi.value(x_hat) / lam
-    conjugate = -conj - phi.value(x) / lam + float(np.dot(gx, x)) / lam
+    div, direct, conjugate = _envelope_values(problem, phi, x, x_hat, lam)
     if abs(direct - conjugate) > 1e-6 * (1.0 + abs(direct)):
         raise RuntimeError(
             "direct and conjugate envelope values disagree: %.12g vs %.12g"

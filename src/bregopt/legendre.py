@@ -11,6 +11,8 @@ together with gradients, Hessian actions, local dual norms, and the two
 builders that turn polynomial growth data into a compatible phi.
 """
 
+import copy
+
 import numpy as np
 
 
@@ -270,10 +272,13 @@ class RadialPowerSum(LegendreFunction):
         c p ||x||^(p-2) I + c p (p-2) ||x||^(p-4) x x^T.
 
     A power-2 term with coefficient c contributes 2c to the strong convexity
-    modulus in the Euclidean norm.
+    modulus in the Euclidean norm.  config is the dict to_config returns (its
+    "kind" names the instance); a sum built from raw coefficients has none.
     """
 
-    def __init__(self, coefs, powers, kind="norm_power_sum", source_coeffs=None):
+    kind = "norm_power_sum"
+
+    def __init__(self, coefs, powers, config=None):
         coefs = np.asarray(coefs, dtype=float)
         powers = np.asarray(powers, dtype=float)
         if np.any(coefs < 0):
@@ -285,8 +290,9 @@ class RadialPowerSum(LegendreFunction):
         keep = coefs > 0
         self.coefs = coefs[keep]
         self.powers = powers[keep]
-        self.kind = kind
-        self.source_coeffs = None if source_coeffs is None else list(map(float, source_coeffs))
+        self.config = config
+        if config is not None:
+            self.kind = config["kind"]
         quad = self.coefs[self.powers == 2.0]
         if quad.size:
             self.strong_convexity_modulus = 2.0 * float(np.sum(quad))
@@ -335,10 +341,11 @@ class RadialPowerSum(LegendreFunction):
         return self.coefs.copy(), self.powers.copy()
 
     def to_config(self):
-        coeffs = self.source_coeffs
-        if coeffs is None:
-            coeffs = [float(c) for c in self.coefs]
-        return {"kind": self.kind, "coeffs": coeffs}
+        if self.config is None:
+            raise ValueError("a radial power sum built from raw coefficients has "
+                             "no config; use build_poly_legendre or "
+                             "build_norm_power_legendre")
+        return copy.deepcopy(self.config)
 
 
 class WeightedSum(LegendreFunction):
@@ -386,26 +393,11 @@ class WeightedSum(LegendreFunction):
         return out
 
     def hessian_solve(self, x, v):
-        terms = self.radial_terms()
-        if terms is not None:
-            coefs, powers = terms
-            return RadialPowerSum(coefs, powers).hessian_solve(x, v)
         H = self.hessian_matrix(x)
         try:
             return np.linalg.solve(H, np.asarray(v, dtype=float))
         except np.linalg.LinAlgError as exc:
             raise SingularHessianError(str(exc)) from exc
-
-    def radial_terms(self):
-        coefs = []
-        powers = []
-        for w, c in zip(self.weights, self.children):
-            t = c.radial_terms()
-            if t is None:
-                return None
-            coefs.append(w * t[0])
-            powers.append(t[1])
-        return np.concatenate(coefs), np.concatenate(powers)
 
     def to_config(self):
         return {
@@ -429,7 +421,8 @@ def build_poly_legendre(p_coeffs):
         raise ValueError("growth polynomial must have a positive coefficient")
     coefs = [a * (3 * i + 7) / (i + 2) for i, a in enumerate(p_coeffs)]
     powers = [i + 2 for i in range(len(p_coeffs))]
-    return RadialPowerSum(coefs, powers, kind="poly_growth", source_coeffs=p_coeffs)
+    return RadialPowerSum(coefs, powers,
+                          config={"kind": "poly_growth", "coeffs": p_coeffs})
 
 
 def build_norm_power_legendre(q_coeffs):
@@ -441,7 +434,8 @@ def build_norm_power_legendre(q_coeffs):
         raise ValueError("norm-power polynomial must have a positive coefficient")
     coefs = [b / (i + 2) for i, b in enumerate(q_coeffs)]
     powers = [i + 2 for i in range(len(q_coeffs))]
-    return RadialPowerSum(coefs, powers, kind="norm_power_sum", source_coeffs=q_coeffs)
+    return RadialPowerSum(coefs, powers,
+                          config={"kind": "norm_power_sum", "coeffs": q_coeffs})
 
 
 def build_composite_legendre(p_coeffs, q_coeffs):
@@ -458,7 +452,22 @@ def build_composite_legendre(p_coeffs, q_coeffs):
         children.append(build_norm_power_legendre(q_coeffs))
     if not children:
         raise ValueError("composite phi needs a positive coefficient on some side")
-    return WeightedSum(children, [1.0] * len(children))
+    return weighted_sum(children, [1.0] * len(children))
+
+
+def weighted_sum(children, weights):
+    """sum_k w_k phi_k, as one RadialPowerSum when every child is radial.
+
+    The flat sum keeps kind "weighted_sum" and the children's weighted_sum
+    config, so its config round trip is that of a WeightedSum.
+    """
+    ws = WeightedSum(children, weights)
+    terms = [c.radial_terms() for c in ws.children]
+    if any(t is None for t in terms):
+        return ws
+    coefs = np.concatenate([w * t[0] for w, t in zip(ws.weights, terms)])
+    powers = np.concatenate([t[1] for t in terms])
+    return RadialPowerSum(coefs, powers, config=ws.to_config())
 
 
 def legendre_from_config(cfg):
@@ -476,7 +485,7 @@ def legendre_from_config(cfg):
         return build_norm_power_legendre([float(b) for b in cfg["coeffs"]])
     if kind == "weighted_sum":
         children = [legendre_from_config(c) for c in cfg["children"]]
-        return WeightedSum(children, [float(w) for w in cfg["weights"]])
+        return weighted_sum(children, [float(w) for w in cfg["weights"]])
     raise ValueError("unknown Legendre kind %r" % (kind,))
 
 

@@ -160,12 +160,11 @@ class NoisyGradientOracle(ModelOracle):
 
     def __init__(self, f_fn, grad_f_fn, noise_sampler, regime, constants,
                  hess_f_fn=None, sample_space="parametric gaussian noise",
-                 test_point_sampler=None, mc_samples=100000):
+                 test_point_sampler=None):
         self._f = f_fn
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
         self._noise = noise_sampler  # rng -> vector
-        self.mc_samples = int(mc_samples)
         super().__init__(regime=regime, constants=constants,
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
@@ -283,14 +282,12 @@ class SaddleData:
     """
 
     def __init__(self, g_value, model_value, model_subgrad, argmax_solver,
-                 w_set_kind, w_radius=None, w_points=None):
+                 w_radius=None):
         self.g_value = g_value            # (x, w, xi) -> float
         self.model_value = model_value    # (base x, y, w, xi) -> float
         self.model_subgrad = model_subgrad
         self.argmax_solver = argmax_solver  # (x, xi) -> w_hat
-        self.w_set_kind = w_set_kind       # "l2_ball" or "finite"
         self.w_radius = w_radius
-        self.w_points = w_points
 
     def sup_g(self, x, xi):
         w_hat = self.argmax_solver(x, xi)

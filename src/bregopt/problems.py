@@ -285,7 +285,7 @@ def _assemble_p5(cfg):
         g_value=lambda x, w, xi: float(np.dot(atoms[xi] + w, x)),
         model_value=lambda x, y, w, xi: float(np.dot(atoms[xi] + w, y)),
         model_subgrad=lambda x, y, w, xi: atoms[xi] + w,
-        argmax_solver=argmax_w, w_set_kind="l2_ball", w_radius=w_radius)
+        argmax_solver=argmax_w, w_radius=w_radius)
 
     def f_sup(y):
         return float(np.dot(abar, y)) + w_radius * float(np.linalg.norm(y))

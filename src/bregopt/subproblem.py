@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
-                       WeightedSum, finite_difference_step)
+                       finite_difference_step)
 
 
 class InnerSolveError(RuntimeError):
@@ -225,14 +225,15 @@ def absolute_affine_model(g, s):
 
 
 class ProxStepResult:
-    """Outcome of one Bregman proximal step."""
+    """Outcome of one Bregman proximal step; divergence is D(minimizer, center)."""
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
-                 objective_decrease, method):
+                 objective_decrease, divergence, method):
         self.minimizer = np.asarray(minimizer, dtype=float)
         self.inner_iterations = int(inner_iterations)
         self.three_point_residual = float(three_point_residual)
         self.objective_decrease = float(objective_decrease)
+        self.divergence = float(divergence)
         self.method = method
 
 
@@ -270,6 +271,53 @@ def check_three_point(g_value, phi, z, z_plus, probe_points):
     if used == 0:
         raise ValueError("no feasible probe points supplied")
     return ThreePointReport(best, worst, used)
+
+
+def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
+    """Certified three-point residual of prox steps z -> y at the probe x = z.
+
+    psi = model + r.  A rho-weakly convex objective is certified through the
+    convexified split g = eta (psi + rho D(., z)) against the remaining
+    (1 - eta rho) fraction of the divergence, which is exactly the inequality
+    the convergence analysis uses (rho = 0 gives the plain inequality); at
+    x = z check_three_point's residual then reads
+
+        eta (psi(z) - psi(y)) - D(y, z) - (1 - eta rho) D(z, y).
+
+    The arguments may be arrays of a batch of steps.  Raises DomainError if
+    a center is infeasible and InnerSolveError if a residual is below
+    -tol (1 + |psi(z)|); returns the residuals.
+    """
+    if not np.all(np.isfinite(psi_z)):
+        raise DomainError("prox centers must be feasible for the objective")
+    res = eta * (psi_z - psi_y) - d_yz - (1.0 - eta * rho) * d_zy
+    scale = tol * (1.0 + np.abs(psi_z))
+    bad = np.flatnonzero(np.logical_not(res >= -scale))
+    if bad.size:
+        i = bad[0]
+        raise InnerSolveError(
+            "prox step %d of %d missed tolerance: three-point residual "
+            "%.3e < -%.3e" % (i, np.size(res), np.ravel(res)[i], np.ravel(scale)[i]))
+    return res
+
+
+def _certified_step(model, reg, phi, center, y, eta, rho, tol, its, method):
+    """ProxStepResult of the step center -> y, certified by center_certificate."""
+    psi_z = model.value(center) + reg.value(center)
+    psi_y = model.value(y) + reg.value(y)
+    d_yz = phi.bregman(y, center)
+    res = center_certificate(psi_z, psi_y, d_yz, phi.bregman(center, y),
+                             eta, rho, tol)
+    return ProxStepResult(y, its, res, psi_z - (psi_y + d_yz / eta), d_yz, method)
+
+
+def _check_step(eta, rho):
+    if eta <= 0:
+        raise ValueError("step size eta must be positive")
+    if rho < 0:
+        raise ValueError("weak convexity constant rho must be nonnegative")
+    if eta * rho >= 1.0:
+        raise ValueError("need eta * rho < 1 for a convex subproblem")
 
 
 # ---------------------------------------------------------------------------
@@ -526,33 +574,6 @@ def _solve_1d(model, reg, phi, z, eta, max_iter=220):
     return 0.5 * (lo + hi), its
 
 
-def _certify_1d(model, reg, phi, z, y, eta, rho, tol):
-    """Center-probe three-point certificate of a batch of 1-d prox steps.
-
-    With the convexified split of _certify (rho = 0 gives the plain
-    inequality) the residual at the probe x = z is
-
-        eta (psi(z) - psi(y)) - D(y, z) - (1 - eta rho) D(z, y),
-
-    psi = model + r.  Raises InnerSolveError if any residual is below
-    -tol (1 + |psi(z)|), and DomainError if any center is infeasible.
-    """
-    Z, Y = z[:, None], y[:, None]
-    psi_z = _elementwise(model._value_fn, z) + np.array([reg.value(c) for c in Z])
-    if not np.all(np.isfinite(psi_z)):
-        raise DomainError("prox centers must be feasible for the objective")
-    psi_y = _elementwise(model._value_fn, y) + np.array([reg.value(c) for c in Y])
-    res = (eta * (psi_z - psi_y) - phi.bregman_rows(Y, Z)
-           - (1.0 - eta * rho) * phi.bregman_rows(Z, Y))
-    scale = tol * (1.0 + np.abs(psi_z))
-    bad = np.flatnonzero(~(res >= -scale))
-    if bad.size:
-        i = bad[0]
-        raise InnerSolveError(
-            "1-d prox point %d of %d missed tolerance: three-point residual "
-            "%.3e < -%.3e" % (i, z.size, res[i], scale[i]))
-
-
 def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     """Certified argmin model(y) + r(y) + (1/eta) D(y, z) for each 1-d center.
 
@@ -562,10 +583,15 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     that fails raises InnerSolveError for the whole batch.  rho is the
     relative weak-convexity modulus of model + r, with eta * rho < 1.
     """
+    _check_step(eta, rho)
     z = np.asarray(centers, dtype=float)
     phi.check_interior(z)
     y, _ = _solve_1d(model, reg, phi, z, eta)
-    _certify_1d(model, reg, phi, z, y, eta, rho, tol)
+    Z, Y = z[:, None], y[:, None]
+    psi_z = _elementwise(model._value_fn, z) + np.array([reg.value(c) for c in Z])
+    psi_y = _elementwise(model._value_fn, y) + np.array([reg.value(c) for c in Y])
+    center_certificate(psi_z, psi_y, phi.bregman_rows(Y, Z),
+                       phi.bregman_rows(Z, Y), eta, rho, tol)
     return y
 
 
@@ -672,56 +698,15 @@ def _solve_mirror(model, reg, phi, z, eta, max_iter=20000):
     return best_y, max_iter
 
 
-class CompositeObjective:
-    """model + regularizer bundle accepted by inner_solve."""
+def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
+    """Certified iterative solve of min model(x) + r(x) + (1/eta) D(x, center).
 
-    def __init__(self, model, reg):
-        self.model = model
-        self.reg = reg
-
-    def value(self, y):
-        return self.model.value(y) + self.reg.value(y)
-
-
-def _certify(model, reg, phi, center, minimizer, eta, rho, probes):
-    """Three-point certificate of a prox step.
-
-    For a convex model (rho = 0) this is the plain inequality with
-    g = eta (model + r).  A rho-weakly convex objective is certified through
-    the convexified split g = eta (model + r + rho D(., center)) against the
-    remaining (1 - eta rho) fraction of the divergence, which is exactly the
-    inequality the convergence analysis uses.
+    rho is the relative weak-convexity modulus of model + r (0 for convex).
+    The minimizer is certified by center_certificate, which raises
+    InnerSolveError below -tol * (1 + |model(center) + r(center)|).
     """
-    if rho > 0.0:
-        cert_phi = WeightedSum([phi], [1.0 - eta * rho])
-
-        def g_val(x):
-            return eta * (model.value(x) + reg.value(x)
-                          + rho * phi.bregman(x, center))
-    else:
-        cert_phi = phi
-
-        def g_val(x):
-            return eta * (model.value(x) + reg.value(x))
-
-    return check_three_point(g_val, cert_phi, center, minimizer, probes)
-
-
-def inner_solve(objective, phi, center, eta, tol=1e-10, probes=None, rho=0.0):
-    """Certified solve of min model(x) + r(x) + (1/eta) D(x, center).
-
-    objective is a CompositeObjective (or anything with .model/.reg); rho is
-    the relative weak-convexity modulus of model + r (0 for convex).  The
-    returned ProxStepResult carries a three-point residual over the probe
-    set (the center plus any caller-supplied points); a residual below
-    -tol * (1 + |objective(center)|) raises InnerSolveError.
-    """
-    model, reg = objective.model, objective.reg
+    _check_step(eta, rho)
     center = np.asarray(center, dtype=float)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    psi = _total_objective(model, reg, phi, center, eta)
-    f0 = psi(center)
     if center.size == 1:
         y, its = _solve_1d(model, reg, phi, center, eta)
         its = int(its[0])
@@ -732,15 +717,7 @@ def inner_solve(objective, phi, center, eta, tol=1e-10, probes=None, rho=0.0):
     else:
         y, its = _solve_mirror(model, reg, phi, center, eta)
         method = "mirror_fallback"
-
-    probe_list = [center] + ([] if probes is None else list(probes))
-    report = _certify(model, reg, phi, center, y, eta, rho, probe_list)
-    scale = tol * (1.0 + abs(f0))
-    if report.min_residual < -scale:
-        raise InnerSolveError(
-            "inner solve missed tolerance: three-point residual %.3e < -%.3e"
-            % (report.min_residual, scale))
-    return ProxStepResult(y, its, report.min_residual, f0 - psi(y), method)
+    return _certified_step(model, reg, phi, center, y, eta, rho, tol, its, method)
 
 
 # ---------------------------------------------------------------------------
@@ -752,24 +729,18 @@ def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
 
     Requires eta * rho < 1 so the composite subproblem is convex.  Dispatches
     to a registered closed form when the (model, r, phi) triple matches one,
-    otherwise to inner_solve; non-convergence of the inner solver is raised,
-    never silently accepted.
+    otherwise to inner_solve.  Every step is certified by center_certificate
+    at tolerance inner_tol: a residual below it raises InnerSolveError,
+    never a quiet return.
     """
     center = np.asarray(center, dtype=float)
-    if eta <= 0:
-        raise ValueError("step size eta must be positive")
-    if rho < 0:
-        raise ValueError("weak convexity constant rho must be nonnegative")
-    if eta * rho >= 1.0:
-        raise ValueError("need eta * rho < 1 for a convex subproblem")
+    _check_step(eta, rho)
     phi.check_interior(center)
     if not reg.in_domain(center):
         raise DomainError("prox center must be feasible for the regularizer")
 
-    psi = _total_objective(model, reg, phi, center, eta)
-
     if eta < ETA_FLOOR:
-        return ProxStepResult(center, 0, 0.0, 0.0, "degenerate_eta")
+        return ProxStepResult(center, 0, 0.0, 0.0, 0.0, "degenerate_eta")
 
     minimizer = None
     method = None
@@ -788,31 +759,6 @@ def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
         method = "closed_form_norm"
         its = 1
     if minimizer is None:
-        obj = CompositeObjective(model, reg)
-        return inner_solve(obj, phi, center, eta, tol=inner_tol, rho=rho)
-
-    report = _certify(model, reg, phi, center, minimizer, eta, rho, [center])
-    return ProxStepResult(minimizer, its, report.min_residual,
-                          psi(center) - psi(minimizer), method)
-
-
-def prox_step_radial(v, reg, phi, center, eta):
-    """Radial-structure prox for an affine model with slope v.
-
-    Exposed separately so the scalar-equation path can be exercised and
-    cross-checked directly against prox_step's generic dispatch.
-    """
-    if reg.kind not in ("zero", "indicator_ball"):
-        raise ValueError("radial prox supports only zero or ball regularizers")
-    radius = reg.radius if reg.kind == "indicator_ball" else None
-    center = np.asarray(center, dtype=float)
-    x = _radial_prox(phi, center, eta, v, radius=radius)
-    model = linear_model(np.asarray(v, dtype=float))
-
-    def g_val(y):
-        return eta * (model.value(y) + reg.value(y))
-
-    psi = _total_objective(model, reg, phi, center, eta)
-    report = check_three_point(g_val, phi, center, x, [center])
-    return ProxStepResult(x, 1, report.min_residual, psi(center) - psi(x),
-                          "radial_scalar_equation")
+        return inner_solve(model, reg, phi, center, eta, tol=inner_tol, rho=rho)
+    return _certified_step(model, reg, phi, center, minimizer, eta, rho,
+                           inner_tol, its, method)

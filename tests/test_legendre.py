@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bregopt.legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
-                              SingularHessianError, WeightedSum,
+from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
+                              ShannonEntropy, SingularHessianError, WeightedSum,
                               build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre,
                               finite_difference_step, gradient_by_differences,
@@ -283,3 +283,29 @@ def test_weighted_sum_domain_and_serialization():
         pt = np.full(d, 0.8)
         assert clone.value(pt) == phi.value(pt)
         assert np.array_equal(clone.gradient(pt), phi.gradient(pt))
+
+
+def test_radial_weighted_sum_is_one_power_sum():
+    p_side, q_side = build_poly_legendre([1.0]), build_norm_power_legendre([0.0, 0.0, 4.0])
+    nested = WeightedSum([p_side, q_side], [1.0, 1.0])
+    cfg = nested.to_config()
+    for flat in (build_composite_legendre([1.0], [0.0, 0.0, 4.0]),
+                 legendre_from_config(cfg)):
+        assert isinstance(flat, RadialPowerSum) and flat.kind == "weighted_sum"
+        assert flat.to_config() == cfg
+        assert flat.strong_convexity_modulus == nested.strong_convexity_modulus
+        for x in ([0.3], [-1.7], [0.4, -2.2]):
+            assert flat.value(x) == nested.value(x)
+            assert np.allclose(flat.gradient(x), nested.gradient(x), rtol=1e-15)
+    # a sum with a non-radial child stays a WeightedSum
+    mix = legendre_from_config({"kind": "weighted_sum", "weights": [1.0, 1.0],
+                                "children": [{"kind": "burg"}, {"kind": "euclidean"}]})
+    assert isinstance(mix, WeightedSum)
+
+
+def test_raw_radial_power_sum_has_no_config():
+    # raw coefficients do not say which growth polynomial they came from
+    raw = RadialPowerSum([1.0], [3.0])
+    assert raw.value([2.0]) == 8.0
+    with pytest.raises(ValueError):
+        raw.to_config()

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from bregopt.legendre import (Burg, Euclidean, ShannonEntropy,
+from bregopt.legendre import (Burg, Euclidean, ShannonEntropy, WeightedSum,
                               build_composite_legendre, build_poly_legendre)
-from bregopt.subproblem import (BallIndicator, CompositeObjective, EntropyLike,
-                                InnerSolveError, L1Regularizer, PointModel,
-                                QuadraticRegularizer, SimplexIndicator,
-                                ZeroRegularizer, absolute_affine_model,
-                                check_three_point, inner_solve, linear_model,
-                                prox_points_1d, prox_step, prox_step_radial,
-                                solve_monotone_power, _solve_1d, _solve_newton)
+from bregopt.subproblem import (BallIndicator, EntropyLike, InnerSolveError,
+                                L1Regularizer, PointModel, QuadraticRegularizer,
+                                SimplexIndicator, ZeroRegularizer,
+                                absolute_affine_model, check_three_point,
+                                inner_solve, linear_model, prox_points_1d,
+                                prox_step, solve_monotone_power, _solve_1d,
+                                _solve_newton)
 
 
 def scaled_g(model, reg, eta):
@@ -53,10 +53,9 @@ def test_radial_scalar_equation():
     z = np.array([0.4, -1.1])
     v = np.array([2.0, 1.0])
     a = prox_step(linear_model(v), ZeroRegularizer(), phi2, z, 0.25).minimizer
-    b = prox_step_radial(v, ZeroRegularizer(), phi2, z, 0.25).minimizer
-    assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(a, z - (0.25 / 7.0) * v, atol=1e-12)
     # v = 0 keeps the center fixed
-    fix = prox_step_radial(np.zeros(2), ZeroRegularizer(), phi2, z, 0.25).minimizer
+    fix = prox_step(linear_model(np.zeros(2)), ZeroRegularizer(), phi2, z, 0.25).minimizer
     assert np.allclose(fix, z, atol=1e-12)
 
 
@@ -110,6 +109,13 @@ def test_prox_step_precondition_errors():
         prox_step(linear_model(np.array([1.0])), ZeroRegularizer(), Euclidean(), z, 0.5, rho=2.5)
     with pytest.raises(ValueError):
         prox_step(linear_model(np.array([1.0])), ZeroRegularizer(), Euclidean(), z, -0.1)
+    # the batched 1-d solve and inner_solve share prox_step's preconditions
+    model = PointModel(lambda y: 0.5 * y * y, lambda y: y)
+    for eta, rho in [(0.0, 0.0), (1.0, 2.0), (0.5, -1.0)]:
+        with pytest.raises(ValueError):
+            prox_points_1d(model, ZeroRegularizer(), Euclidean(), z, eta, rho=rho)
+        with pytest.raises(ValueError):
+            inner_solve(model, ZeroRegularizer(), Euclidean(), z, eta, rho=rho)
 
 
 def test_closed_form_agrees_with_iterative_solver():
@@ -141,8 +147,7 @@ def test_closed_form_agrees_with_iterative_solver():
         model = linear_model(v)
         closed = prox_step(model, reg, phi, z, 0.4)
         assert "closed_form" in closed.method
-        iterative = inner_solve(CompositeObjective(model, reg), phi, z, 0.4,
-                                tol=1e-9)
+        iterative = inner_solve(model, reg, phi, z, 0.4, tol=1e-9)
         gap = phi.bregman(closed.minimizer, np.maximum(iterative.minimizer, 1e-300)
                           if phi.domain != "all_space" else iterative.minimizer)
         assert gap <= 1e-8
@@ -188,8 +193,7 @@ def test_inner_solve_1d_smooth_matches_golden_section():
                        lambda y: np.array([np.exp(y[0])]), smooth=True)
     z = np.array([0.8])
     eta = 0.7
-    res = inner_solve(CompositeObjective(model, ZeroRegularizer()),
-                      Euclidean(), z, eta)
+    res = inner_solve(model, ZeroRegularizer(), Euclidean(), z, eta)
 
     def total(y):
         return np.exp(y) + (y - z[0]) ** 2 / (2 * eta)
@@ -213,7 +217,7 @@ def test_inner_solve_1d_matches_golden_section():
     phi = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
     z = np.array([1.6])
     eta = 0.4
-    res = inner_solve(CompositeObjective(model, ZeroRegularizer()), phi, z, eta)
+    res = inner_solve(model, ZeroRegularizer(), phi, z, eta)
 
     def total(y):
         return abs(y ** 2 - 1.0) + phi.bregman(np.array([y]), z) / eta
@@ -236,8 +240,7 @@ def test_inner_solve_simplex_matches_grid():
     v = np.array([0.9, -0.4])
     z = np.array([0.3, 0.7])
     eta = 0.6
-    res = inner_solve(CompositeObjective(linear_model(v), reg), phi, z, eta,
-                      tol=1e-8)
+    res = inner_solve(linear_model(v), reg, phi, z, eta, tol=1e-8)
     ts = np.linspace(1e-9, 1 - 1e-9, 1000001)
     x0, x1 = ts, 1.0 - ts
     ent = x0 * np.log(x0) + x1 * np.log(x1)
@@ -251,7 +254,7 @@ def test_inner_solve_simplex_matches_grid():
 
 def test_objective_already_minimized_at_center():
     model = linear_model(np.zeros(2))
-    res = inner_solve(CompositeObjective(model, ZeroRegularizer()), Euclidean(),
+    res = inner_solve(model, ZeroRegularizer(), Euclidean(),
                       np.array([0.3, -0.2]), 0.5)
     assert np.allclose(res.minimizer, [0.3, -0.2], atol=1e-12)
 
@@ -298,7 +301,7 @@ def test_1d_abs_affine_step_matches_bisection():
         center = np.array([z])
         res = prox_step(model, reg, phi, center, eta)
         assert res.method == "closed_form_abs_affine"
-        ref = inner_solve(CompositeObjective(model, reg), phi, center, eta)
+        ref = inner_solve(model, reg, phi, center, eta)
         assert ref.method == "bisection_1d"
         assert abs(res.minimizer[0] - ref.minimizer[0]) <= 1e-12 * (1.0 + abs(ref.minimizer[0]))
 
@@ -312,8 +315,7 @@ def test_1d_bisection_brackets_far_minimizers():
         center = np.array([z])
         closed = prox_step(model, ZeroRegularizer(), phi, center, 1.0)
         assert closed.method == "closed_form_affine"
-        res = inner_solve(CompositeObjective(model, ZeroRegularizer()), phi,
-                          center, 1.0)
+        res = inner_solve(model, ZeroRegularizer(), phi, center, 1.0)
         assert res.method == "bisection_1d"
         assert abs(res.minimizer[0] - closed.minimizer[0]) <= 1e-13 * abs(closed.minimizer[0])
 
@@ -346,7 +348,7 @@ def test_newton_raises_when_line_search_fails():
                        lambda y: np.ones(2), smooth=True,
                        hessian_fn=lambda y: np.zeros((2, 2)))
     with pytest.raises(InnerSolveError):
-        inner_solve(CompositeObjective(model, ZeroRegularizer()), Euclidean(), z, 0.5)
+        inner_solve(model, ZeroRegularizer(), Euclidean(), z, 0.5)
 
 
 def test_newton_raises_when_iterations_run_out():
@@ -357,3 +359,54 @@ def test_newton_raises_when_iterations_run_out():
     assert its > 1
     with pytest.raises(InnerSolveError):
         _solve_newton(model, ZeroRegularizer(), Euclidean(), z, 0.5, 1e-10, max_iter=1)
+
+
+def _reference_residual(model, reg, phi, z, y, eta, rho):
+    # the probe-set audit at the center, with the convexified split for rho > 0
+    cert_phi = WeightedSum([phi], [1.0 - eta * rho]) if rho > 0 else phi
+
+    def g_val(x):
+        return eta * (model.value(x) + reg.value(x) + rho * phi.bregman(x, z))
+
+    return check_three_point(g_val, cert_phi, z, y, [z]).min_residual
+
+
+def test_center_certificate_matches_the_probe_audit():
+    composite = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
+    kink = PointModel(lambda y: abs(y[0] ** 2 - 1.0),
+                      lambda y: np.array([np.sign(y[0] ** 2 - 1.0) * 2 * y[0]]))
+    smooth = PointModel(lambda y: float(np.sum(np.exp(y))), np.exp, smooth=True,
+                        hessian_fn=lambda y: np.diag(np.exp(y)))
+    cases = [
+        ("closed_form_affine", linear_model(np.array([0.7, -1.2])), composite,
+         np.array([0.4, 0.9])),
+        ("closed_form_abs_affine", absolute_affine_model(np.array([1.3, -0.4]), 0.2),
+         composite, np.array([0.8, -0.3])),
+        ("bisection_1d", kink, composite, np.array([1.6])),
+        ("newton", smooth, build_poly_legendre([0.25, 0.0, 0.25]), np.array([0.5, -1.0])),
+    ]
+    eta = 0.4
+    reg = ZeroRegularizer()
+    for method, model, phi, z in cases:
+        for rho in (0.0, 1.5):
+            res = prox_step(model, reg, phi, z, eta, rho=rho)
+            assert res.method == method
+            ref = _reference_residual(model, reg, phi, z, res.minimizer, eta, rho)
+            psi_z = model.value(z) + reg.value(z)
+            assert abs(res.three_point_residual - ref) <= 1e-12 * (1.0 + abs(psi_z))
+            assert res.divergence == phi.bregman(res.minimizer, z)
+
+
+def test_closed_form_with_a_lying_model_value_raises():
+    # the declared structure picks the closed form; the value function the
+    # certificate evaluates disagrees with it, so the step must not pass
+    z = np.array([0.4, -0.3])
+    v = np.array([0.9, 0.5])
+    liar = PointModel(lambda y: -float(np.dot(v, y)), lambda y: v, linear=v)
+    with pytest.raises(InnerSolveError):
+        prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
+    g, s = np.array([1.0, -2.0]), 0.3
+    liar = PointModel(lambda y: -abs(float(np.dot(g, y)) + s), lambda y: g,
+                      scalar_abs=(g, s))
+    with pytest.raises(InnerSolveError):
+        prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
