@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .subproblem import prox_step
+from .subproblem import ProxStepResult, prox_step, prox_step_rows
 from . import envelope as envelope_mod
 
 
@@ -143,79 +143,121 @@ def sample_tstar(etas, rho, rng, size=None):
     return rng.choice(etas.size, p=p, size=size)
 
 
-def _run_loop(problem, config, regime, algorithm):
-    lam, etas = _resolve_etas(problem, config, regime)
+_ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
+
+
+def _stacked(steps):
+    """One ProxStepResult over the rows of per-row prox steps."""
+    def field(name):
+        return np.array([getattr(r, name) for r in steps])
+
+    return ProxStepResult(field("minimizer"), 0, field("three_point_residual"),
+                          field("objective_decrease"), field("divergence"),
+                          "per_row", field("model_value"), field("r_value"))
+
+
+def _run_loop(problem, configs):
+    """Advance the runs of configs in lockstep, one (S, d) state.
+
+    The S configs must share their horizon, step sizes, lam and inner_tol
+    (the seeds of one sweep horizon do).  Each run draws its T+1 samples up
+    front, which is the same stream, and leaves its generator in the same
+    state for the t* draw, as one draw per step.  Oracles with affine models
+    step all rows with one batched closed form (prox_step_rows); any other
+    model takes one prox_step per row.  Returns S RunTraces; in the convex
+    regime each carries its averaged iterates.
+    """
+    regime = problem.regime
+    lam, etas = _resolve_etas(problem, configs[0], regime)
+    T = configs[0].horizon_T
+    tol = configs[0].inner_tol
+    for c in configs[1:]:
+        lam_c, etas_c = _resolve_etas(problem, c, regime)
+        if (lam_c != lam or c.inner_tol != tol or c.horizon_T != T
+                or not np.array_equal(etas_c, etas)):
+            raise ValueError("runs in lockstep must share T, step sizes, lam and inner_tol")
     oracle = problem.oracle
     reg = problem.regularizer
     phi = problem.phi
     rho = oracle.constants.rho
-    rng = np.random.default_rng(config.seed)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    xis = [oracle.sample_rows(rng, T + 1) for rng in rngs]
+    xi_steps = np.stack(xis, axis=1)            # step t -> one sample per run
 
-    x = np.asarray(problem.x0, dtype=float)
-    iterates = [x.copy()]
-    xi_ids = []
-    model_values = []
-    r_values = [reg.value(x)]
-    divergences = []
-    residuals = []
-    for t in range(config.horizon_T + 1):
-        xi = oracle.sample(rng)
-        model = oracle.model_at(x, xi)
-        res = prox_step(model, reg, phi, x, float(etas[t]), rho=rho,
-                        inner_tol=config.inner_tol)
-        x_next = res.minimizer
-        xi_ids.append(xi)
-        model_values.append(model.value(x_next))
-        r_values.append(reg.value(x_next))
-        divergences.append(res.divergence)
-        residuals.append(res.three_point_residual)
-        iterates.append(x_next.copy())
-        x = x_next
-    t_star = int(sample_tstar(etas, rho, rng))
-    return RunTrace(problem.id, algorithm, np.array(iterates), etas, xi_ids,
-                    t_star, lam, np.array(model_values), np.array(r_values),
-                    np.array(divergences), np.array(residuals),
-                    seed=config.seed)
+    S = len(configs)
+    X = np.tile(np.asarray(problem.x0, dtype=float), (S, 1))
+    iterates = np.empty((S, T + 2, X.shape[1]))
+    iterates[:, 0] = X
+    model_values = np.empty((S, T + 1))
+    r_values = np.empty((S, T + 2))
+    r_values[:, 0] = reg.value_rows(X)
+    divergences = np.empty((S, T + 1))
+    residuals = np.empty((S, T + 1))
+    for t in range(T + 1):
+        eta = float(etas[t])
+        lin = oracle.linear_rows(X, xi_steps[t])
+        res = None
+        if lin is not None:
+            res = prox_step_rows(lin[0], lin[1], reg, phi, X, eta, rho=rho,
+                                 inner_tol=tol)
+        if res is None:
+            res = _stacked([prox_step(oracle.model_at(x, xi), reg, phi, x, eta,
+                                      rho=rho, inner_tol=tol)
+                            for x, xi in zip(X, xi_steps[t])])
+        X = res.minimizer
+        iterates[:, t + 1] = X
+        model_values[:, t] = res.model_value
+        r_values[:, t + 1] = res.r_value
+        divergences[:, t] = res.divergence
+        residuals[:, t] = res.three_point_residual
+
+    traces = []
+    for s, (config, rng) in enumerate(zip(configs, rngs)):
+        t_star = int(sample_tstar(etas, rho, rng))
+        trace = RunTrace(problem.id, _ALGORITHMS[regime], iterates[s], etas.copy(),
+                         list(xis[s]), t_star, lam, model_values[s], r_values[s],
+                         divergences[s], residuals[s], seed=config.seed)
+        if regime == "C":
+            # the eta-weighted average is the point the plain-convexity rate
+            # bound controls; under the 1/(mu (t+1)) schedule the guarantee is
+            # for the plain average, so both are recorded
+            xs = trace.iterates[:-1]                      # x_0 .. x_T
+            w = trace.etas / trace.etas.sum()
+            trace.weighted_average = np.tensordot(w, xs, axes=1)
+            trace.plain_average = xs.mean(axis=0)
+        traces.append(trace)
+    return traces
+
+
+def _run_one(problem, config, regime, name):
+    if problem.regime != regime:
+        raise ValueError("%s expects a regime-%s problem" % (name, regime))
+    return _run_loop(problem, [config])[0]
 
 
 def run_model_based(problem, config):
     """The weakly convex loop (regime A)."""
-    if problem.regime != "A":
-        raise ValueError("run_model_based expects a regime-A problem")
-    return _run_loop(problem, config, "A", "model_based")
+    return _run_one(problem, config, "A", "run_model_based")
 
 
 def run_mirror_descent_smooth(problem, config):
     """The smooth stochastic-gradient loop (regime B)."""
-    if problem.regime != "B":
-        raise ValueError("run_mirror_descent_smooth expects a regime-B problem")
-    return _run_loop(problem, config, "B", "mirror_descent_smooth")
+    return _run_one(problem, config, "B", "run_mirror_descent_smooth")
 
 
-def run_convex(problem, config, average=True):
+def run_convex(problem, config):
     """The convex-regime loop, reporting averaged iterates.
 
-    The eta-weighted average is the point the plain-convexity rate bound
-    controls; under the 1/(mu (t+1)) schedule the guarantee is for the plain
-    average, so both are recorded.
+    The trace carries the eta-weighted average, the point the
+    plain-convexity rate bound controls, and the plain average, which the
+    1/(mu (t+1)) schedule's guarantee is for.
     """
-    if problem.regime != "C":
-        raise ValueError("run_convex expects a regime-C problem")
-    trace = _run_loop(problem, config, "C", "convex")
-    if average:
-        xs = trace.iterates[:-1]                      # x_0 .. x_T
-        w = trace.etas / trace.etas.sum()
-        trace.weighted_average = np.tensordot(w, xs, axes=1)
-        trace.plain_average = xs.mean(axis=0)
-    return trace
+    return _run_one(problem, config, "C", "run_convex")
 
 
 def run_for_regime(problem, config):
-    if problem.regime == "A":
-        return run_model_based(problem, config)
-    if problem.regime == "B":
-        return run_mirror_descent_smooth(problem, config)
-    return run_convex(problem, config)
+    """One run of the problem's regime loop: the one-config case of the lockstep loop."""
+    return _run_loop(problem, [config])[0]
 
 
 def convex_gap(problem, trace):
@@ -292,41 +334,51 @@ class SweepResult:
                 "n_seeds": self.n_seeds}
 
 
-def _sweep_cell(problem, T, seed_index, alpha, lam, schedule_kind, inner_tol,
-                metric_mode):
-    t0 = time.perf_counter()
+def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
+                   metric_mode):
+    """Rows and target metric values of the n_seeds cells of one horizon.
+
+    The cells run in lockstep; each cell's wall_ms is its share of that loop
+    plus the time of its own metric.
+    """
     if schedule_kind == "strongly_convex":
         schedule = ("strongly_convex",)
     else:
         schedule = ("constant", alpha)
     # each cell derives an independent generator state from (T, seed index)
-    config = SolverConfig(T, seed=[seed_index, T], lam=lam, schedule=schedule,
-                          inner_tol=inner_tol)
-    trace = run_for_regime(problem, config)
+    configs = [SolverConfig(T, seed=[s, T], lam=lam, schedule=schedule,
+                            inner_tol=inner_tol) for s in range(n_seeds)]
+    t0 = time.perf_counter()
+    traces = _run_loop(problem, configs)
+    loop_ms = (time.perf_counter() - t0) * 1000.0 / n_seeds
     rows = []
-    base = {"regime": problem.regime, "problem_id": problem.id, "T": T,
-            "seed": seed_index, "eta0": float(trace.etas[0]),
-            "lambda": float(trace.lam)}
-    if problem.regime in ("A", "B"):
-        report = envelope_mod.stationarity(problem, problem.phi,
-                                           trace.returned_point, trace.lam,
-                                           tol=inner_tol)
-        if metric_mode == "tstar_full":
-            metric = stationarity_over_tstar_law(problem, trace, tol=inner_tol)
+    metrics = []
+    for s, trace in enumerate(traces):
+        t1 = time.perf_counter()
+        if problem.regime in ("A", "B"):
+            x_hat = None
+            if metric_mode == "tstar_full":
+                w, X_hat, divs = _tstar_law(problem, trace, inner_tol)
+                x_hat = X_hat[trace.t_star]
+            report = envelope_mod.stationarity(problem, problem.phi,
+                                               trace.returned_point, trace.lam,
+                                               tol=inner_tol, x_hat=x_hat)
+            metric = (float(w @ divs) if metric_mode == "tstar_full"
+                      else float(report.divergence))
+            values = [("breg_div_to_prox", metric),
+                      ("env_grad_local_norm",
+                       float(report.local_dual_norm_of_gradient))]
         else:
-            metric = float(report.divergence)
-        wall = (time.perf_counter() - t0) * 1000.0
-        rows.append(dict(base, metric_name="breg_div_to_prox",
-                         metric_value=metric, wall_ms=wall))
-        rows.append(dict(base, metric_name="env_grad_local_norm",
-                         metric_value=float(report.local_dual_norm_of_gradient),
-                         wall_ms=wall))
-    else:
-        metric = float(convex_gap(problem, trace))
-        wall = (time.perf_counter() - t0) * 1000.0
-        rows.append(dict(base, metric_name="fgap_avg", metric_value=metric,
-                         wall_ms=wall))
-    return rows, metric
+            metric = float(convex_gap(problem, trace))
+            values = [("fgap_avg", metric)]
+        wall = loop_ms + (time.perf_counter() - t1) * 1000.0
+        base = {"regime": problem.regime, "problem_id": problem.id, "T": T,
+                "seed": s, "eta0": float(trace.etas[0]),
+                "lambda": float(trace.lam)}
+        rows.extend(dict(base, metric_name=name, metric_value=value, wall_ms=wall)
+                    for name, value in values)
+        metrics.append(metric)
+    return rows, metrics
 
 
 def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
@@ -338,39 +390,31 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     log-log slope of the seed-averaged target metric.  metric_mode selects
     the single drawn t* ("tstar_draw") or the variance-reduced average over
     the full t* distribution ("tstar_full"); both estimate the same
-    expectation.  Cells may execute concurrently; rows are assembled in
-    sorted (T, seed) order either way.
+    expectation.  The seeds of a horizon run in lockstep; horizons may
+    execute concurrently, and rows are assembled in sorted (T, seed) order
+    either way.
     """
     if metric_mode not in ("tstar_draw", "tstar_full"):
         raise ValueError("unknown metric mode %r" % (metric_mode,))
     horizons = list(horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
-    cells = [(T, s) for T in horizons for s in range(n_seeds)]
 
-    def work(cell):
-        T, s = cell
-        return cell, _sweep_cell(problem, T, s, alpha, lam, schedule_kind,
-                                 inner_tol, metric_mode)
+    def work(T):
+        return _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind,
+                              inner_tol, metric_mode)
 
-    results = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for cell, out in pool.map(work, cells):
-                results[cell] = out
+            results = list(pool.map(work, horizons))
     else:
-        for cell in cells:
-            results[cell] = work(cell)[1]
+        results = [work(T) for T in horizons]
 
     rows = []
     means = []
     std_errs = []
-    for T in horizons:
-        vals = []
-        for s in range(n_seeds):
-            cell_rows, metric = results[(T, s)]
-            rows.extend(cell_rows)
-            vals.append(metric)
+    for horizon_rows, vals in results:
+        rows.extend(horizon_rows)
         vals = np.asarray(vals)
         means.append(float(vals.mean()))
         std_errs.append(float(vals.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0)
@@ -380,9 +424,8 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     return SweepResult(rows, horizons, means, std_errs, fit, metric_name, n_seeds)
 
 
-def stationarity_over_tstar_law(problem, trace, tol=1e-10):
-    """Variance-reduced metric: average D(prox(x_t), x_t) over the full
-    t*-distribution instead of the single drawn index (same expectation)."""
+def _tstar_law(problem, trace, tol):
+    """Weights of the t* law, the prox points of x_0..x_T, and D(prox(x_t), x_t)."""
     etas = np.asarray(trace.etas, dtype=float)
     rho = problem.oracle.constants.rho
     w = etas / (1.0 - etas * rho)
@@ -390,4 +433,11 @@ def stationarity_over_tstar_law(problem, trace, tol=1e-10):
     X = trace.iterates[:etas.size]
     X_hat = envelope_mod.bregman_prox_points(problem, problem.phi, X,
                                              trace.lam, tol=tol)
-    return float(w @ problem.phi.bregman_rows(X_hat, X))
+    return w, X_hat, problem.phi.bregman_rows(X_hat, X)
+
+
+def stationarity_over_tstar_law(problem, trace, tol=1e-10):
+    """Variance-reduced metric: average D(prox(x_t), x_t) over the full
+    t*-distribution instead of the single drawn index (same expectation)."""
+    w, _, divs = _tstar_law(problem, trace, tol)
+    return float(w @ divs)

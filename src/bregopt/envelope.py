@@ -111,17 +111,20 @@ def envelope_gradient(problem, phi, x, lam, tol=1e-10):
     return phi.hessian_apply(x, x - x_hat) / lam
 
 
-def stationarity(problem, phi, x, lam, tol=1e-10):
+def stationarity(problem, phi, x, lam, tol=1e-10, x_hat=None):
     """Full stationarity report at x.
 
     The divergence field D(prox(x), x) is the convergence metric of the
     weakly convex rate theory.  lower_bound_check is
     sqrt(D) - (lam/sqrt(2)) * ||grad env||_x^* when phi declares a strong
     convexity modulus >= 1, and None otherwise (the bound is then not
-    claimed, so it is flagged rather than guessed).
+    claimed, so it is flagged rather than guessed).  x_hat is prox(x) when
+    the caller has already solved it (bregman_prox_points), else it is
+    solved here.
     """
     x = np.asarray(x, dtype=float)
-    x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
+    if x_hat is None:
+        x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
     div, direct, conjugate = _envelope_values(problem, phi, x, x_hat, lam)
     if abs(direct - conjugate) > 1e-6 * (1.0 + abs(direct)):
         raise RuntimeError(

@@ -17,6 +17,7 @@ implicitly: the step-size rules need them a priori.
 
 import numpy as np
 
+from .legendre import dot_rows
 from .subproblem import PointModel, linear_model, absolute_affine_model
 
 
@@ -57,6 +58,10 @@ class ModelOracle:
     def sample(self, rng):
         raise NotImplementedError
 
+    def sample_rows(self, rng, n):
+        """n draws at once, the same stream (and generator state) as n sample calls."""
+        return np.array([self.sample(rng) for _ in range(n)])
+
     def draw_test_point(self, rng):
         if self.test_point_sampler is None:
             raise ValueError("oracle has no test point sampler configured")
@@ -66,6 +71,15 @@ class ModelOracle:
     def model_at(self, x, xi):
         """The sampled model anchored at x, as a PointModel."""
         raise NotImplementedError
+
+    def linear_rows(self, X, xi):
+        """(slopes, offsets) of affine sampled models, or None.
+
+        The models anchored at the rows of X (sample xi[i] at row i) are
+        offsets[i] + <slopes[i], y>.  None when the family's models are not
+        affine.  An affine family's model_at is the one-point case.
+        """
+        return None
 
     def model_value(self, x, y, xi):
         return self.model_at(x, xi).value(y)
@@ -105,6 +119,9 @@ class FiniteSupportOracle(ModelOracle):
     def sample(self, rng):
         return int(rng.choice(self.n_atoms, p=self.weights))
 
+    def sample_rows(self, rng, n):
+        return rng.choice(self.n_atoms, p=self.weights, size=n)
+
     def expected_model_value(self, x, y):
         return float(sum(w * self.model_value(x, y, i)
                          for i, w in enumerate(self.weights)))
@@ -117,8 +134,31 @@ class FiniteSupportOracle(ModelOracle):
 # linear models from a stochastic (sub)gradient map
 # ---------------------------------------------------------------------------
 
+def _tangent_rows(X, slopes, values):
+    """Slopes and offsets of the affine models values + <slopes, y - X>.
+
+    X is one point or an (S, d) array of points; slopes broadcast to its
+    shape and values must hold one entry per point.
+    """
+    X = np.asarray(X, dtype=float)
+    slopes = np.broadcast_to(np.asarray(slopes, dtype=float), X.shape)
+    values = np.asarray(values, dtype=float)
+    if values.shape != X.shape[:-1]:
+        raise ValueError("model callbacks must act on the last axis of the points")
+    return slopes, values - dot_rows(slopes, X)
+
+
+def _one_point(lin):
+    slope, offset = lin
+    return linear_model(slope, offset=float(offset))
+
+
 class LinearMirrorOracle(FiniteSupportOracle):
-    """f_x(y, xi) = f(x) + <G(x, xi), y - x> over a finite sample space."""
+    """f_x(y, xi) = f(x) + <G(x, xi), y - x> over a finite sample space.
+
+    f_fn and grad_map act on the last axis: at an (S, d) array of points
+    (and S atom indices) they return S values and an (S, d) array.
+    """
 
     family = "linear_mirror"
 
@@ -135,11 +175,11 @@ class LinearMirrorOracle(FiniteSupportOracle):
                          test_point_sampler=test_point_sampler)
 
     def model_at(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(self._G(x, xi), dtype=float)
-        offset = self.f_exact(x) - float(np.dot(g, x))
-        m = linear_model(g, offset=offset)
-        return m
+        return _one_point(self.linear_rows(x, xi))
+
+    def linear_rows(self, X, xi):
+        X = np.asarray(X, dtype=float)
+        return _tangent_rows(X, self._G(X, xi), self._f(X))
 
     def lip_L(self, xi):
         return float(self._lip(xi))
@@ -153,7 +193,8 @@ class NoisyGradientOracle(ModelOracle):
 
     The smooth-minimization regime: xi is the noise vector itself, drawn from
     a seedable parametric generator with E[noise] = 0 and
-    E||noise||^2 <= sigma^2 / 2.
+    E||noise||^2 <= sigma^2 / 2.  f_fn and grad_f_fn act on the last axis:
+    at an (S, d) array of points they return S values and an (S, d) array.
     """
 
     family = "linear_mirror"
@@ -173,10 +214,12 @@ class NoisyGradientOracle(ModelOracle):
         return np.asarray(self._noise(rng), dtype=float)
 
     def model_at(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        g = self.grad_f(x) + np.asarray(xi, dtype=float)
-        offset = self.f_exact(x) - float(np.dot(g, x))
-        return linear_model(g, offset=offset)
+        return _one_point(self.linear_rows(x, xi))
+
+    def linear_rows(self, X, xi):
+        X = np.asarray(X, dtype=float)
+        return _tangent_rows(X, self.grad_f(X) + np.asarray(xi, dtype=float),
+                             self._f(X))
 
     def lip_L(self, xi):
         raise NotImplementedError(
@@ -295,7 +338,12 @@ class SaddleData:
 
 
 class SaddleOracle(FiniteSupportOracle):
-    """f_x(y, xi) = g_x(y, w_hat(x, xi), xi) with w_hat the inner argmax."""
+    """f_x(y, xi) = g_x(y, w_hat(x, xi), xi) with w_hat the inner argmax.
+
+    With linear_slope (g_x affine in y), linear_slope, the argmax solver and
+    the saddle's model_value act on the last axis of an (S, d) array of
+    points, as the linear families' callbacks do.
+    """
 
     family = "saddle"
 
@@ -312,11 +360,9 @@ class SaddleOracle(FiniteSupportOracle):
 
     def model_at(self, x, xi):
         x = np.asarray(x, dtype=float)
-        w_hat = self.saddle.argmax_solver(x, xi)
         if self._linear_slope is not None:
-            g = np.asarray(self._linear_slope(x, xi), dtype=float)
-            offset = self.saddle.model_value(x, x, w_hat, xi) - float(np.dot(g, x))
-            return linear_model(g, offset=offset)
+            return _one_point(self.linear_rows(x, xi))
+        w_hat = self.saddle.argmax_solver(x, xi)
 
         def val(y):
             return float(self.saddle.model_value(x, y, w_hat, xi))
@@ -325,6 +371,14 @@ class SaddleOracle(FiniteSupportOracle):
             return np.asarray(self.saddle.model_subgrad(x, y, w_hat, xi), dtype=float)
 
         return PointModel(val, sub)
+
+    def linear_rows(self, X, xi):
+        if self._linear_slope is None:
+            return None
+        X = np.asarray(X, dtype=float)
+        w_hat = self.saddle.argmax_solver(X, xi)
+        return _tangent_rows(X, self._linear_slope(X, xi),
+                             self.saddle.model_value(X, X, w_hat, xi))
 
     def lip_L(self, xi):
         return float(self._lip(xi))

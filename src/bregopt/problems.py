@@ -24,7 +24,8 @@ import json
 import numpy as np
 
 from .legendre import (build_composite_legendre, build_norm_power_legendre,
-                       build_poly_legendre, legendre_from_config)
+                       build_poly_legendre, dot_rows, legendre_from_config,
+                       norm_rows)
 from .models import (CompositeData, LinearMirrorOracle, NoisyGradientOracle,
                      OracleConstants, ProxLinearOracle, ProximalPointOracle,
                      SaddleData, SaddleOracle)
@@ -185,13 +186,15 @@ def _assemble_p2(cfg):
     sigma = float(cfg["sigma"])
     d = A.shape[1]
 
+    # f and grad act on the last axis (the oracle's linear models of many
+    # points at once); a row's matrix products are the BLAS calls of one point
     def f(x):
-        z = A @ x
-        return float(np.dot(weights, (z * z - b) ** 2))
+        z = (A @ x[..., None])[..., 0]
+        return dot_rows(weights, (z * z - b) ** 2)
 
     def grad(x):
-        z = A @ x
-        return A.T @ (weights * 4.0 * (z ** 3 - b * z))
+        z = (A @ x[..., None])[..., 0]
+        return (A.T @ (weights * 4.0 * (z ** 3 - b * z))[..., None])[..., 0]
 
     def hess(x):
         z = A @ x
@@ -239,7 +242,7 @@ def _assemble_simplex_linear(cfg):
         lip_bound_L=float(np.sqrt(np.dot(weights, lip * lip))))
     sampler = _make_sampler(cfg["sampler"], d)
     oracle = LinearMirrorOracle(
-        f_fn=lambda x: float(np.dot(abar, x)),
+        f_fn=lambda x: dot_rows(abar, x),
         grad_map=lambda x, xi: atoms[xi],
         weights=weights, lip_fn=lambda xi: float(lip[xi]), regime="C",
         constants=constants, grad_f_fn=lambda x: abar.copy(),
@@ -275,15 +278,14 @@ def _assemble_p5(cfg):
     abar = weights @ atoms
     d = atoms.shape[1]
 
+    # the argmax, the model value and the slope act on the last axis
     def argmax_w(x, xi):
-        n = float(np.linalg.norm(x))
-        if n == 0.0:
-            return np.zeros(d)
-        return (w_radius / n) * np.asarray(x, dtype=float)
+        n = norm_rows(x)[..., None]
+        return np.divide(w_radius, n, out=np.zeros(n.shape), where=n > 0.0) * x
 
     saddle = SaddleData(
-        g_value=lambda x, w, xi: float(np.dot(atoms[xi] + w, x)),
-        model_value=lambda x, y, w, xi: float(np.dot(atoms[xi] + w, y)),
+        g_value=lambda x, w, xi: dot_rows(atoms[xi] + w, x),
+        model_value=lambda x, y, w, xi: dot_rows(atoms[xi] + w, y),
         model_subgrad=lambda x, y, w, xi: atoms[xi] + w,
         argmax_solver=argmax_w, w_radius=w_radius)
 

@@ -16,10 +16,9 @@ which holds with residual >= 0 exactly when z+ is the true minimizer.
 """
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
-                       finite_difference_step)
+from .legendre import (Burg, DomainError, Euclidean, ShannonEntropy, dot_rows,
+                       finite_difference_step, norm_rows)
 
 
 class InnerSolveError(RuntimeError):
@@ -36,17 +35,21 @@ ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
 class Regularizer:
     """Closed convex regularizer r with a simple prox structure.
 
-    mu_relative is the relative strong convexity modulus: r - mu*phi is
-    convex for the phi the regularizer is paired with (0 for all kinds except
-    the entropy-like tilt).
+    value_rows gives r at each row of an (N, d) array; value is its one-row
+    case.  mu_relative is the relative strong convexity modulus: r - mu*phi
+    is convex for the phi the regularizer is paired with (0 for all kinds
+    except the entropy-like tilt).
     """
 
     kind = "abstract"
     convex = True
     mu_relative = 0.0
 
-    def value(self, x):
+    def value_rows(self, X):
         raise NotImplementedError
+
+    def value(self, x):
+        return float(self.value_rows(np.asarray(x, dtype=float)[None, :])[0])
 
     def in_domain(self, x):
         return np.isfinite(self.value(x))
@@ -60,11 +63,16 @@ class Regularizer:
         return 0.0
 
 
+def _on_simplex(X, tol):
+    return (np.all(X >= -tol, axis=1)
+            & (np.abs(np.sum(X, axis=1) - 1.0) <= tol))
+
+
 class ZeroRegularizer(Regularizer):
     kind = "zero"
 
-    def value(self, x):
-        return 0.0
+    def value_rows(self, X):
+        return np.zeros(len(X))
 
 
 class SimplexIndicator(Regularizer):
@@ -75,11 +83,8 @@ class SimplexIndicator(Regularizer):
     def __init__(self, tol=1e-9):
         self.tol = tol
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.all(x >= -self.tol) and abs(float(np.sum(x)) - 1.0) <= self.tol:
-            return 0.0
-        return np.inf
+    def value_rows(self, X):
+        return np.where(_on_simplex(np.asarray(X, dtype=float), self.tol), 0.0, np.inf)
 
 
 class BallIndicator(Regularizer):
@@ -93,10 +98,8 @@ class BallIndicator(Regularizer):
         self.radius = float(radius)
         self.tol = tol
 
-    def value(self, x):
-        if float(np.linalg.norm(x)) <= self.radius * (1 + self.tol):
-            return 0.0
-        return np.inf
+    def value_rows(self, X):
+        return np.where(norm_rows(X) <= self.radius * (1 + self.tol), 0.0, np.inf)
 
 
 class L1Regularizer(Regularizer):
@@ -107,8 +110,8 @@ class L1Regularizer(Regularizer):
             raise ValueError("l1 weight must be nonnegative")
         self.weight = float(weight)
 
-    def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+    def value_rows(self, X):
+        return self.weight * np.sum(np.abs(X), axis=1)
 
     def subgradient(self, x):
         return self.weight * np.sign(np.asarray(x, dtype=float))
@@ -122,9 +125,8 @@ class QuadraticRegularizer(Regularizer):
             raise ValueError("quadratic weight must be nonnegative")
         self.weight = float(weight)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.weight * float(np.dot(x, x))
+    def value_rows(self, X):
+        return 0.5 * self.weight * dot_rows(X, X)
 
     def subgradient(self, x):
         return self.weight * np.asarray(x, dtype=float)
@@ -147,11 +149,11 @@ class EntropyLike(Regularizer):
         self.tol = tol
         self._entropy = ShannonEntropy()
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -self.tol) or abs(float(np.sum(x)) - 1.0) > self.tol:
-            return np.inf
-        return self.weight * self._entropy.value(np.maximum(x, 0.0))
+    def value_rows(self, X):
+        X = np.asarray(X, dtype=float)
+        return np.where(_on_simplex(X, self.tol),
+                        self.weight * self._entropy.value_rows(np.maximum(X, 0.0)),
+                        np.inf)
 
     def inf_value(self):
         # entropy over the simplex is minimized at the uniform distribution
@@ -225,16 +227,23 @@ def absolute_affine_model(g, s):
 
 
 class ProxStepResult:
-    """Outcome of one Bregman proximal step; divergence is D(minimizer, center)."""
+    """Outcome of one Bregman proximal step z -> y.
+
+    divergence is D(y, z); model_value and r_value are the model and r at y.
+    For a batch of steps (prox_step_rows) every field but method and
+    inner_iterations holds one entry per row.
+    """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
-                 objective_decrease, divergence, method):
+                 objective_decrease, divergence, method, model_value, r_value):
         self.minimizer = np.asarray(minimizer, dtype=float)
         self.inner_iterations = int(inner_iterations)
-        self.three_point_residual = float(three_point_residual)
-        self.objective_decrease = float(objective_decrease)
-        self.divergence = float(divergence)
+        self.three_point_residual = three_point_residual
+        self.objective_decrease = objective_decrease
+        self.divergence = divergence
         self.method = method
+        self.model_value = model_value
+        self.r_value = r_value
 
 
 class ThreePointReport:
@@ -301,14 +310,19 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
     return res
 
 
+def _certify(psi_z, model_y, r_y, d_yz, d_zy, y, eta, rho, tol, its, method):
+    """ProxStepResult of the step(s) to y, certified by center_certificate."""
+    psi_y = model_y + r_y
+    res = center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol)
+    return ProxStepResult(y, its, res, psi_z - (psi_y + d_yz / eta), d_yz, method,
+                          model_y, r_y)
+
+
 def _certified_step(model, reg, phi, center, y, eta, rho, tol, its, method):
     """ProxStepResult of the step center -> y, certified by center_certificate."""
-    psi_z = model.value(center) + reg.value(center)
-    psi_y = model.value(y) + reg.value(y)
-    d_yz = phi.bregman(y, center)
-    res = center_certificate(psi_z, psi_y, d_yz, phi.bregman(center, y),
-                             eta, rho, tol)
-    return ProxStepResult(y, its, res, psi_z - (psi_y + d_yz / eta), d_yz, method)
+    return _certify(model.value(center) + reg.value(center), model.value(y),
+                    reg.value(y), phi.bregman(y, center), phi.bregman(center, y),
+                    y, eta, rho, tol, its, method)
 
 
 def _check_step(eta, rho):
@@ -329,28 +343,78 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
 
     The left-hand side is strictly increasing (and convex) for nonnegative
     coefficients, so the root is unique; safeguarded Newton with a bisection
-    fallback keeps every iterate inside a sign-changing bracket.
+    fallback keeps every iterate inside a sign-changing bracket.  target may
+    be an array: its entries are solved in lockstep, each with the same
+    iterates as its own scalar solve.  A scalar target keeps a loop over
+    Python floats, which is several times faster than a one-entry lockstep.
     """
     coefs = np.asarray(coefs, dtype=float) * np.asarray(powers, dtype=float)
     expos = np.asarray(powers, dtype=float) - 1.0
-
-    def s(r):
-        return float(np.sum(coefs * r ** expos))
+    # d/dr c r^e = c e r^(e-1), summed term by term in this order; exponents
+    # are >= 1 so it is finite at 0
+    slopes = [(c, c * e, e - 1.0) for c, e in zip(coefs, expos)]
 
     def dsdr(r):
-        # d/dr c r^e = c e r^(e-1); exponents are >= 1 so this is finite at 0
         out = 0.0
-        for c, e in zip(coefs, expos):
-            out += c if e == 1.0 else c * e * r ** (e - 1.0)
+        for c, ce, e1 in slopes:
+            out = out + (c if e1 == 0.0 else ce * r ** e1)
         return out
+
+    if np.ndim(target) == 0:
+        return _monotone_power_scalar(coefs, expos, dsdr, float(target), tol,
+                                      max_iter)
+
+    def s(r):
+        return np.sum(coefs * r[:, None] ** expos, axis=1)
+
+    target = np.asarray(target, dtype=float)
+    out = np.zeros(target.size)
+    pos = np.flatnonzero(target.reshape(-1) > 0.0)
+    tgt = target.reshape(-1)[pos]
+    hi = np.ones(pos.size)
+    while True:
+        low = s(hi) < tgt
+        if not low.any():
+            break
+        hi[low] *= 2.0
+        if np.any(hi > 1e154):
+            raise InnerSolveError("radial scale equation has no finite root bracket")
+    lo = np.zeros(pos.size)
+    r = hi
+    scale = tol * (1.0 + tgt)
+    for _ in range(max_iter):
+        if pos.size == 0:
+            break
+        f = s(r) - tgt
+        done = np.abs(f) <= scale
+        up = f > 0
+        hi = np.where(up, r, hi)
+        lo = np.where(up, lo, r)
+        d = dsdr(r)
+        # a Newton step that is not inside the bracket becomes a bisection
+        r_new = r - np.divide(f, d, out=np.full(r.shape, np.nan), where=d > 0)
+        r_new = np.where((lo < r_new) & (r_new < hi), r_new, 0.5 * (lo + hi))
+        stalled = np.abs(r_new - r) <= 1e-17 * (1.0 + r)
+        finished = done | stalled
+        if finished.any():
+            out[pos[finished]] = np.where(done, r, r_new)[finished]
+            keep = ~finished
+            pos, tgt, scale = pos[keep], tgt[keep], scale[keep]
+            lo, hi, r_new = lo[keep], hi[keep], r_new[keep]
+        r = r_new
+    out[pos] = r
+    return out.reshape(target.shape)
+
+
+def _monotone_power_scalar(coefs, expos, dsdr, target, tol, max_iter):
+    def s(r):
+        return float(np.sum(coefs * r ** expos))
 
     if target <= 0.0:
         return 0.0
     hi = 1.0
-    it = 0
     while s(hi) < target:
         hi *= 2.0
-        it += 1
         if hi > 1e154:
             raise InnerSolveError("radial scale equation has no finite root bracket")
     lo = 0.0
@@ -376,8 +440,8 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
     return r
 
 
-def _radial_prox(phi, z, eta, v, radius=None):
-    """argmin <v, x> + (1/eta) D(x, z) (+ ball indicator) for radial phi.
+def _radial_solver(terms, phi, z, eta, radius=None):
+    """v -> argmin <v, x> + (1/eta) D(x, z) (+ ball indicator) for radial phi.
 
     Writes the optimality condition grad phi(x) = grad phi(z) - eta v, which
     forces x = s * u along u = normalize(rhs); the scalar s solves the
@@ -385,69 +449,92 @@ def _radial_prox(phi, z, eta, v, radius=None):
     because the radial objective is increasing in s beyond the unconstrained
     root).
     """
-    terms = phi.radial_terms()
-    if terms is None:
-        raise InnerSolveError("phi is not radial")
     coefs, powers = terms
-    w = phi.gradient(z) - eta * np.asarray(v, dtype=float)
-    g = float(np.linalg.norm(w))
-    if g == 0.0:
-        return np.zeros_like(w)
-    s = solve_monotone_power(coefs, powers, g)
-    if radius is not None and s > radius:
-        s = radius
-    return (s / g) * w
+    gz = phi.gradient(z) if z.ndim == 1 else phi.gradient_rows(z)
+
+    def radial(v):
+        w = gz - eta * np.asarray(v, dtype=float)
+        g = norm_rows(w)
+        s = solve_monotone_power(coefs, powers, g if g.ndim else float(g))
+        if radius is not None:
+            s = np.minimum(s, radius)
+        return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[..., None] * w
+
+    return radial
+
+
+def _softmax(logits):
+    logits = logits - np.max(logits, axis=-1, keepdims=True)
+    w = np.exp(logits)
+    return w / np.sum(w, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # closed-form dispatch for affine models
 # ---------------------------------------------------------------------------
 
-def _affine_closed_form(v, reg, phi, z, eta):
-    """Closed-form minimizer of <v, x> + r(x) + (1/eta) D(x, z), or None."""
-    v = np.asarray(v, dtype=float)
+def _affine_solver(reg, phi, z, eta):
+    """v -> argmin <v, x> + r(x) + (1/eta) D(x, z) in closed form, or None.
+
+    z is one center, or an (S, d) array of centers with v of the same shape
+    (one subproblem per row).  What depends on z alone is computed once, so
+    a slope search can call the solver many times per step.
+    """
     z = np.asarray(z, dtype=float)
     euclid = isinstance(phi, Euclidean)
     entropy = isinstance(phi, ShannonEntropy)
-    radial = phi.radial_terms() is not None
+    terms = phi.radial_terms()
 
     if reg.kind == "zero":
         if euclid:
-            return z - eta * v
+            return lambda v: z - eta * v
         if entropy:
-            return z * np.exp(-eta * v)
+            return lambda v: z * np.exp(-eta * v)
         if isinstance(phi, Burg):
-            w = 1.0 / z + eta * v
-            if np.any(w <= 0):
-                raise InnerSolveError("Burg prox subproblem is unbounded below")
-            return 1.0 / w
-        if radial:
-            return _radial_prox(phi, z, eta, v)
+            inv_z = 1.0 / z
+
+            def burg(v):
+                w = inv_z + eta * v
+                if np.any(w <= 0):
+                    raise InnerSolveError("Burg prox subproblem is unbounded below")
+                return 1.0 / w
+
+            return burg
+        if terms is not None:
+            return _radial_solver(terms, phi, z, eta)
     elif reg.kind == "indicator_simplex" and entropy:
-        logits = np.log(z) - eta * v
-        logits -= np.max(logits)
-        w = np.exp(logits)
-        return w / np.sum(w)
+        log_z = np.log(z)
+        return lambda v: _softmax(log_z - eta * v)
     elif reg.kind == "entropy_like" and entropy:
-        logits = (np.log(z) - eta * v) / (1.0 + eta * reg.weight)
-        logits -= np.max(logits)
-        w = np.exp(logits)
-        return w / np.sum(w)
+        log_z = np.log(z)
+        return lambda v: _softmax((log_z - eta * v) / (1.0 + eta * reg.weight))
     elif reg.kind == "indicator_ball":
         if euclid:
-            u = z - eta * v
-            n = float(np.linalg.norm(u))
-            if n > reg.radius:
-                u = (reg.radius / n) * u
-            return u
-        if radial:
-            return _radial_prox(phi, z, eta, v, radius=reg.radius)
+            radius = reg.radius
+
+            def ball(v):
+                u = z - eta * v
+                n = norm_rows(u)[..., None]
+                return np.divide(radius, n, out=np.ones(n.shape), where=n > radius) * u
+
+            return ball
+        if terms is not None:
+            return _radial_solver(terms, phi, z, eta, radius=reg.radius)
     elif reg.kind == "l1" and euclid:
-        u = z - eta * v
-        return np.sign(u) * np.maximum(np.abs(u) - eta * reg.weight, 0.0)
+        def l1(v):
+            u = z - eta * v
+            return np.sign(u) * np.maximum(np.abs(u) - eta * reg.weight, 0.0)
+
+        return l1
     elif reg.kind == "quadratic" and euclid:
-        return (z - eta * v) / (1.0 + eta * reg.weight)
+        return lambda v: (z - eta * v) / (1.0 + eta * reg.weight)
     return None
+
+
+def _affine_closed_form(v, reg, phi, z, eta):
+    """Closed-form minimizer of <v, x> + r(x) + (1/eta) D(x, z), or None."""
+    solve = _affine_solver(reg, phi, z, eta)
+    return None if solve is None else solve(np.asarray(v, dtype=float))
 
 
 def _norm_term_closed_form(v, c, reg, phi, z, eta):
@@ -471,12 +558,15 @@ def _abs_model_prox(g, s, reg, phi, z, eta):
     theta in [-1, 1]; phi(theta) = <g, y(theta)> + s is nonincreasing, so the
     interior case reduces to a bracketed scalar root.
     """
+    solve = _affine_solver(reg, phi, z, eta)
+    if solve is None:
+        return None, 0
+
     def y_of(theta):
-        return _affine_closed_form(theta * g, reg, phi, z, eta)
+        return solve(theta * g)
 
     probe = y_of(1.0)
-    if probe is None:
-        return None, 0
+
     def lvl(theta, y=None):
         y = y_of(theta) if y is None else y
         return float(np.dot(g, y)) + s
@@ -486,6 +576,9 @@ def _abs_model_prox(g, s, reg, phi, z, eta):
     y_lo = y_of(-1.0)
     if lvl(-1.0, y_lo) <= 0.0:
         return y_lo, 2
+    # imported here: scipy.optimize takes about 0.5 s and 50 MB to import,
+    # and no other path of the package needs it
+    from scipy.optimize import brentq
     theta, info = brentq(lvl, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16,
                          maxiter=200, full_output=True)
     return y_of(theta), info.iterations + 2
@@ -496,12 +589,21 @@ def _abs_model_prox(g, s, reg, phi, z, eta):
 # ---------------------------------------------------------------------------
 
 def _total_objective(model, reg, phi, z, eta):
+    """psi(y) = model(y) + r(y) + D(y, z) / eta, and grad phi(z).
+
+    phi(z) and grad phi(z) are computed once, not at every trial point.
+    """
+    phi_z = phi.value(z)
+    gz = phi.gradient(z)
+
     def psi(y):
         rv = reg.value(y)
         if not np.isfinite(rv) or not phi.in_domain(y):
             return np.inf
-        return model.value(y) + rv + phi.bregman(y, z) / eta
-    return psi
+        d_yz = float(phi.value(y) - phi_z - np.dot(gz, y - z))
+        return model.value(y) + rv + d_yz / eta
+
+    return psi, gz
 
 
 def _elementwise(fn, ys):
@@ -588,8 +690,8 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     phi.check_interior(z)
     y, _ = _solve_1d(model, reg, phi, z, eta)
     Z, Y = z[:, None], y[:, None]
-    psi_z = _elementwise(model._value_fn, z) + np.array([reg.value(c) for c in Z])
-    psi_y = _elementwise(model._value_fn, y) + np.array([reg.value(c) for c in Y])
+    psi_z = _elementwise(model._value_fn, z) + reg.value_rows(Z)
+    psi_y = _elementwise(model._value_fn, y) + reg.value_rows(Y)
     center_certificate(psi_z, psi_y, phi.bregman_rows(Y, Z),
                        phi.bregman_rows(Z, Y), eta, rho, tol)
     return y
@@ -605,8 +707,7 @@ def _solve_newton(model, reg, phi, z, eta, tol, max_iter=120):
         raise InnerSolveError("Newton inner path requires a zero regularizer")
     z = np.asarray(z, dtype=float)
     d = z.size
-    psi = _total_objective(model, reg, phi, z, eta)
-    gz = phi.gradient(z)
+    psi, gz = _total_objective(model, reg, phi, z, eta)
 
     def grad(y):
         return model.subgradient(y) + (phi.gradient(y) - gz) / eta
@@ -621,8 +722,7 @@ def _solve_newton(model, reg, phi, z, eta, tol, max_iter=120):
                 e = np.zeros(d)
                 e[i] = h
                 Hm[:, i] = (model.subgradient(y + e) - model.subgradient(y - e)) / (2 * h)
-        Hphi = np.column_stack([phi.hessian_apply(y, e) for e in np.eye(d)])
-        return Hm + Hphi / eta
+        return Hm + phi.hessian_matrix(y) / eta
 
     y = z.copy()
     fy = psi(y)
@@ -675,8 +775,7 @@ def _solve_mirror(model, reg, phi, z, eta, max_iter=20000):
     in inner_solve decides whether the result is accepted.
     """
     z = np.asarray(z, dtype=float)
-    psi = _total_objective(model, reg, phi, z, eta)
-    gz = phi.gradient(z)
+    psi, gz = _total_objective(model, reg, phi, z, eta)
     y = z.copy()
     best, best_y = psi(y), y.copy()
     beta0 = eta
@@ -740,7 +839,8 @@ def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
         raise DomainError("prox center must be feasible for the regularizer")
 
     if eta < ETA_FLOOR:
-        return ProxStepResult(center, 0, 0.0, 0.0, 0.0, "degenerate_eta")
+        return ProxStepResult(center, 0, 0.0, 0.0, 0.0, "degenerate_eta",
+                              model.value(center), reg.value(center))
 
     minimizer = None
     method = None
@@ -762,3 +862,32 @@ def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
         return inner_solve(model, reg, phi, center, eta, tol=inner_tol, rho=rho)
     return _certified_step(model, reg, phi, center, minimizer, eta, rho,
                            inner_tol, its, method)
+
+
+def prox_step_rows(slopes, offsets, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
+    """One Bregman proximal step from each row of an (S, d) array of centers.
+
+    Row i has the affine model offsets[i] + <slopes[i], x>.  All rows take
+    the affine closed form together, each with the same arithmetic as its
+    own prox_step, and are certified together by center_certificate: one row
+    below inner_tol raises InnerSolveError for the batch.  Returns a
+    ProxStepResult over the rows, or None when (r, phi) has no affine closed
+    form.
+    """
+    Z = np.asarray(centers, dtype=float)
+    _check_step(eta, rho)
+    phi.check_interior(Z)
+    r_z = reg.value_rows(Z)
+    if not np.all(np.isfinite(r_z)):
+        raise DomainError("prox centers must be feasible for the regularizer")
+    model_z = offsets + dot_rows(slopes, Z)
+    if eta < ETA_FLOOR:
+        zero = np.zeros(len(Z))
+        return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta", model_z, r_z)
+    solve = _affine_solver(reg, phi, Z, eta)
+    if solve is None:
+        return None
+    Y = solve(slopes)
+    return _certify(model_z + r_z, offsets + dot_rows(slopes, Y), reg.value_rows(Y),
+                    phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y), Y, eta, rho,
+                    inner_tol, 1, "closed_form_affine")

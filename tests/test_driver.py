@@ -4,12 +4,13 @@ from scipy import stats
 
 from util_problems import quadratic_problem
 
-from bregopt.driver import (SolverConfig, default_lambda, fit_loglog,
+from bregopt import envelope
+from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog,
                             format_csv_rows, parse_csv_rows, run_convex,
                             run_for_regime, run_mirror_descent_smooth,
                             run_model_based, sample_tstar, stepsize_constant,
-                            stationarity_over_tstar_law, sweep)
-from bregopt.envelope import bregman_prox_point
+                            stationarity_over_tstar_law, sweep, _run_loop)
+from bregopt.envelope import bregman_prox_point, stationarity
 from bregopt.problems import get_problem
 
 
@@ -209,7 +210,7 @@ def test_smooth_loop_on_simplex_is_exponentiated_gradient():
     cost = np.array([0.9, 0.1, 0.5, 0.3])
     steps = np.array([[0.2, -0.1, 0.0, 0.1], [0.0, 0.2, -0.2, 0.0]])
     oracle = LinearMirrorOracle(
-        f_fn=lambda x: float(cost @ x),
+        f_fn=lambda x: x @ cost,
         grad_map=lambda x, xi: cost + steps[xi],
         weights=[0.5, 0.5], lip_fn=lambda xi: 2.0, regime="B",
         constants=OracleConstants(tau=0.0, smooth_M=0.0, lip_bound_L=2.0,
@@ -238,3 +239,74 @@ def test_deterministic_strongly_convex_descent_is_monotone():
                                                schedule=("constant", 1.0)))
     vals = [prob.exact_F(x) for x in trace.iterates]
     assert all(b <= a + 1e-12 for a, b in zip(vals[2:], vals[3:]))
+
+
+TRACE_FIELDS = ("iterates", "model_values", "r_values", "step_divergences",
+                "step_residuals", "weighted_average", "plain_average")
+
+
+def test_lockstep_runs_equal_separate_runs():
+    # one (S, d) loop over the seeds of a horizon against S one-config runs:
+    # bit-identical where the step is elementwise or per row (P1 abs-affine,
+    # P3/P4 entropic, P6 Newton); P2's radial and P5's ball steps take row
+    # norms and dot products, bit-identical here but only promised to 1e-13
+    for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
+        prob = get_problem(pid)
+        configs = [SolverConfig(12, seed=[s, 12]) for s in range(3)]
+        together = _run_loop(prob, configs)
+        for config, tr in zip(configs, together):
+            alone = run_for_regime(prob, config)
+            assert tr.t_star == alone.t_star, pid
+            assert np.array_equal(np.asarray(tr.sampled_xi_ids),
+                                  np.asarray(alone.sampled_xi_ids)), pid
+            for field in TRACE_FIELDS:
+                a, b = getattr(tr, field), getattr(alone, field)
+                if a is None:
+                    assert b is None, (pid, field)
+                elif pid in ("P2", "P5"):
+                    assert np.allclose(a, b, rtol=1e-13, atol=1e-13), (pid, field)
+                else:
+                    assert np.array_equal(a, b), (pid, field)
+
+
+def test_sweep_rows_equal_metrics_of_separate_runs():
+    for pid, mode in (("P3", "tstar_draw"), ("P5", "tstar_draw"),
+                      ("P1", "tstar_full")):
+        prob = get_problem(pid)
+        res = sweep(prob, [6, 10], 2, metric_mode=mode)
+        rows = {(r["T"], r["seed"], r["metric_name"]): r["metric_value"]
+                for r in res.rows}
+        for T in (6, 10):
+            for s in range(2):
+                tr = run_for_regime(prob, SolverConfig(T, seed=[s, T]))
+                if prob.regime == "C":
+                    assert rows[T, s, "fgap_avg"] == convex_gap(prob, tr)
+                    continue
+                rep = stationarity(prob, prob.phi, tr.returned_point, tr.lam)
+                metric = (stationarity_over_tstar_law(prob, tr)
+                          if mode == "tstar_full" else rep.divergence)
+                assert rows[T, s, "breg_div_to_prox"] == metric, (pid, T, s)
+                # tstar_full takes the report's prox point from the t* batch
+                assert abs(rows[T, s, "env_grad_local_norm"]
+                           - rep.local_dual_norm_of_gradient) <= \
+                    1e-12 * rep.local_dual_norm_of_gradient, (pid, T, s)
+
+
+def test_tstar_full_solves_the_returned_point_once(monkeypatch):
+    calls = []
+    single = envelope.bregman_prox_point
+    monkeypatch.setattr(envelope, "bregman_prox_point",
+                        lambda *a, **k: calls.append(1) or single(*a, **k))
+    sweep(get_problem("P1"), [4, 8], 2, metric_mode="tstar_full")
+    assert calls == []
+    sweep(get_problem("P1"), [4, 8], 2, metric_mode="tstar_draw")
+    assert len(calls) == 4
+
+
+def test_lockstep_configs_must_share_their_steps():
+    p3 = get_problem("P3")
+    with pytest.raises(ValueError):
+        _run_loop(p3, [SolverConfig(8, seed=0), SolverConfig(9, seed=1)])
+    with pytest.raises(ValueError):
+        _run_loop(p3, [SolverConfig(8, seed=0),
+                       SolverConfig(8, seed=1, schedule=("constant", 0.5))])

@@ -110,6 +110,21 @@ def test_sampling_reproducibility():
     assert not np.array_equal(p2.oracle.sample(rng), p2.oracle.sample(rng))
 
 
+def test_up_front_draws_match_per_step_draws():
+    # a lockstep run draws each run's T+1 samples at once: the stream, and the
+    # generator state the t* draw starts from, are those of one draw per step
+    for pid in ("P3", "P2"):        # finite support, Gaussian noise
+        oracle = get_problem(pid).oracle
+        for seed in range(4):
+            for n in (1, 65, 257):
+                a = np.random.default_rng([seed, n])
+                b = np.random.default_rng([seed, n])
+                rows = oracle.sample_rows(a, n)
+                steps = np.array([oracle.sample(b) for _ in range(n)])
+                assert rows.shape == steps.shape and np.array_equal(rows, steps), pid
+                assert a.bit_generator.state == b.bit_generator.state, pid
+
+
 def test_verify_one_sided_exact_and_example():
     oracle = one_d_robust_oracle()
     phi = build_poly_legendre([1.0])

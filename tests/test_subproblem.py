@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bregopt.legendre import (Burg, Euclidean, ShannonEntropy, WeightedSum,
-                              build_composite_legendre, build_poly_legendre)
+from bregopt.legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
+                              WeightedSum, build_composite_legendre,
+                              build_norm_power_legendre, build_poly_legendre)
 from bregopt.subproblem import (BallIndicator, EntropyLike, InnerSolveError,
                                 L1Regularizer, PointModel, QuadraticRegularizer,
                                 SimplexIndicator, ZeroRegularizer,
                                 absolute_affine_model, check_three_point,
                                 inner_solve, linear_model, prox_points_1d,
-                                prox_step, solve_monotone_power, _solve_1d,
+                                prox_step, prox_step_rows, solve_monotone_power,
+                                _affine_closed_form, _affine_solver, _solve_1d,
                                 _solve_newton)
 
 
@@ -410,3 +413,110 @@ def test_closed_form_with_a_lying_model_value_raises():
                       scalar_abs=(g, s))
     with pytest.raises(InnerSolveError):
         prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
+
+
+# (regularizer, phi) pairs with an affine closed form; the radial kernels are
+# the registry's (P1, P2, P6) and one single-term kernel
+_ROW_PHIS = {
+    "euclidean": Euclidean(),
+    "entropy": ShannonEntropy(on_simplex=True),
+    "burg": Burg(),
+    "composite": build_composite_legendre([1.0], [0.0, 0.0, 4.0]),
+    "norm_power": build_norm_power_legendre([1.0, 0.0, 1.0]),
+    "poly": build_poly_legendre([0.25, 0.0, 0.25]),
+    "poly_single_term": build_poly_legendre([1.0]),
+}
+_ROW_REGS = {
+    "zero": ZeroRegularizer(),
+    "simplex": SimplexIndicator(),
+    "entropy_like": EntropyLike(1.3),
+    "ball": BallIndicator(1.0),
+    "l1": L1Regularizer(0.3),
+    "quadratic": QuadraticRegularizer(2.0),
+}
+_ROW_CASES = ([("zero", p) for p in _ROW_PHIS]
+              + [("simplex", "entropy"), ("entropy_like", "entropy"),
+                 ("ball", "euclidean"), ("ball", "composite"), ("ball", "poly"),
+                 ("l1", "euclidean"), ("quadratic", "euclidean")])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (InnerSolveError, DomainError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_ROW_CASES), seed=st.integers(0, 2 ** 32 - 1),
+       n_rows=st.integers(1, 6), log_eta=st.floats(-3.0, 6.0),
+       slope_scale=st.floats(0.01, 100.0))
+def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
+                                              slope_scale):
+    # huge eta drives entropy steps to the boundary and radial/ball steps far
+    # out (clipped at the radius); both sides must then fail or agree alike
+    reg_kind, phi_kind = case
+    reg, phi = _ROW_REGS[reg_kind], _ROW_PHIS[phi_kind]
+    rng = np.random.default_rng(seed)
+    d = 3
+    if phi.domain != "all_space":
+        Z = rng.dirichlet(np.ones(d), n_rows)
+    elif reg_kind == "ball":
+        Z = rng.uniform(-0.5, 0.5, (n_rows, d))
+    else:
+        Z = rng.uniform(-2.0, 2.0, (n_rows, d))
+    V = slope_scale * rng.uniform(-1.0, 1.0, (n_rows, d))
+    offsets = rng.uniform(-1.0, 1.0, n_rows)
+    eta = 10.0 ** log_eta
+
+    rows = _outcome(lambda: _affine_solver(reg, phi, Z, eta)(V))
+    ones = [_outcome(lambda z=z, v=v: _affine_closed_form(v, reg, phi, z, eta))
+            for z, v in zip(Z, V)]
+    step = _outcome(lambda: prox_step_rows(V, offsets, reg, phi, Z, eta))
+    steps = [_outcome(lambda z=z, v=v, c=c: prox_step(linear_model(v, offset=c),
+                                                      reg, phi, z, eta))
+             for z, v, c in zip(Z, V, offsets)]
+    fields = ("minimizer", "three_point_residual", "objective_decrease",
+              "divergence", "model_value", "r_value")
+    same = np.array_equal
+    if phi_kind == "poly_single_term":
+        # numpy evaluates r ** p over a one-term kernel with another loop in
+        # the row layout, which can move the last bit of the power; the
+        # divergence and certificate fields are differences of large terms,
+        # so only the points are compared, to the last bit or two
+        same = lambda a, b: np.allclose(a, b, rtol=4e-16, atol=0.0)
+        fields = ("minimizer",)
+    if isinstance(rows, type):
+        assert rows in {o for o in ones if isinstance(o, type)}
+    else:
+        assert not any(isinstance(o, type) for o in ones)
+        assert same(rows, np.array(ones))
+    if isinstance(step, type):
+        assert step in {o for o in steps if isinstance(o, type)}
+        return
+    assert not any(isinstance(o, type) for o in steps)
+    assert step.method == "closed_form_affine"
+    for field in fields:
+        assert same(getattr(step, field),
+                    np.array([getattr(o, field) for o in steps])), field
+
+
+class _LyingZero(ZeroRegularizer):
+    # zero to the closed form, but its value jumps by 10 near x_0 = 0.3
+    def value_rows(self, X):
+        return np.where(np.abs(X[:, 0] - 0.3) < 0.05, 10.0, 0.0)
+
+
+def test_one_bad_row_fails_the_batched_step():
+    phi, reg = Euclidean(), _LyingZero()
+    V = np.array([[1.0, 0.0], [0.6, 0.0], [-1.0, 0.0]])
+    Z = np.array([[3.0, 1.0], [0.9, 0.0], [-2.0, 0.5]])
+    good = [0, 2]
+    ok = prox_step_rows(V[good], np.zeros(2), reg, phi, Z[good], 1.0)
+    assert np.array_equal(ok.minimizer, Z[good] - V[good])
+    # the step from (0.9, 0) lands at (0.3, 0), where r jumps by 10
+    with pytest.raises(InnerSolveError):
+        prox_step_rows(V, np.zeros(3), reg, phi, Z, 1.0)
+    # an infeasible center fails the batch before any step
+    with pytest.raises(DomainError):
+        prox_step_rows(V, np.zeros(3), BallIndicator(1.0), phi, Z, 1.0)

@@ -56,10 +56,14 @@ def halfsq_problem():
 
 
 def quadratic_problem(x0, regime="A", x_star=None):
-    """Deterministic-gradient f(x) = 0.5 |x - x_star|^2 with Euclidean phi."""
+    """Deterministic-gradient f(x) = 0.5 |x - x_star|^2 with Euclidean phi.
+
+    The oracle's callbacks act on the last axis, as the driver's lockstep
+    loop needs.
+    """
     x0 = np.asarray(x0, dtype=float)
     x_star = np.zeros(len(x0)) if x_star is None else np.asarray(x_star)
-    f = lambda x: 0.5 * float(np.sum((x - x_star) ** 2))
+    f = lambda x: 0.5 * np.sum((x - x_star) ** 2, axis=-1)
     sampler = lambda rng: rng.uniform(-2, 2, len(x0))
     oracle = LinearMirrorOracle(
         f_fn=f, grad_map=lambda x, xi: x - x_star, weights=[1.0],
