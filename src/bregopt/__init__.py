@@ -18,10 +18,10 @@ from .models import (CompositeData, LinearMirrorOracle, ModelOracle,
                      ProximalPointOracle, SaddleData, SaddleOracle,
                      verify_lipschitz, verify_one_sided,
                      verify_relative_smoothness, verify_variance)
-from .subproblem import (BallIndicator, EntropyLike, InnerSolveError,
-                         L1Regularizer, PointModel, ProxStepResult,
-                         QuadraticRegularizer, Regularizer, SimplexIndicator,
-                         ZeroRegularizer, absolute_affine_model,
+from .subproblem import (AffineRows, BallIndicator, EntropyLike,
+                         InnerSolveError, L1Regularizer, PointModel,
+                         ProxStepResult, QuadraticRegularizer, Regularizer,
+                         SimplexIndicator, ZeroRegularizer, absolute_affine_model,
                          center_certificate, check_three_point, inner_solve,
                          linear_model, prox_points_1d, prox_step,
                          prox_step_rows, solve_monotone_power)

@@ -162,10 +162,10 @@ def _run_loop(problem, configs):
     The S configs must share their horizon, step sizes, lam and inner_tol
     (the seeds of one sweep horizon do).  Each run draws its T+1 samples up
     front, which is the same stream, and leaves its generator in the same
-    state for the t* draw, as one draw per step.  Oracles with affine models
-    step all rows with one batched closed form (prox_step_rows); any other
-    model takes one prox_step per row.  Returns S RunTraces; in the convex
-    regime each carries its averaged iterates.
+    state for the t* draw, as one draw per step.  Oracles with affine or
+    |affine| models (linear_rows) step all rows with one batched closed form
+    (prox_step_rows); any other model takes one prox_step per row.  Returns S
+    RunTraces; in the convex regime each carries its averaged iterates.
     """
     regime = problem.regime
     lam, etas = _resolve_etas(problem, configs[0], regime)
@@ -195,11 +195,9 @@ def _run_loop(problem, configs):
     residuals = np.empty((S, T + 1))
     for t in range(T + 1):
         eta = float(etas[t])
-        lin = oracle.linear_rows(X, xi_steps[t])
-        res = None
-        if lin is not None:
-            res = prox_step_rows(lin[0], lin[1], reg, phi, X, eta, rho=rho,
-                                 inner_tol=tol)
+        rows = oracle.linear_rows(X, xi_steps[t])
+        res = (None if rows is None
+               else prox_step_rows(rows, reg, phi, X, eta, rho=rho, inner_tol=tol))
         if res is None:
             res = _stacked([prox_step(oracle.model_at(x, xi), reg, phi, x, eta,
                                       rho=rho, inner_tol=tol)

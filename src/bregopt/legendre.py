@@ -144,9 +144,11 @@ class LegendreFunction:
         return np.array([self.gradient(x) for x in X])
 
     def bregman_rows(self, Y, X):
-        """D(y_i, x_i) for the rows of two (N, d) arrays."""
-        return (self.value_rows(Y) - self.value_rows(X)
-                - dot_rows(self.gradient_rows(X), Y - X))
+        """D(y_i, x_i) for the rows of two (N, d) arrays; raises as bregman does."""
+        vy = self.value_rows(Y)
+        if not np.isfinite(vy).all():
+            raise DomainError("second argument of the divergence must lie in dom(phi)")
+        return vy - self.value_rows(X) - dot_rows(self.gradient_rows(X), Y - X)
 
     def local_dual_norm(self, x, v):
         """||hessian(x)^-1 v|| in the declared primal norm."""

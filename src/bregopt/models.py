@@ -18,7 +18,8 @@ implicitly: the step-size rules need them a priori.
 import numpy as np
 
 from .legendre import dot_rows
-from .subproblem import PointModel, linear_model, absolute_affine_model
+from .subproblem import (AffineRows, PointModel, absolute_affine_model,
+                         linear_model)
 
 
 class OracleConstants:
@@ -73,11 +74,11 @@ class ModelOracle:
         raise NotImplementedError
 
     def linear_rows(self, X, xi):
-        """(slopes, offsets) of affine sampled models, or None.
+        """The sampled models as AffineRows, or None.
 
         The models anchored at the rows of X (sample xi[i] at row i) are
-        offsets[i] + <slopes[i], y>.  None when the family's models are not
-        affine.  An affine family's model_at is the one-point case.
+        offsets[i] + <slopes[i], y>, or their absolute values.  None when the
+        family's models are neither, else model_at is the one-point case.
         """
         return None
 
@@ -135,7 +136,7 @@ class FiniteSupportOracle(ModelOracle):
 # ---------------------------------------------------------------------------
 
 def _tangent_rows(X, slopes, values):
-    """Slopes and offsets of the affine models values + <slopes, y - X>.
+    """AffineRows of the affine models values + <slopes, y - X>.
 
     X is one point or an (S, d) array of points; slopes broadcast to its
     shape and values must hold one entry per point.
@@ -145,12 +146,12 @@ def _tangent_rows(X, slopes, values):
     values = np.asarray(values, dtype=float)
     if values.shape != X.shape[:-1]:
         raise ValueError("model callbacks must act on the last axis of the points")
-    return slopes, values - dot_rows(slopes, X)
+    return AffineRows(slopes, values - dot_rows(slopes, X), False)
 
 
-def _one_point(lin):
-    slope, offset = lin
-    return linear_model(slope, offset=float(offset))
+def _one_point(rows):
+    slope, offset, absolute = rows
+    return (absolute_affine_model if absolute else linear_model)(slope, float(offset))
 
 
 class LinearMirrorOracle(FiniteSupportOracle):
@@ -264,7 +265,13 @@ class CompositeData:
 
 
 class ProxLinearOracle(FiniteSupportOracle):
-    """Models h(c(x, xi) + J(x, xi)(y - x), xi): convex in y, rho = 0."""
+    """Models h(c(x, xi) + J(x, xi)(y - x), xi): convex in y, rho = 0.
+
+    With h = |.| (outer_is_abs) the models are |affine| rows (linear_rows),
+    and inner_value and inner_jacobian act on the last axis: (S, 1) values
+    and an (S, 1, d) Jacobian at S points.  Any other h gives one generic
+    model per point.
+    """
 
     family = "prox_linear"
 
@@ -277,13 +284,12 @@ class ProxLinearOracle(FiniteSupportOracle):
 
     def model_at(self, x, xi):
         comp = self.composite
+        if comp.outer_is_abs:
+            return _one_point(self.linear_rows(x, xi))
         x = np.asarray(x, dtype=float)
         c0 = np.atleast_1d(np.asarray(comp.inner_value(x, xi), dtype=float))
         J = np.atleast_2d(np.asarray(comp.inner_jacobian(x, xi), dtype=float))
         bias = c0 - J @ x
-
-        if comp.outer_is_abs and c0.size == 1:
-            return absolute_affine_model(J[0], float(bias[0]))
 
         def val(y):
             return float(comp.outer_value(J @ y + bias, xi))
@@ -292,6 +298,18 @@ class ProxLinearOracle(FiniteSupportOracle):
             return J.T @ np.atleast_1d(comp.outer_subgrad(J @ y + bias, xi))
 
         return PointModel(val, sub)
+
+    def linear_rows(self, X, xi):
+        comp = self.composite
+        if not comp.outer_is_abs:
+            return None
+        X = np.asarray(X, dtype=float)
+        c = np.asarray(comp.inner_value(X, xi), dtype=float)
+        if c.shape != X.shape[:-1] + (1,):
+            raise ValueError("an absolute outer function takes one inner output, "
+                             "and the inner callbacks must act on the last axis")
+        G = np.asarray(comp.inner_jacobian(X, xi), dtype=float)[..., 0, :]
+        return AffineRows(G, c[..., 0] - dot_rows(G, X), True)
 
     def lip_L(self, xi):
         comp = self.composite

@@ -31,7 +31,7 @@ from .models import (CompositeData, LinearMirrorOracle, NoisyGradientOracle,
                      SaddleData, SaddleOracle)
 from .subproblem import (BallIndicator, EntropyLike, L1Regularizer, PointModel,
                          QuadraticRegularizer, SimplexIndicator,
-                         ZeroRegularizer, linear_model, _affine_closed_form)
+                         ZeroRegularizer, linear_model, _affine_solver)
 
 
 class ProblemInstance:
@@ -140,12 +140,13 @@ def _assemble_p1(cfg):
     weights = np.asarray(cfg["weights"], dtype=float)
     a2 = a * a
 
+    # the inner map acts on the last axis: the |affine| models of many points
     composite = CompositeData(
         outer_value=lambda v, xi: float(np.abs(v[0])),
         outer_subgrad=lambda v, xi: np.array([np.sign(v[0])]),
         outer_lip=lambda xi: 1.0,
-        inner_value=lambda x, xi: np.array([a2[xi] * x[0] * x[0] - b[xi]]),
-        inner_jacobian=lambda x, xi: np.array([[2.0 * a2[xi] * x[0]]]),
+        inner_value=lambda x, xi: (a2[xi] * x[..., 0] * x[..., 0] - b[xi])[..., None],
+        inner_jacobian=lambda x, xi: (2.0 * a2[xi] * x[..., 0])[..., None, None],
         l2_accuracy=lambda xi: a2[xi],
         l2_growth=lambda xi: a2[xi],
         jacobian_lip_growth=cfg["p"],
@@ -289,8 +290,9 @@ def _assemble_p5(cfg):
         model_subgrad=lambda x, y, w, xi: atoms[xi] + w,
         argmax_solver=argmax_w, w_radius=w_radius)
 
+    # acts on the last axis: the exact f of one point, or of a grid's rows
     def f_sup(y):
-        return float(np.dot(abar, y)) + w_radius * float(np.linalg.norm(y))
+        return dot_rows(abar, y) + w_radius * norm_rows(y)
 
     lip = np.sqrt(2.0) * (np.linalg.norm(atoms, axis=1) + w_radius)
     constants = OracleConstants(
@@ -323,7 +325,7 @@ def _assemble_p5(cfg):
 
     return ProblemInstance("P5", oracle, reg, phi, "A", d, cfg["x0"],
                            optimum=optimum, exact_objective_builder=objective,
-                           sampler=sampler, config=cfg)
+                           sampler=sampler, config=cfg, batch_f=f_sup)
 
 
 def _assemble_p6(cfg):
@@ -599,10 +601,10 @@ def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
     for k in range(1, iterations + 1):
         g = model.subgradient(x)
         step = step0 / np.sqrt(k)
-        x_next = _affine_closed_form(g, reg, phi, x, step)
-        if x_next is None:
+        solve = _affine_solver(reg, phi, x[None, :], step)
+        if solve is None:
             raise ValueError("no affine prox available for projected descent")
-        x = x_next
+        x = solve(g[None, :])[0]
         v = problem.exact_F(x)
         if v < best_v:
             best_v, best_x = v, x.copy()
@@ -662,7 +664,8 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
             X, Y = np.meshgrid(rows, axis, indexing="ij")
             pts = np.stack([X.ravel(), Y.ravel()], axis=1)
             if problem.batch_f is not None:
-                vals = np.asarray(problem.batch_f(pts), dtype=float)
+                vals = (np.asarray(problem.batch_f(pts), dtype=float)
+                        + problem.regularizer.value_rows(pts))
             else:
                 vals = np.array([problem.exact_F(p) for p in pts])
             k = int(np.argmin(vals))

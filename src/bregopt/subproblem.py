@@ -15,6 +15,8 @@ step carries a three-point optimality residual, the runtime contract
 which holds with residual >= 0 exactly when z+ is the true minimizer.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .legendre import (Burg, DomainError, Euclidean, ShannonEntropy, dot_rows,
@@ -231,7 +233,7 @@ class ProxStepResult:
 
     divergence is D(y, z); model_value and r_value are the model and r at y.
     For a batch of steps (prox_step_rows) every field but method and
-    inner_iterations holds one entry per row.
+    inner_iterations (the most any row used) holds one entry per row.
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
@@ -297,7 +299,7 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
     a center is infeasible and InnerSolveError if a residual is below
     -tol (1 + |psi(z)|); returns the residuals.
     """
-    if not np.all(np.isfinite(psi_z)):
+    if not np.isfinite(psi_z).all():
         raise DomainError("prox centers must be feasible for the objective")
     res = eta * (psi_z - psi_y) - d_yz - (1.0 - eta * rho) * d_zy
     scale = tol * (1.0 + np.abs(psi_z))
@@ -344,9 +346,8 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
     The left-hand side is strictly increasing (and convex) for nonnegative
     coefficients, so the root is unique; safeguarded Newton with a bisection
     fallback keeps every iterate inside a sign-changing bracket.  target may
-    be an array: its entries are solved in lockstep, each with the same
-    iterates as its own scalar solve.  A scalar target keeps a loop over
-    Python floats, which is several times faster than a one-entry lockstep.
+    be an array of any shape (a scalar is one entry): its entries are solved
+    in lockstep, each with the same iterates as its own one-entry solve.
     """
     coefs = np.asarray(coefs, dtype=float) * np.asarray(powers, dtype=float)
     expos = np.asarray(powers, dtype=float) - 1.0
@@ -359,10 +360,6 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
         for c, ce, e1 in slopes:
             out = out + (c if e1 == 0.0 else ce * r ** e1)
         return out
-
-    if np.ndim(target) == 0:
-        return _monotone_power_scalar(coefs, expos, dsdr, float(target), tol,
-                                      max_iter)
 
     def s(r):
         return np.sum(coefs * r[:, None] ** expos, axis=1)
@@ -406,42 +403,8 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
     return out.reshape(target.shape)
 
 
-def _monotone_power_scalar(coefs, expos, dsdr, target, tol, max_iter):
-    def s(r):
-        return float(np.sum(coefs * r ** expos))
-
-    if target <= 0.0:
-        return 0.0
-    hi = 1.0
-    while s(hi) < target:
-        hi *= 2.0
-        if hi > 1e154:
-            raise InnerSolveError("radial scale equation has no finite root bracket")
-    lo = 0.0
-    r = hi
-    for _ in range(max_iter):
-        f = s(r) - target
-        if abs(f) <= tol * (1.0 + target):
-            return r
-        if f > 0:
-            hi = r
-        else:
-            lo = r
-        d = dsdr(r)
-        step_ok = d > 0
-        if step_ok:
-            r_new = r - f / d
-            step_ok = lo < r_new < hi
-        if not step_ok:
-            r_new = 0.5 * (lo + hi)
-        if abs(r_new - r) <= 1e-17 * (1.0 + r):
-            return r_new
-        r = r_new
-    return r
-
-
-def _radial_solver(terms, phi, z, eta, radius=None):
-    """v -> argmin <v, x> + (1/eta) D(x, z) (+ ball indicator) for radial phi.
+def _radial_solver(terms, phi, Z, eta, radius=None):
+    """V -> argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial phi.
 
     Writes the optimality condition grad phi(x) = grad phi(z) - eta v, which
     forces x = s * u along u = normalize(rhs); the scalar s solves the
@@ -450,15 +413,15 @@ def _radial_solver(terms, phi, z, eta, radius=None):
     root).
     """
     coefs, powers = terms
-    gz = phi.gradient(z) if z.ndim == 1 else phi.gradient_rows(z)
+    gz = phi.gradient_rows(Z)
 
-    def radial(v):
-        w = gz - eta * np.asarray(v, dtype=float)
-        g = norm_rows(w)
-        s = solve_monotone_power(coefs, powers, g if g.ndim else float(g))
+    def radial(V):
+        W = gz - eta * np.asarray(V, dtype=float)
+        g = norm_rows(W)
+        s = solve_monotone_power(coefs, powers, g)
         if radius is not None:
             s = np.minimum(s, radius)
-        return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[..., None] * w
+        return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W
 
     return radial
 
@@ -474,11 +437,12 @@ def _softmax(logits):
 # ---------------------------------------------------------------------------
 
 def _affine_solver(reg, phi, z, eta):
-    """v -> argmin <v, x> + r(x) + (1/eta) D(x, z) in closed form, or None.
+    """V -> argmin <v_i, x> + r(x) + (1/eta) D(x, z_i) in closed form, or None.
 
-    z is one center, or an (S, d) array of centers with v of the same shape
-    (one subproblem per row).  What depends on z alone is computed once, so
-    a slope search can call the solver many times per step.
+    z is an (S, d) array of centers and V an (S, d) array of slopes, one
+    subproblem per row; a single point is a one-row batch.  What depends on
+    z alone is computed once, so a slope search can call the solver many
+    times per step.
     """
     z = np.asarray(z, dtype=float)
     euclid = isinstance(phi, Euclidean)
@@ -531,57 +495,72 @@ def _affine_solver(reg, phi, z, eta):
     return None
 
 
-def _affine_closed_form(v, reg, phi, z, eta):
-    """Closed-form minimizer of <v, x> + r(x) + (1/eta) D(x, z), or None."""
-    solve = _affine_solver(reg, phi, z, eta)
-    return None if solve is None else solve(np.asarray(v, dtype=float))
-
-
-def _norm_term_closed_form(v, c, reg, phi, z, eta):
-    """Minimizer of <v,x> + c||x|| + r(x) + (1/(2 eta))||x - z||^2 (Euclidean)."""
+def _norm_term_rows(V, c, reg, phi, Z, eta):
+    """_closed_form_rows for <v_i, x> + c||x||, the Euclidean phi and r zero or a ball."""
     if not isinstance(phi, Euclidean) or reg.kind not in ("zero", "indicator_ball"):
         return None
-    u = z - eta * np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(u))
-    if n == 0.0:
-        return np.zeros_like(u)
-    s = max(n - eta * c, 0.0)
+    U = Z - eta * np.asarray(V, dtype=float)
+    n = norm_rows(U)
+    s = np.maximum(n - eta * c, 0.0)
     if reg.kind == "indicator_ball":
-        s = min(s, reg.radius)
-    return (s / n) * u
+        s = np.minimum(s, reg.radius)
+    Y = np.divide(s, n, out=np.zeros(n.shape), where=n > 0.0)[:, None] * U
+    return Y, 1, "closed_form_norm"
 
 
-def _abs_model_prox(g, s, reg, phi, z, eta):
-    """Exact prox for model(y) = |<g, y> + s| by a monotone slope search.
+class AffineRows(namedtuple("AffineRows", "slopes offsets absolute")):
+    """Sampled models over rows: row i's model is offsets[i] + <slopes[i], y>,
+    or its absolute value when absolute is True (the prox-linear model of an
+    absolute outer function)."""
 
-    The minimizer coincides with the affine prox for some slope theta*g with
-    theta in [-1, 1]; phi(theta) = <g, y(theta)> + s is nonincreasing, so the
-    interior case reduces to a bracketed scalar root.
+    __slots__ = ()
+
+    def values(self, Y):
+        """Each row's model at the matching row of Y."""
+        v = self.offsets + dot_rows(self.slopes, Y)
+        return np.abs(v) if self.absolute else v
+
+
+def _closed_form_rows(rows, reg, phi, Z, eta):
+    """(minimizers, the most affine solves of a row, method) of AffineRows, or None.
+
+    None when (r, phi) has no affine closed form.  An |affine| row
+    |<g_i, x> + s_i| is minimized by the affine prox y(theta) of the slope
+    theta g_i for some theta in [-1, 1], and the level <g_i, y(theta)> + s_i
+    is nonincreasing in theta.  All rows probe theta = +1 (the affine step)
+    and stop there when the level is >= 0; the rows left probe theta = -1
+    together and stop there when it is <= 0; only the rows left after that
+    find the level's root by brentq, each on a one-row solver.  A row thus
+    takes 1, 2, or 2 + brentq's iterations affine solves.
     """
-    solve = _affine_solver(reg, phi, z, eta)
+    solve = _affine_solver(reg, phi, Z, eta)
     if solve is None:
-        return None, 0
+        return None
+    G, s = rows.slopes, rows.offsets
+    Y = solve(G)
+    if not rows.absolute:
+        return Y, 1, "closed_form_affine"
+    its = 1
+    left = np.flatnonzero(~(dot_rows(G, Y) + s >= 0.0))
+    if left.size:
+        Y[left] = _affine_solver(reg, phi, Z[left], eta)(-G[left])
+        its = 2
+        left = left[~(dot_rows(G[left], Y[left]) + s[left] <= 0.0)]
+    for i in left:
+        # imported here: scipy.optimize takes about 0.5 s and 50 MB to import,
+        # and no other path of the package needs it
+        from scipy.optimize import brentq
+        one = _affine_solver(reg, phi, Z[i:i + 1], eta)
+        g = G[i:i + 1]
 
-    def y_of(theta):
-        return solve(theta * g)
+        def level(theta):
+            return float(dot_rows(g, one(theta * g))[0]) + s[i]
 
-    probe = y_of(1.0)
-
-    def lvl(theta, y=None):
-        y = y_of(theta) if y is None else y
-        return float(np.dot(g, y)) + s
-
-    if lvl(1.0, probe) >= 0.0:
-        return probe, 1
-    y_lo = y_of(-1.0)
-    if lvl(-1.0, y_lo) <= 0.0:
-        return y_lo, 2
-    # imported here: scipy.optimize takes about 0.5 s and 50 MB to import,
-    # and no other path of the package needs it
-    from scipy.optimize import brentq
-    theta, info = brentq(lvl, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16,
-                         maxiter=200, full_output=True)
-    return y_of(theta), info.iterations + 2
+        theta, info = brentq(level, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16,
+                             maxiter=200, full_output=True)
+        Y[i] = one(theta * g)[0]
+        its = max(its, info.iterations + 2)
+    return Y, its, "closed_form_abs_affine"
 
 
 # ---------------------------------------------------------------------------
@@ -783,9 +762,10 @@ def _solve_mirror(model, reg, phi, z, eta, max_iter=20000):
     for k in range(1, max_iter + 1):
         u = model.subgradient(y) + (phi.gradient(y) - gz) / eta
         beta = beta0 / np.sqrt(k)
-        y_next = _affine_closed_form(u, reg, phi, y, beta)
-        if y_next is None:
+        solve = _affine_solver(reg, phi, y[None, :], beta)
+        if solve is None:
             raise InnerSolveError("no affine prox available for the fallback solver")
+        y_next = solve(u[None, :])[0]
         moved = float(np.max(np.abs(y_next - y)))
         y = y_next
         f = psi(y)
@@ -842,52 +822,49 @@ def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
         return ProxStepResult(center, 0, 0.0, 0.0, 0.0, "degenerate_eta",
                               model.value(center), reg.value(center))
 
-    minimizer = None
-    method = None
-    its = 0
+    Z = center[None, :]
+    found = None
     if model.linear is not None:
-        minimizer = _affine_closed_form(model.linear, reg, phi, center, eta)
-        method = "closed_form_affine"
-        its = 1
-    if minimizer is None and model.scalar_abs is not None:
+        rows = AffineRows(model.linear[None, :], np.zeros(1), False)
+        found = _closed_form_rows(rows, reg, phi, Z, eta)
+    elif model.scalar_abs is not None:
         g, s = model.scalar_abs
-        minimizer, its = _abs_model_prox(g, s, reg, phi, center, eta)
-        method = "closed_form_abs_affine"
-    if minimizer is None and model.norm_term is not None:
+        rows = AffineRows(np.atleast_2d(g), np.atleast_1d(s), True)
+        found = _closed_form_rows(rows, reg, phi, Z, eta)
+    elif model.norm_term is not None:
         v, c = model.norm_term
-        minimizer = _norm_term_closed_form(v, c, reg, phi, center, eta)
-        method = "closed_form_norm"
-        its = 1
-    if minimizer is None:
+        found = _norm_term_rows(np.atleast_2d(v), c, reg, phi, Z, eta)
+    if found is None:
         return inner_solve(model, reg, phi, center, eta, tol=inner_tol, rho=rho)
-    return _certified_step(model, reg, phi, center, minimizer, eta, rho,
-                           inner_tol, its, method)
+    Y, its, method = found
+    return _certified_step(model, reg, phi, center, Y[0], eta, rho, inner_tol,
+                           its, method)
 
 
-def prox_step_rows(slopes, offsets, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
+def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     """One Bregman proximal step from each row of an (S, d) array of centers.
 
-    Row i has the affine model offsets[i] + <slopes[i], x>.  All rows take
-    the affine closed form together, each with the same arithmetic as its
-    own prox_step, and are certified together by center_certificate: one row
-    below inner_tol raises InnerSolveError for the batch.  Returns a
-    ProxStepResult over the rows, or None when (r, phi) has no affine closed
-    form.
+    Row i has the model of row i of rows, an AffineRows: affine, or the
+    absolute value of an affine function.  All rows take the closed form
+    together, each with the same arithmetic as its own prox_step, and are
+    certified together by center_certificate: one row below inner_tol raises
+    InnerSolveError for the batch.  Returns a ProxStepResult over the rows,
+    or None when (r, phi) has no affine closed form.
     """
     Z = np.asarray(centers, dtype=float)
     _check_step(eta, rho)
     phi.check_interior(Z)
     r_z = reg.value_rows(Z)
-    if not np.all(np.isfinite(r_z)):
+    if not np.isfinite(r_z).all():
         raise DomainError("prox centers must be feasible for the regularizer")
-    model_z = offsets + dot_rows(slopes, Z)
+    model_z = rows.values(Z)
     if eta < ETA_FLOOR:
         zero = np.zeros(len(Z))
         return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta", model_z, r_z)
-    solve = _affine_solver(reg, phi, Z, eta)
-    if solve is None:
+    found = _closed_form_rows(rows, reg, phi, Z, eta)
+    if found is None:
         return None
-    Y = solve(slopes)
-    return _certify(model_z + r_z, offsets + dot_rows(slopes, Y), reg.value_rows(Y),
+    Y, its, method = found
+    return _certify(model_z + r_z, rows.values(Y), reg.value_rows(Y),
                     phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y), Y, eta, rho,
-                    inner_tol, 1, "closed_form_affine")
+                    inner_tol, its, method)

@@ -28,7 +28,7 @@ def test_tracer_hooks_install_and_restore():
         patches = list(tracer.patches)
         for owner, attr, original in patches:
             assert owner.__dict__[attr] is not original, (owner, attr)
-        for pid in ("P3", "P1"):
+        for pid in ("P3", "P6"):
             bregopt.sweep(bregopt.get_problem(pid), [1, 3], 1, threads=1)
     assert len(patches) > 20
     assert tracer.patches == []
@@ -37,6 +37,6 @@ def test_tracer_hooks_install_and_restore():
     assert bregopt.driver.prox_step is bregopt.subproblem.prox_step
     # a sweep runs each horizon's seeds in one lockstep loop, not through
     # run_for_regime; P3's affine models take the batched closed form, and
-    # only P1's rows take one outer prox_step each (2 + 4 steps)
+    # only P6's rows (no closed form) take one outer prox_step each (2 + 4)
     assert tracer.stat("driver.run")[0] == 0
     assert tracer.stat("subproblem.outer.prox_step")[0] == 2 + 4

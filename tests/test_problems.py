@@ -7,7 +7,7 @@ from bregopt.models import (OracleConstants, NoisyGradientOracle,
 from bregopt.problems import (ProblemInstance, brute_force_min,
                               default_configs, dump_config, get_problem,
                               instance_from_config, load_config, registry)
-from bregopt.subproblem import PointModel, ZeroRegularizer
+from bregopt.subproblem import BallIndicator, PointModel, ZeroRegularizer
 
 
 def test_registry_contents():
@@ -110,6 +110,16 @@ def test_grid_oracle_on_synthetic_quadratic():
     # refusing to degrade: a cap-busting resolution raises
     with pytest.raises(ValueError):
         brute_force_min(prob, domain_box=(-1.0, 1.0), resolution=1e-5)
+    # the grid minimizes F = f + r: over the unit ball, 0.5 |y - (2, 2)|^2
+    # is least at (1, 1)/sqrt(2), not at the box corner (1, 1)
+    c = np.array([2.0, 2.0])
+    ball = ProblemInstance("BALL", oracle, BallIndicator(1.0), Euclidean(), "B",
+                           d, np.zeros(d), sampler=oracle.test_point_sampler,
+                           batch_f=lambda pts: 0.5 * np.sum((pts - c) ** 2, axis=1))
+    res = brute_force_min(ball, domain_box=(-1.0, 1.0), resolution=1e-3)
+    assert np.linalg.norm(res.argmin) <= 1.0 + 1e-9
+    exact = 0.5 * 2.0 * (2.0 - 1.0 / np.sqrt(2.0)) ** 2
+    assert exact <= res.value <= exact + 5e-3
 
 
 def test_p1_golden_section_beats_fine_grid():

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bregopt.legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
                               WeightedSum, build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre)
-from bregopt.subproblem import (BallIndicator, EntropyLike, InnerSolveError,
-                                L1Regularizer, PointModel, QuadraticRegularizer,
-                                SimplexIndicator, ZeroRegularizer,
-                                absolute_affine_model, check_three_point,
-                                inner_solve, linear_model, prox_points_1d,
-                                prox_step, prox_step_rows, solve_monotone_power,
-                                _affine_closed_form, _affine_solver, _solve_1d,
-                                _solve_newton)
+from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
+                                InnerSolveError, L1Regularizer, PointModel,
+                                QuadraticRegularizer, SimplexIndicator,
+                                ZeroRegularizer, absolute_affine_model,
+                                check_three_point, inner_solve, linear_model,
+                                prox_points_1d, prox_step, prox_step_rows,
+                                solve_monotone_power, _closed_form_rows,
+                                _solve_1d, _solve_newton)
 
 
 def scaled_g(model, reg, eta):
@@ -294,19 +294,31 @@ def test_norm_term_closed_form():
 
 
 def test_1d_abs_affine_step_matches_bisection():
-    # |g y + s| in one dimension takes the slope-search closed form, as in
-    # every other dimension; the certified bisection is the reference
+    # one batch of |g y + s| rows that stop at theta = +1, at theta = -1 and
+    # in the interior (brentq); the certified bisection is the reference
     phi = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
     reg = ZeroRegularizer()
-    for g, s, z, eta in [(2.1, -1.3, 1.7, 0.3), (-0.8, 0.2, -0.4, 0.05),
-                         (3.0, -3.0, 1.0 + 1e-3, 0.2), (0.5, 4.0, 0.9, 0.4)]:
-        model = absolute_affine_model(np.array([g]), s)
-        center = np.array([z])
-        res = prox_step(model, reg, phi, center, eta)
-        assert res.method == "closed_form_abs_affine"
-        ref = inner_solve(model, reg, phi, center, eta)
+    eta = 0.3
+    g, s, z = np.array([(2.1, -1.3, 1.7), (1.0, -5.0, 0.5), (3.0, -3.0, 1.0 + 1e-3),
+                        (0.5, 4.0, 0.9), (-2.0, -4.0, 0.3), (-0.8, 0.2, -0.4)]).T
+    G, Z = g[:, None], z[:, None]
+    rows = AffineRows(G, s, True)
+    res = prox_step_rows(rows, reg, phi, Z, eta)
+    assert res.method == "closed_form_abs_affine"
+    its = []
+    for i in range(len(g)):
+        model = absolute_affine_model(G[i], s[i])
+        ref = inner_solve(model, reg, phi, Z[i], eta)
         assert ref.method == "bisection_1d"
-        assert abs(res.minimizer[0] - ref.minimizer[0]) <= 1e-12 * (1.0 + abs(ref.minimizer[0]))
+        y = res.minimizer[i, 0]
+        assert abs(y - ref.minimizer[0]) <= 1e-12 * (1.0 + abs(ref.minimizer[0]))
+        one = prox_step(model, reg, phi, Z[i], eta)
+        assert one.method == "closed_form_abs_affine"
+        assert np.array_equal(one.minimizer, res.minimizer[i])
+        its.append(one.inner_iterations)
+    # affine solves: 1 at theta = +1, 2 at theta = -1, more for brentq
+    assert its[:2] + its[3:] == [1, 2, 1, 2, 1] and its[2] > 2
+    assert res.inner_iterations == its[2]
 
 
 def test_1d_bisection_brackets_far_minimizers():
@@ -450,9 +462,13 @@ def _outcome(fn):
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(_ROW_CASES), seed=st.integers(0, 2 ** 32 - 1),
        n_rows=st.integers(1, 6), log_eta=st.floats(-3.0, 6.0),
-       slope_scale=st.floats(0.01, 100.0))
+       slope_scale=st.floats(0.01, 100.0), absolute=st.booleans())
+# an entropic step that overflows: the batch raised InnerSolveError on a NaN
+# divergence where one row's phi.bregman raised DomainError
+@example(case=("zero", "entropy"), seed=2, n_rows=1, log_eta=3.0,
+         slope_scale=1.0, absolute=False)
 def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
-                                              slope_scale):
+                                              slope_scale, absolute):
     # huge eta drives entropy steps to the boundary and radial/ball steps far
     # out (clipped at the radius); both sides must then fail or agree alike
     reg_kind, phi_kind = case
@@ -468,37 +484,39 @@ def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
     V = slope_scale * rng.uniform(-1.0, 1.0, (n_rows, d))
     offsets = rng.uniform(-1.0, 1.0, n_rows)
     eta = 10.0 ** log_eta
+    rows = AffineRows(V, offsets, absolute)
+    make = absolute_affine_model if absolute else linear_model
 
-    rows = _outcome(lambda: _affine_solver(reg, phi, Z, eta)(V))
-    ones = [_outcome(lambda z=z, v=v: _affine_closed_form(v, reg, phi, z, eta))
-            for z, v in zip(Z, V)]
-    step = _outcome(lambda: prox_step_rows(V, offsets, reg, phi, Z, eta))
-    steps = [_outcome(lambda z=z, v=v, c=c: prox_step(linear_model(v, offset=c),
-                                                      reg, phi, z, eta))
+    batch = _outcome(lambda: _closed_form_rows(rows, reg, phi, Z, eta)[0])
+    ones = [_outcome(lambda i=i: _closed_form_rows(
+                AffineRows(V[i:i + 1], offsets[i:i + 1], absolute), reg, phi,
+                Z[i:i + 1], eta)[0][0])
+            for i in range(n_rows)]
+    step = _outcome(lambda: prox_step_rows(rows, reg, phi, Z, eta))
+    steps = [_outcome(lambda z=z, v=v, c=c: prox_step(make(v, c), reg, phi, z, eta))
              for z, v, c in zip(Z, V, offsets)]
     fields = ("minimizer", "three_point_residual", "objective_decrease",
               "divergence", "model_value", "r_value")
-    same = np.array_equal
     if phi_kind == "poly_single_term":
-        # numpy evaluates r ** p over a one-term kernel with another loop in
-        # the row layout, which can move the last bit of the power; the
-        # divergence and certificate fields are differences of large terms,
-        # so only the points are compared, to the last bit or two
-        same = lambda a, b: np.allclose(a, b, rtol=4e-16, atol=0.0)
+        # both sides solve one-row or many-row batches, so the points agree
+        # to the last bit; numpy evaluates r ** p over a one-term kernel with
+        # another loop in the row layout than for one point, which can move
+        # the last bit of phi, so the divergence and certificate fields (from
+        # phi.bregman on prox_step's side) are not compared
         fields = ("minimizer",)
-    if isinstance(rows, type):
-        assert rows in {o for o in ones if isinstance(o, type)}
+    if isinstance(batch, type):
+        assert batch in {o for o in ones if isinstance(o, type)}
     else:
         assert not any(isinstance(o, type) for o in ones)
-        assert same(rows, np.array(ones))
+        assert np.array_equal(batch, np.array(ones))
     if isinstance(step, type):
         assert step in {o for o in steps if isinstance(o, type)}
         return
     assert not any(isinstance(o, type) for o in steps)
-    assert step.method == "closed_form_affine"
+    assert step.method == ("closed_form_abs_affine" if absolute else "closed_form_affine")
     for field in fields:
-        assert same(getattr(step, field),
-                    np.array([getattr(o, field) for o in steps])), field
+        assert np.array_equal(getattr(step, field),
+                              np.array([getattr(o, field) for o in steps])), field
 
 
 class _LyingZero(ZeroRegularizer):
@@ -512,11 +530,21 @@ def test_one_bad_row_fails_the_batched_step():
     V = np.array([[1.0, 0.0], [0.6, 0.0], [-1.0, 0.0]])
     Z = np.array([[3.0, 1.0], [0.9, 0.0], [-2.0, 0.5]])
     good = [0, 2]
-    ok = prox_step_rows(V[good], np.zeros(2), reg, phi, Z[good], 1.0)
+    ok = prox_step_rows(AffineRows(V[good], np.zeros(2), False), reg, phi, Z[good], 1.0)
     assert np.array_equal(ok.minimizer, Z[good] - V[good])
     # the step from (0.9, 0) lands at (0.3, 0), where r jumps by 10
     with pytest.raises(InnerSolveError):
-        prox_step_rows(V, np.zeros(3), reg, phi, Z, 1.0)
+        prox_step_rows(AffineRows(V, np.zeros(3), False), reg, phi, Z, 1.0)
+    # the same for |affine| rows: |<v, y> + 10| keeps the level positive on
+    # these steps, so each row stops at theta = +1 with the affine step
+    ok = prox_step_rows(AffineRows(V[good], np.full(2, 10.0), True), reg, phi,
+                        Z[good], 1.0)
+    assert ok.method == "closed_form_abs_affine"
+    assert np.array_equal(ok.minimizer, Z[good] - V[good])
+    with pytest.raises(InnerSolveError):
+        prox_step_rows(AffineRows(V, np.full(3, 10.0), True), reg, phi, Z, 1.0)
     # an infeasible center fails the batch before any step
-    with pytest.raises(DomainError):
-        prox_step_rows(V, np.zeros(3), BallIndicator(1.0), phi, Z, 1.0)
+    for absolute in (False, True):
+        with pytest.raises(DomainError):
+            prox_step_rows(AffineRows(V, np.zeros(3), absolute), BallIndicator(1.0),
+                           phi, Z, 1.0)
