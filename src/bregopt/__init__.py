@@ -19,11 +19,12 @@ from .models import (CompositeData, LinearMirrorOracle, ModelOracle,
                      verify_lipschitz, verify_one_sided,
                      verify_relative_smoothness, verify_variance)
 from .subproblem import (AffineRows, BallIndicator, EntropyLike,
-                         InnerSolveError, L1Regularizer, PointModel,
-                         ProxStepResult, QuadraticRegularizer, Regularizer,
-                         SimplexIndicator, ZeroRegularizer, absolute_affine_model,
+                         InnerSolveError, L1Regularizer, NormTermRows,
+                         PointModel, ProxStepResult, QuadraticRegularizer,
+                         Regularizer, SimplexIndicator, SmoothRows,
+                         ZeroRegularizer, absolute_affine_model,
                          center_certificate, check_three_point, inner_solve,
-                         linear_model, prox_points_1d, prox_step,
+                         linear_model, newton_rows, prox_points_1d, prox_step,
                          prox_step_rows, solve_monotone_power)
 from .driver import (RunTrace, SolverConfig, default_lambda, fit_loglog,
                      format_csv_rows, parse_csv_rows, run_convex,

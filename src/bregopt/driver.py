@@ -14,11 +14,11 @@ fits a log-log rate slope.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .subproblem import ProxStepResult, prox_step, prox_step_rows
+# prox_step stays bound here: perfbench/tracing.py wraps driver.prox_step
+from .subproblem import prox_step, prox_step_rows  # noqa: F401
 from . import envelope as envelope_mod
 
 
@@ -146,26 +146,18 @@ def sample_tstar(etas, rho, rng, size=None):
 _ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
 
 
-def _stacked(steps):
-    """One ProxStepResult over the rows of per-row prox steps."""
-    def field(name):
-        return np.array([getattr(r, name) for r in steps])
-
-    return ProxStepResult(field("minimizer"), 0, field("three_point_residual"),
-                          field("objective_decrease"), field("divergence"),
-                          "per_row", field("model_value"), field("r_value"))
-
-
 def _run_loop(problem, configs):
     """Advance the runs of configs in lockstep, one (S, d) state.
 
     The S configs must share their horizon, step sizes, lam and inner_tol
     (the seeds of one sweep horizon do).  Each run draws its T+1 samples up
     front, which is the same stream, and leaves its generator in the same
-    state for the t* draw, as one draw per step.  Oracles with affine or
-    |affine| models (linear_rows) step all rows with one batched closed form
-    (prox_step_rows); any other model takes one prox_step per row.  Returns S
-    RunTraces; in the convex regime each carries its averaged iterates.
+    state for the t* draw, as one draw per step.  Every step is one
+    prox_step_rows call over all rows, with the oracle's models over rows
+    (model_rows): one batched closed form for affine or |affine| models, one
+    lockstep Newton for smooth ones.  An oracle or (r, phi) pair with no
+    batched step raises ValueError.  Returns S RunTraces; in the convex
+    regime each carries its averaged iterates.
     """
     regime = problem.regime
     lam, etas = _resolve_etas(problem, configs[0], regime)
@@ -195,13 +187,13 @@ def _run_loop(problem, configs):
     residuals = np.empty((S, T + 1))
     for t in range(T + 1):
         eta = float(etas[t])
-        rows = oracle.linear_rows(X, xi_steps[t])
+        rows = oracle.model_rows(X, xi_steps[t])
         res = (None if rows is None
                else prox_step_rows(rows, reg, phi, X, eta, rho=rho, inner_tol=tol))
         if res is None:
-            res = _stacked([prox_step(oracle.model_at(x, xi), reg, phi, x, eta,
-                                      rho=rho, inner_tol=tol)
-                            for x, xi in zip(X, xi_steps[t])])
+            raise ValueError("%s has no batched prox step: the lockstep loop needs "
+                             "models over rows (model_rows) with a batched path "
+                             "for its regularizer and phi" % (problem.id,))
         X = res.minimizer
         iterates[:, t + 1] = X
         model_values[:, t] = res.model_value
@@ -336,8 +328,11 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
                    metric_mode):
     """Rows and target metric values of the n_seeds cells of one horizon.
 
-    The cells run in lockstep; each cell's wall_ms is its share of that loop
-    plus the time of its own metric.
+    The cells run in lockstep.  In the stationarity regimes the prox points
+    of the returned points are solved in one bregman_prox_points batch
+    ("tstar_draw"), or each cell takes its point from its own t*-law batch
+    ("tstar_full").  Each cell's wall_ms is its share (1/S) of the loop and
+    of the returned points' batch, plus the time of its own metric.
     """
     if schedule_kind == "strongly_convex":
         schedule = ("strongly_convex",)
@@ -348,16 +343,23 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
                             inner_tol=inner_tol) for s in range(n_seeds)]
     t0 = time.perf_counter()
     traces = _run_loop(problem, configs)
-    loop_ms = (time.perf_counter() - t0) * 1000.0 / n_seeds
+    by_envelope = problem.regime in ("A", "B")
+    X_hat = None
+    if by_envelope and metric_mode == "tstar_draw":
+        X_hat = envelope_mod.bregman_prox_points(
+            problem, problem.phi, np.array([tr.returned_point for tr in traces]),
+            traces[0].lam, tol=inner_tol)
+    shared_ms = (time.perf_counter() - t0) * 1000.0 / n_seeds
     rows = []
     metrics = []
     for s, trace in enumerate(traces):
         t1 = time.perf_counter()
-        if problem.regime in ("A", "B"):
-            x_hat = None
+        if by_envelope:
             if metric_mode == "tstar_full":
-                w, X_hat, divs = _tstar_law(problem, trace, inner_tol)
-                x_hat = X_hat[trace.t_star]
+                w, X_law, divs = _tstar_law(problem, trace, inner_tol)
+                x_hat = X_law[trace.t_star]
+            else:
+                x_hat = X_hat[s]
             report = envelope_mod.stationarity(problem, problem.phi,
                                                trace.returned_point, trace.lam,
                                                tol=inner_tol, x_hat=x_hat)
@@ -369,7 +371,7 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
         else:
             metric = float(convex_gap(problem, trace))
             values = [("fgap_avg", metric)]
-        wall = loop_ms + (time.perf_counter() - t1) * 1000.0
+        wall = shared_ms + (time.perf_counter() - t1) * 1000.0
         base = {"regime": problem.regime, "problem_id": problem.id, "T": T,
                 "seed": s, "eta0": float(trace.etas[0]),
                 "lambda": float(trace.lam)}
@@ -403,6 +405,9 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
                               inner_tol, metric_mode)
 
     if threads > 1:
+        # imported here: only concurrent horizons need it, and it pulls in
+        # logging (about 0.5 MB and 8 ms of import)
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, horizons))
     else:

@@ -26,7 +26,7 @@ loop.
 
 import numpy as np
 
-from .subproblem import prox_points_1d, prox_step
+from .subproblem import prox_points_1d, prox_step, prox_step_rows
 
 
 class EnvelopeReport:
@@ -60,18 +60,27 @@ def _check_lambda(problem, lam):
 def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     """argmin_y { F(y) + (1/lam) D(y, x) } for each row x of an (N, d) array.
 
-    In one dimension all N subproblems go to one lockstep bisection, which
-    needs the exact objective's value and subgradient to act elementwise on
-    an (N,) array; otherwise each row is one prox step.
+    All N subproblems are solved and certified in one batch: in one
+    dimension by one lockstep bisection, which needs the exact objective's
+    value and subgradient to act elementwise on an (N,) array; in d > 1 by
+    prox_step_rows on the objective's row form (PointModel.rows), one
+    lockstep Newton for a smooth objective that acts on rows (P2, P6) and
+    the shrinkage for a norm term (P5).  An objective with no row form, or
+    whose (r, phi) has no batched path, takes one prox step per row.
     """
     _check_lambda(problem, lam)
     X = np.asarray(X, dtype=float)
     model = problem.exact_objective()
+    reg = problem.regularizer
     rho = _weak_modulus(problem)
     if X.shape[1] == 1:
-        return prox_points_1d(model, problem.regularizer, phi, X[:, 0], lam,
-                              rho=rho, tol=tol)[:, None]
-    return np.array([prox_step(model, problem.regularizer, phi, x, lam, rho=rho,
+        return prox_points_1d(model, reg, phi, X[:, 0], lam, rho=rho, tol=tol)[:, None]
+    rows = model.rows()
+    res = (None if rows is None
+           else prox_step_rows(rows, reg, phi, X, lam, rho=rho, inner_tol=tol))
+    if res is not None:
+        return res.minimizer
+    return np.array([prox_step(model, reg, phi, x, lam, rho=rho,
                                inner_tol=tol).minimizer for x in X])
 
 

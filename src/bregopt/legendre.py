@@ -106,14 +106,20 @@ class LegendreFunction:
         if self.domain == ALL_SPACE:
             return True
         if self.domain == POSITIVE_ORTHANT:
-            return bool(np.all(x >= 0))
-        return bool(np.all(x > 0))
+            return bool((x >= 0).all())
+        return bool((x > 0).all())
 
     def in_interior(self, x):
         x = np.asarray(x, dtype=float)
         if self.domain == ALL_SPACE:
             return True
-        return bool(np.all(x > 0))
+        return bool((x > 0).all())
+
+    def interior_rows(self, X):
+        """in_interior of each row of an (N, d) array."""
+        if self.domain == ALL_SPACE:
+            return np.ones(len(X), dtype=bool)
+        return (np.asarray(X) > 0).all(axis=1)
 
     def check_interior(self, x):
         if not self.in_interior(x):
@@ -160,6 +166,10 @@ class LegendreFunction:
         d = x.size
         cols = [self.hessian_apply(x, e) for e in np.eye(d)]
         return np.column_stack(cols)
+
+    def hessian_rows(self, X):
+        """The (N, d, d) stack of hessian_matrix at the rows of an (N, d) array."""
+        return np.array([self.hessian_matrix(x) for x in X])
 
     def local_norm_context(self, x):
         self.check_interior(x)
@@ -236,8 +246,8 @@ class ShannonEntropy(LegendreFunction):
     def value_rows(self, X):
         X = np.asarray(X, dtype=float)
         pos = X > 0
-        out = np.sum(np.where(pos, X * np.log(np.where(pos, X, 1.0)), 0.0), axis=1)
-        out[np.any(X < 0, axis=1)] = np.inf
+        out = np.where(pos, X * np.log(np.where(pos, X, 1.0)), 0.0).sum(axis=1)
+        out[(X < 0).any(axis=1)] = np.inf
         return out
 
     gradient_rows = gradient
@@ -333,14 +343,31 @@ class RadialPowerSum(LegendreFunction):
 
     def value_rows(self, X):
         r = norm_rows(X)
-        return np.sum(self.coefs * r[:, None] ** self.powers, axis=1)
+        return (self.coefs * r[:, None] ** self.powers).sum(axis=1)
 
     def gradient_rows(self, X):
         X = np.asarray(X, dtype=float)
         r = norm_rows(X)
-        scale = np.sum(self.coefs * self.powers * r[:, None] ** (self.powers - 2.0),
-                       axis=1)
+        scale = (self.coefs * self.powers * r[:, None] ** (self.powers - 2.0)).sum(axis=1)
         return np.where(r[:, None] == 0.0, 0.0, scale[:, None] * X)
+
+    def hessian_rows(self, X):
+        """a_i I + b_i x_i x_i^T at each row x_i, with hessian_apply's a and b.
+
+        At x = 0 the power-2 terms give a (0^0 = 1) and the rank-one term
+        vanishes, as in hessian_apply; the p = 2 terms add nothing to b.
+        """
+        X = np.asarray(X, dtype=float)
+        r = norm_rows(X)[:, None]
+        p = self.powers
+        a = (self.coefs * p * r ** (p - 2.0)).sum(axis=1)
+        high = p > 2.0
+        r = np.where(r > 0.0, r, 1.0)
+        b = (self.coefs[high] * p[high] * (p[high] - 2.0)
+             * r ** (p[high] - 4.0)).sum(axis=1)
+        H = (b[:, None] * X)[:, None, :] * X[:, :, None]
+        H.reshape(len(X), -1)[:, ::X.shape[1] + 1] += a[:, None]
+        return H
 
     def hessian_apply(self, x, v):
         x = np.asarray(x, dtype=float)

@@ -18,8 +18,8 @@ implicitly: the step-size rules need them a priori.
 import numpy as np
 
 from .legendre import dot_rows
-from .subproblem import (AffineRows, PointModel, absolute_affine_model,
-                         linear_model)
+from .subproblem import (AffineRows, PointModel, SmoothRows,
+                         absolute_affine_model, linear_model)
 
 
 class OracleConstants:
@@ -82,6 +82,11 @@ class ModelOracle:
         """
         return None
 
+    def model_rows(self, X, xi):
+        """The sampled models anchored at the rows of X, as AffineRows
+        (linear_rows) or SmoothRows, or None when the family has no row form."""
+        return self.linear_rows(X, xi)
+
     def model_value(self, x, y, xi):
         return self.model_at(x, xi).value(y)
 
@@ -124,8 +129,14 @@ class FiniteSupportOracle(ModelOracle):
         return rng.choice(self.n_atoms, p=self.weights, size=n)
 
     def expected_model_value(self, x, y):
-        return float(sum(w * self.model_value(x, y, i)
-                         for i, w in enumerate(self.weights)))
+        x = np.asarray(x, dtype=float)
+        X = np.broadcast_to(x, (self.n_atoms,) + x.shape)
+        rows = self.model_rows(X, np.arange(self.n_atoms))
+        if rows is None:
+            return float(sum(w * self.model_value(x, y, i)
+                             for i, w in enumerate(self.weights)))
+        return float(self.weights @ rows.values(
+            np.broadcast_to(np.asarray(y, dtype=float), X.shape)))
 
     def expected_lip_sq(self):
         return float(sum(w * self.lip_L(i) ** 2 for i, w in enumerate(self.weights)))
@@ -138,15 +149,19 @@ class FiniteSupportOracle(ModelOracle):
 def _tangent_rows(X, slopes, values):
     """AffineRows of the affine models values + <slopes, y - X>.
 
-    X is one point or an (S, d) array of points; slopes broadcast to its
-    shape and values must hold one entry per point.
+    X is one point or an (S, d) array of points, and values must hold one
+    entry per point; points and slopes broadcast against each other, so one
+    point with an (S, d) array of slopes gives S rows.
     """
     X = np.asarray(X, dtype=float)
-    slopes = np.broadcast_to(np.asarray(slopes, dtype=float), X.shape)
     values = np.asarray(values, dtype=float)
     if values.shape != X.shape[:-1]:
         raise ValueError("model callbacks must act on the last axis of the points")
-    return AffineRows(slopes, values - dot_rows(slopes, X), False)
+    slopes = np.asarray(slopes, dtype=float)
+    X = np.broadcast_to(X, np.broadcast_shapes(X.shape, slopes.shape))
+    slopes = np.broadcast_to(slopes, X.shape)
+    return AffineRows(slopes, np.broadcast_to(values, X.shape[:-1])
+                      - dot_rows(slopes, X), False)
 
 
 def _one_point(rows):
@@ -318,6 +333,10 @@ class ProxLinearOracle(FiniteSupportOracle):
     def f_exact(self, x):
         comp = self.composite
         x = np.asarray(x, dtype=float)
+        if comp.outer_is_abs:
+            X = np.broadcast_to(x, (self.n_atoms,) + x.shape)
+            c = np.asarray(comp.inner_value(X, np.arange(self.n_atoms)), dtype=float)
+            return float(self.weights @ np.abs(c[..., 0]))
         return float(sum(w * comp.outer_value(
             np.atleast_1d(comp.inner_value(x, i)), i)
             for i, w in enumerate(self.weights)))
@@ -414,50 +433,61 @@ class SaddleOracle(FiniteSupportOracle):
 # ---------------------------------------------------------------------------
 
 class ProximalPointOracle(FiniteSupportOracle):
-    """f_x(y, xi) = f(y, xi): the model is the sampled function itself."""
+    """f_x(y, xi) = f(y, xi): the model is the sampled function itself.
+
+    atom_value, atom_grad and atom_hess act on the last axis, the atom
+    indices broadcasting against the points' leading axes: at an (S, d)
+    array of points and S indices they return S values, an (S, d) array and
+    an (S, d, d) stack.  The exact f (f_rows), its gradient and its Hessian
+    are weighted sums over the atom axis and act on the last axis too.
+    """
 
     family = "proximal_point"
 
     def __init__(self, atom_value, atom_grad, atom_hess, weights, lip_fn,
                  regime, constants, sample_space="finite support",
                  test_point_sampler=None):
-        self._val = atom_value    # (y, xi) -> float
-        self._grad = atom_grad    # (y, xi) -> vector
-        self._hess = atom_hess    # (y, xi) -> matrix or None
+        self._val = atom_value    # (y, xi) -> values
+        self._grad = atom_grad    # (y, xi) -> gradients
+        self._hess = atom_hess    # (y, xi) -> Hessians, or None
         self._lip = lip_fn
         super().__init__(weights=weights, regime=regime, constants=constants,
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
+        self._atoms = np.arange(self.n_atoms)
+
+    def _callbacks(self, xi):
+        hess = None if self._hess is None else (lambda y: self._hess(y, xi))
+        return (lambda y: self._val(y, xi)), (lambda y: self._grad(y, xi)), hess
 
     def model_at(self, x, xi):
-        hess = None
-        if self._hess is not None:
-            hess = lambda y: self._hess(y, xi)
-        return PointModel(lambda y: float(self._val(y, xi)),
-                          lambda y: np.asarray(self._grad(y, xi), dtype=float),
-                          smooth=True, hessian_fn=hess)
+        val, grad, hess = self._callbacks(xi)
+        return PointModel(val, grad, smooth=True, hessian_fn=hess, on_rows=True)
+
+    def model_rows(self, X, xi):
+        return SmoothRows(*self._callbacks(np.asarray(xi)))
 
     def lip_L(self, xi):
         return float(self._lip(xi))
 
+    def _over_atoms(self, fn, X):
+        """fn at the points X for every atom; the atom axis follows the
+        leading axes of X."""
+        return fn(np.asarray(X, dtype=float)[..., None, :], self._atoms)
+
+    def f_rows(self, X):
+        """f at each point of X (the last axis)."""
+        return self._over_atoms(self._val, X) @ self.weights
+
     def f_exact(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(sum(w * self._val(x, i) for i, w in enumerate(self.weights)))
+        return float(self.f_rows(x))
 
     def grad_f(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for i, w in enumerate(self.weights):
-            out += w * np.asarray(self._grad(x, i), dtype=float)
-        return out
+        return np.matmul(self.weights, self._over_atoms(self._grad, x))
 
     def hess_f(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.size
-        out = np.zeros((d, d))
-        for i, w in enumerate(self.weights):
-            out += w * np.asarray(self._hess(x, i), dtype=float)
-        return out
+        H = self._over_atoms(self._hess, x)
+        return np.tensordot(self.weights, H, axes=([0], [H.ndim - 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +620,8 @@ def verify_variance(oracle, n_samples, x, rng):
     """
     x = np.asarray(x, dtype=float)
     g_exact = oracle.grad_f(x)
-    sq = np.empty(n_samples)
-    for k in range(n_samples):
-        xi = oracle.sample(rng)
-        g = oracle.model_at(x, xi).linear
-        sq[k] = float(np.sum((g - g_exact) ** 2))
+    G = oracle.linear_rows(x, oracle.sample_rows(rng, n_samples)).slopes
+    sq = np.sum((G - g_exact) ** 2, axis=1)
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(n_samples))
     bound = oracle.constants.variance_sigma ** 2 / 2.0

@@ -39,7 +39,7 @@ class ProblemInstance:
 
     def __init__(self, id, oracle, regularizer, phi, regime, dimension, x0,
                  optimum=None, exact_objective_builder=None, sampler=None,
-                 config=None, batch_f=None):
+                 config=None):
         self.id = id
         self.oracle = oracle
         self.regularizer = regularizer
@@ -51,7 +51,6 @@ class ProblemInstance:
         self._objective_builder = exact_objective_builder
         self._sampler = sampler
         self.config = config
-        self.batch_f = batch_f  # optional vectorized f over an (N, d) array
         if not phi.in_interior(self.x0) or not np.isfinite(regularizer.value(self.x0)):
             raise ValueError("x0 must lie in int(dom phi) and dom r")
 
@@ -187,8 +186,9 @@ def _assemble_p2(cfg):
     sigma = float(cfg["sigma"])
     d = A.shape[1]
 
-    # f and grad act on the last axis (the oracle's linear models of many
-    # points at once); a row's matrix products are the BLAS calls of one point
+    # f, grad and hess act on the last axis (the oracle's linear models and
+    # the envelope's prox points of many points at once); a row's matrix
+    # products are the BLAS calls of one point
     def f(x):
         z = (A @ x[..., None])[..., 0]
         return dot_rows(weights, (z * z - b) ** 2)
@@ -198,8 +198,9 @@ def _assemble_p2(cfg):
         return (A.T @ (weights * 4.0 * (z ** 3 - b * z))[..., None])[..., 0]
 
     def hess(x):
-        z = A @ x
-        return (A * (weights * 4.0 * (3.0 * z * z - b))[:, None]).T @ A
+        z = (A @ x[..., None])[..., 0]
+        return np.swapaxes(A * (weights * 4.0 * (3.0 * z * z - b))[..., None],
+                           -1, -2) @ A
 
     scale = sigma / np.sqrt(2.0 * d)
 
@@ -220,15 +221,11 @@ def _assemble_p2(cfg):
     reg = _make_regularizer(cfg["regularizer"])
 
     def objective():
-        return PointModel(f, grad, smooth=True, hessian_fn=hess)
-
-    def batch_f(pts):
-        z = pts @ A.T
-        return ((z * z - b) ** 2) @ weights
+        return PointModel(f, grad, smooth=True, hessian_fn=hess, on_rows=True)
 
     return ProblemInstance("P2", oracle, reg, phi, "B", d, cfg["x0"],
                            exact_objective_builder=objective, sampler=sampler,
-                           config=cfg, batch_f=batch_f)
+                           config=cfg)
 
 
 def _assemble_simplex_linear(cfg):
@@ -318,14 +315,15 @@ def _assemble_p5(cfg):
 
     def objective():
         def sub(y):
-            n = float(np.linalg.norm(y))
-            return abar + (w_radius / n) * y if n > 0 else abar.copy()
+            n = norm_rows(y)[..., None]
+            return abar + np.divide(w_radius, n, out=np.zeros(n.shape),
+                                    where=n > 0.0) * y
 
-        return PointModel(f_sup, sub, norm_term=(abar, w_radius))
+        return PointModel(f_sup, sub, norm_term=(abar, w_radius), on_rows=True)
 
     return ProblemInstance("P5", oracle, reg, phi, "A", d, cfg["x0"],
                            optimum=optimum, exact_objective_builder=objective,
-                           sampler=sampler, config=cfg, batch_f=f_sup)
+                           sampler=sampler, config=cfg)
 
 
 def _assemble_p6(cfg):
@@ -334,15 +332,18 @@ def _assemble_p6(cfg):
     weights = np.asarray(cfg["weights"], dtype=float)
     d = Q.shape[1]
 
-    def val(y, xi):
-        r = y - centers[xi]
-        return 0.5 * float(r @ Q[xi] @ r)
-
+    # the atoms act on the last axis, their indices broadcasting against the
+    # points: Q_xi (y - m_xi) for every row, as elementwise products summed
+    # over the last axis, one row's arithmetic whatever the batch
     def grad(y, xi):
-        return Q[xi] @ (y - centers[xi])
+        return (Q[xi] * (y - centers[xi])[..., None, :]).sum(axis=-1)
+
+    def val(y, xi):
+        return 0.5 * ((y - centers[xi]) * grad(y, xi)).sum(axis=-1)
 
     def hess(y, xi):
-        return Q[xi]
+        shape = np.broadcast_shapes(np.shape(y), centers[xi].shape)
+        return np.broadcast_to(Q[xi], shape + (d,))
 
     # valid modulus for the quarter-scale growth polynomial 0.25 (1 + u^2)
     op_norms = np.array([np.linalg.norm(Qi, 2) for Qi in Q])
@@ -364,19 +365,12 @@ def _assemble_p6(cfg):
     optimum = {"F_star": oracle.f_exact(x_star), "x_star": x_star}
 
     def objective():
-        return PointModel(oracle.f_exact, oracle.grad_f, smooth=True,
-                          hessian_fn=oracle.hess_f)
-
-    def batch_f(pts):
-        out = np.zeros(pts.shape[0])
-        for w, Qi, mi in zip(weights, Q, centers):
-            r = pts - mi
-            out += 0.5 * w * np.einsum("nj,jk,nk->n", r, Qi, r)
-        return out
+        return PointModel(oracle.f_rows, oracle.grad_f, smooth=True,
+                          hessian_fn=oracle.hess_f, on_rows=True)
 
     return ProblemInstance("P6", oracle, reg, phi, "A", d, cfg["x0"],
                            optimum=optimum, exact_objective_builder=objective,
-                           sampler=sampler, config=cfg, batch_f=batch_f)
+                           sampler=sampler, config=cfg)
 
 
 _ASSEMBLERS = {
@@ -556,6 +550,9 @@ class OracleResult:
 
 
 GRID_POINT_CAP = 40_000_000
+# grid points per row call of the exact objective; a finite-support
+# objective's row form holds (points, atoms, d, d) temporaries
+GRID_CHUNK = 50_000
 
 
 def _golden_polish(f, lo, hi, tol=1e-12, max_iter=300):
@@ -657,17 +654,14 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
         return OracleResult(v, np.array([t]), "golden_section", resolution)
 
     if method == "grid":
+        model = problem.exact_objective()
         best_v, best_x = np.inf, None
-        chunk = max(1, 2_000_000 // n)
+        chunk = max(1, GRID_CHUNK // n)
         for start in range(0, n, chunk):
             rows = axis[start:start + chunk]
             X, Y = np.meshgrid(rows, axis, indexing="ij")
             pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-            if problem.batch_f is not None:
-                vals = (np.asarray(problem.batch_f(pts), dtype=float)
-                        + problem.regularizer.value_rows(pts))
-            else:
-                vals = np.array([problem.exact_F(p) for p in pts])
+            vals = model.value_rows(pts) + problem.regularizer.value_rows(pts)
             k = int(np.argmin(vals))
             if vals[k] < best_v:
                 best_v, best_x = vals[k], pts[k]

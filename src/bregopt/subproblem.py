@@ -66,8 +66,7 @@ class Regularizer:
 
 
 def _on_simplex(X, tol):
-    return (np.all(X >= -tol, axis=1)
-            & (np.abs(np.sum(X, axis=1) - 1.0) <= tol))
+    return (X >= -tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= tol)
 
 
 class ZeroRegularizer(Regularizer):
@@ -182,10 +181,13 @@ class PointModel:
 
     For a 1-d variable, value and subgradient functions that act elementwise
     on an (N,) array let prox_points_1d solve N subproblems in one batch.
+    With on_rows the functions act on the last axis instead: at an (N, d)
+    array they give N values, an (N, d) array and an (N, d, d) stack, so
+    the model has a row form (rows) that a batch of prox points can share.
     """
 
     def __init__(self, value_fn, subgrad_fn, linear=None, scalar_abs=None,
-                 norm_term=None, smooth=False, hessian_fn=None):
+                 norm_term=None, smooth=False, hessian_fn=None, on_rows=False):
         self._value_fn = value_fn
         self._subgrad_fn = subgrad_fn
         self.linear = None if linear is None else np.asarray(linear, dtype=float)
@@ -193,6 +195,7 @@ class PointModel:
         self.norm_term = norm_term
         self.smooth = smooth
         self.hessian_fn = hessian_fn
+        self.on_rows = on_rows
 
     def value(self, y):
         v = self._value_fn(np.asarray(y, dtype=float))
@@ -206,6 +209,34 @@ class PointModel:
         if self.hessian_fn is None:
             raise InnerSolveError("model does not expose a Hessian")
         return np.asarray(self.hessian_fn(np.asarray(y, dtype=float)), dtype=float)
+
+    def value_rows(self, Y):
+        """The model at each row of an (N, d) array."""
+        if self.on_rows:
+            return np.asarray(self._value_fn(Y), dtype=float)
+        return np.array([self.value(y) for y in Y])
+
+    def smooth_rows(self):
+        """This smooth model on every row, as SmoothRows: its own functions
+        when they act on rows, else one call per row."""
+        if self.on_rows:
+            return SmoothRows(self._value_fn, self._subgrad_fn, self.hessian_fn)
+
+        def each(fn):
+            return lambda Y: np.array([fn(y) for y in Y])
+
+        return SmoothRows(self.value_rows, each(self.subgradient),
+                          None if self.hessian_fn is None else each(self.hessian))
+
+    def rows(self):
+        """This model on every row of a batch, or None: NormTermRows of a
+        norm term, SmoothRows of a smooth model that acts on rows."""
+        if self.norm_term is not None:
+            v, c = self.norm_term
+            return NormTermRows(np.asarray(v, dtype=float), float(c))
+        if self.smooth and self.on_rows:
+            return self.smooth_rows()
+        return None
 
 
 def linear_model(v, offset=0.0):
@@ -232,8 +263,11 @@ class ProxStepResult:
     """Outcome of one Bregman proximal step z -> y.
 
     divergence is D(y, z); model_value and r_value are the model and r at y.
-    For a batch of steps (prox_step_rows) every field but method and
-    inner_iterations (the most any row used) holds one entry per row.
+    method names the path: closed_form_affine, closed_form_abs_affine,
+    closed_form_norm, bisection_1d, newton, mirror_fallback or
+    degenerate_eta.  For a batch of steps (prox_step_rows) every field but
+    method and inner_iterations (the most any row used) holds one entry per
+    row.
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
@@ -246,6 +280,13 @@ class ProxStepResult:
         self.method = method
         self.model_value = model_value
         self.r_value = r_value
+
+    def row(self, i):
+        """The step of row i of a batch, as a one-point result."""
+        return ProxStepResult(self.minimizer[i], self.inner_iterations,
+                              self.three_point_residual[i],
+                              self.objective_decrease[i], self.divergence[i],
+                              self.method, self.model_value[i], self.r_value[i])
 
 
 class ThreePointReport:
@@ -521,6 +562,25 @@ class AffineRows(namedtuple("AffineRows", "slopes offsets absolute")):
         return np.abs(v) if self.absolute else v
 
 
+class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
+    """Models <slopes[i], y> + weight ||y|| over rows; one slope row stands
+    for every row."""
+
+    __slots__ = ()
+
+    def values(self, Y):
+        return dot_rows(self.slopes, Y) + self.weight * norm_rows(Y)
+
+
+class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
+    """Smooth models over rows: values, gradients and hessians map an (N, d)
+    array Y to the N values, the (N, d) gradients and the (N, d, d) Hessians
+    of row i's model at row i of Y.  hessians None means the models expose
+    none, and Newton differences the gradients."""
+
+    __slots__ = ()
+
+
 def _closed_form_rows(rows, reg, phi, Z, eta):
     """(minimizers, the most affine solves of a row, method) of AffineRows, or None.
 
@@ -676,73 +736,121 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     return y
 
 
-def _solve_newton(model, reg, phi, z, eta, tol, max_iter=120):
-    """Damped Newton for smooth models with r = 0, polished past the tolerance.
+def _difference_hessian(gradients):
+    """Hessians of smooth rows by central differences of their gradients."""
+    def hessians(Y):
+        h = np.array([finite_difference_step(y) for y in Y])[:, None]
+        H = np.empty(Y.shape + Y.shape[-1:])
+        for i in range(Y.shape[1]):
+            E = np.zeros(Y.shape)
+            E[:, i:i + 1] = h
+            H[:, :, i] = (gradients(Y + E) - gradients(Y - E)) / (2 * h)
+        return H
 
-    Raises InnerSolveError when the line search fails, or max_iter runs out,
-    while half the Newton decrement is still above tol (1 + |psi(z)|).
+    return hessians
+
+
+def _newton_directions(H, G):
+    """Solve H_i p_i = -g_i for each row, with -g_i where H_i is singular;
+    a row's direction does not depend on the other rows."""
+    try:
+        return np.linalg.solve(H, -G[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return -G
+        return np.concatenate([_newton_directions(H[i:i + 1], G[i:i + 1])
+                               for i in range(len(G))])
+
+
+def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
+    """Certified argmin model_i(y) + (1/eta) D(y, z_i) for each row z_i of Z.
+
+    rows is a SmoothRows (r = 0).  One damped Newton runs over all rows in
+    lockstep: batched gradients, one np.linalg.solve over the (S, d, d)
+    Hessian stack, and a backtracking Armijo search per row, as masks over
+    the rows still searching.  Each row stops on its own half Newton
+    decrement: once it is below tol (1 + |psi_i(z_i)|) the row is polished
+    by up to two more full Newton steps (until it is below 1e-30, or a full
+    step fails the Armijo test).  Every row takes the iterates of its own
+    one-row call.  A row whose line search fails after 60 halvings, or that
+    is still above the tolerance after max_iter iterations, raises
+    InnerSolveError for the batch.  The steps are certified together by
+    center_certificate; returns a ProxStepResult over the rows.
     """
-    if reg.kind != "zero":
-        raise InnerSolveError("Newton inner path requires a zero regularizer")
-    z = np.asarray(z, dtype=float)
-    d = z.size
-    psi, gz = _total_objective(model, reg, phi, z, eta)
+    _check_step(eta, rho)
+    Z = np.asarray(Z, dtype=float)
+    S = len(Z)
+    phi_z = phi.value_rows(Z)
+    gz = phi.gradient_rows(Z)
+    hessians = rows.hessians or _difference_hessian(rows.gradients)
 
-    def grad(y):
-        return model.subgradient(y) + (phi.gradient(y) - gz) / eta
+    def psi(Y):
+        return rows.values(Y) + (phi.value_rows(Y) - phi_z - dot_rows(gz, Y - Z)) / eta
 
-    def hess(y):
-        Hm = model.hessian(y) if model.hessian_fn is not None else None
-        if Hm is None:
-            # finite differences of the analytic gradient
-            h = finite_difference_step(y)
-            Hm = np.zeros((d, d))
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = h
-                Hm[:, i] = (model.subgradient(y + e) - model.subgradient(y - e)) / (2 * h)
-        return Hm + phi.hessian_matrix(y) / eta
-
-    y = z.copy()
-    fy = psi(y)
-    tol_obj = tol * (1.0 + abs(fy))
-    polish = 0
+    Y = Z.copy()
+    fy = psi(Y)
+    tol_obj = tol * (1.0 + np.abs(fy))
+    its = np.full(S, max_iter)
+    polish = np.zeros(S, dtype=int)
+    active = np.ones(S, dtype=bool)
+    dec = np.zeros(S)
     for it in range(1, max_iter + 1):
-        g = grad(y)
-        H = hess(y)
-        try:
-            p = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            p = -g
-        dec = -float(np.dot(g, p))
-        if dec <= 0:
-            p = -g
-            dec = float(np.dot(g, g))
-        if 0.5 * dec <= tol_obj:
-            polish += 1
-            if polish > 2 or 0.5 * dec <= 1e-30:
-                return y, it
-        t = 1.0
-        for _ in range(60):
-            cand = y + t * p
-            if phi.in_interior(cand):
-                fc = psi(cand)
-                if fc <= fy - 1e-4 * t * dec or fc < fy - 1e-16 * (1 + abs(fy)):
-                    y = cand
-                    fy = fc
-                    break
-            t *= 0.5
-        else:
-            if 0.5 * dec > tol_obj:
+        G = rows.gradients(Y) + (phi.gradient_rows(Y) - gz) / eta
+        P = _newton_directions(hessians(Y) + phi.hessian_rows(Y) / eta, G)
+        dec = np.where(active, -dot_rows(G, P), dec)
+        ascent = active & ~(dec > 0)
+        if ascent.any():
+            P[ascent] = -G[ascent]
+            dec[ascent] = dot_rows(G[ascent], G[ascent])
+        small = active & (0.5 * dec <= tol_obj)
+        polish += small
+        done = small & ((polish > 2) | (0.5 * dec <= 1e-30))
+        its[done] = it
+        active &= ~done
+        if not active.any():
+            break
+        t = np.ones(S)
+        searching = active.copy()
+        failed = np.zeros(S, dtype=bool)
+        floor = fy - 1e-16 * (1 + np.abs(fy))
+        for trial in range(60):
+            cand = Y + t[:, None] * P
+            ok = searching & phi.interior_rows(cand)
+            # the model is evaluated at interior candidates only
+            fc = psi(np.where(ok[:, None], cand, Y))
+            take = ok & ((fc <= fy - 1e-4 * t * dec) | (fc < floor))
+            Y = np.where(take[:, None], cand, Y)
+            fy = np.where(take, fc, fy)
+            searching &= ~take
+            if trial == 0:
+                # a row already within tolerance polishes with the full step
+                # only: shorter steps move it by rounding noise
+                failed |= searching & small
+                searching &= ~small
+            if not searching.any():
+                break
+            t[searching] *= 0.5
+        failed |= searching
+        if failed.any():
+            bad = np.flatnonzero(failed & (0.5 * dec > tol_obj))
+            if bad.size:
+                i = bad[0]
                 raise InnerSolveError(
-                    "Newton line search failed after 60 halvings with half "
-                    "decrement %.3e > %.3e" % (0.5 * dec, tol_obj))
-            return y, it
-    if 0.5 * dec > tol_obj:
+                    "Newton line search of row %d failed with half decrement "
+                    "%.3e > %.3e" % (i, 0.5 * dec[i], tol_obj[i]))
+            its[failed] = it
+            active &= ~failed
+            if not active.any():
+                break
+    failed = np.flatnonzero(active & (0.5 * dec > tol_obj))
+    if failed.size:
+        i = failed[0]
         raise InnerSolveError(
-            "Newton solve used %d iterations with half decrement %.3e > %.3e"
-            % (max_iter, 0.5 * dec, tol_obj))
-    return y, max_iter
+            "Newton solve of row %d used %d iterations with half decrement "
+            "%.3e > %.3e" % (i, max_iter, 0.5 * dec[i], tol_obj[i]))
+    return _certify(rows.values(Z), rows.values(Y), np.zeros(S),
+                    phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y), Y, eta, rho,
+                    tol, its.max(), "newton")
 
 
 def _solve_mirror(model, reg, phi, z, eta, max_iter=20000):
@@ -791,8 +899,8 @@ def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
         its = int(its[0])
         method = "bisection_1d"
     elif model.smooth and reg.kind == "zero":
-        y, its = _solve_newton(model, reg, phi, center, eta, tol)
-        method = "newton"
+        return newton_rows(model.smooth_rows(), phi, center[None, :], eta,
+                           rho=rho, tol=tol).row(0)
     else:
         y, its = _solve_mirror(model, reg, phi, center, eta)
         method = "mirror_fallback"
@@ -844,12 +952,13 @@ def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
 def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     """One Bregman proximal step from each row of an (S, d) array of centers.
 
-    Row i has the model of row i of rows, an AffineRows: affine, or the
-    absolute value of an affine function.  All rows take the closed form
-    together, each with the same arithmetic as its own prox_step, and are
-    certified together by center_certificate: one row below inner_tol raises
+    Row i has the model of row i of rows: AffineRows (affine, or the absolute
+    value of an affine function) take the closed form, NormTermRows the
+    shrinkage, each with the same arithmetic as its own prox_step, and
+    SmoothRows (r = 0) one lockstep newton_rows.  The rows are certified
+    together by center_certificate: one row below inner_tol raises
     InnerSolveError for the batch.  Returns a ProxStepResult over the rows,
-    or None when (r, phi) has no affine closed form.
+    or None when (model, r, phi) has no batched path.
     """
     Z = np.asarray(centers, dtype=float)
     _check_step(eta, rho)
@@ -857,14 +966,21 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     r_z = reg.value_rows(Z)
     if not np.isfinite(r_z).all():
         raise DomainError("prox centers must be feasible for the regularizer")
-    model_z = rows.values(Z)
     if eta < ETA_FLOOR:
         zero = np.zeros(len(Z))
-        return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta", model_z, r_z)
-    found = _closed_form_rows(rows, reg, phi, Z, eta)
+        return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta",
+                              rows.values(Z), r_z)
+    if isinstance(rows, SmoothRows):
+        if reg.kind != "zero":
+            return None
+        return newton_rows(rows, phi, Z, eta, rho=rho, tol=inner_tol)
+    if isinstance(rows, NormTermRows):
+        found = _norm_term_rows(rows.slopes, rows.weight, reg, phi, Z, eta)
+    else:
+        found = _closed_form_rows(rows, reg, phi, Z, eta)
     if found is None:
         return None
     Y, its, method = found
-    return _certify(model_z + r_z, rows.values(Y), reg.value_rows(Y),
+    return _certify(rows.values(Z) + r_z, rows.values(Y), reg.value_rows(Y),
                     phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y), Y, eta, rho,
                     inner_tol, its, method)

@@ -36,7 +36,7 @@ def test_tracer_hooks_install_and_restore():
         assert owner.__dict__[attr] is original, (owner, attr)
     assert bregopt.driver.prox_step is bregopt.subproblem.prox_step
     # a sweep runs each horizon's seeds in one lockstep loop, not through
-    # run_for_regime; P3's affine models take the batched closed form, and
-    # only P6's rows (no closed form) take one outer prox_step each (2 + 4)
+    # run_for_regime; every step is one batched prox_step_rows call (P3's
+    # closed form, P6's lockstep Newton), so no outer prox_step is made
     assert tracer.stat("driver.run")[0] == 0
-    assert tracer.stat("subproblem.outer.prox_step")[0] == 2 + 4
+    assert tracer.stat("subproblem.outer.prox_step")[0] == 0

@@ -74,7 +74,7 @@ def test_seed_determinism():
 
 
 def test_tstar_law_metric_matches_a_loop_over_iterates():
-    # P1 solves its prox points in one 1-d batch, P6 row by row
+    # P1 solves its prox points in one 1-d bisection, P6 in one lockstep Newton
     for pid in ("P1", "P6"):
         prob = get_problem(pid)
         tr = run_model_based(prob, SolverConfig(20, seed=5))
@@ -293,14 +293,33 @@ def test_sweep_rows_equal_metrics_of_separate_runs():
 
 
 def test_tstar_full_solves_the_returned_point_once(monkeypatch):
-    calls = []
+    # no cell solves its returned point alone: tstar_full takes it from the
+    # cell's t*-law batch, tstar_draw from one batch per horizon
+    calls, batches = [], []
     single = envelope.bregman_prox_point
+    batch = envelope.bregman_prox_points
     monkeypatch.setattr(envelope, "bregman_prox_point",
                         lambda *a, **k: calls.append(1) or single(*a, **k))
+    monkeypatch.setattr(envelope, "bregman_prox_points",
+                        lambda *a, **k: batches.append(len(a[2])) or batch(*a, **k))
     sweep(get_problem("P1"), [4, 8], 2, metric_mode="tstar_full")
-    assert calls == []
+    assert calls == [] and batches == [5, 5, 9, 9]
+    del batches[:]
     sweep(get_problem("P1"), [4, 8], 2, metric_mode="tstar_draw")
-    assert len(calls) == 4
+    assert calls == [] and batches == [2, 2]
+
+
+def test_lockstep_loop_needs_a_batched_step():
+    # an l1 term under a radial kernel has no affine closed form, so the
+    # loop, which steps every row at once, refuses the problem
+    from bregopt.legendre import build_poly_legendre
+    from bregopt.subproblem import L1Regularizer
+
+    prob = quadratic_problem(np.array([1.0, -0.5]))
+    prob.regularizer = L1Regularizer(0.1)
+    prob.phi = build_poly_legendre([1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="no batched prox step"):
+        run_model_based(prob, SolverConfig(3, seed=0))
 
 
 def test_lockstep_configs_must_share_their_steps():

@@ -10,7 +10,7 @@ from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
 from bregopt.models import NoisyGradientOracle, OracleConstants
 from bregopt.problems import ProblemInstance, get_problem
-from bregopt.subproblem import PointModel, ZeroRegularizer
+from bregopt.subproblem import PointModel, ZeroRegularizer, prox_step
 
 
 def test_halfsq_closed_forms():
@@ -184,3 +184,21 @@ def test_batched_1d_prox_agrees_with_single_solves(centers, lam_frac):
     for x, y in zip(X, X_hat):
         one = bregman_prox_point(p1, p1.phi, x, lam)
         assert abs(y[0] - one[0]) <= 1e-14 * (1.0 + abs(one[0]))
+
+
+def test_batched_prox_points_in_2d_equal_single_solves():
+    # P2 and P6 (one lockstep Newton over the rows of their smooth exact
+    # objectives) and P5 (one batched shrinkage): each row of a batch is the
+    # point's own solve, bit for bit, and the per-point prox step agrees
+    rng = np.random.default_rng(11)
+    for pid in ("P2", "P5", "P6"):
+        prob = get_problem(pid)
+        c = prob.oracle.constants
+        lam = 0.5 / (c.tau + c.rho) if c.tau + c.rho > 0 else 0.7
+        X = np.array([prob.sample_domain_point(rng) for _ in range(6)])
+        X_hat = bregman_prox_points(prob, prob.phi, X, lam)
+        for x, y in zip(X, X_hat):
+            assert np.array_equal(y, bregman_prox_point(prob, prob.phi, x, lam)), pid
+            step = prox_step(prob.exact_objective(), prob.regularizer, prob.phi, x,
+                             lam, rho=c.tau + c.rho)
+            assert np.allclose(y, step.minimizer, rtol=1e-9, atol=1e-12), pid

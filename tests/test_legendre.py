@@ -147,6 +147,10 @@ def test_row_forms_match_the_pointwise_methods():
         assert np.allclose(phi.bregman_rows(Y, X),
                            [phi.bregman(y, x) for y, x in zip(Y, X)],
                            rtol=1e-12, atol=1e-12), name
+        # the Hessian stack repeats hessian_matrix's arithmetic, also at 0
+        assert np.array_equal(phi.hessian_rows(X),
+                              [phi.hessian_matrix(x) for x in X]), name
+        assert np.array_equal(phi.interior_rows(X), [phi.in_interior(x) for x in X])
 
 
 def test_poly_growth_divergence_bound():

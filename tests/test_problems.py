@@ -92,18 +92,20 @@ def test_p5_p6_optima_against_grid():
 
 
 def test_grid_oracle_on_synthetic_quadratic():
+    # the exact objectives act on rows (on_rows), so the grid evaluates
+    # each chunk of points in one call
     d = 2
-    f = lambda y: 0.5 * float(y @ y)
+    f = lambda y: 0.5 * np.sum(y * y, axis=-1)
     oracle = NoisyGradientOracle(
         f, lambda y: y.copy(), lambda rng: np.zeros(d), regime="B",
         constants=OracleConstants(),
         test_point_sampler=lambda rng: rng.uniform(-1, 1, d))
     prob = ProblemInstance("HALFSQ", oracle, ZeroRegularizer(), Euclidean(),
                            "B", d, np.array([0.5, 0.5]),
-                           sampler=oracle.test_point_sampler,
-                           batch_f=lambda pts: 0.5 * np.sum(pts ** 2, axis=1))
+                           sampler=oracle.test_point_sampler)
     prob._objective_builder = lambda: PointModel(
-        f, lambda y: y.copy(), smooth=True, hessian_fn=lambda y: np.eye(d))
+        f, lambda y: y.copy(), smooth=True, on_rows=True,
+        hessian_fn=lambda y: np.broadcast_to(np.eye(d), y.shape + (d,)))
     res = brute_force_min(prob, domain_box=(-1.0, 1.0), resolution=1e-3)
     assert res.method == "grid"
     assert res.value <= res.resolution ** 2
@@ -113,9 +115,12 @@ def test_grid_oracle_on_synthetic_quadratic():
     # the grid minimizes F = f + r: over the unit ball, 0.5 |y - (2, 2)|^2
     # is least at (1, 1)/sqrt(2), not at the box corner (1, 1)
     c = np.array([2.0, 2.0])
-    ball = ProblemInstance("BALL", oracle, BallIndicator(1.0), Euclidean(), "B",
-                           d, np.zeros(d), sampler=oracle.test_point_sampler,
-                           batch_f=lambda pts: 0.5 * np.sum((pts - c) ** 2, axis=1))
+    ball = ProblemInstance(
+        "BALL", oracle, BallIndicator(1.0), Euclidean(), "B", d, np.zeros(d),
+        sampler=oracle.test_point_sampler,
+        exact_objective_builder=lambda: PointModel(
+            lambda y: 0.5 * np.sum((y - c) ** 2, axis=-1), lambda y: y - c,
+            on_rows=True))
     res = brute_force_min(ball, domain_box=(-1.0, 1.0), resolution=1e-3)
     assert np.linalg.norm(res.argmin) <= 1.0 + 1e-9
     exact = 0.5 * 2.0 * (2.0 - 1.0 / np.sqrt(2.0)) ** 2

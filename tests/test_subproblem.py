@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bregopt.problems import get_problem
+
 from bregopt.legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
                               WeightedSum, build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre)
 from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 InnerSolveError, L1Regularizer, PointModel,
                                 QuadraticRegularizer, SimplexIndicator,
-                                ZeroRegularizer, absolute_affine_model,
-                                check_three_point, inner_solve, linear_model,
+                                SmoothRows, ZeroRegularizer,
+                                absolute_affine_model, check_three_point,
+                                inner_solve, linear_model, newton_rows,
                                 prox_points_1d, prox_step, prox_step_rows,
                                 solve_monotone_power, _closed_form_rows,
-                                _solve_1d, _solve_newton)
+                                _solve_1d)
 
 
 def scaled_g(model, reg, eta):
@@ -364,16 +367,99 @@ def test_newton_raises_when_line_search_fails():
                        hessian_fn=lambda y: np.zeros((2, 2)))
     with pytest.raises(InnerSolveError):
         inner_solve(model, ZeroRegularizer(), Euclidean(), z, 0.5)
+    # one such row fails a batch whose other rows converge: 0.5 |y|^2, but
+    # infinite away from the center on the rows flagged bad
+    def rows(Z, bad):
+        def value(Y):
+            off = bad & (Y != Z).any(axis=1)
+            return np.where(off, np.inf, 0.5 * np.sum(Y * Y, axis=1))
+
+        return SmoothRows(value, lambda Y: Y.copy(),
+                          lambda Y: np.broadcast_to(np.eye(2), (len(Y), 2, 2)))
+
+    Z = np.array([[1.0, 2.0], [0.5, -0.5], [-1.0, 0.3]])
+    bad = np.array([False, True, False])
+    ok = newton_rows(rows(Z[~bad], bad[~bad]), Euclidean(), Z[~bad], 0.5)
+    assert np.allclose(ok.minimizer, Z[~bad] / 1.5, rtol=1e-14)
+    with pytest.raises(InnerSolveError):
+        newton_rows(rows(Z, bad), Euclidean(), Z, 0.5)
+
+
+def _exp_rows():
+    return SmoothRows(lambda Y: np.sum(np.exp(Y), axis=1), np.exp,
+                      lambda Y: np.exp(Y)[:, :, None] * np.eye(Y.shape[1]))
 
 
 def test_newton_raises_when_iterations_run_out():
-    model = PointModel(lambda y: float(np.sum(np.exp(y))), np.exp, smooth=True,
-                       hessian_fn=lambda y: np.diag(np.exp(y)))
     z = np.array([2.0, -1.0])
-    y, its = _solve_newton(model, ZeroRegularizer(), Euclidean(), z, 0.5, 1e-10)
-    assert its > 1
+    res = newton_rows(_exp_rows(), Euclidean(), z[None, :], 0.5)
+    assert res.method == "newton" and res.inner_iterations > 1
     with pytest.raises(InnerSolveError):
-        _solve_newton(model, ZeroRegularizer(), Euclidean(), z, 0.5, 1e-10, max_iter=1)
+        newton_rows(_exp_rows(), Euclidean(), z[None, :], 0.5, max_iter=1)
+    # a batch takes as many iterations as its slowest row, and fails as a
+    # whole when one row runs out
+    Z = np.array([[2.0, -1.0], [0.1, 0.0]])
+    its = [newton_rows(_exp_rows(), Euclidean(), Z[i:i + 1], 0.5).inner_iterations
+           for i in range(2)]
+    assert newton_rows(_exp_rows(), Euclidean(), Z, 0.5).inner_iterations == max(its)
+    with pytest.raises(InnerSolveError):
+        newton_rows(_exp_rows(), Euclidean(), Z, 0.5, max_iter=min(its) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 8),
+       log_eta=st.floats(-3.0, 2.0), lam_frac=st.floats(0.02, 0.98))
+def test_newton_batch_equals_one_row_calls(seed, n_rows, log_eta, lam_frac):
+    # P6's sampled quadratics, and P2's exact quartic with the envelope's
+    # weakly convex split (lam tau < 1), both on rows under their registry
+    # kernels: every field of a row is its one-row call's
+    rng = np.random.default_rng(seed)
+    p6, p2 = get_problem("P6"), get_problem("P2")
+    tau = p2.oracle.constants.tau
+    Z = rng.uniform(-2.0, 2.0, (n_rows, 2))
+    xi = rng.integers(0, p6.oracle.n_atoms, n_rows)
+    cases = [(p6.oracle.model_rows(Z, xi), p6.phi, 10.0 ** log_eta, 0.0,
+              lambda i: p6.oracle.model_rows(Z[i:i + 1], xi[i:i + 1])),
+             (p2.exact_objective().rows(), p2.phi, lam_frac / tau, tau,
+              lambda i: p2.exact_objective().rows())]
+    fields = ("minimizer", "three_point_residual", "objective_decrease",
+              "divergence", "model_value", "r_value")
+    for rows, phi, eta, rho, one_row in cases:
+        batch = newton_rows(rows, phi, Z, eta, rho=rho)
+        ones = [newton_rows(one_row(i), phi, Z[i:i + 1], eta, rho=rho)
+                for i in range(n_rows)]
+        assert batch.method == "newton"
+        assert batch.inner_iterations == max(o.inner_iterations for o in ones)
+        for field in fields:
+            assert np.array_equal(getattr(batch, field),
+                                  np.concatenate([getattr(o, field) for o in ones])), field
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+       n_rows=st.integers(1, 6), log_eta=st.floats(-3.0, 6.0))
+def test_newton_rows_solve_quadratic_prox_exactly(seed, d, n_rows, log_eta):
+    # with the Euclidean kernel, the prox of 0.5 (y - c)' Q (y - c) from z is
+    # the linear solve (Q + I/eta) y = Q c + z/eta
+    rng = np.random.default_rng(seed)
+    eta = 10.0 ** log_eta
+    B = rng.uniform(-1.0, 1.0, (n_rows, d, d))
+    Q = B @ np.swapaxes(B, 1, 2) + 0.1 * np.eye(d)
+    C = rng.uniform(-3.0, 3.0, (n_rows, d))
+    Z = rng.uniform(-3.0, 3.0, (n_rows, d))
+
+    def grad(Y):
+        return (Q @ (Y - C)[:, :, None])[:, :, 0]
+
+    rows = SmoothRows(lambda Y: 0.5 * np.sum((Y - C) * grad(Y), axis=1), grad,
+                      lambda Y: Q)
+    rhs = (Q @ C[:, :, None])[:, :, 0] + Z / eta
+    ref = np.linalg.solve(Q + np.eye(d) / eta, rhs[:, :, None])[:, :, 0]
+    scale = 1.0 + np.abs(ref).max()
+    # the models' Hessians, then central differences of their gradients
+    for hessians in (rows.hessians, None):
+        res = newton_rows(rows._replace(hessians=hessians), Euclidean(), Z, eta)
+        assert np.abs(res.minimizer - ref).max() <= 1e-9 * scale
 
 
 def _reference_residual(model, reg, phi, z, y, eta, rho):
