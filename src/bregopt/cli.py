@@ -34,8 +34,7 @@ def _print_check(name, ok, detail=""):
     return ok
 
 
-def _validate(args):
-    problem = get_problem(args.problem_id)
+def _validate(problem, args):
     rng = np.random.default_rng(_seed_override(args.seed))
     phi = problem.phi
     ok = True
@@ -109,10 +108,8 @@ def _trace_csv(problem, trace):
     return "\n".join(lines) + "\n"
 
 
-def _run(args):
-    problem = get_problem(args.problem_id)
-    lam = args.lam if args.lam is not None else None
-    config = SolverConfig(args.T, seed=_seed_override(args.seed), lam=lam,
+def _run(problem, args):
+    config = SolverConfig(args.T, seed=_seed_override(args.seed), lam=args.lam,
                           schedule=("constant", args.alpha))
     trace = run_for_regime(problem, config)
     text = _trace_csv(problem, trace)
@@ -144,8 +141,7 @@ def _run(args):
     return 0 if agree else 1
 
 
-def _sweep(args):
-    problem = get_problem(args.problem_id)
+def _sweep(problem, args):
     horizons = [int(t) for t in args.horizons.split(",")]
     schedule = "strongly_convex" if args.strongly_convex else "constant"
     mode = "tstar_full" if args.tstar_full else "tstar_draw"
@@ -167,8 +163,7 @@ def _sweep(args):
     return 0
 
 
-def _oracle(args):
-    problem = get_problem(args.problem_id)
+def _oracle(problem, args):
     box = (args.box_lo, args.box_hi)
     result = brute_force_min(problem, domain_box=box,
                              resolution=args.resolution,
@@ -242,14 +237,17 @@ def build_parser():
 def cli_main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "config":
+        return _show_config(args)
     handlers = {"validate": _validate, "run": _run, "sweep": _sweep,
-                "oracle": _oracle, "config": _show_config}
+                "oracle": _oracle}
     try:
-        return handlers[args.command](args)
+        problem = get_problem(args.problem_id)
     except KeyError as exc:
         # unknown problem id is a usage error
         print("error: %s" % (exc.args[0],), file=sys.stderr)
         return 2
+    return handlers[args.command](problem, args)
 
 
 def main(argv=None):

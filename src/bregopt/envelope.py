@@ -26,7 +26,9 @@ loop.
 
 import numpy as np
 
-from .subproblem import prox_points_1d, prox_step, prox_step_rows
+# prox_step stays bound here: perfbench/tracing.py wraps envelope.prox_step
+from .subproblem import (prox_points_1d, prox_step, prox_step_rows,  # noqa: F401
+                         _missing_path)
 
 
 class EnvelopeReport:
@@ -64,9 +66,9 @@ def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     dimension by one lockstep bisection, which needs the exact objective's
     value and subgradient to act elementwise on an (N,) array; in d > 1 by
     prox_step_rows on the objective's row form (PointModel.rows), one
-    lockstep Newton for a smooth objective that acts on rows (P2, P6) and
-    the shrinkage for a norm term (P5).  An objective with no row form, or
-    whose (r, phi) has no batched path, takes one prox step per row.
+    lockstep Newton for a smooth objective (P2, P6) and the shrinkage for a
+    norm term (P5).  In d > 1 an objective with no row form, or whose
+    (r, phi) has no batched path, raises InnerSolveError.
     """
     _check_lambda(problem, lam)
     X = np.asarray(X, dtype=float)
@@ -78,10 +80,9 @@ def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     rows = model.rows()
     res = (None if rows is None
            else prox_step_rows(rows, reg, phi, X, lam, rho=rho, inner_tol=tol))
-    if res is not None:
-        return res.minimizer
-    return np.array([prox_step(model, reg, phi, x, lam, rho=rho,
-                               inner_tol=tol).minimizer for x in X])
+    if res is None:
+        raise _missing_path(rows, reg, phi)
+    return res.minimizer
 
 
 def bregman_prox_point(problem, phi, x, lam, tol=1e-10):

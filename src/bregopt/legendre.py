@@ -101,14 +101,6 @@ class LegendreFunction:
     def hessian_solve(self, x, v):
         raise NotImplementedError
 
-    def in_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.domain == ALL_SPACE:
-            return True
-        if self.domain == POSITIVE_ORTHANT:
-            return bool((x >= 0).all())
-        return bool((x > 0).all())
-
     def in_interior(self, x):
         x = np.asarray(x, dtype=float)
         if self.domain == ALL_SPACE:

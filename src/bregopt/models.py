@@ -61,7 +61,7 @@ class ModelOracle:
 
     def sample_rows(self, rng, n):
         """n draws at once, the same stream (and generator state) as n sample calls."""
-        return np.array([self.sample(rng) for _ in range(n)])
+        raise NotImplementedError
 
     def draw_test_point(self, rng):
         if self.test_point_sampler is None:
@@ -69,23 +69,26 @@ class ModelOracle:
         return np.asarray(self.test_point_sampler(rng), dtype=float)
 
     # -- models -------------------------------------------------------------
-    def model_at(self, x, xi):
-        """The sampled model anchored at x, as a PointModel."""
-        raise NotImplementedError
+    def model_rows(self, X, xi):
+        """The sampled models anchored at the rows of X (sample xi[i] at row
+        i), or None when the family has no row form.
 
-    def linear_rows(self, X, xi):
-        """The sampled models as AffineRows, or None.
-
-        The models anchored at the rows of X (sample xi[i] at row i) are
-        offsets[i] + <slopes[i], y>, or their absolute values.  None when the
-        family's models are neither, else model_at is the one-point case.
+        AffineRows hold affine models offsets[i] + <slopes[i], y>, or their
+        absolute values; SmoothRows hold full sampled functions.  The
+        callbacks act on the last axis, so one point and one sample give the
+        one-row case.
         """
         return None
 
-    def model_rows(self, X, xi):
-        """The sampled models anchored at the rows of X, as AffineRows
-        (linear_rows) or SmoothRows, or None when the family has no row form."""
-        return self.linear_rows(X, xi)
+    def model_at(self, x, xi):
+        """The sampled model anchored at x, as a PointModel: the one-row case
+        of model_rows."""
+        rows = self.model_rows(np.asarray(x, dtype=float), xi)
+        if isinstance(rows, AffineRows):
+            make = absolute_affine_model if rows.absolute else linear_model
+            return make(rows.slopes, float(rows.offsets))
+        return PointModel(rows.values, rows.gradients, smooth=True,
+                          hessian_fn=rows.hessians, on_rows=True)
 
     def model_value(self, x, y, xi):
         return self.model_at(x, xi).value(y)
@@ -164,11 +167,6 @@ def _tangent_rows(X, slopes, values):
                       - dot_rows(slopes, X), False)
 
 
-def _one_point(rows):
-    slope, offset, absolute = rows
-    return (absolute_affine_model if absolute else linear_model)(slope, float(offset))
-
-
 class LinearMirrorOracle(FiniteSupportOracle):
     """f_x(y, xi) = f(x) + <G(x, xi), y - x> over a finite sample space.
 
@@ -190,10 +188,7 @@ class LinearMirrorOracle(FiniteSupportOracle):
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
-    def model_at(self, x, xi):
-        return _one_point(self.linear_rows(x, xi))
-
-    def linear_rows(self, X, xi):
+    def model_rows(self, X, xi):
         X = np.asarray(X, dtype=float)
         return _tangent_rows(X, self._G(X, xi), self._f(X))
 
@@ -209,8 +204,10 @@ class NoisyGradientOracle(ModelOracle):
 
     The smooth-minimization regime: xi is the noise vector itself, drawn from
     a seedable parametric generator with E[noise] = 0 and
-    E||noise||^2 <= sigma^2 / 2.  f_fn and grad_f_fn act on the last axis:
-    at an (S, d) array of points they return S values and an (S, d) array.
+    E||noise||^2 <= sigma^2 / 2.  noise_sampler maps (rng, n) to an (n, d)
+    array of n draws, which must be the stream of n one-row draws.  f_fn and
+    grad_f_fn act on the last axis: at an (S, d) array of points they return
+    S values and an (S, d) array.
     """
 
     family = "linear_mirror"
@@ -221,18 +218,18 @@ class NoisyGradientOracle(ModelOracle):
         self._f = f_fn
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
-        self._noise = noise_sampler  # rng -> vector
+        self._noise = noise_sampler  # (rng, n) -> (n, d) array
         super().__init__(regime=regime, constants=constants,
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
     def sample(self, rng):
-        return np.asarray(self._noise(rng), dtype=float)
+        return self.sample_rows(rng, 1)[0]
 
-    def model_at(self, x, xi):
-        return _one_point(self.linear_rows(x, xi))
+    def sample_rows(self, rng, n):
+        return np.asarray(self._noise(rng, n), dtype=float)
 
-    def linear_rows(self, X, xi):
+    def model_rows(self, X, xi):
         X = np.asarray(X, dtype=float)
         return _tangent_rows(X, self.grad_f(X) + np.asarray(xi, dtype=float),
                              self._f(X))
@@ -282,7 +279,7 @@ class CompositeData:
 class ProxLinearOracle(FiniteSupportOracle):
     """Models h(c(x, xi) + J(x, xi)(y - x), xi): convex in y, rho = 0.
 
-    With h = |.| (outer_is_abs) the models are |affine| rows (linear_rows),
+    With h = |.| (outer_is_abs) the models are |affine| rows (model_rows),
     and inner_value and inner_jacobian act on the last axis: (S, 1) values
     and an (S, 1, d) Jacobian at S points.  Any other h gives one generic
     model per point.
@@ -300,7 +297,7 @@ class ProxLinearOracle(FiniteSupportOracle):
     def model_at(self, x, xi):
         comp = self.composite
         if comp.outer_is_abs:
-            return _one_point(self.linear_rows(x, xi))
+            return super().model_at(x, xi)
         x = np.asarray(x, dtype=float)
         c0 = np.atleast_1d(np.asarray(comp.inner_value(x, xi), dtype=float))
         J = np.atleast_2d(np.asarray(comp.inner_jacobian(x, xi), dtype=float))
@@ -314,7 +311,7 @@ class ProxLinearOracle(FiniteSupportOracle):
 
         return PointModel(val, sub)
 
-    def linear_rows(self, X, xi):
+    def model_rows(self, X, xi):
         comp = self.composite
         if not comp.outer_is_abs:
             return None
@@ -396,9 +393,9 @@ class SaddleOracle(FiniteSupportOracle):
                          test_point_sampler=test_point_sampler)
 
     def model_at(self, x, xi):
-        x = np.asarray(x, dtype=float)
         if self._linear_slope is not None:
-            return _one_point(self.linear_rows(x, xi))
+            return super().model_at(x, xi)
+        x = np.asarray(x, dtype=float)
         w_hat = self.saddle.argmax_solver(x, xi)
 
         def val(y):
@@ -409,7 +406,7 @@ class SaddleOracle(FiniteSupportOracle):
 
         return PointModel(val, sub)
 
-    def linear_rows(self, X, xi):
+    def model_rows(self, X, xi):
         if self._linear_slope is None:
             return None
         X = np.asarray(X, dtype=float)
@@ -456,16 +453,10 @@ class ProximalPointOracle(FiniteSupportOracle):
                          test_point_sampler=test_point_sampler)
         self._atoms = np.arange(self.n_atoms)
 
-    def _callbacks(self, xi):
-        hess = None if self._hess is None else (lambda y: self._hess(y, xi))
-        return (lambda y: self._val(y, xi)), (lambda y: self._grad(y, xi)), hess
-
-    def model_at(self, x, xi):
-        val, grad, hess = self._callbacks(xi)
-        return PointModel(val, grad, smooth=True, hessian_fn=hess, on_rows=True)
-
     def model_rows(self, X, xi):
-        return SmoothRows(*self._callbacks(np.asarray(xi)))
+        xi = np.asarray(xi)
+        hess = None if self._hess is None else (lambda y: self._hess(y, xi))
+        return SmoothRows(lambda y: self._val(y, xi), lambda y: self._grad(y, xi), hess)
 
     def lip_L(self, xi):
         return float(self._lip(xi))
@@ -620,7 +611,7 @@ def verify_variance(oracle, n_samples, x, rng):
     """
     x = np.asarray(x, dtype=float)
     g_exact = oracle.grad_f(x)
-    G = oracle.linear_rows(x, oracle.sample_rows(rng, n_samples)).slopes
+    G = oracle.model_rows(x, oracle.sample_rows(rng, n_samples)).slopes
     sq = np.sum((G - g_exact) ** 2, axis=1)
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(n_samples))

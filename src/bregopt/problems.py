@@ -29,9 +29,10 @@ from .legendre import (build_composite_legendre, build_norm_power_legendre,
 from .models import (CompositeData, LinearMirrorOracle, NoisyGradientOracle,
                      OracleConstants, ProxLinearOracle, ProximalPointOracle,
                      SaddleData, SaddleOracle)
-from .subproblem import (BallIndicator, EntropyLike, L1Regularizer, PointModel,
-                         QuadraticRegularizer, SimplexIndicator,
-                         ZeroRegularizer, linear_model, _affine_solver)
+from .subproblem import (AffineRows, BallIndicator, EntropyLike, L1Regularizer,
+                         NormTermRows, PointModel, QuadraticRegularizer,
+                         SimplexIndicator, ZeroRegularizer, linear_model,
+                         _affine_solver)
 
 
 class ProblemInstance:
@@ -204,8 +205,8 @@ def _assemble_p2(cfg):
 
     scale = sigma / np.sqrt(2.0 * d)
 
-    def noise(rng):
-        return scale * rng.standard_normal(d)
+    def noise(rng, n):
+        return scale * rng.standard_normal((n, d))
 
     amax = float(np.max(np.linalg.norm(A, axis=1)))
     bmax = float(np.max(np.abs(b)))
@@ -319,7 +320,8 @@ def _assemble_p5(cfg):
             return abar + np.divide(w_radius, n, out=np.zeros(n.shape),
                                     where=n > 0.0) * y
 
-        return PointModel(f_sup, sub, norm_term=(abar, w_radius), on_rows=True)
+        return PointModel(f_sup, sub, row_form=NormTermRows(abar, w_radius),
+                          on_rows=True)
 
     return ProblemInstance("P5", oracle, reg, phi, "A", d, cfg["x0"],
                            optimum=optimum, exact_objective_builder=objective,
@@ -620,8 +622,9 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
     """
     d = problem.dimension
     if method is None:
+        rows = problem.exact_objective().rows()
         if problem.regularizer.kind == "indicator_simplex" and \
-                problem.exact_objective().linear is not None:
+                isinstance(rows, AffineRows) and not rows.absolute:
             method = "vertex"
         elif d == 1:
             method = "golden_section"

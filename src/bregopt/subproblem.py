@@ -5,10 +5,12 @@ Each outer iteration solves
     argmin_x  model(x) + r(x) + (1/eta) D(x, z)
 
 for a convex (or relatively weakly convex) sampled model, a simple closed
-regularizer r, and the run's Legendre function phi.  Closed forms are
-dispatched where the (model, r, phi) triple matches a registered pattern;
-everything else goes to a certified iterative inner solver.  Every returned
-step carries a three-point optimality residual, the runtime contract
+regularizer r, and the run's Legendre function phi.  A structured model is
+described by its row form (AffineRows, NormTermRows or SmoothRows), and
+every step goes through one dispatch on that form: the affine or |affine|
+closed form, the norm shrinkage, or one lockstep Newton; a 1-d model with
+none of these takes the certified bisection.  Every returned step carries a
+three-point optimality residual, the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -52,9 +54,6 @@ class Regularizer:
 
     def value(self, x):
         return float(self.value_rows(np.asarray(x, dtype=float)[None, :])[0])
-
-    def in_domain(self, x):
-        return np.isfinite(self.value(x))
 
     def subgradient(self, x):
         """A subgradient selection at an interior point of dom r."""
@@ -171,28 +170,25 @@ class EntropyLike(Regularizer):
 class PointModel:
     """One sampled model, already anchored at the base point.
 
-    value/subgradient act on the trial point y.  The structure fields tell
-    prox_step which closed form (if any) applies:
-
-      linear      v: model(y) = offset + <v, y>
-      scalar_abs  (g, s): model(y) = |<g, y> + s|
-      norm_term   (v, c): model(y) = <v, y> + c ||y||
-      smooth      value/gradient (and optionally hessian) are exact
+    value/subgradient act on the trial point y.  row_form is the model's
+    structure as a one-row AffineRows (affine, or |affine|) or NormTermRows
+    (<v, y> + c ||y||); smooth says value/gradient (and optionally hessian)
+    are exact, which gives the model the row form SmoothRows.  prox_step
+    dispatches on rows(); a model with none is solved by 1-d bisection.
 
     For a 1-d variable, value and subgradient functions that act elementwise
     on an (N,) array let prox_points_1d solve N subproblems in one batch.
     With on_rows the functions act on the last axis instead: at an (N, d)
-    array they give N values, an (N, d) array and an (N, d, d) stack, so
-    the model has a row form (rows) that a batch of prox points can share.
+    array they give N values, an (N, d) array and an (N, d, d) stack, so a
+    batch of prox points can share the smooth row form without a call per
+    row.
     """
 
-    def __init__(self, value_fn, subgrad_fn, linear=None, scalar_abs=None,
-                 norm_term=None, smooth=False, hessian_fn=None, on_rows=False):
+    def __init__(self, value_fn, subgrad_fn, row_form=None, smooth=False,
+                 hessian_fn=None, on_rows=False):
         self._value_fn = value_fn
         self._subgrad_fn = subgrad_fn
-        self.linear = None if linear is None else np.asarray(linear, dtype=float)
-        self.scalar_abs = scalar_abs
-        self.norm_term = norm_term
+        self.row_form = row_form
         self.smooth = smooth
         self.hessian_fn = hessian_fn
         self.on_rows = on_rows
@@ -216,9 +212,14 @@ class PointModel:
             return np.asarray(self._value_fn(Y), dtype=float)
         return np.array([self.value(y) for y in Y])
 
-    def smooth_rows(self):
-        """This smooth model on every row, as SmoothRows: its own functions
-        when they act on rows, else one call per row."""
+    def rows(self):
+        """This model on every row of a batch, or None: its row_form, else
+        SmoothRows of a smooth model (its own functions when they act on
+        rows, else one call per row)."""
+        if self.row_form is not None:
+            return self.row_form
+        if not self.smooth:
+            return None
         if self.on_rows:
             return SmoothRows(self._value_fn, self._subgrad_fn, self.hessian_fn)
 
@@ -228,22 +229,11 @@ class PointModel:
         return SmoothRows(self.value_rows, each(self.subgradient),
                           None if self.hessian_fn is None else each(self.hessian))
 
-    def rows(self):
-        """This model on every row of a batch, or None: NormTermRows of a
-        norm term, SmoothRows of a smooth model that acts on rows."""
-        if self.norm_term is not None:
-            v, c = self.norm_term
-            return NormTermRows(np.asarray(v, dtype=float), float(c))
-        if self.smooth and self.on_rows:
-            return self.smooth_rows()
-        return None
-
 
 def linear_model(v, offset=0.0):
     v = np.asarray(v, dtype=float)
-    return PointModel(lambda y: offset + float(np.dot(v, y)),
-                      lambda y: v.copy(), linear=v, smooth=True,
-                      hessian_fn=lambda y: np.zeros((v.size, v.size)))
+    return PointModel(lambda y: offset + float(np.dot(v, y)), lambda y: v.copy(),
+                      row_form=AffineRows(v[None, :], np.array([float(offset)]), False))
 
 
 def absolute_affine_model(g, s):
@@ -256,7 +246,7 @@ def absolute_affine_model(g, s):
         return np.sign(u) * g
 
     return PointModel(lambda y: abs(float(np.dot(g, y)) + s), sub,
-                      scalar_abs=(g, s))
+                      row_form=AffineRows(g[None, :], np.array([s]), True))
 
 
 class ProxStepResult:
@@ -264,10 +254,9 @@ class ProxStepResult:
 
     divergence is D(y, z); model_value and r_value are the model and r at y.
     method names the path: closed_form_affine, closed_form_abs_affine,
-    closed_form_norm, bisection_1d, newton, mirror_fallback or
-    degenerate_eta.  For a batch of steps (prox_step_rows) every field but
-    method and inner_iterations (the most any row used) holds one entry per
-    row.
+    closed_form_norm, bisection_1d, newton or degenerate_eta.  For a batch
+    of steps (prox_step_rows) every field but method and inner_iterations
+    (the most any row used) holds one entry per row.
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
@@ -359,13 +348,6 @@ def _certify(psi_z, model_y, r_y, d_yz, d_zy, y, eta, rho, tol, its, method):
     res = center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol)
     return ProxStepResult(y, its, res, psi_z - (psi_y + d_yz / eta), d_yz, method,
                           model_y, r_y)
-
-
-def _certified_step(model, reg, phi, center, y, eta, rho, tol, its, method):
-    """ProxStepResult of the step center -> y, certified by center_certificate."""
-    return _certify(model.value(center) + reg.value(center), model.value(y),
-                    reg.value(y), phi.bregman(y, center), phi.bregman(center, y),
-                    y, eta, rho, tol, its, method)
 
 
 def _check_step(eta, rho):
@@ -600,6 +582,9 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
     Y = solve(G)
     if not rows.absolute:
         return Y, 1, "closed_form_affine"
+    if len(G) != len(Z):
+        # a one-row form stands for every row
+        G, s = np.broadcast_to(G, Z.shape), np.broadcast_to(s, Z.shape[:1])
     its = 1
     left = np.flatnonzero(~(dot_rows(G, Y) + s >= 0.0))
     if left.size:
@@ -624,26 +609,8 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
 
 
 # ---------------------------------------------------------------------------
-# iterative inner solver
+# iterative solvers: 1-d bisection and lockstep Newton
 # ---------------------------------------------------------------------------
-
-def _total_objective(model, reg, phi, z, eta):
-    """psi(y) = model(y) + r(y) + D(y, z) / eta, and grad phi(z).
-
-    phi(z) and grad phi(z) are computed once, not at every trial point.
-    """
-    phi_z = phi.value(z)
-    gz = phi.gradient(z)
-
-    def psi(y):
-        rv = reg.value(y)
-        if not np.isfinite(rv) or not phi.in_domain(y):
-            return np.inf
-        d_yz = float(phi.value(y) - phi_z - np.dot(gz, y - z))
-        return model.value(y) + rv + d_yz / eta
-
-    return psi, gz
-
 
 def _elementwise(fn, ys):
     """fn at each entry of an (N,) array of 1-d points, as N values."""
@@ -853,114 +820,39 @@ def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
                     tol, its.max(), "newton")
 
 
-def _solve_mirror(model, reg, phi, z, eta, max_iter=20000):
-    """Diminishing-step linearized descent, the nonsmooth fallback.
-
-    Linearizes both the model and the (1/eta) D(., z) term at the current
-    point and applies the affine closed form with a small inner step; tracks
-    the best objective value seen.  Low accuracy by nature; the certificate
-    in inner_solve decides whether the result is accepted.
-    """
-    z = np.asarray(z, dtype=float)
-    psi, gz = _total_objective(model, reg, phi, z, eta)
-    y = z.copy()
-    best, best_y = psi(y), y.copy()
-    beta0 = eta
-    stalls = 0
-    for k in range(1, max_iter + 1):
-        u = model.subgradient(y) + (phi.gradient(y) - gz) / eta
-        beta = beta0 / np.sqrt(k)
-        solve = _affine_solver(reg, phi, y[None, :], beta)
-        if solve is None:
-            raise InnerSolveError("no affine prox available for the fallback solver")
-        y_next = solve(u[None, :])[0]
-        moved = float(np.max(np.abs(y_next - y)))
-        y = y_next
-        f = psi(y)
-        if f < best - 1e-18 * (1.0 + abs(best)):
-            best, best_y = f, y.copy()
-        stalls = stalls + 1 if moved <= 1e-16 * (1.0 + np.max(np.abs(y))) else 0
-        if stalls >= 3:
-            return best_y, k
-    return best_y, max_iter
-
-
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
-    """Certified iterative solve of min model(x) + r(x) + (1/eta) D(x, center).
+    """Certified 1-d bisection of min model(x) + r(x) + (1/eta) D(x, center).
 
-    rho is the relative weak-convexity modulus of model + r (0 for convex).
-    The minimizer is certified by center_certificate, which raises
-    InnerSolveError below -tol * (1 + |model(center) + r(center)|).
+    center is one 1-d point; a d > 1 center raises InnerSolveError (its
+    steps go through the row forms, prox_step).  rho is the relative
+    weak-convexity modulus of model + r (0 for convex).  The minimizer is
+    certified by center_certificate, which raises InnerSolveError below
+    -tol * (1 + |model(center) + r(center)|).
     """
     _check_step(eta, rho)
     center = np.asarray(center, dtype=float)
-    if center.size == 1:
-        y, its = _solve_1d(model, reg, phi, center, eta)
-        its = int(its[0])
-        method = "bisection_1d"
-    elif model.smooth and reg.kind == "zero":
-        return newton_rows(model.smooth_rows(), phi, center[None, :], eta,
-                           rho=rho, tol=tol).row(0)
-    else:
-        y, its = _solve_mirror(model, reg, phi, center, eta)
-        method = "mirror_fallback"
-    return _certified_step(model, reg, phi, center, y, eta, rho, tol, its, method)
+    if center.size != 1:
+        raise InnerSolveError("inner_solve bisects 1-d subproblems only, not d = %d"
+                              % center.size)
+    y, its = _solve_1d(model, reg, phi, center, eta)
+    return _certify(model.value(center) + reg.value(center), model.value(y),
+                    reg.value(y), phi.bregman(y, center), phi.bregman(center, y),
+                    y, eta, rho, tol, int(its[0]), "bisection_1d")
 
 
 # ---------------------------------------------------------------------------
-# the outer-facing prox step
+# the outer-facing prox steps
 # ---------------------------------------------------------------------------
 
-def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
-    """One Bregman proximal step from the given center.
+def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
+    """The certified steps from the rows of Z for the row form rows, or None.
 
-    Requires eta * rho < 1 so the composite subproblem is convex.  Dispatches
-    to a registered closed form when the (model, r, phi) triple matches one,
-    otherwise to inner_solve.  Every step is certified by center_certificate
-    at tolerance inner_tol: a residual below it raises InnerSolveError,
-    never a quiet return.
+    The one dispatch of prox_step and prox_step_rows: AffineRows take the
+    closed form, NormTermRows the shrinkage and SmoothRows (r = 0) one
+    lockstep newton_rows.  values gives the models at the rows of an (N, d)
+    array for the certificate.  None when rows is None or (rows, r, phi) has
+    no batched path.
     """
-    center = np.asarray(center, dtype=float)
-    _check_step(eta, rho)
-    phi.check_interior(center)
-    if not reg.in_domain(center):
-        raise DomainError("prox center must be feasible for the regularizer")
-
-    if eta < ETA_FLOOR:
-        return ProxStepResult(center, 0, 0.0, 0.0, 0.0, "degenerate_eta",
-                              model.value(center), reg.value(center))
-
-    Z = center[None, :]
-    found = None
-    if model.linear is not None:
-        rows = AffineRows(model.linear[None, :], np.zeros(1), False)
-        found = _closed_form_rows(rows, reg, phi, Z, eta)
-    elif model.scalar_abs is not None:
-        g, s = model.scalar_abs
-        rows = AffineRows(np.atleast_2d(g), np.atleast_1d(s), True)
-        found = _closed_form_rows(rows, reg, phi, Z, eta)
-    elif model.norm_term is not None:
-        v, c = model.norm_term
-        found = _norm_term_rows(np.atleast_2d(v), c, reg, phi, Z, eta)
-    if found is None:
-        return inner_solve(model, reg, phi, center, eta, tol=inner_tol, rho=rho)
-    Y, its, method = found
-    return _certified_step(model, reg, phi, center, Y[0], eta, rho, inner_tol,
-                           its, method)
-
-
-def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
-    """One Bregman proximal step from each row of an (S, d) array of centers.
-
-    Row i has the model of row i of rows: AffineRows (affine, or the absolute
-    value of an affine function) take the closed form, NormTermRows the
-    shrinkage, each with the same arithmetic as its own prox_step, and
-    SmoothRows (r = 0) one lockstep newton_rows.  The rows are certified
-    together by center_certificate: one row below inner_tol raises
-    InnerSolveError for the batch.  Returns a ProxStepResult over the rows,
-    or None when (model, r, phi) has no batched path.
-    """
-    Z = np.asarray(centers, dtype=float)
     _check_step(eta, rho)
     phi.check_interior(Z)
     r_z = reg.value_rows(Z)
@@ -968,19 +860,67 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
         raise DomainError("prox centers must be feasible for the regularizer")
     if eta < ETA_FLOOR:
         zero = np.zeros(len(Z))
-        return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta",
-                              rows.values(Z), r_z)
+        return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta", values(Z), r_z)
     if isinstance(rows, SmoothRows):
         if reg.kind != "zero":
             return None
-        return newton_rows(rows, phi, Z, eta, rho=rho, tol=inner_tol)
+        return newton_rows(rows, phi, Z, eta, rho=rho, tol=tol)
     if isinstance(rows, NormTermRows):
         found = _norm_term_rows(rows.slopes, rows.weight, reg, phi, Z, eta)
-    else:
+    elif isinstance(rows, AffineRows):
         found = _closed_form_rows(rows, reg, phi, Z, eta)
+    else:
+        return None
     if found is None:
         return None
     Y, its, method = found
-    return _certify(rows.values(Z) + r_z, rows.values(Y), reg.value_rows(Y),
+    return _certify(values(Z) + r_z, values(Y), reg.value_rows(Y),
                     phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y), Y, eta, rho,
-                    inner_tol, its, method)
+                    tol, its, method)
+
+
+def _missing_path(rows, reg, phi):
+    """The InnerSolveError of a d > 1 model whose step has no path."""
+    if rows is None:
+        return InnerSolveError(
+            "a d > 1 model needs a row form (affine, |affine|, norm term or "
+            "smooth) for its prox step; this model has none")
+    return InnerSolveError("%s has no batched prox step for r = %s and phi = %s"
+                           % (type(rows).__name__, reg.kind, phi.kind))
+
+
+def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
+    """One Bregman proximal step from the given center.
+
+    The one-row case of prox_step_rows on the model's row form
+    (model.rows()), certified with the model's own value; a 1-d model with
+    no batched path takes inner_solve's bisection.  Requires eta * rho < 1
+    so the composite subproblem is convex.  Every step is certified by
+    center_certificate at tolerance inner_tol: a residual below it raises
+    InnerSolveError, never a quiet return.  So does a d > 1 model with no
+    row form, or whose row form has no batched path for (r, phi).
+    """
+    center = np.asarray(center, dtype=float)
+    rows = model.rows()
+    res = _step_rows(rows, model.value_rows, reg, phi, center[None, :], eta, rho,
+                     inner_tol)
+    if res is not None:
+        return res.row(0)
+    if center.size == 1:
+        return inner_solve(model, reg, phi, center, eta, tol=inner_tol, rho=rho)
+    raise _missing_path(rows, reg, phi)
+
+
+def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
+    """One Bregman proximal step from each row of an (S, d) array of centers.
+
+    Row i has the model of row i of rows (a one-row form stands for every
+    row): AffineRows (affine, or the absolute value of an affine function)
+    take the closed form, NormTermRows the shrinkage, and SmoothRows (r = 0)
+    one lockstep newton_rows.  The rows are certified together by
+    center_certificate: one row below inner_tol raises InnerSolveError for
+    the batch.  Returns a ProxStepResult over the rows, or None when
+    (model, r, phi) has no batched path.
+    """
+    return _step_rows(rows, rows.values, reg, phi, np.asarray(centers, dtype=float),
+                      eta, rho, inner_tol)

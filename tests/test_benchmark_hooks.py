@@ -35,6 +35,9 @@ def test_tracer_hooks_install_and_restore():
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original, (owner, attr)
     assert bregopt.driver.prox_step is bregopt.subproblem.prox_step
+    # the tracer's envelope bucket wraps this binding, which the envelope
+    # keeps though it steps through prox_step_rows
+    assert bregopt.envelope.prox_step is bregopt.subproblem.prox_step
     # a sweep runs each horizon's seeds in one lockstep loop, not through
     # run_for_regime; every step is one batched prox_step_rows call (P3's
     # closed form, P6's lockstep Newton), so no outer prox_step is made

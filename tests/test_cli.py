@@ -17,6 +17,17 @@ def test_validate_unknown_problem_is_usage_error(capsys):
     assert cli_main(["validate", "NOPE"]) == 2
 
 
+def test_a_library_key_error_is_not_a_usage_error(monkeypatch):
+    # only the problem-id lookup maps KeyError to exit code 2; one raised
+    # inside a handler is a fault and propagates
+    def broken(*args, **kwargs):
+        raise KeyError("atoms")
+
+    monkeypatch.setattr("bregopt.cli.sweep", broken)
+    with pytest.raises(KeyError, match="atoms"):
+        cli_main(["sweep", "P3", "--horizons", "8", "--seeds", "2"])
+
+
 def test_bad_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli_main(["frobnicate"])

@@ -10,7 +10,8 @@ from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
 from bregopt.models import NoisyGradientOracle, OracleConstants
 from bregopt.problems import ProblemInstance, get_problem
-from bregopt.subproblem import PointModel, ZeroRegularizer, prox_step
+from bregopt.subproblem import (InnerSolveError, PointModel, ZeroRegularizer,
+                                absolute_affine_model, prox_step)
 
 
 def test_halfsq_closed_forms():
@@ -38,7 +39,7 @@ def test_constant_objective_both_paths():
     d = 2
     f = lambda y: 3.25
     oracle = NoisyGradientOracle(
-        f, lambda y: np.zeros(d), lambda rng: np.zeros(d), regime="B",
+        f, lambda y: np.zeros(d), lambda rng, n: np.zeros((n, d)), regime="B",
         constants=OracleConstants(),
         test_point_sampler=lambda rng: rng.uniform(-2, 2, d))
     prob = ProblemInstance("CONST", oracle, ZeroRegularizer(), Euclidean(),
@@ -202,3 +203,28 @@ def test_batched_prox_points_in_2d_equal_single_solves():
             step = prox_step(prob.exact_objective(), prob.regularizer, prob.phi, x,
                              lam, rho=c.tau + c.rho)
             assert np.allclose(y, step.minimizer, rtol=1e-9, atol=1e-12), pid
+
+
+def test_a_d2_model_with_no_row_form_raises():
+    # |y_1| + |y_2| is neither affine, |affine|, a norm term nor smooth: in
+    # d > 1 no prox path solves it, so the step and the envelope raise
+    model = PointModel(lambda y: float(np.abs(y).sum()), np.sign)
+    with pytest.raises(InnerSolveError, match="row form"):
+        prox_step(model, ZeroRegularizer(), Euclidean(), np.array([0.5, -0.3]), 0.5)
+    prob = halfsq_problem()
+    prob._objective_builder = lambda: model
+    with pytest.raises(InnerSolveError, match="row form"):
+        bregman_prox_points(prob, prob.phi, np.array([[0.5, -0.3], [1.0, 2.0]]), 0.5)
+
+
+def test_a_one_row_form_stands_for_every_row_of_a_batch():
+    # an |affine| objective's row form has one row; the d > 1 batch applies
+    # it to every prox point (theta = +1, theta = -1 and brentq rows alike),
+    # each row bit for bit its own prox step
+    prob = halfsq_problem()
+    prob._objective_builder = lambda: absolute_affine_model(np.array([1.0, -2.0]), 0.3)
+    X = np.array([[0.5, 0.5], [2.0, -1.0], [-1.0, 0.2], [-2.0, 1.5]])
+    X_hat = bregman_prox_points(prob, prob.phi, X, 0.8)
+    for x, y in zip(X, X_hat):
+        step = prox_step(prob.exact_objective(), ZeroRegularizer(), prob.phi, x, 0.8)
+        assert np.array_equal(y, step.minimizer)

@@ -189,7 +189,7 @@ def test_verify_relative_smoothness_quadratic_is_exact():
     Q = np.diag([2.0, -0.5])
     f = lambda x: 0.5 * float(x @ Q @ x)
     grad = lambda x: Q @ x
-    noise = lambda rng: np.zeros(2)
+    noise = lambda rng, n: np.zeros((n, 2))
     good = NoisyGradientOracle(
         f, grad, noise, regime="B",
         constants=OracleConstants(tau=0.5, smooth_M=2.0, variance_sigma=0.0),
@@ -212,14 +212,14 @@ def test_verify_variance_cases():
     f = lambda x: 0.5 * float(x @ x)
     grad = lambda x: x.copy()
     # deterministic oracle has zero deviation
-    det = NoisyGradientOracle(f, grad, lambda r: np.zeros(2), regime="B",
+    det = NoisyGradientOracle(f, grad, lambda r, n: np.zeros((n, 2)), regime="B",
                               constants=OracleConstants(variance_sigma=0.0))
     rep = verify_variance(det, 200, np.array([1.0, 2.0]), rng)
     assert rep.passed and rep.empirical_second_moment == 0.0
     # two-point noise {+u, -u} has second moment exactly |u|^2
     u = np.array([0.3, -0.4])
     pm = NoisyGradientOracle(
-        f, grad, lambda r: u * (1.0 if r.uniform() < 0.5 else -1.0),
+        f, grad, lambda r, n: u * np.where(r.uniform(size=(n, 1)) < 0.5, 1.0, -1.0),
         regime="B", constants=OracleConstants(variance_sigma=np.sqrt(2) * 0.5))
     rep = verify_variance(pm, 500, np.array([0.5, 0.5]), rng)
     assert rep.passed
@@ -227,7 +227,7 @@ def test_verify_variance_cases():
     # isotropic Gaussian with covariance sigma^2/(2 d) I matches sigma^2/2
     sig = 0.8
     gauss = NoisyGradientOracle(
-        f, grad, lambda r: (sig / 2.0) * r.standard_normal(2),
+        f, grad, lambda r, n: (sig / 2.0) * r.standard_normal((n, 2)),
         regime="B", constants=OracleConstants(variance_sigma=sig))
     rep = verify_variance(gauss, 30000, np.array([0.0, 0.0]), rng)
     assert rep.passed

@@ -97,7 +97,7 @@ def test_grid_oracle_on_synthetic_quadratic():
     d = 2
     f = lambda y: 0.5 * np.sum(y * y, axis=-1)
     oracle = NoisyGradientOracle(
-        f, lambda y: y.copy(), lambda rng: np.zeros(d), regime="B",
+        f, lambda y: y.copy(), lambda rng, n: np.zeros((n, d)), regime="B",
         constants=OracleConstants(),
         test_point_sampler=lambda rng: rng.uniform(-1, 1, d))
     prob = ProblemInstance("HALFSQ", oracle, ZeroRegularizer(), Euclidean(),

@@ -8,9 +8,9 @@ from bregopt.legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
                               WeightedSum, build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre)
 from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
-                                InnerSolveError, L1Regularizer, PointModel,
-                                QuadraticRegularizer, SimplexIndicator,
-                                SmoothRows, ZeroRegularizer,
+                                InnerSolveError, L1Regularizer, NormTermRows,
+                                PointModel, QuadraticRegularizer,
+                                SimplexIndicator, SmoothRows, ZeroRegularizer,
                                 absolute_affine_model, check_three_point,
                                 inner_solve, linear_model, newton_rows,
                                 prox_points_1d, prox_step, prox_step_rows,
@@ -124,9 +124,35 @@ def test_prox_step_precondition_errors():
             inner_solve(model, ZeroRegularizer(), Euclidean(), z, eta, rho=rho)
 
 
+def _linear_smooth_rows(v):
+    # the linear model <v, y> as smooth rows, for the lockstep Newton
+    d = v.size
+    return SmoothRows(lambda Y: Y @ v, lambda Y: np.broadcast_to(v, Y.shape),
+                      lambda Y: np.zeros((len(Y), d, d)))
+
+
+def _kkt_violation(reg, phi, z, v, y, eta):
+    # the optimality conditions of argmin <v, y> + r(y) + D(y, z) / eta under
+    # a constraint, written without the closed forms
+    if reg.kind == "indicator_ball":
+        # |y| < R and y = z - eta v, or |y| = R and z - eta v - y = t y, t >= 0
+        u = z - eta * v
+        n = np.linalg.norm(y)
+        if n < reg.radius - 1e-12:
+            return np.abs(y - u).max()
+        t = float(np.dot(u - y, y)) / (n * n)
+        return max(abs(n - reg.radius), np.abs(u - y - t * y).max(), -t)
+    # on the simplex, y > 0 and grad phi(y) - grad phi(z) + eta (v + r'(y))
+    # is a constant vector (the normal cone of sum y = 1)
+    assert np.all(y > 0) and abs(y.sum() - 1.0) <= 1e-12
+    tilt = reg.weight * (1.0 + np.log(y)) if reg.kind == "entropy_like" else 0.0
+    return np.ptp(phi.gradient(y) - phi.gradient(z) + eta * (v + tilt))
+
+
 def test_closed_form_agrees_with_iterative_solver():
-    # wherever a closed form is registered the certified iterative path must
-    # land on the same point, measured by the divergence between the two
+    # wherever a closed form is registered it must land on the point an
+    # independent reference gives: the 1-d bisection, the lockstep Newton on
+    # the linear model's smooth rows, or the KKT conditions of a constraint
     rng = np.random.default_rng(4)
     cases = []
     for d, phi, reg in [
@@ -153,9 +179,16 @@ def test_closed_form_agrees_with_iterative_solver():
         model = linear_model(v)
         closed = prox_step(model, reg, phi, z, 0.4)
         assert "closed_form" in closed.method
-        iterative = inner_solve(model, reg, phi, z, 0.4, tol=1e-9)
-        gap = phi.bregman(closed.minimizer, np.maximum(iterative.minimizer, 1e-300)
-                          if phi.domain != "all_space" else iterative.minimizer)
+        if z.size == 1:
+            ref = inner_solve(model, reg, phi, z, 0.4, tol=1e-9).minimizer
+        elif reg.kind == "zero":
+            ref = newton_rows(_linear_smooth_rows(v), phi, z[None, :], 0.4,
+                              tol=1e-9).minimizer[0]
+        else:
+            assert _kkt_violation(reg, phi, z, v, closed.minimizer, 0.4) <= 1e-8
+            continue
+        gap = phi.bregman(closed.minimizer, np.maximum(ref, 1e-300)
+                          if phi.domain != "all_space" else ref)
         assert gap <= 1e-8
 
 
@@ -246,7 +279,7 @@ def test_inner_solve_simplex_matches_grid():
     v = np.array([0.9, -0.4])
     z = np.array([0.3, 0.7])
     eta = 0.6
-    res = inner_solve(linear_model(v), reg, phi, z, eta, tol=1e-8)
+    res = prox_step(linear_model(v), reg, phi, z, eta, inner_tol=1e-8)
     ts = np.linspace(1e-9, 1 - 1e-9, 1000001)
     x0, x1 = ts, 1.0 - ts
     ent = x0 * np.log(x0) + x1 * np.log(x1)
@@ -259,10 +292,11 @@ def test_inner_solve_simplex_matches_grid():
 
 
 def test_objective_already_minimized_at_center():
-    model = linear_model(np.zeros(2))
-    res = inner_solve(model, ZeroRegularizer(), Euclidean(),
-                      np.array([0.3, -0.2]), 0.5)
-    assert np.allclose(res.minimizer, [0.3, -0.2], atol=1e-12)
+    z = np.array([[0.3, -0.2]])
+    res = newton_rows(_linear_smooth_rows(np.zeros(2)), Euclidean(), z, 0.5)
+    assert np.allclose(res.minimizer, z, atol=1e-12)
+    res = prox_step(linear_model(np.zeros(2)), ZeroRegularizer(), Euclidean(), z[0], 0.5)
+    assert np.allclose(res.minimizer, z[0], atol=1e-12)
 
 
 def test_interior_preservation_entropy_and_burg():
@@ -286,7 +320,7 @@ def test_norm_term_closed_form():
     v = np.array([0.3, 0.1])
     model = PointModel(lambda y: float(v @ y) + 0.5 * np.linalg.norm(y),
                        lambda y: v + 0.5 * y / max(np.linalg.norm(y), 1e-300),
-                       norm_term=(v, 0.5))
+                       row_form=NormTermRows(v, 0.5))
     z = np.array([1.0, 0.5])
     eta = 0.8
     res = prox_step(model, ZeroRegularizer(), Euclidean(), z, eta)
@@ -366,7 +400,7 @@ def test_newton_raises_when_line_search_fails():
                        lambda y: np.ones(2), smooth=True,
                        hessian_fn=lambda y: np.zeros((2, 2)))
     with pytest.raises(InnerSolveError):
-        inner_solve(model, ZeroRegularizer(), Euclidean(), z, 0.5)
+        prox_step(model, ZeroRegularizer(), Euclidean(), z, 0.5)
     # one such row fails a batch whose other rows converge: 0.5 |y|^2, but
     # infinite away from the center on the rows flagged bad
     def rows(Z, bad):
@@ -503,12 +537,13 @@ def test_closed_form_with_a_lying_model_value_raises():
     # certificate evaluates disagrees with it, so the step must not pass
     z = np.array([0.4, -0.3])
     v = np.array([0.9, 0.5])
-    liar = PointModel(lambda y: -float(np.dot(v, y)), lambda y: v, linear=v)
+    liar = PointModel(lambda y: -float(np.dot(v, y)), lambda y: v,
+                      row_form=AffineRows(v[None, :], np.zeros(1), False))
     with pytest.raises(InnerSolveError):
         prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
     g, s = np.array([1.0, -2.0]), 0.3
     liar = PointModel(lambda y: -abs(float(np.dot(g, y)) + s), lambda y: g,
-                      scalar_abs=(g, s))
+                      row_form=AffineRows(g[None, :], np.array([s]), True))
     with pytest.raises(InnerSolveError):
         prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
 

@@ -28,7 +28,7 @@ def smooth_problem(phi, d=2, center=None, tau=0.0):
     else:
         sampler = lambda rng: rng.uniform(0.5, 2.0, d)
     oracle = NoisyGradientOracle(
-        f, grad, lambda rng: np.zeros(d), regime="B",
+        f, grad, lambda rng, n: np.zeros((n, d)), regime="B",
         constants=OracleConstants(tau=tau, variance_sigma=0.0),
         test_point_sampler=sampler)
     prob = ProblemInstance("SMOOTH-" + phi.kind, oracle, ZeroRegularizer(),
@@ -44,7 +44,7 @@ def halfsq_problem():
     f = lambda y: 0.5 * float(y @ y)
     sampler = lambda rng: rng.uniform(-2, 2, d)
     oracle = NoisyGradientOracle(
-        f, lambda y: y.copy(), lambda rng: np.zeros(d), regime="B",
+        f, lambda y: y.copy(), lambda rng, n: np.zeros((n, d)), regime="B",
         constants=OracleConstants(), test_point_sampler=sampler)
     prob = ProblemInstance("HALFSQ", oracle, ZeroRegularizer(), Euclidean(),
                            "B", d, np.array([1.0, 1.0]),
