@@ -292,11 +292,17 @@ def parse_csv_rows(text):
 
 
 def fit_loglog(horizons, means):
-    """Least-squares slope of log(mean) against log(T+1)."""
+    """Least-squares slope of log(mean) against log(T+1).
+
+    slope, intercept and r2 are None when a mean is 0 (converged) and when
+    fewer than two horizons leave no line to fit.
+    """
     horizons = np.asarray(horizons, dtype=float)
     means = np.asarray(means, dtype=float)
     if np.any(means <= 0):
         return {"slope": None, "intercept": None, "r2": None, "converged": True}
+    if horizons.size < 2:
+        return {"slope": None, "intercept": None, "r2": None, "converged": False}
     lx = np.log(horizons + 1.0)
     ly = np.log(means)
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -30,6 +30,7 @@ class InnerSolveError(RuntimeError):
 
 
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +427,18 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
     return out.reshape(target.shape)
 
 
-def _radial_solver(terms, phi, Z, eta, radius=None):
+def _radial_solver(terms, phi, Z, eta, radius=None, gz=None):
     """V -> argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial phi.
 
     Writes the optimality condition grad phi(x) = grad phi(z) - eta v, which
     forces x = s * u along u = normalize(rhs); the scalar s solves the
     monotone power equation, clipped at the ball radius when present (valid
     because the radial objective is increasing in s beyond the unconstrained
-    root).
+    root).  gz is grad phi at the rows of Z when the caller has it already.
     """
     coefs, powers = terms
-    gz = phi.gradient_rows(Z)
+    if gz is None:
+        gz = phi.gradient_rows(Z)
 
     def radial(V):
         W = gz - eta * np.asarray(V, dtype=float)
@@ -459,13 +461,14 @@ def _softmax(logits):
 # closed-form dispatch for affine models
 # ---------------------------------------------------------------------------
 
-def _affine_solver(reg, phi, z, eta):
+def _affine_solver(reg, phi, z, eta, gz=None):
     """V -> argmin <v_i, x> + r(x) + (1/eta) D(x, z_i) in closed form, or None.
 
     z is an (S, d) array of centers and V an (S, d) array of slopes, one
     subproblem per row; a single point is a one-row batch.  What depends on
     z alone is computed once, so a slope search can call the solver many
-    times per step.
+    times per step.  gz is grad phi at the rows of z when the caller has it
+    already (the radial step with r = 0 uses it).
     """
     z = np.asarray(z, dtype=float)
     euclid = isinstance(phi, Euclidean)
@@ -476,7 +479,19 @@ def _affine_solver(reg, phi, z, eta):
         if euclid:
             return lambda v: z - eta * v
         if entropy:
-            return lambda v: z * np.exp(-eta * v)
+            log_z = np.log(z)
+
+            def entropic(v):
+                # log y = log z - eta v; refuse a step that leaves the floats
+                # before exp overflows to inf
+                log_y = log_z - eta * v
+                if np.any(log_y > _LOG_FLOAT_MAX):
+                    raise InnerSolveError(
+                        "entropic prox step leaves the float range: log y = %.6g "
+                        "> log(float max) = %.6g" % (np.max(log_y), _LOG_FLOAT_MAX))
+                return z * np.exp(-eta * v)
+
+            return entropic
         if isinstance(phi, Burg):
             inv_z = 1.0 / z
 
@@ -488,7 +503,7 @@ def _affine_solver(reg, phi, z, eta):
 
             return burg
         if terms is not None:
-            return _radial_solver(terms, phi, z, eta)
+            return _radial_solver(terms, phi, z, eta, gz=gz)
     elif reg.kind == "indicator_simplex" and entropy:
         log_z = np.log(z)
         return lambda v: _softmax(log_z - eta * v)
@@ -569,22 +584,28 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
     None when (r, phi) has no affine closed form.  An |affine| row
     |<g_i, x> + s_i| is minimized by the affine prox y(theta) of the slope
     theta g_i for some theta in [-1, 1], and the level <g_i, y(theta)> + s_i
-    is nonincreasing in theta.  All rows probe theta = +1 (the affine step)
-    and stop there when the level is >= 0; the rows left probe theta = -1
-    together and stop there when it is <= 0; only the rows left after that
-    find the level's root by brentq, each on a one-row solver.  A row thus
-    takes 1, 2, or 2 + brentq's iterations affine solves.
+    is nonincreasing in theta.  In 1-d with r = 0, _abs_affine_1d picks each
+    row's case from grad phi at the kink, and every row takes one affine
+    solve.  Otherwise all rows probe theta = +1 (the affine step) and stop
+    there when the level is >= 0; the rows left probe theta = -1 together
+    and stop there when it is <= 0; only the rows left after that find the
+    level's root by brentq, each on a one-row solver.  A row thus takes 1, 2,
+    or 2 + brentq's iterations affine solves.
     """
-    solve = _affine_solver(reg, phi, Z, eta)
+    one_d = rows.absolute and reg.kind == "zero" and Z.shape[1] == 1
+    gz = phi.gradient_rows(Z) if one_d else None
+    solve = _affine_solver(reg, phi, Z, eta, gz=gz)
     if solve is None:
         return None
     G, s = rows.slopes, rows.offsets
-    Y = solve(G)
     if not rows.absolute:
-        return Y, 1, "closed_form_affine"
+        return solve(G), 1, "closed_form_affine"
     if len(G) != len(Z):
         # a one-row form stands for every row
         G, s = np.broadcast_to(G, Z.shape), np.broadcast_to(s, Z.shape[:1])
+    if one_d:
+        return _abs_affine_1d(solve, G, s, phi, Z, gz, eta), 1, "closed_form_abs_affine"
+    Y = solve(G)
     its = 1
     left = np.flatnonzero(~(dot_rows(G, Y) + s >= 0.0))
     if left.size:
@@ -606,6 +627,38 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
         Y[i] = one(theta * g)[0]
         its = max(its, info.iterations + 2)
     return Y, its, "closed_form_abs_affine"
+
+
+def _abs_affine_1d(solve, G, s, phi, Z, gz, eta):
+    """Minimizers of |g_i y + s_i| + (1/eta) D(y, z_i) over 1-d rows, r = 0.
+
+    solve is the affine solver at Z and gz = phi'(Z).  phi' is strictly
+    increasing, so with w = phi'(z) and the kink y0 = -s/g, k = phi'(y0),
+    the level g y(theta) + s has the sign of g (w - eta theta g - k): a row
+    stops at theta = +1 iff g (w - eta g - k) >= 0, at theta = -1 iff
+    g (w + eta g - k) <= 0, and its minimizer is y0 otherwise.  A kink
+    outside int dom phi (y0 <= 0 on a positive domain) has k = -inf there:
+    the level keeps the sign of g, and so does theta.  Each row takes one
+    solve, all rows in one call with slopes theta g; a row with g = 0 keeps
+    y = z.
+    """
+    g = G[:, 0]
+    flat = g == 0.0
+    y0 = -s / np.where(flat, 1.0, g)
+    inside = ~flat & phi.interior_rows(y0[:, None])
+    # 1.0 stands in for the kinks outside: it is interior to every domain
+    k = np.where(inside, phi.gradient_rows(np.where(inside, y0, 1.0)[:, None])[:, 0],
+                 -np.inf)
+    w = gz[:, 0]
+    pos = g > 0.0
+    lo, hi = w - eta * g, w + eta * g
+    up = np.where(pos, lo >= k, lo <= k)
+    down = ~up & np.where(pos, hi <= k, hi >= k)
+    Y = solve(np.where(up, 1.0, np.where(down, -1.0, 0.0))[:, None] * G)
+    kink = ~(up | down | flat)
+    Y[kink, 0] = y0[kink]
+    Y[flat] = Z[flat]
+    return Y
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +18,8 @@ from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog
                             stationarity_over_tstar_law, sweep, _run_loop)
 from bregopt.envelope import bregman_prox_point, stationarity
 from bregopt.problems import get_problem
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_stepsize_formulas():
@@ -163,6 +171,34 @@ def test_fit_loglog_converged_and_slope():
     fit = fit_loglog(ts, 3.0 / (ts + 1.0))
     assert fit["slope"] == pytest.approx(-1.0, abs=1e-12)
     assert fit["r2"] == pytest.approx(1.0)
+
+
+def test_one_horizon_fits_no_line():
+    # a line through one point has no slope (np.polyfit would warn RankWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sweep(get_problem("P1"), [64], 2)
+    assert res.fit == {"slope": None, "intercept": None, "r2": None,
+                       "converged": False}
+    assert res.slope_json()["slope"] is None
+
+
+def test_a_p1_sweep_never_imports_scipy_optimize():
+    # P1's |affine| steps take no slope search, so scipy.optimize (about
+    # 0.5 s and 50 MB to import) stays out of the process; these horizons
+    # put some steps at a kink
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys\n"
+            "from bregopt import driver, problems\n"
+            "driver.sweep(problems.get_problem('P1'), [64, 256], 2,\n"
+            "             metric_mode='tstar_full')\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
 
 
 def test_sweep_zero_metric_reports_converged():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -332,7 +334,7 @@ def test_norm_term_closed_form():
 
 def test_1d_abs_affine_step_matches_bisection():
     # one batch of |g y + s| rows that stop at theta = +1, at theta = -1 and
-    # in the interior (brentq); the certified bisection is the reference
+    # at the kink; the certified bisection is the reference
     phi = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
     reg = ZeroRegularizer()
     eta = 0.3
@@ -353,9 +355,83 @@ def test_1d_abs_affine_step_matches_bisection():
         assert one.method == "closed_form_abs_affine"
         assert np.array_equal(one.minimizer, res.minimizer[i])
         its.append(one.inner_iterations)
-    # affine solves: 1 at theta = +1, 2 at theta = -1, more for brentq
-    assert its[:2] + its[3:] == [1, 2, 1, 2, 1] and its[2] > 2
-    assert res.inner_iterations == its[2]
+    # each row's case comes from phi' at the kink: one affine solve per row
+    assert its == [1] * len(g)
+    assert res.inner_iterations == 1
+
+
+# the 1-d kernels of the |affine| kink test; the positive domains get
+# centers near 0 and steps that keep y(theta) inside for |theta| <= 3
+_KINK_PHIS = {
+    "composite": build_composite_legendre([1.0], [0.0, 0.0, 4.0]),
+    "euclidean": Euclidean(),
+    "poly_single_term": build_poly_legendre([1.0]),
+    "burg": Burg(),
+    "entropy": ShannonEntropy(),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi_kind=st.sampled_from(sorted(_KINK_PHIS)), seed=st.integers(0, 2 ** 32 - 1),
+       log_eta=st.floats(-3.0, 6.0))
+def test_1d_abs_affine_kink_cases_match_bisection(phi_kind, seed, log_eta):
+    # every row's case is built in: its kink y0 = y(t) is the affine step of
+    # the slope t g with t > 1 (the row stops at theta = +1), t < -1 (at
+    # theta = -1) or |t| < 1 (at the kink); g = 0 rows keep z, and on a
+    # positive domain a kink y0 <= 0 leaves theta = sign(g)
+    phi, reg = _KINK_PHIS[phi_kind], ZeroRegularizer()
+    rng = np.random.default_rng(seed)
+    eta = 10.0 ** log_eta
+    positive = phi.domain != "all_space"
+    cases = ["plus", "minus", "kink", "flat"] + (["outside"] if positive else [])
+    cases = cases * 2
+    n = len(cases)
+    if positive:
+        z = 10.0 ** rng.uniform(-3.0, 0.3, n)
+    else:
+        z = rng.uniform(-3.0, 3.0, n)
+    # eta |g| (times z for Burg, whose steps need 1/z > 3 eta |g|), kept
+    # moderate: the certificates are absolute, so a step that moves y by
+    # orders of magnitude fails them on rounding alone
+    step = 10.0 ** rng.uniform(-6.0, np.log10({"burg": 0.3, "entropy": 3.0}
+                                              .get(phi_kind, 10.0)), n)
+    g = rng.choice([-1.0, 1.0], n) * step / eta / (z if phi_kind == "burg" else 1.0)
+    t = np.array([{"plus": rng.uniform(1.1, 3.0), "minus": rng.uniform(-3.0, -1.1),
+                   "kink": rng.uniform(-0.9, 0.9)}.get(c, 0.0) for c in cases])
+    y0 = prox_step_rows(AffineRows((t * g)[:, None], np.zeros(n), False), reg, phi,
+                        z[:, None], eta).minimizer[:, 0]
+    outside = np.array([c == "outside" for c in cases])
+    y0[outside] = -rng.uniform(0.0, 1.0, outside.sum())
+    flat = np.array([c == "flat" for c in cases])
+    g[flat] = 0.0
+    s = -g * y0
+    s[flat] = rng.uniform(-2.0, 2.0, flat.sum())
+    G, Z = g[:, None], z[:, None]
+
+    res = prox_step_rows(AffineRows(G, s, True), reg, phi, Z, eta)
+    assert res.method == "closed_form_abs_affine" and res.inner_iterations == 1
+    Y = res.minimizer[:, 0]
+    for i, case in enumerate(cases):
+        ref = inner_solve(absolute_affine_model(G[i], s[i]), reg, phi, Z[i], eta)
+        assert abs(Y[i] - ref.minimizer[0]) <= 1e-12 * (1.0 + abs(ref.minimizer[0])), case
+        one = _closed_form_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi,
+                                Z[i:i + 1], eta)
+        assert np.array_equal(one[0][0], res.minimizer[i]) and one[1] == 1, case
+        level = g[i] * Y[i] + s[i]
+        if case == "flat":
+            assert Y[i] == z[i]
+        elif case == "kink":
+            assert Y[i] == -s[i] / g[i]
+        elif case in ("plus", "minus"):
+            assert level * {"plus": 1.0, "minus": -1.0}[case] > 0.0, case
+        else:
+            assert level * g[i] > 0.0
+    # one |affine| row stands for every row of the batch
+    i = cases.index("kink")
+    wide = _closed_form_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi, Z, eta)
+    each = _closed_form_rows(AffineRows(np.repeat(G[i:i + 1], n, axis=0),
+                                        np.repeat(s[i:i + 1], n), True), reg, phi, Z, eta)
+    assert np.array_equal(wide[0], each[0])
 
 
 def test_1d_bisection_brackets_far_minimizers():
@@ -440,7 +516,7 @@ def test_newton_raises_when_iterations_run_out():
         newton_rows(_exp_rows(), Euclidean(), Z, 0.5, max_iter=min(its) - 1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 8),
        log_eta=st.floats(-3.0, 2.0), lam_frac=st.floats(0.02, 0.98))
 def test_newton_batch_equals_one_row_calls(seed, n_rows, log_eta, lam_frac):
@@ -638,6 +714,21 @@ def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
     for field in fields:
         assert np.array_equal(getattr(step, field),
                               np.array([getattr(o, field) for o in steps])), field
+
+
+def test_an_entropic_step_out_of_the_floats_raises_without_overflow():
+    # the @example above: log z - eta v reaches 814 > log(float max) = 709.8
+    # in one coordinate, where z * exp(-eta v) overflowed to inf
+    rng = np.random.default_rng(2)
+    Z = rng.dirichlet(np.ones(3), 1)
+    V = rng.uniform(-1.0, 1.0, (1, 3))
+    phi, reg, eta = _ROW_PHIS["entropy"], _ROW_REGS["zero"], 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InnerSolveError, match="float range"):
+            prox_step_rows(AffineRows(V, np.zeros(1), False), reg, phi, Z, eta)
+        with pytest.raises(InnerSolveError, match="float range"):
+            prox_step(linear_model(V[0]), reg, phi, Z[0], eta)
 
 
 class _LyingZero(ZeroRegularizer):
