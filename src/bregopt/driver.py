@@ -263,6 +263,7 @@ def convex_gap(problem, trace):
 
 
 CSV_COLUMNS = "regime,problem_id,T,seed,eta0,lambda,metric_name,metric_value,wall_ms"
+_CSV_FIELDS = tuple(CSV_COLUMNS.split(","))
 
 
 def format_csv_rows(rows):
@@ -315,14 +316,22 @@ def fit_loglog(horizons, means):
 
 
 class SweepResult:
-    def __init__(self, rows, horizons, means, std_errs, fit, metric_name, n_seeds):
-        self.rows = rows
+    """Rows kept as tuples in CSV column order (records), half the memory of
+    a dict per row, plus the horizon means, standard errors and fit."""
+
+    def __init__(self, records, horizons, means, std_errs, fit, metric_name, n_seeds):
+        self.records = records
         self.horizons = list(horizons)
         self.means = means
         self.std_errs = std_errs
         self.fit = fit
         self.metric_name = metric_name
         self.n_seeds = n_seeds
+
+    @property
+    def rows(self):
+        """One dict per (T, seed, metric), keyed by the CSV columns."""
+        return [dict(zip(_CSV_FIELDS, rec)) for rec in self.records]
 
     def slope_json(self):
         return {"slope": self.fit["slope"], "intercept": self.fit["intercept"],
@@ -332,13 +341,14 @@ class SweepResult:
 
 def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
                    metric_mode):
-    """Rows and target metric values of the n_seeds cells of one horizon.
+    """Records and target metric values of the n_seeds cells of one horizon.
 
     The cells run in lockstep.  In the stationarity regimes the prox points
-    of the returned points are solved in one bregman_prox_points batch
-    ("tstar_draw"), or each cell takes its point from its own t*-law batch
-    ("tstar_full").  Each cell's wall_ms is its share (1/S) of the loop and
-    of the returned points' batch, plus the time of its own metric.
+    are solved in one bregman_prox_points batch per horizon: those of the
+    returned points ("tstar_draw"), or those of x_0..x_T of every cell, from
+    which each cell also takes its returned point ("tstar_full").  Each
+    cell's wall_ms is its share (1/S) of the loop and of that batch, plus
+    the time of its own metric.
     """
     if schedule_kind == "strongly_convex":
         schedule = ("strongly_convex",)
@@ -350,26 +360,25 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
     t0 = time.perf_counter()
     traces = _run_loop(problem, configs)
     by_envelope = problem.regime in ("A", "B")
-    X_hat = None
-    if by_envelope and metric_mode == "tstar_draw":
+    if by_envelope and metric_mode == "tstar_full":
+        w, X_law, divs = _tstar_law(problem, traces, inner_tol)
+    elif by_envelope:
         X_hat = envelope_mod.bregman_prox_points(
             problem, problem.phi, np.array([tr.returned_point for tr in traces]),
             traces[0].lam, tol=inner_tol)
     shared_ms = (time.perf_counter() - t0) * 1000.0 / n_seeds
-    rows = []
+    # cells in lockstep share their step sizes and lam
+    eta0, cell_lam = float(traces[0].etas[0]), float(traces[0].lam)
+    records = []
     metrics = []
     for s, trace in enumerate(traces):
         t1 = time.perf_counter()
         if by_envelope:
-            if metric_mode == "tstar_full":
-                w, X_law, divs = _tstar_law(problem, trace, inner_tol)
-                x_hat = X_law[trace.t_star]
-            else:
-                x_hat = X_hat[s]
+            x_hat = X_law[s, trace.t_star] if metric_mode == "tstar_full" else X_hat[s]
             report = envelope_mod.stationarity(problem, problem.phi,
                                                trace.returned_point, trace.lam,
                                                tol=inner_tol, x_hat=x_hat)
-            metric = (float(w @ divs) if metric_mode == "tstar_full"
+            metric = (float(w @ divs[s]) if metric_mode == "tstar_full"
                       else float(report.divergence))
             values = [("breg_div_to_prox", metric),
                       ("env_grad_local_norm",
@@ -378,13 +387,10 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
             metric = float(convex_gap(problem, trace))
             values = [("fgap_avg", metric)]
         wall = shared_ms + (time.perf_counter() - t1) * 1000.0
-        base = {"regime": problem.regime, "problem_id": problem.id, "T": T,
-                "seed": s, "eta0": float(trace.etas[0]),
-                "lambda": float(trace.lam)}
-        rows.extend(dict(base, metric_name=name, metric_value=value, wall_ms=wall)
-                    for name, value in values)
+        records.extend((problem.regime, problem.id, T, s, eta0, cell_lam, name,
+                        value, wall) for name, value in values)
         metrics.append(metric)
-    return rows, metrics
+    return records, metrics
 
 
 def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
@@ -419,34 +425,37 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     else:
         results = [work(T) for T in horizons]
 
-    rows = []
+    records = []
     means = []
     std_errs = []
-    for horizon_rows, vals in results:
-        rows.extend(horizon_rows)
+    for horizon_records, vals in results:
+        records.extend(horizon_records)
         vals = np.asarray(vals)
         means.append(float(vals.mean()))
         std_errs.append(float(vals.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0)
 
     metric_name = "breg_div_to_prox" if problem.regime in ("A", "B") else "fgap_avg"
     fit = fit_loglog(horizons, means)
-    return SweepResult(rows, horizons, means, std_errs, fit, metric_name, n_seeds)
+    return SweepResult(records, horizons, means, std_errs, fit, metric_name, n_seeds)
 
 
-def _tstar_law(problem, trace, tol):
-    """Weights of the t* law, the prox points of x_0..x_T, and D(prox(x_t), x_t)."""
-    etas = np.asarray(trace.etas, dtype=float)
+def _tstar_law(problem, traces, tol):
+    """Weights of the t* law and, over S lockstep traces (same steps and lam)
+    in one bregman_prox_points batch, the prox points of x_0..x_T,
+    (S, T + 1, d), and D(prox(x_t), x_t), (S, T + 1)."""
+    etas = np.asarray(traces[0].etas, dtype=float)
     rho = problem.oracle.constants.rho
     w = etas / (1.0 - etas * rho)
     w = w / w.sum()
-    X = trace.iterates[:etas.size]
+    X = np.concatenate([tr.iterates[:etas.size] for tr in traces])
     X_hat = envelope_mod.bregman_prox_points(problem, problem.phi, X,
-                                             trace.lam, tol=tol)
-    return w, X_hat, problem.phi.bregman_rows(X_hat, X)
+                                             traces[0].lam, tol=tol)
+    divs = problem.phi.bregman_rows(X_hat, X)
+    return w, X_hat.reshape(len(traces), etas.size, -1), divs.reshape(len(traces), -1)
 
 
 def stationarity_over_tstar_law(problem, trace, tol=1e-10):
     """Variance-reduced metric: average D(prox(x_t), x_t) over the full
     t*-distribution instead of the single drawn index (same expectation)."""
-    w, _, divs = _tstar_law(problem, trace, tol)
-    return float(w @ divs)
+    w, _, divs = _tstar_law(problem, [trace], tol)
+    return float(w @ divs[0])

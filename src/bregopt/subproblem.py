@@ -365,64 +365,45 @@ def _check_step(eta, rho):
 # ---------------------------------------------------------------------------
 
 def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
-    """Root of sum_k c_k p_k r^(p_k - 1) = target over r >= 0.
+    """Root of s(r) = sum_k a_k r^e_k = target over r >= 0 (a_k = c_k p_k,
+    e_k = p_k - 1), unique since s is increasing and convex.
 
-    The left-hand side is strictly increasing (and convex) for nonnegative
-    coefficients, so the root is unique; safeguarded Newton with a bisection
-    fallback keeps every iterate inside a sign-changing bracket.  target may
-    be an array of any shape (a scalar is one entry): its entries are solved
-    in lockstep, each with the same iterates as its own one-entry solve.
+    Each entry g starts from a closed form: for powers {2, 4} (the registry's
+    kernels) the root of a_1 r + a_3 r^3 = g in the hyperbolic form
+    2 sqrt(P/3) sinh(asinh(1.5 sqrt(3/P) g/a_1) / 3), P = a_1/a_3, which has no
+    cancellation for small g; else the upper bound min_k (g/a_k)^(1/e_k),
+    exact for one term, from which Newton descends monotonically.  Entries
+    with |s(r) - g| > tol (1 + g) take Newton steps in lockstep.  target may
+    be an array of any shape; entries <= 0 give 0.  A non-finite target, or
+    an entry unsolved after max_iter steps, raises InnerSolveError.
     """
-    coefs = np.asarray(coefs, dtype=float) * np.asarray(powers, dtype=float)
-    expos = np.asarray(powers, dtype=float) - 1.0
-    # d/dr c r^e = c e r^(e-1), summed term by term in this order; exponents
-    # are >= 1 so it is finite at 0
-    slopes = [(c, c * e, e - 1.0) for c, e in zip(coefs, expos)]
-
-    def dsdr(r):
-        out = 0.0
-        for c, ce, e1 in slopes:
-            out = out + (c if e1 == 0.0 else ce * r ** e1)
-        return out
-
-    def s(r):
-        return np.sum(coefs * r[:, None] ** expos, axis=1)
-
+    c, p = np.asarray(coefs, dtype=float), np.asarray(powers, dtype=float)
+    a, e = (c * p)[c > 0.0], (p - 1.0)[c > 0.0]
     target = np.asarray(target, dtype=float)
+    if not np.isfinite(target).all():
+        raise InnerSolveError("radial scale equation needs a finite target")
     out = np.zeros(target.size)
     pos = np.flatnonzero(target.reshape(-1) > 0.0)
-    tgt = target.reshape(-1)[pos]
-    hi = np.ones(pos.size)
-    while True:
-        low = s(hi) < tgt
-        if not low.any():
+    g = target.reshape(-1)[pos]
+    if set(e) == {1.0, 3.0}:
+        a1, a3 = a[e == 1.0].sum(), a[e == 3.0].sum()
+        x = 1.5 * (3.0 * a3 / a1) ** 0.5 * g / a1
+        r = 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
+    else:
+        r = np.min((g[:, None] / a) ** (1.0 / e), axis=1)
+    scale = tol * (1.0 + g)
+    idx = np.arange(g.size)
+    for it in range(max_iter + 1):
+        ri = r[idx]
+        f = np.sum(a * ri[:, None] ** e, axis=1) - g[idx]
+        busy = np.abs(f) > scale[idx]
+        if not busy.any():
             break
-        hi[low] *= 2.0
-        if np.any(hi > 1e154):
-            raise InnerSolveError("radial scale equation has no finite root bracket")
-    lo = np.zeros(pos.size)
-    r = hi
-    scale = tol * (1.0 + tgt)
-    for _ in range(max_iter):
-        if pos.size == 0:
-            break
-        f = s(r) - tgt
-        done = np.abs(f) <= scale
-        up = f > 0
-        hi = np.where(up, r, hi)
-        lo = np.where(up, lo, r)
-        d = dsdr(r)
-        # a Newton step that is not inside the bracket becomes a bisection
-        r_new = r - np.divide(f, d, out=np.full(r.shape, np.nan), where=d > 0)
-        r_new = np.where((lo < r_new) & (r_new < hi), r_new, 0.5 * (lo + hi))
-        stalled = np.abs(r_new - r) <= 1e-17 * (1.0 + r)
-        finished = done | stalled
-        if finished.any():
-            out[pos[finished]] = np.where(done, r, r_new)[finished]
-            keep = ~finished
-            pos, tgt, scale = pos[keep], tgt[keep], scale[keep]
-            lo, hi, r_new = lo[keep], hi[keep], r_new[keep]
-        r = r_new
+        if it == max_iter:
+            raise InnerSolveError("radial scale equation unsolved after %d "
+                                  "Newton steps" % max_iter)
+        idx, ri = idx[busy], ri[busy]
+        r[idx] = ri - f[busy] / np.sum(a * e * ri[:, None] ** (e - 1.0), axis=1)
     out[pos] = r
     return out.reshape(target.shape)
 
@@ -432,9 +413,10 @@ def _radial_solver(terms, phi, Z, eta, radius=None, gz=None):
 
     Writes the optimality condition grad phi(x) = grad phi(z) - eta v, which
     forces x = s * u along u = normalize(rhs); the scalar s solves the
-    monotone power equation, clipped at the ball radius when present (valid
-    because the radial objective is increasing in s beyond the unconstrained
-    root).  gz is grad phi at the rows of Z when the caller has it already.
+    monotone power equation (closed-form start, residual-checked), clipped at
+    the ball radius when present (valid because the radial objective is
+    increasing in s beyond the unconstrained root).  gz is grad phi at the
+    rows of Z when the caller has it already.
     """
     coefs, powers = terms
     if gz is None:
@@ -666,8 +648,12 @@ def _abs_affine_1d(solve, G, s, phi, Z, gz, eta):
 # ---------------------------------------------------------------------------
 
 def _elementwise(fn, ys):
-    """fn at each entry of an (N,) array of 1-d points, as N values."""
-    out = np.asarray(fn(ys), dtype=float)
+    """fn at each entry of an (N,) array of 1-d points, as N values; fn sees
+    512 points per call, so a finite-support model's (points, atoms) arrays
+    stay small (80 KB for P1's 20 atoms) however large the batch."""
+    n = 512
+    out = np.concatenate([np.asarray(fn(ys[i:i + n]), dtype=float).ravel()
+                          for i in range(0, ys.size, n)] or [ys[:0]])
     if out.size != ys.size:
         raise InnerSolveError("a batch of 1-d points needs elementwise model functions")
     return out.reshape(ys.shape)

@@ -330,7 +330,8 @@ def test_sweep_rows_equal_metrics_of_separate_runs():
 
 def test_tstar_full_solves_the_returned_point_once(monkeypatch):
     # no cell solves its returned point alone: tstar_full takes it from the
-    # cell's t*-law batch, tstar_draw from one batch per horizon
+    # horizon's t*-law batch (S (T + 1) rows), tstar_draw from one batch of
+    # the S returned points per horizon
     calls, batches = [], []
     single = envelope.bregman_prox_point
     batch = envelope.bregman_prox_points
@@ -339,7 +340,7 @@ def test_tstar_full_solves_the_returned_point_once(monkeypatch):
     monkeypatch.setattr(envelope, "bregman_prox_points",
                         lambda *a, **k: batches.append(len(a[2])) or batch(*a, **k))
     sweep(get_problem("P1"), [4, 8], 2, metric_mode="tstar_full")
-    assert calls == [] and batches == [5, 5, 9, 9]
+    assert calls == [] and batches == [10, 18]
     del batches[:]
     sweep(get_problem("P1"), [4, 8], 2, metric_mode="tstar_draw")
     assert calls == [] and batches == [2, 2]

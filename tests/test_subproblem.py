@@ -82,6 +82,67 @@ def test_monotone_power_map_is_increasing():
         assert abs(val - target) <= 1e-10 * (1.0 + target)
 
 
+# the radial kernels of the registry (P1, P2, P6): quadratic + quartic
+_REGISTRY_KERNELS = [([3.5, 1.0], [2.0, 4.0]), ([0.5, 0.25], [2.0, 4.0]),
+                     ([0.875, 0.8125], [2.0, 4.0])]
+_random_kernel = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(1e-2, 1e2)), st.integers(2, 8)),
+    min_size=1, max_size=3).filter(lambda terms: any(c > 0 for c, _ in terms)).map(
+        lambda terms: ([c for c, _ in terms], [float(p) for _, p in terms]))
+
+
+def _bisected_root(coefs, powers, g):
+    """Root of sum_k c_k p_k r^(p_k - 1) = g by plain float bisection."""
+    terms = [(c * p, p - 1.0) for c, p in zip(coefs, powers) if c > 0]
+
+    def s(r):
+        return sum(a * r ** e for a, e in terms)
+
+    lo, hi = 0.0, 1.0
+    while s(hi) < g:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi, sum(a * e * hi ** (e - 1.0) for a, e in terms)
+        lo, hi = (mid, hi) if s(mid) < g else (lo, mid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=st.one_of(st.sampled_from(_REGISTRY_KERNELS), _random_kernel),
+       targets=st.lists(st.one_of(st.just(0.0),
+                                  st.floats(-200.0, 200.0).map(lambda u: 10.0 ** u)),
+                        min_size=1, max_size=8))
+def test_monotone_power_root_matches_bisection(kernel, targets):
+    # every entry meets the stopping contract |s(r) - g| <= tol (1 + g) and
+    # so lies within tol (1 + g) / s'(r_ref) (plus rounding) of the root,
+    # with no overflow in sinh, asinh or the powers
+    coefs, powers = kernel
+    tol = 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = solve_monotone_power(coefs, powers, np.array(targets), tol=tol)
+    a = np.array(coefs) * np.array(powers)
+    e = np.array(powers) - 1.0
+    for ri, g in zip(r, targets):
+        if g == 0.0:
+            assert ri == 0.0
+            continue
+        residual = sum(ak * ri ** ek for ak, ek in zip(a, e) if ak > 0) - g
+        assert abs(residual) <= tol * (1.0 + g) + 1e-15 * g, (ri, g)
+        ref, slope = _bisected_root(coefs, powers, g)
+        assert abs(ri - ref) <= tol * (1.0 + g) / slope + 1e-14 * ref, (ri, ref, g)
+
+
+def test_monotone_power_raises_when_unsolved():
+    # one Newton step from the term-wise bound does not reach the tolerance
+    with pytest.raises(InnerSolveError, match="Newton"):
+        solve_monotone_power([1.0, 1.0, 1.0], [2.0, 3.0, 6.0], np.array([5.0]),
+                             max_iter=1)
+    with pytest.raises(InnerSolveError, match="finite"):
+        solve_monotone_power([3.5, 1.0], [2.0, 4.0], np.inf)
+
+
 def test_ball_and_l1_and_quadratic_closed_forms():
     z = np.array([1.5, -0.5])
     v = np.array([-2.0, 0.0])
@@ -446,6 +507,27 @@ def test_1d_bisection_brackets_far_minimizers():
         res = inner_solve(model, ZeroRegularizer(), phi, center, 1.0)
         assert res.method == "bisection_1d"
         assert abs(res.minimizer[0] - closed.minimizer[0]) <= 1e-13 * abs(closed.minimizer[0])
+
+
+def test_a_large_1d_batch_calls_the_model_512_points_at_a_time():
+    # P1's exact objective builds a (points, atoms) array per call; a batch
+    # of 1100 prox points sees calls of at most 512 points, and each point
+    # gets the value of its own one-point batch
+    prob = get_problem("P1")
+    exact = prob.exact_objective()
+    sizes = []
+
+    def counted(fn):
+        return lambda y: sizes.append(y.size) or fn(y)
+
+    model = PointModel(counted(exact._value_fn), counted(exact._subgrad_fn))
+    rho = prob.oracle.constants.tau + prob.oracle.constants.rho
+    z = np.linspace(-2.0, 2.0, 1100)
+    args = prob.regularizer, prob.phi
+    y = prox_points_1d(model, *args, z, 0.5 / rho, rho=rho)
+    assert max(sizes) == 512
+    for i in (0, 511, 512, 1099):
+        assert y[i] == prox_points_1d(exact, *args, z[i:i + 1], 0.5 / rho, rho=rho)[0]
 
 
 def _lying_model():
