@@ -21,11 +21,11 @@ from .models import (CompositeData, LinearMirrorOracle, ModelOracle,
 from .subproblem import (AffineRows, BallIndicator, EntropyLike,
                          InnerSolveError, L1Regularizer, NormTermRows,
                          PointModel, ProxStepResult, QuadraticRegularizer,
-                         Regularizer, SimplexIndicator, SmoothRows,
-                         ZeroRegularizer, absolute_affine_model,
+                         QuadraticRows, Regularizer, SimplexIndicator,
+                         SmoothRows, ZeroRegularizer, absolute_affine_model,
                          center_certificate, check_three_point, inner_solve,
                          linear_model, newton_rows, prox_points_1d, prox_step,
-                         prox_step_rows, solve_monotone_power)
+                         prox_step_rows, secular_rows, solve_monotone_power)
 from .driver import (RunTrace, SolverConfig, default_lambda, fit_loglog,
                      format_csv_rows, parse_csv_rows, run_convex,
                      run_for_regime, run_mirror_descent_smooth,

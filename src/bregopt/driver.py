@@ -155,7 +155,7 @@ def _run_loop(problem, configs):
     state for the t* draw, as one draw per step.  Every step is one
     prox_step_rows call over all rows, with the oracle's models over rows
     (model_rows): one batched closed form for affine or |affine| models, one
-    lockstep Newton for smooth ones.  An oracle or (r, phi) pair with no
+    secular solve for P6's quadratic models.  An oracle or (r, phi) pair with no
     batched step raises ValueError.  Returns S RunTraces; in the convex
     regime each carries its averaged iterates.
     """
@@ -315,33 +315,82 @@ def fit_loglog(horizons, means):
             "converged": False}
 
 
-class SweepResult:
-    """Rows kept as tuples in CSV column order (records), half the memory of
-    a dict per row, plus the horizon means, standard errors and fit."""
+def _metric_names(problem):
+    """The metrics of a sweep cell; the first is the rate fit's target."""
+    if problem.regime in ("A", "B"):
+        return ("breg_div_to_prox", "env_grad_local_norm")
+    return ("fgap_avg",)
 
-    def __init__(self, records, horizons, means, std_errs, fit, metric_name, n_seeds):
-        self.records = records
+
+class SweepResult:
+    """A sweep's outputs as arrays: the header once (regime, problem id,
+    metric names, horizons and each horizon's eta0 and lambda), the
+    (H, S, k) metric values of the H horizons, S seeds and k metrics, and
+    the (H, S) cell wall times in ms.  rows, means, std_errs and fit are
+    derived on access."""
+
+    __slots__ = ("regime", "problem_id", "metric_names", "horizons", "eta0",
+                 "lam", "values", "walls")
+
+    def __init__(self, regime, problem_id, metric_names, horizons, eta0, lam,
+                 values, walls):
+        self.regime = regime
+        self.problem_id = problem_id
+        self.metric_names = metric_names
         self.horizons = list(horizons)
-        self.means = means
-        self.std_errs = std_errs
-        self.fit = fit
-        self.metric_name = metric_name
-        self.n_seeds = n_seeds
+        self.eta0 = eta0
+        self.lam = lam
+        self.values = values
+        self.walls = walls
+
+    @property
+    def n_seeds(self):
+        return self.values.shape[1]
+
+    @property
+    def metric_name(self):
+        return self.metric_names[0]
 
     @property
     def rows(self):
         """One dict per (T, seed, metric), keyed by the CSV columns."""
-        return [dict(zip(_CSV_FIELDS, rec)) for rec in self.records]
+        head = (self.regime, self.problem_id)
+        return [dict(zip(_CSV_FIELDS, head + (T, s, self.eta0[h], self.lam[h], name,
+                                              float(self.values[h, s, j]),
+                                              float(self.walls[h, s]))))
+                for h, T in enumerate(self.horizons) for s in range(self.n_seeds)
+                for j, name in enumerate(self.metric_names)]
+
+    def _target(self, h):
+        # a contiguous copy, so the reductions are those of the seeds' list
+        return self.values[h, :, 0].copy()
+
+    @property
+    def means(self):
+        """The seed-averaged target metric of each horizon."""
+        return [float(self._target(h).mean()) for h in range(len(self.horizons))]
+
+    @property
+    def std_errs(self):
+        n = self.n_seeds
+        return [float(self._target(h).std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+                for h in range(len(self.horizons))]
+
+    @property
+    def fit(self):
+        return fit_loglog(self.horizons, self.means)
 
     def slope_json(self):
-        return {"slope": self.fit["slope"], "intercept": self.fit["intercept"],
-                "r2": self.fit["r2"], "horizons": self.horizons,
+        fit = self.fit
+        return {"slope": fit["slope"], "intercept": fit["intercept"],
+                "r2": fit["r2"], "horizons": self.horizons,
                 "n_seeds": self.n_seeds}
 
 
 def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
                    metric_mode):
-    """Records and target metric values of the n_seeds cells of one horizon.
+    """eta0, lambda, the (n_seeds, k) metric values (_metric_names) and the
+    n_seeds wall times of the cells of one horizon.
 
     The cells run in lockstep.  In the stationarity regimes the prox points
     are solved in one bregman_prox_points batch per horizon: those of the
@@ -369,8 +418,8 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
     shared_ms = (time.perf_counter() - t0) * 1000.0 / n_seeds
     # cells in lockstep share their step sizes and lam
     eta0, cell_lam = float(traces[0].etas[0]), float(traces[0].lam)
-    records = []
-    metrics = []
+    values = np.empty((n_seeds, len(_metric_names(problem))))
+    walls = np.empty(n_seeds)
     for s, trace in enumerate(traces):
         t1 = time.perf_counter()
         if by_envelope:
@@ -380,17 +429,11 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
                                                tol=inner_tol, x_hat=x_hat)
             metric = (float(w @ divs[s]) if metric_mode == "tstar_full"
                       else float(report.divergence))
-            values = [("breg_div_to_prox", metric),
-                      ("env_grad_local_norm",
-                       float(report.local_dual_norm_of_gradient))]
+            values[s] = metric, report.local_dual_norm_of_gradient
         else:
-            metric = float(convex_gap(problem, trace))
-            values = [("fgap_avg", metric)]
-        wall = shared_ms + (time.perf_counter() - t1) * 1000.0
-        records.extend((problem.regime, problem.id, T, s, eta0, cell_lam, name,
-                        value, wall) for name, value in values)
-        metrics.append(metric)
-    return records, metrics
+            values[s] = convex_gap(problem, trace)
+        walls[s] = shared_ms + (time.perf_counter() - t1) * 1000.0
+    return eta0, cell_lam, values, walls
 
 
 def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
@@ -425,18 +468,14 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     else:
         results = [work(T) for T in horizons]
 
-    records = []
-    means = []
-    std_errs = []
-    for horizon_records, vals in results:
-        records.extend(horizon_records)
-        vals = np.asarray(vals)
-        means.append(float(vals.mean()))
-        std_errs.append(float(vals.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0)
-
-    metric_name = "breg_div_to_prox" if problem.regime in ("A", "B") else "fgap_avg"
-    fit = fit_loglog(horizons, means)
-    return SweepResult(records, horizons, means, std_errs, fit, metric_name, n_seeds)
+    names = _metric_names(problem)
+    values = np.empty((len(horizons), n_seeds, len(names)))
+    walls = np.empty((len(horizons), n_seeds))
+    for h, (_, _, vals, ms) in enumerate(results):
+        values[h], walls[h] = vals, ms
+    return SweepResult(problem.regime, problem.id, names, horizons,
+                       tuple(r[0] for r in results), tuple(r[1] for r in results),
+                       values, walls)
 
 
 def _tstar_law(problem, traces, tol):

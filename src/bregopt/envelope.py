@@ -65,10 +65,11 @@ def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     All N subproblems are solved and certified in one batch: in one
     dimension by one lockstep bisection, which needs the exact objective's
     value and subgradient to act elementwise on an (N,) array; in d > 1 by
-    prox_step_rows on the objective's row form (PointModel.rows), one
-    lockstep Newton for a smooth objective (P2, P6) and the shrinkage for a
-    norm term (P5).  In d > 1 an objective with no row form, or whose
-    (r, phi) has no batched path, raises InnerSolveError.
+    prox_step_rows on the objective's row form (PointModel.rows): the
+    secular equation for a quadratic (P6), one lockstep Newton for a smooth
+    objective (P2) and the shrinkage for a norm term (P5).  In d > 1 an
+    objective with no row form, or whose (r, phi) has no batched path,
+    raises InnerSolveError.
     """
     _check_lambda(problem, lam)
     X = np.asarray(X, dtype=float)

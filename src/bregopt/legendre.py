@@ -148,6 +148,16 @@ class LegendreFunction:
             raise DomainError("second argument of the divergence must lie in dom(phi)")
         return vy - self.value_rows(X) - dot_rows(self.gradient_rows(X), Y - X)
 
+    def bregman_pair_rows(self, Y, X):
+        """(D(y_i, x_i), D(x_i, y_i)) for the rows of two (N, d) arrays, from
+        one value pass and one gradient pass per side; each is bit-identical
+        to its bregman_rows call, and raises as that call does."""
+        vy, vx = self.value_rows(Y), self.value_rows(X)
+        if not (np.isfinite(vy).all() and np.isfinite(vx).all()):
+            raise DomainError("second argument of the divergence must lie in dom(phi)")
+        return (vy - vx - dot_rows(self.gradient_rows(X), Y - X),
+                vx - vy - dot_rows(self.gradient_rows(Y), X - Y))
+
     def local_dual_norm(self, x, v):
         """||hessian(x)^-1 v|| in the declared primal norm."""
         u = self.hessian_solve(x, np.asarray(v, dtype=float))

@@ -18,7 +18,7 @@ implicitly: the step-size rules need them a priori.
 import numpy as np
 
 from .legendre import dot_rows
-from .subproblem import (AffineRows, PointModel, SmoothRows,
+from .subproblem import (AffineRows, PointModel, QuadraticRows,
                          absolute_affine_model, linear_model)
 
 
@@ -74,9 +74,9 @@ class ModelOracle:
         i), or None when the family has no row form.
 
         AffineRows hold affine models offsets[i] + <slopes[i], y>, or their
-        absolute values; SmoothRows hold full sampled functions.  The
-        callbacks act on the last axis, so one point and one sample give the
-        one-row case.
+        absolute values; QuadraticRows hold the full sampled quadratics of
+        proximal_point.  The fields act on the last axis, so one point and
+        one sample give the one-row case.
         """
         return None
 
@@ -87,8 +87,7 @@ class ModelOracle:
         if isinstance(rows, AffineRows):
             make = absolute_affine_model if rows.absolute else linear_model
             return make(rows.slopes, float(rows.offsets))
-        return PointModel(rows.values, rows.gradients, smooth=True,
-                          hessian_fn=rows.hessians, on_rows=True)
+        return quadratic_model(rows)
 
     def model_value(self, x, y, xi):
         return self.model_at(x, xi).value(y)
@@ -429,56 +428,57 @@ class SaddleOracle(FiniteSupportOracle):
 # full sampled functions (stochastic Bregman-proximal point)
 # ---------------------------------------------------------------------------
 
-class ProximalPointOracle(FiniteSupportOracle):
-    """f_x(y, xi) = f(y, xi): the model is the sampled function itself.
+def quadratic_model(rows):
+    """The PointModel of one-row QuadraticRows (its functions act on rows)."""
+    return PointModel(rows.values, rows.gradients, row_form=rows,
+                      hessian_fn=rows.hessians, on_rows=True)
 
-    atom_value, atom_grad and atom_hess act on the last axis, the atom
-    indices broadcasting against the points' leading axes: at an (S, d)
-    array of points and S indices they return S values, an (S, d) array and
-    an (S, d, d) stack.  The exact f (f_rows), its gradient and its Hessian
-    are weighted sums over the atom axis and act on the last axis too.
+
+class ProximalPointOracle(FiniteSupportOracle):
+    """f_x(y, xi) = f(y, xi) for sampled convex quadratics
+    f(y, xi) = (1/2) (y - centers[xi])' Q[xi] (y - centers[xi]).
+
+    atoms is the QuadraticRows of the m atoms (QuadraticRows.of(Q, centers,
+    zero offsets)): their (m, d, d) symmetric positive definite matrices,
+    (m, d) centers and eigenpairs, computed once at assembly.  model_rows
+    gathers the sampled atoms' rows.  The exact f, its gradient and its
+    Hessian are weighted sums over the atom axis and act on the last axis of
+    the points.
     """
 
     family = "proximal_point"
 
-    def __init__(self, atom_value, atom_grad, atom_hess, weights, lip_fn,
-                 regime, constants, sample_space="finite support",
-                 test_point_sampler=None):
-        self._val = atom_value    # (y, xi) -> values
-        self._grad = atom_grad    # (y, xi) -> gradients
-        self._hess = atom_hess    # (y, xi) -> Hessians, or None
+    def __init__(self, atoms, weights, lip_fn, regime, constants,
+                 sample_space="finite support", test_point_sampler=None):
+        self.atoms = atoms
         self._lip = lip_fn
         super().__init__(weights=weights, regime=regime, constants=constants,
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
-        self._atoms = np.arange(self.n_atoms)
 
     def model_rows(self, X, xi):
         xi = np.asarray(xi)
-        hess = None if self._hess is None else (lambda y: self._hess(y, xi))
-        return SmoothRows(lambda y: self._val(y, xi), lambda y: self._grad(y, xi), hess)
+        a = self.atoms
+        return QuadraticRows(a.Q[xi], a.centers[xi], a.offsets[xi], a.eigvals[xi],
+                             a.eigvecs[xi])
 
     def lip_L(self, xi):
         return float(self._lip(xi))
 
-    def _over_atoms(self, fn, X):
-        """fn at the points X for every atom; the atom axis follows the
-        leading axes of X."""
-        return fn(np.asarray(X, dtype=float)[..., None, :], self._atoms)
-
     def f_rows(self, X):
         """f at each point of X (the last axis)."""
-        return self._over_atoms(self._val, X) @ self.weights
+        return self.atoms.values(np.asarray(X, dtype=float)[..., None, :]) @ self.weights
 
     def f_exact(self, x):
         return float(self.f_rows(x))
 
     def grad_f(self, x):
-        return np.matmul(self.weights, self._over_atoms(self._grad, x))
+        x = np.asarray(x, dtype=float)
+        return np.matmul(self.weights, self.atoms.gradients(x[..., None, :]))
 
     def hess_f(self, x):
-        H = self._over_atoms(self._hess, x)
-        return np.tensordot(self.weights, H, axes=([0], [H.ndim - 3]))
+        H = np.tensordot(self.weights, self.atoms.Q, axes=1)
+        return np.broadcast_to(H, np.shape(x) + H.shape[-1:])
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from .legendre import (build_composite_legendre, build_norm_power_legendre,
                        norm_rows)
 from .models import (CompositeData, LinearMirrorOracle, NoisyGradientOracle,
                      OracleConstants, ProxLinearOracle, ProximalPointOracle,
-                     SaddleData, SaddleOracle)
+                     SaddleData, SaddleOracle, quadratic_model)
 from .subproblem import (AffineRows, BallIndicator, EntropyLike, L1Regularizer,
                          NormTermRows, PointModel, QuadraticRegularizer,
-                         SimplexIndicator, ZeroRegularizer, linear_model,
-                         _affine_solver)
+                         QuadraticRows, SimplexIndicator, ZeroRegularizer,
+                         linear_model, _affine_solver)
 
 
 class ProblemInstance:
@@ -333,42 +333,33 @@ def _assemble_p6(cfg):
     centers = np.asarray(cfg["m"], dtype=float)    # (m, d)
     weights = np.asarray(cfg["weights"], dtype=float)
     d = Q.shape[1]
+    atoms = QuadraticRows.of(Q, centers, np.zeros(len(Q)))
 
-    # the atoms act on the last axis, their indices broadcasting against the
-    # points: Q_xi (y - m_xi) for every row, as elementwise products summed
-    # over the last axis, one row's arithmetic whatever the batch
-    def grad(y, xi):
-        return (Q[xi] * (y - centers[xi])[..., None, :]).sum(axis=-1)
-
-    def val(y, xi):
-        return 0.5 * ((y - centers[xi]) * grad(y, xi)).sum(axis=-1)
-
-    def hess(y, xi):
-        shape = np.broadcast_shapes(np.shape(y), centers[xi].shape)
-        return np.broadcast_to(Q[xi], shape + (d,))
-
-    # valid modulus for the quarter-scale growth polynomial 0.25 (1 + u^2)
-    op_norms = np.array([np.linalg.norm(Qi, 2) for Qi in Q])
-    lip = 4.0 * op_norms
+    # valid modulus for the quarter-scale growth polynomial 0.25 (1 + u^2);
+    # an SPD atom's operator norm is its largest eigenvalue
+    lip = 4.0 * atoms.eigvals[:, -1]
     constants = OracleConstants(
         tau=0.0, rho=0.0,
         lip_bound_L=float(np.sqrt(np.dot(weights, lip * lip))))
     sampler = _make_sampler(cfg["sampler"], d)
-    oracle = ProximalPointOracle(val, grad, hess, weights,
+    oracle = ProximalPointOracle(atoms, weights,
                                  lip_fn=lambda xi: float(lip[xi]), regime="A",
                                  constants=constants,
                                  test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
 
+    # f = F* + (1/2) (y - x*)' Qbar (y - x*), x* = Qbar^-1 qbar by Qbar's eigenpairs
     Qbar = np.tensordot(weights, Q, axes=1)
     qbar = np.einsum("i,ijk,ik->j", weights, Q, centers)
-    x_star = np.linalg.solve(Qbar, qbar)
+    lam, U = np.linalg.eigh(Qbar)
+    x_star = U @ ((U.T @ qbar) / lam)
     optimum = {"F_star": oracle.f_exact(x_star), "x_star": x_star}
+    exact = QuadraticRows(Qbar[None], x_star[None], np.array([optimum["F_star"]]),
+                          lam[None], U[None])
 
     def objective():
-        return PointModel(oracle.f_rows, oracle.grad_f, smooth=True,
-                          hessian_fn=oracle.hess_f, on_rows=True)
+        return quadratic_model(exact)
 
     return ProblemInstance("P6", oracle, reg, phi, "A", d, cfg["x0"],
                            optimum=optimum, exact_objective_builder=objective,

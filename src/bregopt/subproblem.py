@@ -6,11 +6,12 @@ Each outer iteration solves
 
 for a convex (or relatively weakly convex) sampled model, a simple closed
 regularizer r, and the run's Legendre function phi.  A structured model is
-described by its row form (AffineRows, NormTermRows or SmoothRows), and
-every step goes through one dispatch on that form: the affine or |affine|
-closed form, the norm shrinkage, or one lockstep Newton; a 1-d model with
-none of these takes the certified bisection.  Every returned step carries a
-three-point optimality residual, the runtime contract
+described by its row form (AffineRows, NormTermRows, QuadraticRows or
+SmoothRows), and every step goes through one dispatch on that form: the
+affine or |affine| closed form, the norm shrinkage, the scalar secular
+equation of a quadratic under a radial phi, or one lockstep Newton; a 1-d
+model with none of these takes the certified bisection.  Every returned
+step carries a three-point optimality residual, the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -172,9 +173,10 @@ class PointModel:
     """One sampled model, already anchored at the base point.
 
     value/subgradient act on the trial point y.  row_form is the model's
-    structure as a one-row AffineRows (affine, or |affine|) or NormTermRows
-    (<v, y> + c ||y||); smooth says value/gradient (and optionally hessian)
-    are exact, which gives the model the row form SmoothRows.  prox_step
+    structure as a one-row AffineRows (affine, or |affine|), NormTermRows
+    (<v, y> + c ||y||) or QuadraticRows; smooth says value/gradient (and
+    optionally hessian) are exact, which gives the model the row form
+    SmoothRows.  prox_step
     dispatches on rows(); a model with none is solved by 1-d bisection.
 
     For a 1-d variable, value and subgradient functions that act elementwise
@@ -255,9 +257,9 @@ class ProxStepResult:
 
     divergence is D(y, z); model_value and r_value are the model and r at y.
     method names the path: closed_form_affine, closed_form_abs_affine,
-    closed_form_norm, bisection_1d, newton or degenerate_eta.  For a batch
-    of steps (prox_step_rows) every field but method and inner_iterations
-    (the most any row used) holds one entry per row.
+    closed_form_norm, bisection_1d, secular, newton or degenerate_eta.  For
+    a batch of steps (prox_step_rows) every field but method and
+    inner_iterations (the most any row used) holds one entry per row.
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
@@ -386,9 +388,7 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
     pos = np.flatnonzero(target.reshape(-1) > 0.0)
     g = target.reshape(-1)[pos]
     if set(e) == {1.0, 3.0}:
-        a1, a3 = a[e == 1.0].sum(), a[e == 3.0].sum()
-        x = 1.5 * (3.0 * a3 / a1) ** 0.5 * g / a1
-        r = 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
+        r = _cubic_root(a[e == 1.0].sum(), a[e == 3.0].sum(), g)
     else:
         r = np.min((g[:, None] / a) ** (1.0 / e), axis=1)
     scale = tol * (1.0 + g)
@@ -406,6 +406,14 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
         r[idx] = ri - f[busy] / np.sum(a * e * ri[:, None] ** (e - 1.0), axis=1)
     out[pos] = r
     return out.reshape(target.shape)
+
+
+def _cubic_root(a1, a3, g):
+    """Root of a1 r + a3 r^3 = g (a1, a3 > 0, g >= 0, entrywise) in the
+    hyperbolic form 2 sqrt(P/3) sinh(asinh(1.5 sqrt(3/P) g/a1) / 3),
+    P = a1/a3, which has no cancellation for small g."""
+    x = 1.5 * (3.0 * a3 / a1) ** 0.5 * g / a1
+    return 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
 
 
 def _radial_solver(terms, phi, Z, eta, radius=None, gz=None):
@@ -560,6 +568,40 @@ class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
     __slots__ = ()
 
 
+class QuadraticRows(namedtuple("QuadraticRows", "Q centers offsets eigvals eigvecs")):
+    """Convex quadratic models over rows: row i's model is
+    offsets[i] + (1/2) (y - centers[i])' Q[i] (y - centers[i]), with the
+    eigenpairs Q[i] = eigvecs[i] diag(eigvals[i]) eigvecs[i]' of its
+    symmetric positive definite Q[i].  Every field acts on the last axes
+    (one point and one atom give the one-row case), and one row stands for
+    every row of a batch.  values, gradients and hessians are the
+    SmoothRows callbacks, for a phi that has no secular step."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, Q, centers, offsets):
+        """The rows of the given quadratics, with their eigenpairs."""
+        Q = np.asarray(Q, dtype=float)
+        lam, U = np.linalg.eigh(Q)
+        return cls(Q, np.asarray(centers, dtype=float), np.asarray(offsets, dtype=float),
+                   lam, U)
+
+    def gradients(self, Y):
+        # elementwise products summed over the last axis: one row's
+        # arithmetic whatever the batch
+        return (self.Q * (Y - self.centers)[..., None, :]).sum(axis=-1)
+
+    def values(self, Y):
+        D = Y - self.centers
+        QD = (self.Q * D[..., None, :]).sum(axis=-1)
+        return self.offsets + 0.5 * (D * QD).sum(axis=-1)
+
+    def hessians(self, Y):
+        shape = np.broadcast_shapes(np.shape(Y), self.centers.shape)
+        return np.broadcast_to(self.Q, shape + shape[-1:])
+
+
 def _closed_form_rows(rows, reg, phi, Z, eta):
     """(minimizers, the most affine solves of a row, method) of AffineRows, or None.
 
@@ -572,7 +614,11 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
     there when the level is >= 0; the rows left probe theta = -1 together
     and stop there when it is <= 0; only the rows left after that find the
     level's root by brentq, each on a one-row solver.  A row thus takes 1, 2,
-    or 2 + brentq's iterations affine solves.
+    or 2 + brentq's iterations affine solves.  Where the affine step of the
+    slope theta g_i exists only for theta in an open interval (Burg,
+    _theta_bounds), a row skips a probe outside it, and the level tends to
+    +inf or -inf at the interval's ends: the search bisects toward such an
+    end until the level changes sign there, one more solve per halving.
     """
     one_d = rows.absolute and reg.kind == "zero" and Z.shape[1] == 1
     gz = phi.gradient_rows(Z) if one_d else None
@@ -587,13 +633,23 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
         G, s = np.broadcast_to(G, Z.shape), np.broadcast_to(s, Z.shape[:1])
     if one_d:
         return _abs_affine_1d(solve, G, s, phi, Z, gz, eta), 1, "closed_form_abs_affine"
-    Y = solve(G)
+    lo, hi = _theta_bounds(phi, Z, G, eta)
+    feasible = hi > 1.0
+    if feasible.all():
+        Y = solve(G)
+    else:
+        Y = np.empty(Z.shape)
+        Y[feasible] = _affine_solver(reg, phi, Z[feasible], eta)(G[feasible])
     its = 1
-    left = np.flatnonzero(~(dot_rows(G, Y) + s >= 0.0))
+    stop = np.zeros(len(Z), dtype=bool)
+    stop[feasible] = dot_rows(G[feasible], Y[feasible]) + s[feasible] >= 0.0
+    left = np.flatnonzero(~stop)
     if left.size:
-        Y[left] = _affine_solver(reg, phi, Z[left], eta)(-G[left])
+        down = left[lo[left] < -1.0]
+        Y[down] = _affine_solver(reg, phi, Z[down], eta)(-G[down])
         its = 2
-        left = left[~(dot_rows(G[left], Y[left]) + s[left] <= 0.0)]
+        stop[down] = dot_rows(G[down], Y[down]) + s[down] <= 0.0
+        left = left[~stop[left]]
     for i in left:
         # imported here: scipy.optimize takes about 0.5 s and 50 MB to import,
         # and no other path of the package needs it
@@ -604,11 +660,43 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
         def level(theta):
             return float(dot_rows(g, one(theta * g))[0]) + s[i]
 
-        theta, info = brentq(level, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16,
-                             maxiter=200, full_output=True)
+        a, b, halvings = max(-1.0, lo[i]), min(1.0, hi[i]), 0
+        open_a, open_b = lo[i] >= -1.0, hi[i] <= 1.0
+        while open_a or open_b:
+            if halvings == 200:
+                raise InnerSolveError("|affine| slope search found no bracket")
+            m = 0.5 * (a + b)
+            halvings += 1
+            v = level(m)
+            if v > 0.0:
+                a, open_a = m, False
+            elif v < 0.0:
+                b, open_b = m, False
+            else:
+                a = b = m
+                break
+        if a == b:
+            theta, brent_its = a, 0
+        else:
+            theta, info = brentq(level, a, b, xtol=1e-15, rtol=8.9e-16,
+                                 maxiter=200, full_output=True)
+            brent_its = info.iterations
         Y[i] = one(theta * g)[0]
-        its = max(its, info.iterations + 2)
+        its = max(its, brent_its + halvings + 2)
     return Y, its, "closed_form_abs_affine"
+
+
+def _theta_bounds(phi, Z, G, eta):
+    """The open theta-interval of each row on which the affine prox step of
+    the slope theta g_i exists, r = 0: all of R, except for Burg, whose step
+    1/(1/z + eta theta g) needs 1/z_j + eta theta g_j > 0 in every entry."""
+    if not isinstance(phi, Burg):
+        inf = np.full(len(Z), np.inf)
+        return -inf, inf
+    # the entry j bounds theta below at t_j when g_j > 0, above when g_j < 0
+    t = np.divide(-1.0, eta * Z * G, out=np.zeros(Z.shape), where=G != 0.0)
+    return (np.where(G > 0.0, t, -np.inf).max(axis=1),
+            np.where(G < 0.0, t, np.inf).min(axis=1))
 
 
 def _abs_affine_1d(solve, G, s, phi, Z, gz, eta):
@@ -737,8 +825,7 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     Z, Y = z[:, None], y[:, None]
     psi_z = _elementwise(model._value_fn, z) + reg.value_rows(Z)
     psi_y = _elementwise(model._value_fn, y) + reg.value_rows(Y)
-    center_certificate(psi_z, psi_y, phi.bregman_rows(Y, Z),
-                       phi.bregman_rows(Z, Y), eta, rho, tol)
+    center_certificate(psi_z, psi_y, *phi.bregman_pair_rows(Y, Z), eta, rho, tol)
     return y
 
 
@@ -855,8 +942,109 @@ def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
             "Newton solve of row %d used %d iterations with half decrement "
             "%.3e > %.3e" % (i, max_iter, 0.5 * dec[i], tol_obj[i]))
     return _certify(rows.values(Z), rows.values(Y), np.zeros(S),
-                    phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y), Y, eta, rho,
-                    tol, its.max(), "newton")
+                    *phi.bregman_pair_rows(Y, Z), Y, eta, rho, tol, its.max(), "newton")
+
+
+SECULAR_TOL = 1e-14  # relative KKT residual at which a secular row stops
+
+
+def _isotropic_roots(const, terms, kappa, g):
+    """Roots r of (kappa + const) r + sum_k a_k r^(e_k + 1) = g, entrywise
+    over kappa >= 0 and g >= 0 (terms holds the (a_k, e_k), e_k > 0), and
+    whether they are exact: with every e_k = 2 the equation is linear or a
+    depressed cubic (_cubic_root); otherwise the term-wise upper bound
+    min(g / (kappa + const), (g / a_k)^(1/(e_k + 1))) of the root."""
+    a1 = kappa + const
+    if all(e == 2.0 for _, e in terms):
+        if not terms:
+            return g / a1, True
+        return _cubic_root(a1, sum(a for a, _ in terms), g), True
+    bound = g / a1
+    for a, e in terms:
+        bound = np.minimum(bound, (g / a) ** (1.0 / (e + 1.0)))
+    return bound, False
+
+
+def _power_sum(const, terms, s):
+    """const + sum_k a_k s^e_k over the (a_k, e_k) of terms, entrywise."""
+    out = const if terms else np.full(s.shape, const)
+    for a, e in terms:
+        out = out + a * s ** e
+    return out
+
+
+def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
+    """Certified argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of Z,
+    for QuadraticRows q under a radial phi = sum_k c_k ||y||^p_k (r = 0).
+
+    grad phi(y) = A(||y||) y with A(r) = sum_k c_k p_k r^(p_k - 2), so with
+    Q_i = U diag(lam) U' the optimality condition
+    eta Q_i (y - c_i) + A(||y||) y = grad phi(z_i) gives
+    y = U (b / (eta lam + A(r))), b = U' (eta Q_i c_i + grad phi(z_i)), where
+    r = ||y|| is the root of the secular equation
+    F(r) = r - ||b / (eta lam + A(r))|| = 0, unique since F is strictly
+    increasing (A is nondecreasing).  Newton on F runs in lockstep over the
+    rows from the isotropic root (every lam replaced by their
+    b^2-weighted mean), each step clipped to the bracket of the isotropic
+    roots with lam_max and lam_min.  The KKT residual of y at r is
+    U ((A(||y||) - A(r)) v), v = U' y, of norm at most
+    |A(||y||) - A(r)| ||b|| / (eta lam_min + A(r)); a row stops on its own
+    once that ratio is at most SECULAR_TOL, so its bits do not depend on the
+    batch, and with A constant (Euclidean) the first pass is exact.  Non-finite
+    data, or a row still above the tolerance after max_iter Newton steps,
+    raises InnerSolveError.  The steps are certified together by
+    center_certificate; returns a ProxStepResult over the rows whose
+    inner_iterations counts the passes (Newton steps + 1).
+    """
+    _check_step(eta, rho)
+    # A(s) = const + sum_k a_k s^e_k over the terms with e_k = p_k - 2 > 0
+    coefs, powers = phi.radial_terms()
+    terms = [(c * p, p - 2.0) for c, p in zip(coefs.tolist(), powers.tolist())]
+    const = sum((a for a, e in terms if e == 0.0), 0.0)
+    terms = [(a, e) for a, e in terms if e > 0.0]
+    slopes = [(a * e, e - 1.0) for a, e in terms]   # A'(s)
+
+    Z = np.asarray(Z, dtype=float)
+    U = rows.eigvecs
+    # eigh sorts each row's eigenvalues in ascending order
+    lam = eta * np.broadcast_to(rows.eigvals, Z.shape)
+    W = eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1) + phi.gradient_rows(Z)
+    B = (W[:, None, :] @ U)[:, 0, :]
+    if not np.isfinite(B).all():
+        raise InnerSolveError("secular equation needs finite data")
+    BB = B * B
+    g2 = BB.sum(axis=1)
+    mean = np.divide((BB * lam).sum(axis=1), g2, out=lam[:, 0].copy(), where=g2 > 0.0)
+    roots, exact = _isotropic_roots(const, terms,
+                                    np.stack([lam[:, -1], mean, lam[:, 0]], axis=1),
+                                    np.sqrt(g2)[:, None])
+    lo, r, hi = roots.T.copy()
+    # margins for the rounding of the closed forms; 0 is below every root
+    lo = lo * (1.0 - 1e-12) if exact else np.zeros(len(Z))
+    hi = hi * (1.0 + 1e-12)
+    floor = SECULAR_TOL * lam[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(max_iter + 1):
+            a = _power_sum(const, terms, r)
+            den = lam + a[:, None]
+            V = B / den
+            vv = V * V
+            nv = np.sqrt(vv.sum(axis=1))
+            ok = np.abs(_power_sum(const, terms, nv) - a) <= floor + SECULAR_TOL * a
+            if ok.all():
+                break
+            if it == max_iter:
+                raise InnerSolveError(
+                    "secular equation of row %d unsolved after %d Newton steps"
+                    % (np.flatnonzero(~ok)[0], max_iter))
+            slope = _power_sum(0.0, slopes, r)
+            step = r - (r - nv) / (1.0 + slope * (vv / den).sum(axis=1) / nv)
+            # a stopped row keeps its r, and so recomputes its V bit for bit
+            # (a row with b = 0 divides 0 by 0 here, and stops at r = 0)
+            r = np.where(ok, r, np.minimum(np.maximum(step, lo), hi))
+    Y = (U @ V[:, :, None])[:, :, 0]
+    return _certify(rows.values(Z), rows.values(Y), np.zeros(len(Z)),
+                    *phi.bregman_pair_rows(Y, Z), Y, eta, rho, tol, it + 1, "secular")
 
 
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
@@ -887,10 +1075,11 @@ def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
     """The certified steps from the rows of Z for the row form rows, or None.
 
     The one dispatch of prox_step and prox_step_rows: AffineRows take the
-    closed form, NormTermRows the shrinkage and SmoothRows (r = 0) one
-    lockstep newton_rows.  values gives the models at the rows of an (N, d)
-    array for the certificate.  None when rows is None or (rows, r, phi) has
-    no batched path.
+    closed form, NormTermRows the shrinkage, QuadraticRows (r = 0) under a
+    radial phi the secular equation (secular_rows), and SmoothRows and any
+    other QuadraticRows (r = 0) one lockstep newton_rows.  values gives the
+    models at the rows of an (N, d) array for the certificate.  None when
+    rows is None or (rows, r, phi) has no batched path.
     """
     _check_step(eta, rho)
     phi.check_interior(Z)
@@ -900,9 +1089,11 @@ def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
     if eta < ETA_FLOOR:
         zero = np.zeros(len(Z))
         return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta", values(Z), r_z)
-    if isinstance(rows, SmoothRows):
+    if isinstance(rows, (SmoothRows, QuadraticRows)):
         if reg.kind != "zero":
             return None
+        if isinstance(rows, QuadraticRows) and phi.radial_terms() is not None:
+            return secular_rows(rows, phi, Z, eta, rho=rho, tol=tol)
         return newton_rows(rows, phi, Z, eta, rho=rho, tol=tol)
     if isinstance(rows, NormTermRows):
         found = _norm_term_rows(rows.slopes, rows.weight, reg, phi, Z, eta)
@@ -914,16 +1105,15 @@ def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
         return None
     Y, its, method = found
     return _certify(values(Z) + r_z, values(Y), reg.value_rows(Y),
-                    phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y), Y, eta, rho,
-                    tol, its, method)
+                    *phi.bregman_pair_rows(Y, Z), Y, eta, rho, tol, its, method)
 
 
 def _missing_path(rows, reg, phi):
     """The InnerSolveError of a d > 1 model whose step has no path."""
     if rows is None:
         return InnerSolveError(
-            "a d > 1 model needs a row form (affine, |affine|, norm term or "
-            "smooth) for its prox step; this model has none")
+            "a d > 1 model needs a row form (affine, |affine|, norm term, "
+            "quadratic or smooth) for its prox step; this model has none")
     return InnerSolveError("%s has no batched prox step for r = %s and phi = %s"
                            % (type(rows).__name__, reg.kind, phi.kind))
 
@@ -955,8 +1145,9 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
 
     Row i has the model of row i of rows (a one-row form stands for every
     row): AffineRows (affine, or the absolute value of an affine function)
-    take the closed form, NormTermRows the shrinkage, and SmoothRows (r = 0)
-    one lockstep newton_rows.  The rows are certified together by
+    take the closed form, NormTermRows the shrinkage, QuadraticRows (r = 0)
+    under a radial phi the secular equation, and SmoothRows (r = 0) one
+    lockstep newton_rows.  The rows are certified together by
     center_certificate: one row below inner_tol raises InnerSolveError for
     the batch.  Returns a ProxStepResult over the rows, or None when
     (model, r, phi) has no batched path.

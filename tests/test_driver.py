@@ -81,8 +81,27 @@ def test_seed_determinism():
     assert not np.array_equal(a.iterates, c.iterates)
 
 
+def test_p6_steps_take_the_secular_equation_and_p2_newton(monkeypatch):
+    # P6's quadratic models and exact objective take the secular equation in
+    # the outer steps and the t*-law batch; P2's smooth quartic objective
+    # still takes the lockstep Newton in its envelope batch
+    from bregopt import subproblem
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return newton_rows(*args, **kwargs)
+
+    newton_rows = subproblem.newton_rows
+    monkeypatch.setattr(subproblem, "newton_rows", counted)
+    res = sweep(get_problem("P6"), [4, 8], 2, metric_mode="tstar_full")
+    assert calls == [] and len(res.rows) == 8
+    sweep(get_problem("P2"), [4], 2, metric_mode="tstar_full")
+    assert calls == [10]
+
+
 def test_tstar_law_metric_matches_a_loop_over_iterates():
-    # P1 solves its prox points in one 1-d bisection, P6 in one lockstep Newton
+    # P1 solves its prox points in one 1-d bisection, P6 in one secular solve
     for pid in ("P1", "P6"):
         prob = get_problem(pid)
         tr = run_model_based(prob, SolverConfig(20, seed=5))
@@ -222,6 +241,11 @@ def test_sweep_rows_roundtrip_and_threads():
         assert row["eta0"] == orig["eta0"]
     js = res.slope_json()
     assert set(js) == {"slope", "intercept", "r2", "horizons", "n_seeds"}
+    # the horizon means and standard errors are those of the target rows
+    for T, mean, se in zip(res.horizons, res.means, res.std_errs):
+        vals = np.array([r["metric_value"] for r in res.rows
+                         if r["T"] == T and r["metric_name"] == res.metric_name])
+        assert mean == float(vals.mean()) and se == float(vals.std(ddof=1) / np.sqrt(2))
     # concurrent execution assembles the same rows (modulo wall time)
     res2 = sweep(p3, [8, 16], n_seeds=2, threads=3)
     strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"}
@@ -284,7 +308,7 @@ TRACE_FIELDS = ("iterates", "model_values", "r_values", "step_divergences",
 def test_lockstep_runs_equal_separate_runs():
     # one (S, d) loop over the seeds of a horizon against S one-config runs:
     # bit-identical where the step is elementwise or per row (P1 abs-affine,
-    # P3/P4 entropic, P6 Newton); P2's radial and P5's ball steps take row
+    # P3/P4 entropic, P6 secular); P2's radial and P5's ball steps take row
     # norms and dot products, bit-identical here but only promised to 1e-13
     for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
         prob = get_problem(pid)

@@ -188,8 +188,9 @@ def test_batched_1d_prox_agrees_with_single_solves(centers, lam_frac):
 
 
 def test_batched_prox_points_in_2d_equal_single_solves():
-    # P2 and P6 (one lockstep Newton over the rows of their smooth exact
-    # objectives) and P5 (one batched shrinkage): each row of a batch is the
+    # P2 (one lockstep Newton over the rows of its smooth exact objective),
+    # P6 (one secular solve over the rows of its quadratic exact objective)
+    # and P5 (one batched shrinkage): each row of a batch is the
     # point's own solve, bit for bit, and the per-point prox step agrees
     rng = np.random.default_rng(11)
     for pid in ("P2", "P5", "P6"):

@@ -153,6 +153,26 @@ def test_row_forms_match_the_pointwise_methods():
         assert np.array_equal(phi.interior_rows(X), [phi.in_interior(x) for x in X])
 
 
+def test_bregman_pair_equals_two_bregman_rows_calls():
+    # both divergences from one value and one gradient pass per side, bit
+    # for bit the two bregman_rows calls, including a row at the origin
+    rng = np.random.default_rng(13)
+    for name, phi, d in zoo():
+        X = np.array([interior_point(rng, phi, d) for _ in range(7)])
+        Y = np.array([interior_point(rng, phi, d) for _ in range(7)])
+        if phi.domain == "all_space":
+            Y[1] = 0.0
+        d_yx, d_xy = phi.bregman_pair_rows(Y, X)
+        assert np.array_equal(d_yx, phi.bregman_rows(Y, X)), name
+        assert np.array_equal(d_xy, phi.bregman_rows(X, Y)), name
+        if phi.domain != "all_space":
+            Y[2, 0] = -1.0
+            with pytest.raises(DomainError):
+                phi.bregman_pair_rows(Y, X)
+            with pytest.raises(DomainError):
+                phi.bregman_pair_rows(X, Y)
+
+
 def test_poly_growth_divergence_bound():
     # D(y, x) >= ((p(|x|) + p(|y|)) / 2) |x - y|^2 for the adapted phi
     rng = np.random.default_rng(12)

@@ -8,16 +8,17 @@ from bregopt.problems import get_problem
 
 from bregopt.legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
                               WeightedSum, build_composite_legendre,
-                              build_norm_power_legendre, build_poly_legendre)
+                              build_norm_power_legendre, build_poly_legendre,
+                              norm_rows)
 from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 InnerSolveError, L1Regularizer, NormTermRows,
-                                PointModel, QuadraticRegularizer,
+                                PointModel, QuadraticRegularizer, QuadraticRows,
                                 SimplexIndicator, SmoothRows, ZeroRegularizer,
                                 absolute_affine_model, check_three_point,
                                 inner_solve, linear_model, newton_rows,
                                 prox_points_1d, prox_step, prox_step_rows,
-                                solve_monotone_power, _closed_form_rows,
-                                _solve_1d)
+                                secular_rows, solve_monotone_power,
+                                _closed_form_rows, _solve_1d)
 
 
 def scaled_g(model, reg, eta):
@@ -652,6 +653,94 @@ def test_newton_rows_solve_quadratic_prox_exactly(seed, d, n_rows, log_eta):
     for hessians in (rows.hessians, None):
         res = newton_rows(rows._replace(hessians=hessians), Euclidean(), Z, eta)
         assert np.abs(res.minimizer - ref).max() <= 1e-9 * scale
+
+
+# the registry's P6 kernel, the Euclidean one, a one-term quartic and a
+# three-term kernel (powers 2, 3 and 4)
+_SECULAR_PHIS = {
+    "p6": build_poly_legendre([0.25, 0.0, 0.25]),
+    "euclidean": Euclidean(),
+    "quartic": build_norm_power_legendre([0.0, 0.0, 1.0]),
+    "three_terms": build_poly_legendre([0.25, 0.5, 0.25]),
+}
+
+
+def _random_quadratic_rows(rng, n_rows, d):
+    B = rng.uniform(-1.0, 1.0, (n_rows, d, d))
+    Q = B @ np.swapaxes(B, 1, 2) + 0.1 * np.eye(d)
+    return QuadraticRows.of(Q, rng.uniform(-3.0, 3.0, (n_rows, d)),
+                            rng.uniform(-1.0, 1.0, n_rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi_kind=st.sampled_from(sorted(_SECULAR_PHIS)), seed=st.integers(0, 2 ** 32 - 1),
+       d=st.integers(1, 4), n_rows=st.integers(1, 6), log_eta=st.floats(-3.0, 6.0))
+def test_secular_steps_solve_the_kkt_system(phi_kind, seed, d, n_rows, log_eta):
+    # quadratic rows under a radial kernel take the secular equation; each
+    # step solves eta Q (y - c) + grad phi(y) = grad phi(z) to rounding,
+    # agrees with the lockstep Newton on the same rows, and each row of a
+    # batch is its one-row call bit for bit
+    phi = _SECULAR_PHIS[phi_kind]
+    rng = np.random.default_rng(seed)
+    eta = 10.0 ** log_eta
+    rows = _random_quadratic_rows(rng, n_rows, d)
+    Z = rng.uniform(-3.0, 3.0, (n_rows, d))
+    res = prox_step_rows(rows, ZeroRegularizer(), phi, Z, eta)
+    assert res.method == "secular"
+    if phi_kind == "euclidean":
+        assert res.inner_iterations == 1
+    Y = res.minimizer
+    gy, gz = phi.gradient_rows(Y), phi.gradient_rows(Z)
+    kkt = norm_rows(eta * rows.gradients(Y) + gy - gz)
+    # the size of the terms: eta Q y and eta Q c cancel near y = c
+    scale = (eta * rows.eigvals[:, -1] * (norm_rows(Y) + norm_rows(rows.centers))
+             + norm_rows(gy) + norm_rows(gz))
+    assert np.all(kkt <= 1e-13 * (1.0 + scale))
+    ref = newton_rows(rows, phi, Z, eta).minimizer
+    assert np.all(norm_rows(Y - ref) <= 1e-6 * (1.0 + norm_rows(ref)))
+    fields = ("minimizer", "three_point_residual", "objective_decrease",
+              "divergence", "model_value", "r_value")
+    ones = [secular_rows(QuadraticRows(*(f[i:i + 1] for f in rows)), phi,
+                         Z[i:i + 1], eta) for i in range(n_rows)]
+    assert res.inner_iterations == max(o.inner_iterations for o in ones)
+    for field in fields:
+        assert np.array_equal(getattr(res, field),
+                              np.concatenate([getattr(o, field) for o in ones])), field
+
+
+def test_secular_step_raises_when_unsolved():
+    rng = np.random.default_rng(5)
+    rows = _random_quadratic_rows(rng, 3, 2)
+    Z = rng.uniform(-3.0, 3.0, (3, 2))
+    phi = _SECULAR_PHIS["p6"]
+    res = secular_rows(rows, phi, Z, 0.5)
+    assert res.inner_iterations >= 2
+    with pytest.raises(InnerSolveError, match="unsolved"):
+        secular_rows(rows, phi, Z, 0.5, max_iter=res.inner_iterations - 2)
+    # the Euclidean step needs no Newton step at all
+    assert secular_rows(rows, Euclidean(), Z, 0.5, max_iter=0).inner_iterations == 1
+    Z[1, 0] = np.nan
+    with pytest.raises(InnerSolveError, match="finite"):
+        secular_rows(rows, phi, Z, 0.5)
+
+
+def test_burg_abs_affine_step_searches_where_the_step_exists():
+    # |<g, y> + s| + D(y, z) under Burg in d = 2: the affine step of the
+    # slope theta g exists only while 1/z + theta g > 0, which excludes
+    # theta = +1 in the first row and theta = -1 in the second; the minimizer
+    # satisfies the KKT conditions 1/z - 1/y + theta g = 0 with theta in
+    # [-1, 1] and <g, y> + s = 0 when |theta| < 1
+    G = np.array([[-3.0, 0.1], [3.0, -0.1]])
+    s = np.array([2.0, -2.0])
+    Z = np.ones((2, 2))
+    res = prox_step_rows(AffineRows(G, s, True), ZeroRegularizer(), Burg(), Z, 1.0)
+    Y = res.minimizer
+    assert np.all(Y > 0.0)
+    theta = (1.0 / Y - 1.0 / Z) / G
+    assert np.allclose(theta[:, 0], theta[:, 1], rtol=1e-12, atol=1e-12)
+    assert np.all(np.abs(theta[:, 0]) < 1.0)
+    assert np.allclose(np.sum(G * Y, axis=1) + s, 0.0, atol=1e-12)
+    assert np.all(res.three_point_residual >= 0.0)
 
 
 def _reference_residual(model, reg, phi, z, y, eta, rho):
