@@ -21,7 +21,9 @@ assembly
 
 whose agreement is enforced as a runtime cross-check.  The diagnostic is
 always computed offline on recorded iterates, never inside an algorithm
-loop.
+loop.  The prox points of many iterates are one batch through the exact
+objective's row form (P1's pieces, P2's smooth rows, P5's norm term, P6's
+quadratic); only a 1-d objective with no batched path is bisected.
 """
 
 import numpy as np
@@ -62,28 +64,30 @@ def _check_lambda(problem, lam):
 def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     """argmin_y { F(y) + (1/lam) D(y, x) } for each row x of an (N, d) array.
 
-    All N subproblems are solved and certified in one batch: in one
-    dimension by one lockstep bisection, which needs the exact objective's
-    value and subgradient to act elementwise on an (N,) array; in d > 1 by
-    prox_step_rows on the objective's row form (PointModel.rows): the
-    secular equation for a quadratic (P6), one lockstep Newton for a smooth
-    objective (P2) and the shrinkage for a norm term (P5).  In d > 1 an
-    objective with no row form, or whose (r, phi) has no batched path,
-    raises InnerSolveError.
+    All N subproblems are solved and certified in one batch by
+    prox_step_rows on the exact objective's row form (PointModel.rows), in
+    every dimension: one kink search and one cubic root per point for P1's
+    |quadratic| pieces, the secular equation for a quadratic (P6), one
+    lockstep Newton for a smooth objective (P2) and the shrinkage for a norm
+    term (P5).  A 1-d objective with no batched path takes one lockstep
+    bisection (prox_points_1d), which needs its value and subgradient to act
+    elementwise on an (N,) array; in d > 1 such an objective raises
+    InnerSolveError.  Every batch is certified by center_certificate with
+    rho = tau + rho of the oracle.
     """
     _check_lambda(problem, lam)
     X = np.asarray(X, dtype=float)
     model = problem.exact_objective()
     reg = problem.regularizer
     rho = _weak_modulus(problem)
-    if X.shape[1] == 1:
-        return prox_points_1d(model, reg, phi, X[:, 0], lam, rho=rho, tol=tol)[:, None]
     rows = model.rows()
     res = (None if rows is None
            else prox_step_rows(rows, reg, phi, X, lam, rho=rho, inner_tol=tol))
-    if res is None:
-        raise _missing_path(rows, reg, phi)
-    return res.minimizer
+    if res is not None:
+        return res.minimizer
+    if X.shape[1] == 1:
+        return prox_points_1d(model, reg, phi, X[:, 0], lam, rho=rho, tol=tol)[:, None]
+    raise _missing_path(rows, reg, phi)
 
 
 def bregman_prox_point(problem, phi, x, lam, tol=1e-10):

@@ -29,8 +29,8 @@ from .legendre import (build_composite_legendre, build_norm_power_legendre,
 from .models import (CompositeData, LinearMirrorOracle, NoisyGradientOracle,
                      OracleConstants, ProxLinearOracle, ProximalPointOracle,
                      SaddleData, SaddleOracle, quadratic_model)
-from .subproblem import (AffineRows, BallIndicator, EntropyLike, L1Regularizer,
-                         NormTermRows, PointModel, QuadraticRegularizer,
+from .subproblem import (AbsQuadraticRows, AffineRows, BallIndicator, EntropyLike,
+                         L1Regularizer, NormTermRows, PointModel, QuadraticRegularizer,
                          QuadraticRows, SimplexIndicator, ZeroRegularizer,
                          linear_model, _affine_solver)
 
@@ -134,6 +134,26 @@ def _regularizer_config(reg):
 # instance assembly from configs
 # ---------------------------------------------------------------------------
 
+def abs_quadratic_rows(a, b, weights):
+    """The pieces (AbsQuadraticRows) of f(y) = sum_i w_i |a_i^2 y^2 - b_i|.
+
+    The atom's term is b_i - a_i^2 y^2 on [-k_i, k_i], k_i = sqrt(b_i)/|a_i|,
+    and its negative outside: an atom with b_i <= 0 has no kink, and one with
+    a_i = 0 < b_i is the constant w_i b_i.
+    """
+    a, b, w = (np.asarray(v, dtype=float) for v in (a, b, weights))
+    # k = -inf where b <= 0 (never inside), +inf where a = 0 < b (always)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(b > 0.0, np.sqrt(np.maximum(b, 0.0)) / np.abs(a), -np.inf)
+    # sorted() over Python floats: np.unique would import numpy.ma, and
+    # np.sort page in its sort kernels, for at most a few dozen kinks
+    K = np.array(sorted({x for v in k[np.isfinite(k)].tolist() for x in (v, -v)}),
+                 dtype=float)
+    ends = np.concatenate([[-np.inf], K, [np.inf]])[:, None]
+    s = np.where((-k <= ends[:-1]) & (ends[1:] <= k), -1.0, 1.0)
+    return AbsQuadraticRows(K, s @ (w * a * a), -(s @ (w * b)))
+
+
 def _assemble_p1(cfg):
     a = np.asarray(cfg["a"], dtype=float)
     b = np.asarray(cfg["b"], dtype=float)
@@ -162,9 +182,11 @@ def _assemble_p1(cfg):
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
 
+    # the envelope's prox points take the pieces; val and sub act elementwise
+    # over an (N,) array of points, the bisection's reference
+    pieces = abs_quadratic_rows(a, b, weights)
+
     def objective():
-        # elementwise over an (N,) array of points, so that the envelope can
-        # solve all its 1-d prox points in one batch
         def val(y):
             y = y[:, None]
             return np.abs(a2 * y * y - b) @ weights
@@ -173,7 +195,7 @@ def _assemble_p1(cfg):
             y = y[:, None]
             return (np.sign(a2 * y * y - b) * 2.0 * a2 * y) @ weights
 
-        return PointModel(val, sub)
+        return PointModel(val, sub, row_form=pieces)
 
     return ProblemInstance("P1", oracle, reg, phi, "A", 1, cfg["x0"],
                            exact_objective_builder=objective, sampler=sampler,

@@ -6,12 +6,14 @@ Each outer iteration solves
 
 for a convex (or relatively weakly convex) sampled model, a simple closed
 regularizer r, and the run's Legendre function phi.  A structured model is
-described by its row form (AffineRows, NormTermRows, QuadraticRows or
-SmoothRows), and every step goes through one dispatch on that form: the
-affine or |affine| closed form, the norm shrinkage, the scalar secular
-equation of a quadratic under a radial phi, or one lockstep Newton; a 1-d
-model with none of these takes the certified bisection.  Every returned
-step carries a three-point optimality residual, the runtime contract
+described by its row form (AffineRows, NormTermRows, QuadraticRows,
+AbsQuadraticRows or SmoothRows), and every step goes through one dispatch
+on that form: the affine or |affine| closed form, the norm shrinkage, the
+scalar secular equation of a quadratic under a radial phi, one kink search
+and one cubic root for a 1-d sum of |quadratic| terms, or one lockstep
+Newton; a 1-d model with none of these takes the certified bisection.
+Every returned step carries a three-point optimality residual, the runtime
+contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -174,10 +176,11 @@ class PointModel:
 
     value/subgradient act on the trial point y.  row_form is the model's
     structure as a one-row AffineRows (affine, or |affine|), NormTermRows
-    (<v, y> + c ||y||) or QuadraticRows; smooth says value/gradient (and
+    (<v, y> + c ||y||), QuadraticRows or AbsQuadraticRows (1-d pieces of
+    sum_i w_i |a_i^2 y^2 - b_i|); smooth says value/gradient (and
     optionally hessian) are exact, which gives the model the row form
-    SmoothRows.  prox_step
-    dispatches on rows(); a model with none is solved by 1-d bisection.
+    SmoothRows.  prox_step dispatches on rows(); a 1-d model with none, or
+    whose form has no path for (r, phi), is solved by bisection.
 
     For a 1-d variable, value and subgradient functions that act elementwise
     on an (N,) array let prox_points_1d solve N subproblems in one batch.
@@ -257,9 +260,10 @@ class ProxStepResult:
 
     divergence is D(y, z); model_value and r_value are the model and r at y.
     method names the path: closed_form_affine, closed_form_abs_affine,
-    closed_form_norm, bisection_1d, secular, newton or degenerate_eta.  For
-    a batch of steps (prox_step_rows) every field but method and
-    inner_iterations (the most any row used) holds one entry per row.
+    closed_form_norm, closed_form_abs_quadratic, bisection_1d, secular,
+    newton or degenerate_eta.  For a batch of steps (prox_step_rows) every
+    field but method and inner_iterations (the most any row used) holds one
+    entry per row.
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
@@ -473,13 +477,14 @@ def _affine_solver(reg, phi, z, eta, gz=None):
 
             def entropic(v):
                 # log y = log z - eta v; refuse a step that leaves the floats
-                # before exp overflows to inf
+                # before exp overflows to inf.  y = exp(log y), since
+                # z exp(-eta v) overflows inside exp for a tiny z
                 log_y = log_z - eta * v
                 if np.any(log_y > _LOG_FLOAT_MAX):
                     raise InnerSolveError(
                         "entropic prox step leaves the float range: log y = %.6g "
                         "> log(float max) = %.6g" % (np.max(log_y), _LOG_FLOAT_MAX))
-                return z * np.exp(-eta * v)
+                return np.exp(log_y)
 
             return entropic
         if isinstance(phi, Burg):
@@ -600,6 +605,60 @@ class QuadraticRows(namedtuple("QuadraticRows", "Q centers offsets eigvals eigve
     def hessians(self, Y):
         shape = np.broadcast_shapes(np.shape(Y), self.centers.shape)
         return np.broadcast_to(self.Q, shape + shape[-1:])
+
+
+class AbsQuadraticRows(namedtuple("AbsQuadraticRows", "kinks curvatures offsets")):
+    """The 1-d model f(y) = sum_i w_i |a_i^2 y^2 - b_i| (robust phase
+    retrieval) as its pieces: kinks is the sorted array K of its n distinct
+    kinks +-sqrt(b_i)/|a_i|, and on piece j (K_{j-1} < y <= K_j, with
+    K_{-1} = -inf and K_n = +inf) f(y) = curvatures[j] y^2 + offsets[j].
+    f' jumps up at every kink.  One form stands for every row of a batch;
+    problems.abs_quadratic_rows builds it from the atoms."""
+
+    __slots__ = ()
+
+    def values(self, Y):
+        y = Y[:, 0]
+        j = np.searchsorted(self.kinks, y)
+        return self.curvatures[j] * y * y + self.offsets[j]
+
+
+def _abs_quadratic_rows(rows, reg, phi, Z, eta):
+    """_closed_form_rows for AbsQuadraticRows: r = 0 and phi = c2 y^2 + c4 y^4.
+
+    The minimizer y of eta f + D(., z) solves h(y) = c, c = phi'(z), for the
+    monotone subdifferential h = eta f' + phi'.  On piece j,
+    h(y) = (2 c2 + 2 eta C_j) y + 4 c4 y^3, odd and increasing when
+    2 c2 + 2 eta C_j > 0; at a kink K h jumps up from h_-(K) = 2 eta C_j K +
+    phi'(K) to h_+(K) = 2 eta C_{j+1} K + phi'(K) (crossing +-k_i into
+    |y| > k_i raises the slope of |a_i^2 y^2 - b_i| by 2 w_i a_i^2 |y|).  So
+    with j = searchsorted(h_+(K), c) the point is K_j when h_-(K_j) <= c, and
+    otherwise the root sign(c) _cubic_root(2 c2 + 2 eta C_j, 4 c4, |c|) on
+    piece j.  Each row takes one search and one root, independent of the
+    batch.
+
+    The coefficient condition 2 c2 + 2 eta min C > 0 is checked here; None
+    when it fails, for another r or phi, or when phi is not radial with
+    powers {2, 4}.  For P1 (c2 = 7/2, tau = (4/3) sum w a^2, min C >=
+    -sum w a^2) it holds at every envelope step: eta (tau + rho) < 1 gives
+    eta sum w a^2 < 3/4 < c2.
+    """
+    terms = phi.radial_terms()
+    if reg.kind != "zero" or terms is None or set(terms[1].tolist()) != {2.0, 4.0}:
+        return None
+    c2, c4 = (terms[0][terms[1] == p].sum() for p in (2.0, 4.0))
+    K, C = rows.kinks, rows.curvatures
+    a1 = 2.0 * c2 + 2.0 * eta * C
+    if not a1.min() > 0.0:
+        return None
+    c = phi.gradient_rows(Z)[:, 0]
+    gk = phi.gradient_rows(K[:, None])[:, 0]
+    j = np.searchsorted(2.0 * eta * C[1:] * K + gk, c)
+    # h_-(K_j), +inf past the last kink
+    low = np.append(2.0 * eta * C[:-1] * K + gk, np.inf)[j]
+    y = np.where(low <= c, np.append(K, 0.0)[j],
+                 np.sign(c) * _cubic_root(a1[j], 4.0 * c4, np.abs(c)))
+    return y[:, None], 1, "closed_form_abs_quadratic"
 
 
 def _closed_form_rows(rows, reg, phi, Z, eta):
@@ -1075,11 +1134,12 @@ def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
     """The certified steps from the rows of Z for the row form rows, or None.
 
     The one dispatch of prox_step and prox_step_rows: AffineRows take the
-    closed form, NormTermRows the shrinkage, QuadraticRows (r = 0) under a
-    radial phi the secular equation (secular_rows), and SmoothRows and any
-    other QuadraticRows (r = 0) one lockstep newton_rows.  values gives the
-    models at the rows of an (N, d) array for the certificate.  None when
-    rows is None or (rows, r, phi) has no batched path.
+    closed form, NormTermRows the shrinkage, AbsQuadraticRows (r = 0, phi =
+    c2 y^2 + c4 y^4) one kink search and cubic root, QuadraticRows (r = 0)
+    under a radial phi the secular equation (secular_rows), and SmoothRows
+    and any other QuadraticRows (r = 0) one lockstep newton_rows.  values
+    gives the models at the rows of an (N, d) array for the certificate.
+    None when rows is None or (rows, r, phi) has no batched path.
     """
     _check_step(eta, rho)
     phi.check_interior(Z)
@@ -1099,6 +1159,8 @@ def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
         found = _norm_term_rows(rows.slopes, rows.weight, reg, phi, Z, eta)
     elif isinstance(rows, AffineRows):
         found = _closed_form_rows(rows, reg, phi, Z, eta)
+    elif isinstance(rows, AbsQuadraticRows):
+        found = _abs_quadratic_rows(rows, reg, phi, Z, eta)
     else:
         return None
     if found is None:
@@ -1145,12 +1207,13 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
 
     Row i has the model of row i of rows (a one-row form stands for every
     row): AffineRows (affine, or the absolute value of an affine function)
-    take the closed form, NormTermRows the shrinkage, QuadraticRows (r = 0)
-    under a radial phi the secular equation, and SmoothRows (r = 0) one
-    lockstep newton_rows.  The rows are certified together by
-    center_certificate: one row below inner_tol raises InnerSolveError for
-    the batch.  Returns a ProxStepResult over the rows, or None when
-    (model, r, phi) has no batched path.
+    take the closed form, NormTermRows the shrinkage, AbsQuadraticRows one
+    kink search and cubic root, QuadraticRows (r = 0) under a radial phi the
+    secular equation, and SmoothRows (r = 0) one lockstep newton_rows.  The
+    rows are certified together by center_certificate: one row below
+    inner_tol raises InnerSolveError for the batch.  Returns a
+    ProxStepResult over the rows, or None when (model, r, phi) has no
+    batched path.
     """
     return _step_rows(rows, rows.values, reg, phi, np.asarray(centers, dtype=float),
                       eta, rho, inner_tol)

@@ -100,8 +100,26 @@ def test_p6_steps_take_the_secular_equation_and_p2_newton(monkeypatch):
     assert calls == [10]
 
 
+def test_p1_envelope_takes_its_pieces_not_the_bisection(monkeypatch):
+    # P1's exact objective carries its pieces (AbsQuadraticRows): the t*-law
+    # batches and a prox step on it close in form, with no 1-d bisection
+    from bregopt import subproblem
+    calls = []
+    solve_1d = subproblem._solve_1d
+    monkeypatch.setattr(subproblem, "_solve_1d",
+                        lambda *a, **k: calls.append(1) or solve_1d(*a, **k))
+    prob = get_problem("P1")
+    res = sweep(prob, [4, 8], 2, metric_mode="tstar_full")
+    assert calls == [] and len(res.rows) == 8
+    c = prob.oracle.constants
+    step = subproblem.prox_step(prob.exact_objective(), prob.regularizer, prob.phi,
+                                np.array([1.2]), 0.5 / (c.tau + c.rho),
+                                rho=c.tau + c.rho)
+    assert step.method == "closed_form_abs_quadratic" and calls == []
+
+
 def test_tstar_law_metric_matches_a_loop_over_iterates():
-    # P1 solves its prox points in one 1-d bisection, P6 in one secular solve
+    # P1 solves its prox points from its pieces, P6 in one secular solve
     for pid in ("P1", "P6"):
         prob = get_problem(pid)
         tr = run_model_based(prob, SolverConfig(20, seed=5))
@@ -214,6 +232,23 @@ def test_a_p1_sweep_never_imports_scipy_optimize():
             "driver.sweep(problems.get_problem('P1'), [64, 256], 2,\n"
             "             metric_mode='tstar_full')\n"
             "print('scipy.optimize' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
+
+
+def test_a_p1_sweep_never_imports_numpy_ma():
+    # numpy.ma (about 0.5 MB of resident memory) comes in lazily with
+    # np.unique; building P1's kinks must not pull it into a sweep
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys\n"
+            "from bregopt.driver import sweep\n"
+            "from bregopt.problems import get_problem\n"
+            "sweep(get_problem('P1'), [8], 2, metric_mode='tstar_full')\n"
+            "print('numpy.ma' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]

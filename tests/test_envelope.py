@@ -158,7 +158,7 @@ def test_piecewise_1d_prox_matches_golden_oracle():
     x_hat = bregman_prox_point(p1, p1.phi, x, lam, tol=1e-12)
     assert abs(x_hat[0] - _golden_prox_1d(p1, x, lam)) <= 1e-8
 
-    # one batch through the lockstep solve: centers within 1e-9 of the kinks
+    # one batch through P1's pieces: centers within 1e-9 of the kinks
     # +-sqrt(b_i)/a_i of F, and at the ends of the sampling box
     a = np.asarray(p1.config["a"], dtype=float)
     b = np.asarray(p1.config["b"], dtype=float)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bregopt.problems import get_problem
+from bregopt.problems import abs_quadratic_rows, get_problem
 
-from bregopt.legendre import (Burg, DomainError, Euclidean, ShannonEntropy,
-                              WeightedSum, build_composite_legendre,
+from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
+                              ShannonEntropy, WeightedSum, build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre,
                               norm_rows)
 from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
@@ -18,7 +18,7 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 inner_solve, linear_model, newton_rows,
                                 prox_points_1d, prox_step, prox_step_rows,
                                 secular_rows, solve_monotone_power,
-                                _closed_form_rows, _solve_1d)
+                                _affine_solver, _closed_form_rows, _solve_1d)
 
 
 def scaled_g(model, reg, eta):
@@ -900,6 +900,103 @@ def test_an_entropic_step_out_of_the_floats_raises_without_overflow():
             prox_step_rows(AffineRows(V, np.zeros(1), False), reg, phi, Z, eta)
         with pytest.raises(InnerSolveError, match="float range"):
             prox_step(linear_model(V[0]), reg, phi, Z[0], eta)
+
+
+def test_an_entropic_step_from_tiny_centres_stays_in_the_floats():
+    # the @example data with the centres times 1e-200: log y = log z - eta v
+    # is in range, where z * exp(-eta v) overflowed inside exp
+    rng = np.random.default_rng(2)
+    Z = rng.dirichlet(np.ones(3), 1) * 1e-200
+    V = rng.uniform(-1.0, 1.0, (1, 3))
+    eta = 1e3
+    with np.errstate(over="raise"):
+        Y = _affine_solver(_ROW_REGS["zero"], _ROW_PHIS["entropy"], Z, eta)(V)
+    assert np.isfinite(Y).all()
+    assert np.array_equal(Y, np.exp(np.log(Z) - eta * V))
+
+
+def _abs_quadratic_model(a, b, w):
+    # sum_i w_i |a_i^2 y^2 - b_i| by its pieces, and by value and subgradient
+    # functions elementwise over (N,) arrays for the bisection
+    a2 = a * a
+
+    def val(y):
+        return np.abs(a2 * y[:, None] ** 2 - b) @ w
+
+    def sub(y):
+        return (np.sign(a2 * y[:, None] ** 2 - b) * 2.0 * a2 * y[:, None]) @ w
+
+    return PointModel(val, sub, row_form=abs_quadratic_rows(a, b, w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8),
+       lam_unit=st.floats(0.0, 1.0))
+@example(seed=0, m=8, lam_unit=1.0)
+def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit):
+    # atoms with a = 0 (a constant), b <= 0 (no kink) and duplicate kinks
+    # (a repeated atom, and one with -a); centres on the kinks, within 1e-12
+    # of them, and at random; lam from 1e-3 up to 0.999 / tau, with P1's
+    # kernel and weak-convexity modulus tau = (4/3) sum w a^2
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], m) * rng.uniform(0.3, 2.0, m)
+    b = rng.uniform(-0.5, 2.0, m)
+    w = rng.uniform(0.1, 1.0, m)
+    a[rng.uniform(size=m) < 0.2] = 0.0
+    b[rng.uniform(size=m) < 0.1] = 0.0
+    if m > 2:
+        a[1], b[1] = -a[0], b[0]
+        a[2], b[2] = a[0], b[0]
+    model = _abs_quadratic_model(a, b, w)
+    rows = model.rows()
+    kinks = np.sqrt(b[(b > 0) & (a != 0)]) / np.abs(a[(b > 0) & (a != 0)])
+    assert np.array_equal(rows.kinks, np.unique(np.concatenate([kinks, -kinks])))
+    phi, reg = build_composite_legendre([1.0], [0.0, 0.0, 4.0]), ZeroRegularizer()
+    tau = 4.0 / 3.0 * float(w @ (a * a))
+    top = np.log10(0.999 / tau) if tau > 0 else 3.0
+    lam = 10.0 ** (-3.0 + lam_unit * (top + 3.0))
+    K = rows.kinks
+    near = 1e-12 * np.maximum(1.0, np.abs(K))
+    z = np.concatenate([K, K + near, K - near, rng.uniform(-3.0, 3.0, 6), [0.0]])
+    Z = z[:, None]
+
+    scale = (w * (a * a)) @ np.ones(m) * z * z + w @ np.abs(b)
+    assert np.all(np.abs(rows.values(Z) - model._value_fn(z)) <= 1e-14 * (1 + scale))
+    res = prox_step_rows(rows, reg, phi, Z, lam, rho=tau)
+    assert res.method == "closed_form_abs_quadratic"
+    y = res.minimizer[:, 0]
+    ref = prox_points_1d(model, reg, phi, z, lam, rho=tau)
+    assert np.all(np.abs(y - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+    for i in range(z.size):
+        one = prox_step_rows(rows, reg, phi, Z[i:i + 1], lam, rho=tau)
+        assert np.array_equal(one.minimizer[0], res.minimizer[i])
+    # a centre on a kink whose subdifferential holds phi'(z) stays there
+    at = (res.minimizer[:K.size, 0] == K)
+    assert np.all(np.abs(ref[:K.size][at] - K[at]) <= 1e-13 * (1.0 + np.abs(K[at])))
+
+
+def test_abs_quadratic_rows_decline_a_nonconvex_piece():
+    # |y^2 - 1| under phi = 0.05 y^2 + y^4 at eta = 0.1 leaves
+    # 2 c2 + 2 eta C_j = 0.1 - 0.2 < 0 on the piece |y| < 1: the form
+    # declines, and prox_step bisects as prox_points_1d does; at eta = 0.01
+    # the same kernel closes in form
+    model = _abs_quadratic_model(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+    assert np.array_equal(model.rows().kinks, [-1.0, 1.0])
+    assert np.array_equal(model.rows().curvatures, [1.0, -1.0, 1.0])
+    phi, reg = RadialPowerSum([0.05, 1.0], [2.0, 4.0]), ZeroRegularizer()
+    Z = np.array([[1.5], [2.0], [-1.8]])
+    assert prox_step_rows(model.rows(), reg, phi, Z, 0.1) is None
+    ref = prox_points_1d(model, reg, phi, Z[:, 0], 0.1)
+    for z, y in zip(Z, ref):
+        step = prox_step(model, reg, phi, z, 0.1)
+        assert step.method == "bisection_1d"
+        assert abs(step.minimizer[0] - y) <= 1e-15 * (1.0 + abs(y))
+    res = prox_step_rows(model.rows(), reg, phi, Z, 0.01)
+    assert res.method == "closed_form_abs_quadratic"
+    ref = prox_points_1d(model, reg, phi, Z[:, 0], 0.01)
+    assert np.all(np.abs(res.minimizer[:, 0] - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+    # a kernel of other powers has no closed form either
+    assert prox_step_rows(model.rows(), reg, Euclidean(), Z, 0.1) is None
 
 
 class _LyingZero(ZeroRegularizer):
