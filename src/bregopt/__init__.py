@@ -9,7 +9,7 @@ problem registry and CLI used to validate every claimed inequality and rate.
 """
 
 from .legendre import (Burg, DomainError, Euclidean, LegendreFunction,
-                       LocalNormContext, RadialPowerSum, ShannonEntropy,
+                       LocalNormContext, RadialPowerSum, RowState, ShannonEntropy,
                        SingularHessianError, WeightedSum,
                        build_composite_legendre, build_norm_power_legendre,
                        build_poly_legendre, legendre_from_config)

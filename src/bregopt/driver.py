@@ -155,7 +155,9 @@ def _run_loop(problem, configs):
     state for the t* draw, as one draw per step.  Every step is one
     prox_step_rows call over all rows, with the oracle's models over rows
     (model_rows): one batched closed form for affine or |affine| models, one
-    secular solve for P6's quadratic models.  An oracle or (r, phi) pair with no
+    secular solve for P6's quadratic models.  Each step starts from the
+    RowState (phi, mirror coordinates and r) its predecessor returned for
+    its minimizers, so only x_0's is derived.  An oracle or (r, phi) pair with no
     batched step raises ValueError.  Returns S RunTraces; in the convex
     regime each carries its averaged iterates.
     """
@@ -177,25 +179,27 @@ def _run_loop(problem, configs):
     xi_steps = np.stack(xis, axis=1)            # step t -> one sample per run
 
     S = len(configs)
-    X = np.tile(np.asarray(problem.x0, dtype=float), (S, 1))
-    iterates = np.empty((S, T + 2, X.shape[1]))
-    iterates[:, 0] = X
+    # x_0's state is derived once; every later centre's state is the one its
+    # step returned for its minimizer
+    state = phi.state_rows(np.tile(np.asarray(problem.x0, dtype=float), (S, 1)), reg)
+    iterates = np.empty((S, T + 2, state.points.shape[1]))
+    iterates[:, 0] = state.points
     model_values = np.empty((S, T + 1))
     r_values = np.empty((S, T + 2))
-    r_values[:, 0] = reg.value_rows(X)
+    r_values[:, 0] = state.r
     divergences = np.empty((S, T + 1))
     residuals = np.empty((S, T + 1))
     for t in range(T + 1):
         eta = float(etas[t])
-        rows = oracle.model_rows(X, xi_steps[t])
+        rows = oracle.model_rows(state.points, xi_steps[t])
         res = (None if rows is None
-               else prox_step_rows(rows, reg, phi, X, eta, rho=rho, inner_tol=tol))
+               else prox_step_rows(rows, reg, phi, state, eta, rho=rho, inner_tol=tol))
         if res is None:
             raise ValueError("%s has no batched prox step: the lockstep loop needs "
                              "models over rows (model_rows) with a batched path "
                              "for its regularizer and phi" % (problem.id,))
-        X = res.minimizer
-        iterates[:, t + 1] = X
+        state = res.state
+        iterates[:, t + 1] = state.points
         model_values[:, t] = res.model_value
         r_values[:, t + 1] = res.r_value
         divergences[:, t] = res.divergence
@@ -323,29 +327,46 @@ def _metric_names(problem):
 
 
 class SweepResult:
-    """A sweep's outputs as arrays: the header once (regime, problem id,
-    metric names, horizons and each horizon's eta0 and lambda), the
-    (H, S, k) metric values of the H horizons, S seeds and k metrics, and
-    the (H, S) cell wall times in ms.  rows, means, std_errs and fit are
-    derived on access."""
+    """A sweep's outputs in one array: the regime, problem id and metric
+    names once, and per horizon h the row cells[h] = [T, eta0, lambda, the
+    (S, k) metric values of its S seeds and k metrics, the S cell wall
+    times in ms].  A kept result is one small array (about 0.4 KB for one
+    horizon of 8 seeds, which the benchmark keeps per call); horizons,
+    eta0, lam, values (H, S, k), walls (H, S), rows, means, std_errs and fit
+    are derived on access."""
 
-    __slots__ = ("regime", "problem_id", "metric_names", "horizons", "eta0",
-                 "lam", "values", "walls")
+    __slots__ = ("regime", "problem_id", "metric_names", "cells")
 
-    def __init__(self, regime, problem_id, metric_names, horizons, eta0, lam,
-                 values, walls):
+    def __init__(self, regime, problem_id, metric_names, cells):
         self.regime = regime
         self.problem_id = problem_id
         self.metric_names = metric_names
-        self.horizons = list(horizons)
-        self.eta0 = eta0
-        self.lam = lam
-        self.values = values
-        self.walls = walls
+        self.cells = cells
 
     @property
     def n_seeds(self):
-        return self.values.shape[1]
+        return (self.cells.shape[1] - 3) // (len(self.metric_names) + 1)
+
+    @property
+    def horizons(self):
+        return [int(T) for T in self.cells[:, 0]]
+
+    @property
+    def eta0(self):
+        return tuple(self.cells[:, 1].tolist())
+
+    @property
+    def lam(self):
+        return tuple(self.cells[:, 2].tolist())
+
+    @property
+    def values(self):
+        n = self.n_seeds * len(self.metric_names)
+        return self.cells[:, 3:3 + n].reshape(len(self.cells), self.n_seeds, -1)
+
+    @property
+    def walls(self):
+        return self.cells[:, self.cells.shape[1] - self.n_seeds:]
 
     @property
     def metric_name(self):
@@ -355,26 +376,27 @@ class SweepResult:
     def rows(self):
         """One dict per (T, seed, metric), keyed by the CSV columns."""
         head = (self.regime, self.problem_id)
-        return [dict(zip(_CSV_FIELDS, head + (T, s, self.eta0[h], self.lam[h], name,
-                                              float(self.values[h, s, j]),
-                                              float(self.walls[h, s]))))
+        eta0, lam, values, walls = self.eta0, self.lam, self.values, self.walls
+        return [dict(zip(_CSV_FIELDS, head + (T, s, eta0[h], lam[h], name,
+                                              float(values[h, s, j]),
+                                              float(walls[h, s]))))
                 for h, T in enumerate(self.horizons) for s in range(self.n_seeds)
                 for j, name in enumerate(self.metric_names)]
 
-    def _target(self, h):
-        # a contiguous copy, so the reductions are those of the seeds' list
-        return self.values[h, :, 0].copy()
+    def _targets(self):
+        # contiguous copies, so the reductions are those of the seeds' list
+        return [v.copy() for v in self.values[:, :, 0]]
 
     @property
     def means(self):
         """The seed-averaged target metric of each horizon."""
-        return [float(self._target(h).mean()) for h in range(len(self.horizons))]
+        return [float(v.mean()) for v in self._targets()]
 
     @property
     def std_errs(self):
         n = self.n_seeds
-        return [float(self._target(h).std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-                for h in range(len(self.horizons))]
+        return [float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+                for v in self._targets()]
 
     @property
     def fit(self):
@@ -468,14 +490,9 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     else:
         results = [work(T) for T in horizons]
 
-    names = _metric_names(problem)
-    values = np.empty((len(horizons), n_seeds, len(names)))
-    walls = np.empty((len(horizons), n_seeds))
-    for h, (_, _, vals, ms) in enumerate(results):
-        values[h], walls[h] = vals, ms
-    return SweepResult(problem.regime, problem.id, names, horizons,
-                       tuple(r[0] for r in results), tuple(r[1] for r in results),
-                       values, walls)
+    cells = np.array([np.concatenate(([T, eta0, cell_lam], vals.ravel(), ms))
+                      for T, (eta0, cell_lam, vals, ms) in zip(horizons, results)])
+    return SweepResult(problem.regime, problem.id, _metric_names(problem), cells)
 
 
 def _tstar_law(problem, traces, tol):

@@ -7,11 +7,14 @@ Every solver in this package measures proximity with a Bregman divergence
 generated by a Legendre function phi (proper, closed, strictly convex,
 essentially smooth).  This module provides the supported phi zoo -- squared
 Euclidean norm, Shannon entropy, Burg entropy, and radial norm-power sums --
-together with gradients, Hessian actions, local dual norms, and the two
-builders that turn polynomial growth data into a compatible phi.
+together with gradients, Hessian actions, local dual norms, the two
+builders that turn polynomial growth data into a compatible phi, and the
+state a prox step carries from its minimizers to the next step's centres
+(RowState: mirror coordinates, phi and r per row).
 """
 
 import copy
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,6 +50,29 @@ def dot_rows(a, b):
 def norm_rows(x):
     """Euclidean norm over the last axis, bit-identical to np.linalg.norm of a row."""
     return np.sqrt(dot_rows(x, x))
+
+
+class RowState(namedtuple("RowState", "points mirror values r")):
+    """What a prox step needs of its (N, d) centres, carried from the step
+    that produced them to the step that starts from them: the points, their
+    mirror coordinates (grad phi, and log x for ShannonEntropy), and phi and
+    r at each row."""
+
+    __slots__ = ()
+
+    def take(self, idx):
+        """The state of the rows idx."""
+        return RowState(*(f[idx] for f in self))
+
+
+def _r_rows(reg, X, entropy=None):
+    """r at the rows of X, zero when reg is None; an entropy-like r is read
+    from the rows' entropy sum x log x when it is given."""
+    if reg is None:
+        return np.zeros(len(X))
+    if entropy is not None and reg.kind == "entropy_like":
+        return reg.value_rows(X, entropy)
+    return reg.value_rows(X)
 
 
 class LocalNormContext:
@@ -148,15 +174,48 @@ class LegendreFunction:
             raise DomainError("second argument of the divergence must lie in dom(phi)")
         return vy - self.value_rows(X) - dot_rows(self.gradient_rows(X), Y - X)
 
-    def bregman_pair_rows(self, Y, X):
-        """(D(y_i, x_i), D(x_i, y_i)) for the rows of two (N, d) arrays, from
-        one value pass and one gradient pass per side; each is bit-identical
-        to its bregman_rows call, and raises as that call does."""
-        vy, vx = self.value_rows(Y), self.value_rows(X)
-        if not (np.isfinite(vy).all() and np.isfinite(vx).all()):
+    def mirror_rows(self, X):
+        """The mirror coordinates of interior rows: grad phi here."""
+        return self.gradient_rows(X)
+
+    def gradient_from_mirror(self, M):
+        """grad phi at the points whose mirror coordinates are M."""
+        return M
+
+    def state_rows(self, Z, reg=None):
+        """The RowState of prox centres Z under the regularizer reg (r = 0
+        when None).  A RowState is returned as it is: the state a step
+        carries.  An (N, d) array of points is a fresh centre, whose state is
+        derived here once; it raises DomainError outside int dom phi or dom r.
+        """
+        if isinstance(Z, RowState):
+            return Z
+        Z = np.asarray(Z, dtype=float)
+        self.check_interior(Z)
+        state = self._state(Z, self.mirror_rows(Z), reg)
+        if not np.isfinite(state.r).all():
+            raise DomainError("prox centers must be feasible for the regularizer")
+        return state
+
+    def _state(self, Y, mirror, reg):
+        return RowState(Y, mirror, self.value_rows(Y), _r_rows(reg, Y))
+
+    def bregman_pair_rows(self, Y, Z, reg=None, mirror=None):
+        """(D(y_i, z_i), D(z_i, y_i), the RowState of Y) for prox centres Z
+        (a RowState, or points whose state state_rows derives) and the rows
+        of an (N, d) array Y.  Y takes one value pass and, unless its mirror
+        coordinates are given, one gradient pass, and the centres none: the
+        divergences are bit-identical to bregman_rows calls, and Y's state
+        to fresh value_rows, gradient_rows and reg.value_rows calls.  Raises
+        DomainError for Y outside dom phi."""
+        Z = self.state_rows(Z, reg)
+        vy = self.value_rows(Y)
+        if not np.isfinite(vy).all():
             raise DomainError("second argument of the divergence must lie in dom(phi)")
-        return (vy - vx - dot_rows(self.gradient_rows(X), Y - X),
-                vx - vy - dot_rows(self.gradient_rows(Y), X - Y))
+        gy = self.gradient_rows(Y) if mirror is None else mirror
+        return (vy - Z.values - dot_rows(Z.mirror, Y - Z.points),
+                Z.values - vy - dot_rows(gy, Z.points - Y),
+                RowState(Y, gy, vy, _r_rows(reg, Y)))
 
     def local_dual_norm(self, x, v):
         """||hessian(x)^-1 v|| in the declared primal norm."""
@@ -253,6 +312,30 @@ class ShannonEntropy(LegendreFunction):
         return out
 
     gradient_rows = gradient
+
+    # The mirror coordinates are log x, in which the entropic prox steps are
+    # taken (entropic mirror descent in its dual coordinates): an entry that
+    # underflows to 0.0 keeps a finite log, and so a finite divergence.
+    def mirror_rows(self, X):
+        self.check_interior(X)
+        return np.log(X)
+
+    def gradient_from_mirror(self, M):
+        return 1.0 + M
+
+    def _state(self, Y, log_y, reg):
+        entropy = (Y * log_y).sum(axis=1)
+        return RowState(Y, log_y, entropy, _r_rows(reg, Y, entropy))
+
+    def bregman_pair_rows(self, Y, Z, reg=None, mirror=None):
+        """As LegendreFunction.bregman_pair_rows, from the logs:
+        D(y, z) = sum y (log y - log z) - sum y + sum z, and phi(y) and an
+        entropy-like r(y) from sum y log y."""
+        Z = self.state_rows(Z, reg)
+        state = self._state(Y, self.mirror_rows(Y) if mirror is None else mirror, reg)
+        sy, sz = Y.sum(axis=1), Z.points.sum(axis=1)
+        return ((Y * (state.mirror - Z.mirror)).sum(axis=1) - sy + sz,
+                (Z.points * (Z.mirror - state.mirror)).sum(axis=1) - sz + sy, state)
 
     def hessian_apply(self, x, v):
         self.check_interior(x)

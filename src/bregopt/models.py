@@ -160,10 +160,11 @@ def _tangent_rows(X, slopes, values):
     if values.shape != X.shape[:-1]:
         raise ValueError("model callbacks must act on the last axis of the points")
     slopes = np.asarray(slopes, dtype=float)
-    X = np.broadcast_to(X, np.broadcast_shapes(X.shape, slopes.shape))
-    slopes = np.broadcast_to(slopes, X.shape)
-    return AffineRows(slopes, np.broadcast_to(values, X.shape[:-1])
-                      - dot_rows(slopes, X), False)
+    if slopes.shape != X.shape:
+        X = np.broadcast_to(X, np.broadcast_shapes(X.shape, slopes.shape))
+        slopes = np.broadcast_to(slopes, X.shape)
+        values = np.broadcast_to(values, X.shape[:-1])
+    return AffineRows(slopes, values - dot_rows(slopes, X), False)
 
 
 class LinearMirrorOracle(FiniteSupportOracle):

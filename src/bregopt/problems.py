@@ -613,10 +613,10 @@ def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
     for k in range(1, iterations + 1):
         g = model.subgradient(x)
         step = step0 / np.sqrt(k)
-        solve = _affine_solver(reg, phi, x[None, :], step)
+        solve = _affine_solver(reg, phi, phi.state_rows(x[None, :], reg), step)
         if solve is None:
             raise ValueError("no affine prox available for projected descent")
-        x = solve(g[None, :])[0]
+        x = solve(g[None, :])[0][0]
         v = problem.exact_F(x)
         if v < best_v:
             best_v, best_x = v, x.copy()

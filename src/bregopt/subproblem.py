@@ -153,11 +153,12 @@ class EntropyLike(Regularizer):
         self.tol = tol
         self._entropy = ShannonEntropy()
 
-    def value_rows(self, X):
+    def value_rows(self, X, entropy=None):
+        """r at the rows of X; entropy, when given, is their sum x log x."""
         X = np.asarray(X, dtype=float)
-        return np.where(_on_simplex(X, self.tol),
-                        self.weight * self._entropy.value_rows(np.maximum(X, 0.0)),
-                        np.inf)
+        if entropy is None:
+            entropy = self._entropy.value_rows(np.maximum(X, 0.0))
+        return np.where(_on_simplex(X, self.tol), self.weight * entropy, np.inf)
 
     def inf_value(self):
         # entropy over the simplex is minimized at the uniform distribution
@@ -263,11 +264,13 @@ class ProxStepResult:
     closed_form_norm, closed_form_abs_quadratic, bisection_1d, secular,
     newton or degenerate_eta.  For a batch of steps (prox_step_rows) every
     field but method and inner_iterations (the most any row used) holds one
-    entry per row.
+    entry per row, and state is the minimizers' RowState, from which the
+    next step starts.
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
-                 objective_decrease, divergence, method, model_value, r_value):
+                 objective_decrease, divergence, method, model_value, r_value,
+                 state=None):
         self.minimizer = np.asarray(minimizer, dtype=float)
         self.inner_iterations = int(inner_iterations)
         self.three_point_residual = three_point_residual
@@ -276,6 +279,7 @@ class ProxStepResult:
         self.method = method
         self.model_value = model_value
         self.r_value = r_value
+        self.state = state
 
     def row(self, i):
         """The step of row i of a batch, as a one-point result."""
@@ -332,14 +336,28 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
 
         eta (psi(z) - psi(y)) - D(y, z) - (1 - eta rho) D(z, y).
 
-    The arguments may be arrays of a batch of steps.  Raises DomainError if
-    a center is infeasible and InnerSolveError if a residual is below
-    -tol (1 + |psi(z)|); returns the residuals.
+    The residual sums the four terms eta psi(z), eta psi(y), D(y, z) and
+    (1 - eta rho) D(z, y).  Each is evaluated to within a few units u of
+    roundoff of its own magnitude, or of 1 for a difference of values of
+    order one (a divergence or a model value near 0), and the sum adds at
+    most 3 u times their total magnitude.  So a correct step misses 0 by a
+    small multiple of u times
+
+        scale = 1 + eta |psi(z)| + eta |psi(y)| + D(y, z) + (1 - eta rho) D(z, y),
+
+    and tol, far above u, bounds the residual below by -tol * scale.  A
+    step with large divergences (an entropic step of D(y, z) = 4e13) is
+    then held to the same relative accuracy as a small one.  The arguments
+    may be arrays of a batch of steps.  Raises DomainError if a center is
+    infeasible and InnerSolveError below -tol * scale; returns the
+    residuals.
     """
     if not np.isfinite(psi_z).all():
         raise DomainError("prox centers must be feasible for the objective")
-    res = eta * (psi_z - psi_y) - d_yz - (1.0 - eta * rho) * d_zy
-    scale = tol * (1.0 + np.abs(psi_z))
+    d_zy = (1.0 - eta * rho) * d_zy
+    res = eta * (psi_z - psi_y) - d_yz - d_zy
+    scale = tol * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
+                   + np.abs(d_zy))
     bad = np.flatnonzero(np.logical_not(res >= -scale))
     if bad.size:
         i = bad[0]
@@ -349,12 +367,13 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
     return res
 
 
-def _certify(psi_z, model_y, r_y, d_yz, d_zy, y, eta, rho, tol, its, method):
-    """ProxStepResult of the step(s) to y, certified by center_certificate."""
-    psi_y = model_y + r_y
+def _certify(psi_z, model_y, d_yz, d_zy, state, eta, rho, tol, its, method):
+    """ProxStepResult of the step(s) to the points of state, certified by
+    center_certificate."""
+    psi_y = model_y + state.r
     res = center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol)
-    return ProxStepResult(y, its, res, psi_z - (psi_y + d_yz / eta), d_yz, method,
-                          model_y, r_y)
+    return ProxStepResult(state.points, its, res, psi_z - (psi_y + d_yz / eta), d_yz,
+                          method, model_y, state.r, state)
 
 
 def _check_step(eta, rho):
@@ -420,7 +439,7 @@ def _cubic_root(a1, a3, g):
     return 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
 
 
-def _radial_solver(terms, phi, Z, eta, radius=None, gz=None):
+def _radial_solver(terms, gz, eta, radius=None):
     """V -> argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial phi.
 
     Writes the optimality condition grad phi(x) = grad phi(z) - eta v, which
@@ -428,11 +447,9 @@ def _radial_solver(terms, phi, Z, eta, radius=None, gz=None):
     monotone power equation (closed-form start, residual-checked), clipped at
     the ball radius when present (valid because the radial objective is
     increasing in s beyond the unconstrained root).  gz is grad phi at the
-    rows of Z when the caller has it already.
+    rows of Z, the centres' mirror coordinates.
     """
     coefs, powers = terms
-    if gz is None:
-        gz = phi.gradient_rows(Z)
 
     def radial(V):
         W = gz - eta * np.asarray(V, dtype=float)
@@ -440,71 +457,67 @@ def _radial_solver(terms, phi, Z, eta, radius=None, gz=None):
         s = solve_monotone_power(coefs, powers, g)
         if radius is not None:
             s = np.minimum(s, radius)
-        return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W
+        return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W, None
 
     return radial
 
 
-def _softmax(logits):
-    logits = logits - np.max(logits, axis=-1, keepdims=True)
-    w = np.exp(logits)
-    return w / np.sum(w, axis=-1, keepdims=True)
+def _log_softmax(logits):
+    """(exp(L), L) for L the log-softmax of each row of logits."""
+    L = logits - np.max(logits, axis=-1, keepdims=True)
+    L = L - np.log(np.sum(np.exp(L), axis=-1, keepdims=True))
+    return np.exp(L), L
 
 
 # ---------------------------------------------------------------------------
 # closed-form dispatch for affine models
 # ---------------------------------------------------------------------------
 
-def _affine_solver(reg, phi, z, eta, gz=None):
-    """V -> argmin <v_i, x> + r(x) + (1/eta) D(x, z_i) in closed form, or None.
+def _affine_solver(reg, phi, Z, eta):
+    """V -> (argmin <v_i, x> + r(x) + (1/eta) D(x, z_i), its mirror coordinates
+    or None) in closed form, or None.
 
-    z is an (S, d) array of centers and V an (S, d) array of slopes, one
-    subproblem per row; a single point is a one-row batch.  What depends on
-    z alone is computed once, so a slope search can call the solver many
-    times per step.  gz is grad phi at the rows of z when the caller has it
-    already (the radial step with r = 0 uses it).
+    Z is the RowState of (S, d) centers and V an (S, d) array of slopes, one
+    subproblem per row.  What depends on Z alone is computed once, so a slope
+    search can call the solver many times per step.  The entropic steps are
+    taken in log space from log z, Z's mirror coordinates, and return log y
+    with y = exp(log y): log z - eta v (r = 0), its log-softmax (simplex),
+    and the log-softmax of (log z - eta v)/(1 + eta mu) (entropy-like tilt).
     """
-    z = np.asarray(z, dtype=float)
+    z, gz = Z.points, Z.mirror
     euclid = isinstance(phi, Euclidean)
     entropy = isinstance(phi, ShannonEntropy)
     terms = phi.radial_terms()
 
     if reg.kind == "zero":
         if euclid:
-            return lambda v: z - eta * v
+            return lambda v: (z - eta * v, None)
         if entropy:
-            log_z = np.log(z)
-
             def entropic(v):
-                # log y = log z - eta v; refuse a step that leaves the floats
-                # before exp overflows to inf.  y = exp(log y), since
-                # z exp(-eta v) overflows inside exp for a tiny z
-                log_y = log_z - eta * v
+                # refuse a step that leaves the floats before exp overflows
+                log_y = gz - eta * v
                 if np.any(log_y > _LOG_FLOAT_MAX):
                     raise InnerSolveError(
                         "entropic prox step leaves the float range: log y = %.6g "
                         "> log(float max) = %.6g" % (np.max(log_y), _LOG_FLOAT_MAX))
-                return np.exp(log_y)
+                return np.exp(log_y), log_y
 
             return entropic
         if isinstance(phi, Burg):
-            inv_z = 1.0 / z
-
             def burg(v):
-                w = inv_z + eta * v
+                # grad phi(z) = -1/z
+                w = eta * v - gz
                 if np.any(w <= 0):
                     raise InnerSolveError("Burg prox subproblem is unbounded below")
-                return 1.0 / w
+                return 1.0 / w, None
 
             return burg
         if terms is not None:
-            return _radial_solver(terms, phi, z, eta, gz=gz)
+            return _radial_solver(terms, gz, eta)
     elif reg.kind == "indicator_simplex" and entropy:
-        log_z = np.log(z)
-        return lambda v: _softmax(log_z - eta * v)
+        return lambda v: _log_softmax(gz - eta * v)
     elif reg.kind == "entropy_like" and entropy:
-        log_z = np.log(z)
-        return lambda v: _softmax((log_z - eta * v) / (1.0 + eta * reg.weight))
+        return lambda v: _log_softmax((gz - eta * v) / (1.0 + eta * reg.weight))
     elif reg.kind == "indicator_ball":
         if euclid:
             radius = reg.radius
@@ -512,19 +525,20 @@ def _affine_solver(reg, phi, z, eta, gz=None):
             def ball(v):
                 u = z - eta * v
                 n = norm_rows(u)[..., None]
-                return np.divide(radius, n, out=np.ones(n.shape), where=n > radius) * u
+                return (np.divide(radius, n, out=np.ones(n.shape), where=n > radius) * u,
+                        None)
 
             return ball
         if terms is not None:
-            return _radial_solver(terms, phi, z, eta, radius=reg.radius)
+            return _radial_solver(terms, gz, eta, radius=reg.radius)
     elif reg.kind == "l1" and euclid:
         def l1(v):
             u = z - eta * v
-            return np.sign(u) * np.maximum(np.abs(u) - eta * reg.weight, 0.0)
+            return np.sign(u) * np.maximum(np.abs(u) - eta * reg.weight, 0.0), None
 
         return l1
     elif reg.kind == "quadratic" and euclid:
-        return lambda v: (z - eta * v) / (1.0 + eta * reg.weight)
+        return lambda v: ((z - eta * v) / (1.0 + eta * reg.weight), None)
     return None
 
 
@@ -532,13 +546,13 @@ def _norm_term_rows(V, c, reg, phi, Z, eta):
     """_closed_form_rows for <v_i, x> + c||x||, the Euclidean phi and r zero or a ball."""
     if not isinstance(phi, Euclidean) or reg.kind not in ("zero", "indicator_ball"):
         return None
-    U = Z - eta * np.asarray(V, dtype=float)
+    U = Z.points - eta * np.asarray(V, dtype=float)
     n = norm_rows(U)
     s = np.maximum(n - eta * c, 0.0)
     if reg.kind == "indicator_ball":
         s = np.minimum(s, reg.radius)
     Y = np.divide(s, n, out=np.zeros(n.shape), where=n > 0.0)[:, None] * U
-    return Y, 1, "closed_form_norm"
+    return Y, None, 1, "closed_form_norm"
 
 
 class AffineRows(namedtuple("AffineRows", "slopes offsets absolute")):
@@ -651,18 +665,19 @@ def _abs_quadratic_rows(rows, reg, phi, Z, eta):
     a1 = 2.0 * c2 + 2.0 * eta * C
     if not a1.min() > 0.0:
         return None
-    c = phi.gradient_rows(Z)[:, 0]
+    c = Z.mirror[:, 0]
     gk = phi.gradient_rows(K[:, None])[:, 0]
     j = np.searchsorted(2.0 * eta * C[1:] * K + gk, c)
     # h_-(K_j), +inf past the last kink
     low = np.append(2.0 * eta * C[:-1] * K + gk, np.inf)[j]
     y = np.where(low <= c, np.append(K, 0.0)[j],
                  np.sign(c) * _cubic_root(a1[j], 4.0 * c4, np.abs(c)))
-    return y[:, None], 1, "closed_form_abs_quadratic"
+    return y[:, None], None, 1, "closed_form_abs_quadratic"
 
 
 def _closed_form_rows(rows, reg, phi, Z, eta):
-    """(minimizers, the most affine solves of a row, method) of AffineRows, or None.
+    """(minimizers, their mirror coordinates or None, the most affine solves
+    of a row, method) of AffineRows from the centres' RowState Z, or None.
 
     None when (r, phi) has no affine closed form.  An |affine| row
     |<g_i, x> + s_i| is minimized by the affine prox y(theta) of the slope
@@ -679,33 +694,32 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
     +inf or -inf at the interval's ends: the search bisects toward such an
     end until the level changes sign there, one more solve per halving.
     """
-    one_d = rows.absolute and reg.kind == "zero" and Z.shape[1] == 1
-    gz = phi.gradient_rows(Z) if one_d else None
-    solve = _affine_solver(reg, phi, Z, eta, gz=gz)
+    solve = _affine_solver(reg, phi, Z, eta)
     if solve is None:
         return None
     G, s = rows.slopes, rows.offsets
     if not rows.absolute:
-        return solve(G), 1, "closed_form_affine"
-    if len(G) != len(Z):
+        return (*solve(G), 1, "closed_form_affine")
+    shape = Z.points.shape
+    if len(G) != shape[0]:
         # a one-row form stands for every row
-        G, s = np.broadcast_to(G, Z.shape), np.broadcast_to(s, Z.shape[:1])
-    if one_d:
-        return _abs_affine_1d(solve, G, s, phi, Z, gz, eta), 1, "closed_form_abs_affine"
-    lo, hi = _theta_bounds(phi, Z, G, eta)
+        G, s = np.broadcast_to(G, shape), np.broadcast_to(s, shape[:1])
+    if reg.kind == "zero" and shape[1] == 1:
+        return _abs_affine_1d(solve, G, s, phi, Z, eta), None, 1, "closed_form_abs_affine"
+    lo, hi = _theta_bounds(phi, Z.points, G, eta)
     feasible = hi > 1.0
     if feasible.all():
-        Y = solve(G)
+        Y = solve(G)[0]
     else:
-        Y = np.empty(Z.shape)
-        Y[feasible] = _affine_solver(reg, phi, Z[feasible], eta)(G[feasible])
+        Y = np.empty(shape)
+        Y[feasible] = _affine_solver(reg, phi, Z.take(feasible), eta)(G[feasible])[0]
     its = 1
-    stop = np.zeros(len(Z), dtype=bool)
+    stop = np.zeros(shape[0], dtype=bool)
     stop[feasible] = dot_rows(G[feasible], Y[feasible]) + s[feasible] >= 0.0
     left = np.flatnonzero(~stop)
     if left.size:
         down = left[lo[left] < -1.0]
-        Y[down] = _affine_solver(reg, phi, Z[down], eta)(-G[down])
+        Y[down] = _affine_solver(reg, phi, Z.take(down), eta)(-G[down])[0]
         its = 2
         stop[down] = dot_rows(G[down], Y[down]) + s[down] <= 0.0
         left = left[~stop[left]]
@@ -713,11 +727,11 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
         # imported here: scipy.optimize takes about 0.5 s and 50 MB to import,
         # and no other path of the package needs it
         from scipy.optimize import brentq
-        one = _affine_solver(reg, phi, Z[i:i + 1], eta)
+        one = _affine_solver(reg, phi, Z.take(slice(i, i + 1)), eta)
         g = G[i:i + 1]
 
         def level(theta):
-            return float(dot_rows(g, one(theta * g))[0]) + s[i]
+            return float(dot_rows(g, one(theta * g)[0])[0]) + s[i]
 
         a, b, halvings = max(-1.0, lo[i]), min(1.0, hi[i]), 0
         open_a, open_b = lo[i] >= -1.0, hi[i] <= 1.0
@@ -740,9 +754,9 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
             theta, info = brentq(level, a, b, xtol=1e-15, rtol=8.9e-16,
                                  maxiter=200, full_output=True)
             brent_its = info.iterations
-        Y[i] = one(theta * g)[0]
+        Y[i] = one(theta * g)[0][0]
         its = max(its, brent_its + halvings + 2)
-    return Y, its, "closed_form_abs_affine"
+    return Y, None, its, "closed_form_abs_affine"
 
 
 def _theta_bounds(phi, Z, G, eta):
@@ -758,10 +772,10 @@ def _theta_bounds(phi, Z, G, eta):
             np.where(G < 0.0, t, np.inf).min(axis=1))
 
 
-def _abs_affine_1d(solve, G, s, phi, Z, gz, eta):
+def _abs_affine_1d(solve, G, s, phi, Z, eta):
     """Minimizers of |g_i y + s_i| + (1/eta) D(y, z_i) over 1-d rows, r = 0.
 
-    solve is the affine solver at Z and gz = phi'(Z).  phi' is strictly
+    solve is the affine solver at the RowState Z.  phi' is strictly
     increasing, so with w = phi'(z) and the kink y0 = -s/g, k = phi'(y0),
     the level g y(theta) + s has the sign of g (w - eta theta g - k): a row
     stops at theta = +1 iff g (w - eta g - k) >= 0, at theta = -1 iff
@@ -778,15 +792,15 @@ def _abs_affine_1d(solve, G, s, phi, Z, gz, eta):
     # 1.0 stands in for the kinks outside: it is interior to every domain
     k = np.where(inside, phi.gradient_rows(np.where(inside, y0, 1.0)[:, None])[:, 0],
                  -np.inf)
-    w = gz[:, 0]
+    w = phi.gradient_from_mirror(Z.mirror)[:, 0]
     pos = g > 0.0
     lo, hi = w - eta * g, w + eta * g
     up = np.where(pos, lo >= k, lo <= k)
     down = ~up & np.where(pos, hi <= k, hi >= k)
-    Y = solve(np.where(up, 1.0, np.where(down, -1.0, 0.0))[:, None] * G)
+    Y = solve(np.where(up, 1.0, np.where(down, -1.0, 0.0))[:, None] * G)[0]
     kink = ~(up | down | flat)
     Y[kink, 0] = y0[kink]
-    Y[flat] = Z[flat]
+    Y[flat] = Z.points[flat]
     return Y
 
 
@@ -879,13 +893,12 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     """
     _check_step(eta, rho)
     z = np.asarray(centers, dtype=float)
-    phi.check_interior(z)
-    y, _ = _solve_1d(model, reg, phi, z, eta)
-    Z, Y = z[:, None], y[:, None]
-    psi_z = _elementwise(model._value_fn, z) + reg.value_rows(Z)
-    psi_y = _elementwise(model._value_fn, y) + reg.value_rows(Y)
-    center_certificate(psi_z, psi_y, *phi.bregman_pair_rows(Y, Z), eta, rho, tol)
-    return y
+    Z = phi.state_rows(z[:, None], reg)
+    y, its = _solve_1d(model, reg, phi, z, eta)
+    return _certify(_elementwise(model._value_fn, z) + Z.r,
+                    _elementwise(model._value_fn, y),
+                    *phi.bregman_pair_rows(y[:, None], Z, reg), eta, rho, tol, its.max(),
+                    "bisection_1d").minimizer[:, 0]
 
 
 def _difference_hessian(gradients):
@@ -926,18 +939,19 @@ def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
     step fails the Armijo test).  Every row takes the iterates of its own
     one-row call.  A row whose line search fails after 60 halvings, or that
     is still above the tolerance after max_iter iterations, raises
-    InnerSolveError for the batch.  The steps are certified together by
-    center_certificate; returns a ProxStepResult over the rows.
+    InnerSolveError for the batch.  Z is the centres' RowState or their
+    points.  The steps are certified together by center_certificate; returns
+    a ProxStepResult over the rows.
     """
     _check_step(eta, rho)
-    Z = np.asarray(Z, dtype=float)
+    state = phi.state_rows(Z)
+    Z, gz = state.points, phi.gradient_from_mirror(state.mirror)
     S = len(Z)
-    phi_z = phi.value_rows(Z)
-    gz = phi.gradient_rows(Z)
     hessians = rows.hessians or _difference_hessian(rows.gradients)
 
     def psi(Y):
-        return rows.values(Y) + (phi.value_rows(Y) - phi_z - dot_rows(gz, Y - Z)) / eta
+        return rows.values(Y) + (phi.value_rows(Y) - state.values
+                                 - dot_rows(gz, Y - Z)) / eta
 
     Y = Z.copy()
     fy = psi(Y)
@@ -1000,8 +1014,8 @@ def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
         raise InnerSolveError(
             "Newton solve of row %d used %d iterations with half decrement "
             "%.3e > %.3e" % (i, max_iter, 0.5 * dec[i], tol_obj[i]))
-    return _certify(rows.values(Z), rows.values(Y), np.zeros(S),
-                    *phi.bregman_pair_rows(Y, Z), Y, eta, rho, tol, its.max(), "newton")
+    return _certify(rows.values(Z), rows.values(Y), *phi.bregman_pair_rows(Y, state),
+                    eta, rho, tol, its.max(), "newton")
 
 
 SECULAR_TOL = 1e-14  # relative KKT residual at which a secular row stops
@@ -1053,7 +1067,8 @@ def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
     data, or a row still above the tolerance after max_iter Newton steps,
     raises InnerSolveError.  The steps are certified together by
     center_certificate; returns a ProxStepResult over the rows whose
-    inner_iterations counts the passes (Newton steps + 1).
+    inner_iterations counts the passes (Newton steps + 1).  Z is the
+    centres' RowState or their points.
     """
     _check_step(eta, rho)
     # A(s) = const + sum_k a_k s^e_k over the terms with e_k = p_k - 2 > 0
@@ -1063,11 +1078,12 @@ def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
     terms = [(a, e) for a, e in terms if e > 0.0]
     slopes = [(a * e, e - 1.0) for a, e in terms]   # A'(s)
 
-    Z = np.asarray(Z, dtype=float)
+    state = phi.state_rows(Z)
+    Z = state.points
     U = rows.eigvecs
     # eigh sorts each row's eigenvalues in ascending order
     lam = eta * np.broadcast_to(rows.eigvals, Z.shape)
-    W = eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1) + phi.gradient_rows(Z)
+    W = eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1) + state.mirror
     B = (W[:, None, :] @ U)[:, 0, :]
     if not np.isfinite(B).all():
         raise InnerSolveError("secular equation needs finite data")
@@ -1102,8 +1118,8 @@ def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
             # (a row with b = 0 divides 0 by 0 here, and stops at r = 0)
             r = np.where(ok, r, np.minimum(np.maximum(step, lo), hi))
     Y = (U @ V[:, :, None])[:, :, 0]
-    return _certify(rows.values(Z), rows.values(Y), np.zeros(len(Z)),
-                    *phi.bregman_pair_rows(Y, Z), Y, eta, rho, tol, it + 1, "secular")
+    return _certify(rows.values(Z), rows.values(Y), *phi.bregman_pair_rows(Y, state),
+                    eta, rho, tol, it + 1, "secular")
 
 
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
@@ -1121,9 +1137,9 @@ def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
         raise InnerSolveError("inner_solve bisects 1-d subproblems only, not d = %d"
                               % center.size)
     y, its = _solve_1d(model, reg, phi, center, eta)
-    return _certify(model.value(center) + reg.value(center), model.value(y),
-                    reg.value(y), phi.bregman(y, center), phi.bregman(center, y),
-                    y, eta, rho, tol, int(its[0]), "bisection_1d")
+    return _certify(model.value(center) + reg.value(center), model.value_rows(y[None]),
+                    *phi.bregman_pair_rows(y[None], center[None], reg), eta, rho, tol,
+                    its[0], "bisection_1d").row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,17 +1154,17 @@ def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
     c2 y^2 + c4 y^4) one kink search and cubic root, QuadraticRows (r = 0)
     under a radial phi the secular equation (secular_rows), and SmoothRows
     and any other QuadraticRows (r = 0) one lockstep newton_rows.  values
-    gives the models at the rows of an (N, d) array for the certificate.
-    None when rows is None or (rows, r, phi) has no batched path.
+    gives the models at the rows of an (N, d) array for the certificate.  Z
+    is the centres' RowState, or their points, whose state is derived once
+    (phi.state_rows).  None when rows is None or (rows, r, phi) has no
+    batched path.
     """
     _check_step(eta, rho)
-    phi.check_interior(Z)
-    r_z = reg.value_rows(Z)
-    if not np.isfinite(r_z).all():
-        raise DomainError("prox centers must be feasible for the regularizer")
+    Z = phi.state_rows(Z, reg)
     if eta < ETA_FLOOR:
-        zero = np.zeros(len(Z))
-        return ProxStepResult(Z, 0, zero, zero, zero, "degenerate_eta", values(Z), r_z)
+        zero = np.zeros(len(Z.r))
+        return ProxStepResult(Z.points, 0, zero, zero, zero, "degenerate_eta",
+                              values(Z.points), Z.r, Z)
     if isinstance(rows, (SmoothRows, QuadraticRows)):
         if reg.kind != "zero":
             return None
@@ -1165,9 +1181,9 @@ def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
         return None
     if found is None:
         return None
-    Y, its, method = found
-    return _certify(values(Z) + r_z, values(Y), reg.value_rows(Y),
-                    *phi.bregman_pair_rows(Y, Z), Y, eta, rho, tol, its, method)
+    Y, mirror, its, method = found
+    return _certify(values(Z.points) + Z.r, values(Y),
+                    *phi.bregman_pair_rows(Y, Z, reg, mirror), eta, rho, tol, its, method)
 
 
 def _missing_path(rows, reg, phi):
@@ -1211,9 +1227,11 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     kink search and cubic root, QuadraticRows (r = 0) under a radial phi the
     secular equation, and SmoothRows (r = 0) one lockstep newton_rows.  The
     rows are certified together by center_certificate: one row below
-    inner_tol raises InnerSolveError for the batch.  Returns a
-    ProxStepResult over the rows, or None when (model, r, phi) has no
-    batched path.
+    inner_tol raises InnerSolveError for the batch.  centers is an (S, d)
+    array, or the RowState of the minimizers of the step before (its
+    result's state), which the step takes as it is instead of deriving
+    phi, grad phi and r at the centres again.  Returns a ProxStepResult
+    over the rows, whose state is that of its minimizers, or None when
+    (model, r, phi) has no batched path.
     """
-    return _step_rows(rows, rows.values, reg, phi, np.asarray(centers, dtype=float),
-                      eta, rho, inner_tol)
+    return _step_rows(rows, rows.values, reg, phi, centers, eta, rho, inner_tol)

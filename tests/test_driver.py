@@ -15,9 +15,11 @@ from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog
                             format_csv_rows, parse_csv_rows, run_convex,
                             run_for_regime, run_mirror_descent_smooth,
                             run_model_based, sample_tstar, stepsize_constant,
-                            stationarity_over_tstar_law, sweep, _run_loop)
+                            stationarity_over_tstar_law, sweep, _resolve_etas,
+                            _run_loop)
 from bregopt.envelope import bregman_prox_point, stationarity
-from bregopt.problems import get_problem
+from bregopt.problems import get_problem, registry
+from bregopt.subproblem import prox_step_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,7 +91,8 @@ def test_p6_steps_take_the_secular_equation_and_p2_newton(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[2]))
+        # the centres arrive as their RowState
+        calls.append(len(args[2].points))
         return newton_rows(*args, **kwargs)
 
     newton_rows = subproblem.newton_rows
@@ -425,3 +428,52 @@ def test_lockstep_configs_must_share_their_steps():
     with pytest.raises(ValueError):
         _run_loop(p3, [SolverConfig(8, seed=0),
                        SolverConfig(8, seed=1, schedule=("constant", 0.5))])
+
+
+@pytest.mark.parametrize("pid", ["P3", "P4"])
+@pytest.mark.parametrize("alpha", [100.0, 1000.0])
+def test_large_entropic_steps_complete(pid, alpha):
+    # simplex coordinates fall to 1e-177 and then to exactly 0.0; their
+    # carried logs stay finite, so no step leaves int dom phi
+    res = sweep(get_problem(pid), [64], 4, alpha=alpha)
+    assert np.isfinite(res.values).all() and (res.values >= 0.0).all()
+
+
+def _reference_loop(problem, configs):
+    # _run_loop's iterates by prox_step_rows calls that re-derive every
+    # centre's state from its points, with the same samples and step sizes
+    _, etas = _resolve_etas(problem, configs[0], problem.regime)
+    oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
+    T = configs[0].horizon_T
+    xis = np.stack([oracle.sample_rows(np.random.default_rng(c.seed), T + 1)
+                    for c in configs], axis=1)
+    X = np.tile(problem.x0, (len(configs), 1))
+    out = [X]
+    for t in range(T + 1):
+        res = prox_step_rows(oracle.model_rows(X, xis[t]), reg, phi, X, float(etas[t]),
+                             rho=oracle.constants.rho)
+        X = res.minimizer.copy()
+        out.append(X)
+        if phi.radial_terms() is not None:
+            # the state a step returns is that of a fresh centre at its minimizer
+            state = res.state
+            assert np.array_equal(state.points, X)
+            assert np.array_equal(state.values, phi.value_rows(X))
+            assert np.array_equal(state.mirror, phi.gradient_rows(X))
+            assert np.array_equal(state.r, reg.value_rows(X))
+    return np.stack(out, axis=1)
+
+
+def test_carried_state_reproduces_a_loop_that_rederives_it():
+    # bit for bit on the radial kernels (P1, P2, P5, P6); the entropic steps
+    # (P3, P4) carry log x, which a re-derived log(exp(log x)) matches to
+    # float64 rounding, so their tolerance comes from the dtype, not the data
+    for problem in registry():
+        configs = [SolverConfig(40, seed=[s, 40]) for s in range(3)]
+        carried = np.array([tr.iterates for tr in _run_loop(problem, configs)])
+        ref = _reference_loop(problem, configs)
+        if problem.phi.radial_terms() is not None:
+            assert np.array_equal(carried, ref), problem.id
+        else:
+            np.testing.assert_allclose(carried, ref, rtol=1e-12, atol=0.0,
+                                       err_msg=problem.id)

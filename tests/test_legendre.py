@@ -154,17 +154,27 @@ def test_row_forms_match_the_pointwise_methods():
 
 
 def test_bregman_pair_equals_two_bregman_rows_calls():
-    # both divergences from one value and one gradient pass per side, bit
-    # for bit the two bregman_rows calls, including a row at the origin
+    # both divergences from the centres' state and one value and one
+    # gradient pass at Y, bit for bit the two bregman_rows calls, including
+    # a row at the origin; the entropy's come from the logs, within rounding
     rng = np.random.default_rng(13)
     for name, phi, d in zoo():
         X = np.array([interior_point(rng, phi, d) for _ in range(7)])
         Y = np.array([interior_point(rng, phi, d) for _ in range(7)])
         if phi.domain == "all_space":
             Y[1] = 0.0
-        d_yx, d_xy = phi.bregman_pair_rows(Y, X)
-        assert np.array_equal(d_yx, phi.bregman_rows(Y, X)), name
-        assert np.array_equal(d_xy, phi.bregman_rows(X, Y)), name
+        d_yx, d_xy, state = phi.bregman_pair_rows(Y, X)
+        pairs = [(d_yx, phi.bregman_rows(Y, X)), (d_xy, phi.bregman_rows(X, Y))]
+        for got, ref in pairs:
+            if name == "entropy":
+                assert np.allclose(got, ref, rtol=1e-12, atol=1e-13), name
+            else:
+                assert np.array_equal(got, ref), name
+        # Y's state is that of a fresh centre at Y, bit for bit
+        assert all(np.array_equal(a, b) for a, b in zip(state, phi.state_rows(Y))), name
+        mirror = np.log(Y) if name == "entropy" else phi.gradient_rows(Y)
+        assert np.array_equal(state.mirror, mirror), name
+        assert np.array_equal(state.values, phi.value_rows(Y)), name
         if phi.domain != "all_space":
             Y[2, 0] = -1.0
             with pytest.raises(DomainError):

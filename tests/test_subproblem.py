@@ -14,8 +14,9 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 InnerSolveError, L1Regularizer, NormTermRows,
                                 PointModel, QuadraticRegularizer, QuadraticRows,
                                 SimplexIndicator, SmoothRows, ZeroRegularizer,
-                                absolute_affine_model, check_three_point,
-                                inner_solve, linear_model, newton_rows,
+                                absolute_affine_model, center_certificate,
+                                check_three_point, inner_solve, linear_model,
+                                newton_rows,
                                 prox_points_1d, prox_step, prox_step_rows,
                                 secular_rows, solve_monotone_power,
                                 _affine_solver, _closed_form_rows, _solve_1d)
@@ -477,8 +478,8 @@ def test_1d_abs_affine_kink_cases_match_bisection(phi_kind, seed, log_eta):
         ref = inner_solve(absolute_affine_model(G[i], s[i]), reg, phi, Z[i], eta)
         assert abs(Y[i] - ref.minimizer[0]) <= 1e-12 * (1.0 + abs(ref.minimizer[0])), case
         one = _closed_form_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi,
-                                Z[i:i + 1], eta)
-        assert np.array_equal(one[0][0], res.minimizer[i]) and one[1] == 1, case
+                                phi.state_rows(Z[i:i + 1]), eta)
+        assert np.array_equal(one[0][0], res.minimizer[i]) and one[2] == 1, case
         level = g[i] * Y[i] + s[i]
         if case == "flat":
             assert Y[i] == z[i]
@@ -490,9 +491,12 @@ def test_1d_abs_affine_kink_cases_match_bisection(phi_kind, seed, log_eta):
             assert level * g[i] > 0.0
     # one |affine| row stands for every row of the batch
     i = cases.index("kink")
-    wide = _closed_form_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi, Z, eta)
+    state = phi.state_rows(Z)
+    wide = _closed_form_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi, state,
+                             eta)
     each = _closed_form_rows(AffineRows(np.repeat(G[i:i + 1], n, axis=0),
-                                        np.repeat(s[i:i + 1], n), True), reg, phi, Z, eta)
+                                        np.repeat(s[i:i + 1], n), True), reg, phi, state,
+                             eta)
     assert np.array_equal(wide[0], each[0])
 
 
@@ -795,6 +799,59 @@ def test_closed_form_with_a_lying_model_value_raises():
         prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
 
 
+def test_a_large_entropic_step_passes_its_certificate_on_rounding():
+    # a correct zero-r entropic step with y = 8.4e11 and D(y, z) = 3.1e13:
+    # the residual sums terms of size 1e13, so rounding moves it by about
+    # 1e-3 either way.  With divergences by the generic formula it reads
+    # -3.9e-3, below the former scale tol (1 + |psi(z)|) = 1e-10, which
+    # refused the step; the scale of the summed terms is 6.3e3
+    phi, eta = ShannonEntropy(), 1e5
+    z, v = np.array([3.907349154370918e-05]), np.array([-37.60102874298665 / eta])
+    res = prox_step(linear_model(v), ZeroRegularizer(), phi, z, eta)
+    y = res.minimizer
+    assert np.log(y) == pytest.approx(np.log(z) - eta * v, rel=1e-15)
+    assert res.divergence > 3e13
+    Y, Z = y[None], z[None]
+    psi_z, psi_y = Z @ v, Y @ v
+    d_yz, d_zy = phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y)
+    resid = center_certificate(psi_z, psi_y, d_yz, d_zy, eta, 0.0, 1e-10)
+    assert resid[0] < -1e-10 * (1.0 + abs(psi_z[0]))
+    # a step off the minimizer by a relative 1e-8 still fails: its residual
+    # is -8.4e3
+    Y = Y * (1.0 + 1e-8)
+    with pytest.raises(InnerSolveError):
+        center_certificate(psi_z, Y @ v, phi.bregman_rows(Y, Z), phi.bregman_rows(Z, Y),
+                           eta, 0.0, 1e-10)
+
+
+def test_offset_and_mutated_steps_fail_the_certificate():
+    # criterion 2's negative control, P1's first step offset by +-0.1,
+    # reads about -0.4 at the centre
+    from bregopt.driver import SolverConfig, run_model_based
+    p1 = get_problem("P1")
+    trace = run_model_based(p1, SolverConfig(5, seed=3))
+    model = p1.oracle.model_at(trace.iterates[0], trace.sampled_xi_ids[0])
+    eta, rho = float(trace.etas[0]), p1.oracle.constants.rho
+    z = trace.iterates[0]
+    for off in (0.1, -0.1):
+        y = trace.iterates[1] + off
+        with pytest.raises(InnerSolveError):
+            center_certificate(model.value(z), model.value(y), p1.phi.bregman(y, z),
+                               p1.phi.bregman(z, y), eta, rho, 1e-10)
+    # a mutated P3 step: the simplex steps taken with step size
+    # 0.5 (1 + 1e-6) and certified as steps of 0.5 read -1.1e-7, against a
+    # scale of 2.4e-10
+    prob = get_problem("P3")
+    phi, reg = prob.phi, prob.regularizer
+    Z = np.tile(prob.x0, (4, 1))
+    rows = prob.oracle.model_rows(Z, np.arange(4))
+    Y = prox_step_rows(rows, reg, phi, Z, 0.5 * (1.0 + 1e-6)).minimizer
+    d_yz, d_zy, state = phi.bregman_pair_rows(Y, Z, reg)
+    with pytest.raises(InnerSolveError):
+        center_certificate(rows.values(Z) + reg.value_rows(Z), rows.values(Y) + state.r,
+                           d_yz, d_zy, 0.5, 0.0, 1e-10)
+
+
 # (regularizer, phi) pairs with an affine closed form; the radial kernels are
 # the registry's (P1, P2, P6) and one single-term kernel
 _ROW_PHIS = {
@@ -855,10 +912,11 @@ def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
     rows = AffineRows(V, offsets, absolute)
     make = absolute_affine_model if absolute else linear_model
 
-    batch = _outcome(lambda: _closed_form_rows(rows, reg, phi, Z, eta)[0])
+    batch = _outcome(lambda: _closed_form_rows(rows, reg, phi, phi.state_rows(Z, reg),
+                                               eta)[0])
     ones = [_outcome(lambda i=i: _closed_form_rows(
                 AffineRows(V[i:i + 1], offsets[i:i + 1], absolute), reg, phi,
-                Z[i:i + 1], eta)[0][0])
+                phi.state_rows(Z[i:i + 1], reg), eta)[0][0])
             for i in range(n_rows)]
     step = _outcome(lambda: prox_step_rows(rows, reg, phi, Z, eta))
     steps = [_outcome(lambda z=z, v=v, c=c: prox_step(make(v, c), reg, phi, z, eta))
@@ -910,7 +968,8 @@ def test_an_entropic_step_from_tiny_centres_stays_in_the_floats():
     V = rng.uniform(-1.0, 1.0, (1, 3))
     eta = 1e3
     with np.errstate(over="raise"):
-        Y = _affine_solver(_ROW_REGS["zero"], _ROW_PHIS["entropy"], Z, eta)(V)
+        phi = _ROW_PHIS["entropy"]
+        Y = _affine_solver(_ROW_REGS["zero"], phi, phi.state_rows(Z), eta)(V)[0]
     assert np.isfinite(Y).all()
     assert np.array_equal(Y, np.exp(np.log(Z) - eta * V))
 
