@@ -17,8 +17,9 @@ import time
 
 import numpy as np
 
+from .legendre import RowState
 # prox_step stays bound here: perfbench/tracing.py wraps driver.prox_step
-from .subproblem import prox_step, prox_step_rows  # noqa: F401
+from .subproblem import InnerSolveError, prox_step, record_rows, solve_rows  # noqa: F401
 from . import envelope as envelope_mod
 
 
@@ -146,20 +147,36 @@ def sample_tstar(etas, rho, rng, size=None):
 _ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
 
 
+BLOCK_ROWS = 128  # the most rows (steps x runs) one record pass covers
+
+
 def _run_loop(problem, configs):
     """Advance the runs of configs in lockstep, one (S, d) state.
 
     The S configs must share their horizon, step sizes, lam and inner_tol
     (the seeds of one sweep horizon do).  Each run draws its T+1 samples up
     front, which is the same stream, and leaves its generator in the same
-    state for the t* draw, as one draw per step.  Every step is one
-    prox_step_rows call over all rows, with the oracle's models over rows
-    (model_rows): one batched closed form for affine or |affine| models, one
-    secular solve for P6's quadratic models.  Each step starts from the
-    RowState (phi, mirror coordinates and r) its predecessor returned for
-    its minimizers, so only x_0's is derived.  An oracle or (r, phi) pair with no
-    batched step raises ValueError.  Returns S RunTraces; in the convex
-    regime each carries its averaged iterates.
+    state for the t* draw, as one draw per step.  A step is the oracle's
+    models over rows (model_rows) and one solve over all rows
+    (subproblem.solve_rows): one batched closed form for affine or |affine|
+    models, one secular solve for P6's quadratic models.  It carries the
+    points and mirror coordinates of its minimizers to the next step (only
+    x_0's state is derived; phi.mirror_rows when the solve gives none).
+
+    What the traces keep of a step (the model and r at its minimizers,
+    D(x_{t+1}, x_t) and its certificate residual) depends on two
+    consecutive iterates only, so the steps are recorded in blocks of at
+    most BLOCK_ROWS rows, each as soon as its steps are taken: one
+    model_rows call over the block's (centre, sample) rows, one state pass
+    (phi.state_at), one divergence pass and one center_certificate call
+    (subproblem.record_rows), bit for bit the record of step-by-step
+    prox_step_rows calls.  A step that fails its certificate raises
+    InnerSolveError naming the step and the row; when a later step of the
+    same block raises first, the block's completed steps are recorded
+    before that error propagates, so the certificate's failure is the one
+    reported.  An oracle or (r, phi) pair with no batched step raises
+    ValueError.  Returns S RunTraces; in the convex regime each carries its
+    averaged iterates.
     """
     regime = problem.regime
     lam, etas = _resolve_etas(problem, configs[0], regime)
@@ -179,38 +196,73 @@ def _run_loop(problem, configs):
     xi_steps = np.stack(xis, axis=1)            # step t -> one sample per run
 
     S = len(configs)
-    # x_0's state is derived once; every later centre's state is the one its
-    # step returned for its minimizer
     state = phi.state_rows(np.tile(np.asarray(problem.x0, dtype=float), (S, 1)), reg)
-    iterates = np.empty((S, T + 2, state.points.shape[1]))
-    iterates[:, 0] = state.points
-    model_values = np.empty((S, T + 1))
-    r_values = np.empty((S, T + 2))
-    r_values[:, 0] = state.r
-    divergences = np.empty((S, T + 1))
-    residuals = np.empty((S, T + 1))
+    d = state.points.shape[1]
+    # time-major, so a block's centres and minimizers are views
+    iterates = np.empty((T + 2, S, d))
+    iterates[0] = state.points
+    block = max(1, BLOCK_ROWS // S)
+    # the mirror coordinates of the block's first centre and its minimizers
+    mirror = np.empty((block + 1, S, d))
+    mirror[0] = state.mirror
+    model_values = np.empty((T + 1, S))
+    r_values = np.empty((T + 2, S))
+    r_values[0] = state.r
+    divergences = np.empty((T + 1, S))
+    residuals = np.empty((T + 1, S))
+
+    def record(t0, t1):
+        # steps t0 .. t1 - 1 from the states of x_t0 .. x_t1
+        n = (t1 - t0) * S
+        if not n:
+            return
+        states = phi.state_at(iterates[t0:t1 + 1].reshape(-1, d),
+                              mirror[:t1 - t0 + 1].reshape(-1, d), reg)
+        Z, Y = states.take(slice(None, n)), states.take(slice(S, None))
+        rows = oracle.model_rows(Z.points, xi_steps[t0:t1].reshape((n,) + xi_steps.shape[2:]))
+        try:
+            model_y, _, d_yz, res = record_rows(rows.values, phi, Z, Y,
+                                                np.repeat(etas[t0:t1], S), rho, tol)
+        except InnerSolveError as err:
+            # name the loop's step and row instead of the block's row
+            step, row = divmod(err.row, S)
+            err.args = ("lockstep step %d, row %d missed tolerance:%s"
+                        % (t0 + step, row, str(err).partition(":")[2]),)
+            raise
+        model_values[t0:t1] = model_y.reshape(-1, S)
+        r_values[t0 + 1:t1 + 1] = Y.r.reshape(-1, S)
+        divergences[t0:t1] = d_yz.reshape(-1, S)
+        residuals[t0:t1] = res.reshape(-1, S)
+
+    t0 = 0
     for t in range(T + 1):
-        eta = float(etas[t])
-        rows = oracle.model_rows(state.points, xi_steps[t])
-        res = (None if rows is None
-               else prox_step_rows(rows, reg, phi, state, eta, rho=rho, inner_tol=tol))
-        if res is None:
-            raise ValueError("%s has no batched prox step: the lockstep loop needs "
-                             "models over rows (model_rows) with a batched path "
-                             "for its regularizer and phi" % (problem.id,))
-        state = res.state
-        iterates[:, t + 1] = state.points
-        model_values[:, t] = res.model_value
-        r_values[:, t + 1] = res.r_value
-        divergences[:, t] = res.divergence
-        residuals[:, t] = res.three_point_residual
+        k = t - t0
+        try:
+            centres = RowState(iterates[t], mirror[k], None, None)
+            rows = oracle.model_rows(centres.points, xi_steps[t])
+            found = (None if rows is None
+                     else solve_rows(rows, reg, phi, centres, float(etas[t]), rho, tol))
+            if found is None:
+                raise ValueError("%s has no batched prox step: the lockstep loop needs "
+                                 "models over rows (model_rows) with a batched path "
+                                 "for its regularizer and phi" % (problem.id,))
+            Y, M = found[:2]
+            iterates[t + 1] = Y
+            mirror[k + 1] = phi.mirror_rows(Y) if M is None else M
+        except Exception:
+            record(t0, t)
+            raise
+        if k + 1 == block or t == T:
+            record(t0, t + 1)
+            mirror[0] = mirror[k + 1]
+            t0 = t + 1
 
     traces = []
     for s, (config, rng) in enumerate(zip(configs, rngs)):
         t_star = int(sample_tstar(etas, rho, rng))
-        trace = RunTrace(problem.id, _ALGORITHMS[regime], iterates[s], etas.copy(),
-                         list(xis[s]), t_star, lam, model_values[s], r_values[s],
-                         divergences[s], residuals[s], seed=config.seed)
+        trace = RunTrace(problem.id, _ALGORITHMS[regime], iterates[:, s], etas.copy(),
+                         list(xis[s]), t_star, lam, model_values[:, s], r_values[:, s],
+                         divergences[:, s], residuals[:, s], seed=config.seed)
         if regime == "C":
             # the eta-weighted average is the point the plain-convexity rate
             # bound controls; under the 1/(mu (t+1)) schedule the guarantee is

@@ -61,8 +61,10 @@ class RowState(namedtuple("RowState", "points mirror values r")):
     __slots__ = ()
 
     def take(self, idx):
-        """The state of the rows idx."""
-        return RowState(*(f[idx] for f in self))
+        """The state of the rows idx (a field left None stays None)."""
+        # a list, not a generator: unpacking a generator leaves one 4-tuple
+        # on the interpreter's free list per call (about 0.1 MB once full)
+        return RowState(*[None if f is None else f[idx] for f in self])
 
 
 def _r_rows(reg, X, entropy=None):
@@ -192,30 +194,24 @@ class LegendreFunction:
             return Z
         Z = np.asarray(Z, dtype=float)
         self.check_interior(Z)
-        state = self._state(Z, self.mirror_rows(Z), reg)
+        state = self.state_at(Z, self.mirror_rows(Z), reg)
         if not np.isfinite(state.r).all():
             raise DomainError("prox centers must be feasible for the regularizer")
         return state
 
-    def _state(self, Y, mirror, reg):
+    def state_at(self, Y, mirror, reg=None):
+        """The RowState of the rows of an (N, d) array Y whose mirror
+        coordinates are mirror: one value pass and r under reg (0 when None),
+        with no domain check, so that a prox step's record meets an r
+        outside dom r in its certificate."""
         return RowState(Y, mirror, self.value_rows(Y), _r_rows(reg, Y))
 
-    def bregman_pair_rows(self, Y, Z, reg=None, mirror=None):
-        """(D(y_i, z_i), D(z_i, y_i), the RowState of Y) for prox centres Z
-        (a RowState, or points whose state state_rows derives) and the rows
-        of an (N, d) array Y.  Y takes one value pass and, unless its mirror
-        coordinates are given, one gradient pass, and the centres none: the
-        divergences are bit-identical to bregman_rows calls, and Y's state
-        to fresh value_rows, gradient_rows and reg.value_rows calls.  Raises
-        DomainError for Y outside dom phi."""
-        Z = self.state_rows(Z, reg)
-        vy = self.value_rows(Y)
-        if not np.isfinite(vy).all():
-            raise DomainError("second argument of the divergence must lie in dom(phi)")
-        gy = self.gradient_rows(Y) if mirror is None else mirror
-        return (vy - Z.values - dot_rows(Z.mirror, Y - Z.points),
-                Z.values - vy - dot_rows(gy, Z.points - Y),
-                RowState(Y, gy, vy, _r_rows(reg, Y)))
+    def bregman_pair(self, Y, Z):
+        """(D(y_i, z_i), D(z_i, y_i)) for the rows of two RowStates, from
+        their points, mirror coordinates and phi values, with no further pass
+        over phi: bit-identical to two bregman_rows calls."""
+        return (Y.values - Z.values - dot_rows(Z.mirror, Y.points - Z.points),
+                Z.values - Y.values - dot_rows(Y.mirror, Z.points - Y.points))
 
     def local_dual_norm(self, x, v):
         """||hessian(x)^-1 v|| in the declared primal norm."""
@@ -323,19 +319,18 @@ class ShannonEntropy(LegendreFunction):
     def gradient_from_mirror(self, M):
         return 1.0 + M
 
-    def _state(self, Y, log_y, reg):
+    def state_at(self, Y, log_y, reg=None):
+        """As LegendreFunction.state_at, with phi(y) and an entropy-like
+        r(y) from sum y log y."""
         entropy = (Y * log_y).sum(axis=1)
         return RowState(Y, log_y, entropy, _r_rows(reg, Y, entropy))
 
-    def bregman_pair_rows(self, Y, Z, reg=None, mirror=None):
-        """As LegendreFunction.bregman_pair_rows, from the logs:
-        D(y, z) = sum y (log y - log z) - sum y + sum z, and phi(y) and an
-        entropy-like r(y) from sum y log y."""
-        Z = self.state_rows(Z, reg)
-        state = self._state(Y, self.mirror_rows(Y) if mirror is None else mirror, reg)
-        sy, sz = Y.sum(axis=1), Z.points.sum(axis=1)
-        return ((Y * (state.mirror - Z.mirror)).sum(axis=1) - sy + sz,
-                (Z.points * (Z.mirror - state.mirror)).sum(axis=1) - sz + sy, state)
+    def bregman_pair(self, Y, Z):
+        """As LegendreFunction.bregman_pair, from the logs:
+        D(y, z) = sum y (log y - log z) - sum y + sum z."""
+        sy, sz = Y.points.sum(axis=1), Z.points.sum(axis=1)
+        return ((Y.points * (Y.mirror - Z.mirror)).sum(axis=1) - sy + sz,
+                (Z.points * (Z.mirror - Y.mirror)).sum(axis=1) - sz + sy)
 
     def hessian_apply(self, x, v):
         self.check_interior(x)

@@ -348,12 +348,11 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
     and tol, far above u, bounds the residual below by -tol * scale.  A
     step with large divergences (an entropic step of D(y, z) = 4e13) is
     then held to the same relative accuracy as a small one.  The arguments
-    may be arrays of a batch of steps.  Raises DomainError if a center is
-    infeasible and InnerSolveError below -tol * scale; returns the
-    residuals.
+    may be arrays of a batch of steps.  Raises InnerSolveError below
+    -tol * scale (or at a residual that is not a number), with the first
+    such row as its attribute row, and then DomainError if a center is
+    infeasible; returns the residuals.
     """
-    if not np.isfinite(psi_z).all():
-        raise DomainError("prox centers must be feasible for the objective")
     d_zy = (1.0 - eta * rho) * d_zy
     res = eta * (psi_z - psi_y) - d_yz - d_zy
     scale = tol * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
@@ -361,19 +360,41 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
     bad = np.flatnonzero(np.logical_not(res >= -scale))
     if bad.size:
         i = bad[0]
-        raise InnerSolveError(
+        err = InnerSolveError(
             "prox step %d of %d missed tolerance: three-point residual "
             "%.3e < -%.3e" % (i, np.size(res), np.ravel(res)[i], np.ravel(scale)[i]))
+        err.row = int(i)
+        raise err
+    if not np.isfinite(psi_z).all():
+        raise DomainError("prox centers must be feasible for the objective")
     return res
 
 
-def _certify(psi_z, model_y, d_yz, d_zy, state, eta, rho, tol, its, method):
-    """ProxStepResult of the step(s) to the points of state, certified by
-    center_certificate."""
-    psi_y = model_y + state.r
-    res = center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol)
-    return ProxStepResult(state.points, its, res, psi_z - (psi_y + d_yz / eta), d_yz,
-                          method, model_y, state.r, state)
+def record_rows(values, phi, Z, Y, eta, rho=0.0, tol=1e-10):
+    """The record of prox steps from the centres' RowState Z to the
+    minimizers' RowState Y: (the models at Y, psi = model + r at Z,
+    D(y, z), the center_certificate residuals).  values maps an (N, d) array
+    to the models at its rows, row i's model at row i.  Every pass is row by
+    row, so several steps' rows record in one call bit for bit as each step
+    would alone, and eta may hold one step size per row.  Raises as
+    center_certificate.
+    """
+    d_yz, d_zy = phi.bregman_pair(Y, Z)
+    model_y = values(Y.points)
+    psi_z = values(Z.points) + Z.r
+    return (model_y, psi_z, d_yz,
+            center_certificate(psi_z, model_y + Y.r, d_yz, d_zy, eta, rho, tol))
+
+
+def _recorded(values, reg, phi, Z, found, eta, rho, tol):
+    """The ProxStepResult of a solve's found = (minimizers, their mirror
+    coordinates or None, inner iterations, method) from the centres'
+    RowState Z: the minimizers' state (phi.state_at) and record_rows."""
+    Y, mirror, its, method = found
+    Y = phi.state_at(Y, phi.mirror_rows(Y) if mirror is None else mirror, reg)
+    model_y, psi_z, d_yz, res = record_rows(values, phi, Z, Y, eta, rho, tol)
+    return ProxStepResult(Y.points, its, res, psi_z - (model_y + Y.r + d_yz / eta),
+                          d_yz, method, model_y, Y.r, Y)
 
 
 def _check_step(eta, rho):
@@ -410,7 +431,9 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
     out = np.zeros(target.size)
     pos = np.flatnonzero(target.reshape(-1) > 0.0)
     g = target.reshape(-1)[pos]
-    if set(e) == {1.0, 3.0}:
+    terms = list(zip(a.tolist(), e.tolist()))
+    closed = {ek for _, ek in terms} == {1.0, 3.0}
+    if closed:
         r = _cubic_root(a[e == 1.0].sum(), a[e == 3.0].sum(), g)
     else:
         r = np.min((g[:, None] / a) ** (1.0 / e), axis=1)
@@ -418,7 +441,10 @@ def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
     idx = np.arange(g.size)
     for it in range(max_iter + 1):
         ri = r[idx]
-        f = np.sum(a * ri[:, None] ** e, axis=1) - g[idx]
+        # the closed-form start's residual term by term (it rarely needs
+        # Newton), Newton's over the term arrays
+        f = (_power_sum(0.0, terms, ri) if closed and not it
+             else np.sum(a * ri[:, None] ** e, axis=1)) - g[idx]
         busy = np.abs(f) > scale[idx]
         if not busy.any():
             break
@@ -895,10 +921,9 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     z = np.asarray(centers, dtype=float)
     Z = phi.state_rows(z[:, None], reg)
     y, its = _solve_1d(model, reg, phi, z, eta)
-    return _certify(_elementwise(model._value_fn, z) + Z.r,
-                    _elementwise(model._value_fn, y),
-                    *phi.bregman_pair_rows(y[:, None], Z, reg), eta, rho, tol, its.max(),
-                    "bisection_1d").minimizer[:, 0]
+    return _recorded(lambda Y: _elementwise(model._value_fn, Y[:, 0]), reg, phi, Z,
+                     (y[:, None], None, its.max(), "bisection_1d"), eta, rho,
+                     tol).minimizer[:, 0]
 
 
 def _difference_hessian(gradients):
@@ -944,14 +969,21 @@ def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
     a ProxStepResult over the rows.
     """
     _check_step(eta, rho)
-    state = phi.state_rows(Z)
+    Z = phi.state_rows(Z)
+    return _recorded(rows.values, None, phi, Z, _newton(rows, phi, Z, eta, tol, max_iter),
+                     eta, rho, tol)
+
+
+def _newton(rows, phi, state, eta, tol, max_iter=120):
+    """The solve of newton_rows from the centres' RowState (phi at the
+    centres is derived when the state carries none)."""
     Z, gz = state.points, phi.gradient_from_mirror(state.mirror)
+    vz = phi.value_rows(Z) if state.values is None else state.values
     S = len(Z)
     hessians = rows.hessians or _difference_hessian(rows.gradients)
 
     def psi(Y):
-        return rows.values(Y) + (phi.value_rows(Y) - state.values
-                                 - dot_rows(gz, Y - Z)) / eta
+        return rows.values(Y) + (phi.value_rows(Y) - vz - dot_rows(gz, Y - Z)) / eta
 
     Y = Z.copy()
     fy = psi(Y)
@@ -1014,8 +1046,7 @@ def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
         raise InnerSolveError(
             "Newton solve of row %d used %d iterations with half decrement "
             "%.3e > %.3e" % (i, max_iter, 0.5 * dec[i], tol_obj[i]))
-    return _certify(rows.values(Z), rows.values(Y), *phi.bregman_pair_rows(Y, state),
-                    eta, rho, tol, its.max(), "newton")
+    return Y, None, its.max(), "newton"
 
 
 SECULAR_TOL = 1e-14  # relative KKT residual at which a secular row stops
@@ -1071,6 +1102,13 @@ def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
     centres' RowState or their points.
     """
     _check_step(eta, rho)
+    Z = phi.state_rows(Z)
+    return _recorded(rows.values, None, phi, Z, _secular(rows, phi, Z, eta, max_iter),
+                     eta, rho, tol)
+
+
+def _secular(rows, phi, state, eta, max_iter=50):
+    """The solve of secular_rows from the centres' RowState."""
     # A(s) = const + sum_k a_k s^e_k over the terms with e_k = p_k - 2 > 0
     coefs, powers = phi.radial_terms()
     terms = [(c * p, p - 2.0) for c, p in zip(coefs.tolist(), powers.tolist())]
@@ -1078,11 +1116,12 @@ def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
     terms = [(a, e) for a, e in terms if e > 0.0]
     slopes = [(a * e, e - 1.0) for a, e in terms]   # A'(s)
 
-    state = phi.state_rows(Z)
     Z = state.points
     U = rows.eigvecs
-    # eigh sorts each row's eigenvalues in ascending order
-    lam = eta * np.broadcast_to(rows.eigvals, Z.shape)
+    # eigh sorts each row's eigenvalues in ascending order; a one-row form
+    # stands for every row
+    lam = rows.eigvals
+    lam = eta * (lam if lam.shape == Z.shape else np.broadcast_to(lam, Z.shape))
     W = eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1) + state.mirror
     B = (W[:, None, :] @ U)[:, 0, :]
     if not np.isfinite(B).all():
@@ -1117,9 +1156,7 @@ def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
             # a stopped row keeps its r, and so recomputes its V bit for bit
             # (a row with b = 0 divides 0 by 0 here, and stops at r = 0)
             r = np.where(ok, r, np.minimum(np.maximum(step, lo), hi))
-    Y = (U @ V[:, :, None])[:, :, 0]
-    return _certify(rows.values(Z), rows.values(Y), *phi.bregman_pair_rows(Y, state),
-                    eta, rho, tol, it + 1, "secular")
+    return (U @ V[:, :, None])[:, :, 0], None, it + 1, "secular"
 
 
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
@@ -1137,53 +1174,53 @@ def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
         raise InnerSolveError("inner_solve bisects 1-d subproblems only, not d = %d"
                               % center.size)
     y, its = _solve_1d(model, reg, phi, center, eta)
-    return _certify(model.value(center) + reg.value(center), model.value_rows(y[None]),
-                    *phi.bregman_pair_rows(y[None], center[None], reg), eta, rho, tol,
-                    its[0], "bisection_1d").row(0)
+    return _recorded(model.value_rows, reg, phi, phi.state_rows(center[None], reg),
+                     (y[None], None, its[0], "bisection_1d"), eta, rho, tol).row(0)
 
 
 # ---------------------------------------------------------------------------
 # the outer-facing prox steps
 # ---------------------------------------------------------------------------
 
-def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
-    """The certified steps from the rows of Z for the row form rows, or None.
+def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
+    """The solve of the steps from the centres' RowState Z (the points and
+    mirror coordinates; phi and r are not read) for the row form rows:
+    (minimizers, their mirror coordinates or None, inner iterations,
+    method), or None when rows is None or (rows, r, phi) has no batched path.
 
-    The one dispatch of prox_step and prox_step_rows: AffineRows take the
-    closed form, NormTermRows the shrinkage, AbsQuadraticRows (r = 0, phi =
-    c2 y^2 + c4 y^4) one kink search and cubic root, QuadraticRows (r = 0)
-    under a radial phi the secular equation (secular_rows), and SmoothRows
-    and any other QuadraticRows (r = 0) one lockstep newton_rows.  values
-    gives the models at the rows of an (N, d) array for the certificate.  Z
-    is the centres' RowState, or their points, whose state is derived once
-    (phi.state_rows).  None when rows is None or (rows, r, phi) has no
-    batched path.
+    The one dispatch of prox_step, prox_step_rows and the lockstep loop:
+    AffineRows take the closed form, NormTermRows the shrinkage,
+    AbsQuadraticRows (r = 0, phi = c2 y^2 + c4 y^4) one kink search and
+    cubic root, QuadraticRows (r = 0) under a radial phi the secular
+    equation (secular_rows), and SmoothRows and any other QuadraticRows
+    (r = 0) one lockstep Newton (newton_rows).
     """
     _check_step(eta, rho)
-    Z = phi.state_rows(Z, reg)
     if eta < ETA_FLOOR:
-        zero = np.zeros(len(Z.r))
-        return ProxStepResult(Z.points, 0, zero, zero, zero, "degenerate_eta",
-                              values(Z.points), Z.r, Z)
+        return Z.points, Z.mirror, 0, "degenerate_eta"
     if isinstance(rows, (SmoothRows, QuadraticRows)):
         if reg.kind != "zero":
             return None
         if isinstance(rows, QuadraticRows) and phi.radial_terms() is not None:
-            return secular_rows(rows, phi, Z, eta, rho=rho, tol=tol)
-        return newton_rows(rows, phi, Z, eta, rho=rho, tol=tol)
+            return _secular(rows, phi, Z, eta)
+        return _newton(rows, phi, Z, eta, tol)
     if isinstance(rows, NormTermRows):
-        found = _norm_term_rows(rows.slopes, rows.weight, reg, phi, Z, eta)
-    elif isinstance(rows, AffineRows):
-        found = _closed_form_rows(rows, reg, phi, Z, eta)
-    elif isinstance(rows, AbsQuadraticRows):
-        found = _abs_quadratic_rows(rows, reg, phi, Z, eta)
-    else:
-        return None
-    if found is None:
-        return None
-    Y, mirror, its, method = found
-    return _certify(values(Z.points) + Z.r, values(Y),
-                    *phi.bregman_pair_rows(Y, Z, reg, mirror), eta, rho, tol, its, method)
+        return _norm_term_rows(rows.slopes, rows.weight, reg, phi, Z, eta)
+    if isinstance(rows, AffineRows):
+        return _closed_form_rows(rows, reg, phi, Z, eta)
+    if isinstance(rows, AbsQuadraticRows):
+        return _abs_quadratic_rows(rows, reg, phi, Z, eta)
+    return None
+
+
+def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
+    """The certified steps from the rows of Z, the solve (solve_rows) and
+    the record of one batch, or None.  values gives the models at the rows
+    of an (N, d) array.  Z is the centres' RowState, or their points, whose
+    state is derived once (phi.state_rows)."""
+    Z = phi.state_rows(Z, reg)
+    found = solve_rows(rows, reg, phi, Z, eta, rho, tol)
+    return None if found is None else _recorded(values, reg, phi, Z, found, eta, rho, tol)
 
 
 def _missing_path(rows, reg, phi):
@@ -1225,13 +1262,16 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     row): AffineRows (affine, or the absolute value of an affine function)
     take the closed form, NormTermRows the shrinkage, AbsQuadraticRows one
     kink search and cubic root, QuadraticRows (r = 0) under a radial phi the
-    secular equation, and SmoothRows (r = 0) one lockstep newton_rows.  The
-    rows are certified together by center_certificate: one row below
-    inner_tol raises InnerSolveError for the batch.  centers is an (S, d)
-    array, or the RowState of the minimizers of the step before (its
-    result's state), which the step takes as it is instead of deriving
-    phi, grad phi and r at the centres again.  Returns a ProxStepResult
-    over the rows, whose state is that of its minimizers, or None when
-    (model, r, phi) has no batched path.
+    secular equation, and SmoothRows (r = 0) one lockstep newton_rows.  A
+    step is its solve (solve_rows) and its record (record_rows): the
+    minimizers' state, the models at both ends, D(y, z), D(z, y) and the
+    certificate.  The rows are certified together by center_certificate:
+    one row below inner_tol raises InnerSolveError for the batch.  centers
+    is an (S, d) array, or the RowState of the minimizers of the step before
+    (its result's state), which the step takes as it is instead of deriving
+    phi, grad phi and r at the centres again.  Returns a ProxStepResult over
+    the rows, whose state is that of its minimizers, or None when (model, r,
+    phi) has no batched path.  The lockstep loop (driver) takes the same
+    solve per step and the same record per block of steps.
     """
     return _step_rows(rows, rows.values, reg, phi, centers, eta, rho, inner_tol)

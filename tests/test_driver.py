@@ -19,7 +19,7 @@ from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog
                             _run_loop)
 from bregopt.envelope import bregman_prox_point, stationarity
 from bregopt.problems import get_problem, registry
-from bregopt.subproblem import prox_step_rows
+from bregopt.subproblem import InnerSolveError, prox_step_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,12 +91,12 @@ def test_p6_steps_take_the_secular_equation_and_p2_newton(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        # the centres arrive as their RowState
+        # the solve of newton_rows; the centres arrive as their RowState
         calls.append(len(args[2].points))
-        return newton_rows(*args, **kwargs)
+        return newton(*args, **kwargs)
 
-    newton_rows = subproblem.newton_rows
-    monkeypatch.setattr(subproblem, "newton_rows", counted)
+    newton = subproblem._newton
+    monkeypatch.setattr(subproblem, "_newton", counted)
     res = sweep(get_problem("P6"), [4, 8], 2, metric_mode="tstar_full")
     assert calls == [] and len(res.rows) == 8
     sweep(get_problem("P2"), [4], 2, metric_mode="tstar_full")
@@ -341,6 +341,7 @@ def test_deterministic_strongly_convex_descent_is_monotone():
 
 TRACE_FIELDS = ("iterates", "model_values", "r_values", "step_divergences",
                 "step_residuals", "weighted_average", "plain_average")
+RECORD_FIELDS = ("model_values", "r_values", "step_divergences", "step_residuals")
 
 
 def test_lockstep_runs_equal_separate_runs():
@@ -439,21 +440,27 @@ def test_large_entropic_steps_complete(pid, alpha):
     assert np.isfinite(res.values).all() and (res.values >= 0.0).all()
 
 
-def _reference_loop(problem, configs):
-    # _run_loop's iterates by prox_step_rows calls that re-derive every
-    # centre's state from its points, with the same samples and step sizes
+def _reference_loop(problem, configs, carry=False):
+    # _run_loop's iterates and records by step-by-step prox_step_rows calls,
+    # with the same samples and step sizes; each centre's state is
+    # re-derived from its points, or with carry is the state the step before
+    # returned, as the loop carries it
     _, etas = _resolve_etas(problem, configs[0], problem.regime)
     oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
     T = configs[0].horizon_T
     xis = np.stack([oracle.sample_rows(np.random.default_rng(c.seed), T + 1)
                     for c in configs], axis=1)
     X = np.tile(problem.x0, (len(configs), 1))
-    out = [X]
+    centres = X
+    out, records = [X], []
     for t in range(T + 1):
-        res = prox_step_rows(oracle.model_rows(X, xis[t]), reg, phi, X, float(etas[t]),
-                             rho=oracle.constants.rho)
+        res = prox_step_rows(oracle.model_rows(X, xis[t]), reg, phi, centres,
+                             float(etas[t]), rho=oracle.constants.rho)
         X = res.minimizer.copy()
+        centres = res.state if carry else X
         out.append(X)
+        records.append((res.model_value, res.r_value, res.divergence,
+                        res.three_point_residual))
         if phi.radial_terms() is not None:
             # the state a step returns is that of a fresh centre at its minimizer
             state = res.state
@@ -461,7 +468,7 @@ def _reference_loop(problem, configs):
             assert np.array_equal(state.values, phi.value_rows(X))
             assert np.array_equal(state.mirror, phi.gradient_rows(X))
             assert np.array_equal(state.r, reg.value_rows(X))
-    return np.stack(out, axis=1)
+    return np.stack(out, axis=1), [np.stack(f, axis=1) for f in zip(*records)]
 
 
 def test_carried_state_reproduces_a_loop_that_rederives_it():
@@ -471,9 +478,90 @@ def test_carried_state_reproduces_a_loop_that_rederives_it():
     for problem in registry():
         configs = [SolverConfig(40, seed=[s, 40]) for s in range(3)]
         carried = np.array([tr.iterates for tr in _run_loop(problem, configs)])
-        ref = _reference_loop(problem, configs)
+        ref = _reference_loop(problem, configs)[0]
         if problem.phi.radial_terms() is not None:
             assert np.array_equal(carried, ref), problem.id
         else:
             np.testing.assert_allclose(carried, ref, rtol=1e-12, atol=0.0,
                                        err_msg=problem.id)
+
+
+@pytest.mark.parametrize("S, T", [(1, 130), (8, 40), (20, 40)])
+def test_block_records_equal_the_step_by_step_records(S, T):
+    # the loop records its steps per block of BLOCK_ROWS rows (128 steps of
+    # one run, 16 of 8 runs, 6 of 20; T + 1 is no multiple of them), bit for
+    # bit what prox_step_rows records step by step from the carried state;
+    # the step sizes decrease, so each row must take its own step's; P6's
+    # quadratic models under Burg take the lockstep Newton, which derives
+    # phi at the centres the loop carries without it
+    from bregopt.legendre import Burg
+    newton = get_problem("P6")
+    newton.phi, newton.x0 = Burg(), np.array([1.5, 2.0])
+    for problem in registry() + [newton]:
+        lam, etas = _resolve_etas(problem, SolverConfig(T, seed=0), problem.regime)
+        schedule = ("explicit", etas * np.linspace(1.0, 0.5, T + 1))
+        configs = [SolverConfig(T, seed=[s, T], lam=lam, schedule=schedule)
+                   for s in range(S)]
+        traces = _run_loop(problem, configs)
+        iterates, records = _reference_loop(problem, configs, carry=True)
+        assert np.array_equal([tr.iterates for tr in traces], iterates), problem.id
+        r0 = problem.regularizer.value_rows(np.tile(problem.x0, (S, 1)))
+        assert np.array_equal([tr.r_values[0] for tr in traces], r0), problem.id
+        for field, ref in zip(RECORD_FIELDS, records):
+            got = [getattr(tr, field) for tr in traces]
+            if field == "r_values":
+                got = [r[1:] for r in got]
+            assert np.array_equal(got, ref), (problem.id, field)
+
+
+@pytest.mark.parametrize("later", [None, 9])
+def test_a_step_that_fails_its_certificate_raises_from_the_loop(monkeypatch, later):
+    # row 2 of step 5 of a P3 sweep (4 runs: one block of 32 steps) is taken
+    # with step size eta (1 + 1e-4) and certified as eta, which fails at the
+    # centre probe; with a later step of the same block raising first, the
+    # block's completed steps are recorded and the certificate's failure is
+    # still the one reported
+    from bregopt import driver
+    solve, calls = driver.solve_rows, []
+
+    def mutated(rows, reg, phi, Z, eta, rho, tol):
+        t = len(calls)
+        calls.append(t)
+        if t == later:
+            raise InnerSolveError("a later step failed")
+        found = solve(rows, reg, phi, Z, eta, rho, tol)
+        if t == 5:
+            off = solve(rows, reg, phi, Z, eta * (1.0 + 1e-4), rho, tol)
+            for a, b in zip(found[:2], off[:2]):
+                a[2] = b[2]
+        return found
+
+    monkeypatch.setattr(driver, "solve_rows", mutated)
+    failed = "lockstep step 5, row 2 missed tolerance: "
+    with pytest.raises(InnerSolveError, match=failed) as info:
+        sweep(get_problem("P3"), [64], 4)
+    assert len(calls) == (32 if later is None else later + 1)
+    if later is not None:
+        assert str(info.value.__context__) == "a later step failed"
+
+
+def test_a_horizon_peaks_little_above_what_its_traces_keep():
+    # the records are taken per block of at most BLOCK_ROWS rows, so the
+    # loop's temporaries stay small beside the (T + 2, S, d) iterates and
+    # the records its traces keep: 1.26x them for one P3 horizon, where a
+    # record pass over the whole horizon would reach 3.7x and 512-row blocks
+    # 1.46x (tracemalloc, numpy 2.4)
+    import tracemalloc
+    prob = get_problem("P3")
+    configs = [SolverConfig(256, seed=[s, 256]) for s in range(8)]
+    _run_loop(prob, configs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traces = _run_loop(prob, configs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept, peak = kept - base, peak - base
+    assert len(traces) == 8 and kept > 0
+    assert peak - kept <= 0.4 * kept, (peak, kept)

@@ -154,16 +154,17 @@ def test_row_forms_match_the_pointwise_methods():
 
 
 def test_bregman_pair_equals_two_bregman_rows_calls():
-    # both divergences from the centres' state and one value and one
-    # gradient pass at Y, bit for bit the two bregman_rows calls, including
-    # a row at the origin; the entropy's come from the logs, within rounding
+    # both divergences from the two rows' states, bit for bit the two
+    # bregman_rows calls, including a row at the origin; the entropy's come
+    # from the logs, within rounding
     rng = np.random.default_rng(13)
     for name, phi, d in zoo():
         X = np.array([interior_point(rng, phi, d) for _ in range(7)])
         Y = np.array([interior_point(rng, phi, d) for _ in range(7)])
         if phi.domain == "all_space":
             Y[1] = 0.0
-        d_yx, d_xy, state = phi.bregman_pair_rows(Y, X)
+        state = phi.state_at(Y, phi.mirror_rows(Y))
+        d_yx, d_xy = phi.bregman_pair(state, phi.state_rows(X))
         pairs = [(d_yx, phi.bregman_rows(Y, X)), (d_xy, phi.bregman_rows(X, Y))]
         for got, ref in pairs:
             if name == "entropy":
@@ -178,9 +179,9 @@ def test_bregman_pair_equals_two_bregman_rows_calls():
         if phi.domain != "all_space":
             Y[2, 0] = -1.0
             with pytest.raises(DomainError):
-                phi.bregman_pair_rows(Y, X)
+                phi.mirror_rows(Y)
             with pytest.raises(DomainError):
-                phi.bregman_pair_rows(X, Y)
+                phi.state_rows(Y)
 
 
 def test_poly_growth_divergence_bound():

@@ -17,7 +17,7 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 absolute_affine_model, center_certificate,
                                 check_three_point, inner_solve, linear_model,
                                 newton_rows,
-                                prox_points_1d, prox_step, prox_step_rows,
+                                prox_points_1d, prox_step, prox_step_rows, record_rows,
                                 secular_rows, solve_monotone_power,
                                 _affine_solver, _closed_form_rows, _solve_1d)
 
@@ -845,11 +845,9 @@ def test_offset_and_mutated_steps_fail_the_certificate():
     phi, reg = prob.phi, prob.regularizer
     Z = np.tile(prob.x0, (4, 1))
     rows = prob.oracle.model_rows(Z, np.arange(4))
-    Y = prox_step_rows(rows, reg, phi, Z, 0.5 * (1.0 + 1e-6)).minimizer
-    d_yz, d_zy, state = phi.bregman_pair_rows(Y, Z, reg)
+    step = prox_step_rows(rows, reg, phi, Z, 0.5 * (1.0 + 1e-6))
     with pytest.raises(InnerSolveError):
-        center_certificate(rows.values(Z) + reg.value_rows(Z), rows.values(Y) + state.r,
-                           d_yz, d_zy, 0.5, 0.0, 1e-10)
+        record_rows(rows.values, phi, phi.state_rows(Z, reg), step.state, 0.5)
 
 
 # (regularizer, phi) pairs with an affine closed form; the radial kernels are
