@@ -490,8 +490,8 @@ def _radial_solver(terms, gz, eta, radius=None):
 
 def _log_softmax(logits):
     """(exp(L), L) for L the log-softmax of each row of logits."""
-    L = logits - np.max(logits, axis=-1, keepdims=True)
-    L = L - np.log(np.sum(np.exp(L), axis=-1, keepdims=True))
+    L = logits - logits.max(axis=-1, keepdims=True)
+    L = L - np.log(np.exp(L).sum(axis=-1, keepdims=True))
     return np.exp(L), L
 
 
@@ -710,15 +710,18 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
     theta g_i for some theta in [-1, 1], and the level <g_i, y(theta)> + s_i
     is nonincreasing in theta.  In 1-d with r = 0, _abs_affine_1d picks each
     row's case from grad phi at the kink, and every row takes one affine
-    solve.  Otherwise all rows probe theta = +1 (the affine step) and stop
-    there when the level is >= 0; the rows left probe theta = -1 together
-    and stop there when it is <= 0; only the rows left after that find the
-    level's root by brentq, each on a one-row solver.  A row thus takes 1, 2,
-    or 2 + brentq's iterations affine solves.  Where the affine step of the
-    slope theta g_i exists only for theta in an open interval (Burg,
+    solve.  Otherwise all rows probe theta = +1 and stop there when the
+    level is >= 0; the rows left probe theta = -1 together and stop there
+    when it is <= 0; the rows left after that bisect theta together on the
+    sign of the level (_bisection).  Where the affine step of the slope
+    theta g_i exists only for theta in an open interval (Burg,
     _theta_bounds), a row skips a probe outside it, and the level tends to
-    +inf or -inf at the interval's ends: the search bisects toward such an
-    end until the level changes sign there, one more solve per halving.
+    +inf and -inf at the interval's ends: the bisection runs inside the
+    interval and never probes an end.  Every row then takes one affine
+    solve at its theta, which gives the minimizers and, for the entropy,
+    their mirror coordinates (log y, finite where y underflows to 0.0).  A
+    row's solves see only its own data, so a batch steps each row bit for
+    bit as a one-row call does.
     """
     solve = _affine_solver(reg, phi, Z, eta)
     if solve is None:
@@ -733,56 +736,23 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
     if reg.kind == "zero" and shape[1] == 1:
         return _abs_affine_1d(solve, G, s, phi, Z, eta), None, 1, "closed_form_abs_affine"
     lo, hi = _theta_bounds(phi, Z.points, G, eta)
-    feasible = hi > 1.0
-    if feasible.all():
-        Y = solve(G)[0]
-    else:
-        Y = np.empty(shape)
-        Y[feasible] = _affine_solver(reg, phi, Z.take(feasible), eta)(G[feasible])[0]
-    its = 1
+
+    def level(theta, idx):
+        y = _affine_solver(reg, phi, Z.take(idx), eta)(theta[:, None] * G[idx])[0]
+        return dot_rows(G[idx], y) + s[idx]
+
+    theta = np.ones(shape[0])
     stop = np.zeros(shape[0], dtype=bool)
-    stop[feasible] = dot_rows(G[feasible], Y[feasible]) + s[feasible] >= 0.0
+    up = np.flatnonzero(hi > 1.0)
+    stop[up] = level(theta[up], up) >= 0.0
+    down = np.flatnonzero(~stop & (lo < -1.0))
+    theta[down] = -1.0
+    stop[down] = level(theta[down], down) <= 0.0
     left = np.flatnonzero(~stop)
-    if left.size:
-        down = left[lo[left] < -1.0]
-        Y[down] = _affine_solver(reg, phi, Z.take(down), eta)(-G[down])[0]
-        its = 2
-        stop[down] = dot_rows(G[down], Y[down]) + s[down] <= 0.0
-        left = left[~stop[left]]
-    for i in left:
-        # imported here: scipy.optimize takes about 0.5 s and 50 MB to import,
-        # and no other path of the package needs it
-        from scipy.optimize import brentq
-        one = _affine_solver(reg, phi, Z.take(slice(i, i + 1)), eta)
-        g = G[i:i + 1]
-
-        def level(theta):
-            return float(dot_rows(g, one(theta * g)[0])[0]) + s[i]
-
-        a, b, halvings = max(-1.0, lo[i]), min(1.0, hi[i]), 0
-        open_a, open_b = lo[i] >= -1.0, hi[i] <= 1.0
-        while open_a or open_b:
-            if halvings == 200:
-                raise InnerSolveError("|affine| slope search found no bracket")
-            m = 0.5 * (a + b)
-            halvings += 1
-            v = level(m)
-            if v > 0.0:
-                a, open_a = m, False
-            elif v < 0.0:
-                b, open_b = m, False
-            else:
-                a = b = m
-                break
-        if a == b:
-            theta, brent_its = a, 0
-        else:
-            theta, info = brentq(level, a, b, xtol=1e-15, rtol=8.9e-16,
-                                 maxiter=200, full_output=True)
-            brent_its = info.iterations
-        Y[i] = one(theta * g)[0][0]
-        its = max(its, brent_its + halvings + 2)
-    return Y, None, its, "closed_form_abs_affine"
+    theta[left], halvings = _bisection(np.maximum(-1.0, lo[left]), np.minimum(1.0, hi[left]),
+                                       lambda mid, idx: level(mid, left[idx]) <= 0.0)
+    its = 1 + (up.size > 0) + (down.size > 0) + halvings.max(initial=0)
+    return (*solve(theta[:, None] * G), its, "closed_form_abs_affine")
 
 
 def _theta_bounds(phi, Z, G, eta):
@@ -850,20 +820,48 @@ def _bracket_open(lo, hi):
     return hi - lo > 1e-15 * (1.0 + np.abs(lo) + np.abs(hi))
 
 
-def _solve_1d(model, reg, phi, z, eta, max_iter=220):
-    """Lockstep sign bisection for an (N,) array of 1-d centers.
+def _bisection(lo, hi, below, max_iter=200):
+    """The one lockstep bisection of the library, over the brackets
+    [lo_i, hi_i] of N scalar roots (updated in place).
 
-    Minimizes model + r + (1/eta) D(., z_i) for every entry z_i at once by
-    bisection on a subgradient selection; the model's subgradient function
-    acts elementwise on the (N,) array.  Each element brackets its
-    own minimizer: from a positive slope it moves left (halving toward 0 on
-    positive domains, else by doubling steps), from a negative slope right by
-    doubling steps.  Returns the minimizers and the bisection count of each;
-    raises InnerSolveError if an element finds no bracket, or if a bracket
-    is still wider than 1e-15 (1 + |lo| + |hi|) after max_iter halvings.
+    below(mid, idx) says, for the midpoints mid of the brackets idx still
+    open, where the root lies at or below the midpoint.  Each bracket halves
+    until it is no wider than 1e-15 (1 + |lo| + |hi|), one test per halving
+    for all open rows at once.  Returns the final midpoints and each row's
+    halvings; raises InnerSolveError if a bracket is still open after
+    max_iter halvings.
     """
-    z = np.asarray(z, dtype=float)
-    gz = phi.gradient_rows(z[:, None])[:, 0]
+    its = np.zeros(lo.size, dtype=int)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(_bracket_open(lo, hi))
+        if idx.size == 0:
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        down = below(mid, idx)
+        hi[idx[down]] = mid[down]
+        lo[idx[~down]] = mid[~down]
+        its[idx] += 1
+    if np.any(_bracket_open(lo, hi)):
+        raise InnerSolveError("bisection bracket still open after %d halvings" % max_iter)
+    return 0.5 * (lo + hi), its
+
+
+def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
+    """Lockstep sign bisection from the RowState Z of (N, 1) centers.
+
+    Minimizes model + r + (1/eta) D(., z_i) for every center z_i at once by
+    bisection on a subgradient selection; the model's subgradient function
+    acts elementwise on an (N,) array, and grad phi at the centres is read
+    from Z's mirror coordinates.  Each element brackets its own minimizer:
+    from a positive slope it moves left (halving toward 0 on positive
+    domains, else by doubling steps), from a negative slope right by
+    doubling steps; then the brackets close by _bisection.  Returns the
+    minimizers and the bisection count of each; raises InnerSolveError if an
+    element finds no bracket, or if a bracket is still open after max_iter
+    halvings.
+    """
+    z = Z.points[:, 0]
+    gz = phi.gradient_from_mirror(Z.mirror)[:, 0]
 
     def slope(y, idx):
         s = _elementwise(model._subgrad_fn, y) + reg.subgradient(y)
@@ -892,20 +890,7 @@ def _solve_1d(model, reg, phi, z, eta, max_iter=220):
         pending[idx[found]] = False
     if np.any(pending):
         raise InnerSolveError("failed to bracket the 1-d minimizer")
-    its = np.zeros(z.size, dtype=int)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(_bracket_open(lo, hi))
-        if idx.size == 0:
-            break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        up = slope(mid, idx) > 0
-        hi[idx[up]] = mid[up]
-        lo[idx[~up]] = mid[~up]
-        its[idx] += 1
-    if np.any(_bracket_open(lo, hi)):
-        raise InnerSolveError("1-d bisection bracket still open after %d halvings"
-                              % max_iter)
-    return 0.5 * (lo + hi), its
+    return _bisection(lo, hi, lambda mid, idx: slope(mid, idx) > 0, max_iter)
 
 
 def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
@@ -917,13 +902,17 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     that fails raises InnerSolveError for the whole batch.  rho is the
     relative weak-convexity modulus of model + r, with eta * rho < 1.
     """
+    return _bisection_1d(model, reg, phi, centers, eta, rho, tol).minimizer[:, 0]
+
+
+def _bisection_1d(model, reg, phi, centers, eta, rho, tol):
+    """The certified steps of prox_points_1d, as a ProxStepResult over the
+    centers."""
     _check_step(eta, rho)
-    z = np.asarray(centers, dtype=float)
-    Z = phi.state_rows(z[:, None], reg)
-    y, its = _solve_1d(model, reg, phi, z, eta)
+    Z = phi.state_rows(np.asarray(centers, dtype=float)[:, None], reg)
+    y, its = _solve_1d(model, reg, phi, Z, eta)
     return _recorded(lambda Y: _elementwise(model._value_fn, Y[:, 0]), reg, phi, Z,
-                     (y[:, None], None, its.max(), "bisection_1d"), eta, rho,
-                     tol).minimizer[:, 0]
+                     (y[:, None], None, its.max(), "bisection_1d"), eta, rho, tol)
 
 
 def _difference_hessian(gradients):
@@ -1160,22 +1149,20 @@ def _secular(rows, phi, state, eta, max_iter=50):
 
 
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
-    """Certified 1-d bisection of min model(x) + r(x) + (1/eta) D(x, center).
+    """Certified 1-d bisection of min model(x) + r(x) + (1/eta) D(x, center):
+    the one-row case of prox_points_1d, as a one-point ProxStepResult.
 
     center is one 1-d point; a d > 1 center raises InnerSolveError (its
     steps go through the row forms, prox_step).  rho is the relative
     weak-convexity modulus of model + r (0 for convex).  The minimizer is
     certified by center_certificate, which raises InnerSolveError below
-    -tol * (1 + |model(center) + r(center)|).
+    -tol times the magnitudes of the terms its residual sums.
     """
-    _check_step(eta, rho)
     center = np.asarray(center, dtype=float)
     if center.size != 1:
         raise InnerSolveError("inner_solve bisects 1-d subproblems only, not d = %d"
                               % center.size)
-    y, its = _solve_1d(model, reg, phi, center, eta)
-    return _recorded(model.value_rows, reg, phi, phi.state_rows(center[None], reg),
-                     (y[None], None, its[0], "bisection_1d"), eta, rho, tol).row(0)
+    return _bisection_1d(model, reg, phi, center, eta, rho, tol).row(0)
 
 
 # ---------------------------------------------------------------------------

@@ -223,22 +223,33 @@ def test_one_horizon_fits_no_line():
     assert res.slope_json()["slope"] is None
 
 
-def test_a_p1_sweep_never_imports_scipy_optimize():
-    # P1's |affine| steps take no slope search, so scipy.optimize (about
-    # 0.5 s and 50 MB to import) stays out of the process; these horizons
-    # put some steps at a kink
+def test_the_library_runs_with_scipy_blocked():
+    # scipy is a test dependency only: with every scipy import refused, each
+    # registry problem sweeps (P1's horizons put some steps at a kink) and
+    # validates, and a d > 1 |affine| step bisects its slope
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys\n"
-            "from bregopt import driver, problems\n"
-            "driver.sweep(problems.get_problem('P1'), [64, 256], 2,\n"
-            "             metric_mode='tstar_full')\n"
-            "print('scipy.optimize' in sys.modules)\n")
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy is blocked: ' + name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "import numpy as np\n"
+            "from bregopt import cli, driver, legendre, problems, subproblem\n"
+            "for prob in problems.registry():\n"
+            "    driver.sweep(prob, [64, 256] if prob.id == 'P1' else [16, 64], 2,\n"
+            "                 metric_mode='tstar_full')\n"
+            "    assert cli.cli_main(['validate', prob.id, '--n-pairs', '10']) == 0\n"
+            "step = subproblem.prox_step_rows(\n"
+            "    subproblem.AffineRows(np.array([[1.0, -2.0, 0.5]]), np.array([0.1]), True),\n"
+            "    subproblem.ZeroRegularizer(), legendre.ShannonEntropy(),\n"
+            "    np.array([[0.2, 0.3, 0.5]]), 1.0)\n"
+            "assert step.inner_iterations > 3, step.inner_iterations\n")
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
 
 
 def test_a_p1_sweep_never_imports_numpy_ma():

@@ -220,7 +220,7 @@ def test_a_d2_model_with_no_row_form_raises():
 
 def test_a_one_row_form_stands_for_every_row_of_a_batch():
     # an |affine| objective's row form has one row; the d > 1 batch applies
-    # it to every prox point (theta = +1, theta = -1 and brentq rows alike),
+    # it to every prox point (theta = +1, theta = -1 and bisected rows alike),
     # each row bit for bit its own prox step
     prob = halfsq_problem()
     prob._objective_builder = lambda: absolute_affine_model(np.array([1.0, -2.0]), 0.3)

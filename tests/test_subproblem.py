@@ -551,10 +551,11 @@ def test_one_failing_element_fails_the_batch():
     # an element whose bracket is still open at max_iter fails the batch too;
     # the center 0 is its own minimizer and needs no halving at all
     model = PointModel(lambda y: 0.5 * y * y, lambda y: y)
-    y, its = _solve_1d(model, reg, phi, np.array([0.0, 1e6]), 1.0)
+    Z = phi.state_rows(np.array([[0.0], [1e6]]))
+    y, its = _solve_1d(model, reg, phi, Z, 1.0)
     assert y[0] == 0.0 and its[0] == 0 and its[1] > 10
     with pytest.raises(InnerSolveError):
-        _solve_1d(model, reg, phi, np.array([0.0, 1e6]), 1.0, max_iter=10)
+        _solve_1d(model, reg, phi, Z, 1.0, max_iter=10)
 
 
 def test_newton_raises_when_line_search_fails():
@@ -728,23 +729,76 @@ def test_secular_step_raises_when_unsolved():
         secular_rows(rows, phi, Z, 0.5)
 
 
-def test_burg_abs_affine_step_searches_where_the_step_exists():
-    # |<g, y> + s| + D(y, z) under Burg in d = 2: the affine step of the
-    # slope theta g exists only while 1/z + theta g > 0, which excludes
-    # theta = +1 in the first row and theta = -1 in the second; the minimizer
-    # satisfies the KKT conditions 1/z - 1/y + theta g = 0 with theta in
-    # [-1, 1] and <g, y> + s = 0 when |theta| < 1
-    G = np.array([[-3.0, 0.1], [3.0, -0.1]])
-    s = np.array([2.0, -2.0])
-    Z = np.ones((2, 2))
-    res = prox_step_rows(AffineRows(G, s, True), ZeroRegularizer(), Burg(), Z, 1.0)
+_ABS_PHIS = {"euclidean": Euclidean(), "poly": build_poly_legendre([0.25, 0.0, 0.25]),
+             "entropy": ShannonEntropy(), "burg": Burg()}
+_ABS_REGS = {"zero": ZeroRegularizer(), "ball": BallIndicator(1.0),
+             "simplex": SimplexIndicator()}
+
+
+@st.composite
+def _abs_affine_data(draw):
+    # (G, s, Z) of 1-5 rows in d = 2-4, Z's entries in [0.05, 1]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    scale = draw(st.floats(0.1, 10.0))
+    return (scale * rng.uniform(-1.0, 1.0, (n, d)), rng.uniform(-1.0, 1.0, n),
+            rng.uniform(0.05, 1.0, (n, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from([("zero", p) for p in _ABS_PHIS]
+                            + [("ball", "euclidean"), ("ball", "poly"),
+                               ("simplex", "entropy")]),
+       data=_abs_affine_data(), log_eta=st.floats(-2.0, 1.5))
+# Burg: the affine step of the slope theta g exists only while
+# 1/z + eta theta g > 0, which excludes theta = +1 in the first row and
+# theta = -1 in the second, and both minimizers lie strictly between
+@example(case=("zero", "burg"), log_eta=0.0,
+         data=(np.array([[-3.0, 0.1], [3.0, -0.1]]), np.array([2.0, -2.0]),
+               np.ones((2, 2))))
+def test_abs_affine_steps_in_d_above_1_satisfy_their_kkt_conditions(case, data,
+                                                                   log_eta):
+    # argmin |<g, y> + s| + r(y) + D(y, z) / eta satisfies
+    # grad phi(z) - grad phi(y) = eta theta g + n for one theta in [-1, 1] and
+    # a normal n of r at y (0; c 1 on the simplex; t y, t >= 0, on the
+    # sphere of the ball), with the level <g, y> + s = 0 when |theta| < 1 and
+    # of the sign of theta when theta = +-1
+    reg_kind, phi_kind = case
+    reg, phi = _ABS_REGS[reg_kind], _ABS_PHIS[phi_kind]
+    G, s, Z = data
+    if reg_kind == "simplex":
+        Z = Z / Z.sum(axis=1, keepdims=True)
+    elif reg_kind == "ball":
+        Z = Z - 0.5
+    elif phi.domain == "all_space":
+        Z = 4.0 * Z - 2.0
+    eta = 10.0 ** log_eta
+    res = prox_step_rows(AffineRows(G, s, True), reg, phi, Z, eta)
+    assert res.method == "closed_form_abs_affine"
     Y = res.minimizer
-    assert np.all(Y > 0.0)
-    theta = (1.0 / Y - 1.0 / Z) / G
-    assert np.allclose(theta[:, 0], theta[:, 1], rtol=1e-12, atol=1e-12)
-    assert np.all(np.abs(theta[:, 0]) < 1.0)
-    assert np.allclose(np.sum(G * Y, axis=1) + s, 0.0, atol=1e-12)
-    assert np.all(res.three_point_residual >= 0.0)
+    assert np.all(res.r_value == 0.0)
+    gap = phi.gradient_rows(Z) - phi.gradient_rows(Y)
+    level = (G * Y).sum(axis=1) + s
+    for i in range(len(Y)):
+        cols = [eta * G[i]]
+        if reg_kind == "simplex":
+            cols.append(np.ones(len(Y[i])))
+        sphere = reg_kind == "ball" and np.linalg.norm(Y[i]) >= 1.0 - 1e-9
+        if sphere:
+            cols.append(Y[i])
+        A = np.column_stack(cols)
+        coef = np.linalg.lstsq(A, gap[i], rcond=None)[0]
+        scale = 1.0 + np.abs(phi.gradient(Z[i])).max() + np.abs(phi.gradient(Y[i])).max()
+        assert np.abs(A @ coef - gap[i]).max() <= 1e-9 * scale
+        assert not sphere or coef[-1] >= -1e-9 * scale
+        theta, tol = coef[0], 1e-9 * (1.0 + abs(s[i]) + np.abs(G[i] * Y[i]).sum())
+        assert abs(theta) <= 1.0 + 1e-9
+        if theta >= 1.0 - 1e-9:
+            assert level[i] >= -tol
+        elif theta <= -1.0 + 1e-9:
+            assert level[i] <= tol
+        else:
+            assert abs(level[i]) <= tol
 
 
 def _reference_residual(model, reg, phi, z, y, eta, rho):
@@ -970,6 +1024,21 @@ def test_an_entropic_step_from_tiny_centres_stays_in_the_floats():
         Y = _affine_solver(_ROW_REGS["zero"], phi, phi.state_rows(Z), eta)(V)[0]
     assert np.isfinite(Y).all()
     assert np.array_equal(Y, np.exp(np.log(Z) - eta * V))
+
+
+def test_an_entropic_abs_affine_search_keeps_the_log_of_an_underflowed_entry():
+    # the slope search stops at theta = 0.9, where y_1 = 1e-300 e^-90
+    # underflows to 0.0; the step keeps log y_1 = log(1e-300) - 90 from its
+    # last affine solve, so its divergences stay finite and it certifies
+    G = np.array([[100.0, -1.0, 0.0]])
+    Z = np.array([[1e-300, 0.5, 0.5]])
+    s = np.array([0.5 * np.exp(0.9)])
+    res = prox_step_rows(AffineRows(G, s, True), ZeroRegularizer(), ShannonEntropy(),
+                         Z, 1.0)
+    assert res.method == "closed_form_abs_affine"
+    assert res.minimizer[0, 0] == 0.0
+    assert res.state.mirror[0, 0] == pytest.approx(np.log(1e-300) - 90.0, rel=1e-12)
+    assert np.isfinite(res.divergence).all() and res.three_point_residual[0] >= 0.0
 
 
 def _abs_quadratic_model(a, b, w):
