@@ -46,7 +46,8 @@ class SolverConfig:
 
 
 class RunTrace:
-    """Per-iteration record of one run."""
+    """Per-iteration record of one run; sampled_xi_ids holds its T+1
+    samples as one array (one per step)."""
 
     def __init__(self, problem_id, algorithm, iterates, etas, sampled_xi_ids,
                  t_star, lam, model_values, r_values, step_divergences,
@@ -174,7 +175,7 @@ def _run_loop(problem, configs):
     InnerSolveError naming the step and the row; when a later step of the
     same block raises first, the block's completed steps are recorded
     before that error propagates, so the certificate's failure is the one
-    reported.  An oracle or (r, phi) pair with no batched step raises
+    reported.  Models whose row form has no batched step for (r, phi) raise
     ValueError.  Returns S RunTraces; in the convex regime each carries its
     averaged iterates.
     """
@@ -240,12 +241,10 @@ def _run_loop(problem, configs):
         try:
             centres = RowState(iterates[t], mirror[k], None, None)
             rows = oracle.model_rows(centres.points, xi_steps[t])
-            found = (None if rows is None
-                     else solve_rows(rows, reg, phi, centres, float(etas[t]), rho, tol))
+            found = solve_rows(rows, reg, phi, centres, float(etas[t]), rho, tol)
             if found is None:
-                raise ValueError("%s has no batched prox step: the lockstep loop needs "
-                                 "models over rows (model_rows) with a batched path "
-                                 "for its regularizer and phi" % (problem.id,))
+                raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
+                                 % (problem.id, type(rows).__name__, reg.kind, phi.kind))
             Y, M = found[:2]
             iterates[t + 1] = Y
             mirror[k + 1] = phi.mirror_rows(Y) if M is None else M
@@ -261,7 +260,7 @@ def _run_loop(problem, configs):
     for s, (config, rng) in enumerate(zip(configs, rngs)):
         t_star = int(sample_tstar(etas, rho, rng))
         trace = RunTrace(problem.id, _ALGORITHMS[regime], iterates[:, s], etas.copy(),
-                         list(xis[s]), t_star, lam, model_values[:, s], r_values[:, s],
+                         xis[s], t_star, lam, model_values[:, s], r_values[:, s],
                          divergences[:, s], residuals[:, s], seed=config.seed)
         if regime == "C":
             # the eta-weighted average is the point the plain-convexity rate

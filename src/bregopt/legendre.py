@@ -81,21 +81,14 @@ class LocalNormContext:
     """Local norm data at an interior base point.
 
     Carries the symmetric positive definite factor H = hessian of phi at the
-    base point.  The local norm of y is ||H y||_* and its dual is ||H^-1 v||
-    in the primal norm declared by phi.
+    base point.  The local dual norm of v is ||H^-1 v|| in the primal norm
+    declared by phi.
     """
 
     def __init__(self, base_point, hessian_factor, norm="l2"):
         self.base_point = np.asarray(base_point, dtype=float)
         self.hessian_factor = np.asarray(hessian_factor, dtype=float)
         self.norm = norm
-
-    def local_norm(self, y):
-        w = self.hessian_factor @ np.asarray(y, dtype=float)
-        # dual of l1 is l-infinity; dual of l2 is l2
-        if self.norm == "l1":
-            return float(np.max(np.abs(w)))
-        return float(np.linalg.norm(w))
 
     def local_dual_norm(self, v):
         u = np.linalg.solve(self.hessian_factor, np.asarray(v, dtype=float))

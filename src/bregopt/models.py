@@ -7,8 +7,12 @@ divergence.  Four families are implemented:
 
   proximal_point  f_x(y, xi) = f(y, xi), a full sampled function
   linear_mirror   f_x(y, xi) = f(x) + <G(x, xi), y - x>
-  prox_linear     f_x(y, xi) = h(c(x, xi) + J(x, xi)(y - x), xi)
-  saddle          f_x(y, xi) = g(y, w_hat(x, xi), xi), w_hat the inner argmax
+  prox_linear     f_x(y, xi) = h(c(x, xi) + <grad c(x, xi), y - x>), h = |.|
+  saddle          f_x(y, xi) = g_x(y, w_hat(x, xi), xi), w_hat the inner
+                  argmax and g_x affine in y, of slope s(x, xi)
+
+Every family forms its sampled models over rows of points (model_rows),
+the one model form the prox steps and the lockstep loop take.
 
 Constants (tau, rho, mu, L, M, sigma) are declared by the problem builder
 and validated statistically by the verify_* checks below, never estimated
@@ -71,14 +75,14 @@ class ModelOracle:
     # -- models -------------------------------------------------------------
     def model_rows(self, X, xi):
         """The sampled models anchored at the rows of X (sample xi[i] at row
-        i), or None when the family has no row form.
+        i).
 
         AffineRows hold affine models offsets[i] + <slopes[i], y>, or their
         absolute values; QuadraticRows hold the full sampled quadratics of
         proximal_point.  The fields act on the last axis, so one point and
         one sample give the one-row case.
         """
-        return None
+        raise NotImplementedError
 
     def model_at(self, x, xi):
         """The sampled model anchored at x, as a PointModel: the one-row case
@@ -91,9 +95,6 @@ class ModelOracle:
 
     def model_value(self, x, y, xi):
         return self.model_at(x, xi).value(y)
-
-    def model_subgradient(self, x, y, xi):
-        return self.model_at(x, xi).subgradient(y)
 
     def lip_L(self, xi):
         """Per-sample Lipschitz-type constant L(xi)."""
@@ -134,9 +135,6 @@ class FiniteSupportOracle(ModelOracle):
         x = np.asarray(x, dtype=float)
         X = np.broadcast_to(x, (self.n_atoms,) + x.shape)
         rows = self.model_rows(X, np.arange(self.n_atoms))
-        if rows is None:
-            return float(sum(w * self.model_value(x, y, i)
-                             for i, w in enumerate(self.weights)))
         return float(self.weights @ rows.values(
             np.broadcast_to(np.asarray(y, dtype=float), X.shape)))
 
@@ -253,36 +251,32 @@ class NoisyGradientOracle(ModelOracle):
 # ---------------------------------------------------------------------------
 
 class CompositeData:
-    """Data of a composite objective f(x) = E[h(c(x, xi), xi)].
+    """Data of a composite objective f(x) = E[|c(x, xi)|].
 
-    outer h(., xi) is convex and L1(xi)-Lipschitz; inner c(., xi) is smooth
-    with Jacobian J.  Two growth polynomials describe the inner map: p bounds
-    the Jacobian's Lipschitz modulus via L2_accuracy(xi)(p(||x||)+p(||y||)),
-    and q bounds its operator norm via L2_growth(xi) sqrt(q(||x||)).
+    The outer function h = |.| of the one inner output is convex and
+    L1(xi)-Lipschitz; the inner map c(., xi) is smooth with Jacobian J.  Two
+    growth polynomials describe the inner map: p bounds the Jacobian's
+    Lipschitz modulus via L2_accuracy(xi)(p(||x||)+p(||y||)), and q bounds
+    its operator norm via L2_growth(xi) sqrt(q(||x||)).
     """
 
-    def __init__(self, outer_value, outer_subgrad, outer_lip,
-                 inner_value, inner_jacobian, l2_accuracy, l2_growth,
-                 jacobian_lip_growth, jacobian_growth, outer_is_abs=False):
-        self.outer_value = outer_value        # (v, xi) -> float
-        self.outer_subgrad = outer_subgrad    # (v, xi) -> array over outputs
+    def __init__(self, outer_lip, inner_value, inner_jacobian, l2_accuracy,
+                 l2_growth, jacobian_lip_growth, jacobian_growth):
         self.outer_lip = outer_lip            # xi -> L1(xi)
-        self.inner_value = inner_value        # (x, xi) -> array (m outputs)
-        self.inner_jacobian = inner_jacobian  # (x, xi) -> (m, d) array
+        self.inner_value = inner_value        # (x, xi) -> (..., 1) array
+        self.inner_jacobian = inner_jacobian  # (x, xi) -> (..., 1, d) array
         self.l2_accuracy = l2_accuracy        # xi -> L2(xi) for the p bound
         self.l2_growth = l2_growth            # xi -> L2(xi) for the q bound
         self.jacobian_lip_growth = [float(a) for a in jacobian_lip_growth]
         self.jacobian_growth = [float(b) for b in jacobian_growth]
-        self.outer_is_abs = outer_is_abs      # h = |.| on a scalar output
 
 
 class ProxLinearOracle(FiniteSupportOracle):
-    """Models h(c(x, xi) + J(x, xi)(y - x), xi): convex in y, rho = 0.
+    """Models |c(x, xi) + J(x, xi)(y - x)|: convex in y, rho = 0.
 
-    With h = |.| (outer_is_abs) the models are |affine| rows (model_rows),
-    and inner_value and inner_jacobian act on the last axis: (S, 1) values
-    and an (S, 1, d) Jacobian at S points.  Any other h gives one generic
-    model per point.
+    The models are |affine| rows (model_rows); inner_value and
+    inner_jacobian act on the last axis: (S, 1) values and an (S, 1, d)
+    Jacobian at S points.
     """
 
     family = "prox_linear"
@@ -294,27 +288,8 @@ class ProxLinearOracle(FiniteSupportOracle):
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
-    def model_at(self, x, xi):
-        comp = self.composite
-        if comp.outer_is_abs:
-            return super().model_at(x, xi)
-        x = np.asarray(x, dtype=float)
-        c0 = np.atleast_1d(np.asarray(comp.inner_value(x, xi), dtype=float))
-        J = np.atleast_2d(np.asarray(comp.inner_jacobian(x, xi), dtype=float))
-        bias = c0 - J @ x
-
-        def val(y):
-            return float(comp.outer_value(J @ y + bias, xi))
-
-        def sub(y):
-            return J.T @ np.atleast_1d(comp.outer_subgrad(J @ y + bias, xi))
-
-        return PointModel(val, sub)
-
     def model_rows(self, X, xi):
         comp = self.composite
-        if not comp.outer_is_abs:
-            return None
         X = np.asarray(X, dtype=float)
         c = np.asarray(comp.inner_value(X, xi), dtype=float)
         if c.shape != X.shape[:-1] + (1,):
@@ -330,13 +305,9 @@ class ProxLinearOracle(FiniteSupportOracle):
     def f_exact(self, x):
         comp = self.composite
         x = np.asarray(x, dtype=float)
-        if comp.outer_is_abs:
-            X = np.broadcast_to(x, (self.n_atoms,) + x.shape)
-            c = np.asarray(comp.inner_value(X, np.arange(self.n_atoms)), dtype=float)
-            return float(self.weights @ np.abs(c[..., 0]))
-        return float(sum(w * comp.outer_value(
-            np.atleast_1d(comp.inner_value(x, i)), i)
-            for i, w in enumerate(self.weights)))
+        X = np.broadcast_to(x, (self.n_atoms,) + x.shape)
+        c = np.asarray(comp.inner_value(X, np.arange(self.n_atoms)), dtype=float)
+        return float(self.weights @ np.abs(c[..., 0]))
 
     def tau_from_accuracy(self):
         """tau = (4/3) E[L1 L2] for the accuracy-adapted Legendre function."""
@@ -358,57 +329,35 @@ class SaddleData:
     the closed-form radius * normalize(coefficient) selection.
     """
 
-    def __init__(self, g_value, model_value, model_subgrad, argmax_solver,
-                 w_radius=None):
+    def __init__(self, g_value, model_value, argmax_solver, w_radius=None):
         self.g_value = g_value            # (x, w, xi) -> float
         self.model_value = model_value    # (base x, y, w, xi) -> float
-        self.model_subgrad = model_subgrad
         self.argmax_solver = argmax_solver  # (x, xi) -> w_hat
         self.w_radius = w_radius
 
-    def sup_g(self, x, xi):
-        w_hat = self.argmax_solver(x, xi)
-        return self.g_value(x, w_hat, xi)
-
 
 class SaddleOracle(FiniteSupportOracle):
-    """f_x(y, xi) = g_x(y, w_hat(x, xi), xi) with w_hat the inner argmax.
+    """f_x(y, xi) = g_x(y, w_hat(x, xi), xi) with w_hat the inner argmax and
+    g_x affine in y, of slope linear_slope(x, xi).
 
-    With linear_slope (g_x affine in y), linear_slope, the argmax solver and
-    the saddle's model_value act on the last axis of an (S, d) array of
-    points, as the linear families' callbacks do.
+    linear_slope, the argmax solver and the saddle's model_value act on the
+    last axis of an (S, d) array of points, as the linear families'
+    callbacks do; f_sup_exact is the exact f = E[sup_w g].
     """
 
     family = "saddle"
 
-    def __init__(self, saddle, weights, lip_fn, regime, constants,
-                 f_sup_exact=None, linear_slope=None,
-                 sample_space="finite support", test_point_sampler=None):
+    def __init__(self, saddle, weights, lip_fn, regime, constants, f_sup_exact,
+                 linear_slope, sample_space="finite support", test_point_sampler=None):
         self.saddle = saddle
         self._lip = lip_fn
         self._f_sup = f_sup_exact
-        self._linear_slope = linear_slope  # (x, xi) -> slope when g_x affine in y
+        self._linear_slope = linear_slope  # (x, xi) -> the slope of g_x in y
         super().__init__(weights=weights, regime=regime, constants=constants,
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
-    def model_at(self, x, xi):
-        if self._linear_slope is not None:
-            return super().model_at(x, xi)
-        x = np.asarray(x, dtype=float)
-        w_hat = self.saddle.argmax_solver(x, xi)
-
-        def val(y):
-            return float(self.saddle.model_value(x, y, w_hat, xi))
-
-        def sub(y):
-            return np.asarray(self.saddle.model_subgrad(x, y, w_hat, xi), dtype=float)
-
-        return PointModel(val, sub)
-
     def model_rows(self, X, xi):
-        if self._linear_slope is None:
-            return None
         X = np.asarray(X, dtype=float)
         w_hat = self.saddle.argmax_solver(X, xi)
         return _tangent_rows(X, self._linear_slope(X, xi),
@@ -418,11 +367,7 @@ class SaddleOracle(FiniteSupportOracle):
         return float(self._lip(xi))
 
     def f_exact(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._f_sup is not None:
-            return float(self._f_sup(x))
-        return float(sum(w * self.saddle.sup_g(x, i)
-                         for i, w in enumerate(self.weights)))
+        return float(self._f_sup(np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

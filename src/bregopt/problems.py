@@ -74,14 +74,11 @@ class ProblemInstance:
 
     def r_initial_gap(self):
         """r(x0) - inf r, the regularizer term of the rate bounds."""
-        r0 = self.regularizer.value(self.x0)
-        if self.regularizer.kind == "entropy_like":
-            return r0 - self.regularizer.inf_value_dim(self.dimension)
-        return r0 - self.regularizer.inf_value()
+        return self.regularizer.value(self.x0) - self.regularizer.inf_value(self.dimension)
 
 
 # ---------------------------------------------------------------------------
-# samplers and regularizer (de)serialization
+# samplers and regularizers
 # ---------------------------------------------------------------------------
 
 def _make_sampler(spec, dimension):
@@ -121,15 +118,6 @@ def _make_regularizer(spec):
     raise ValueError("unknown regularizer kind %r" % (kind,))
 
 
-def _regularizer_config(reg):
-    cfg = {"kind": reg.kind}
-    if reg.kind == "indicator_ball":
-        cfg["radius"] = reg.radius
-    elif reg.kind in ("l1", "quadratic", "entropy_like"):
-        cfg["weight"] = reg.weight
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # instance assembly from configs
 # ---------------------------------------------------------------------------
@@ -162,8 +150,6 @@ def _assemble_p1(cfg):
 
     # the inner map acts on the last axis: the |affine| models of many points
     composite = CompositeData(
-        outer_value=lambda v, xi: float(np.abs(v[0])),
-        outer_subgrad=lambda v, xi: np.array([np.sign(v[0])]),
         outer_lip=lambda xi: 1.0,
         inner_value=lambda x, xi: (a2[xi] * x[..., 0] * x[..., 0] - b[xi])[..., None],
         inner_jacobian=lambda x, xi: (2.0 * a2[xi] * x[..., 0])[..., None, None],
@@ -171,7 +157,6 @@ def _assemble_p1(cfg):
         l2_growth=lambda xi: a2[xi],
         jacobian_lip_growth=cfg["p"],
         jacobian_growth=cfg["q"],
-        outer_is_abs=True,
     )
     tau = float(4.0 / 3.0 * np.dot(weights, a2))
     lip = float(np.sqrt(2.0 * np.dot(weights, a2 * a2)))
@@ -244,7 +229,7 @@ def _assemble_p2(cfg):
     reg = _make_regularizer(cfg["regularizer"])
 
     def objective():
-        return PointModel(f, grad, smooth=True, hessian_fn=hess, on_rows=True)
+        return PointModel(f, grad, hessian_fn=hess, on_rows=True)
 
     return ProblemInstance("P2", oracle, reg, phi, "B", d, cfg["x0"],
                            exact_objective_builder=objective, sampler=sampler,
@@ -307,7 +292,6 @@ def _assemble_p5(cfg):
     saddle = SaddleData(
         g_value=lambda x, w, xi: dot_rows(atoms[xi] + w, x),
         model_value=lambda x, y, w, xi: dot_rows(atoms[xi] + w, y),
-        model_subgrad=lambda x, y, w, xi: atoms[xi] + w,
         argmax_solver=argmax_w, w_radius=w_radius)
 
     # acts on the last axis: the exact f of one point, or of a grid's rows

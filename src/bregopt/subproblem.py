@@ -24,8 +24,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .legendre import (Burg, DomainError, Euclidean, ShannonEntropy, dot_rows,
-                       finite_difference_step, norm_rows)
+from .legendre import Burg, DomainError, Euclidean, ShannonEntropy, dot_rows, norm_rows
 
 
 class InnerSolveError(RuntimeError):
@@ -63,8 +62,9 @@ class Regularizer:
         """A subgradient selection at an interior point of dom r."""
         return np.zeros(np.asarray(x, dtype=float).shape)
 
-    def inf_value(self):
-        """inf r, used by the theoretical rate bounds."""
+    def inf_value(self, dim):
+        """inf r over points of dimension dim, used by the theoretical rate
+        bounds."""
         return 0.0
 
 
@@ -160,11 +160,8 @@ class EntropyLike(Regularizer):
             entropy = self._entropy.value_rows(np.maximum(X, 0.0))
         return np.where(_on_simplex(X, self.tol), self.weight * entropy, np.inf)
 
-    def inf_value(self):
+    def inf_value(self, dim):
         # entropy over the simplex is minimized at the uniform distribution
-        return None  # depends on dimension; resolved by inf_value_dim
-
-    def inf_value_dim(self, dim):
         return -self.weight * np.log(dim)
 
 
@@ -178,10 +175,11 @@ class PointModel:
     value/subgradient act on the trial point y.  row_form is the model's
     structure as a one-row AffineRows (affine, or |affine|), NormTermRows
     (<v, y> + c ||y||), QuadraticRows or AbsQuadraticRows (1-d pieces of
-    sum_i w_i |a_i^2 y^2 - b_i|); smooth says value/gradient (and
-    optionally hessian) are exact, which gives the model the row form
-    SmoothRows.  prox_step dispatches on rows(); a 1-d model with none, or
-    whose form has no path for (r, phi), is solved by bisection.
+    sum_i w_i |a_i^2 y^2 - b_i|).  A model with no row_form but a
+    hessian_fn is smooth: value, subgradient (its gradient) and hessian are
+    exact, which gives it the row form SmoothRows.  prox_step dispatches on
+    rows(); a 1-d model with none, or whose form has no path for (r, phi),
+    is solved by bisection.
 
     For a 1-d variable, value and subgradient functions that act elementwise
     on an (N,) array let prox_points_1d solve N subproblems in one batch.
@@ -191,12 +189,11 @@ class PointModel:
     row.
     """
 
-    def __init__(self, value_fn, subgrad_fn, row_form=None, smooth=False,
-                 hessian_fn=None, on_rows=False):
+    def __init__(self, value_fn, subgrad_fn, row_form=None, hessian_fn=None,
+                 on_rows=False):
         self._value_fn = value_fn
         self._subgrad_fn = subgrad_fn
         self.row_form = row_form
-        self.smooth = smooth
         self.hessian_fn = hessian_fn
         self.on_rows = on_rows
 
@@ -225,7 +222,7 @@ class PointModel:
         rows, else one call per row)."""
         if self.row_form is not None:
             return self.row_form
-        if not self.smooth:
+        if self.hessian_fn is None:
             return None
         if self.on_rows:
             return SmoothRows(self._value_fn, self._subgrad_fn, self.hessian_fn)
@@ -233,8 +230,7 @@ class PointModel:
         def each(fn):
             return lambda Y: np.array([fn(y) for y in Y])
 
-        return SmoothRows(self.value_rows, each(self.subgradient),
-                          None if self.hessian_fn is None else each(self.hessian))
+        return SmoothRows(self.value_rows, each(self.subgradient), each(self.hessian))
 
 
 def linear_model(v, offset=0.0):
@@ -607,8 +603,7 @@ class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
 class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
     """Smooth models over rows: values, gradients and hessians map an (N, d)
     array Y to the N values, the (N, d) gradients and the (N, d, d) Hessians
-    of row i's model at row i of Y.  hessians None means the models expose
-    none, and Newton differences the gradients."""
+    of row i's model at row i of Y."""
 
     __slots__ = ()
 
@@ -915,20 +910,6 @@ def _bisection_1d(model, reg, phi, centers, eta, rho, tol):
                      (y[:, None], None, its.max(), "bisection_1d"), eta, rho, tol)
 
 
-def _difference_hessian(gradients):
-    """Hessians of smooth rows by central differences of their gradients."""
-    def hessians(Y):
-        h = np.array([finite_difference_step(y) for y in Y])[:, None]
-        H = np.empty(Y.shape + Y.shape[-1:])
-        for i in range(Y.shape[1]):
-            E = np.zeros(Y.shape)
-            E[:, i:i + 1] = h
-            H[:, :, i] = (gradients(Y + E) - gradients(Y - E)) / (2 * h)
-        return H
-
-    return hessians
-
-
 def _newton_directions(H, G):
     """Solve H_i p_i = -g_i for each row, with -g_i where H_i is singular;
     a row's direction does not depend on the other rows."""
@@ -941,8 +922,9 @@ def _newton_directions(H, G):
                                for i in range(len(G))])
 
 
-def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
-    """Certified argmin model_i(y) + (1/eta) D(y, z_i) for each row z_i of Z.
+def _newton(rows, phi, state, eta, tol, max_iter=120):
+    """argmin model_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
+    RowState (phi at the centres is derived when the state carries none).
 
     rows is a SmoothRows (r = 0).  One damped Newton runs over all rows in
     lockstep: batched gradients, one np.linalg.solve over the (S, d, d)
@@ -953,23 +935,12 @@ def newton_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=120):
     step fails the Armijo test).  Every row takes the iterates of its own
     one-row call.  A row whose line search fails after 60 halvings, or that
     is still above the tolerance after max_iter iterations, raises
-    InnerSolveError for the batch.  Z is the centres' RowState or their
-    points.  The steps are certified together by center_certificate; returns
-    a ProxStepResult over the rows.
+    InnerSolveError for the batch.  Returns solve_rows' (minimizers, None,
+    iterations, "newton").
     """
-    _check_step(eta, rho)
-    Z = phi.state_rows(Z)
-    return _recorded(rows.values, None, phi, Z, _newton(rows, phi, Z, eta, tol, max_iter),
-                     eta, rho, tol)
-
-
-def _newton(rows, phi, state, eta, tol, max_iter=120):
-    """The solve of newton_rows from the centres' RowState (phi at the
-    centres is derived when the state carries none)."""
     Z, gz = state.points, phi.gradient_from_mirror(state.mirror)
     vz = phi.value_rows(Z) if state.values is None else state.values
     S = len(Z)
-    hessians = rows.hessians or _difference_hessian(rows.gradients)
 
     def psi(Y):
         return rows.values(Y) + (phi.value_rows(Y) - vz - dot_rows(gz, Y - Z)) / eta
@@ -983,7 +954,7 @@ def _newton(rows, phi, state, eta, tol, max_iter=120):
     dec = np.zeros(S)
     for it in range(1, max_iter + 1):
         G = rows.gradients(Y) + (phi.gradient_rows(Y) - gz) / eta
-        P = _newton_directions(hessians(Y) + phi.hessian_rows(Y) / eta, G)
+        P = _newton_directions(rows.hessians(Y) + phi.hessian_rows(Y) / eta, G)
         dec = np.where(active, -dot_rows(G, P), dec)
         ascent = active & ~(dec > 0)
         if ascent.any():
@@ -1066,9 +1037,10 @@ def _power_sum(const, terms, s):
     return out
 
 
-def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
-    """Certified argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of Z,
-    for QuadraticRows q under a radial phi = sum_k c_k ||y||^p_k (r = 0).
+def _secular(rows, phi, state, eta, max_iter=50):
+    """argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
+    RowState, for QuadraticRows q under a radial phi = sum_k c_k ||y||^p_k
+    (r = 0).
 
     grad phi(y) = A(||y||) y with A(r) = sum_k c_k p_k r^(p_k - 2), so with
     Q_i = U diag(lam) U' the optimality condition
@@ -1085,19 +1057,9 @@ def secular_rows(rows, phi, Z, eta, rho=0.0, tol=1e-10, max_iter=50):
     once that ratio is at most SECULAR_TOL, so its bits do not depend on the
     batch, and with A constant (Euclidean) the first pass is exact.  Non-finite
     data, or a row still above the tolerance after max_iter Newton steps,
-    raises InnerSolveError.  The steps are certified together by
-    center_certificate; returns a ProxStepResult over the rows whose
-    inner_iterations counts the passes (Newton steps + 1).  Z is the
-    centres' RowState or their points.
+    raises InnerSolveError.  Returns solve_rows' (minimizers, None, passes,
+    "secular"), the passes counting Newton steps + 1.
     """
-    _check_step(eta, rho)
-    Z = phi.state_rows(Z)
-    return _recorded(rows.values, None, phi, Z, _secular(rows, phi, Z, eta, max_iter),
-                     eta, rho, tol)
-
-
-def _secular(rows, phi, state, eta, max_iter=50):
-    """The solve of secular_rows from the centres' RowState."""
     # A(s) = const + sum_k a_k s^e_k over the terms with e_k = p_k - 2 > 0
     coefs, powers = phi.radial_terms()
     terms = [(c * p, p - 2.0) for c, p in zip(coefs.tolist(), powers.tolist())]
@@ -1179,8 +1141,8 @@ def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
     AffineRows take the closed form, NormTermRows the shrinkage,
     AbsQuadraticRows (r = 0, phi = c2 y^2 + c4 y^4) one kink search and
     cubic root, QuadraticRows (r = 0) under a radial phi the secular
-    equation (secular_rows), and SmoothRows and any other QuadraticRows
-    (r = 0) one lockstep Newton (newton_rows).
+    equation (_secular), and SmoothRows and any other QuadraticRows (r = 0)
+    one lockstep Newton (_newton).
     """
     _check_step(eta, rho)
     if eta < ETA_FLOOR:
@@ -1249,15 +1211,15 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     row): AffineRows (affine, or the absolute value of an affine function)
     take the closed form, NormTermRows the shrinkage, AbsQuadraticRows one
     kink search and cubic root, QuadraticRows (r = 0) under a radial phi the
-    secular equation, and SmoothRows (r = 0) one lockstep newton_rows.  A
-    step is its solve (solve_rows) and its record (record_rows): the
+    secular equation, and SmoothRows (r = 0) one lockstep Newton.  A step
+    is its solve (solve_rows) and its record (record_rows): the
     minimizers' state, the models at both ends, D(y, z), D(z, y) and the
     certificate.  The rows are certified together by center_certificate:
     one row below inner_tol raises InnerSolveError for the batch.  centers
     is an (S, d) array, or the RowState of the minimizers of the step before
     (its result's state), which the step takes as it is instead of deriving
     phi, grad phi and r at the centres again.  Returns a ProxStepResult over
-    the rows, whose state is that of its minimizers, or None when (model, r,
+    the rows, whose state is that of its minimizers, or None when (rows, r,
     phi) has no batched path.  The lockstep loop (driver) takes the same
     solve per step and the same record per block of steps.
     """

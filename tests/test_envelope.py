@@ -4,12 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from util_problems import halfsq_problem, smooth_problem
 
+from bregopt import envelope
 from bregopt.envelope import (bregman_prox_point, bregman_prox_points,
                               envelope_gradient, envelope_value, stationarity)
 from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
+from bregopt.driver import default_lambda, sweep
 from bregopt.models import NoisyGradientOracle, OracleConstants
-from bregopt.problems import ProblemInstance, get_problem
+from bregopt.problems import (ProblemInstance, _golden_polish, default_configs,
+                              get_problem, instance_from_config)
 from bregopt.subproblem import (InnerSolveError, PointModel, ZeroRegularizer,
                                 absolute_affine_model, prox_step)
 
@@ -45,7 +48,7 @@ def test_constant_objective_both_paths():
     prob = ProblemInstance("CONST", oracle, ZeroRegularizer(), Euclidean(),
                            "B", d, np.zeros(d), sampler=oracle.test_point_sampler)
     prob._objective_builder = lambda: PointModel(
-        f, lambda y: np.zeros(d), smooth=True, hessian_fn=lambda y: np.zeros((d, d)))
+        f, lambda y: np.zeros(d), hessian_fn=lambda y: np.zeros((d, d)))
     for x in (np.zeros(2), np.array([1.3, -0.2])):
         assert envelope_value(prob, prob.phi, x, 0.9, path="direct") == pytest.approx(3.25, abs=1e-10)
         assert envelope_value(prob, prob.phi, x, 0.9, path="conjugate") == pytest.approx(3.25, abs=1e-10)
@@ -185,6 +188,45 @@ def test_batched_1d_prox_agrees_with_single_solves(centers, lam_frac):
     for x, y in zip(X, X_hat):
         one = bregman_prox_point(p1, p1.phi, x, lam)
         assert abs(y[0] - one[0]) <= 1e-14 * (1.0 + abs(one[0]))
+
+
+def test_euclidean_p1_envelope_takes_the_1d_bisection(monkeypatch):
+    # P1's pieces have a closed form only under phi = c2 y^2 + c4 y^4, so
+    # with phi = y^2 / 2 the envelope's prox points take the 1-d bisection
+    cfg = next(c for c in default_configs() if c["id"] == "P1")
+    p1 = instance_from_config(dict(cfg, phi={"kind": "euclidean"}))
+    lam = default_lambda(p1)
+    batches = []
+    bisection = envelope.prox_points_1d
+
+    def counted(model, reg, phi, centers, *args, **kwargs):
+        batches.append(len(centers))
+        return bisection(model, reg, phi, centers, *args, **kwargs)
+
+    monkeypatch.setattr(envelope, "prox_points_1d", counted)
+    xs = np.array([-2.4, -0.9, 0.0, 0.35, 1.7, 2.5])
+    ys = bregman_prox_points(p1, p1.phi, xs[:, None], lam)[:, 0]
+    assert batches == [xs.size]
+
+    # each point minimizes F(y) + (y - x)^2 / (2 lam): a 60001-point grid of
+    # F from the atoms, then a golden-section polish around its best point
+    a2, b = np.asarray(cfg["a"]) ** 2, np.asarray(cfg["b"])
+    w = np.asarray(cfg["weights"])
+    grid = np.linspace(-3.0, 3.0, 60001)
+    F_grid = np.abs(np.outer(grid * grid, a2) - b) @ w
+    for x, y in zip(xs, ys):
+        def total(t, x=x):
+            return p1.exact_F(np.array([t])) + (t - x) ** 2 / (2.0 * lam)
+
+        k = int(np.argmin(F_grid + (grid - x) ** 2 / (2.0 * lam)))
+        assert 0 < k < grid.size - 1, x
+        t, g = _golden_polish(total, grid[k - 1], grid[k + 1])
+        assert total(y) - g <= 1e-12 * (1.0 + abs(g)), x
+        assert abs(y - t) <= 1e-6, x
+
+    # a sweep whose metric averages over the whole t* law completes
+    res = sweep(p1, [4, 8], 2, metric_mode="tstar_full")
+    assert len(batches) > 1 and np.isfinite(res.values).all()
 
 
 def test_batched_prox_points_in_2d_equal_single_solves():

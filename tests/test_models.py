@@ -13,8 +13,6 @@ from bregopt.problems import get_problem, registry
 def one_d_robust_oracle():
     """Single-atom |x^2 - 1| composite, the worked 1-d example."""
     comp = CompositeData(
-        outer_value=lambda v, xi: float(abs(v[0])),
-        outer_subgrad=lambda v, xi: np.array([np.sign(v[0])]),
         outer_lip=lambda xi: 1.0,
         inner_value=lambda x, xi: np.array([x[0] ** 2 - 1.0]),
         inner_jacobian=lambda x, xi: np.array([[2.0 * x[0]]]),
@@ -22,7 +20,6 @@ def one_d_robust_oracle():
         l2_growth=lambda xi: 1.0,
         jacobian_lip_growth=[1.0],
         jacobian_growth=[0.0, 0.0, 4.0],
-        outer_is_abs=True,
     )
     constants = OracleConstants(tau=4.0 / 3.0, lip_bound_L=np.sqrt(2.0))
     return ProxLinearOracle(
@@ -50,10 +47,10 @@ def test_prox_linear_subgradient_chain_rule_and_kink():
     oracle = one_d_robust_oracle()
     x1 = np.array([1.0])
     # chain rule away from the kink: sign(-2) * 2 = -2
-    g = oracle.model_subgradient(x1, np.array([0.0]), 0)
+    g = oracle.model_at(x1, 0).subgradient(np.array([0.0]))
     assert np.allclose(g, [-2.0])
     # at the kink the zero-slope selection is returned
-    g = oracle.model_subgradient(x1, x1, 0)
+    g = oracle.model_at(x1, 0).subgradient(x1)
     assert np.allclose(g, [0.0])
 
 

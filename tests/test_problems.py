@@ -104,7 +104,7 @@ def test_grid_oracle_on_synthetic_quadratic():
                            "B", d, np.array([0.5, 0.5]),
                            sampler=oracle.test_point_sampler)
     prob._objective_builder = lambda: PointModel(
-        f, lambda y: y.copy(), smooth=True, on_rows=True,
+        f, lambda y: y.copy(), on_rows=True,
         hessian_fn=lambda y: np.broadcast_to(np.eye(d), y.shape + (d,)))
     res = brute_force_min(prob, domain_box=(-1.0, 1.0), resolution=1e-3)
     assert res.method == "grid"

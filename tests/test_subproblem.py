@@ -16,10 +16,9 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 SimplexIndicator, SmoothRows, ZeroRegularizer,
                                 absolute_affine_model, center_certificate,
                                 check_three_point, inner_solve, linear_model,
-                                newton_rows,
                                 prox_points_1d, prox_step, prox_step_rows, record_rows,
-                                secular_rows, solve_monotone_power,
-                                _affine_solver, _closed_form_rows, _solve_1d)
+                                solve_monotone_power, _affine_solver,
+                                _closed_form_rows, _newton, _secular, _solve_1d)
 
 
 def scaled_g(model, reg, eta):
@@ -247,8 +246,8 @@ def test_closed_form_agrees_with_iterative_solver():
         if z.size == 1:
             ref = inner_solve(model, reg, phi, z, 0.4, tol=1e-9).minimizer
         elif reg.kind == "zero":
-            ref = newton_rows(_linear_smooth_rows(v), phi, z[None, :], 0.4,
-                              tol=1e-9).minimizer[0]
+            ref = prox_step_rows(_linear_smooth_rows(v), reg, phi, z[None, :], 0.4,
+                                 inner_tol=1e-9).minimizer[0]
         else:
             assert _kkt_violation(reg, phi, z, v, closed.minimizer, 0.4) <= 1e-8
             continue
@@ -294,7 +293,7 @@ def test_abs_model_prox_matches_grid():
 def test_inner_solve_1d_smooth_matches_golden_section():
     # smooth strongly convex instance: model exp(y) with a Euclidean kernel
     model = PointModel(lambda y: float(np.exp(y[0])),
-                       lambda y: np.array([np.exp(y[0])]), smooth=True)
+                       lambda y: np.array([np.exp(y[0])]))
     z = np.array([0.8])
     eta = 0.7
     res = inner_solve(model, ZeroRegularizer(), Euclidean(), z, eta)
@@ -358,7 +357,8 @@ def test_inner_solve_simplex_matches_grid():
 
 def test_objective_already_minimized_at_center():
     z = np.array([[0.3, -0.2]])
-    res = newton_rows(_linear_smooth_rows(np.zeros(2)), Euclidean(), z, 0.5)
+    res = prox_step_rows(_linear_smooth_rows(np.zeros(2)), ZeroRegularizer(),
+                         Euclidean(), z, 0.5)
     assert np.allclose(res.minimizer, z, atol=1e-12)
     res = prox_step(linear_model(np.zeros(2)), ZeroRegularizer(), Euclidean(), z[0], 0.5)
     assert np.allclose(res.minimizer, z[0], atol=1e-12)
@@ -561,8 +561,7 @@ def test_one_failing_element_fails_the_batch():
 def test_newton_raises_when_line_search_fails():
     z = np.array([0.5, -0.5])
     model = PointModel(lambda y: 0.0 if np.array_equal(y, z) else np.inf,
-                       lambda y: np.ones(2), smooth=True,
-                       hessian_fn=lambda y: np.zeros((2, 2)))
+                       lambda y: np.ones(2), hessian_fn=lambda y: np.zeros((2, 2)))
     with pytest.raises(InnerSolveError):
         prox_step(model, ZeroRegularizer(), Euclidean(), z, 0.5)
     # one such row fails a batch whose other rows converge: 0.5 |y|^2, but
@@ -577,10 +576,11 @@ def test_newton_raises_when_line_search_fails():
 
     Z = np.array([[1.0, 2.0], [0.5, -0.5], [-1.0, 0.3]])
     bad = np.array([False, True, False])
-    ok = newton_rows(rows(Z[~bad], bad[~bad]), Euclidean(), Z[~bad], 0.5)
+    reg = ZeroRegularizer()
+    ok = prox_step_rows(rows(Z[~bad], bad[~bad]), reg, Euclidean(), Z[~bad], 0.5)
     assert np.allclose(ok.minimizer, Z[~bad] / 1.5, rtol=1e-14)
     with pytest.raises(InnerSolveError):
-        newton_rows(rows(Z, bad), Euclidean(), Z, 0.5)
+        prox_step_rows(rows(Z, bad), reg, Euclidean(), Z, 0.5)
 
 
 def _exp_rows():
@@ -588,27 +588,41 @@ def _exp_rows():
                       lambda Y: np.exp(Y)[:, :, None] * np.eye(Y.shape[1]))
 
 
+def _smooth(rows):
+    # QuadraticRows as SmoothRows, which take the lockstep Newton
+    return SmoothRows(rows.values, rows.gradients, rows.hessians)
+
+
+def _exp_steps(Z, max_iter=None):
+    # the steps of _exp_rows from the rows of Z, Euclidean phi and eta = 0.5;
+    # with max_iter, the Newton solve alone under that iteration cap
+    phi = Euclidean()
+    if max_iter is None:
+        return prox_step_rows(_exp_rows(), ZeroRegularizer(), phi, Z, 0.5)
+    return _newton(_exp_rows(), phi, phi.state_rows(Z), 0.5, 1e-10, max_iter)
+
+
 def test_newton_raises_when_iterations_run_out():
     z = np.array([2.0, -1.0])
-    res = newton_rows(_exp_rows(), Euclidean(), z[None, :], 0.5)
+    res = _exp_steps(z[None, :])
     assert res.method == "newton" and res.inner_iterations > 1
     with pytest.raises(InnerSolveError):
-        newton_rows(_exp_rows(), Euclidean(), z[None, :], 0.5, max_iter=1)
+        _exp_steps(z[None, :], max_iter=1)
     # a batch takes as many iterations as its slowest row, and fails as a
     # whole when one row runs out
     Z = np.array([[2.0, -1.0], [0.1, 0.0]])
-    its = [newton_rows(_exp_rows(), Euclidean(), Z[i:i + 1], 0.5).inner_iterations
-           for i in range(2)]
-    assert newton_rows(_exp_rows(), Euclidean(), Z, 0.5).inner_iterations == max(its)
+    its = [_exp_steps(Z[i:i + 1]).inner_iterations for i in range(2)]
+    assert _exp_steps(Z).inner_iterations == max(its)
     with pytest.raises(InnerSolveError):
-        newton_rows(_exp_rows(), Euclidean(), Z, 0.5, max_iter=min(its) - 1)
+        _exp_steps(Z, max_iter=min(its) - 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 8),
        log_eta=st.floats(-3.0, 2.0), lam_frac=st.floats(0.02, 0.98))
 def test_newton_batch_equals_one_row_calls(seed, n_rows, log_eta, lam_frac):
-    # P6's sampled quadratics, and P2's exact quartic with the envelope's
+    # P6's sampled quadratics (as smooth rows, which take the Newton under
+    # the radial kernel too), and P2's exact quartic with the envelope's
     # weakly convex split (lam tau < 1), both on rows under their registry
     # kernels: every field of a row is its one-row call's
     rng = np.random.default_rng(seed)
@@ -616,15 +630,16 @@ def test_newton_batch_equals_one_row_calls(seed, n_rows, log_eta, lam_frac):
     tau = p2.oracle.constants.tau
     Z = rng.uniform(-2.0, 2.0, (n_rows, 2))
     xi = rng.integers(0, p6.oracle.n_atoms, n_rows)
-    cases = [(p6.oracle.model_rows(Z, xi), p6.phi, 10.0 ** log_eta, 0.0,
-              lambda i: p6.oracle.model_rows(Z[i:i + 1], xi[i:i + 1])),
+    cases = [(_smooth(p6.oracle.model_rows(Z, xi)), p6.phi, 10.0 ** log_eta, 0.0,
+              lambda i: _smooth(p6.oracle.model_rows(Z[i:i + 1], xi[i:i + 1]))),
              (p2.exact_objective().rows(), p2.phi, lam_frac / tau, tau,
               lambda i: p2.exact_objective().rows())]
     fields = ("minimizer", "three_point_residual", "objective_decrease",
               "divergence", "model_value", "r_value")
+    reg = ZeroRegularizer()
     for rows, phi, eta, rho, one_row in cases:
-        batch = newton_rows(rows, phi, Z, eta, rho=rho)
-        ones = [newton_rows(one_row(i), phi, Z[i:i + 1], eta, rho=rho)
+        batch = prox_step_rows(rows, reg, phi, Z, eta, rho=rho)
+        ones = [prox_step_rows(one_row(i), reg, phi, Z[i:i + 1], eta, rho=rho)
                 for i in range(n_rows)]
         assert batch.method == "newton"
         assert batch.inner_iterations == max(o.inner_iterations for o in ones)
@@ -636,7 +651,7 @@ def test_newton_batch_equals_one_row_calls(seed, n_rows, log_eta, lam_frac):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
        n_rows=st.integers(1, 6), log_eta=st.floats(-3.0, 6.0))
-def test_newton_rows_solve_quadratic_prox_exactly(seed, d, n_rows, log_eta):
+def test_newton_solves_quadratic_prox_exactly(seed, d, n_rows, log_eta):
     # with the Euclidean kernel, the prox of 0.5 (y - c)' Q (y - c) from z is
     # the linear solve (Q + I/eta) y = Q c + z/eta
     rng = np.random.default_rng(seed)
@@ -653,11 +668,9 @@ def test_newton_rows_solve_quadratic_prox_exactly(seed, d, n_rows, log_eta):
                       lambda Y: Q)
     rhs = (Q @ C[:, :, None])[:, :, 0] + Z / eta
     ref = np.linalg.solve(Q + np.eye(d) / eta, rhs[:, :, None])[:, :, 0]
-    scale = 1.0 + np.abs(ref).max()
-    # the models' Hessians, then central differences of their gradients
-    for hessians in (rows.hessians, None):
-        res = newton_rows(rows._replace(hessians=hessians), Euclidean(), Z, eta)
-        assert np.abs(res.minimizer - ref).max() <= 1e-9 * scale
+    res = prox_step_rows(rows, ZeroRegularizer(), Euclidean(), Z, eta)
+    assert res.method == "newton"
+    assert np.abs(res.minimizer - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
 
 
 # the registry's P6 kernel, the Euclidean one, a one-term quartic and a
@@ -701,12 +714,12 @@ def test_secular_steps_solve_the_kkt_system(phi_kind, seed, d, n_rows, log_eta):
     scale = (eta * rows.eigvals[:, -1] * (norm_rows(Y) + norm_rows(rows.centers))
              + norm_rows(gy) + norm_rows(gz))
     assert np.all(kkt <= 1e-13 * (1.0 + scale))
-    ref = newton_rows(rows, phi, Z, eta).minimizer
+    ref = prox_step_rows(_smooth(rows), ZeroRegularizer(), phi, Z, eta).minimizer
     assert np.all(norm_rows(Y - ref) <= 1e-6 * (1.0 + norm_rows(ref)))
     fields = ("minimizer", "three_point_residual", "objective_decrease",
               "divergence", "model_value", "r_value")
-    ones = [secular_rows(QuadraticRows(*(f[i:i + 1] for f in rows)), phi,
-                         Z[i:i + 1], eta) for i in range(n_rows)]
+    ones = [prox_step_rows(QuadraticRows(*(f[i:i + 1] for f in rows)), ZeroRegularizer(),
+                           phi, Z[i:i + 1], eta) for i in range(n_rows)]
     assert res.inner_iterations == max(o.inner_iterations for o in ones)
     for field in fields:
         assert np.array_equal(getattr(res, field),
@@ -717,16 +730,17 @@ def test_secular_step_raises_when_unsolved():
     rng = np.random.default_rng(5)
     rows = _random_quadratic_rows(rng, 3, 2)
     Z = rng.uniform(-3.0, 3.0, (3, 2))
-    phi = _SECULAR_PHIS["p6"]
-    res = secular_rows(rows, phi, Z, 0.5)
+    phi, reg = _SECULAR_PHIS["p6"], ZeroRegularizer()
+    res = prox_step_rows(rows, reg, phi, Z, 0.5)
     assert res.inner_iterations >= 2
     with pytest.raises(InnerSolveError, match="unsolved"):
-        secular_rows(rows, phi, Z, 0.5, max_iter=res.inner_iterations - 2)
+        _secular(rows, phi, phi.state_rows(Z), 0.5, max_iter=res.inner_iterations - 2)
     # the Euclidean step needs no Newton step at all
-    assert secular_rows(rows, Euclidean(), Z, 0.5, max_iter=0).inner_iterations == 1
+    euclid = Euclidean()
+    assert _secular(rows, euclid, euclid.state_rows(Z), 0.5, max_iter=0)[2] == 1
     Z[1, 0] = np.nan
     with pytest.raises(InnerSolveError, match="finite"):
-        secular_rows(rows, phi, Z, 0.5)
+        prox_step_rows(rows, reg, phi, Z, 0.5)
 
 
 _ABS_PHIS = {"euclidean": Euclidean(), "poly": build_poly_legendre([0.25, 0.0, 0.25]),
@@ -815,7 +829,7 @@ def test_center_certificate_matches_the_probe_audit():
     composite = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
     kink = PointModel(lambda y: abs(y[0] ** 2 - 1.0),
                       lambda y: np.array([np.sign(y[0] ** 2 - 1.0) * 2 * y[0]]))
-    smooth = PointModel(lambda y: float(np.sum(np.exp(y))), np.exp, smooth=True,
+    smooth = PointModel(lambda y: float(np.sum(np.exp(y))), np.exp,
                         hessian_fn=lambda y: np.diag(np.exp(y)))
     cases = [
         ("closed_form_affine", linear_model(np.array([0.7, -1.2])), composite,

@@ -33,8 +33,7 @@ def smooth_problem(phi, d=2, center=None, tau=0.0):
         test_point_sampler=sampler)
     prob = ProblemInstance("SMOOTH-" + phi.kind, oracle, ZeroRegularizer(),
                            phi, "B", d, np.full(d, 1.0), sampler=sampler)
-    prob._objective_builder = lambda: PointModel(f, grad, smooth=True,
-                                                 hessian_fn=hess)
+    prob._objective_builder = lambda: PointModel(f, grad, hessian_fn=hess)
     return prob
 
 
@@ -51,7 +50,7 @@ def halfsq_problem():
                            optimum={"F_star": 0.0, "x_star": np.zeros(d)},
                            sampler=sampler)
     prob._objective_builder = lambda: PointModel(
-        f, lambda y: y.copy(), smooth=True, hessian_fn=lambda y: np.eye(d))
+        f, lambda y: y.copy(), hessian_fn=lambda y: np.eye(d))
     return prob
 
 
@@ -75,6 +74,5 @@ def quadratic_problem(x0, regime="A", x_star=None):
                            optimum={"F_star": 0.0, "x_star": x_star},
                            sampler=sampler)
     prob._objective_builder = lambda: PointModel(
-        f, lambda x: x - x_star, smooth=True,
-        hessian_fn=lambda x: np.eye(len(x0)))
+        f, lambda x: x - x_star, hessian_fn=lambda x: np.eye(len(x0)))
     return prob
