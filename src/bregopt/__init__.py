@@ -24,8 +24,8 @@ from .subproblem import (AffineRows, BallIndicator, EntropyLike,
                          QuadraticRows, Regularizer, SimplexIndicator,
                          SmoothRows, ZeroRegularizer, absolute_affine_model,
                          center_certificate, check_three_point, inner_solve,
-                         linear_model, prox_points_1d, prox_step, prox_step_rows,
-                         solve_monotone_power)
+                         linear_model, power_terms, prox_points_1d, prox_step,
+                         prox_step_rows, solve_monotone_power)
 from .driver import (RunTrace, SolverConfig, default_lambda, fit_loglog,
                      format_csv_rows, parse_csv_rows, run_convex,
                      run_for_regime, run_mirror_descent_smooth,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .legendre import RowState
 # prox_step stays bound here: perfbench/tracing.py wraps driver.prox_step
-from .subproblem import InnerSolveError, prox_step, record_rows, solve_rows  # noqa: F401
+from .subproblem import InnerSolveError, prox_step, record_rows, step_plan  # noqa: F401
 from . import envelope as envelope_mod
 
 
@@ -158,11 +158,10 @@ def _run_loop(problem, configs):
     (the seeds of one sweep horizon do).  Each run draws its T+1 samples up
     front, which is the same stream, and leaves its generator in the same
     state for the t* draw, as one draw per step.  A step is the oracle's
-    models over rows (model_rows) and one solve over all rows
-    (subproblem.solve_rows): one batched closed form for affine or |affine|
-    models, one secular solve for P6's quadratic models.  It carries the
-    points and mirror coordinates of its minimizers to the next step (only
-    x_0's state is derived; phi.mirror_rows when the solve gives none).
+    models over rows and one solve over all rows by the plan built from
+    step 0's (subproblem.step_plan; _resolve_etas checked every eta).  It
+    carries its minimizers' points and mirror coordinates to the next step
+    (only x_0's state is derived; phi.mirror_rows when the solve gives none).
 
     What the traces keep of a step (the model and r at its minimizers,
     D(x_{t+1}, x_t) and its certificate residual) depends on two
@@ -235,13 +234,14 @@ def _run_loop(problem, configs):
         divergences[t0:t1] = d_yz.reshape(-1, S)
         residuals[t0:t1] = res.reshape(-1, S)
 
-    t0 = 0
+    t0, plan = 0, None
     for t in range(T + 1):
         k = t - t0
         try:
             centres = RowState(iterates[t], mirror[k], None, None)
             rows = oracle.model_rows(centres.points, xi_steps[t])
-            found = solve_rows(rows, reg, phi, centres, float(etas[t]), rho, tol)
+            plan = plan or step_plan(rows, d, reg, phi, tol)
+            found = plan and plan(rows, centres, float(etas[t]))
             if found is None:
                 raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
                                  % (problem.id, type(rows).__name__, reg.kind, phi.kind))

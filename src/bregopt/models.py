@@ -337,8 +337,8 @@ class SaddleData:
 
 
 class SaddleOracle(FiniteSupportOracle):
-    """f_x(y, xi) = g_x(y, w_hat(x, xi), xi) with w_hat the inner argmax and
-    g_x affine in y, of slope linear_slope(x, xi).
+    """f_x(y, xi) = g_x(y, w_hat, xi) with w_hat = w_hat(x, xi) the inner
+    argmax, computed once, and g_x affine in y, of slope linear_slope(x, w_hat, xi).
 
     linear_slope, the argmax solver and the saddle's model_value act on the
     last axis of an (S, d) array of points, as the linear families'
@@ -352,7 +352,7 @@ class SaddleOracle(FiniteSupportOracle):
         self.saddle = saddle
         self._lip = lip_fn
         self._f_sup = f_sup_exact
-        self._linear_slope = linear_slope  # (x, xi) -> the slope of g_x in y
+        self._linear_slope = linear_slope  # (x, w_hat, xi) -> the slope of g_x in y
         super().__init__(weights=weights, regime=regime, constants=constants,
                          sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
@@ -360,7 +360,7 @@ class SaddleOracle(FiniteSupportOracle):
     def model_rows(self, X, xi):
         X = np.asarray(X, dtype=float)
         w_hat = self.saddle.argmax_solver(X, xi)
-        return _tangent_rows(X, self._linear_slope(X, xi),
+        return _tangent_rows(X, self._linear_slope(X, w_hat, xi),
                              self.saddle.model_value(X, X, w_hat, xi))
 
     def lip_L(self, xi):

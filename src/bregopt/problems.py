@@ -305,7 +305,7 @@ def _assemble_p5(cfg):
     sampler = _make_sampler(cfg["sampler"], d)
     oracle = SaddleOracle(saddle, weights, lip_fn=lambda xi: float(lip[xi]),
                           regime="A", constants=constants, f_sup_exact=f_sup,
-                          linear_slope=lambda x, xi: atoms[xi] + argmax_w(x, xi),
+                          linear_slope=lambda x, w, xi: atoms[xi] + w,
                           test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
@@ -594,13 +594,13 @@ def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
     phi = problem.phi
     x = problem.x0.copy()
     best_v, best_x = problem.exact_F(x), x.copy()
+    solve = _affine_solver(reg, phi)
+    if solve is None:
+        raise ValueError("no affine prox available for projected descent")
     for k in range(1, iterations + 1):
         g = model.subgradient(x)
         step = step0 / np.sqrt(k)
-        solve = _affine_solver(reg, phi, phi.state_rows(x[None, :], reg), step)
-        if solve is None:
-            raise ValueError("no affine prox available for projected descent")
-        x = solve(g[None, :])[0][0]
+        x = solve(g[None, :], phi.state_rows(x[None, :], reg), step)[0][0]
         v = problem.exact_F(x)
         if v < best_v:
             best_v, best_x = v, x.copy()

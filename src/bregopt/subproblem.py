@@ -8,10 +8,11 @@ for a convex (or relatively weakly convex) sampled model, a simple closed
 regularizer r, and the run's Legendre function phi.  A structured model is
 described by its row form (AffineRows, NormTermRows, QuadraticRows,
 AbsQuadraticRows or SmoothRows), and every step goes through one dispatch
-on that form: the affine or |affine| closed form, the norm shrinkage, the
-scalar secular equation of a quadratic under a radial phi, one kink search
-and one cubic root for a 1-d sum of |quadratic| terms, or one lockstep
-Newton; a 1-d model with none of these takes the certified bisection.
+on that form, made once per loop or batch (step_plan): the affine or
+|affine| closed form, the norm shrinkage, the scalar secular equation of a
+quadratic under a radial phi, one kink search and one cubic root for a 1-d
+sum of |quadratic| terms, or one lockstep Newton; a 1-d model with none of
+these takes the certified bisection.
 Every returned step carries a three-point optimality residual, the runtime
 contract
 
@@ -21,6 +22,7 @@ which holds with residual >= 0 exactly when z+ is the true minimizer.
 """
 
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +35,7 @@ class InnerSolveError(RuntimeError):
 
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+PowerTerms = namedtuple("PowerTerms", "a e pairs closed a1 a3 const terms slopes")
 
 
 # ---------------------------------------------------------------------------
@@ -406,31 +409,44 @@ def _check_step(eta, rho):
 # scalar machinery for radial phi
 # ---------------------------------------------------------------------------
 
-def solve_monotone_power(coefs, powers, target, tol=1e-14, max_iter=200):
-    """Root of s(r) = sum_k a_k r^e_k = target over r >= 0 (a_k = c_k p_k,
-    e_k = p_k - 1), unique since s is increasing and convex.
+def power_terms(coefs, powers):
+    """The terms of the kernel sum_k c_k r^p_k (c_k > 0) that its scalar
+    equations read, prepared once.  solve_monotone_power's
+    s(r) = sum_k a_k r^e_k (a_k = c_k p_k, e_k = p_k - 1): the arrays a, e,
+    their pairs, whether the powers are {2, 4} and that case's cubic
+    a1 r + a3 r^3.  _secular's A(r) = s(r)/r = const + sum_k a_k r^(e_k - 1)
+    over the pairs terms (e_k > 1), and A'(r) over the pairs slopes."""
+    c, p = np.asarray(coefs, dtype=float), np.asarray(powers, dtype=float)
+    a, e = (c * p)[c > 0.0], (p - 1.0)[c > 0.0]
+    pairs = list(zip(a.tolist(), e.tolist()))
+    terms = [(ak, ek - 1.0) for ak, ek in pairs if ek > 1.0]
+    return PowerTerms(a, e, pairs, {ek for _, ek in pairs} == {1.0, 3.0},
+                      a[e == 1.0].sum(), a[e == 3.0].sum(),
+                      sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms,
+                      [(ak * ek, ek - 1.0) for ak, ek in terms])
+
+
+def solve_monotone_power(power, target, tol=1e-14, max_iter=200):
+    """Root of s(r) = sum_k a_k r^e_k = target over r >= 0 for the
+    power_terms power, unique since s is increasing and convex.
 
     Each entry g starts from a closed form: for powers {2, 4} (the registry's
-    kernels) the root of a_1 r + a_3 r^3 = g in the hyperbolic form
-    2 sqrt(P/3) sinh(asinh(1.5 sqrt(3/P) g/a_1) / 3), P = a_1/a_3, which has no
-    cancellation for small g; else the upper bound min_k (g/a_k)^(1/e_k),
+    kernels) the root of a_1 r + a_3 r^3 = g (_cubic_root, with no
+    cancellation for small g); else the upper bound min_k (g/a_k)^(1/e_k),
     exact for one term, from which Newton descends monotonically.  Entries
     with |s(r) - g| > tol (1 + g) take Newton steps in lockstep.  target may
     be an array of any shape; entries <= 0 give 0.  A non-finite target, or
     an entry unsolved after max_iter steps, raises InnerSolveError.
     """
-    c, p = np.asarray(coefs, dtype=float), np.asarray(powers, dtype=float)
-    a, e = (c * p)[c > 0.0], (p - 1.0)[c > 0.0]
+    a, e, terms, closed, a1, a3 = power[:6]
     target = np.asarray(target, dtype=float)
     if not np.isfinite(target).all():
         raise InnerSolveError("radial scale equation needs a finite target")
     out = np.zeros(target.size)
     pos = np.flatnonzero(target.reshape(-1) > 0.0)
     g = target.reshape(-1)[pos]
-    terms = list(zip(a.tolist(), e.tolist()))
-    closed = {ek for _, ek in terms} == {1.0, 3.0}
     if closed:
-        r = _cubic_root(a[e == 1.0].sum(), a[e == 3.0].sum(), g)
+        r = _cubic_root(a1, a3, g)
     else:
         r = np.min((g[:, None] / a) ** (1.0 / e), axis=1)
     scale = tol * (1.0 + g)
@@ -461,27 +477,22 @@ def _cubic_root(a1, a3, g):
     return 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
 
 
-def _radial_solver(terms, gz, eta, radius=None):
-    """V -> argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial phi.
+def _radial_solver(power, radius, V, Z, eta):
+    """argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial phi.
 
     Writes the optimality condition grad phi(x) = grad phi(z) - eta v, which
     forces x = s * u along u = normalize(rhs); the scalar s solves the
-    monotone power equation (closed-form start, residual-checked), clipped at
-    the ball radius when present (valid because the radial objective is
-    increasing in s beyond the unconstrained root).  gz is grad phi at the
-    rows of Z, the centres' mirror coordinates.
+    monotone power equation of the power_terms power (closed-form start,
+    residual-checked), clipped at the ball radius unless it is None (valid
+    because the radial objective is increasing in s beyond the
+    unconstrained root).  grad phi at Z is its mirror coordinates.
     """
-    coefs, powers = terms
-
-    def radial(V):
-        W = gz - eta * np.asarray(V, dtype=float)
-        g = norm_rows(W)
-        s = solve_monotone_power(coefs, powers, g)
-        if radius is not None:
-            s = np.minimum(s, radius)
-        return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W, None
-
-    return radial
+    W = Z.mirror - eta * np.asarray(V, dtype=float)
+    g = norm_rows(W)
+    s = solve_monotone_power(power, g)
+    if radius is not None:
+        s = np.minimum(s, radius)
+    return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W, None
 
 
 def _log_softmax(logits):
@@ -495,29 +506,27 @@ def _log_softmax(logits):
 # closed-form dispatch for affine models
 # ---------------------------------------------------------------------------
 
-def _affine_solver(reg, phi, Z, eta):
-    """V -> (argmin <v_i, x> + r(x) + (1/eta) D(x, z_i), its mirror coordinates
-    or None) in closed form, or None.
+def _affine_solver(reg, phi):
+    """(V, Z, eta) -> (argmin <v_i, x> + r(x) + (1/eta) D(x, z_i), its mirror
+    coordinates or None) in closed form, chosen once for (r, phi), or None.
 
     Z is the RowState of (S, d) centers and V an (S, d) array of slopes, one
-    subproblem per row.  What depends on Z alone is computed once, so a slope
-    search can call the solver many times per step.  The entropic steps are
-    taken in log space from log z, Z's mirror coordinates, and return log y
-    with y = exp(log y): log z - eta v (r = 0), its log-softmax (simplex),
-    and the log-softmax of (log z - eta v)/(1 + eta mu) (entropy-like tilt).
+    subproblem per row.  The entropic steps are taken in log space from
+    log z, Z's mirror coordinates, and return log y with y = exp(log y):
+    log z - eta v (r = 0), its log-softmax (simplex), and the log-softmax of
+    (log z - eta v)/(1 + eta mu) (entropy-like tilt).
     """
-    z, gz = Z.points, Z.mirror
     euclid = isinstance(phi, Euclidean)
     entropy = isinstance(phi, ShannonEntropy)
     terms = phi.radial_terms()
 
     if reg.kind == "zero":
         if euclid:
-            return lambda v: (z - eta * v, None)
+            return lambda v, Z, eta: (Z.points - eta * v, None)
         if entropy:
-            def entropic(v):
+            def entropic(v, Z, eta):
                 # refuse a step that leaves the floats before exp overflows
-                log_y = gz - eta * v
+                log_y = Z.mirror - eta * v
                 if np.any(log_y > _LOG_FLOAT_MAX):
                     raise InnerSolveError(
                         "entropic prox step leaves the float range: log y = %.6g "
@@ -526,51 +535,49 @@ def _affine_solver(reg, phi, Z, eta):
 
             return entropic
         if isinstance(phi, Burg):
-            def burg(v):
+            def burg(v, Z, eta):
                 # grad phi(z) = -1/z
-                w = eta * v - gz
+                w = eta * v - Z.mirror
                 if np.any(w <= 0):
                     raise InnerSolveError("Burg prox subproblem is unbounded below")
                 return 1.0 / w, None
 
             return burg
         if terms is not None:
-            return _radial_solver(terms, gz, eta)
+            return partial(_radial_solver, power_terms(*terms), None)
     elif reg.kind == "indicator_simplex" and entropy:
-        return lambda v: _log_softmax(gz - eta * v)
+        return lambda v, Z, eta: _log_softmax(Z.mirror - eta * v)
     elif reg.kind == "entropy_like" and entropy:
-        return lambda v: _log_softmax((gz - eta * v) / (1.0 + eta * reg.weight))
+        return lambda v, Z, eta: _log_softmax((Z.mirror - eta * v) / (1.0 + eta * reg.weight))
     elif reg.kind == "indicator_ball":
         if euclid:
             radius = reg.radius
 
-            def ball(v):
-                u = z - eta * v
+            def ball(v, Z, eta):
+                u = Z.points - eta * v
                 n = norm_rows(u)[..., None]
                 return (np.divide(radius, n, out=np.ones(n.shape), where=n > radius) * u,
                         None)
 
             return ball
         if terms is not None:
-            return _radial_solver(terms, gz, eta, radius=reg.radius)
+            return partial(_radial_solver, power_terms(*terms), reg.radius)
     elif reg.kind == "l1" and euclid:
-        def l1(v):
-            u = z - eta * v
+        def l1(v, Z, eta):
+            u = Z.points - eta * v
             return np.sign(u) * np.maximum(np.abs(u) - eta * reg.weight, 0.0), None
 
         return l1
     elif reg.kind == "quadratic" and euclid:
-        return lambda v: ((z - eta * v) / (1.0 + eta * reg.weight), None)
+        return lambda v, Z, eta: ((Z.points - eta * v) / (1.0 + eta * reg.weight), None)
     return None
 
 
-def _norm_term_rows(V, c, reg, phi, Z, eta):
-    """_closed_form_rows for <v_i, x> + c||x||, the Euclidean phi and r zero or a ball."""
-    if not isinstance(phi, Euclidean) or reg.kind not in ("zero", "indicator_ball"):
-        return None
-    U = Z.points - eta * np.asarray(V, dtype=float)
+def _norm_term_rows(reg, rows, Z, eta):
+    """The path of NormTermRows <v_i, x> + c||x||: Euclidean phi, r zero or a ball."""
+    U = Z.points - eta * np.asarray(rows.slopes, dtype=float)
     n = norm_rows(U)
-    s = np.maximum(n - eta * c, 0.0)
+    s = np.maximum(n - eta * rows.weight, 0.0)
     if reg.kind == "indicator_ball":
         s = np.minimum(s, reg.radius)
     Y = np.divide(s, n, out=np.zeros(n.shape), where=n > 0.0)[:, None] * U
@@ -658,8 +665,8 @@ class AbsQuadraticRows(namedtuple("AbsQuadraticRows", "kinks curvatures offsets"
         return self.curvatures[j] * y * y + self.offsets[j]
 
 
-def _abs_quadratic_rows(rows, reg, phi, Z, eta):
-    """_closed_form_rows for AbsQuadraticRows: r = 0 and phi = c2 y^2 + c4 y^4.
+def _abs_quadratic_rows(a0, a3, phi, rows, Z, eta):
+    """The path of AbsQuadraticRows: r = 0, phi = c2 y^2 + c4 y^4, a0 = 2 c2, a3 = 4 c4.
 
     The minimizer y of eta f + D(., z) solves h(y) = c, c = phi'(z), for the
     monotone subdifferential h = eta f' + phi'.  On piece j,
@@ -673,17 +680,12 @@ def _abs_quadratic_rows(rows, reg, phi, Z, eta):
     batch.
 
     The coefficient condition 2 c2 + 2 eta min C > 0 is checked here; None
-    when it fails, for another r or phi, or when phi is not radial with
-    powers {2, 4}.  For P1 (c2 = 7/2, tau = (4/3) sum w a^2, min C >=
+    when it fails.  For P1 (c2 = 7/2, tau = (4/3) sum w a^2, min C >=
     -sum w a^2) it holds at every envelope step: eta (tau + rho) < 1 gives
     eta sum w a^2 < 3/4 < c2.
     """
-    terms = phi.radial_terms()
-    if reg.kind != "zero" or terms is None or set(terms[1].tolist()) != {2.0, 4.0}:
-        return None
-    c2, c4 = (terms[0][terms[1] == p].sum() for p in (2.0, 4.0))
     K, C = rows.kinks, rows.curvatures
-    a1 = 2.0 * c2 + 2.0 * eta * C
+    a1 = a0 + 2.0 * eta * C
     if not a1.min() > 0.0:
         return None
     c = Z.mirror[:, 0]
@@ -692,48 +694,42 @@ def _abs_quadratic_rows(rows, reg, phi, Z, eta):
     # h_-(K_j), +inf past the last kink
     low = np.append(2.0 * eta * C[:-1] * K + gk, np.inf)[j]
     y = np.where(low <= c, np.append(K, 0.0)[j],
-                 np.sign(c) * _cubic_root(a1[j], 4.0 * c4, np.abs(c)))
+                 np.sign(c) * _cubic_root(a1[j], a3, np.abs(c)))
     return y[:, None], None, 1, "closed_form_abs_quadratic"
 
 
-def _closed_form_rows(rows, reg, phi, Z, eta):
+def _abs_affine_rows(solve, phi, by_kink, rows, Z, eta):
     """(minimizers, their mirror coordinates or None, the most affine solves
-    of a row, method) of AffineRows from the centres' RowState Z, or None.
+    of a row, method) of |affine| AffineRows by the affine solver of (r, phi).
 
-    None when (r, phi) has no affine closed form.  An |affine| row
-    |<g_i, x> + s_i| is minimized by the affine prox y(theta) of the slope
-    theta g_i for some theta in [-1, 1], and the level <g_i, y(theta)> + s_i
-    is nonincreasing in theta.  In 1-d with r = 0, _abs_affine_1d picks each
-    row's case from grad phi at the kink, and every row takes one affine
-    solve.  Otherwise all rows probe theta = +1 and stop there when the
-    level is >= 0; the rows left probe theta = -1 together and stop there
-    when it is <= 0; the rows left after that bisect theta together on the
-    sign of the level (_bisection).  Where the affine step of the slope
-    theta g_i exists only for theta in an open interval (Burg,
-    _theta_bounds), a row skips a probe outside it, and the level tends to
-    +inf and -inf at the interval's ends: the bisection runs inside the
-    interval and never probes an end.  Every row then takes one affine
-    solve at its theta, which gives the minimizers and, for the entropy,
-    their mirror coordinates (log y, finite where y underflows to 0.0).  A
-    row's solves see only its own data, so a batch steps each row bit for
-    bit as a one-row call does.
+    An |affine| row |<g_i, x> + s_i| is minimized by the affine prox
+    y(theta) of the slope theta g_i for some theta in [-1, 1], and the level
+    <g_i, y(theta)> + s_i is nonincreasing in theta.  In 1-d with r = 0
+    (by_kink), _abs_affine_1d picks each row's case from grad phi at the
+    kink, and every row takes one affine solve.  Otherwise all rows probe
+    theta = +1 and stop there when the level is >= 0; the rows left probe
+    theta = -1 together and stop there when it is <= 0; the rows left after
+    that bisect theta together on the sign of the level (_bisection).  Where
+    the affine step of the slope theta g_i exists only for theta in an open
+    interval (Burg, _theta_bounds), a row skips a probe outside it, and the
+    level tends to +inf and -inf at the interval's ends: the bisection runs
+    inside the interval and never probes an end.  Every row then takes one
+    affine solve at its theta, which gives the minimizers and, for the
+    entropy, their mirror coordinates (log y, finite where y underflows to
+    0.0).  A row's solves see only its own data, so a batch steps each row
+    bit for bit as a one-row call does.
     """
-    solve = _affine_solver(reg, phi, Z, eta)
-    if solve is None:
-        return None
     G, s = rows.slopes, rows.offsets
-    if not rows.absolute:
-        return (*solve(G), 1, "closed_form_affine")
     shape = Z.points.shape
     if len(G) != shape[0]:
         # a one-row form stands for every row
         G, s = np.broadcast_to(G, shape), np.broadcast_to(s, shape[:1])
-    if reg.kind == "zero" and shape[1] == 1:
+    if by_kink:
         return _abs_affine_1d(solve, G, s, phi, Z, eta), None, 1, "closed_form_abs_affine"
     lo, hi = _theta_bounds(phi, Z.points, G, eta)
 
     def level(theta, idx):
-        y = _affine_solver(reg, phi, Z.take(idx), eta)(theta[:, None] * G[idx])[0]
+        y = solve(theta[:, None] * G[idx], Z.take(idx), eta)[0]
         return dot_rows(G[idx], y) + s[idx]
 
     theta = np.ones(shape[0])
@@ -747,7 +743,7 @@ def _closed_form_rows(rows, reg, phi, Z, eta):
     theta[left], halvings = _bisection(np.maximum(-1.0, lo[left]), np.minimum(1.0, hi[left]),
                                        lambda mid, idx: level(mid, left[idx]) <= 0.0)
     its = 1 + (up.size > 0) + (down.size > 0) + halvings.max(initial=0)
-    return (*solve(theta[:, None] * G), its, "closed_form_abs_affine")
+    return (*solve(theta[:, None] * G, Z, eta), its, "closed_form_abs_affine")
 
 
 def _theta_bounds(phi, Z, G, eta):
@@ -766,8 +762,8 @@ def _theta_bounds(phi, Z, G, eta):
 def _abs_affine_1d(solve, G, s, phi, Z, eta):
     """Minimizers of |g_i y + s_i| + (1/eta) D(y, z_i) over 1-d rows, r = 0.
 
-    solve is the affine solver at the RowState Z.  phi' is strictly
-    increasing, so with w = phi'(z) and the kink y0 = -s/g, k = phi'(y0),
+    solve is the affine solver of (r, phi).  phi' is strictly increasing,
+    so with w = phi'(z) and the kink y0 = -s/g, k = phi'(y0),
     the level g y(theta) + s has the sign of g (w - eta theta g - k): a row
     stops at theta = +1 iff g (w - eta g - k) >= 0, at theta = -1 iff
     g (w + eta g - k) <= 0, and its minimizer is y0 otherwise.  A kink
@@ -779,7 +775,7 @@ def _abs_affine_1d(solve, G, s, phi, Z, eta):
     g = G[:, 0]
     flat = g == 0.0
     y0 = -s / np.where(flat, 1.0, g)
-    inside = ~flat & phi.interior_rows(y0[:, None])
+    inside = ~flat if phi.domain == "all_space" else ~flat & phi.interior_rows(y0[:, None])
     # 1.0 stands in for the kinks outside: it is interior to every domain
     k = np.where(inside, phi.gradient_rows(np.where(inside, y0, 1.0)[:, None])[:, 0],
                  -np.inf)
@@ -788,7 +784,7 @@ def _abs_affine_1d(solve, G, s, phi, Z, eta):
     lo, hi = w - eta * g, w + eta * g
     up = np.where(pos, lo >= k, lo <= k)
     down = ~up & np.where(pos, hi <= k, hi >= k)
-    Y = solve(np.where(up, 1.0, np.where(down, -1.0, 0.0))[:, None] * G)[0]
+    Y = solve(np.where(up, 1.0, np.where(down, -1.0, 0.0))[:, None] * G, Z, eta)[0]
     kink = ~(up | down | flat)
     Y[kink, 0] = y0[kink]
     Y[flat] = Z.points[flat]
@@ -1037,10 +1033,10 @@ def _power_sum(const, terms, s):
     return out
 
 
-def _secular(rows, phi, state, eta, max_iter=50):
+def _secular(power, rows, state, eta, max_iter=50):
     """argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
     RowState, for QuadraticRows q under a radial phi = sum_k c_k ||y||^p_k
-    (r = 0).
+    (r = 0), whose power_terms are power.
 
     grad phi(y) = A(||y||) y with A(r) = sum_k c_k p_k r^(p_k - 2), so with
     Q_i = U diag(lam) U' the optimality condition
@@ -1060,13 +1056,7 @@ def _secular(rows, phi, state, eta, max_iter=50):
     raises InnerSolveError.  Returns solve_rows' (minimizers, None, passes,
     "secular"), the passes counting Newton steps + 1.
     """
-    # A(s) = const + sum_k a_k s^e_k over the terms with e_k = p_k - 2 > 0
-    coefs, powers = phi.radial_terms()
-    terms = [(c * p, p - 2.0) for c, p in zip(coefs.tolist(), powers.tolist())]
-    const = sum((a for a, e in terms if e == 0.0), 0.0)
-    terms = [(a, e) for a, e in terms if e > 0.0]
-    slopes = [(a * e, e - 1.0) for a, e in terms]   # A'(s)
-
+    const, terms, slopes = power.const, power.terms, power.slopes
     Z = state.points
     U = rows.eigvecs
     # eigh sorts each row's eigenvalues in ascending order; a one-row form
@@ -1131,35 +1121,48 @@ def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
 # the outer-facing prox steps
 # ---------------------------------------------------------------------------
 
-def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
-    """The solve of the steps from the centres' RowState Z (the points and
-    mirror coordinates; phi and r are not read) for the row form rows:
-    (minimizers, their mirror coordinates or None, inner iterations,
-    method), or None when rows is None or (rows, r, phi) has no batched path.
+def step_plan(rows, d, reg, phi, tol=1e-10):
+    """The solve of all batches of steps on models of the row form of rows
+    (its type, and AffineRows' absolute flag) in dimension d under r and
+    phi, chosen once with its constants (power_terms), or None when the form
+    has no batched path.  The plan maps (rows, Z, eta), Z the centres'
+    RowState, to (minimizers, their mirror coordinates or None, inner
+    iterations, method), the centres when eta < ETA_FLOOR, or None when
+    AbsQuadraticRows fail their coefficient condition."""
+    terms = phi.radial_terms()
+    power = None if terms is None else power_terms(*terms)
+    path = None
+    if isinstance(rows, (SmoothRows, QuadraticRows)) and reg.kind == "zero":
+        if isinstance(rows, QuadraticRows) and power is not None:
+            path = partial(_secular, power)
+        else:
+            path = lambda rows, Z, eta: _newton(rows, phi, Z, eta, tol)
+    elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
+          and reg.kind in ("zero", "indicator_ball")):
+        path = partial(_norm_term_rows, reg)
+    elif isinstance(rows, AffineRows):
+        solve = _affine_solver(reg, phi)
+        if solve is not None and rows.absolute:
+            path = partial(_abs_affine_rows, solve, phi, reg.kind == "zero" and d == 1)
+        elif solve is not None:
+            path = lambda rows, Z, eta: (*solve(rows.slopes, Z, eta), 1, "closed_form_affine")
+    elif (isinstance(rows, AbsQuadraticRows) and reg.kind == "zero"
+          and power is not None and power.closed):
+        path = partial(_abs_quadratic_rows, power.a1, power.a3, phi)
 
-    The one dispatch of prox_step, prox_step_rows and the lockstep loop:
-    AffineRows take the closed form, NormTermRows the shrinkage,
-    AbsQuadraticRows (r = 0, phi = c2 y^2 + c4 y^4) one kink search and
-    cubic root, QuadraticRows (r = 0) under a radial phi the secular
-    equation (_secular), and SmoothRows and any other QuadraticRows (r = 0)
-    one lockstep Newton (_newton).
-    """
+    def plan(rows, Z, eta):
+        if eta < ETA_FLOOR:
+            return Z.points, Z.mirror, 0, "degenerate_eta"
+        return path(rows, Z, eta)
+
+    return path and plan
+
+
+def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
+    """A one-use step_plan from the centres' RowState Z, after checking eta and rho."""
     _check_step(eta, rho)
-    if eta < ETA_FLOOR:
-        return Z.points, Z.mirror, 0, "degenerate_eta"
-    if isinstance(rows, (SmoothRows, QuadraticRows)):
-        if reg.kind != "zero":
-            return None
-        if isinstance(rows, QuadraticRows) and phi.radial_terms() is not None:
-            return _secular(rows, phi, Z, eta)
-        return _newton(rows, phi, Z, eta, tol)
-    if isinstance(rows, NormTermRows):
-        return _norm_term_rows(rows.slopes, rows.weight, reg, phi, Z, eta)
-    if isinstance(rows, AffineRows):
-        return _closed_form_rows(rows, reg, phi, Z, eta)
-    if isinstance(rows, AbsQuadraticRows):
-        return _abs_quadratic_rows(rows, reg, phi, Z, eta)
-    return None
+    plan = step_plan(rows, Z.points.shape[1], reg, phi, tol)
+    return plan and plan(rows, Z, eta)
 
 
 def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
@@ -1208,19 +1211,16 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     """One Bregman proximal step from each row of an (S, d) array of centers.
 
     Row i has the model of row i of rows (a one-row form stands for every
-    row): AffineRows (affine, or the absolute value of an affine function)
-    take the closed form, NormTermRows the shrinkage, AbsQuadraticRows one
-    kink search and cubic root, QuadraticRows (r = 0) under a radial phi the
-    secular equation, and SmoothRows (r = 0) one lockstep Newton.  A step
-    is its solve (solve_rows) and its record (record_rows): the
-    minimizers' state, the models at both ends, D(y, z), D(z, y) and the
-    certificate.  The rows are certified together by center_certificate:
-    one row below inner_tol raises InnerSolveError for the batch.  centers
-    is an (S, d) array, or the RowState of the minimizers of the step before
-    (its result's state), which the step takes as it is instead of deriving
-    phi, grad phi and r at the centres again.  Returns a ProxStepResult over
-    the rows, whose state is that of its minimizers, or None when (rows, r,
-    phi) has no batched path.  The lockstep loop (driver) takes the same
-    solve per step and the same record per block of steps.
+    row).  A step is its solve (solve_rows: the path step_plan picks for
+    the form) and its record (record_rows): the minimizers' state, the
+    models at both ends, D(y, z), D(z, y) and the certificate.  The rows are
+    certified together by center_certificate: one row below inner_tol raises
+    InnerSolveError for the batch.  centers is an (S, d) array, or the
+    RowState of the minimizers of the step before (its result's state),
+    which the step takes as it is instead of deriving phi, grad phi and r at
+    the centres again.  Returns a ProxStepResult over the rows, whose state
+    is that of its minimizers, or None when (rows, r, phi) has no batched
+    path.  The lockstep loop (driver) takes the same solve per step and the
+    same record per block of steps.
     """
     return _step_rows(rows, rows.values, reg, phi, centers, eta, rho, inner_tol)

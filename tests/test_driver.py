@@ -531,29 +531,118 @@ def test_a_step_that_fails_its_certificate_raises_from_the_loop(monkeypatch, lat
     # with step size eta (1 + 1e-4) and certified as eta, which fails at the
     # centre probe; with a later step of the same block raising first, the
     # block's completed steps are recorded and the certificate's failure is
-    # still the one reported
+    # still the one reported.  The mutation is in the horizon's one plan.
     from bregopt import driver
-    solve, calls = driver.solve_rows, []
+    build, builds, calls = driver.step_plan, [], []
 
-    def mutated(rows, reg, phi, Z, eta, rho, tol):
-        t = len(calls)
-        calls.append(t)
-        if t == later:
-            raise InnerSolveError("a later step failed")
-        found = solve(rows, reg, phi, Z, eta, rho, tol)
-        if t == 5:
-            off = solve(rows, reg, phi, Z, eta * (1.0 + 1e-4), rho, tol)
-            for a, b in zip(found[:2], off[:2]):
-                a[2] = b[2]
-        return found
+    def mutated_plan(*args):
+        plan = build(*args)
+        builds.append(plan)
 
-    monkeypatch.setattr(driver, "solve_rows", mutated)
+        def mutated(rows, Z, eta):
+            t = len(calls)
+            calls.append(t)
+            if t == later:
+                raise InnerSolveError("a later step failed")
+            found = plan(rows, Z, eta)
+            if t == 5:
+                off = plan(rows, Z, eta * (1.0 + 1e-4))
+                for a, b in zip(found[:2], off[:2]):
+                    a[2] = b[2]
+            return found
+
+        return mutated
+
+    monkeypatch.setattr(driver, "step_plan", mutated_plan)
     failed = "lockstep step 5, row 2 missed tolerance: "
     with pytest.raises(InnerSolveError, match=failed) as info:
         sweep(get_problem("P3"), [64], 4)
+    assert len(builds) == 1
     assert len(calls) == (32 if later is None else later + 1)
     if later is not None:
         assert str(info.value.__context__) == "a later step failed"
+
+
+def test_each_horizon_and_each_batch_builds_one_plan(monkeypatch):
+    # the loop picks its path and constants once per horizon, from step 0's
+    # models, and each envelope batch (prox_step_rows) once
+    from bregopt import driver, subproblem
+    builds = []
+
+    def counted(where, build):
+        return lambda *args: builds.append(where) or build(*args)
+
+    monkeypatch.setattr(driver, "step_plan", counted("loop", driver.step_plan))
+    monkeypatch.setattr(subproblem, "step_plan", counted("batch", subproblem.step_plan))
+    for pid in ("P1", "P2", "P6"):
+        builds.clear()
+        sweep(get_problem(pid), [4, 8, 16], 3, metric_mode="tstar_full")
+        assert builds == ["loop", "batch"] * 3, pid
+    builds.clear()
+    sweep(get_problem("P3"), [4, 8], 3)
+    assert builds == ["loop"] * 2
+
+
+def test_a_reused_plan_steps_as_one_use_solves():
+    # the first steps of P1-P6 by one plan, bit for bit those of solve_rows,
+    # which builds a plan per call; below ETA_FLOOR the plan returns the
+    # centres
+    from bregopt.legendre import RowState
+    from bregopt.subproblem import solve_rows, step_plan
+    for problem in registry():
+        oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
+        _, etas = _resolve_etas(problem, SolverConfig(6, seed=0), problem.regime)
+        rho, rng = oracle.constants.rho, np.random.default_rng(3)
+        Z = phi.state_rows(np.tile(problem.x0, (4, 1)), reg)
+        plan = None
+        for t, eta in enumerate(etas):
+            rows = oracle.model_rows(Z.points, oracle.sample_rows(rng, 4))
+            plan = plan or step_plan(rows, Z.points.shape[1], reg, phi, 1e-10)
+            Y, M, its, method = plan(rows, Z, float(eta))
+            ref = solve_rows(rows, reg, phi, Z, float(eta), rho, 1e-10)
+            assert np.array_equal(Y, ref[0]) and (its, method) == ref[2:], (problem.id, t)
+            assert (M is None) == (ref[1] is None), (problem.id, t)
+            if M is not None:
+                assert np.array_equal(M, ref[1]), (problem.id, t)
+            Z = RowState(Y, phi.mirror_rows(Y) if M is None else M, None, None)
+        found = plan(rows, Z, 1e-15)
+        assert found[0] is Z.points and found[1] is Z.mirror, problem.id
+        assert found[2:] == (0, "degenerate_eta"), problem.id
+
+
+# the Python and C function calls per lockstep step of one _run_loop
+# (T = 64, 8 runs; sys.setprofile call and c_call events) with one plan per
+# horizon: 99.05 (P1), 84.40 (P2) and 112.55 (P6), where the dispatch
+# rebuilt at every step took 126.25, 106.60 and 129.17
+CALLS_PER_STEP = {"P1": 99.1, "P2": 84.4, "P6": 112.6}
+
+
+@pytest.mark.parametrize("pid", sorted(CALLS_PER_STEP))
+def test_a_lockstep_step_stays_within_its_call_budget(pid):
+    # counts calls, not time: a change that brings back per-step dispatch,
+    # or any other per-step call, fails here
+    import gc
+    problem = get_problem(pid)
+    configs = [SolverConfig(64, seed=[s, 64]) for s in range(8)]
+    _run_loop(problem, configs)
+    calls = []
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls.append(1)
+
+    # no collection runs the finalizers of other tests' garbage in the count
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        _run_loop(problem, configs)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    per_step = len(calls) / 65
+    assert per_step <= CALLS_PER_STEP[pid], per_step
 
 
 def test_a_horizon_peaks_little_above_what_its_traces_keep():

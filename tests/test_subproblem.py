@@ -16,9 +16,9 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 SimplexIndicator, SmoothRows, ZeroRegularizer,
                                 absolute_affine_model, center_certificate,
                                 check_three_point, inner_solve, linear_model,
-                                prox_points_1d, prox_step, prox_step_rows, record_rows,
-                                solve_monotone_power, _affine_solver,
-                                _closed_form_rows, _newton, _secular, _solve_1d)
+                                power_terms, prox_points_1d, prox_step, prox_step_rows,
+                                record_rows, solve_monotone_power, solve_rows,
+                                _affine_solver, _newton, _secular, _solve_1d)
 
 
 def scaled_g(model, reg, eta):
@@ -56,7 +56,7 @@ def test_radial_scalar_equation():
     # 13 s^3 = g for the (13/4)||x||^4 kernel; g = 13 gives s = 1
     phi = build_poly_legendre([0.0, 0.0, 1.0])
     coefs, powers = phi.radial_terms()
-    assert abs(solve_monotone_power(coefs, powers, 13.0) - 1.0) <= 1e-12
+    assert abs(solve_monotone_power(power_terms(coefs, powers), 13.0) - 1.0) <= 1e-12
     # consistency with the generic dispatch on a pure quadratic kernel
     phi2 = build_poly_legendre([1.0])
     z = np.array([0.4, -1.1])
@@ -78,7 +78,7 @@ def test_monotone_power_map_is_increasing():
         s = [float(np.sum(coefs * powers * r ** (powers - 1))) for r in rs]
         assert all(a < b or (a == b == 0.0) for a, b in zip(s, s[1:]))
         target = rng.uniform(0.0, 50.0)
-        root = solve_monotone_power(coefs, powers, target)
+        root = solve_monotone_power(power_terms(coefs, powers), target)
         val = float(np.sum(coefs * powers * root ** (powers - 1)))
         assert abs(val - target) <= 1e-10 * (1.0 + target)
 
@@ -122,7 +122,8 @@ def test_monotone_power_root_matches_bisection(kernel, targets):
     tol = 1e-14
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        r = solve_monotone_power(coefs, powers, np.array(targets), tol=tol)
+        r = solve_monotone_power(power_terms(coefs, powers), np.array(targets),
+                                 tol=tol)
     a = np.array(coefs) * np.array(powers)
     e = np.array(powers) - 1.0
     for ri, g in zip(r, targets):
@@ -138,10 +139,10 @@ def test_monotone_power_root_matches_bisection(kernel, targets):
 def test_monotone_power_raises_when_unsolved():
     # one Newton step from the term-wise bound does not reach the tolerance
     with pytest.raises(InnerSolveError, match="Newton"):
-        solve_monotone_power([1.0, 1.0, 1.0], [2.0, 3.0, 6.0], np.array([5.0]),
-                             max_iter=1)
+        solve_monotone_power(power_terms([1.0, 1.0, 1.0], [2.0, 3.0, 6.0]),
+                             np.array([5.0]), max_iter=1)
     with pytest.raises(InnerSolveError, match="finite"):
-        solve_monotone_power([3.5, 1.0], [2.0, 4.0], np.inf)
+        solve_monotone_power(power_terms([3.5, 1.0], [2.0, 4.0]), np.inf)
 
 
 def test_ball_and_l1_and_quadratic_closed_forms():
@@ -477,8 +478,8 @@ def test_1d_abs_affine_kink_cases_match_bisection(phi_kind, seed, log_eta):
     for i, case in enumerate(cases):
         ref = inner_solve(absolute_affine_model(G[i], s[i]), reg, phi, Z[i], eta)
         assert abs(Y[i] - ref.minimizer[0]) <= 1e-12 * (1.0 + abs(ref.minimizer[0])), case
-        one = _closed_form_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi,
-                                phi.state_rows(Z[i:i + 1]), eta)
+        one = solve_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi,
+                         phi.state_rows(Z[i:i + 1]), eta)
         assert np.array_equal(one[0][0], res.minimizer[i]) and one[2] == 1, case
         level = g[i] * Y[i] + s[i]
         if case == "flat":
@@ -492,11 +493,9 @@ def test_1d_abs_affine_kink_cases_match_bisection(phi_kind, seed, log_eta):
     # one |affine| row stands for every row of the batch
     i = cases.index("kink")
     state = phi.state_rows(Z)
-    wide = _closed_form_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi, state,
-                             eta)
-    each = _closed_form_rows(AffineRows(np.repeat(G[i:i + 1], n, axis=0),
-                                        np.repeat(s[i:i + 1], n), True), reg, phi, state,
-                             eta)
+    wide = solve_rows(AffineRows(G[i:i + 1], s[i:i + 1], True), reg, phi, state, eta)
+    each = solve_rows(AffineRows(np.repeat(G[i:i + 1], n, axis=0),
+                                 np.repeat(s[i:i + 1], n), True), reg, phi, state, eta)
     assert np.array_equal(wide[0], each[0])
 
 
@@ -734,10 +733,12 @@ def test_secular_step_raises_when_unsolved():
     res = prox_step_rows(rows, reg, phi, Z, 0.5)
     assert res.inner_iterations >= 2
     with pytest.raises(InnerSolveError, match="unsolved"):
-        _secular(rows, phi, phi.state_rows(Z), 0.5, max_iter=res.inner_iterations - 2)
+        _secular(power_terms(*phi.radial_terms()), rows, phi.state_rows(Z), 0.5,
+                 max_iter=res.inner_iterations - 2)
     # the Euclidean step needs no Newton step at all
     euclid = Euclidean()
-    assert _secular(rows, euclid, euclid.state_rows(Z), 0.5, max_iter=0)[2] == 1
+    assert _secular(power_terms(*euclid.radial_terms()), rows, euclid.state_rows(Z),
+                    0.5, max_iter=0)[2] == 1
     Z[1, 0] = np.nan
     with pytest.raises(InnerSolveError, match="finite"):
         prox_step_rows(rows, reg, phi, Z, 0.5)
@@ -978,9 +979,8 @@ def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
     rows = AffineRows(V, offsets, absolute)
     make = absolute_affine_model if absolute else linear_model
 
-    batch = _outcome(lambda: _closed_form_rows(rows, reg, phi, phi.state_rows(Z, reg),
-                                               eta)[0])
-    ones = [_outcome(lambda i=i: _closed_form_rows(
+    batch = _outcome(lambda: solve_rows(rows, reg, phi, phi.state_rows(Z, reg), eta)[0])
+    ones = [_outcome(lambda i=i: solve_rows(
                 AffineRows(V[i:i + 1], offsets[i:i + 1], absolute), reg, phi,
                 phi.state_rows(Z[i:i + 1], reg), eta)[0][0])
             for i in range(n_rows)]
@@ -1035,7 +1035,7 @@ def test_an_entropic_step_from_tiny_centres_stays_in_the_floats():
     eta = 1e3
     with np.errstate(over="raise"):
         phi = _ROW_PHIS["entropy"]
-        Y = _affine_solver(_ROW_REGS["zero"], phi, phi.state_rows(Z), eta)(V)[0]
+        Y = _affine_solver(_ROW_REGS["zero"], phi)(V, phi.state_rows(Z), eta)[0]
     assert np.isfinite(Y).all()
     assert np.array_equal(Y, np.exp(np.log(Z) - eta * V))
 
