@@ -134,15 +134,19 @@ def _resolve_etas(problem, config, regime):
     return lam, etas
 
 
-def sample_tstar(etas, rho, rng, size=None):
-    """Draw the returned index with weights eta_t / (1 - eta_t rho)."""
+def tstar_weights(etas, rho):
+    """The t* law: P(t) proportional to eta_t / (1 - eta_t rho)."""
     etas = np.asarray(etas, dtype=float)
     denom = 1.0 - etas * rho
     if np.any(denom <= 0):
         raise ValueError("weights overflow: eta_t * rho must stay below 1")
     w = etas / denom
-    p = w / w.sum()
-    return rng.choice(etas.size, p=p, size=size)
+    return w / w.sum()
+
+
+def sample_tstar(etas, rho, rng, size=None):
+    """Draw the returned index from the t* law (tstar_weights)."""
+    return rng.choice(len(etas), p=tstar_weights(etas, rho), size=size)
 
 
 _ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
@@ -256,9 +260,9 @@ def _run_loop(problem, configs):
             mirror[0] = mirror[k + 1]
             t0 = t + 1
 
-    traces = []
+    traces, law = [], tstar_weights(etas, rho)
     for s, (config, rng) in enumerate(zip(configs, rngs)):
-        t_star = int(sample_tstar(etas, rho, rng))
+        t_star = int(rng.choice(law.size, p=law))
         trace = RunTrace(problem.id, _ALGORITHMS[regime], iterates[:, s], etas.copy(),
                          xis[s], t_star, lam, model_values[:, s], r_values[:, s],
                          divergences[:, s], residuals[:, s], seed=config.seed)
@@ -550,15 +554,12 @@ def _tstar_law(problem, traces, tol):
     """Weights of the t* law and, over S lockstep traces (same steps and lam)
     in one bregman_prox_points batch, the prox points of x_0..x_T,
     (S, T + 1, d), and D(prox(x_t), x_t), (S, T + 1)."""
-    etas = np.asarray(traces[0].etas, dtype=float)
-    rho = problem.oracle.constants.rho
-    w = etas / (1.0 - etas * rho)
-    w = w / w.sum()
-    X = np.concatenate([tr.iterates[:etas.size] for tr in traces])
+    w = tstar_weights(traces[0].etas, problem.oracle.constants.rho)
+    X = np.concatenate([tr.iterates[:w.size] for tr in traces])
     X_hat = envelope_mod.bregman_prox_points(problem, problem.phi, X,
                                              traces[0].lam, tol=tol)
     divs = problem.phi.bregman_rows(X_hat, X)
-    return w, X_hat.reshape(len(traces), etas.size, -1), divs.reshape(len(traces), -1)
+    return w, X_hat.reshape(len(traces), w.size, -1), divs.reshape(len(traces), -1)
 
 
 def stationarity_over_tstar_law(problem, trace, tol=1e-10):

@@ -28,6 +28,7 @@ quadratic); only a 1-d objective with no batched path is bisected.
 
 import numpy as np
 
+from .legendre import DomainError
 # prox_step stays bound here: perfbench/tracing.py wraps envelope.prox_step
 from .subproblem import (prox_points_1d, prox_step, prox_step_rows,  # noqa: F401
                          _missing_path)
@@ -97,15 +98,19 @@ def bregman_prox_point(problem, phi, x, lam, tol=1e-10):
 
 
 def _envelope_values(problem, phi, x, x_hat, lam):
-    """D(x_hat, x) and the direct and conjugate envelope values at x."""
+    """D(x_hat, x) and the direct and conjugate envelope values at x, from
+    one value pass over (x, x_hat) and one gradient at x."""
     F_hat = problem.exact_F(x_hat)
-    div = phi.bregman(x_hat, x)
-    direct = F_hat + div / lam
+    vx, v_hat = phi.value_rows(np.array([x, x_hat])).tolist()
+    if not np.isfinite(v_hat):
+        raise DomainError("the proximal point must lie in dom(phi)")
     gx = phi.gradient(x)
+    div = v_hat - vx - float(np.dot(gx, x_hat - x))
+    direct = F_hat + div / lam
     u = gx / lam
     # (F + phi/lam)^* at u; the supremum is attained at the proximal point
-    conj = float(np.dot(u, x_hat)) - F_hat - phi.value(x_hat) / lam
-    conjugate = -conj - phi.value(x) / lam + float(np.dot(gx, x)) / lam
+    conj = float(np.dot(u, x_hat)) - F_hat - v_hat / lam
+    conjugate = -conj - vx / lam + float(np.dot(gx, x)) / lam
     return div, direct, conjugate
 
 

@@ -77,6 +77,27 @@ def _r_rows(reg, X, entropy=None):
     return reg.value_rows(X)
 
 
+def _one_row(x):
+    """A point as a (1, d) array: the one-row case of the row forms."""
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def _diagonal_rows(D):
+    """The (N, d, d) stack of diagonal matrices whose diagonals are the rows of D."""
+    N, d = D.shape
+    H = np.zeros((N, d, d))
+    H.reshape(N, -1)[:, ::d + 1] = D
+    return H
+
+
+def _solve_hessian(H, v):
+    """H^-1 v, raising SingularHessianError where H is singular."""
+    try:
+        return np.linalg.solve(H, np.asarray(v, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise SingularHessianError(str(exc)) from exc
+
+
 class LocalNormContext:
     """Local norm data at an interior base point.
 
@@ -91,18 +112,21 @@ class LocalNormContext:
         self.norm = norm
 
     def local_dual_norm(self, v):
-        u = np.linalg.solve(self.hessian_factor, np.asarray(v, dtype=float))
-        return primal_norm(u, self.norm)
+        return primal_norm(_solve_hessian(self.hessian_factor, v), self.norm)
 
 
 class LegendreFunction:
     """Base class for the phi zoo.
 
-    Subclasses implement value / gradient / hessian_apply / hessian_solve and
-    declare their domain, primal norm, and (when known) a strong convexity
-    modulus with respect to that norm.  Instances are immutable after
-    construction and all operations are pure, so they are safe to share
-    across concurrent workers.
+    Subclasses write each formula once, as a row form over an (N, d) array of
+    points -- value_rows, gradient_rows and hessian_rows -- with
+    hessian_apply / hessian_solve in closed form, and declare their domain,
+    primal norm, and (when known) a strong convexity modulus with respect to
+    that norm.  The pointwise value, gradient, bregman, hessian_matrix and
+    in_interior are the one-row case of the row forms, so a point and a row
+    give the same bits.  Instances are immutable after construction and all
+    operations are pure, so they are safe to share across concurrent
+    workers.
     """
 
     kind = "abstract"
@@ -110,10 +134,16 @@ class LegendreFunction:
     norm = "l2"
     strong_convexity_modulus = None
 
-    def value(self, x):
+    def value_rows(self, X):
+        """phi at each row of an (N, d) array (+inf outside dom phi)."""
         raise NotImplementedError
 
-    def gradient(self, x):
+    def gradient_rows(self, X):
+        """The (N, d) gradients at the rows of an (N, d) array."""
+        raise NotImplementedError
+
+    def hessian_rows(self, X):
+        """The (N, d, d) stack of Hessians at the rows of an (N, d) array."""
         raise NotImplementedError
 
     def hessian_apply(self, x, v):
@@ -122,22 +152,11 @@ class LegendreFunction:
     def hessian_solve(self, x, v):
         raise NotImplementedError
 
-    def in_interior(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.domain == ALL_SPACE:
-            return True
-        return bool((x > 0).all())
+    def value(self, x):
+        return float(self.value_rows(_one_row(x))[0])
 
-    def interior_rows(self, X):
-        """in_interior of each row of an (N, d) array."""
-        if self.domain == ALL_SPACE:
-            return np.ones(len(X), dtype=bool)
-        return (np.asarray(X) > 0).all(axis=1)
-
-    def check_interior(self, x):
-        if not self.in_interior(x):
-            raise DomainError("%r is not interior to dom(phi) for kind=%s"
-                              % (np.asarray(x), self.kind))
+    def gradient(self, x):
+        return self.gradient_rows(_one_row(x))[0]
 
     def bregman(self, y, x):
         """D(y, x) = phi(y) - phi(x) - <grad phi(x), y - x>.
@@ -145,25 +164,29 @@ class LegendreFunction:
         Requires x interior and y in the domain; nonnegative, and zero only
         for y = x (strict convexity).
         """
-        y = np.asarray(y, dtype=float)
-        x = np.asarray(x, dtype=float)
-        vy = self.value(y)
-        if not np.isfinite(vy):
-            raise DomainError("second argument of the divergence must lie in dom(phi)")
-        g = self.gradient(x)
-        return float(vy - self.value(x) - np.dot(g, y - x))
+        return float(self.bregman_rows(_one_row(y), _one_row(x))[0])
 
-    # Row-wise forms over an (N, d) array of points: one call per row here,
-    # one vectorized expression, bit-identical row by row, in the subclasses
-    # that have one.
-    def value_rows(self, X):
-        return np.array([self.value(x) for x in X])
+    def hessian_matrix(self, x):
+        return self.hessian_rows(_one_row(x))[0]
 
-    def gradient_rows(self, X):
-        return np.array([self.gradient(x) for x in X])
+    def in_interior(self, x):
+        return bool(self.interior_rows(_one_row(x))[0])
+
+    def interior_rows(self, X):
+        """Whether each row of an (N, d) array is interior to dom phi."""
+        if self.domain == ALL_SPACE:
+            return np.ones(len(X), dtype=bool)
+        return (np.asarray(X) > 0).all(axis=-1)
+
+    def check_interior(self, X):
+        """Raise DomainError unless the point, or every row of X, is interior."""
+        if self.domain != ALL_SPACE and not self.interior_rows(X).all():
+            raise DomainError("%r is not interior to dom(phi) for kind=%s"
+                              % (np.asarray(X), self.kind))
 
     def bregman_rows(self, Y, X):
-        """D(y_i, x_i) for the rows of two (N, d) arrays; raises as bregman does."""
+        """D(y_i, x_i) for the rows of two (N, d) arrays; raises DomainError
+        when a y_i lies outside dom phi."""
         vy = self.value_rows(Y)
         if not np.isfinite(vy).all():
             raise DomainError("second argument of the divergence must lie in dom(phi)")
@@ -211,16 +234,6 @@ class LegendreFunction:
         u = self.hessian_solve(x, np.asarray(v, dtype=float))
         return primal_norm(u, self.norm)
 
-    def hessian_matrix(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.size
-        cols = [self.hessian_apply(x, e) for e in np.eye(d)]
-        return np.column_stack(cols)
-
-    def hessian_rows(self, X):
-        """The (N, d, d) stack of hessian_matrix at the rows of an (N, d) array."""
-        return np.array([self.hessian_matrix(x) for x in X])
-
     def local_norm_context(self, x):
         self.check_interior(x)
         return LocalNormContext(x, self.hessian_matrix(x), norm=self.norm)
@@ -239,18 +252,14 @@ class Euclidean(LegendreFunction):
     kind = "euclidean"
     strong_convexity_modulus = 1.0
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(np.dot(x, x))
-
-    def gradient(self, x):
-        return np.array(x, dtype=float)
-
     def value_rows(self, X):
         return 0.5 * dot_rows(X, X)
 
     def gradient_rows(self, X):
         return np.array(X, dtype=float)
+
+    def hessian_rows(self, X):
+        return _diagonal_rows(np.ones(np.shape(X)))
 
     def hessian_apply(self, x, v):
         return np.array(v, dtype=float)
@@ -282,17 +291,6 @@ class ShannonEntropy(LegendreFunction):
             self.norm = "l1"
             self.strong_convexity_modulus = 1.0
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            return np.inf
-        pos = x[x > 0]
-        return float(np.sum(pos * np.log(pos)))
-
-    def gradient(self, x):
-        self.check_interior(x)
-        return 1.0 + np.log(np.asarray(x, dtype=float))
-
     def value_rows(self, X):
         X = np.asarray(X, dtype=float)
         pos = X > 0
@@ -300,7 +298,13 @@ class ShannonEntropy(LegendreFunction):
         out[(X < 0).any(axis=1)] = np.inf
         return out
 
-    gradient_rows = gradient
+    def gradient_rows(self, X):
+        self.check_interior(X)
+        return 1.0 + np.log(np.asarray(X, dtype=float))
+
+    def hessian_rows(self, X):
+        self.check_interior(X)
+        return _diagonal_rows(1.0 / np.asarray(X, dtype=float))
 
     # The mirror coordinates are log x, in which the entropic prox steps are
     # taken (entropic mirror descent in its dual coordinates): an entry that
@@ -343,15 +347,21 @@ class Burg(LegendreFunction):
     kind = "burg"
     domain = OPEN_POSITIVE_ORTHANT
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            return np.inf
-        return -float(np.sum(np.log(x)))
+    def value_rows(self, X):
+        X = np.asarray(X, dtype=float)
+        pos = X > 0
+        out = -np.log(np.where(pos, X, 1.0)).sum(axis=1)
+        out[~pos.all(axis=1)] = np.inf
+        return out
 
-    def gradient(self, x):
-        self.check_interior(x)
-        return -1.0 / np.asarray(x, dtype=float)
+    def gradient_rows(self, X):
+        self.check_interior(X)
+        return -1.0 / np.asarray(X, dtype=float)
+
+    def hessian_rows(self, X):
+        self.check_interior(X)
+        X = np.asarray(X, dtype=float)
+        return _diagonal_rows(1.0 / (X * X))
 
     def hessian_apply(self, x, v):
         self.check_interior(x)
@@ -402,18 +412,6 @@ class RadialPowerSum(LegendreFunction):
         if quad.size:
             self.strong_convexity_modulus = 2.0 * float(np.sum(quad))
 
-    def value(self, x):
-        r = float(np.linalg.norm(x))
-        return float(np.sum(self.coefs * r ** self.powers))
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            return np.zeros_like(x)
-        scale = float(np.sum(self.coefs * self.powers * r ** (self.powers - 2.0)))
-        return scale * x
-
     def value_rows(self, X):
         r = norm_rows(X)
         return (self.coefs * r[:, None] ** self.powers).sum(axis=1)
@@ -424,20 +422,25 @@ class RadialPowerSum(LegendreFunction):
         scale = (self.coefs * self.powers * r[:, None] ** (self.powers - 2.0)).sum(axis=1)
         return np.where(r[:, None] == 0.0, 0.0, scale[:, None] * X)
 
-    def hessian_rows(self, X):
-        """a_i I + b_i x_i x_i^T at each row x_i, with hessian_apply's a and b.
+    def _hessian_coefs(self, r):
+        """(a, b) of the Hessian a I + b x x^T at points of norm r (an array
+        whose last axis has length 1).
 
-        At x = 0 the power-2 terms give a (0^0 = 1) and the rank-one term
-        vanishes, as in hessian_apply; the p = 2 terms add nothing to b.
+        At r = 0 the power-2 terms give a (0^0 = 1) and b is taken at r = 1,
+        where the rank-one term vanishes with x; the p = 2 terms add nothing
+        to b.
         """
-        X = np.asarray(X, dtype=float)
-        r = norm_rows(X)[:, None]
         p = self.powers
-        a = (self.coefs * p * r ** (p - 2.0)).sum(axis=1)
+        a = (self.coefs * p * r ** (p - 2.0)).sum(axis=-1)
         high = p > 2.0
         r = np.where(r > 0.0, r, 1.0)
         b = (self.coefs[high] * p[high] * (p[high] - 2.0)
-             * r ** (p[high] - 4.0)).sum(axis=1)
+             * r ** (p[high] - 4.0)).sum(axis=-1)
+        return a, b
+
+    def hessian_rows(self, X):
+        X = np.asarray(X, dtype=float)
+        a, b = self._hessian_coefs(norm_rows(X)[:, None])
         H = (b[:, None] * X)[:, None, :] * X[:, :, None]
         H.reshape(len(X), -1)[:, ::X.shape[1] + 1] += a[:, None]
         return H
@@ -445,28 +448,17 @@ class RadialPowerSum(LegendreFunction):
     def hessian_apply(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            a = 2.0 * float(np.sum(self.coefs[self.powers == 2.0]))
-            return a * v
-        a = float(np.sum(self.coefs * self.powers * r ** (self.powers - 2.0)))
-        b = float(np.sum(self.coefs * self.powers * (self.powers - 2.0)
-                         * r ** (self.powers - 4.0)))
+        a, b = self._hessian_coefs(norm_rows(x)[..., None])
         return a * v + b * np.dot(x, v) * x
 
     def hessian_solve(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            a = 2.0 * float(np.sum(self.coefs[self.powers == 2.0]))
-            if a == 0.0:
-                raise SingularHessianError(
-                    "hessian of a pure high-order radial phi is singular at 0")
-            return v / a
-        a = float(np.sum(self.coefs * self.powers * r ** (self.powers - 2.0)))
-        b = float(np.sum(self.coefs * self.powers * (self.powers - 2.0)
-                         * r ** (self.powers - 4.0)))
+        r = norm_rows(x)
+        a, b = self._hessian_coefs(r[..., None])
+        if a == 0.0:
+            raise SingularHessianError(
+                "hessian of a pure high-order radial phi is singular at 0")
         # Sherman-Morrison on a*I + b*x*x^T
         return v / a - (b * np.dot(x, v) / (a * (a + b * r * r))) * x
 
@@ -509,28 +501,25 @@ class WeightedSum(LegendreFunction):
                 self.strong_convexity_modulus = float(
                     sum(w * (m or 0.0) for w, m in zip(weights, moduli)))
 
-    def value(self, x):
-        return float(sum(w * c.value(x) for w, c in zip(self.weights, self.children)))
+    def _sum(self, terms):
+        """sum_k w_k t_k over the children's terms t_k."""
+        return sum(w * t for w, t in zip(self.weights, terms))
 
-    def gradient(self, x):
-        self.check_interior(x)
-        out = np.zeros(np.asarray(x, dtype=float).shape)
-        for w, c in zip(self.weights, self.children):
-            out += w * c.gradient(x)
-        return out
+    def value_rows(self, X):
+        return self._sum(c.value_rows(X) for c in self.children)
+
+    def gradient_rows(self, X):
+        self.check_interior(X)
+        return self._sum(c.gradient_rows(X) for c in self.children)
+
+    def hessian_rows(self, X):
+        return self._sum(c.hessian_rows(X) for c in self.children)
 
     def hessian_apply(self, x, v):
-        out = np.zeros(np.asarray(v, dtype=float).shape)
-        for w, c in zip(self.weights, self.children):
-            out += w * c.hessian_apply(x, v)
-        return out
+        return self._sum(c.hessian_apply(x, v) for c in self.children)
 
     def hessian_solve(self, x, v):
-        H = self.hessian_matrix(x)
-        try:
-            return np.linalg.solve(H, np.asarray(v, dtype=float))
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessianError(str(exc)) from exc
+        return _solve_hessian(self.hessian_matrix(x), v)
 
     def to_config(self):
         return {

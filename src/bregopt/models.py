@@ -51,12 +51,11 @@ class ModelOracle:
 
     family = "abstract"
 
-    def __init__(self, regime, constants, sample_space, test_point_sampler=None):
+    def __init__(self, regime, constants, test_point_sampler=None):
         if regime not in ("A", "B", "C"):
             raise ValueError("regime must be one of A, B, C")
         self.regime = regime
         self.constants = constants
-        self.sample_space = sample_space
         self.test_point_sampler = test_point_sampler
 
     # -- sampling -----------------------------------------------------------
@@ -175,15 +174,13 @@ class LinearMirrorOracle(FiniteSupportOracle):
     family = "linear_mirror"
 
     def __init__(self, f_fn, grad_map, weights, lip_fn, regime, constants,
-                 grad_f_fn=None, hess_f_fn=None, sample_space="finite support",
-                 test_point_sampler=None):
+                 grad_f_fn=None, hess_f_fn=None, test_point_sampler=None):
         self._f = f_fn
         self._G = grad_map           # (x, atom index) -> vector
         self._lip = lip_fn           # atom index -> L(xi)
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
         super().__init__(weights=weights, regime=regime, constants=constants,
-                         sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
     def model_rows(self, X, xi):
@@ -211,14 +208,12 @@ class NoisyGradientOracle(ModelOracle):
     family = "linear_mirror"
 
     def __init__(self, f_fn, grad_f_fn, noise_sampler, regime, constants,
-                 hess_f_fn=None, sample_space="parametric gaussian noise",
-                 test_point_sampler=None):
+                 hess_f_fn=None, test_point_sampler=None):
         self._f = f_fn
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
         self._noise = noise_sampler  # (rng, n) -> (n, d) array
         super().__init__(regime=regime, constants=constants,
-                         sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
     def sample(self, rng):
@@ -257,18 +252,17 @@ class CompositeData:
     L1(xi)-Lipschitz; the inner map c(., xi) is smooth with Jacobian J.  Two
     growth polynomials describe the inner map: p bounds the Jacobian's
     Lipschitz modulus via L2_accuracy(xi)(p(||x||)+p(||y||)), and q bounds
-    its operator norm via L2_growth(xi) sqrt(q(||x||)).
+    its operator norm via L2_growth(xi) sqrt(q(||x||)).  The polynomials
+    themselves shape phi (build_composite_legendre), not the data.
     """
 
     def __init__(self, outer_lip, inner_value, inner_jacobian, l2_accuracy,
-                 l2_growth, jacobian_lip_growth, jacobian_growth):
+                 l2_growth):
         self.outer_lip = outer_lip            # xi -> L1(xi)
         self.inner_value = inner_value        # (x, xi) -> (..., 1) array
         self.inner_jacobian = inner_jacobian  # (x, xi) -> (..., 1, d) array
         self.l2_accuracy = l2_accuracy        # xi -> L2(xi) for the p bound
         self.l2_growth = l2_growth            # xi -> L2(xi) for the q bound
-        self.jacobian_lip_growth = [float(a) for a in jacobian_lip_growth]
-        self.jacobian_growth = [float(b) for b in jacobian_growth]
 
 
 class ProxLinearOracle(FiniteSupportOracle):
@@ -281,11 +275,9 @@ class ProxLinearOracle(FiniteSupportOracle):
 
     family = "prox_linear"
 
-    def __init__(self, composite, weights, regime, constants,
-                 sample_space="finite support", test_point_sampler=None):
+    def __init__(self, composite, weights, regime, constants, test_point_sampler=None):
         self.composite = composite
         super().__init__(weights=weights, regime=regime, constants=constants,
-                         sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
     def model_rows(self, X, xi):
@@ -348,13 +340,12 @@ class SaddleOracle(FiniteSupportOracle):
     family = "saddle"
 
     def __init__(self, saddle, weights, lip_fn, regime, constants, f_sup_exact,
-                 linear_slope, sample_space="finite support", test_point_sampler=None):
+                 linear_slope, test_point_sampler=None):
         self.saddle = saddle
         self._lip = lip_fn
         self._f_sup = f_sup_exact
         self._linear_slope = linear_slope  # (x, w_hat, xi) -> the slope of g_x in y
         super().__init__(weights=weights, regime=regime, constants=constants,
-                         sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
     def model_rows(self, X, xi):
@@ -394,12 +385,10 @@ class ProximalPointOracle(FiniteSupportOracle):
 
     family = "proximal_point"
 
-    def __init__(self, atoms, weights, lip_fn, regime, constants,
-                 sample_space="finite support", test_point_sampler=None):
+    def __init__(self, atoms, weights, lip_fn, regime, constants, test_point_sampler=None):
         self.atoms = atoms
         self._lip = lip_fn
         super().__init__(weights=weights, regime=regime, constants=constants,
-                         sample_space=sample_space,
                          test_point_sampler=test_point_sampler)
 
     def model_rows(self, X, xi):

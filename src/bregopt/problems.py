@@ -155,8 +155,6 @@ def _assemble_p1(cfg):
         inner_jacobian=lambda x, xi: (2.0 * a2[xi] * x[..., 0])[..., None, None],
         l2_accuracy=lambda xi: a2[xi],
         l2_growth=lambda xi: a2[xi],
-        jacobian_lip_growth=cfg["p"],
-        jacobian_growth=cfg["q"],
     )
     tau = float(4.0 / 3.0 * np.dot(weights, a2))
     lip = float(np.sqrt(2.0 * np.dot(weights, a2 * a2)))

@@ -34,7 +34,10 @@ class InnerSolveError(RuntimeError):
 
 
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+# the largest log y at which an entry's entropy term y log y is still a
+# float (t + log t stays below log(float max))
+_LOG_ENTROPY_MAX = float(np.log(np.finfo(float).max)
+                         - np.log(np.log(np.finfo(float).max)))
 PowerTerms = namedtuple("PowerTerms", "a e pairs closed a1 a3 const terms slopes")
 
 
@@ -46,14 +49,10 @@ class Regularizer:
     """Closed convex regularizer r with a simple prox structure.
 
     value_rows gives r at each row of an (N, d) array; value is its one-row
-    case.  mu_relative is the relative strong convexity modulus: r - mu*phi
-    is convex for the phi the regularizer is paired with (0 for all kinds
-    except the entropy-like tilt).
+    case.
     """
 
     kind = "abstract"
-    convex = True
-    mu_relative = 0.0
 
     def value_rows(self, X):
         raise NotImplementedError
@@ -152,7 +151,6 @@ class EntropyLike(Regularizer):
         if weight < 0:
             raise ValueError("entropy tilt weight must be nonnegative")
         self.weight = float(weight)
-        self.mu_relative = float(weight)
         self.tol = tol
         self._entropy = ShannonEntropy()
 
@@ -525,12 +523,14 @@ def _affine_solver(reg, phi):
             return lambda v, Z, eta: (Z.points - eta * v, None)
         if entropy:
             def entropic(v, Z, eta):
-                # refuse a step that leaves the floats before exp overflows
+                # refuse a step that leaves the floats before exp, or the
+                # entropy y log y of its state, overflows
                 log_y = Z.mirror - eta * v
-                if np.any(log_y > _LOG_FLOAT_MAX):
+                if np.any(log_y > _LOG_ENTROPY_MAX):
                     raise InnerSolveError(
                         "entropic prox step leaves the float range: log y = %.6g "
-                        "> log(float max) = %.6g" % (np.max(log_y), _LOG_FLOAT_MAX))
+                        "> %.6g, where y log y overflows" % (np.max(log_y),
+                                                              _LOG_ENTROPY_MAX))
                 return np.exp(log_y), log_y
 
             return entropic

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
-                              ShannonEntropy, SingularHessianError, WeightedSum,
+from bregopt.legendre import (Burg, DomainError, Euclidean, LegendreFunction,
+                              RadialPowerSum, ShannonEntropy,
+                              SingularHessianError, WeightedSum,
                               build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre,
                               finite_difference_step, gradient_by_differences,
@@ -18,6 +19,8 @@ def zoo():
         ("poly_quadratic", build_poly_legendre([0.0, 0.0, 1.0]), 2),
         ("norm_power", build_norm_power_legendre([0.5, 1.0, 2.0]), 3),
         ("composite", build_composite_legendre([1.0, 0.5], [0.0, 0.0, 4.0]), 2),
+        ("mix_entropy_euclidean", WeightedSum([ShannonEntropy(), Euclidean()], [1, 2]), 3),
+        ("mix_burg_entropy", WeightedSum([Burg(), ShannonEntropy()], [0.5, 1]), 3),
     ]
 
 
@@ -102,9 +105,15 @@ def test_local_dual_norm_examples():
     assert Euclidean().local_dual_norm([1.0, 1.0], [3.0, 4.0]) == 5.0
     assert ShannonEntropy().local_dual_norm([2.0, 2.0], [1.0, 0.0]) == 2.0
     assert build_poly_legendre([1.0]).local_dual_norm([1.0, 1.0], [0.0, 0.0]) == 0.0
-    # pure high-order radial term has a singular Hessian at the origin
+    # pure high-order radial term has a singular Hessian at the origin, on
+    # every path to its inverse
+    phi, origin, v = build_poly_legendre([0.0, 0.0, 1.0]), [0.0, 0.0], [1.0, 0.0]
     with pytest.raises(SingularHessianError):
-        build_poly_legendre([0.0, 0.0, 1.0]).hessian_solve([0.0, 0.0], [1.0, 0.0])
+        phi.hessian_solve(origin, v)
+    with pytest.raises(SingularHessianError):
+        phi.local_dual_norm(origin, v)
+    with pytest.raises(SingularHessianError):
+        phi.local_norm_context(origin).local_dual_norm(v)
 
 
 def test_origin_gradients_are_the_analytic_limit():
@@ -134,23 +143,35 @@ def test_divergence_nonnegative_and_identifiable():
 
 
 def test_row_forms_match_the_pointwise_methods():
+    # the pointwise methods are the one-row case of the row forms, so a point
+    # and a row of a batch give the same bits
     rng = np.random.default_rng(12)
     for name, phi, d in zoo():
-        X = np.array([interior_point(rng, phi, d) for _ in range(7)])
-        Y = np.array([interior_point(rng, phi, d) for _ in range(7)])
+        X = np.array([interior_point(rng, phi, d) for _ in range(200)])
+        Y = np.array([interior_point(rng, phi, d) for _ in range(200)])
         if phi.domain == "all_space":
             X[0] = 0.0          # radial gradients take their limit at 0
-        assert np.allclose(phi.value_rows(X), [phi.value(x) for x in X],
-                           rtol=1e-13, atol=1e-13), name
-        assert np.allclose(phi.gradient_rows(X), [phi.gradient(x) for x in X],
-                           rtol=1e-13, atol=1e-13), name
-        assert np.allclose(phi.bregman_rows(Y, X),
-                           [phi.bregman(y, x) for y, x in zip(Y, X)],
-                           rtol=1e-12, atol=1e-12), name
-        # the Hessian stack repeats hessian_matrix's arithmetic, also at 0
+        assert np.array_equal(phi.value_rows(X), [phi.value(x) for x in X]), name
+        assert np.array_equal(phi.gradient_rows(X), [phi.gradient(x) for x in X]), name
+        assert np.array_equal(phi.bregman_rows(Y, X),
+                              [phi.bregman(y, x) for y, x in zip(Y, X)]), name
         assert np.array_equal(phi.hessian_rows(X),
                               [phi.hessian_matrix(x) for x in X]), name
         assert np.array_equal(phi.interior_rows(X), [phi.in_interior(x) for x in X])
+
+
+def test_each_kind_writes_its_formulas_once_as_row_forms():
+    # a kind implements the row forms; the pointwise operations are the base
+    # class's one-row case, so a second formula cannot come back unnoticed
+    for cls in (Euclidean, ShannonEntropy, Burg, RadialPowerSum, WeightedSum):
+        for op in ("value_rows", "gradient_rows", "hessian_rows"):
+            assert op in cls.__dict__, (cls.__name__, op)
+        for op in ("value", "gradient", "bregman", "hessian_matrix", "in_interior"):
+            assert op not in cls.__dict__, (cls.__name__, op)
+    X = np.ones((2, 3))
+    for op in ("value_rows", "gradient_rows", "hessian_rows"):
+        with pytest.raises(NotImplementedError):
+            getattr(LegendreFunction(), op)(X)
 
 
 def test_bregman_pair_equals_two_bregman_rows_calls():

@@ -18,8 +18,6 @@ def one_d_robust_oracle():
         inner_jacobian=lambda x, xi: np.array([[2.0 * x[0]]]),
         l2_accuracy=lambda xi: 1.0,
         l2_growth=lambda xi: 1.0,
-        jacobian_lip_growth=[1.0],
-        jacobian_growth=[0.0, 0.0, 4.0],
     )
     constants = OracleConstants(tau=4.0 / 3.0, lip_bound_L=np.sqrt(2.0))
     return ProxLinearOracle(

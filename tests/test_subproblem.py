@@ -959,6 +959,10 @@ def _outcome(fn):
 # divergence where one row's phi.bregman raised DomainError
 @example(case=("zero", "entropy"), seed=2, n_rows=1, log_eta=3.0,
          slope_scale=1.0, absolute=False)
+# a step whose exp is finite but whose entropy y log y overflowed in the
+# record of prox_step_rows and prox_step alike (log y = 703.8)
+@example(case=("zero", "entropy"), seed=524287, n_rows=1, log_eta=1.16015625,
+         slope_scale=53.0, absolute=False)
 def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
                                               slope_scale, absolute):
     # huge eta drives entropy steps to the boundary and radial/ball steps far
