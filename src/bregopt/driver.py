@@ -19,7 +19,8 @@ import numpy as np
 
 from .legendre import RowState
 # prox_step stays bound here: perfbench/tracing.py wraps driver.prox_step
-from .subproblem import InnerSolveError, prox_step, record_rows, step_plan  # noqa: F401
+from .subproblem import (InnerSolveError, _affine_scan, prox_step,  # noqa: F401
+                         record_rows, step_plan)
 from . import envelope as envelope_mod
 
 
@@ -153,6 +154,7 @@ _ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
 
 
 BLOCK_ROWS = 128  # the most rows (steps x runs) one record pass covers
+SCAN_STEPS = 16   # the steps of one scanned chunk, whatever the number of runs
 
 
 def _run_loop(problem, configs):
@@ -181,6 +183,13 @@ def _run_loop(problem, configs):
     reported.  Models whose row form has no batched step for (r, phi) raise
     ValueError.  Returns S RunTraces; in the convex regime each carries its
     averaged iterates.
+
+    When the oracle's slopes depend on the sample only (its slope_table)
+    and (r, phi) has a scan (subproblem._affine_scan: the entropy under the
+    simplex or its tilt), the steps are taken SCAN_STEPS at a time, one
+    scan call per chunk, and recorded in blocks of whole chunks.  The chunks
+    start at fixed step indices, so a run's trace does not depend on how
+    many runs step with it.
     """
     regime = problem.regime
     lam, etas = _resolve_etas(problem, configs[0], regime)
@@ -205,7 +214,11 @@ def _run_loop(problem, configs):
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))
     iterates[0] = state.points
-    block = max(1, BLOCK_ROWS // S)
+    table = oracle.slope_table
+    scan = None if table is None else _affine_scan(reg, phi)
+    # a scanned horizon records whole chunks per block
+    block = (max(1, BLOCK_ROWS // S) if scan is None
+             else SCAN_STEPS * max(1, BLOCK_ROWS // (SCAN_STEPS * S)))
     # the mirror coordinates of the block's first centre and its minimizers
     mirror = np.empty((block + 1, S, d))
     mirror[0] = state.mirror
@@ -239,26 +252,42 @@ def _run_loop(problem, configs):
         residuals[t0:t1] = res.reshape(-1, S)
 
     t0, plan = 0, None
-    for t in range(T + 1):
-        k = t - t0
-        try:
-            centres = RowState(iterates[t], mirror[k], None, None)
-            rows = oracle.model_rows(centres.points, xi_steps[t])
-            plan = plan or step_plan(rows, d, reg, phi, tol)
-            found = plan and plan(rows, centres, float(etas[t]))
-            if found is None:
-                raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
-                                 % (problem.id, type(rows).__name__, reg.kind, phi.kind))
-            Y, M = found[:2]
-            iterates[t + 1] = Y
-            mirror[k + 1] = phi.mirror_rows(Y) if M is None else M
-        except Exception:
-            record(t0, t)
-            raise
-        if k + 1 == block or t == T:
-            record(t0, t + 1)
-            mirror[0] = mirror[k + 1]
-            t0 = t + 1
+    if scan is not None:
+        for t in range(0, T + 1, SCAN_STEPS):
+            t1, k = min(t + SCAN_STEPS, T + 1), t - t0
+            try:
+                centres = RowState(iterates[t], mirror[k], None, None)
+                Y, M = scan(table[xi_steps[t:t1]], centres, etas[t:t1])
+                iterates[t + 1:t1 + 1] = Y
+                mirror[k + 1:k + 1 + t1 - t] = M
+            except Exception:
+                record(t0, t)
+                raise
+            if t1 - t0 == block or t1 == T + 1:
+                record(t0, t1)
+                mirror[0] = mirror[t1 - t0]
+                t0 = t1
+    else:
+        for t in range(T + 1):
+            k = t - t0
+            try:
+                centres = RowState(iterates[t], mirror[k], None, None)
+                rows = oracle.model_rows(centres.points, xi_steps[t])
+                plan = plan or step_plan(rows, d, reg, phi, tol)
+                found = plan and plan(rows, centres, float(etas[t]))
+                if found is None:
+                    raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
+                                     % (problem.id, type(rows).__name__, reg.kind, phi.kind))
+                Y, M = found[:2]
+                iterates[t + 1] = Y
+                mirror[k + 1] = phi.mirror_rows(Y) if M is None else M
+            except Exception:
+                record(t0, t)
+                raise
+            if k + 1 == block or t == T:
+                record(t0, t + 1)
+                mirror[0] = mirror[k + 1]
+                t0 = t + 1
 
     traces, law = [], tstar_weights(etas, rho)
     for s, (config, rng) in enumerate(zip(configs, rngs)):

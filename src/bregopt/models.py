@@ -50,6 +50,9 @@ class ModelOracle:
     """
 
     family = "abstract"
+    # the (m, d) slopes of linear models whose slopes depend on the sample
+    # only (LinearMirrorOracle), else None
+    slope_table = None
 
     def __init__(self, regime, constants, test_point_sampler=None):
         if regime not in ("A", "B", "C"):
@@ -168,16 +171,26 @@ class LinearMirrorOracle(FiniteSupportOracle):
     """f_x(y, xi) = f(x) + <G(x, xi), y - x> over a finite sample space.
 
     f_fn and grad_map act on the last axis: at an (S, d) array of points
-    (and S atom indices) they return S values and an (S, d) array.
+    (and S atom indices) they return S values and an (S, d) array.  When
+    the slopes depend on the sample only, pass them instead as the (m, d)
+    slope_table, row xi the slope of atom xi, and no grad_map: the model of
+    sample xi is then f(x) + <slope_table[xi], y - x>, and a run's steps
+    under the entropy are one cumulative sum in mirror coordinates, which
+    the lockstep loop scans (subproblem._affine_scan).
     """
 
     family = "linear_mirror"
 
-    def __init__(self, f_fn, grad_map, weights, lip_fn, regime, constants,
-                 grad_f_fn=None, hess_f_fn=None, test_point_sampler=None):
+    def __init__(self, f_fn, grad_map=None, weights=None, lip_fn=None, regime=None,
+                 constants=None, grad_f_fn=None, hess_f_fn=None,
+                 test_point_sampler=None, slope_table=None):
+        if (grad_map is None) == (slope_table is None):
+            raise ValueError("give the slopes as exactly one of grad_map and slope_table")
         self._f = f_fn
         self._G = grad_map           # (x, atom index) -> vector
         self._lip = lip_fn           # atom index -> L(xi)
+        if slope_table is not None:
+            self.slope_table = np.asarray(slope_table, dtype=float)
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
         super().__init__(weights=weights, regime=regime, constants=constants,
@@ -185,7 +198,8 @@ class LinearMirrorOracle(FiniteSupportOracle):
 
     def model_rows(self, X, xi):
         X = np.asarray(X, dtype=float)
-        return _tangent_rows(X, self._G(X, xi), self._f(X))
+        G = self._G(X, xi) if self.slope_table is None else self.slope_table[xi]
+        return _tangent_rows(X, G, self._f(X))
 
     def lip_L(self, xi):
         return float(self._lip(xi))

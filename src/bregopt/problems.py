@@ -247,8 +247,7 @@ def _assemble_simplex_linear(cfg):
     sampler = _make_sampler(cfg["sampler"], d)
     oracle = LinearMirrorOracle(
         f_fn=lambda x: dot_rows(abar, x),
-        grad_map=lambda x, xi: atoms[xi],
-        weights=weights, lip_fn=lambda xi: float(lip[xi]), regime="C",
+        slope_table=atoms, weights=weights, lip_fn=lambda xi: float(lip[xi]), regime="C",
         constants=constants, grad_f_fn=lambda x: abar.copy(),
         test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])

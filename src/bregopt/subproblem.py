@@ -26,7 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from .legendre import Burg, DomainError, Euclidean, ShannonEntropy, dot_rows, norm_rows
+from .legendre import (Burg, DomainError, Euclidean, RowState, ShannonEntropy, dot_rows,
+                       norm_rows)
 
 
 class InnerSolveError(RuntimeError):
@@ -34,10 +35,9 @@ class InnerSolveError(RuntimeError):
 
 
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
-# the largest log y at which an entry's entropy term y log y is still a
-# float (t + log t stays below log(float max))
-_LOG_ENTROPY_MAX = float(np.log(np.finfo(float).max)
-                         - np.log(np.log(np.finfo(float).max)))
+# the log of the largest total magnitude an entropic step's record may sum
+# (float max over e^4, room for the certificate's handful of such sums)
+_LOG_RECORD_MAX = float(np.log(np.finfo(float).max)) - 4.0
 PowerTerms = namedtuple("PowerTerms", "a e pairs closed a1 a3 const terms slopes")
 
 
@@ -305,21 +305,21 @@ def check_three_point(g_value, phi, z, z_plus, probe_points):
     z = np.asarray(z, dtype=float)
     z_plus = np.asarray(z_plus, dtype=float)
     base = g_value(z_plus) + phi.bregman(z_plus, z)
-    best = np.inf
-    worst = None
-    used = 0
-    for x in probe_points:
-        gx = g_value(x)
-        if not np.isfinite(gx):
-            continue
-        res = gx + phi.bregman(x, z) - base - phi.bregman(x, z_plus)
-        used += 1
-        if res < best:
-            best = res
-            worst = np.asarray(x, dtype=float)
-    if used == 0:
+    probes = [np.asarray(x, dtype=float) for x in probe_points]
+    gx = np.array([g_value(x) for x in probes], dtype=float)
+    used = np.flatnonzero(np.isfinite(gx))
+    if used.size == 0:
         raise ValueError("no feasible probe points supplied")
-    return ThreePointReport(best, worst, used)
+    # the feasible probes' two divergences in one row pass each
+    X = np.reshape(probes, (len(probes), -1))[used]
+    res = (gx[used] + phi.bregman_rows(X, np.tile(z, (used.size, 1))) - base
+           - phi.bregman_rows(X, np.tile(z_plus, (used.size, 1))))
+    # the first smallest residual; a NaN residual is never the worst
+    res = np.where(res < np.inf, res, np.inf)
+    i = int(np.argmin(res))
+    if res[i] == np.inf:
+        return ThreePointReport(np.inf, None, used.size)
+    return ThreePointReport(res[i], probes[used[i]], used.size)
 
 
 def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
@@ -494,10 +494,92 @@ def _radial_solver(power, radius, V, Z, eta):
 
 
 def _log_softmax(logits):
-    """(exp(L), L) for L the log-softmax of each row of logits."""
+    """(exp(L), L) for L the log-softmax of each row (last axis) of logits."""
     L = logits - logits.max(axis=-1, keepdims=True)
     L = L - np.log(np.exp(L).sum(axis=-1, keepdims=True))
     return np.exp(L), L
+
+
+def _check_entropic_range(log_y, Z, v, eta):
+    """Refuse zero-r entropic steps z -> y = exp(log y) whose record could
+    overflow, before anything is computed from y.
+
+    The record of a row (its states' sums y log y, both divergences
+    sum y (log y - log z) - sum y + sum z and its mirror image, the models
+    <v, y> and <v, z> and eta times them in the certificate) sums terms of
+    magnitude at most (y_i + z_i) w_i, w_i = 1 + |log y_i| + |log z_i|
+    + (1 + eta) |v_i|.  Their total is bounded in log space, by
+    max_i (log(y_i + z_i) + log w_i) + log d, and a row above
+    _LOG_RECORD_MAX raises InnerSolveError.
+    """
+    w = 1.0 + np.abs(log_y) + np.abs(Z.mirror) + (1.0 + eta) * np.abs(v)
+    bound = (np.logaddexp(log_y, Z.mirror) + np.log(w)).max(axis=-1) + np.log(log_y.shape[-1])
+    if not (bound <= _LOG_RECORD_MAX).all():
+        raise InnerSolveError(
+            "entropic prox step leaves the float range: its record sums terms up "
+            "to e^%.6g > e^%.6g (largest log y %.6g)"
+            % (np.max(bound), _LOG_RECORD_MAX, np.max(log_y)))
+
+
+def _scan_logits(V, M0, etas, mu):
+    """The (K, S, d) logits whose log-softmax is log y after each of K
+    entropic steps from log z = M0 (S, d) under the simplex (mu None) or
+    the tilt of weight mu, or None when a cumulative factor leaves the
+    floats.
+
+    Under the simplex a step's log-softmax ignores a shift of its row, so
+    after k steps the logits are M0 - sum_{j<k} eta_j v_j.  Under the tilt a
+    step maps U to (U - eta v)/(1 + eta mu), up to such a shift, and with
+    D_k = prod_{j<k} (1 + eta_j mu) the recurrence in cumulative form is
+    U_k = (M0 - sum_{j<k} eta_j D_j v_j) / D_k.  For K = 1 both are the
+    one-step formulas of _affine_solver, bit for bit."""
+    if mu is None:
+        return M0 - np.cumsum(etas[:, None, None] * V, axis=0)
+    D = np.cumprod(1.0 + etas * mu)
+    if not np.isfinite(D[-1]):
+        return None
+    D_prev = np.concatenate(([1.0], D[:-1]))
+    return (M0 - np.cumsum((etas * D_prev)[:, None, None] * V, axis=0)) / D[:, None, None]
+
+
+def _affine_scan(reg, phi):
+    """(V, Z, etas) -> K consecutive affine prox steps in one pass, the
+    minimizers (K, S, d) and their log y, for ShannonEntropy under the
+    simplex or the entropy-like tilt; None for every other (r, phi).
+
+    Z is the RowState of the first (S, d) centres, V holds the (K, S, d)
+    slopes of the K steps and etas their (K,) step sizes; step k starts
+    from the minimizers of step k - 1.  The slopes do not depend on the
+    centres (LinearMirrorOracle's slope_table), so the steps are one
+    cumulative sum in mirror coordinates (_scan_logits), and each entry's
+    sum runs along the steps only: a row's bits do not depend on the other
+    rows.  A step with eta < ETA_FLOOR keeps its centre (the plan's
+    degenerate_eta); a chunk with such a step, or whose cumulative sums
+    leave the floats, is scanned as two halves, and one step is
+    _affine_solver's step bit for bit.
+    """
+    if (not isinstance(phi, ShannonEntropy)
+            or reg.kind not in ("indicator_simplex", "entropy_like")):
+        return None
+    mu = reg.weight if reg.kind == "entropy_like" else None
+
+    def scan(V, Z, etas):
+        K = len(etas)
+        if K == 1:
+            if etas[0] < ETA_FLOOR:
+                return Z.points[None], Z.mirror[None]
+            return _log_softmax(_scan_logits(V, Z.mirror, etas, mu))
+        if etas.min() >= ETA_FLOOR:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = _scan_logits(V, Z.mirror, etas, mu)
+            if out is not None and np.isfinite(out).all():
+                return _log_softmax(out)
+        h = K // 2
+        Y, L = scan(V[:h], Z, etas[:h])
+        Y2, L2 = scan(V[h:], RowState(Y[-1], L[-1], None, None), etas[h:])
+        return np.concatenate((Y, Y2)), np.concatenate((L, L2))
+
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +605,8 @@ def _affine_solver(reg, phi):
             return lambda v, Z, eta: (Z.points - eta * v, None)
         if entropy:
             def entropic(v, Z, eta):
-                # refuse a step that leaves the floats before exp, or the
-                # entropy y log y of its state, overflows
                 log_y = Z.mirror - eta * v
-                if np.any(log_y > _LOG_ENTROPY_MAX):
-                    raise InnerSolveError(
-                        "entropic prox step leaves the float range: log y = %.6g "
-                        "> %.6g, where y log y overflows" % (np.max(log_y),
-                                                              _LOG_ENTROPY_MAX))
+                _check_entropic_range(log_y, Z, v, eta)
                 return np.exp(log_y), log_y
 
             return entropic

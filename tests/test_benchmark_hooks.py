@@ -39,7 +39,7 @@ def test_tracer_hooks_install_and_restore():
     # keeps though it steps through prox_step_rows
     assert bregopt.envelope.prox_step is bregopt.subproblem.prox_step
     # a sweep runs each horizon's seeds in one lockstep loop, not through
-    # run_for_regime; every step is one batched prox_step_rows call (P3's
-    # closed form, P6's secular equation), so no outer prox_step is made
+    # run_for_regime; P3's steps are scanned and P6's take one batched
+    # secular step each, so no outer prox_step is made
     assert tracer.stat("driver.run")[0] == 0
     assert tracer.stat("subproblem.outer.prox_step")[0] == 0

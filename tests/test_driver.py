@@ -19,7 +19,7 @@ from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog
                             _run_loop)
 from bregopt.envelope import bregman_prox_point, stationarity
 from bregopt.problems import get_problem, registry
-from bregopt.subproblem import InnerSolveError, prox_step_rows
+from bregopt.subproblem import InnerSolveError, prox_step_rows, record_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -359,24 +359,28 @@ def test_lockstep_runs_equal_separate_runs():
     # one (S, d) loop over the seeds of a horizon against S one-config runs:
     # bit-identical where the step is elementwise or per row (P1 abs-affine,
     # P3/P4 entropic, P6 secular); P2's radial and P5's ball steps take row
-    # norms and dot products, bit-identical here but only promised to 1e-13
+    # norms and dot products, bit-identical here but only promised to 1e-13.
+    # At T = 130 P3/P4 scan 9 chunks of SCAN_STEPS steps, recorded in 5
+    # blocks of 32 steps at S = 3 and in 2 blocks of 128 steps at S = 1:
+    # bit-identical because the chunks start at fixed steps, whatever S
     for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
         prob = get_problem(pid)
-        configs = [SolverConfig(12, seed=[s, 12]) for s in range(3)]
-        together = _run_loop(prob, configs)
-        for config, tr in zip(configs, together):
-            alone = run_for_regime(prob, config)
-            assert tr.t_star == alone.t_star, pid
-            assert np.array_equal(np.asarray(tr.sampled_xi_ids),
-                                  np.asarray(alone.sampled_xi_ids)), pid
-            for field in TRACE_FIELDS:
-                a, b = getattr(tr, field), getattr(alone, field)
-                if a is None:
-                    assert b is None, (pid, field)
-                elif pid in ("P2", "P5"):
-                    assert np.allclose(a, b, rtol=1e-13, atol=1e-13), (pid, field)
-                else:
-                    assert np.array_equal(a, b), (pid, field)
+        for T in (12, 130):
+            configs = [SolverConfig(T, seed=[s, T]) for s in range(3)]
+            together = _run_loop(prob, configs)
+            for config, tr in zip(configs, together):
+                alone = run_for_regime(prob, config)
+                assert tr.t_star == alone.t_star, (pid, T)
+                assert np.array_equal(np.asarray(tr.sampled_xi_ids),
+                                      np.asarray(alone.sampled_xi_ids)), (pid, T)
+                for field in TRACE_FIELDS:
+                    a, b = getattr(tr, field), getattr(alone, field)
+                    if a is None:
+                        assert b is None, (pid, T, field)
+                    elif pid in ("P2", "P5"):
+                        assert np.allclose(a, b, rtol=1e-13, atol=1e-13), (pid, T, field)
+                    else:
+                        assert np.array_equal(a, b), (pid, T, field)
 
 
 def test_sweep_rows_equal_metrics_of_separate_runs():
@@ -463,13 +467,14 @@ def _reference_loop(problem, configs, carry=False):
                     for c in configs], axis=1)
     X = np.tile(problem.x0, (len(configs), 1))
     centres = X
-    out, records = [X], []
+    out, logs, records = [X], [phi.state_rows(X, reg).mirror], []
     for t in range(T + 1):
         res = prox_step_rows(oracle.model_rows(X, xis[t]), reg, phi, centres,
                              float(etas[t]), rho=oracle.constants.rho)
         X = res.minimizer.copy()
         centres = res.state if carry else X
         out.append(X)
+        logs.append(res.state.mirror)
         records.append((res.model_value, res.r_value, res.divergence,
                         res.three_point_residual))
         if phi.radial_terms() is not None:
@@ -479,7 +484,27 @@ def _reference_loop(problem, configs, carry=False):
             assert np.array_equal(state.values, phi.value_rows(X))
             assert np.array_equal(state.mirror, phi.gradient_rows(X))
             assert np.array_equal(state.r, reg.value_rows(X))
-    return np.stack(out, axis=1), [np.stack(f, axis=1) for f in zip(*records)]
+    return (np.stack(out, axis=1), [np.stack(f, axis=1) for f in zip(*records)],
+            np.array(logs))
+
+
+def _records_of(problem, configs, iterates, logs):
+    # record_rows of each step alone from the states of the given (S, T + 2,
+    # d) iterates and (T + 2, S, d) mirror coordinates, with the loop's
+    # samples and step sizes
+    _, etas = _resolve_etas(problem, configs[0], problem.regime)
+    oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
+    xis = np.stack([oracle.sample_rows(np.random.default_rng(c.seed), len(etas))
+                    for c in configs], axis=1)
+    states = [phi.state_at(np.ascontiguousarray(iterates[:, t]), logs[t], reg)
+              for t in range(len(logs))]
+    records = []
+    for t, eta in enumerate(etas):
+        Z, Y = states[t], states[t + 1]
+        model_y, _, d_yz, res = record_rows(oracle.model_rows(Z.points, xis[t]).values,
+                                            phi, Z, Y, float(eta), oracle.constants.rho)
+        records.append((model_y, Y.r, d_yz, res))
+    return [np.stack(f, axis=1) for f in zip(*records)]
 
 
 def test_carried_state_reproduces_a_loop_that_rederives_it():
@@ -498,14 +523,28 @@ def test_carried_state_reproduces_a_loop_that_rederives_it():
 
 
 @pytest.mark.parametrize("S, T", [(1, 130), (8, 40), (20, 40)])
-def test_block_records_equal_the_step_by_step_records(S, T):
+def test_block_records_equal_the_step_by_step_records(S, T, monkeypatch):
     # the loop records its steps per block of BLOCK_ROWS rows (128 steps of
     # one run, 16 of 8 runs, 6 of 20; T + 1 is no multiple of them), bit for
     # bit what prox_step_rows records step by step from the carried state;
     # the step sizes decrease, so each row must take its own step's; P6's
     # quadratic models under Burg take the lockstep Newton, which derives
-    # phi at the centres the loop carries without it
+    # phi at the centres the loop carries without it.  P3 and P4 scan their
+    # steps (SCAN_STEPS per call, blocks of whole chunks: 128 steps of one
+    # run, 16 of 8 and of 20 runs): their iterates match the step-by-step
+    # ones within the scan's rounding (util_problems.scan_tolerance), and
+    # their records are bit for bit the step-by-step records of the scan's
+    # own iterates and logs
+    from bregopt import driver
     from bregopt.legendre import Burg
+    from util_problems import scan_tolerance
+    build, scanned = driver._affine_scan, []
+
+    def kept(reg, phi):
+        scan = build(reg, phi)
+        return scan and (lambda *args: scanned.append(scan(*args)) or scanned[-1])
+
+    monkeypatch.setattr(driver, "_affine_scan", kept)
     newton = get_problem("P6")
     newton.phi, newton.x0 = Burg(), np.array([1.5, 2.0])
     for problem in registry() + [newton]:
@@ -513,9 +552,22 @@ def test_block_records_equal_the_step_by_step_records(S, T):
         schedule = ("explicit", etas * np.linspace(1.0, 0.5, T + 1))
         configs = [SolverConfig(T, seed=[s, T], lam=lam, schedule=schedule)
                    for s in range(S)]
+        del scanned[:]
         traces = _run_loop(problem, configs)
-        iterates, records = _reference_loop(problem, configs, carry=True)
-        assert np.array_equal([tr.iterates for tr in traces], iterates), problem.id
+        iterates, records, ref_logs = _reference_loop(problem, configs, carry=True)
+        got = np.array([tr.iterates for tr in traces])
+        if problem.id in ("P3", "P4"):
+            assert len(scanned) == -(-(T + 1) // driver.SCAN_STEPS), problem.id
+            logs = np.concatenate([ref_logs[:1]] + [L for _, L in scanned])
+            assert np.array_equal(got.transpose(1, 0, 2)[1:], np.exp(logs[1:])), problem.id
+            slopes = problem.oracle.slope_table[np.array([tr.sampled_xi_ids for tr in traces]).T]
+            tol = scan_tolerance(ref_logs, schedule[1], slopes,
+                                 getattr(problem.regularizer, "weight", 0.0))
+            assert (np.abs(logs[1:] - ref_logs[1:]) <= tol[..., None]).all(), problem.id
+            records = _records_of(problem, configs, got, logs)
+        else:
+            assert not scanned, problem.id
+            assert np.array_equal(got, iterates), problem.id
         r0 = problem.regularizer.value_rows(np.tile(problem.x0, (S, 1)))
         assert np.array_equal([tr.r_values[0] for tr in traces], r0), problem.id
         for field, ref in zip(RECORD_FIELDS, records):
@@ -525,47 +577,49 @@ def test_block_records_equal_the_step_by_step_records(S, T):
             assert np.array_equal(got, ref), (problem.id, field)
 
 
-@pytest.mark.parametrize("later", [None, 9])
+@pytest.mark.parametrize("later", [None, 16])
 def test_a_step_that_fails_its_certificate_raises_from_the_loop(monkeypatch, later):
-    # row 2 of step 5 of a P3 sweep (4 runs: one block of 32 steps) is taken
-    # with step size eta (1 + 1e-4) and certified as eta, which fails at the
-    # centre probe; with a later step of the same block raising first, the
-    # block's completed steps are recorded and the certificate's failure is
-    # still the one reported.  The mutation is in the horizon's one plan.
+    # row 2 of step 5 of a P3 sweep (4 runs: one record block of two scanned
+    # chunks of 16 steps) is taken with step size eta (1 + 1e-4) and
+    # certified as eta, which fails at the centre probe; the row's later
+    # steps start from the mutated point, so no other step fails.  With the
+    # block's second chunk (from step 16) raising first, the completed chunk
+    # is recorded and the certificate's failure is still the one reported.
+    # The mutation is in the horizon's one scan.
     from bregopt import driver
-    build, builds, calls = driver.step_plan, [], []
+    build, builds, calls = driver._affine_scan, [], []
 
-    def mutated_plan(*args):
-        plan = build(*args)
-        builds.append(plan)
+    def mutated_scan(*args):
+        scan = build(*args)
+        builds.append(scan)
 
-        def mutated(rows, Z, eta):
-            t = len(calls)
-            calls.append(t)
-            if t == later:
-                raise InnerSolveError("a later step failed")
-            found = plan(rows, Z, eta)
-            if t == 5:
-                off = plan(rows, Z, eta * (1.0 + 1e-4))
-                for a, b in zip(found[:2], off[:2]):
-                    a[2] = b[2]
-            return found
+        def mutated(V, Z, etas):
+            c = len(calls)
+            calls.append(c)
+            if later is not None and c * driver.SCAN_STEPS == later:
+                raise InnerSolveError("a later chunk failed")
+            Y, L = scan(V, Z, etas)
+            if c == 0:
+                off = scan(V, Z, etas * np.where(np.arange(len(etas)) == 5, 1.0 + 1e-4, 1.0))
+                Y[5:, 2], L[5:, 2] = off[0][5:, 2], off[1][5:, 2]
+            return Y, L
 
         return mutated
 
-    monkeypatch.setattr(driver, "step_plan", mutated_plan)
+    monkeypatch.setattr(driver, "_affine_scan", mutated_scan)
     failed = "lockstep step 5, row 2 missed tolerance: "
     with pytest.raises(InnerSolveError, match=failed) as info:
         sweep(get_problem("P3"), [64], 4)
     assert len(builds) == 1
-    assert len(calls) == (32 if later is None else later + 1)
+    assert len(calls) == 2
     if later is not None:
-        assert str(info.value.__context__) == "a later step failed"
+        assert str(info.value.__context__) == "a later chunk failed"
 
 
 def test_each_horizon_and_each_batch_builds_one_plan(monkeypatch):
     # the loop picks its path and constants once per horizon, from step 0's
-    # models, and each envelope batch (prox_step_rows) once
+    # models (or its scan, when the oracle's slopes are a slope table), and
+    # each envelope batch (prox_step_rows) once
     from bregopt import driver, subproblem
     builds = []
 
@@ -574,13 +628,16 @@ def test_each_horizon_and_each_batch_builds_one_plan(monkeypatch):
 
     monkeypatch.setattr(driver, "step_plan", counted("loop", driver.step_plan))
     monkeypatch.setattr(subproblem, "step_plan", counted("batch", subproblem.step_plan))
+    monkeypatch.setattr(driver, "_affine_scan", counted("scan", driver._affine_scan))
     for pid in ("P1", "P2", "P6"):
         builds.clear()
         sweep(get_problem(pid), [4, 8, 16], 3, metric_mode="tstar_full")
         assert builds == ["loop", "batch"] * 3, pid
+    # P3's slopes depend on the sample only: each horizon builds its scan,
+    # and no per-step plan
     builds.clear()
     sweep(get_problem("P3"), [4, 8], 3)
-    assert builds == ["loop"] * 2
+    assert builds == ["scan"] * 2
 
 
 def test_a_reused_plan_steps_as_one_use_solves():
@@ -613,8 +670,9 @@ def test_a_reused_plan_steps_as_one_use_solves():
 # the Python and C function calls per lockstep step of one _run_loop
 # (T = 64, 8 runs; sys.setprofile call and c_call events) with one plan per
 # horizon: 99.05 (P1), 84.40 (P2) and 112.55 (P6), where the dispatch
-# rebuilt at every step took 126.25, 106.60 and 129.17
-CALLS_PER_STEP = {"P1": 99.1, "P2": 84.4, "P6": 112.6}
+# rebuilt at every step took 126.25, 106.60 and 129.17; P3 and P4 scan 16
+# steps per call: 25.92 and 26.38, where a plan step per step took 51.97
+CALLS_PER_STEP = {"P1": 99.1, "P2": 84.4, "P3": 26.0, "P4": 26.4, "P6": 112.6}
 
 
 @pytest.mark.parametrize("pid", sorted(CALLS_PER_STEP))

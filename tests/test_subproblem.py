@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bregopt.problems import abs_quadratic_rows, get_problem
+from bregopt.problems import abs_quadratic_rows, get_problem, registry
 
 from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               ShannonEntropy, WeightedSum, build_composite_legendre,
@@ -276,6 +276,47 @@ def test_three_point_contract_and_negative_control():
     rep_bad = check_three_point(scaled_g(model, reg, eta), phi, z,
                                 res.minimizer + 0.1, probes)
     assert rep_bad.min_residual < 0
+
+
+def _three_point_by_probe(g_value, phi, z, z_plus, probes):
+    # check_three_point's report by one probe at a time, the reference its
+    # row passes must equal bit for bit
+    base = g_value(z_plus) + phi.bregman(z_plus, z)
+    best, worst, used = np.inf, None, 0
+    for x in probes:
+        gx = g_value(x)
+        if not np.isfinite(gx):
+            continue
+        res = gx + phi.bregman(x, z) - base - phi.bregman(x, z_plus)
+        used += 1
+        if res < best:
+            best, worst = res, x
+    return best, worst, used
+
+
+def test_three_point_report_equals_the_probe_by_probe_report():
+    # the same minimum, the first of equal worst probes (every probe comes
+    # twice), the same count, and probes where g is infinite or NaN skipped,
+    # on the registry's kernels, the entropy and Burg
+    rng = np.random.default_rng(11)
+    phis = [p.phi for p in registry()] + [ShannonEntropy(), Burg()]
+    for phi in phis:
+        for d in (1, 2, 5):
+            positive = phi.domain != "all_space"
+            draw = (lambda: rng.uniform(0.05, 3.0, d)) if positive else \
+                (lambda: rng.uniform(-3.0, 3.0, d))
+            v = rng.normal(size=d)
+            z, z_plus = draw(), draw()
+            probes = [draw() for _ in range(15)]
+            probes += [x.copy() for x in probes]
+
+            def g_val(x):
+                return np.inf if x[0] > 2.5 else np.nan if x[0] < 0.1 else float(v @ x)
+
+            rep = check_three_point(g_val, phi, z, z_plus, probes)
+            best, worst, used = _three_point_by_probe(g_val, phi, z, z_plus, probes)
+            assert rep.min_residual == best and rep.n_probes == used, (phi.kind, d)
+            assert rep.worst_probe is worst, (phi.kind, d)
 
 
 def test_abs_model_prox_matches_grid():
@@ -954,23 +995,34 @@ def _outcome(fn):
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(_ROW_CASES), seed=st.integers(0, 2 ** 32 - 1),
        n_rows=st.integers(1, 6), log_eta=st.floats(-3.0, 6.0),
-       slope_scale=st.floats(0.01, 100.0), absolute=st.booleans())
+       slope_scale=st.floats(0.01, 100.0), absolute=st.booleans(),
+       d=st.just(3), layout=st.just("random"))
 # an entropic step that overflows: the batch raised InnerSolveError on a NaN
 # divergence where one row's phi.bregman raised DomainError
 @example(case=("zero", "entropy"), seed=2, n_rows=1, log_eta=3.0,
-         slope_scale=1.0, absolute=False)
+         slope_scale=1.0, absolute=False, d=3, layout="random")
 # a step whose exp is finite but whose entropy y log y overflowed in the
 # record of prox_step_rows and prox_step alike (log y = 703.8)
 @example(case=("zero", "entropy"), seed=524287, n_rows=1, log_eta=1.16015625,
-         slope_scale=53.0, absolute=False)
+         slope_scale=53.0, absolute=False, d=3, layout="random")
+# 40 entries at log y = 700: each y log y is a float, their sum overflowed
+# (RuntimeWarnings, then "residual nan < -inf")
+@example(case=("zero", "entropy"), seed=0, n_rows=1, log_eta=0.0,
+         slope_scale=700.0 + np.log(40.0), absolute=False, d=40, layout="level")
+# a centre entry at 1e-300 stepped to log y = 703: y log y is a float, the
+# divergence's y (log y - log z) overflowed
+@example(case=("zero", "entropy"), seed=0, n_rows=1, log_eta=0.0,
+         slope_scale=703.0 - np.log(1e-300), absolute=False, d=3, layout="tiny")
 def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
-                                              slope_scale, absolute):
+                                              slope_scale, absolute, d, layout):
     # huge eta drives entropy steps to the boundary and radial/ball steps far
-    # out (clipped at the radius); both sides must then fail or agree alike
+    # out (clipped at the radius); both sides must then fail or agree alike.
+    # The fixed layouts of the entropic examples: "level" puts every centre
+    # entry at 1/d and every slope at -slope_scale, "tiny" the first centre
+    # entry at 1e-300 with slope -slope_scale and the other slopes at 0
     reg_kind, phi_kind = case
     reg, phi = _ROW_REGS[reg_kind], _ROW_PHIS[phi_kind]
     rng = np.random.default_rng(seed)
-    d = 3
     if phi.domain != "all_space":
         Z = rng.dirichlet(np.ones(d), n_rows)
     elif reg_kind == "ball":
@@ -978,6 +1030,10 @@ def test_row_closed_forms_equal_one_row_calls(case, seed, n_rows, log_eta,
     else:
         Z = rng.uniform(-2.0, 2.0, (n_rows, d))
     V = slope_scale * rng.uniform(-1.0, 1.0, (n_rows, d))
+    if layout == "level":
+        Z, V = np.full((n_rows, d), 1.0 / d), np.full((n_rows, d), -slope_scale)
+    elif layout == "tiny":
+        Z[:, 0], V[:, 0], V[:, 1:] = 1e-300, -slope_scale, 0.0
     offsets = rng.uniform(-1.0, 1.0, n_rows)
     eta = 10.0 ** log_eta
     rows = AffineRows(V, offsets, absolute)
@@ -1057,6 +1113,123 @@ def test_an_entropic_abs_affine_search_keeps_the_log_of_an_underflowed_entry():
     assert res.minimizer[0, 0] == 0.0
     assert res.state.mirror[0, 0] == pytest.approx(np.log(1e-300) - 90.0, rel=1e-12)
     assert np.isfinite(res.divergence).all() and res.three_point_residual[0] >= 0.0
+
+
+def _step_by_step(V, reg, phi, Z, etas):
+    # the (K + 1, S, d) points and logs of K prox_step_rows calls, each from
+    # the state the step before returned
+    state, X, L = phi.state_rows(Z, reg), [Z], [np.log(Z)]
+    for v, eta in zip(V, etas):
+        state = prox_step_rows(AffineRows(v, np.zeros(len(v)), False), reg, phi,
+                               state, float(eta)).state
+        X.append(state.points)
+        L.append(state.mirror)
+    return np.array(X), np.array(L)
+
+
+def _boundary_centres(rng, S, d):
+    # rows on the simplex with entries down to 1e-300
+    Z = rng.dirichlet(np.ones(d), S)
+    Z[1:, :3] = [1e-300, 1e-200, 1e-30]
+    return Z / Z.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("K", [3, 16])
+@pytest.mark.parametrize("reg_kind, mu", [("simplex", 0.0), ("tilt", 1.0), ("tilt", 1e3)])
+@pytest.mark.parametrize("alpha", [1.0, 100.0, 1000.0])
+def test_scanned_entropic_steps_match_step_by_step_steps(K, reg_kind, mu, alpha):
+    # one scan of K steps from centres near the simplex boundary against K
+    # prox_step_rows calls, with step sizes alpha / sqrt(k + 1) (eta mu up
+    # to 1e6): the logs within util_problems.scan_tolerance (written before
+    # the test first ran), the points their exp bit for bit.  The chunk's
+    # record in one record_rows pass, as the loop takes it, is bit for bit
+    # the step-by-step record of the scan's own iterates, and certifies
+    from bregopt.legendre import RowState
+    from bregopt.subproblem import _affine_scan
+    from util_problems import scan_tolerance
+    rng = np.random.default_rng(int(alpha) + K)
+    S, d = 4, 10
+    phi = ShannonEntropy(on_simplex=True)
+    reg = SimplexIndicator() if reg_kind == "simplex" else EntropyLike(mu)
+    Z = _boundary_centres(rng, S, d)
+    V = rng.normal(0.0, 1.0, (K, S, d))
+    etas = alpha / np.sqrt(np.arange(K) + 1.0)
+    Z0 = phi.state_rows(Z, reg)
+    Y, L = _affine_scan(reg, phi)(V, Z0, etas)
+    X_ref, L_ref = _step_by_step(V, reg, phi, Z, etas)
+    tol = scan_tolerance(L_ref, etas, V, mu)
+    assert (np.abs(L - L_ref[1:]) <= tol[..., None]).all()
+    assert np.array_equal(Y, np.exp(L))
+
+    rows = AffineRows(V.reshape(-1, d), np.zeros(K * S), False)
+    states = phi.state_at(np.concatenate((Z[None], Y)).reshape(-1, d),
+                          np.concatenate((Z0.mirror[None], L)).reshape(-1, d), reg)
+    n = K * S
+    together = record_rows(rows.values, phi, states.take(slice(None, n)),
+                           states.take(slice(S, None)), np.repeat(etas, S))
+    centre = Z0
+    for k in range(K):
+        step = RowState(Y[k], L[k], None, None)
+        Zk, Yk = centre, phi.state_at(step.points, step.mirror, reg)
+        alone = record_rows(AffineRows(V[k], np.zeros(S), False).values, phi,
+                            phi.state_at(Zk.points, Zk.mirror, reg), Yk, float(etas[k]))
+        for a, b in zip(together, alone):
+            assert np.array_equal(a[k * S:(k + 1) * S], b), k
+        centre = step
+
+
+@pytest.mark.parametrize("eta_mu", [1e30, 1e200])
+def test_a_scan_whose_cumulative_factors_leave_the_floats_is_split(eta_mu):
+    # under the tilt (mu = 1) the factors prod (1 + eta mu) of 16 steps
+    # overflow, so the scan splits its chunk until they are floats (one step
+    # at eta mu = 1e200, which is _affine_solver's step bit for bit): no
+    # overflow warning, and the steps match the step-by-step ones
+    from bregopt.subproblem import _affine_scan
+    from util_problems import scan_tolerance
+    rng = np.random.default_rng(7)
+    K, S, d = 16, 3, 10
+    phi, reg = ShannonEntropy(on_simplex=True), EntropyLike(1.0)
+    Z = _boundary_centres(rng, S, d)
+    V = rng.normal(0.0, 1.0, (K, S, d))
+    etas = np.full(K, eta_mu)
+    Y, L = _affine_scan(reg, phi)(V, phi.state_rows(Z, reg), etas)
+    X_ref, L_ref = _step_by_step(V, reg, phi, Z, etas)
+    if eta_mu == 1e200:
+        assert np.array_equal(L, L_ref[1:]) and np.array_equal(Y, X_ref[1:])
+    tol = scan_tolerance(L_ref, etas, V, 1.0)
+    assert (np.abs(L - L_ref[1:]) <= tol[..., None]).all()
+
+
+def test_a_scanned_step_below_the_eta_floor_keeps_its_centre():
+    # as the plan's degenerate_eta: the steps with eta < ETA_FLOOR (the last
+    # of a nonincreasing schedule) leave the point and log y of their centre
+    # as they are, and a chunk of such steps returns its first centre's
+    from bregopt.subproblem import ETA_FLOOR, _affine_scan
+    rng = np.random.default_rng(8)
+    S, d = 3, 10
+    phi = ShannonEntropy(on_simplex=True)
+    for reg in (SimplexIndicator(), EntropyLike(1.0)):
+        scan = _affine_scan(reg, phi)
+        Z0 = phi.state_rows(_boundary_centres(rng, S, d), reg)
+        V = rng.normal(0.0, 1.0, (16, S, d))
+        etas = np.concatenate((np.full(9, 0.5), np.full(7, 0.1 * ETA_FLOOR)))
+        Y, L = scan(V, Z0, etas)
+        assert np.array_equal(Y[:9], np.exp(L[:9]))
+        assert np.array_equal(Y[9:], np.broadcast_to(Y[8], Y[9:].shape))
+        assert np.array_equal(L[9:], np.broadcast_to(L[8], L[9:].shape))
+        Y, L = scan(V[:4], Z0, np.full(4, 0.1 * ETA_FLOOR))
+        assert np.array_equal(Y, np.broadcast_to(Z0.points, Y.shape))
+        assert np.array_equal(L, np.broadcast_to(Z0.mirror, L.shape))
+
+
+def test_only_the_entropy_under_the_simplex_or_its_tilt_scans():
+    from bregopt.subproblem import _affine_scan
+    entropy = ShannonEntropy(on_simplex=True)
+    assert _affine_scan(SimplexIndicator(), entropy) is not None
+    assert _affine_scan(EntropyLike(1.0), entropy) is not None
+    for reg, phi in ((ZeroRegularizer(), entropy), (SimplexIndicator(), Euclidean()),
+                     (EntropyLike(1.0), Burg()), (BallIndicator(1.0), Euclidean())):
+        assert _affine_scan(reg, phi) is None
 
 
 def _abs_quadratic_model(a, b, w):

@@ -76,3 +76,29 @@ def quadratic_problem(x0, regime="A", x_star=None):
     prob._objective_builder = lambda: PointModel(
         f, lambda x: x - x_star, hessian_fn=lambda x: np.eye(len(x0)))
     return prob
+
+
+def scan_tolerance(logs, etas, slopes, mu=0.0):
+    """The bound on |log y| between scanned entropic steps
+    (subproblem._affine_scan) and the same steps taken one by one, after
+    each step: (K, S) from the step-by-step logs (K + 1, S, d) (log z
+    first), the K step sizes, the (K, S, d) slopes and the tilt's weight mu
+    (0 under the simplex).
+
+    A step rounds its centre's and its minimizer's logs, its
+    eta v / (1 + eta mu) (the tilt divides the step by 1 + eta mu) and the
+    log of a sum of d exponentials (about d units), each to a few units eps
+    of its magnitude m_k.  The scan sums up to SCAN_STEPS steps in one
+    cumulative sum, whose worst-case rounding is SCAN_STEPS units of the
+    summed magnitudes, and its tilt as much again in the cumulative factors
+    (1 + eta mu) and the division by them.  The log-softmax removes any
+    error that shifts a row, and the tilt divides the errors of earlier
+    steps by 1 + eta mu, so the steps' errors add up at most: after step k
+    |log y_scan - log y_step| <= 4 SCAN_STEPS eps sum_{j<=k} m_j, with
+    m_j = ||log y_{j-1}|| + ||log y_j|| + eta_j ||v_j|| / (1 + eta_j mu) + d
+    in sup norms."""
+    from bregopt.driver import SCAN_STEPS
+    etas = np.asarray(etas, dtype=float)[:, None]
+    m = (np.abs(logs[:-1]).max(axis=-1) + np.abs(logs[1:]).max(axis=-1)
+         + etas * np.abs(slopes).max(axis=-1) / (1.0 + etas * mu) + logs.shape[-1])
+    return 4 * SCAN_STEPS * np.finfo(float).eps * np.cumsum(m, axis=0)
