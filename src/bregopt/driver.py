@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .legendre import RowState
+from .legendre import RowState, take_rows
 # prox_step stays bound here: perfbench/tracing.py wraps driver.prox_step
 from .subproblem import (InnerSolveError, _affine_scan, prox_step,  # noqa: F401
                          record_rows, step_plan)
@@ -168,12 +168,15 @@ def _run_loop(problem, configs):
     step 0's (subproblem.step_plan; _resolve_etas checked every eta).  It
     carries its minimizers' points and mirror coordinates to the next step
     (only x_0's state is derived; phi.mirror_rows when the solve gives none).
+    Models that depend on the sample only (the oracle's model_table) are
+    gathered, and prepared by plan.prepare, once per record block.
 
     What the traces keep of a step (the model and r at its minimizers,
     D(x_{t+1}, x_t) and its certificate residual) depends on two
     consecutive iterates only, so the steps are recorded in blocks of at
     most BLOCK_ROWS rows, each as soon as its steps are taken: one
-    model_rows call over the block's (centre, sample) rows, one state pass
+    model_rows call over the block's (centre, sample) rows (or its gathered
+    models), one state pass
     (phi.state_at), one divergence pass and one center_certificate call
     (subproblem.record_rows), bit for bit the record of step-by-step
     prox_step_rows calls.  A step that fails its certificate raises
@@ -214,8 +217,8 @@ def _run_loop(problem, configs):
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))
     iterates[0] = state.points
-    table = oracle.slope_table
-    scan = None if table is None else _affine_scan(reg, phi)
+    slopes, table = oracle.slope_table, oracle.model_table
+    scan = None if slopes is None else _affine_scan(reg, phi)
     # a scanned horizon records whole chunks per block
     block = (max(1, BLOCK_ROWS // S) if scan is None
              else SCAN_STEPS * max(1, BLOCK_ROWS // (SCAN_STEPS * S)))
@@ -236,7 +239,8 @@ def _run_loop(problem, configs):
         states = phi.state_at(iterates[t0:t1 + 1].reshape(-1, d),
                               mirror[:t1 - t0 + 1].reshape(-1, d), reg)
         Z, Y = states.take(slice(None, n)), states.take(slice(S, None))
-        rows = oracle.model_rows(Z.points, xi_steps[t0:t1].reshape((n,) + xi_steps.shape[2:]))
+        rows = (oracle.model_rows(Z.points, xi_steps[t0:t1].reshape((n,) + xi_steps.shape[2:]))
+                if table is None else take_rows(models, slice(n)))
         try:
             model_y, _, d_yz, res = record_rows(rows.values, phi, Z, Y,
                                                 np.repeat(etas[t0:t1], S), rho, tol)
@@ -257,7 +261,7 @@ def _run_loop(problem, configs):
             t1, k = min(t + SCAN_STEPS, T + 1), t - t0
             try:
                 centres = RowState(iterates[t], mirror[k], None, None)
-                Y, M = scan(table[xi_steps[t:t1]], centres, etas[t:t1])
+                Y, M = scan(slopes[xi_steps[t:t1]], centres, etas[t:t1])
                 iterates[t + 1:t1 + 1] = Y
                 mirror[k + 1:k + 1 + t1 - t] = M
             except Exception:
@@ -272,12 +276,19 @@ def _run_loop(problem, configs):
             k = t - t0
             try:
                 centres = RowState(iterates[t], mirror[k], None, None)
-                rows = oracle.model_rows(centres.points, xi_steps[t])
-                plan = plan or step_plan(rows, d, reg, phi, tol)
-                found = plan and plan(rows, centres, float(etas[t]))
+                if table is None or not k:
+                    # this step's models, or at a block's start the block's
+                    models = (oracle.model_rows(centres.points, xi_steps[t]) if table is None
+                              else take_rows(table, xi_steps[t0:t0 + block].reshape(-1)))
+                    plan = plan or step_plan(models, d, reg, phi, tol)
+                    prepared = plan and plan.prepare(models, etas[t] if table is None
+                                                     else np.repeat(etas[t0:t0 + block], S))
+                found = plan and plan(prepared if table is None
+                                      else take_rows(prepared, slice(k * S, k * S + S)),
+                                      centres, float(etas[t]))
                 if found is None:
                     raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
-                                     % (problem.id, type(rows).__name__, reg.kind, phi.kind))
+                                     % (problem.id, type(models).__name__, reg.kind, phi.kind))
                 Y, M = found[:2]
                 iterates[t + 1] = Y
                 mirror[k + 1] = phi.mirror_rows(Y) if M is None else M

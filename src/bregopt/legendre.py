@@ -52,6 +52,13 @@ def norm_rows(x):
     return np.sqrt(dot_rows(x, x))
 
 
+def take_rows(rows, idx):
+    """The rows idx of every field of a row form (a field left None stays None)."""
+    # a list, not a generator: unpacking a generator leaves one 4-tuple
+    # on the interpreter's free list per call (about 0.1 MB once full)
+    return type(rows)(*[None if f is None else f[idx] for f in rows])
+
+
 class RowState(namedtuple("RowState", "points mirror values r")):
     """What a prox step needs of its (N, d) centres, carried from the step
     that produced them to the step that starts from them: the points, their
@@ -60,11 +67,7 @@ class RowState(namedtuple("RowState", "points mirror values r")):
 
     __slots__ = ()
 
-    def take(self, idx):
-        """The state of the rows idx (a field left None stays None)."""
-        # a list, not a generator: unpacking a generator leaves one 4-tuple
-        # on the interpreter's free list per call (about 0.1 MB once full)
-        return RowState(*[None if f is None else f[idx] for f in self])
+    take = take_rows  # the state of the rows idx
 
 
 def _r_rows(reg, X, entropy=None):
@@ -405,6 +408,11 @@ class RadialPowerSum(LegendreFunction):
         keep = coefs > 0
         self.coefs = coefs[keep]
         self.powers = powers[keep]
+        # the gradient's and Hessian's constants, in the order a call took them
+        self._scale_coefs, self._scale_powers = self.coefs * self.powers, self.powers - 2.0
+        high = self.powers > 2.0
+        self._rank_coefs = self._scale_coefs[high] * (self.powers[high] - 2.0)
+        self._rank_powers = self.powers[high] - 4.0
         self.config = config
         if config is not None:
             self.kind = config["kind"]
@@ -419,7 +427,7 @@ class RadialPowerSum(LegendreFunction):
     def gradient_rows(self, X):
         X = np.asarray(X, dtype=float)
         r = norm_rows(X)
-        scale = (self.coefs * self.powers * r[:, None] ** (self.powers - 2.0)).sum(axis=1)
+        scale = (self._scale_coefs * r[:, None] ** self._scale_powers).sum(axis=1)
         return np.where(r[:, None] == 0.0, 0.0, scale[:, None] * X)
 
     def _hessian_coefs(self, r):
@@ -430,13 +438,9 @@ class RadialPowerSum(LegendreFunction):
         where the rank-one term vanishes with x; the p = 2 terms add nothing
         to b.
         """
-        p = self.powers
-        a = (self.coefs * p * r ** (p - 2.0)).sum(axis=-1)
-        high = p > 2.0
+        a = (self._scale_coefs * r ** self._scale_powers).sum(axis=-1)
         r = np.where(r > 0.0, r, 1.0)
-        b = (self.coefs[high] * p[high] * (p[high] - 2.0)
-             * r ** (p[high] - 4.0)).sum(axis=-1)
-        return a, b
+        return a, (self._rank_coefs * r ** self._rank_powers).sum(axis=-1)
 
     def hessian_rows(self, X):
         X = np.asarray(X, dtype=float)

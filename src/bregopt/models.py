@@ -21,9 +21,8 @@ implicitly: the step-size rules need them a priori.
 
 import numpy as np
 
-from .legendre import dot_rows
-from .subproblem import (AffineRows, PointModel, QuadraticRows,
-                         absolute_affine_model, linear_model)
+from .legendre import dot_rows, take_rows
+from .subproblem import AffineRows, PointModel, absolute_affine_model, linear_model
 
 
 class OracleConstants:
@@ -53,6 +52,8 @@ class ModelOracle:
     # the (m, d) slopes of linear models whose slopes depend on the sample
     # only (LinearMirrorOracle), else None
     slope_table = None
+    # the atoms' row form, when models depend on the sample only (ProximalPointOracle)
+    model_table = None
 
     def __init__(self, regime, constants, test_point_sampler=None):
         if regime not in ("A", "B", "C"):
@@ -82,9 +83,11 @@ class ModelOracle:
         AffineRows hold affine models offsets[i] + <slopes[i], y>, or their
         absolute values; QuadraticRows hold the full sampled quadratics of
         proximal_point.  The fields act on the last axis, so one point and
-        one sample give the one-row case.
+        one sample give the one-row case.  By default: the model_table's rows xi.
         """
-        raise NotImplementedError
+        if self.model_table is None:
+            raise NotImplementedError
+        return take_rows(self.model_table, np.asarray(xi))
 
     def model_at(self, x, xi):
         """The sampled model anchored at x, as a PointModel: the one-row case
@@ -391,42 +394,37 @@ class ProximalPointOracle(FiniteSupportOracle):
 
     atoms is the QuadraticRows of the m atoms (QuadraticRows.of(Q, centers,
     zero offsets)): their (m, d, d) symmetric positive definite matrices,
-    (m, d) centers and eigenpairs, computed once at assembly.  model_rows
-    gathers the sampled atoms' rows.  The exact f, its gradient and its
-    Hessian are weighted sums over the atom axis and act on the last axis of
-    the points.
+    (m, d) centers and eigenpairs, computed once at assembly.  The models
+    depend on the sample only, so the atoms are the oracle's model_table,
+    whose sampled rows model_rows gathers.  The exact f, its gradient and
+    its Hessian are weighted sums over the atom axis and act on the last
+    axis of the points.
     """
 
     family = "proximal_point"
 
     def __init__(self, atoms, weights, lip_fn, regime, constants, test_point_sampler=None):
-        self.atoms = atoms
+        self.model_table = atoms
         self._lip = lip_fn
         super().__init__(weights=weights, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
-
-    def model_rows(self, X, xi):
-        xi = np.asarray(xi)
-        a = self.atoms
-        return QuadraticRows(a.Q[xi], a.centers[xi], a.offsets[xi], a.eigvals[xi],
-                             a.eigvecs[xi])
 
     def lip_L(self, xi):
         return float(self._lip(xi))
 
     def f_rows(self, X):
         """f at each point of X (the last axis)."""
-        return self.atoms.values(np.asarray(X, dtype=float)[..., None, :]) @ self.weights
+        return self.model_table.values(np.asarray(X, dtype=float)[..., None, :]) @ self.weights
 
     def f_exact(self, x):
         return float(self.f_rows(x))
 
     def grad_f(self, x):
         x = np.asarray(x, dtype=float)
-        return np.matmul(self.weights, self.atoms.gradients(x[..., None, :]))
+        return np.matmul(self.weights, self.model_table.gradients(x[..., None, :]))
 
     def hess_f(self, x):
-        H = np.tensordot(self.weights, self.atoms.Q, axes=1)
+        H = np.tensordot(self.weights, self.model_table.Q, axes=1)
         return np.broadcast_to(H, np.shape(x) + H.shape[-1:])
 
 

@@ -1082,6 +1082,8 @@ def _newton(rows, phi, state, eta, tol, max_iter=120):
 
 
 SECULAR_TOL = 1e-14  # relative KKT residual at which a secular row stops
+# what _secular reads of QuadraticRows under step sizes eta: eta lam, eta Q c, U
+SecularRows = namedtuple("SecularRows", "eigvals weights eigvecs")
 
 
 def _isotropic_roots(const, terms, kappa, g):
@@ -1109,10 +1111,19 @@ def _power_sum(const, terms, s):
     return out
 
 
-def _secular(power, rows, state, eta, max_iter=50):
+def _secular_rows(rows, eta):
+    """The SecularRows of QuadraticRows under step sizes eta (one, or one per
+    row), row by row: a block of steps prepares bit for bit as each step."""
+    eta = np.asarray(eta, dtype=float)[..., None]
+    return SecularRows(eta * rows.eigvals,
+                       eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1), rows.eigvecs)
+
+
+def _secular(power, rows, state, _eta=None, max_iter=50):
     """argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
-    RowState, for QuadraticRows q under a radial phi = sum_k c_k ||y||^p_k
-    (r = 0), whose power_terms are power.
+    RowState, for quadratics q under a radial phi = sum_k c_k ||y||^p_k
+    (r = 0), whose power_terms are power; rows are their SecularRows
+    (_secular_rows), which hold eta (the plan's _eta is not read).
 
     grad phi(y) = A(||y||) y with A(r) = sum_k c_k p_k r^(p_k - 2), so with
     Q_i = U diag(lam) U' the optimality condition
@@ -1129,27 +1140,26 @@ def _secular(power, rows, state, eta, max_iter=50):
     once that ratio is at most SECULAR_TOL, so its bits do not depend on the
     batch, and with A constant (Euclidean) the first pass is exact.  Non-finite
     data, or a row still above the tolerance after max_iter Newton steps,
-    raises InnerSolveError.  Returns solve_rows' (minimizers, None, passes,
-    "secular"), the passes counting Newton steps + 1.
+    raises InnerSolveError.  Returns solve_rows' (minimizers, their mirror
+    coordinates A(||v||) y from the last pass, passes, "secular"), the passes
+    counting Newton steps + 1.
     """
     const, terms, slopes = power.const, power.terms, power.slopes
+    lam, W, U = rows
     Z = state.points
-    U = rows.eigvecs
     # eigh sorts each row's eigenvalues in ascending order; a one-row form
     # stands for every row
-    lam = rows.eigvals
-    lam = eta * (lam if lam.shape == Z.shape else np.broadcast_to(lam, Z.shape))
-    W = eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1) + state.mirror
-    B = (W[:, None, :] @ U)[:, 0, :]
+    lam = lam if lam.shape == Z.shape else np.broadcast_to(lam, Z.shape)
+    B = ((W + state.mirror)[:, None, :] @ U)[:, 0, :]
     if not np.isfinite(B).all():
         raise InnerSolveError("secular equation needs finite data")
     BB = B * B
     g2 = BB.sum(axis=1)
-    mean = np.divide((BB * lam).sum(axis=1), g2, out=lam[:, 0].copy(), where=g2 > 0.0)
-    roots, exact = _isotropic_roots(const, terms,
-                                    np.stack([lam[:, -1], mean, lam[:, 0]], axis=1),
-                                    np.sqrt(g2)[:, None])
-    lo, r, hi = roots.T.copy()
+    # the isotropic roots with lam_max, the b^2-weighted mean and lam_min
+    kappa = lam[:, [-1, 0, 0]]
+    np.divide((BB * lam).sum(axis=1), g2, out=kappa[:, 1], where=g2 > 0.0)
+    roots, exact = _isotropic_roots(const, terms, kappa, np.sqrt(g2)[:, None])
+    lo, r, hi = roots[:, 0], roots[:, 1], roots[:, 2]
     # margins for the rounding of the closed forms; 0 is below every root
     lo = lo * (1.0 - 1e-12) if exact else np.zeros(len(Z))
     hi = hi * (1.0 + 1e-12)
@@ -1161,7 +1171,8 @@ def _secular(power, rows, state, eta, max_iter=50):
             V = B / den
             vv = V * V
             nv = np.sqrt(vv.sum(axis=1))
-            ok = np.abs(_power_sum(const, terms, nv) - a) <= floor + SECULAR_TOL * a
+            a_v = _power_sum(const, terms, nv)
+            ok = np.abs(a_v - a) <= floor + SECULAR_TOL * a
             if ok.all():
                 break
             if it == max_iter:
@@ -1173,7 +1184,8 @@ def _secular(power, rows, state, eta, max_iter=50):
             # a stopped row keeps its r, and so recomputes its V bit for bit
             # (a row with b = 0 divides 0 by 0 here, and stops at r = 0)
             r = np.where(ok, r, np.minimum(np.maximum(step, lo), hi))
-    return (U @ V[:, :, None])[:, :, 0], None, it + 1, "secular"
+    Y = (U @ V[:, :, None])[:, :, 0]
+    return Y, a_v[:, None] * Y, it + 1, "secular"
 
 
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
@@ -1204,13 +1216,15 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     has no batched path.  The plan maps (rows, Z, eta), Z the centres'
     RowState, to (minimizers, their mirror coordinates or None, inner
     iterations, method), the centres when eta < ETA_FLOOR, or None when
-    AbsQuadraticRows fail their coefficient condition."""
+    AbsQuadraticRows fail their coefficient condition.  It reads its rows as
+    plan.prepare(rows, eta) gives them (eta one, or one per row), so many
+    steps prepare in one pass: SecularRows for the secular step, else rows."""
     terms = phi.radial_terms()
     power = None if terms is None else power_terms(*terms)
-    path = None
+    path, prepare = None, lambda rows, eta: rows
     if isinstance(rows, (SmoothRows, QuadraticRows)) and reg.kind == "zero":
         if isinstance(rows, QuadraticRows) and power is not None:
-            path = partial(_secular, power)
+            path, prepare = partial(_secular, power), _secular_rows
         else:
             path = lambda rows, Z, eta: _newton(rows, phi, Z, eta, tol)
     elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
@@ -1231,6 +1245,7 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
             return Z.points, Z.mirror, 0, "degenerate_eta"
         return path(rows, Z, eta)
 
+    plan.prepare = prepare
     return path and plan
 
 
@@ -1238,7 +1253,7 @@ def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
     """A one-use step_plan from the centres' RowState Z, after checking eta and rho."""
     _check_step(eta, rho)
     plan = step_plan(rows, Z.points.shape[1], reg, phi, tol)
-    return plan and plan(rows, Z, eta)
+    return plan and plan(plan.prepare(rows, eta), Z, eta)
 
 
 def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bregopt.problems import abs_quadratic_rows, get_problem, registry
+from util_problems import secular_mirror_excess
 
 from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               ShannonEntropy, WeightedSum, build_composite_legendre,
@@ -18,7 +19,8 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 check_three_point, inner_solve, linear_model,
                                 power_terms, prox_points_1d, prox_step, prox_step_rows,
                                 record_rows, solve_monotone_power, solve_rows,
-                                _affine_solver, _newton, _secular, _solve_1d)
+                                _affine_solver, _newton, _secular, _secular_rows,
+                                _solve_1d)
 
 
 def scaled_g(model, reg, eta):
@@ -736,18 +738,27 @@ def _random_quadratic_rows(rng, n_rows, d):
 def test_secular_steps_solve_the_kkt_system(phi_kind, seed, d, n_rows, log_eta):
     # quadratic rows under a radial kernel take the secular equation; each
     # step solves eta Q (y - c) + grad phi(y) = grad phi(z) to rounding,
-    # agrees with the lockstep Newton on the same rows, and each row of a
-    # batch is its one-row call bit for bit
+    # agrees with the lockstep Newton on the same rows, returns mirror
+    # coordinates within secular_mirror_excess's bound of grad phi(y), and
+    # each row of a batch is its one-row call bit for bit.  The last row has
+    # c = z = 0, so b = 0: its minimizer is the origin, whose mirror
+    # coordinates are exactly 0
     phi = _SECULAR_PHIS[phi_kind]
     rng = np.random.default_rng(seed)
     eta = 10.0 ** log_eta
-    rows = _random_quadratic_rows(rng, n_rows, d)
-    Z = rng.uniform(-3.0, 3.0, (n_rows, d))
+    rows = _random_quadratic_rows(rng, n_rows + 1, d)
+    rows.centers[-1] = 0.0
+    Z = rng.uniform(-3.0, 3.0, (n_rows + 1, d))
+    Z[-1] = 0.0
     res = prox_step_rows(rows, ZeroRegularizer(), phi, Z, eta)
     assert res.method == "secular"
     if phi_kind == "euclidean":
         assert res.inner_iterations == 1
-    Y = res.minimizer
+    Y, M = res.minimizer, res.state.mirror
+    assert (secular_mirror_excess(M, phi, Y) <= 0.0).all()
+    assert not np.any(M[-1]) and not np.any(Y[-1])
+    # the bound rejects a mirror scaled by 1 + 1e-10
+    assert (secular_mirror_excess(M * (1.0 + 1e-10), phi, Y) > 0.0).any()
     gy, gz = phi.gradient_rows(Y), phi.gradient_rows(Z)
     kkt = norm_rows(eta * rows.gradients(Y) + gy - gz)
     # the size of the terms: eta Q y and eta Q c cancel near y = c
@@ -759,11 +770,12 @@ def test_secular_steps_solve_the_kkt_system(phi_kind, seed, d, n_rows, log_eta):
     fields = ("minimizer", "three_point_residual", "objective_decrease",
               "divergence", "model_value", "r_value")
     ones = [prox_step_rows(QuadraticRows(*(f[i:i + 1] for f in rows)), ZeroRegularizer(),
-                           phi, Z[i:i + 1], eta) for i in range(n_rows)]
+                           phi, Z[i:i + 1], eta) for i in range(n_rows + 1)]
     assert res.inner_iterations == max(o.inner_iterations for o in ones)
     for field in fields:
         assert np.array_equal(getattr(res, field),
                               np.concatenate([getattr(o, field) for o in ones])), field
+    assert np.array_equal(M, np.concatenate([o.state.mirror for o in ones]))
 
 
 def test_secular_step_raises_when_unsolved():
@@ -774,12 +786,12 @@ def test_secular_step_raises_when_unsolved():
     res = prox_step_rows(rows, reg, phi, Z, 0.5)
     assert res.inner_iterations >= 2
     with pytest.raises(InnerSolveError, match="unsolved"):
-        _secular(power_terms(*phi.radial_terms()), rows, phi.state_rows(Z), 0.5,
-                 max_iter=res.inner_iterations - 2)
+        _secular(power_terms(*phi.radial_terms()), _secular_rows(rows, 0.5),
+                 phi.state_rows(Z), max_iter=res.inner_iterations - 2)
     # the Euclidean step needs no Newton step at all
     euclid = Euclidean()
-    assert _secular(power_terms(*euclid.radial_terms()), rows, euclid.state_rows(Z),
-                    0.5, max_iter=0)[2] == 1
+    assert _secular(power_terms(*euclid.radial_terms()), _secular_rows(rows, 0.5),
+                    euclid.state_rows(Z), max_iter=0)[2] == 1
     Z[1, 0] = np.nan
     with pytest.raises(InnerSolveError, match="finite"):
         prox_step_rows(rows, reg, phi, Z, 0.5)

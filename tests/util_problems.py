@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from bregopt.legendre import Euclidean
+from bregopt.legendre import Euclidean, norm_rows
 from bregopt.models import LinearMirrorOracle, NoisyGradientOracle, OracleConstants
 from bregopt.problems import ProblemInstance
-from bregopt.subproblem import PointModel, ZeroRegularizer, linear_model
+from bregopt.subproblem import SECULAR_TOL, PointModel, ZeroRegularizer, linear_model
 
 
 def smooth_problem(phi, d=2, center=None, tau=0.0):
@@ -102,3 +102,14 @@ def scan_tolerance(logs, etas, slopes, mu=0.0):
     m = (np.abs(logs[:-1]).max(axis=-1) + np.abs(logs[1:]).max(axis=-1)
          + etas * np.abs(slopes).max(axis=-1) / (1.0 + etas * mu) + logs.shape[-1])
     return 4 * SCAN_STEPS * np.finfo(float).eps * np.cumsum(m, axis=0)
+
+
+def secular_mirror_excess(mirror, phi, Y):
+    """Per row, how far a secular step's mirror coordinates lie outside the
+    bound ||mirror - grad phi(y)|| <= SECULAR_TOL ||grad phi(y)|| (> 0:
+    outside).  The solve stops a row once A(||v||) and A(r) agree to
+    SECULAR_TOL relative (to eta lam_min + A(r)), so it knows y's mirror
+    coordinates A(||y||) y to no better than that; its A(||v||) y differs
+    from grad phi(y) only by the rounding of ||U v|| against ||v||."""
+    G = phi.gradient_rows(Y)
+    return norm_rows(mirror - G) - SECULAR_TOL * norm_rows(G)
