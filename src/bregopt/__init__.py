@@ -13,10 +13,9 @@ from .legendre import (Burg, DomainError, Euclidean, LegendreFunction,
                        SingularHessianError, WeightedSum,
                        build_composite_legendre, build_norm_power_legendre,
                        build_poly_legendre, legendre_from_config)
-from .models import (CompositeData, LinearMirrorOracle, ModelOracle,
-                     NoisyGradientOracle, OracleConstants, ProxLinearOracle,
-                     ProximalPointOracle, SaddleData, SaddleOracle,
-                     verify_lipschitz, verify_one_sided,
+from .models import (LinearMirrorOracle, ModelOracle, NoisyGradientOracle,
+                     OracleConstants, ProxLinearOracle, ProximalPointOracle,
+                     SaddleOracle, verify_lipschitz, verify_one_sided,
                      verify_relative_smoothness, verify_variance)
 from .subproblem import (AffineRows, BallIndicator, EntropyLike,
                          InnerSolveError, L1Regularizer, NormTermRows,

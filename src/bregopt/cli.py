@@ -142,12 +142,10 @@ def _run(problem, args):
 
 
 def _sweep(problem, args):
-    horizons = [int(t) for t in args.horizons.split(",")]
     schedule = "strongly_convex" if args.strongly_convex else "constant"
     mode = "tstar_full" if args.tstar_full else "tstar_draw"
-    result = sweep(problem, horizons, args.seeds, alpha=args.alpha,
-                   lam=args.lam, schedule_kind=schedule, threads=args.threads,
-                   metric_mode=mode)
+    result = sweep(problem, args.horizons, args.seeds, alpha=args.alpha,
+                   lam=args.lam, schedule_kind=schedule, metric_mode=mode)
     text = format_csv_rows(result.rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -187,6 +185,27 @@ def _show_config(args):
     return 2
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return value
+
+
+def _horizons(text):
+    try:
+        horizons = [int(t) for t in text.split(",")]
+    except ValueError:
+        horizons = []
+    if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise argparse.ArgumentTypeError(
+            "expected strictly increasing comma-separated integers, got %r" % text)
+    return horizons
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bregopt",
@@ -209,8 +228,8 @@ def build_parser():
 
     s = sub.add_parser("sweep", help="horizon/seed sweep with rate fit")
     s.add_argument("problem_id")
-    s.add_argument("--horizons", default="64,256,1024,4096")
-    s.add_argument("--seeds", type=int, default=20)
+    s.add_argument("--horizons", type=_horizons, default="64,256,1024,4096")
+    s.add_argument("--seeds", type=_positive_int, default=20)
     s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--lambda", dest="lam", type=float, default=None)
     s.add_argument("--strongly-convex", action="store_true",
@@ -218,7 +237,6 @@ def build_parser():
     s.add_argument("--tstar-full", action="store_true",
                    help="average the stationarity metric over the full "
                         "t* distribution (variance reduction)")
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--out", default=None, help="CSV path (default stdout)")
     s.add_argument("--slope-json", default=None)
 

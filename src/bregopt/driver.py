@@ -569,8 +569,12 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     if metric_mode not in ("tstar_draw", "tstar_full"):
         raise ValueError("unknown metric mode %r" % (metric_mode,))
     horizons = list(horizons)
+    if not horizons:
+        raise ValueError("horizons must name at least one horizon")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be at least 1, got %r" % (n_seeds,))
 
     def work(T):
         return _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind,

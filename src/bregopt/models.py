@@ -7,12 +7,15 @@ divergence.  Four families are implemented:
 
   proximal_point  f_x(y, xi) = f(y, xi), a full sampled function
   linear_mirror   f_x(y, xi) = f(x) + <G(x, xi), y - x>
-  prox_linear     f_x(y, xi) = h(c(x, xi) + <grad c(x, xi), y - x>), h = |.|
-  saddle          f_x(y, xi) = g_x(y, w_hat(x, xi), xi), w_hat the inner
-                  argmax and g_x affine in y, of slope s(x, xi)
+  prox_linear     f_x(y, xi) = |c(x, xi) + c'(x, xi)(y - x)|, c(x, xi) =
+                  a2[xi] x^2 - b[xi] (1-d robust phase retrieval)
+  saddle          f_x(y, xi) = <atoms[xi] + w_hat(x), y>, w_hat(x) =
+                  R x / |x| the inner argmax over the l2 ball of radius R
 
 Every family forms its sampled models over rows of points (model_rows),
-the one model form the prox steps and the lockstep loop take.
+the one model form the prox steps and the lockstep loop take.  The
+finite-support families hold their atoms as arrays, with the (m,) array
+lip of the per-atom constants L(xi).
 
 Constants (tau, rho, mu, L, M, sigma) are declared by the problem builder
 and validated statistically by the verify_* checks below, never estimated
@@ -21,7 +24,7 @@ implicitly: the step-size rules need them a priori.
 
 import numpy as np
 
-from .legendre import dot_rows, take_rows
+from .legendre import dot_rows, norm_rows, take_rows
 from .subproblem import AffineRows, PointModel, absolute_affine_model, linear_model
 
 
@@ -120,14 +123,16 @@ class ModelOracle:
 
 
 class FiniteSupportOracle(ModelOracle):
-    """Mixin for oracles whose sample space is {0..m-1} with given weights."""
+    """Mixin for oracles whose sample space is {0..m-1} with given weights;
+    lip holds the per-atom constants L(xi)."""
 
-    def __init__(self, weights, **kw):
+    def __init__(self, weights, lip, **kw):
         weights = np.asarray(weights, dtype=float)
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be a probability vector")
         self.weights = weights
         self.n_atoms = weights.size
+        self.lip = np.asarray(lip, dtype=float)
         super().__init__(**kw)
 
     def sample(self, rng):
@@ -135,6 +140,9 @@ class FiniteSupportOracle(ModelOracle):
 
     def sample_rows(self, rng, n):
         return rng.choice(self.n_atoms, p=self.weights, size=n)
+
+    def lip_L(self, xi):
+        return float(self.lip[xi])
 
     def expected_model_value(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -144,7 +152,7 @@ class FiniteSupportOracle(ModelOracle):
             np.broadcast_to(np.asarray(y, dtype=float), X.shape)))
 
     def expected_lip_sq(self):
-        return float(sum(w * self.lip_L(i) ** 2 for i, w in enumerate(self.weights)))
+        return float(sum(self.weights * self.lip ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +192,24 @@ class LinearMirrorOracle(FiniteSupportOracle):
 
     family = "linear_mirror"
 
-    def __init__(self, f_fn, grad_map=None, weights=None, lip_fn=None, regime=None,
+    def __init__(self, f_fn, grad_map=None, weights=None, lip=None, regime=None,
                  constants=None, grad_f_fn=None, hess_f_fn=None,
                  test_point_sampler=None, slope_table=None):
         if (grad_map is None) == (slope_table is None):
             raise ValueError("give the slopes as exactly one of grad_map and slope_table")
         self._f = f_fn
         self._G = grad_map           # (x, atom index) -> vector
-        self._lip = lip_fn           # atom index -> L(xi)
         if slope_table is not None:
             self.slope_table = np.asarray(slope_table, dtype=float)
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
-        super().__init__(weights=weights, regime=regime, constants=constants,
+        super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
 
     def model_rows(self, X, xi):
         X = np.asarray(X, dtype=float)
         G = self._G(X, xi) if self.slope_table is None else self.slope_table[xi]
         return _tangent_rows(X, G, self._f(X))
-
-    def lip_L(self, xi):
-        return float(self._lip(xi))
 
     def f_exact(self, x):
         return float(self._f(np.asarray(x, dtype=float)))
@@ -262,120 +266,81 @@ class NoisyGradientOracle(ModelOracle):
 # partial linearization (Gauss-Newton / prox-linear) models
 # ---------------------------------------------------------------------------
 
-class CompositeData:
-    """Data of a composite objective f(x) = E[|c(x, xi)|].
-
-    The outer function h = |.| of the one inner output is convex and
-    L1(xi)-Lipschitz; the inner map c(., xi) is smooth with Jacobian J.  Two
-    growth polynomials describe the inner map: p bounds the Jacobian's
-    Lipschitz modulus via L2_accuracy(xi)(p(||x||)+p(||y||)), and q bounds
-    its operator norm via L2_growth(xi) sqrt(q(||x||)).  The polynomials
-    themselves shape phi (build_composite_legendre), not the data.
-    """
-
-    def __init__(self, outer_lip, inner_value, inner_jacobian, l2_accuracy,
-                 l2_growth):
-        self.outer_lip = outer_lip            # xi -> L1(xi)
-        self.inner_value = inner_value        # (x, xi) -> (..., 1) array
-        self.inner_jacobian = inner_jacobian  # (x, xi) -> (..., 1, d) array
-        self.l2_accuracy = l2_accuracy        # xi -> L2(xi) for the p bound
-        self.l2_growth = l2_growth            # xi -> L2(xi) for the q bound
-
-
 class ProxLinearOracle(FiniteSupportOracle):
-    """Models |c(x, xi) + J(x, xi)(y - x)|: convex in y, rho = 0.
+    """The 1-d robust phase retrieval models |c + c'(y - x)|, c = c(x, xi) =
+    a2[xi] x^2 - b[xi]: convex in y, rho = 0.
 
-    The models are |affine| rows (model_rows); inner_value and
-    inner_jacobian act on the last axis: (S, 1) values and an (S, 1, d)
-    Jacobian at S points.
+    The models are |affine| rows (model_rows) of slope c' = 2 a2[xi] x.  The
+    outer |.| is 1-Lipschitz, c' is a2[xi] (p(|x|) + p(|y|))-Lipschitz for
+    p = 1, and |c'| = a2[xi] sqrt(q(|x|)) for q(u) = 4 u^2, the growth
+    polynomials that shape phi (build_composite_legendre); so an atom's
+    constant is L(xi) = sqrt(2) a2[xi].
     """
 
     family = "prox_linear"
 
-    def __init__(self, composite, weights, regime, constants, test_point_sampler=None):
-        self.composite = composite
-        super().__init__(weights=weights, regime=regime, constants=constants,
-                         test_point_sampler=test_point_sampler)
+    def __init__(self, a2, b, weights, regime, constants, test_point_sampler=None):
+        self.a2 = np.asarray(a2, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        super().__init__(weights=weights, lip=np.sqrt(2.0) * self.a2, regime=regime,
+                         constants=constants, test_point_sampler=test_point_sampler)
 
     def model_rows(self, X, xi):
-        comp = self.composite
         X = np.asarray(X, dtype=float)
-        c = np.asarray(comp.inner_value(X, xi), dtype=float)
-        if c.shape != X.shape[:-1] + (1,):
-            raise ValueError("an absolute outer function takes one inner output, "
-                             "and the inner callbacks must act on the last axis")
-        G = np.asarray(comp.inner_jacobian(X, xi), dtype=float)[..., 0, :]
-        return AffineRows(G, c[..., 0] - dot_rows(G, X), True)
-
-    def lip_L(self, xi):
-        comp = self.composite
-        return float(np.sqrt(2.0) * comp.outer_lip(xi) * comp.l2_growth(xi))
+        a2, x = self.a2[xi], X[..., 0]
+        G = (2.0 * a2 * x)[..., None]
+        return AffineRows(G, a2 * x * x - self.b[xi] - dot_rows(G, X), True)
 
     def f_exact(self, x):
-        comp = self.composite
         x = np.asarray(x, dtype=float)
-        X = np.broadcast_to(x, (self.n_atoms,) + x.shape)
-        c = np.asarray(comp.inner_value(X, np.arange(self.n_atoms)), dtype=float)
-        return float(self.weights @ np.abs(c[..., 0]))
+        return float(self.weights @ np.abs(self.a2 * x * x - self.b))
 
     def tau_from_accuracy(self):
-        """tau = (4/3) E[L1 L2] for the accuracy-adapted Legendre function."""
-        comp = self.composite
-        return float(4.0 / 3.0 * sum(
-            w * comp.outer_lip(i) * comp.l2_accuracy(i)
-            for i, w in enumerate(self.weights)))
+        """tau = (4/3) E[a2[xi]] for the accuracy-adapted Legendre function."""
+        return float(4.0 / 3.0 * sum(self.weights * self.a2))
 
 
 # ---------------------------------------------------------------------------
 # saddle / robust models
 # ---------------------------------------------------------------------------
 
-class SaddleData:
-    """Data of a robust objective f(x) = E[sup_{w in W} g(x, w, xi)].
-
-    argmax_solver returns w_hat(x, xi) attaining the inner sup of the model
-    g_x(x, ., xi); for an l2-ball uncertainty set with g affine in w this is
-    the closed-form radius * normalize(coefficient) selection.
-    """
-
-    def __init__(self, g_value, model_value, argmax_solver, w_radius=None):
-        self.g_value = g_value            # (x, w, xi) -> float
-        self.model_value = model_value    # (base x, y, w, xi) -> float
-        self.argmax_solver = argmax_solver  # (x, xi) -> w_hat
-        self.w_radius = w_radius
-
-
 class SaddleOracle(FiniteSupportOracle):
-    """f_x(y, xi) = g_x(y, w_hat, xi) with w_hat = w_hat(x, xi) the inner
-    argmax, computed once, and g_x affine in y, of slope linear_slope(x, w_hat, xi).
+    """The robust objective f(x) = E[sup_{|w| <= R} <atoms[xi] + w, x>]
+    = <abar, x> + R |x|, abar = E[atoms[xi]].
 
-    linear_slope, the argmax solver and the saddle's model_value act on the
-    last axis of an (S, d) array of points, as the linear families'
-    callbacks do; f_sup_exact is the exact f = E[sup_w g].
+    The model of sample xi freezes the inner argmax w_hat(x) at the base
+    point: f_x(y, xi) = <atoms[xi] + w_hat(x), y>, linear in y.  An atom's
+    constant is L(xi) = sqrt(2) (|atoms[xi]| + R).
     """
 
     family = "saddle"
 
-    def __init__(self, saddle, weights, lip_fn, regime, constants, f_sup_exact,
-                 linear_slope, test_point_sampler=None):
-        self.saddle = saddle
-        self._lip = lip_fn
-        self._f_sup = f_sup_exact
-        self._linear_slope = linear_slope  # (x, w_hat, xi) -> the slope of g_x in y
-        super().__init__(weights=weights, regime=regime, constants=constants,
+    def __init__(self, atoms, w_radius, weights, regime, constants,
+                 test_point_sampler=None):
+        self.atoms = np.asarray(atoms, dtype=float)
+        self.w_radius = float(w_radius)
+        lip = np.sqrt(2.0) * (np.linalg.norm(self.atoms, axis=1) + self.w_radius)
+        super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
+        self.abar = self.weights @ self.atoms
+
+    def w_hat(self, X):
+        """The inner argmax R x / |x| at each point of X (the last axis), 0 at x = 0."""
+        X = np.asarray(X, dtype=float)
+        n = norm_rows(X)[..., None]
+        return np.divide(self.w_radius, n, out=np.zeros(n.shape), where=n > 0.0) * X
 
     def model_rows(self, X, xi):
-        X = np.asarray(X, dtype=float)
-        w_hat = self.saddle.argmax_solver(X, xi)
-        return _tangent_rows(X, self._linear_slope(X, w_hat, xi),
-                             self.saddle.model_value(X, X, w_hat, xi))
+        G = self.atoms[xi] + self.w_hat(X)
+        return AffineRows(G, np.zeros(G.shape[:-1]), False)
 
-    def lip_L(self, xi):
-        return float(self._lip(xi))
+    def f_rows(self, X):
+        """f at each point of X (the last axis)."""
+        X = np.asarray(X, dtype=float)
+        return dot_rows(self.abar, X) + self.w_radius * norm_rows(X)
 
     def f_exact(self, x):
-        return float(self._f_sup(np.asarray(x, dtype=float)))
+        return float(self.f_rows(x))
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +368,10 @@ class ProximalPointOracle(FiniteSupportOracle):
 
     family = "proximal_point"
 
-    def __init__(self, atoms, weights, lip_fn, regime, constants, test_point_sampler=None):
+    def __init__(self, atoms, weights, lip, regime, constants, test_point_sampler=None):
         self.model_table = atoms
-        self._lip = lip_fn
-        super().__init__(weights=weights, regime=regime, constants=constants,
+        super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
-
-    def lip_L(self, xi):
-        return float(self._lip(xi))
 
     def f_rows(self, X):
         """f at each point of X (the last axis)."""

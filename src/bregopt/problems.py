@@ -24,11 +24,10 @@ import json
 import numpy as np
 
 from .legendre import (build_composite_legendre, build_norm_power_legendre,
-                       build_poly_legendre, dot_rows, legendre_from_config,
-                       norm_rows)
-from .models import (CompositeData, LinearMirrorOracle, NoisyGradientOracle,
-                     OracleConstants, ProxLinearOracle, ProximalPointOracle,
-                     SaddleData, SaddleOracle, quadratic_model)
+                       build_poly_legendre, dot_rows, legendre_from_config)
+from .models import (LinearMirrorOracle, NoisyGradientOracle, OracleConstants,
+                     ProxLinearOracle, ProximalPointOracle, SaddleOracle,
+                     quadratic_model)
 from .subproblem import (AbsQuadraticRows, AffineRows, BallIndicator, EntropyLike,
                          L1Regularizer, NormTermRows, PointModel, QuadraticRegularizer,
                          QuadraticRows, SimplexIndicator, ZeroRegularizer,
@@ -147,20 +146,11 @@ def _assemble_p1(cfg):
     b = np.asarray(cfg["b"], dtype=float)
     weights = np.asarray(cfg["weights"], dtype=float)
     a2 = a * a
-
-    # the inner map acts on the last axis: the |affine| models of many points
-    composite = CompositeData(
-        outer_lip=lambda xi: 1.0,
-        inner_value=lambda x, xi: (a2[xi] * x[..., 0] * x[..., 0] - b[xi])[..., None],
-        inner_jacobian=lambda x, xi: (2.0 * a2[xi] * x[..., 0])[..., None, None],
-        l2_accuracy=lambda xi: a2[xi],
-        l2_growth=lambda xi: a2[xi],
-    )
     tau = float(4.0 / 3.0 * np.dot(weights, a2))
     lip = float(np.sqrt(2.0 * np.dot(weights, a2 * a2)))
     constants = OracleConstants(tau=tau, rho=0.0, lip_bound_L=lip)
     sampler = _make_sampler(cfg["sampler"], 1)
-    oracle = ProxLinearOracle(composite, weights, regime="A",
+    oracle = ProxLinearOracle(a2, b, weights, regime="A",
                               constants=constants, test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
@@ -247,7 +237,7 @@ def _assemble_simplex_linear(cfg):
     sampler = _make_sampler(cfg["sampler"], d)
     oracle = LinearMirrorOracle(
         f_fn=lambda x: dot_rows(abar, x),
-        slope_table=atoms, weights=weights, lip_fn=lambda xi: float(lip[xi]), regime="C",
+        slope_table=atoms, weights=weights, lip=lip, regime="C",
         constants=constants, grad_f_fn=lambda x: abar.copy(),
         test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])
@@ -278,32 +268,15 @@ def _assemble_p5(cfg):
     atoms = np.asarray(cfg["atoms"], dtype=float)
     weights = np.asarray(cfg["weights"], dtype=float)
     w_radius = float(cfg["w_radius"])
-    abar = weights @ atoms
     d = atoms.shape[1]
 
-    # the argmax, the model value and the slope act on the last axis
-    def argmax_w(x, xi):
-        n = norm_rows(x)[..., None]
-        return np.divide(w_radius, n, out=np.zeros(n.shape), where=n > 0.0) * x
-
-    saddle = SaddleData(
-        g_value=lambda x, w, xi: dot_rows(atoms[xi] + w, x),
-        model_value=lambda x, y, w, xi: dot_rows(atoms[xi] + w, y),
-        argmax_solver=argmax_w, w_radius=w_radius)
-
-    # acts on the last axis: the exact f of one point, or of a grid's rows
-    def f_sup(y):
-        return dot_rows(abar, y) + w_radius * norm_rows(y)
-
-    lip = np.sqrt(2.0) * (np.linalg.norm(atoms, axis=1) + w_radius)
-    constants = OracleConstants(
-        tau=0.0, rho=0.0,
-        lip_bound_L=float(np.sqrt(np.dot(weights, lip * lip))))
+    # the declared L is sqrt(E[L(xi)^2]) of the oracle's per-atom constants
+    constants = OracleConstants(tau=0.0, rho=0.0)
     sampler = _make_sampler(cfg["sampler"], d)
-    oracle = SaddleOracle(saddle, weights, lip_fn=lambda xi: float(lip[xi]),
-                          regime="A", constants=constants, f_sup_exact=f_sup,
-                          linear_slope=lambda x, w, xi: atoms[xi] + w,
-                          test_point_sampler=sampler)
+    oracle = SaddleOracle(atoms, w_radius, weights, regime="A",
+                          constants=constants, test_point_sampler=sampler)
+    constants.lip_bound_L = float(np.sqrt(np.dot(weights, oracle.lip * oracle.lip)))
+    abar = oracle.abar
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
 
@@ -318,13 +291,8 @@ def _assemble_p5(cfg):
     optimum = {"F_star": F_star, "x_star": x_star}
 
     def objective():
-        def sub(y):
-            n = norm_rows(y)[..., None]
-            return abar + np.divide(w_radius, n, out=np.zeros(n.shape),
-                                    where=n > 0.0) * y
-
-        return PointModel(f_sup, sub, row_form=NormTermRows(abar, w_radius),
-                          on_rows=True)
+        return PointModel(oracle.f_rows, lambda y: abar + oracle.w_hat(y),
+                          row_form=NormTermRows(abar, w_radius), on_rows=True)
 
     return ProblemInstance("P5", oracle, reg, phi, "A", d, cfg["x0"],
                            optimum=optimum, exact_objective_builder=objective,
@@ -345,10 +313,8 @@ def _assemble_p6(cfg):
         tau=0.0, rho=0.0,
         lip_bound_L=float(np.sqrt(np.dot(weights, lip * lip))))
     sampler = _make_sampler(cfg["sampler"], d)
-    oracle = ProximalPointOracle(atoms, weights,
-                                 lip_fn=lambda xi: float(lip[xi]), regime="A",
-                                 constants=constants,
-                                 test_point_sampler=sampler)
+    oracle = ProximalPointOracle(atoms, weights, lip=lip, regime="A",
+                                 constants=constants, test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
 

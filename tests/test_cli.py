@@ -28,6 +28,16 @@ def test_a_library_key_error_is_not_a_usage_error(monkeypatch):
         cli_main(["sweep", "P3", "--horizons", "8", "--seeds", "2"])
 
 
+@pytest.mark.parametrize("args", [["--seeds", "0"], ["--seeds", "-2"],
+                                  ["--seeds", "two"], ["--horizons", "4,x"],
+                                  ["--horizons", "8,4"], ["--threads", "2"]])
+def test_bad_sweep_arguments_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "P1", "--horizons", "4", "--seeds", "1"] + args)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_bad_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli_main(["frobnicate"])
@@ -63,8 +73,7 @@ def test_sweep_writes_csv_and_slope_json(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     js_path = tmp_path / "slope.json"
     code = cli_main(["sweep", "P3", "--horizons", "8,16", "--seeds", "2",
-                     "--threads", "2", "--out", str(csv_path),
-                     "--slope-json", str(js_path)])
+                     "--out", str(csv_path), "--slope-json", str(js_path)])
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ("regime,problem_id,T,seed,eta0,lambda,"

@@ -308,6 +308,15 @@ def test_sweep_horizons_must_increase():
         sweep(get_problem("P3"), [16, 8], n_seeds=1)
 
 
+def test_sweep_rejects_an_empty_grid():
+    p1 = get_problem("P1")
+    with pytest.raises(ValueError, match="horizons"):
+        sweep(p1, [], 2)
+    for n_seeds in (0, -1):
+        with pytest.raises(ValueError, match="n_seeds"):
+            sweep(p1, [4], n_seeds)
+
+
 def test_smooth_loop_on_simplex_is_exponentiated_gradient():
     # a linear objective is 0-relatively-smooth, so the regime-B loop on the
     # simplex must reproduce the multiplicative update with positive iterates
@@ -322,7 +331,7 @@ def test_smooth_loop_on_simplex_is_exponentiated_gradient():
     oracle = LinearMirrorOracle(
         f_fn=lambda x: x @ cost,
         grad_map=lambda x, xi: cost + steps[xi],
-        weights=[0.5, 0.5], lip_fn=lambda xi: 2.0, regime="B",
+        weights=[0.5, 0.5], lip=[2.0, 2.0], regime="B",
         constants=OracleConstants(tau=0.0, smooth_M=0.0, lip_bound_L=2.0,
                                   variance_sigma=1.0),
         grad_f_fn=lambda x: cost.copy(),
@@ -688,8 +697,11 @@ def test_a_reused_plan_steps_as_one_use_solves():
 # P6 gathers its models and prepares its secular steps once per record
 # block, and its solve returns the minimizers' mirror coordinates: 83.57,
 # where a model_rows and a phi.mirror_rows call per step took 111.34 (P1
-# and P2 read 98.83 and 84.18 with the plan's prepare call per step)
-CALLS_PER_STEP = {"P1": 99.1, "P2": 84.4, "P3": 26.0, "P4": 26.4, "P6": 83.6}
+# and P2 read 98.83 and 84.18 with the plan's prepare call per step).
+# P1 and P5 form their models from their atom arrays: 94.52 and 44.31,
+# where the per-atom callbacks took 98.83 and 56.15
+CALLS_PER_STEP = {"P1": 94.8, "P2": 84.4, "P3": 26.0, "P4": 26.4, "P5": 44.4,
+                  "P6": 83.6}
 
 
 @pytest.mark.parametrize("pid", sorted(CALLS_PER_STEP))

@@ -1,27 +1,20 @@
 import numpy as np
 import pytest
 
-from bregopt.legendre import Euclidean, build_poly_legendre
-from bregopt.models import (CompositeData, LinearMirrorOracle,
-                            NoisyGradientOracle, OracleConstants,
-                            ProxLinearOracle, verify_lipschitz,
+from bregopt.legendre import Euclidean, build_poly_legendre, dot_rows, norm_rows
+from bregopt.models import (LinearMirrorOracle, NoisyGradientOracle,
+                            OracleConstants, ProxLinearOracle, verify_lipschitz,
                             verify_one_sided, verify_relative_smoothness,
                             verify_variance)
 from bregopt.problems import get_problem, registry
+from bregopt.subproblem import AffineRows, absolute_affine_model, linear_model
 
 
 def one_d_robust_oracle():
     """Single-atom |x^2 - 1| composite, the worked 1-d example."""
-    comp = CompositeData(
-        outer_lip=lambda xi: 1.0,
-        inner_value=lambda x, xi: np.array([x[0] ** 2 - 1.0]),
-        inner_jacobian=lambda x, xi: np.array([[2.0 * x[0]]]),
-        l2_accuracy=lambda xi: 1.0,
-        l2_growth=lambda xi: 1.0,
-    )
     constants = OracleConstants(tau=4.0 / 3.0, lip_bound_L=np.sqrt(2.0))
     return ProxLinearOracle(
-        comp, [1.0], regime="A", constants=constants,
+        [1.0], [1.0], [1.0], regime="A", constants=constants,
         test_point_sampler=lambda rng: rng.uniform(-2.0, 2.0, 1))
 
 
@@ -157,7 +150,7 @@ def test_verify_lipschitz_linear_bound():
     G = np.array([0.6, -0.8])
     oracle = LinearMirrorOracle(
         f_fn=lambda x: float(G @ x), grad_map=lambda x, xi: G,
-        weights=[1.0], lip_fn=lambda xi: np.sqrt(2.0),
+        weights=[1.0], lip=[np.sqrt(2.0)],
         regime="C", constants=OracleConstants(lip_bound_L=np.sqrt(2.0)),
         grad_f_fn=lambda x: G.copy(),
         test_point_sampler=lambda r: r.uniform(-2, 2, 2))
@@ -255,7 +248,7 @@ def test_verify_one_sided_monte_carlo_path():
     oracle = MCOracle(
         f_fn=lambda x: float(G @ x),
         grad_map=lambda x, xi: G + 0.3 * np.array([1.0, -1.0]) * (2 * xi - 1),
-        weights=[0.5, 0.5], lip_fn=lambda xi: 2.0, regime="C",
+        weights=[0.5, 0.5], lip=[2.0, 2.0], regime="C",
         constants=OracleConstants(lip_bound_L=2.0),
         grad_f_fn=lambda x: G.copy(),
         test_point_sampler=lambda r: r.uniform(-1, 1, 2))
@@ -269,22 +262,123 @@ def test_verify_one_sided_monte_carlo_path():
 def test_saddle_model_dominance_and_argmax():
     p5 = get_problem("P5")
     oracle = p5.oracle
-    saddle = oracle.saddle
+    atoms = np.asarray(p5.config["atoms"], dtype=float)
+    radius = oracle.w_radius
+
+    def g(x, w, xi):
+        return float(np.dot(atoms[xi] + w, x))
+
     rng = np.random.default_rng(9)
-    radius = saddle.w_radius
     for _ in range(200):
         x = p5.sample_domain_point(rng)
         y = p5.sample_domain_point(rng)
         xi = oracle.sample(rng)
-        w_hat = saddle.argmax_solver(x, xi)
+        w_hat = oracle.w_hat(x)
         assert np.linalg.norm(w_hat) <= radius + 1e-12
         # the selection attains the inner sup at the base point
         for _ in range(20):
             w = rng.normal(size=2)
             w = radius * rng.uniform() * w / np.linalg.norm(w)
-            assert saddle.g_value(x, w_hat, xi) >= saddle.g_value(x, w, xi) - 1e-9
+            assert g(x, w_hat, xi) >= g(x, w, xi) - 1e-9
         # the model value is g at the frozen w_hat, below the full sup
-        assert abs(oracle.model_value(x, y, xi)
-                   - saddle.g_value(y, w_hat, xi)) <= 1e-12
-        w_best_y = saddle.argmax_solver(y, xi)
-        assert saddle.g_value(y, w_hat, xi) <= saddle.g_value(y, w_best_y, xi) + 1e-9
+        assert abs(oracle.model_value(x, y, xi) - g(y, w_hat, xi)) <= 1e-12
+        w_best_y = oracle.w_hat(y)
+        assert g(y, w_hat, xi) <= g(y, w_best_y, xi) + 1e-9
+
+
+# Reference forms of the P1 and P5 oracles, written as per-atom callbacks:
+# the oracles' array forms must reproduce them bit for bit.
+
+def _reference_p1(cfg):
+    a = np.asarray(cfg["a"], dtype=float)
+    b = np.asarray(cfg["b"], dtype=float)
+    w = np.asarray(cfg["weights"], dtype=float)
+    a2 = a * a
+    inner_value = lambda x, xi: (a2[xi] * x[..., 0] * x[..., 0] - b[xi])[..., None]
+    inner_jacobian = lambda x, xi: (2.0 * a2[xi] * x[..., 0])[..., None, None]
+
+    def model_rows(X, xi):
+        c = inner_value(X, xi)
+        G = inner_jacobian(X, xi)[..., 0, :]
+        return AffineRows(G, c[..., 0] - dot_rows(G, X), True)
+
+    def f_exact(x):
+        X = np.broadcast_to(x, (w.size,) + x.shape)
+        return float(w @ np.abs(inner_value(X, np.arange(w.size))[..., 0]))
+
+    lip_L = lambda xi: float(np.sqrt(2.0) * 1.0 * a2[xi])
+    expected_lip_sq = float(sum(wi * lip_L(i) ** 2 for i, wi in enumerate(w)))
+    tau = float(4.0 / 3.0 * sum(wi * 1.0 * a2[i] for i, wi in enumerate(w)))
+    return model_rows, f_exact, lip_L, expected_lip_sq, tau
+
+
+def _reference_p5(cfg):
+    atoms = np.asarray(cfg["atoms"], dtype=float)
+    w = np.asarray(cfg["weights"], dtype=float)
+    R = float(cfg["w_radius"])
+    abar = w @ atoms
+
+    def argmax_w(x):
+        n = norm_rows(x)[..., None]
+        return np.divide(R, n, out=np.zeros(n.shape), where=n > 0.0) * x
+
+    def model_rows(X, xi):
+        w_hat = argmax_w(X)
+        slopes = atoms[xi] + w_hat
+        values = dot_rows(atoms[xi] + w_hat, X)
+        return AffineRows(slopes, values - dot_rows(slopes, X), False)
+
+    f_exact = lambda y: float(dot_rows(abar, y) + R * norm_rows(y))
+    lip = np.sqrt(2.0) * (np.linalg.norm(atoms, axis=1) + R)
+    lip_L = lambda xi: float(lip[xi])
+    expected_lip_sq = float(sum(wi * lip_L(i) ** 2 for i, wi in enumerate(w)))
+    return model_rows, f_exact, lip_L, expected_lip_sq, float(np.sqrt(np.dot(w, lip * lip)))
+
+
+def _same_rows(rows, ref):
+    return (rows.absolute == ref.absolute
+            and rows.slopes.shape == ref.slopes.shape
+            and np.array_equal(rows.slopes, ref.slopes)
+            and np.shape(rows.offsets) == np.shape(ref.offsets)
+            and np.array_equal(rows.offsets, ref.offsets))
+
+
+@pytest.mark.parametrize("pid", ["P1", "P5"])
+def test_array_oracles_equal_the_callback_formulas_bit_for_bit(pid):
+    p = get_problem(pid)
+    oracle = p.oracle
+    reference = _reference_p1 if pid == "P1" else _reference_p5
+    model_rows, f_exact, lip_L, expected_lip_sq, extra = reference(p.config)
+    rng = np.random.default_rng(21)
+    d = p.dimension
+    for S in (1, 7, 64):
+        X = np.stack([p.sample_domain_point(rng) for _ in range(S)])
+        xi = oracle.sample_rows(rng, S)
+        if pid == "P5":
+            X[0] = 0.0                  # w_hat's zero branch
+        else:
+            # exactly at the sampled atom's kinks +-sqrt(b)/|a|
+            a = np.asarray(p.config["a"])[xi[0]]
+            b = np.asarray(p.config["b"])[xi[0]]
+            X[0] = np.sqrt(b) / abs(a) * (1.0 if S % 2 else -1.0)
+        assert X.shape == (S, d)
+        assert _same_rows(oracle.model_rows(X, xi), model_rows(X, xi))
+        # the one-row case, and the PointModel model_at builds from it
+        for s in range(S):
+            one = oracle.model_rows(X[s], int(xi[s]))
+            ref = model_rows(X[s], int(xi[s]))
+            assert _same_rows(one, ref)
+            make = absolute_affine_model if ref.absolute else linear_model
+            ref_model = make(ref.slopes, float(ref.offsets))
+            y = p.sample_domain_point(rng)
+            assert oracle.model_at(X[s], int(xi[s])).value(y) == ref_model.value(y)
+            assert oracle.model_value(X[s], y, int(xi[s])) == ref_model.value(y)
+            assert oracle.f_exact(X[s]) == f_exact(X[s])
+            assert p.exact_f(X[s]) == f_exact(X[s])
+    for i in range(oracle.n_atoms):
+        assert oracle.lip_L(i) == lip_L(i)
+    assert oracle.expected_lip_sq() == expected_lip_sq
+    if pid == "P1":
+        assert oracle.tau_from_accuracy() == extra
+    else:
+        assert oracle.constants.lip_bound_L == extra

@@ -66,7 +66,7 @@ def quadratic_problem(x0, regime="A", x_star=None):
     sampler = lambda rng: rng.uniform(-2, 2, len(x0))
     oracle = LinearMirrorOracle(
         f_fn=f, grad_map=lambda x, xi: x - x_star, weights=[1.0],
-        lip_fn=lambda xi: 10.0, regime=regime,
+        lip=[10.0], regime=regime,
         constants=OracleConstants(tau=0.0, rho=0.0, lip_bound_L=10.0),
         grad_f_fn=lambda x: x - x_star, test_point_sampler=sampler)
     prob = ProblemInstance("QUAD", oracle, ZeroRegularizer(), Euclidean(),
