@@ -15,8 +15,7 @@ from .legendre import (Burg, DomainError, Euclidean, LegendreFunction,
                        build_poly_legendre, legendre_from_config)
 from .models import (LinearMirrorOracle, ModelOracle, NoisyGradientOracle,
                      OracleConstants, ProxLinearOracle, ProximalPointOracle,
-                     SaddleOracle, verify_lipschitz, verify_one_sided,
-                     verify_relative_smoothness, verify_variance)
+                     SaddleOracle)
 from .subproblem import (AffineRows, BallIndicator, EntropyLike,
                          InnerSolveError, L1Regularizer, NormTermRows,
                          PointModel, ProxStepResult, QuadraticRegularizer,
@@ -31,8 +30,16 @@ from .driver import (RunTrace, SolverConfig, default_lambda, fit_loglog,
                      run_model_based, sample_tstar, stepsize_constant, sweep)
 from .envelope import (EnvelopeReport, bregman_prox_point, bregman_prox_points,
                        envelope_gradient, envelope_value, stationarity)
-from .problems import (OracleResult, ProblemInstance, brute_force_min,
-                       default_configs, dump_config, get_problem,
+from .problems import (ProblemInstance, default_configs, dump_config, get_problem,
                        instance_from_config, load_config, registry)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the names of validation, which compiles on first use, not with the solvers
+    if name in ("OracleResult", "brute_force_min", "verify_lipschitz", "verify_one_sided",
+                "verify_relative_smoothness", "verify_variance"):
+        from . import validation
+        return getattr(validation, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

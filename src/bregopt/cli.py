@@ -15,10 +15,10 @@ from . import envelope as envelope_mod
 from .driver import (SolverConfig, default_lambda, format_csv_rows,
                      run_for_regime, sweep)
 from .legendre import gradient_by_differences
-from .models import (verify_lipschitz, verify_one_sided,
-                     verify_relative_smoothness, verify_variance)
-from .problems import brute_force_min, default_configs, dump_config, get_problem
+from .problems import default_configs, dump_config, get_problem
 from .subproblem import check_three_point
+from .validation import (brute_force_min, verify_lipschitz, verify_one_sided,
+                         verify_relative_smoothness, verify_variance)
 
 
 def _seed_override(seed):

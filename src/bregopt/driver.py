@@ -168,8 +168,10 @@ def _run_loop(problem, configs):
     step 0's (subproblem.step_plan; _resolve_etas checked every eta).  It
     carries its minimizers' points and mirror coordinates to the next step
     (only x_0's state is derived; phi.mirror_rows when the solve gives none).
-    Models that depend on the sample only (the oracle's model_table) are
-    gathered, and prepared by plan.prepare, once per record block.
+    Models that depend on the sample only (the oracle's model_table), or the
+    atoms that the plan anchors at each step's centres (its atom_table: a P1
+    step is one pass over them in mirror coordinates), are gathered, and
+    prepared by plan.prepare, once per record block.
 
     What the traces keep of a step (the model and r at its minimizers,
     D(x_{t+1}, x_t) and its certificate residual) depends on two
@@ -218,6 +220,7 @@ def _run_loop(problem, configs):
     iterates = np.empty((T + 2, S, d))
     iterates[0] = state.points
     slopes, table = oracle.slope_table, oracle.model_table
+    gathered = oracle.atom_table if table is None else table
     scan = None if slopes is None else _affine_scan(reg, phi)
     # a scanned horizon records whole chunks per block
     block = (max(1, BLOCK_ROWS // S) if scan is None
@@ -276,14 +279,14 @@ def _run_loop(problem, configs):
             k = t - t0
             try:
                 centres = RowState(iterates[t], mirror[k], None, None)
-                if table is None or not k:
+                if gathered is None or not k:
                     # this step's models, or at a block's start the block's
-                    models = (oracle.model_rows(centres.points, xi_steps[t]) if table is None
-                              else take_rows(table, xi_steps[t0:t0 + block].reshape(-1)))
+                    models = (oracle.model_rows(centres.points, xi_steps[t]) if gathered is None
+                              else take_rows(gathered, xi_steps[t0:t0 + block].reshape(-1)))
                     plan = plan or step_plan(models, d, reg, phi, tol)
-                    prepared = plan and plan.prepare(models, etas[t] if table is None
+                    prepared = plan and plan.prepare(models, etas[t] if gathered is None
                                                      else np.repeat(etas[t0:t0 + block], S))
-                found = plan and plan(prepared if table is None
+                found = plan and plan(prepared if gathered is None
                                       else take_rows(prepared, slice(k * S, k * S + S)),
                                       centres, float(etas[t]))
                 if found is None:
@@ -421,22 +424,33 @@ def _metric_names(problem):
     return ("fgap_avg",)
 
 
-class SweepResult:
-    """A sweep's outputs in one array: the regime, problem id and metric
-    names once, and per horizon h the row cells[h] = [T, eta0, lambda, the
-    (S, k) metric values of its S seeds and k metrics, the S cell wall
-    times in ms].  A kept result is one small array (about 0.4 KB for one
-    horizon of 8 seeds, which the benchmark keeps per call); horizons,
-    eta0, lam, values (H, S, k), walls (H, S), rows, means, std_errs and fit
-    are derived on access."""
+class SweepResult(np.ndarray):
+    """A sweep's outputs, one array whose row h is [T, eta0, lambda, the
+    (S, k) metric values of its S seeds and k metrics, the S cell wall times
+    in ms] for horizon h, of the class (of) that holds its regime, problem
+    id and metric names.  A kept result is this one small array (about
+    0.35 KB for one horizon of 8 seeds, which the benchmark keeps per call,
+    where a wrapper object around it took 0.4 KB); cells is it as a plain
+    array, and horizons, eta0, lam, values (H, S, k), walls (H, S), rows,
+    means, std_errs and fit are derived on access."""
 
-    __slots__ = ("regime", "problem_id", "metric_names", "cells")
+    __slots__ = ()
+    regime = problem_id = metric_names = None
+    _kinds = {}  # (regime, problem id, metric names) -> its subclass
 
-    def __init__(self, regime, problem_id, metric_names, cells):
-        self.regime = regime
-        self.problem_id = problem_id
-        self.metric_names = metric_names
-        self.cells = cells
+    @classmethod
+    def of(cls, regime, problem_id, metric_names, cells):
+        """The cells, copied, as the result of (regime, problem_id, metric_names)."""
+        key = (regime, problem_id, metric_names)
+        kind = cls._kinds.get(key) or cls._kinds.setdefault(key, type(cls.__name__, (cls,), dict(
+            __slots__=(), regime=regime, problem_id=problem_id, metric_names=metric_names)))
+        out = np.ndarray.__new__(kind, cells.shape)
+        out[...] = cells
+        return out
+
+    @property
+    def cells(self):
+        return self.view(np.ndarray)
 
     @property
     def n_seeds(self):
@@ -591,7 +605,7 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
 
     cells = np.array([np.concatenate(([T, eta0, cell_lam], vals.ravel(), ms))
                       for T, (eta0, cell_lam, vals, ms) in zip(horizons, results)])
-    return SweepResult(problem.regime, problem.id, _metric_names(problem), cells)
+    return SweepResult.of(problem.regime, problem.id, _metric_names(problem), cells)
 
 
 def _tstar_law(problem, traces, tol):

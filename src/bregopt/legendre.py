@@ -427,8 +427,8 @@ class RadialPowerSum(LegendreFunction):
     def gradient_rows(self, X):
         X = np.asarray(X, dtype=float)
         r = norm_rows(X)
-        scale = (self._scale_coefs * r[:, None] ** self._scale_powers).sum(axis=1)
-        return np.where(r[:, None] == 0.0, 0.0, scale[:, None] * X)
+        # scale is finite at r = 0, so a row whose r underflows keeps its gradient
+        return (self._scale_coefs * r[:, None] ** self._scale_powers).sum(axis=1)[:, None] * X
 
     def _hessian_coefs(self, r):
         """(a, b) of the Hessian a I + b x x^T at points of norm r (an array

@@ -18,14 +18,14 @@ finite-support families hold their atoms as arrays, with the (m,) array
 lip of the per-atom constants L(xi).
 
 Constants (tau, rho, mu, L, M, sigma) are declared by the problem builder
-and validated statistically by the verify_* checks below, never estimated
+and validated statistically by the verify_* checks (validation), never estimated
 implicitly: the step-size rules need them a priori.
 """
 
 import numpy as np
 
 from .legendre import dot_rows, norm_rows, take_rows
-from .subproblem import AffineRows, PointModel, absolute_affine_model, linear_model
+from .subproblem import AffineRows, PointModel, ProxLinearRows, absolute_affine_model, linear_model
 
 
 class OracleConstants:
@@ -55,8 +55,9 @@ class ModelOracle:
     # the (m, d) slopes of linear models whose slopes depend on the sample
     # only (LinearMirrorOracle), else None
     slope_table = None
-    # the atoms' row form, when models depend on the sample only (ProximalPointOracle)
-    model_table = None
+    # the atoms' row form when the models depend on the sample only (model_table,
+    # ProximalPointOracle) or the centres anchor them (atom_table, ProxLinearOracle)
+    model_table = atom_table = None
 
     def __init__(self, regime, constants, test_point_sampler=None):
         if regime not in ("A", "B", "C"):
@@ -270,26 +271,23 @@ class ProxLinearOracle(FiniteSupportOracle):
     """The 1-d robust phase retrieval models |c + c'(y - x)|, c = c(x, xi) =
     a2[xi] x^2 - b[xi]: convex in y, rho = 0.
 
-    The models are |affine| rows (model_rows) of slope c' = 2 a2[xi] x.  The
-    outer |.| is 1-Lipschitz, c' is a2[xi] (p(|x|) + p(|y|))-Lipschitz for
-    p = 1, and |c'| = a2[xi] sqrt(q(|x|)) for q(u) = 4 u^2, the growth
-    polynomials that shape phi (build_composite_legendre); so an atom's
-    constant is L(xi) = sqrt(2) a2[xi].
+    The models are |affine| rows (model_rows) of slope c' = 2 a2[xi] x, the
+    atom_table's rows (a2, b) at x.  The outer |.| is 1-Lipschitz, c' is
+    a2[xi] (p(|x|) + p(|y|))-Lipschitz for p = 1, and |c'| = a2[xi]
+    sqrt(q(|x|)) for q(u) = 4 u^2, the growth polynomials that shape phi
+    (build_composite_legendre); so an atom's constant is L(xi) = sqrt(2) a2[xi].
     """
 
     family = "prox_linear"
 
     def __init__(self, a2, b, weights, regime, constants, test_point_sampler=None):
-        self.a2 = np.asarray(a2, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        self.atom_table = ProxLinearRows(np.asarray(a2, dtype=float), np.asarray(b, dtype=float))
+        self.a2, self.b = self.atom_table
         super().__init__(weights=weights, lip=np.sqrt(2.0) * self.a2, regime=regime,
                          constants=constants, test_point_sampler=test_point_sampler)
 
     def model_rows(self, X, xi):
-        X = np.asarray(X, dtype=float)
-        a2, x = self.a2[xi], X[..., 0]
-        G = (2.0 * a2 * x)[..., None]
-        return AffineRows(G, a2 * x * x - self.b[xi] - dot_rows(G, X), True)
+        return AffineRows(*take_rows(self.atom_table, xi).affine(np.asarray(X, dtype=float)), True)
 
     def f_exact(self, x):
         x = np.asarray(x, dtype=float)
@@ -387,142 +385,3 @@ class ProximalPointOracle(FiniteSupportOracle):
     def hess_f(self, x):
         H = np.tensordot(self.weights, self.model_table.Q, axes=1)
         return np.broadcast_to(H, np.shape(x) + H.shape[-1:])
-
-
-# ---------------------------------------------------------------------------
-# statistical verification of the declared constants
-# ---------------------------------------------------------------------------
-
-class VerifyReport:
-    def __init__(self, passed, **fields):
-        self.passed = bool(passed)
-        for k, v in fields.items():
-            setattr(self, k, v)
-
-    def __repr__(self):
-        keys = {k: v for k, v in self.__dict__.items() if k != "passed"}
-        return "VerifyReport(passed=%s, %s)" % (self.passed, keys)
-
-
-REL_TOL = 1e-9
-
-
-def _mc_overshoot(oracle, x, y, n_samples, rng):
-    """Monte-Carlo estimate of E[f_x(y, xi)] with common random numbers."""
-    vals = np.empty(n_samples)
-    for k in range(n_samples):
-        xi = oracle.sample(rng)
-        vals[k] = oracle.model_value(x, y, xi)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
-
-
-def verify_one_sided(oracle, phi, x, y, n_samples=10000, rng=None):
-    """Check the one-sided accuracy contract at a single pair (x, y).
-
-    mean_gap_at_x = E[f_x(x, xi)] - f(x) should vanish; mean_overshoot =
-    E[f_x(y, xi) - f(y)] must stay below bound_rhs = tau * D(y, x) (zero tau
-    in the convex regime, where the models globally under-estimate), up to
-    three standard errors on the Monte-Carlo path.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tau = 0.0 if oracle.regime == "C" else oracle.constants.tau
-    D = phi.bregman(y, x)
-    bound_rhs = tau * D
-    try:
-        m_at_x = oracle.expected_model_value(x, x)
-        m_at_y = oracle.expected_model_value(x, y)
-        se_x = se_y = 0.0
-    except NotImplementedError:
-        rng = np.random.default_rng(0) if rng is None else rng
-        m_at_x, se_x = _mc_overshoot(oracle, x, x, n_samples, rng)
-        m_at_y, se_y = _mc_overshoot(oracle, x, y, n_samples, rng)
-    fx = oracle.f_exact(x)
-    fy = oracle.f_exact(y)
-    scale = 1.0 + abs(fx) + abs(bound_rhs)
-    gap_at_x = m_at_x - fx
-    overshoot = m_at_y - fy
-    ok = (abs(gap_at_x) <= 3.0 * se_x + REL_TOL * scale
-          and overshoot - bound_rhs <= 3.0 * se_y + REL_TOL * scale)
-    return VerifyReport(ok, mean_gap_at_x=gap_at_x, mean_overshoot=overshoot,
-                        bound_rhs=bound_rhs, std_err=max(se_x, se_y))
-
-
-def verify_lipschitz(oracle, phi, n_pairs, rng):
-    """Check f_x(x, xi) - f_x(y, xi) <= L(xi) sqrt(D(y, x)) on random pairs.
-
-    Also confirms the declared aggregate sqrt(E[L(xi)^2]) <= L.  Pairs with
-    x = y are skipped (the ratio is 0/0 there).
-    """
-    max_ratio = 0.0
-    max_normalized = 0.0
-    used = 0
-    ok = True
-    for _ in range(n_pairs):
-        x = oracle.draw_test_point(rng)
-        y = oracle.draw_test_point(rng)
-        D = phi.bregman(y, x)
-        if D <= 1e-18:
-            continue
-        xi = oracle.sample(rng)
-        gap = oracle.model_value(x, x, xi) - oracle.model_value(x, y, xi)
-        ratio = gap / np.sqrt(D)
-        L = oracle.lip_L(xi)
-        max_ratio = max(max_ratio, ratio)
-        if L > 0:
-            max_normalized = max(max_normalized, ratio / L)
-        elif ratio > REL_TOL:
-            ok = False
-        used += 1
-    if max_normalized > 1.0 + REL_TOL:
-        ok = False
-    claimed = oracle.constants.lip_bound_L
-    second_moment = oracle.expected_lip_sq()
-    if np.sqrt(second_moment) > claimed * (1.0 + REL_TOL):
-        ok = False
-    return VerifyReport(ok, max_ratio=max_ratio, claimed_L=claimed,
-                        max_normalized=max_normalized,
-                        second_moment=second_moment, n_used=used)
-
-
-def verify_relative_smoothness(oracle, phi, n_pairs, rng):
-    """Check -tau D(y,x) <= f(y) - f(x) - <grad f(x), y-x> <= M D(y,x)."""
-    if getattr(oracle, "grad_f", None) is None:
-        raise ValueError("relative smoothness check needs an exact gradient")
-    tau = oracle.constants.tau
-    M = oracle.constants.smooth_M
-    worst_lower = np.inf
-    worst_upper = np.inf
-    ok = True
-    for _ in range(n_pairs):
-        x = oracle.draw_test_point(rng)
-        y = oracle.draw_test_point(rng)
-        D = phi.bregman(y, x)
-        lin_err = (oracle.f_exact(y) - oracle.f_exact(x)
-                   - float(np.dot(oracle.grad_f(x), y - x)))
-        scale = REL_TOL * (1.0 + abs(lin_err) + D)
-        lower_slack = lin_err + tau * D
-        upper_slack = M * D - lin_err
-        worst_lower = min(worst_lower, lower_slack)
-        worst_upper = min(worst_upper, upper_slack)
-        if lower_slack < -scale or upper_slack < -scale:
-            ok = False
-    return VerifyReport(ok, worst_lower_slack=worst_lower,
-                        worst_upper_slack=worst_upper, tau=tau, M=M)
-
-
-def verify_variance(oracle, n_samples, x, rng):
-    """Check E||G(x, xi) - grad f(x)||^2 <= sigma^2 / 2 + 3 s.e.
-
-    The deviation is measured in the Euclidean norm, the dual of the norm
-    every registered finite-variance oracle declares its strong convexity in.
-    """
-    x = np.asarray(x, dtype=float)
-    g_exact = oracle.grad_f(x)
-    G = oracle.model_rows(x, oracle.sample_rows(rng, n_samples)).slopes
-    sq = np.sum((G - g_exact) ** 2, axis=1)
-    mean = float(sq.mean())
-    se = float(sq.std(ddof=1) / np.sqrt(n_samples))
-    bound = oracle.constants.variance_sigma ** 2 / 2.0
-    ok = mean <= bound + 3.0 * se + REL_TOL * (1.0 + bound)
-    return VerifyReport(ok, empirical_second_moment=mean, bound=bound, std_err=se)

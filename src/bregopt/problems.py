@@ -1,4 +1,4 @@
-"""Desk-scale problem library and ground-truth oracles.
+"""Desk-scale problem library (its brute-force ground truth is in validation).
 
 Each registered instance bundles an oracle, a regularizer, a compatible
 Legendre function, declared constants, and a feasible start, and claims one
@@ -28,10 +28,9 @@ from .legendre import (build_composite_legendre, build_norm_power_legendre,
 from .models import (LinearMirrorOracle, NoisyGradientOracle, OracleConstants,
                      ProxLinearOracle, ProximalPointOracle, SaddleOracle,
                      quadratic_model)
-from .subproblem import (AbsQuadraticRows, AffineRows, BallIndicator, EntropyLike,
-                         L1Regularizer, NormTermRows, PointModel, QuadraticRegularizer,
-                         QuadraticRows, SimplexIndicator, ZeroRegularizer,
-                         linear_model, _affine_solver)
+from .subproblem import (AbsQuadraticRows, BallIndicator, EntropyLike, L1Regularizer,
+                         NormTermRows, PointModel, QuadraticRegularizer, QuadraticRows,
+                         SimplexIndicator, ZeroRegularizer, linear_model)
 
 
 class ProblemInstance:
@@ -495,139 +494,3 @@ def dump_config(cfg):
 
 def load_config(text):
     return _decode_config(json.loads(text))
-
-
-# ---------------------------------------------------------------------------
-# brute-force ground truth
-# ---------------------------------------------------------------------------
-
-class OracleResult:
-    """Ground-truth value from an independent brute-force method."""
-
-    def __init__(self, value, argmin, method, resolution):
-        self.value = float(value)
-        self.argmin = np.asarray(argmin, dtype=float)
-        self.method = method
-        self.resolution = float(resolution)
-
-
-GRID_POINT_CAP = 40_000_000
-# grid points per row call of the exact objective; a finite-support
-# objective's row form holds (points, atoms, d, d) temporaries
-GRID_CHUNK = 50_000
-
-
-def _golden_polish(f, lo, hi, tol=1e-12, max_iter=300):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while b - a > tol * (1.0 + abs(a) + abs(b)) and it < max_iter:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        it += 1
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
-def _simplex_vertex_min(problem):
-    d = problem.dimension
-    best_v, best_x = np.inf, None
-    for k in range(d):
-        x = np.zeros(d)
-        x[k] = 1.0
-        v = problem.exact_F(x)
-        if v < best_v:
-            best_v, best_x = v, x
-    return OracleResult(best_v, best_x, "grid", 0.0)
-
-
-def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
-    """Deterministic long subgradient descent on the exact objective."""
-    model = problem.exact_objective()
-    reg = problem.regularizer
-    phi = problem.phi
-    x = problem.x0.copy()
-    best_v, best_x = problem.exact_F(x), x.copy()
-    solve = _affine_solver(reg, phi)
-    if solve is None:
-        raise ValueError("no affine prox available for projected descent")
-    for k in range(1, iterations + 1):
-        g = model.subgradient(x)
-        step = step0 / np.sqrt(k)
-        x = solve(g[None, :], phi.state_rows(x[None, :], reg), step)[0][0]
-        v = problem.exact_F(x)
-        if v < best_v:
-            best_v, best_x = v, x.copy()
-    return OracleResult(best_v, best_x, "projected_descent_long", step0 / np.sqrt(iterations))
-
-
-def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
-                    descent_iterations=1_000_000):
-    """Certified-resolution minimizer of the exact objective F.
-
-    Grid search (d <= 2) and bracketed golden-section polish (d = 1); for
-    linear objectives on the simplex the grid degenerates to exact vertex
-    enumeration; any other dimension falls back to a long projected
-    subgradient descent with diminishing steps.  A grid that cannot honor
-    the requested resolution raises instead of silently degrading.
-    """
-    d = problem.dimension
-    if method is None:
-        rows = problem.exact_objective().rows()
-        if problem.regularizer.kind == "indicator_simplex" and \
-                isinstance(rows, AffineRows) and not rows.absolute:
-            method = "vertex"
-        elif d == 1:
-            method = "golden_section"
-        elif d == 2:
-            method = "grid"
-        else:
-            method = "projected_descent_long"
-
-    if method == "vertex":
-        return _simplex_vertex_min(problem)
-    if method == "projected_descent_long":
-        return _projected_descent_long(problem, iterations=descent_iterations)
-
-    if domain_box is None:
-        domain_box = (-2.5, 2.5)
-    lo, hi = float(domain_box[0]), float(domain_box[1])
-    n = int(np.ceil((hi - lo) / resolution)) + 1
-    if n ** d > GRID_POINT_CAP:
-        raise ValueError(
-            "resolution %.3g needs %d grid points (cap %d); refusing to degrade"
-            % (resolution, n ** d, GRID_POINT_CAP))
-    axis = np.linspace(lo, hi, n)
-
-    if method == "golden_section":
-        vals = np.array([problem.exact_F(np.array([t])) for t in axis])
-        k = int(np.argmin(vals))
-        a = axis[max(k - 1, 0)]
-        b = axis[min(k + 1, n - 1)]
-        t, v = _golden_polish(lambda s: problem.exact_F(np.array([s])), a, b)
-        return OracleResult(v, np.array([t]), "golden_section", resolution)
-
-    if method == "grid":
-        model = problem.exact_objective()
-        best_v, best_x = np.inf, None
-        chunk = max(1, GRID_CHUNK // n)
-        for start in range(0, n, chunk):
-            rows = axis[start:start + chunk]
-            X, Y = np.meshgrid(rows, axis, indexing="ij")
-            pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-            vals = model.value_rows(pts) + problem.regularizer.value_rows(pts)
-            k = int(np.argmin(vals))
-            if vals[k] < best_v:
-                best_v, best_x = vals[k], pts[k]
-        return OracleResult(best_v, best_x, "grid", resolution)
-
-    raise ValueError("unknown brute force method %r" % (method,))

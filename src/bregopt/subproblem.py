@@ -6,15 +6,14 @@ Each outer iteration solves
 
 for a convex (or relatively weakly convex) sampled model, a simple closed
 regularizer r, and the run's Legendre function phi.  A structured model is
-described by its row form (AffineRows, NormTermRows, QuadraticRows,
-AbsQuadraticRows or SmoothRows), and every step goes through one dispatch
-on that form, made once per loop or batch (step_plan): the affine or
-|affine| closed form, the norm shrinkage, the scalar secular equation of a
-quadratic under a radial phi, one kink search and one cubic root for a 1-d
-sum of |quadratic| terms, or one lockstep Newton; a 1-d model with none of
-these takes the certified bisection.
-Every returned step carries a three-point optimality residual, the runtime
-contract
+described by its row form (AffineRows, ProxLinearRows, NormTermRows,
+QuadraticRows, AbsQuadraticRows or SmoothRows), and every step goes through
+one dispatch on that form, made once per loop or batch (step_plan): the
+affine or |affine| closed form, the norm shrinkage, the scalar secular
+equation of a quadratic under a radial phi, one kink search and one cubic
+root for a 1-d sum of |quadratic| terms, or one lockstep Newton; a 1-d model
+with none of these takes the certified bisection.  Every returned step
+carries a three-point optimality residual, the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -37,8 +36,9 @@ class InnerSolveError(RuntimeError):
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
 # the log of the largest total magnitude an entropic step's record may sum
 # (float max over e^4, room for the certificate's handful of such sums)
-_LOG_RECORD_MAX = float(np.log(np.finfo(float).max)) - 4.0
-PowerTerms = namedtuple("PowerTerms", "a e pairs closed a1 a3 const terms slopes")
+_FLOAT_MAX = np.finfo(float).max
+_LOG_RECORD_MAX = float(np.log(_FLOAT_MAX)) - 4.0
+PowerTerms = namedtuple("PowerTerms", "a e pairs closed a1 a3 const terms slopes cap")
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +174,15 @@ class PointModel:
     """One sampled model, already anchored at the base point.
 
     value/subgradient act on the trial point y.  row_form is the model's
-    structure as a one-row AffineRows (affine, or |affine|), NormTermRows
+    structure as a one-row AffineRows (affine or |affine|), NormTermRows
     (<v, y> + c ||y||), QuadraticRows or AbsQuadraticRows (1-d pieces of
-    sum_i w_i |a_i^2 y^2 - b_i|).  A model with no row_form but a
-    hessian_fn is smooth: value, subgradient (its gradient) and hessian are
-    exact, which gives it the row form SmoothRows.  prox_step dispatches on
-    rows(); a 1-d model with none, or whose form has no path for (r, phi),
-    is solved by bisection.
-
-    For a 1-d variable, value and subgradient functions that act elementwise
-    on an (N,) array let prox_points_1d solve N subproblems in one batch.
-    With on_rows the functions act on the last axis instead: at an (N, d)
-    array they give N values, an (N, d) array and an (N, d, d) stack, so a
-    batch of prox points can share the smooth row form without a call per
-    row.
+    sum_i w_i |a_i^2 y^2 - b_i|); a model with none but a hessian_fn is
+    smooth (value, gradient and hessian exact; row form SmoothRows).
+    prox_step dispatches on rows(), and a 1-d model with no path for
+    (r, phi) is bisected.  In 1-d, functions acting elementwise on an (N,)
+    array let prox_points_1d solve N subproblems in one batch; with on_rows
+    they act on the last axis (N values, an (N, d) array and an (N, d, d)
+    stack at an (N, d) array), so prox points share the smooth row form.
     """
 
     def __init__(self, value_fn, subgrad_fn, row_form=None, hessian_fn=None,
@@ -244,12 +239,8 @@ def absolute_affine_model(g, s):
     """model(y) = |<g, y> + s| with the zero-slope selection at the kink."""
     g = np.asarray(g, dtype=float)
     s = float(s)
-
-    def sub(y):
-        u = float(np.dot(g, y)) + s
-        return np.sign(u) * g
-
-    return PointModel(lambda y: abs(float(np.dot(g, y)) + s), sub,
+    return PointModel(lambda y: abs(float(np.dot(g, y)) + s),
+                      lambda y: np.sign(float(np.dot(g, y)) + s) * g,
                       row_form=AffineRows(g[None, :], np.array([s]), True))
 
 
@@ -261,8 +252,7 @@ class ProxStepResult:
     closed_form_norm, closed_form_abs_quadratic, bisection_1d, secular,
     newton or degenerate_eta.  For a batch of steps (prox_step_rows) every
     field but method and inner_iterations (the most any row used) holds one
-    entry per row, and state is the minimizers' RowState, from which the
-    next step starts.
+    entry per row, and state is the minimizers' RowState (the next centres).
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
@@ -327,28 +317,25 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
 
     psi = model + r.  A rho-weakly convex objective is certified through the
     convexified split g = eta (psi + rho D(., z)) against the remaining
-    (1 - eta rho) fraction of the divergence, which is exactly the inequality
-    the convergence analysis uses (rho = 0 gives the plain inequality); at
-    x = z check_three_point's residual then reads
+    (1 - eta rho) fraction of the divergence, the inequality the convergence
+    analysis uses (rho = 0: the plain one); at x = z check_three_point's
+    residual reads
 
         eta (psi(z) - psi(y)) - D(y, z) - (1 - eta rho) D(z, y).
 
-    The residual sums the four terms eta psi(z), eta psi(y), D(y, z) and
-    (1 - eta rho) D(z, y).  Each is evaluated to within a few units u of
-    roundoff of its own magnitude, or of 1 for a difference of values of
-    order one (a divergence or a model value near 0), and the sum adds at
-    most 3 u times their total magnitude.  So a correct step misses 0 by a
-    small multiple of u times
+    Each of its four terms is evaluated to within a few units u of roundoff
+    of its own magnitude (or of 1, for a difference of values of order one),
+    and the sum adds at most 3 u times their total magnitude, so a correct
+    step misses 0 by a small multiple of u times
 
         scale = 1 + eta |psi(z)| + eta |psi(y)| + D(y, z) + (1 - eta rho) D(z, y),
 
-    and tol, far above u, bounds the residual below by -tol * scale.  A
-    step with large divergences (an entropic step of D(y, z) = 4e13) is
-    then held to the same relative accuracy as a small one.  The arguments
-    may be arrays of a batch of steps.  Raises InnerSolveError below
-    -tol * scale (or at a residual that is not a number), with the first
-    such row as its attribute row, and then DomainError if a center is
-    infeasible; returns the residuals.
+    and tol, far above u, bounds the residual below by -tol * scale: a step
+    with large divergences (an entropic D(y, z) = 4e13) is held to the same
+    relative accuracy as a small one.  The arguments may be arrays of a
+    batch.  Raises InnerSolveError below -tol * scale (or at a residual that
+    is not a number), with the first such row as its attribute row, and then
+    DomainError if a center is infeasible; returns the residuals.
     """
     d_zy = (1.0 - eta * rho) * d_zy
     res = eta * (psi_z - psi_y) - d_yz - d_zy
@@ -409,62 +396,62 @@ def _check_step(eta, rho):
 
 def power_terms(coefs, powers):
     """The terms of the kernel sum_k c_k r^p_k (c_k > 0) that its scalar
-    equations read, prepared once.  solve_monotone_power's
-    s(r) = sum_k a_k r^e_k (a_k = c_k p_k, e_k = p_k - 1): the arrays a, e,
-    their pairs, whether the powers are {2, 4} and that case's cubic
-    a1 r + a3 r^3.  _secular's A(r) = s(r)/r = const + sum_k a_k r^(e_k - 1)
-    over the pairs terms (e_k > 1), and A'(r) over the pairs slopes."""
+    equations read, prepared once: solve_monotone_power's s(r) = sum_k a_k
+    r^e_k (a_k = c_k p_k, e_k = p_k - 1) as the arrays a, e and their pairs,
+    whether the powers are {2, 4} and that case's cubic a1 r + a3 r^3;
+    _secular's A(r) = s(r)/r = const + sum_k a_k r^(e_k - 1) over terms
+    (e_k > 1) and A'(r) over slopes; cap, up to which s does not overflow,
+    with s(cap) >= min(1, a) M / (4 n) (n terms, M the largest float)."""
     c, p = np.asarray(coefs, dtype=float), np.asarray(powers, dtype=float)
     a, e = (c * p)[c > 0.0], (p - 1.0)[c > 0.0]
     pairs = list(zip(a.tolist(), e.tolist()))
     terms = [(ak, ek - 1.0) for ak, ek in pairs if ek > 1.0]
+    cap = np.minimum.reduce((_FLOAT_MAX / (4.0 * a.size * np.maximum(a, 1.0))) ** (1.0 / e))
     return PowerTerms(a, e, pairs, {ek for _, ek in pairs} == {1.0, 3.0},
                       a[e == 1.0].sum(), a[e == 3.0].sum(),
                       sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms,
-                      [(ak * ek, ek - 1.0) for ak, ek in terms])
+                      [(ak * ek, ek - 1.0) for ak, ek in terms], cap)
 
 
 def solve_monotone_power(power, target, tol=1e-14, max_iter=200):
     """Root of s(r) = sum_k a_k r^e_k = target over r >= 0 for the
     power_terms power, unique since s is increasing and convex.
 
-    Each entry g starts from a closed form: for powers {2, 4} (the registry's
-    kernels) the root of a_1 r + a_3 r^3 = g (_cubic_root, with no
-    cancellation for small g); else the upper bound min_k (g/a_k)^(1/e_k),
-    exact for one term, from which Newton descends monotonically.  Entries
-    with |s(r) - g| > tol (1 + g) take Newton steps in lockstep.  target may
-    be an array of any shape; entries <= 0 give 0.  A non-finite target, or
-    an entry unsolved after max_iter steps, raises InnerSolveError.
+    Each entry g starts from a closed form, for powers {2, 4} the root of
+    a_1 r + a_3 r^3 = g (_cubic_root, no cancellation for small g), else the
+    upper bound min_k (g/a_k)^(1/e_k), exact for one term, from which Newton
+    descends monotonically.  The start is returned when every entry has
+    |s(r) - g| <= tol (1 + g); the entries above take Newton steps in
+    lockstep.  target may have any shape; entries <= 0 give 0.  A non-finite
+    target, or an entry unsolved after max_iter steps, raises InnerSolveError.
     """
-    a, e, terms, closed, a1, a3 = power[:6]
+    a, e, pairs, closed, a1, a3 = power[:6]
     target = np.asarray(target, dtype=float)
-    if not np.isfinite(target).all():
+    g = target.reshape(-1)
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise InnerSolveError("radial scale equation needs a finite target")
-    out = np.zeros(target.size)
-    pos = np.flatnonzero(target.reshape(-1) > 0.0)
-    g = target.reshape(-1)[pos]
+    g = np.where(g > 0.0, g, 0.0)
+    # the closed-form start's residual term by term, Newton's over the arrays
     if closed:
         r = _cubic_root(a1, a3, g)
+        f = _power_sum(0.0, pairs, r) - g
     else:
-        r = np.min((g[:, None] / a) ** (1.0 / e), axis=1)
+        r = np.minimum.reduce((g[:, None] / a) ** (1.0 / e), axis=1)
+        f = np.add.reduce(a * r[:, None] ** e, axis=1) - g
     scale = tol * (1.0 + g)
-    idx = np.arange(g.size)
-    for it in range(max_iter + 1):
+    busy = np.abs(f) > scale
+    if not np.logical_or.reduce(busy):
+        return r.reshape(target.shape)
+    idx = np.flatnonzero(busy)
+    for _ in range(max_iter):
         ri = r[idx]
-        # the closed-form start's residual term by term (it rarely needs
-        # Newton), Newton's over the term arrays
-        f = (_power_sum(0.0, terms, ri) if closed and not it
-             else np.sum(a * ri[:, None] ** e, axis=1)) - g[idx]
+        r[idx] = ri = ri - f[busy] / np.add.reduce(a * e * ri[:, None] ** (e - 1.0), axis=1)
+        f = np.add.reduce(a * ri[:, None] ** e, axis=1) - g[idx]
         busy = np.abs(f) > scale[idx]
-        if not busy.any():
-            break
-        if it == max_iter:
-            raise InnerSolveError("radial scale equation unsolved after %d "
-                                  "Newton steps" % max_iter)
-        idx, ri = idx[busy], ri[busy]
-        r[idx] = ri - f[busy] / np.sum(a * e * ri[:, None] ** (e - 1.0), axis=1)
-    out[pos] = r
-    return out.reshape(target.shape)
+        if not np.logical_or.reduce(busy):
+            return r.reshape(target.shape)
+        idx = idx[busy]
+    raise InnerSolveError("radial scale equation unsolved after %d Newton steps" % max_iter)
 
 
 def _cubic_root(a1, a3, g):
@@ -547,15 +534,14 @@ def _affine_scan(reg, phi):
     minimizers (K, S, d) and their log y, for ShannonEntropy under the
     simplex or the entropy-like tilt; None for every other (r, phi).
 
-    Z is the RowState of the first (S, d) centres, V holds the (K, S, d)
-    slopes of the K steps and etas their (K,) step sizes; step k starts
-    from the minimizers of step k - 1.  The slopes do not depend on the
-    centres (LinearMirrorOracle's slope_table), so the steps are one
-    cumulative sum in mirror coordinates (_scan_logits), and each entry's
-    sum runs along the steps only: a row's bits do not depend on the other
-    rows.  A step with eta < ETA_FLOOR keeps its centre (the plan's
-    degenerate_eta); a chunk with such a step, or whose cumulative sums
-    leave the floats, is scanned as two halves, and one step is
+    Z is the RowState of the first (S, d) centres, V the (K, S, d) slopes of
+    the K steps and etas their (K,) step sizes, each step starting from the
+    minimizers of the one before.  The slopes do not depend on the centres
+    (LinearMirrorOracle's slope_table), so the steps are one cumulative sum
+    in mirror coordinates (_scan_logits) along the steps only: a row's bits
+    do not depend on the other rows.  A step with eta < ETA_FLOOR keeps its
+    centre (the plan's degenerate_eta); a chunk with such a step, or whose
+    sums leave the floats, is scanned as two halves, and one step is
     _affine_solver's step bit for bit.
     """
     if (not isinstance(phi, ShannonEntropy)
@@ -672,6 +658,23 @@ class AffineRows(namedtuple("AffineRows", "slopes offsets absolute")):
         v = self.offsets + dot_rows(self.slopes, Y)
         return np.abs(v) if self.absolute else v
 
+    def affine(self, X):
+        """The slopes and offsets of the rows at the centres X."""
+        return self.slopes, self.offsets
+
+
+class ProxLinearRows(namedtuple("ProxLinearRows", "a2 b")):
+    """The atoms of 1-d prox-linear models |c + c'(y - x)|, c = a2 x^2 - b,
+    over rows; affine gives them at the centres X as |affine| AffineRows."""
+
+    __slots__ = ()
+    absolute = True
+
+    def affine(self, X):
+        a2, x = self.a2, X[..., 0]
+        g = 2.0 * a2 * x
+        return g[..., None], a2 * x * x - self.b - g * x
+
 
 class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
     """Models <slopes[i], y> + weight ||y|| over rows; one slope row stands
@@ -744,21 +747,18 @@ class AbsQuadraticRows(namedtuple("AbsQuadraticRows", "kinks curvatures offsets"
 def _abs_quadratic_rows(a0, a3, phi, rows, Z, eta):
     """The path of AbsQuadraticRows: r = 0, phi = c2 y^2 + c4 y^4, a0 = 2 c2, a3 = 4 c4.
 
-    The minimizer y of eta f + D(., z) solves h(y) = c, c = phi'(z), for the
+    The minimizer y of eta f + D(., z) solves h(y) = c = phi'(z) for the
     monotone subdifferential h = eta f' + phi'.  On piece j,
     h(y) = (2 c2 + 2 eta C_j) y + 4 c4 y^3, odd and increasing when
-    2 c2 + 2 eta C_j > 0; at a kink K h jumps up from h_-(K) = 2 eta C_j K +
+    2 c2 + 2 eta C_j > 0; at a kink K, h jumps up from h_-(K) = 2 eta C_j K +
     phi'(K) to h_+(K) = 2 eta C_{j+1} K + phi'(K) (crossing +-k_i into
     |y| > k_i raises the slope of |a_i^2 y^2 - b_i| by 2 w_i a_i^2 |y|).  So
-    with j = searchsorted(h_+(K), c) the point is K_j when h_-(K_j) <= c, and
-    otherwise the root sign(c) _cubic_root(2 c2 + 2 eta C_j, 4 c4, |c|) on
-    piece j.  Each row takes one search and one root, independent of the
-    batch.
-
-    The coefficient condition 2 c2 + 2 eta min C > 0 is checked here; None
-    when it fails.  For P1 (c2 = 7/2, tau = (4/3) sum w a^2, min C >=
-    -sum w a^2) it holds at every envelope step: eta (tau + rho) < 1 gives
-    eta sum w a^2 < 3/4 < c2.
+    with j = searchsorted(h_+(K), c) the point is K_j when h_-(K_j) <= c,
+    else the root sign(c) _cubic_root(2 c2 + 2 eta C_j, 4 c4, |c|) on piece
+    j: one search and one root per row, whatever the batch.  The condition
+    2 c2 + 2 eta min C > 0 is checked here (None when it fails); for P1
+    (c2 = 7/2, tau = (4/3) sum w a^2, min C >= -sum w a^2) it holds at every
+    envelope step, as eta (tau + rho) < 1 gives eta sum w a^2 < 3/4 < c2.
     """
     K, C = rows.kinks, rows.curvatures
     a1 = a0 + 2.0 * eta * C
@@ -774,34 +774,30 @@ def _abs_quadratic_rows(a0, a3, phi, rows, Z, eta):
     return y[:, None], None, 1, "closed_form_abs_quadratic"
 
 
-def _abs_affine_rows(solve, phi, by_kink, rows, Z, eta):
-    """(minimizers, their mirror coordinates or None, the most affine solves
-    of a row, method) of |affine| AffineRows by the affine solver of (r, phi).
+def _abs_affine_rows(solve, power, phi, by_kink, rows, Z, eta):
+    """The path of |affine| rows (AffineRows, or ProxLinearRows at the
+    centres) by the affine solver of (r, phi): (minimizers, their mirror
+    coordinates or None, the most affine solves of a row, method).
 
-    An |affine| row |<g_i, x> + s_i| is minimized by the affine prox
-    y(theta) of the slope theta g_i for some theta in [-1, 1], and the level
-    <g_i, y(theta)> + s_i is nonincreasing in theta.  In 1-d with r = 0
-    (by_kink), _abs_affine_1d picks each row's case from grad phi at the
-    kink, and every row takes one affine solve.  Otherwise all rows probe
-    theta = +1 and stop there when the level is >= 0; the rows left probe
-    theta = -1 together and stop there when it is <= 0; the rows left after
-    that bisect theta together on the sign of the level (_bisection).  Where
-    the affine step of the slope theta g_i exists only for theta in an open
-    interval (Burg, _theta_bounds), a row skips a probe outside it, and the
-    level tends to +inf and -inf at the interval's ends: the bisection runs
-    inside the interval and never probes an end.  Every row then takes one
-    affine solve at its theta, which gives the minimizers and, for the
-    entropy, their mirror coordinates (log y, finite where y underflows to
-    0.0).  A row's solves see only its own data, so a batch steps each row
-    bit for bit as a one-row call does.
+    Row i's minimizer is the affine prox y(theta) of the slope theta g_i for
+    some theta in [-1, 1], whose level <g_i, y(theta)> + s_i is
+    nonincreasing in theta.  In 1-d with r = 0 (by_kink) _abs_affine_1d
+    picks each row's theta at the kink.  Otherwise the rows probe theta = +1
+    (stopping at a level >= 0), then -1 (stopping at a level <= 0), and the
+    rest bisect theta on the sign of the level (_bisection) inside the open
+    interval where the step exists (Burg, _theta_bounds: the level tends to
+    +-inf at its ends, which are never probed).  Each row then takes one
+    affine solve at its theta: the minimizers and, for the entropy, their
+    logs (finite where y underflows to 0.0).  A row's solves read only its
+    own data, so a batch steps each row bit for bit as a one-row call.
     """
-    G, s = rows.slopes, rows.offsets
+    G, s = rows.affine(Z.points)
     shape = Z.points.shape
     if len(G) != shape[0]:
         # a one-row form stands for every row
         G, s = np.broadcast_to(G, shape), np.broadcast_to(s, shape[:1])
     if by_kink:
-        return _abs_affine_1d(solve, G, s, phi, Z, eta), None, 1, "closed_form_abs_affine"
+        return _abs_affine_1d(solve, power, phi, G[:, 0], s, Z, eta)
     lo, hi = _theta_bounds(phi, Z.points, G, eta)
 
     def level(theta, idx):
@@ -835,36 +831,46 @@ def _theta_bounds(phi, Z, G, eta):
             np.where(G < 0.0, t, np.inf).min(axis=1))
 
 
-def _abs_affine_1d(solve, G, s, phi, Z, eta):
-    """Minimizers of |g_i y + s_i| + (1/eta) D(y, z_i) over 1-d rows, r = 0.
+def _abs_affine_1d(solve, power, phi, g, s, Z, eta):
+    """The path of |g_i y + s_i| + (1/eta) D(y, z_i) over 1-d rows, r = 0,
+    with the minimizers' mirror coordinates under a radial phi (else None).
 
-    solve is the affine solver of (r, phi).  phi' is strictly increasing,
-    so with w = phi'(z) and the kink y0 = -s/g, k = phi'(y0),
-    the level g y(theta) + s has the sign of g (w - eta theta g - k): a row
-    stops at theta = +1 iff g (w - eta g - k) >= 0, at theta = -1 iff
-    g (w + eta g - k) <= 0, and its minimizer is y0 otherwise.  A kink
-    outside int dom phi (y0 <= 0 on a positive domain) has k = -inf there:
-    the level keeps the sign of g, and so does theta.  Each row takes one
-    solve, all rows in one call with slopes theta g; a row with g = 0 keeps
-    y = z.
+    With w = phi'(z), the kink y0 = -s/g and k = phi'(y0), the level of the
+    affine step of the slope theta g has the sign of g (w - eta theta g - k),
+    phi' being increasing: a row stops at theta = +-1 where w -+ eta g
+    passes k, else at y0.  So its point in the coordinates w - eta theta g
+    is W, k clipped to w -+ eta |g|, and y0 where W = k; a row with g = 0
+    keeps y = z.  Under a radial phi (power its power_terms) y = sign(W)
+    rho(|W|) (_cubic_root for the powers {2, 4}, else solve_monotone_power)
+    and k = A(|y0|) y0, A(r) = s(r)/r, at |y0| <= power.cap, past which k
+    would pass every w -+ eta g: nothing overflows.  Under any other phi
+    each row takes one affine solve (solve) at its theta, and a kink outside
+    int dom phi (y0 <= 0 on a positive domain) has k = -inf.
     """
-    g = G[:, 0]
+    z, w = Z.points[:, 0], phi.gradient_from_mirror(Z.mirror)[:, 0]
     flat = g == 0.0
-    y0 = -s / np.where(flat, 1.0, g)
-    inside = ~flat if phi.domain == "all_space" else ~flat & phi.interior_rows(y0[:, None])
-    # 1.0 stands in for the kinks outside: it is interior to every domain
-    k = np.where(inside, phi.gradient_rows(np.where(inside, y0, 1.0)[:, None])[:, 0],
-                 -np.inf)
-    w = phi.gradient_from_mirror(Z.mirror)[:, 0]
-    pos = g > 0.0
-    lo, hi = w - eta * g, w + eta * g
-    up = np.where(pos, lo >= k, lo <= k)
-    down = ~up & np.where(pos, hi <= k, hi >= k)
-    Y = solve(np.where(up, 1.0, np.where(down, -1.0, 0.0))[:, None] * G, Z, eta)[0]
-    kink = ~(up | down | flat)
-    Y[kink, 0] = y0[kink]
-    Y[flat] = Z.points[flat]
-    return Y
+    if power is not None:
+        y0 = -s / np.copysign(np.maximum(np.abs(g) + flat, np.abs(s) / power.cap), g)
+        k = _power_sum(power.const, power.terms, np.abs(y0)) * y0
+    else:
+        y0 = -s / (g + flat)
+        inside = ~flat if phi.domain == "all_space" else ~flat & phi.interior_rows(y0[:, None])
+        # 1.0 stands in for the kinks outside: it is interior to every domain
+        k = np.where(inside, phi.gradient_rows(np.where(inside, y0, 1.0)[:, None])[:, 0],
+                     -np.inf)
+    step = eta * g
+    W = np.minimum(np.maximum(k, w - np.abs(step)), w + np.abs(step))
+    kink = W == k
+    if power is None:
+        theta = np.where(kink, 0.0, np.where(W == w - step, 1.0, -1.0))
+        Y = solve((theta * g)[:, None], Z, eta)[0]
+        Y[kink, 0] = y0[kink]
+        Y[flat] = Z.points[flat]
+        return Y, None, 1, "closed_form_abs_affine"
+    r = (_cubic_root(power.a1, power.a3, np.abs(W)) if power.closed
+         else solve_monotone_power(power, np.abs(W)))
+    y = np.where(flat, z, np.where(kink, y0, np.copysign(r, W)))
+    return y[:, None], W[:, None], 1, "closed_form_abs_affine"
 
 
 # ---------------------------------------------------------------------------
@@ -917,15 +923,14 @@ def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
     """Lockstep sign bisection from the RowState Z of (N, 1) centers.
 
     Minimizes model + r + (1/eta) D(., z_i) for every center z_i at once by
-    bisection on a subgradient selection; the model's subgradient function
-    acts elementwise on an (N,) array, and grad phi at the centres is read
-    from Z's mirror coordinates.  Each element brackets its own minimizer:
-    from a positive slope it moves left (halving toward 0 on positive
-    domains, else by doubling steps), from a negative slope right by
-    doubling steps; then the brackets close by _bisection.  Returns the
-    minimizers and the bisection count of each; raises InnerSolveError if an
-    element finds no bracket, or if a bracket is still open after max_iter
-    halvings.
+    bisection on a subgradient selection (the model's subgradient function
+    acts elementwise on an (N,) array; grad phi at the centres is Z's mirror
+    coordinates).  Each element brackets its own minimizer, moving left from
+    a positive slope (halving toward 0 on positive domains, else by doubling
+    steps) and right from a negative one by doubling steps, and the brackets
+    close by _bisection.  Returns the minimizers and each one's bisection
+    count; raises InnerSolveError if an element finds no bracket, or if a
+    bracket is still open after max_iter halvings.
     """
     z = Z.points[:, 0]
     gz = phi.gradient_from_mirror(Z.mirror)[:, 0]
@@ -999,16 +1004,15 @@ def _newton(rows, phi, state, eta, tol, max_iter=120):
     RowState (phi at the centres is derived when the state carries none).
 
     rows is a SmoothRows (r = 0).  One damped Newton runs over all rows in
-    lockstep: batched gradients, one np.linalg.solve over the (S, d, d)
-    Hessian stack, and a backtracking Armijo search per row, as masks over
-    the rows still searching.  Each row stops on its own half Newton
-    decrement: once it is below tol (1 + |psi_i(z_i)|) the row is polished
-    by up to two more full Newton steps (until it is below 1e-30, or a full
-    step fails the Armijo test).  Every row takes the iterates of its own
-    one-row call.  A row whose line search fails after 60 halvings, or that
-    is still above the tolerance after max_iter iterations, raises
-    InnerSolveError for the batch.  Returns solve_rows' (minimizers, None,
-    iterations, "newton").
+    lockstep (batched gradients, one np.linalg.solve over the (S, d, d)
+    Hessian stack, a backtracking Armijo search per row as masks over the
+    rows still searching), each row stopping on its own half Newton
+    decrement: below tol (1 + |psi_i(z_i)|) it is polished by up to two more
+    full steps (until below 1e-30, or a full step fails the Armijo test), so
+    every row takes the iterates of its own one-row call.  A row whose line
+    search fails after 60 halvings, or still above the tolerance after
+    max_iter iterations, raises InnerSolveError for the batch.  Returns
+    solve_rows' (minimizers, None, iterations, "newton").
     """
     Z, gz = state.points, phi.gradient_from_mirror(state.mirror)
     vz = phi.value_rows(Z) if state.values is None else state.values
@@ -1122,27 +1126,25 @@ def _secular_rows(rows, eta):
 def _secular(power, rows, state, _eta=None, max_iter=50):
     """argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
     RowState, for quadratics q under a radial phi = sum_k c_k ||y||^p_k
-    (r = 0), whose power_terms are power; rows are their SecularRows
+    (r = 0, power its power_terms); rows are their SecularRows
     (_secular_rows), which hold eta (the plan's _eta is not read).
 
     grad phi(y) = A(||y||) y with A(r) = sum_k c_k p_k r^(p_k - 2), so with
     Q_i = U diag(lam) U' the optimality condition
     eta Q_i (y - c_i) + A(||y||) y = grad phi(z_i) gives
     y = U (b / (eta lam + A(r))), b = U' (eta Q_i c_i + grad phi(z_i)), where
-    r = ||y|| is the root of the secular equation
-    F(r) = r - ||b / (eta lam + A(r))|| = 0, unique since F is strictly
-    increasing (A is nondecreasing).  Newton on F runs in lockstep over the
-    rows from the isotropic root (every lam replaced by their
-    b^2-weighted mean), each step clipped to the bracket of the isotropic
-    roots with lam_max and lam_min.  The KKT residual of y at r is
-    U ((A(||y||) - A(r)) v), v = U' y, of norm at most
-    |A(||y||) - A(r)| ||b|| / (eta lam_min + A(r)); a row stops on its own
-    once that ratio is at most SECULAR_TOL, so its bits do not depend on the
-    batch, and with A constant (Euclidean) the first pass is exact.  Non-finite
-    data, or a row still above the tolerance after max_iter Newton steps,
-    raises InnerSolveError.  Returns solve_rows' (minimizers, their mirror
-    coordinates A(||v||) y from the last pass, passes, "secular"), the passes
-    counting Newton steps + 1.
+    r = ||y|| is the root of F(r) = r - ||b / (eta lam + A(r))||, strictly
+    increasing as A is nondecreasing.  Newton on F runs in lockstep over the
+    rows from the isotropic root (lam replaced by its b^2-weighted mean),
+    each step clipped to the bracket of the isotropic roots with lam_max and
+    lam_min.  The KKT residual of y at r, U ((A(||y||) - A(r)) v), v = U' y,
+    has norm at most |A(||y||) - A(r)| ||b|| / (eta lam_min + A(r)); a row
+    stops on its own once that ratio is at most SECULAR_TOL, so its bits do
+    not depend on the batch (with A constant, Euclidean, the first pass is
+    exact).  Non-finite data, or a row above the tolerance after max_iter
+    Newton steps, raises InnerSolveError.  Returns solve_rows' (minimizers,
+    their mirror coordinates A(||v||) y from the last pass, the passes
+    (Newton steps + 1), "secular").
     """
     const, terms, slopes = power.const, power.terms, power.slopes
     lam, W, U = rows
@@ -1151,13 +1153,13 @@ def _secular(power, rows, state, _eta=None, max_iter=50):
     # stands for every row
     lam = lam if lam.shape == Z.shape else np.broadcast_to(lam, Z.shape)
     B = ((W + state.mirror)[:, None, :] @ U)[:, 0, :]
-    if not np.isfinite(B).all():
+    if not np.logical_and.reduce(np.isfinite(B), axis=None):
         raise InnerSolveError("secular equation needs finite data")
     BB = B * B
-    g2 = BB.sum(axis=1)
+    g2 = np.add.reduce(BB, axis=1)
     # the isotropic roots with lam_max, the b^2-weighted mean and lam_min
     kappa = lam[:, [-1, 0, 0]]
-    np.divide((BB * lam).sum(axis=1), g2, out=kappa[:, 1], where=g2 > 0.0)
+    np.divide(np.add.reduce(BB * lam, axis=1), g2, out=kappa[:, 1], where=g2 > 0.0)
     roots, exact = _isotropic_roots(const, terms, kappa, np.sqrt(g2)[:, None])
     lo, r, hi = roots[:, 0], roots[:, 1], roots[:, 2]
     # margins for the rounding of the closed forms; 0 is below every root
@@ -1170,17 +1172,17 @@ def _secular(power, rows, state, _eta=None, max_iter=50):
             den = lam + a[:, None]
             V = B / den
             vv = V * V
-            nv = np.sqrt(vv.sum(axis=1))
+            nv = np.sqrt(np.add.reduce(vv, axis=1))
             a_v = _power_sum(const, terms, nv)
             ok = np.abs(a_v - a) <= floor + SECULAR_TOL * a
-            if ok.all():
+            if np.logical_and.reduce(ok):
                 break
             if it == max_iter:
                 raise InnerSolveError(
                     "secular equation of row %d unsolved after %d Newton steps"
                     % (np.flatnonzero(~ok)[0], max_iter))
             slope = _power_sum(0.0, slopes, r)
-            step = r - (r - nv) / (1.0 + slope * (vv / den).sum(axis=1) / nv)
+            step = r - (r - nv) / (1.0 + slope * np.add.reduce(vv / den, axis=1) / nv)
             # a stopped row keeps its r, and so recomputes its V bit for bit
             # (a row with b = 0 divides 0 by 0 here, and stops at r = 0)
             r = np.where(ok, r, np.minimum(np.maximum(step, lo), hi))
@@ -1230,10 +1232,10 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
           and reg.kind in ("zero", "indicator_ball")):
         path = partial(_norm_term_rows, reg)
-    elif isinstance(rows, AffineRows):
+    elif isinstance(rows, (AffineRows, ProxLinearRows)):
         solve = _affine_solver(reg, phi)
         if solve is not None and rows.absolute:
-            path = partial(_abs_affine_rows, solve, phi, reg.kind == "zero" and d == 1)
+            path = partial(_abs_affine_rows, solve, power, phi, reg.kind == "zero" and d == 1)
         elif solve is not None:
             path = lambda rows, Z, eta: (*solve(rows.slopes, Z, eta), 1, "closed_form_affine")
     elif (isinstance(rows, AbsQuadraticRows) and reg.kind == "zero"
@@ -1302,16 +1304,14 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     """One Bregman proximal step from each row of an (S, d) array of centers.
 
     Row i has the model of row i of rows (a one-row form stands for every
-    row).  A step is its solve (solve_rows: the path step_plan picks for
-    the form) and its record (record_rows): the minimizers' state, the
-    models at both ends, D(y, z), D(z, y) and the certificate.  The rows are
-    certified together by center_certificate: one row below inner_tol raises
-    InnerSolveError for the batch.  centers is an (S, d) array, or the
-    RowState of the minimizers of the step before (its result's state),
-    which the step takes as it is instead of deriving phi, grad phi and r at
-    the centres again.  Returns a ProxStepResult over the rows, whose state
-    is that of its minimizers, or None when (rows, r, phi) has no batched
-    path.  The lockstep loop (driver) takes the same solve per step and the
-    same record per block of steps.
+    row).  A step is its solve (solve_rows, the path step_plan picks) and
+    its record (record_rows: the minimizers' state, the models at both ends,
+    both divergences and the center_certificate, which raises
+    InnerSolveError for the batch when one row is below inner_tol).
+    centers may be the RowState of the minimizers of the step before (its
+    result's state), which is taken as it is.  Returns a ProxStepResult over
+    the rows with its minimizers' state, or None when (rows, r, phi) has no
+    batched path.  The lockstep loop (driver) takes the same solve per step
+    and the same record per block of steps.
     """
     return _step_rows(rows, rows.values, reg, phi, centers, eta, rho, inner_tol)

@@ -19,10 +19,10 @@ from bregopt.envelope import envelope_value, envelope_gradient
 from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, build_poly_legendre,
                               finite_difference_step)
-from bregopt.models import (verify_lipschitz, verify_one_sided,
-                            verify_relative_smoothness, verify_variance)
 from bregopt.problems import get_problem, registry
 from bregopt.subproblem import check_three_point
+from bregopt.validation import (verify_lipschitz, verify_one_sided,
+                                verify_relative_smoothness, verify_variance)
 
 HORIZONS = [64, 256, 1024, 4096]
 N_SEEDS = 20

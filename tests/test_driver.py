@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from util_problems import quadratic_problem, secular_mirror_excess
+from util_problems import quadratic_problem, root_mirror_excess, secular_mirror_excess
 
 from bregopt import envelope
 from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog,
@@ -255,19 +255,23 @@ def test_the_library_runs_with_scipy_blocked():
 
 def test_a_p1_sweep_never_imports_numpy_ma():
     # numpy.ma (about 0.5 MB of resident memory) comes in lazily with
-    # np.unique; building P1's kinks must not pull it into a sweep
+    # np.unique; building P1's kinks must not pull it into a sweep.  Nor
+    # does importing bregopt compile its validation module: the package
+    # exports those names on first use
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys\n"
+            "import bregopt\n"
             "from bregopt.driver import sweep\n"
             "from bregopt.problems import get_problem\n"
             "sweep(get_problem('P1'), [8], 2, metric_mode='tstar_full')\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "print('numpy.ma' in sys.modules, 'bregopt.validation' in sys.modules)\n"
+            "print(bregopt.brute_force_min.__module__)\n")
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n")[:2] == ["False False", "bregopt.validation"]
 
 
 def test_sweep_zero_metric_reports_converged():
@@ -490,12 +494,16 @@ def _reference_loop(problem, configs, carry=False):
         if phi.radial_terms() is not None:
             # the state a step returns is that of a fresh centre at its
             # minimizer; the secular step (P6) returns its own mirror
-            # coordinates, within SECULAR_TOL of grad phi (secular_mirror_excess)
+            # coordinates, within SECULAR_TOL of grad phi (secular_mirror_excess),
+            # and so does P1's 1-d |affine| step, within 2 tol (1 + |W|) of
+            # phi'(y) for solve_monotone_power's tol (root_mirror_excess)
             state = res.state
             assert np.array_equal(state.points, X)
             assert np.array_equal(state.values, phi.value_rows(X))
             if res.method == "secular":
                 assert (secular_mirror_excess(state.mirror, phi, X) <= 0.0).all()
+            elif res.method == "closed_form_abs_affine":
+                assert (root_mirror_excess(state.mirror, phi, X) <= 0.0).all()
             else:
                 assert np.array_equal(state.mirror, phi.gradient_rows(X))
             assert np.array_equal(state.r, reg.value_rows(X))
@@ -523,7 +531,11 @@ def _records_of(problem, configs, iterates, logs):
 
 
 def test_carried_state_reproduces_a_loop_that_rederives_it():
-    # bit for bit on the radial kernels of P1, P2 and P5; the entropic steps
+    # bit for bit on the radial kernels of P2 and P5.  P1 carries the
+    # mirror coordinates W of its 1-d |affine| steps, which lie within
+    # 2 tol (1 + |W|) of a re-derived phi'(y) for solve_monotone_power's
+    # tol (root_mirror_excess), at every step of the loop's iterates (those
+    # of step-by-step steps from the carried state).  The entropic steps
     # (P3, P4) carry log x, which a re-derived log(exp(log x)) matches to
     # float64 rounding, so their tolerance comes from the dtype, not the
     # data.  P6 carries the secular solve's mirror coordinates, which differ
@@ -537,6 +549,11 @@ def test_carried_state_reproduces_a_loop_that_rederives_it():
         ref = _reference_loop(problem, configs)[0]
         if problem.id == "P6":
             assert (norm_rows(carried - ref) <= SECULAR_TOL * norm_rows(ref)).all()
+        elif problem.id == "P1":
+            iterates, _, mirrors = _reference_loop(problem, configs, carry=True)
+            assert np.array_equal(carried, iterates)
+            Y = iterates.transpose(1, 0, 2).reshape(-1, 1)
+            assert (root_mirror_excess(mirrors.reshape(-1, 1), problem.phi, Y) <= 0.0).all()
         elif problem.phi.radial_terms() is not None:
             assert np.array_equal(carried, ref), problem.id
         else:
@@ -699,9 +716,13 @@ def test_a_reused_plan_steps_as_one_use_solves():
 # where a model_rows and a phi.mirror_rows call per step took 111.34 (P1
 # and P2 read 98.83 and 84.18 with the plan's prepare call per step).
 # P1 and P5 form their models from their atom arrays: 94.52 and 44.31,
-# where the per-atom callbacks took 98.83 and 56.15
-CALLS_PER_STEP = {"P1": 94.8, "P2": 84.4, "P3": 26.0, "P4": 26.4, "P5": 44.4,
-                  "P6": 83.6}
+# where the per-atom callbacks took 98.83 and 56.15.  P1 steps from its
+# gathered atoms in one pass in mirror coordinates: 34.54, where model_rows,
+# the AffineRows path and phi.mirror_rows per step took 94.52; the radial
+# root's closed-form start returns at once and _secular reduces through
+# ufuncs, not ndarray methods: P2 65.20 and P6 61.57, where 84.18 and 83.57
+CALLS_PER_STEP = {"P1": 34.6, "P2": 65.3, "P3": 26.0, "P4": 26.4, "P5": 44.4,
+                  "P6": 61.6}
 
 
 @pytest.mark.parametrize("pid", sorted(CALLS_PER_STEP))

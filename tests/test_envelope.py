@@ -11,10 +11,11 @@ from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
 from bregopt.driver import default_lambda, sweep
 from bregopt.models import NoisyGradientOracle, OracleConstants
-from bregopt.problems import (ProblemInstance, _golden_polish, default_configs,
-                              get_problem, instance_from_config)
+from bregopt.problems import (ProblemInstance, default_configs, get_problem,
+                              instance_from_config)
 from bregopt.subproblem import (InnerSolveError, PointModel, ZeroRegularizer,
                                 absolute_affine_model, prox_step)
+from bregopt.validation import _golden_polish
 
 
 def test_halfsq_closed_forms():

@@ -3,11 +3,11 @@ import pytest
 
 from bregopt.legendre import Euclidean, build_poly_legendre, dot_rows, norm_rows
 from bregopt.models import (LinearMirrorOracle, NoisyGradientOracle,
-                            OracleConstants, ProxLinearOracle, verify_lipschitz,
-                            verify_one_sided, verify_relative_smoothness,
-                            verify_variance)
+                            OracleConstants, ProxLinearOracle)
 from bregopt.problems import get_problem, registry
 from bregopt.subproblem import AffineRows, absolute_affine_model, linear_model
+from bregopt.validation import (verify_lipschitz, verify_one_sided,
+                                verify_relative_smoothness, verify_variance)
 
 
 def one_d_robust_oracle():

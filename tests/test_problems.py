@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from bregopt.legendre import Euclidean
-from bregopt.models import (OracleConstants, NoisyGradientOracle,
-                            verify_lipschitz, verify_one_sided)
-from bregopt.problems import (ProblemInstance, brute_force_min,
-                              default_configs, dump_config, get_problem,
+from bregopt.models import OracleConstants, NoisyGradientOracle
+from bregopt.problems import (ProblemInstance, default_configs, dump_config, get_problem,
                               instance_from_config, load_config, registry)
 from bregopt.subproblem import BallIndicator, PointModel, ZeroRegularizer
+from bregopt.validation import brute_force_min, verify_lipschitz, verify_one_sided
 
 
 def test_registry_contents():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bregopt.problems import abs_quadratic_rows, get_problem, registry
-from util_problems import secular_mirror_excess
+from bregopt.problems import (abs_quadratic_rows, default_configs, get_problem,
+                              instance_from_config, registry)
+from util_problems import root_mirror_excess, secular_mirror_excess
 
 from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               ShannonEntropy, WeightedSum, build_composite_legendre,
@@ -13,7 +14,8 @@ from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               norm_rows)
 from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 InnerSolveError, L1Regularizer, NormTermRows,
-                                PointModel, QuadraticRegularizer, QuadraticRows,
+                                PointModel, ProxLinearRows, QuadraticRegularizer,
+                                QuadraticRows,
                                 SimplexIndicator, SmoothRows, ZeroRegularizer,
                                 absolute_affine_model, center_certificate,
                                 check_three_point, inner_solve, linear_model,
@@ -540,6 +542,82 @@ def test_1d_abs_affine_kink_cases_match_bisection(phi_kind, seed, log_eta):
     each = solve_rows(AffineRows(np.repeat(G[i:i + 1], n, axis=0),
                                  np.repeat(s[i:i + 1], n), True), reg, phi, state, eta)
     assert np.array_equal(wide[0], each[0])
+
+
+@pytest.mark.parametrize("kernel", ["registry", "euclidean"])
+def test_prox_linear_steps_match_the_bisection(kernel):
+    # P1's steps from its gathered atoms (ProxLinearRows, the loop's plan)
+    # and from its |affine| model rows (prox_step_rows) take one kernel, so
+    # they agree bit for bit, minimizers and mirror coordinates W, and are
+    # certified; they lie within 1e-12 (1 + |y|) of inner_solve's bisection
+    # (_solve_1d, whose certificate fails on rounding at eta = 1e6 on a
+    # kink) for step sizes up to 1e6, at centres on the kinks +-sqrt(b)/|a|
+    # of their own atom (where the kink case returns y0), at x = 0 (g = 0:
+    # y = z and W = w exactly) and in between; W is within
+    # root_mirror_excess's bound of phi'(y).  The Euclidean kernel has no
+    # closed-form root
+    cfg = next(c for c in default_configs() if c["id"] == "P1")
+    if kernel == "euclidean":
+        cfg = dict(cfg, phi={"kind": "euclidean"})
+    p1 = instance_from_config(cfg)
+    oracle, reg, phi = p1.oracle, p1.regularizer, p1.phi
+    a, b = np.asarray(cfg["a"]), np.asarray(cfg["b"])
+    m = a.size
+    rng = np.random.default_rng(7)
+    kinks = np.sqrt(b) / np.abs(a)
+    X = np.concatenate([kinks, -kinks, [0.0], rng.uniform(-2.5, 2.5, 9)])[:, None]
+    xi = np.concatenate([np.arange(m), np.arange(m), rng.integers(0, m, 10)])
+    atoms = ProxLinearRows(oracle.a2[xi], oracle.b[xi])
+    for eta in (1e-3, 0.3, 10.0, 1e3, 1e6):
+        Z = phi.state_rows(X, reg)
+        Y, W, its, method = solve_rows(atoms, reg, phi, Z, eta)
+        assert (its, method) == (1, "closed_form_abs_affine")
+        res = prox_step_rows(oracle.model_rows(X, xi), reg, phi, Z, eta)
+        assert np.array_equal(res.minimizer, Y) and np.array_equal(res.state.mirror, W)
+        assert (root_mirror_excess(W, phi, Y) <= 0.0).all(), eta
+        assert Y[2 * m, 0] == 0.0 and W[2 * m, 0] == Z.mirror[2 * m, 0]
+        # a centre on its atom's kink steps to the model's kink -s/g
+        rows = oracle.model_rows(X[:2 * m], xi[:2 * m])
+        assert np.array_equal(Y[:2 * m, 0], -rows.offsets / rows.slopes[:, 0]), eta
+        for i in range(len(X)):
+            model, centre = oracle.model_at(X[i], xi[i]), phi.state_rows(X[i:i + 1], reg)
+            ref = _solve_1d(model, reg, phi, centre, eta)[0][0]
+            assert abs(Y[i, 0] - ref) <= 1e-12 * (1.0 + abs(ref)), (eta, i)
+
+
+@pytest.mark.parametrize("x", [1e-120, 1e-160, 1e-200, 1e-300, -1e-300, 5e-324])
+def test_a_p1_step_from_a_tiny_centre_keeps_its_scale(x):
+    # with RuntimeWarnings as errors (the suite's setting): the step from
+    # x = 1e-300 returned 0.0, as the square of W and of x (the centre's
+    # phi') underflowed; from 1e-120 the kink gradient cubed y0 = -s/g
+    # ~ 1e120 and overflowed, and from 5e-324 -s/g itself overflowed.  A
+    # step from a tiny x scales with x (in the subnormals to a few units)
+    p1 = get_problem("P1")
+    eta = 0.5 / p1.oracle.constants.tau
+
+    def step(x):
+        model = p1.oracle.model_at(np.array([x]), 3)
+        return prox_step(model, p1.regularizer, p1.phi, np.array([x]), eta).minimizer[0]
+
+    ratio = step(1e-100) / 1e-100
+    assert 1.0 < ratio < 1.5
+    if abs(x) >= np.finfo(float).tiny:
+        assert abs(step(x) / x - ratio) <= 1e-12 * ratio
+    else:
+        assert 0.0 < step(x) <= 4.0 * x
+
+
+def test_monotone_power_roots_of_empty_zero_and_negative_targets():
+    # the closed-form start returns at once when every entry passes, which
+    # takes empty and all-zero targets as they are; entries <= 0 give 0
+    for coefs, powers in (([3.5, 1.0], [2.0, 4.0]), ([1.0, 1.0], [2.0, 3.0]),
+                          ([0.5], [2.0])):
+        power = power_terms(coefs, powers)
+        assert solve_monotone_power(power, np.zeros((0, 3))).shape == (0, 3)
+        assert np.array_equal(solve_monotone_power(power, np.zeros((2, 3))), np.zeros((2, 3)))
+        r = solve_monotone_power(power, np.array([-2.0, 0.0, -0.0, 3.0]))
+        assert np.array_equal(r[:3], np.zeros(3)) and r[3] > 0.0
+        assert solve_monotone_power(power, 3.0) == r[3]
 
 
 def test_1d_bisection_brackets_far_minimizers():

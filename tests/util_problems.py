@@ -113,3 +113,17 @@ def secular_mirror_excess(mirror, phi, Y):
     from grad phi(y) only by the rounding of ||U v|| against ||v||."""
     G = phi.gradient_rows(Y)
     return norm_rows(mirror - G) - SECULAR_TOL * norm_rows(G)
+
+
+def root_mirror_excess(mirror, phi, Y, tol=1e-14):
+    """Per row, how far the mirror coordinates W that a 1-d radial |affine|
+    step returns lie outside |W - phi'(y)| <= 2 tol (1 + |W|) (> 0: outside),
+    tol solve_monotone_power's default.  A root row's y = sign(W) r passed
+    the check |s(r) - |W|| <= tol (1 + |W|) on the float sum s(r); that sum
+    and phi'(y) = A(|y|) y, A(r) = sum_k c_k p_k r^(p_k - 2), each round to
+    within 8 u |W| of the exact s(r) for the registry's two-term kernels,
+    and 16 u = 3.6e-15 < tol.  A kink row's W = s(|y0|) and phi'(y0) differ
+    by those two roundings only, and a row with g = 0 keeps the W and y of
+    the step before."""
+    W = np.asarray(mirror, dtype=float)
+    return np.abs(W - phi.gradient_rows(Y)) - 2.0 * tol * (1.0 + np.abs(W))
