@@ -428,9 +428,9 @@ class SweepResult(np.ndarray):
     """A sweep's outputs, one array whose row h is [T, eta0, lambda, the
     (S, k) metric values of its S seeds and k metrics, the S cell wall times
     in ms] for horizon h, of the class (of) that holds its regime, problem
-    id and metric names.  A kept result is this one small array (about
-    0.35 KB for one horizon of 8 seeds, which the benchmark keeps per call,
-    where a wrapper object around it took 0.4 KB); cells is it as a plain
+    id and metric names.  A kept result is this one small array (328 B for
+    one horizon of 8 seeds, which the benchmark keeps per call, where a
+    wrapper object around it took 376 B); cells is it as a plain
     array, and horizons, eta0, lam, values (H, S, k), walls (H, S), rows,
     means, std_errs and fit are derived on access."""
 
