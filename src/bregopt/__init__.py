@@ -18,7 +18,7 @@ from .models import (LinearMirrorOracle, ModelOracle, NoisyGradientOracle,
                      SaddleOracle)
 from .subproblem import (AffineRows, BallIndicator, EntropyLike,
                          InnerSolveError, L1Regularizer, NormTermRows,
-                         PointModel, ProxStepResult, QuadraticRegularizer,
+                         ProxStepResult, QuadraticRegularizer,
                          QuadraticRows, Regularizer, SimplexIndicator,
                          SmoothRows, ZeroRegularizer, absolute_affine_model,
                          center_certificate, check_three_point, inner_solve,

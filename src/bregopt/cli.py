@@ -82,12 +82,11 @@ def _validate(problem, args):
     res_ok = True
     probes = [problem.sample_domain_point(rng) for _ in range(50)]
     for t in range(len(trace.etas)):
-        model = problem.oracle.model_at(trace.iterates[t],
-                                        trace.sampled_xi_ids[t])
+        model = problem.oracle.model_rows(trace.iterates[t], trace.sampled_xi_ids[t])
         eta = float(trace.etas[t])
 
         def g_val(p):
-            return eta * (model.value(p) + problem.regularizer.value(p))
+            return eta * (model.values(p) + problem.regularizer.value(p))
 
         rep = check_three_point(g_val, phi, trace.iterates[t],
                                 trace.iterates[t + 1], probes)

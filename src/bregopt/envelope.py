@@ -22,8 +22,9 @@ assembly
 whose agreement is enforced as a runtime cross-check.  The diagnostic is
 always computed offline on recorded iterates, never inside an algorithm
 loop.  The prox points of many iterates are one batch through the exact
-objective's row form (P1's pieces, P2's smooth rows, P5's norm term, P6's
-quadratic); only a 1-d objective with no batched path is bisected.
+objective's row form, problem.objective (P1's pieces, P2's smooth rows,
+P5's norm term, P6's quadratic); only a 1-d form with no batched path is
+bisected.
 """
 
 import numpy as np
@@ -66,28 +67,25 @@ def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     """argmin_y { F(y) + (1/lam) D(y, x) } for each row x of an (N, d) array.
 
     All N subproblems are solved and certified in one batch by
-    prox_step_rows on the exact objective's row form (PointModel.rows), in
+    prox_step_rows on the exact objective's row form (problem.objective), in
     every dimension: one kink search and one cubic root per point for P1's
     |quadratic| pieces, the secular equation for a quadratic (P6), one
     lockstep Newton for a smooth objective (P2) and the shrinkage for a norm
-    term (P5).  A 1-d objective with no batched path takes one lockstep
-    bisection (prox_points_1d), which needs its value and subgradient to act
-    elementwise on an (N,) array; in d > 1 such an objective raises
-    InnerSolveError.  Every batch is certified by center_certificate with
-    rho = tau + rho of the oracle.
+    term (P5).  A 1-d form with no batched path takes one lockstep bisection
+    on its values and gradients (prox_points_1d); in d > 1 such a form
+    raises InnerSolveError.  Every batch is certified by center_certificate
+    with rho = tau + rho of the oracle.
     """
     _check_lambda(problem, lam)
     X = np.asarray(X, dtype=float)
-    model = problem.exact_objective()
+    rows = problem.objective
     reg = problem.regularizer
     rho = _weak_modulus(problem)
-    rows = model.rows()
-    res = (None if rows is None
-           else prox_step_rows(rows, reg, phi, X, lam, rho=rho, inner_tol=tol))
+    res = prox_step_rows(rows, reg, phi, X, lam, rho=rho, inner_tol=tol)
     if res is not None:
         return res.minimizer
     if X.shape[1] == 1:
-        return prox_points_1d(model, reg, phi, X[:, 0], lam, rho=rho, tol=tol)[:, None]
+        return prox_points_1d(rows, reg, phi, X[:, 0], lam, rho=rho, tol=tol)[:, None]
     raise _missing_path(rows, reg, phi)
 
 

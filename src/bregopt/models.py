@@ -25,7 +25,7 @@ implicitly: the step-size rules need them a priori.
 import numpy as np
 
 from .legendre import dot_rows, norm_rows, take_rows
-from .subproblem import AffineRows, PointModel, ProxLinearRows, absolute_affine_model, linear_model
+from .subproblem import AffineRows, ProxLinearRows
 
 
 class OracleConstants:
@@ -93,17 +93,10 @@ class ModelOracle:
             raise NotImplementedError
         return take_rows(self.model_table, np.asarray(xi))
 
-    def model_at(self, x, xi):
-        """The sampled model anchored at x, as a PointModel: the one-row case
-        of model_rows."""
-        rows = self.model_rows(np.asarray(x, dtype=float), xi)
-        if isinstance(rows, AffineRows):
-            make = absolute_affine_model if rows.absolute else linear_model
-            return make(rows.slopes, float(rows.offsets))
-        return quadratic_model(rows)
-
     def model_value(self, x, y, xi):
-        return self.model_at(x, xi).value(y)
+        """f_x(y, xi): the one-point case of model_rows."""
+        return float(self.model_rows(np.asarray(x, dtype=float), xi).values(
+            np.asarray(y, dtype=float)))
 
     def lip_L(self, xi):
         """Per-sample Lipschitz-type constant L(xi)."""
@@ -344,12 +337,6 @@ class SaddleOracle(FiniteSupportOracle):
 # ---------------------------------------------------------------------------
 # full sampled functions (stochastic Bregman-proximal point)
 # ---------------------------------------------------------------------------
-
-def quadratic_model(rows):
-    """The PointModel of one-row QuadraticRows (its functions act on rows)."""
-    return PointModel(rows.values, rows.gradients, row_form=rows,
-                      hessian_fn=rows.hessians, on_rows=True)
-
 
 class ProximalPointOracle(FiniteSupportOracle):
     """f_x(y, xi) = f(y, xi) for sampled convex quadratics

@@ -26,19 +26,21 @@ import numpy as np
 from .legendre import (build_composite_legendre, build_norm_power_legendre,
                        build_poly_legendre, dot_rows, legendre_from_config)
 from .models import (LinearMirrorOracle, NoisyGradientOracle, OracleConstants,
-                     ProxLinearOracle, ProximalPointOracle, SaddleOracle,
-                     quadratic_model)
+                     ProxLinearOracle, ProximalPointOracle, SaddleOracle)
 from .subproblem import (AbsQuadraticRows, BallIndicator, EntropyLike, L1Regularizer,
-                         NormTermRows, PointModel, QuadraticRegularizer, QuadraticRows,
-                         SimplexIndicator, ZeroRegularizer, linear_model)
+                         NormTermRows, QuadraticRegularizer, QuadraticRows,
+                         SimplexIndicator, SmoothRows, ZeroRegularizer, linear_model)
 
 
 class ProblemInstance:
-    """One optimization problem min F = f + r with its assumption regime."""
+    """One optimization problem min F = f + r with its assumption regime.
+
+    objective is the exact f's row form, which the envelope's prox points
+    and the brute-force ground truth take.
+    """
 
     def __init__(self, id, oracle, regularizer, phi, regime, dimension, x0,
-                 optimum=None, exact_objective_builder=None, sampler=None,
-                 config=None):
+                 optimum=None, objective=None, sampler=None, config=None):
         self.id = id
         self.oracle = oracle
         self.regularizer = regularizer
@@ -47,7 +49,7 @@ class ProblemInstance:
         self.dimension = int(dimension)
         self.x0 = np.asarray(x0, dtype=float)
         self.optimum = optimum
-        self._objective_builder = exact_objective_builder
+        self.objective = objective
         self._sampler = sampler
         self.config = config
         if not phi.in_interior(self.x0) or not np.isfinite(regularizer.value(self.x0)):
@@ -62,10 +64,6 @@ class ProblemInstance:
         if not np.isfinite(r):
             return np.inf
         return self.exact_f(x) + r
-
-    def exact_objective(self):
-        """Structured PointModel of the exact f, for envelope subproblems."""
-        return self._objective_builder()
 
     def sample_domain_point(self, rng):
         return np.asarray(self._sampler(rng), dtype=float)
@@ -153,24 +151,8 @@ def _assemble_p1(cfg):
                               constants=constants, test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
-
-    # the envelope's prox points take the pieces; val and sub act elementwise
-    # over an (N,) array of points, the bisection's reference
-    pieces = abs_quadratic_rows(a, b, weights)
-
-    def objective():
-        def val(y):
-            y = y[:, None]
-            return np.abs(a2 * y * y - b) @ weights
-
-        def sub(y):
-            y = y[:, None]
-            return (np.sign(a2 * y * y - b) * 2.0 * a2 * y) @ weights
-
-        return PointModel(val, sub, row_form=pieces)
-
     return ProblemInstance("P1", oracle, reg, phi, "A", 1, cfg["x0"],
-                           exact_objective_builder=objective, sampler=sampler,
+                           objective=abs_quadratic_rows(a, b, weights), sampler=sampler,
                            config=cfg)
 
 
@@ -214,13 +196,8 @@ def _assemble_p2(cfg):
                                  test_point_sampler=sampler)
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
-
-    def objective():
-        return PointModel(f, grad, hessian_fn=hess, on_rows=True)
-
     return ProblemInstance("P2", oracle, reg, phi, "B", d, cfg["x0"],
-                           exact_objective_builder=objective, sampler=sampler,
-                           config=cfg)
+                           objective=SmoothRows(f, grad, hess), sampler=sampler, config=cfg)
 
 
 def _assemble_simplex_linear(cfg):
@@ -254,12 +231,8 @@ def _assemble_simplex_linear(cfg):
         x_star = np.zeros(d)
         x_star[k] = 1.0
         optimum = {"F_star": float(abar[k]), "x_star": x_star}
-
-    def objective():
-        return linear_model(abar)
-
     return ProblemInstance(cfg["id"], oracle, reg, phi, "C", d, cfg["x0"],
-                           optimum=optimum, exact_objective_builder=objective,
+                           optimum=optimum, objective=linear_model(abar),
                            sampler=sampler, config=cfg)
 
 
@@ -288,13 +261,8 @@ def _assemble_p5(cfg):
         x_star = np.zeros(d)
         F_star = 0.0
     optimum = {"F_star": F_star, "x_star": x_star}
-
-    def objective():
-        return PointModel(oracle.f_rows, lambda y: abar + oracle.w_hat(y),
-                          row_form=NormTermRows(abar, w_radius), on_rows=True)
-
     return ProblemInstance("P5", oracle, reg, phi, "A", d, cfg["x0"],
-                           optimum=optimum, exact_objective_builder=objective,
+                           optimum=optimum, objective=NormTermRows(abar, w_radius),
                            sampler=sampler, config=cfg)
 
 
@@ -325,13 +293,8 @@ def _assemble_p6(cfg):
     optimum = {"F_star": oracle.f_exact(x_star), "x_star": x_star}
     exact = QuadraticRows(Qbar[None], x_star[None], np.array([optimum["F_star"]]),
                           lam[None], U[None])
-
-    def objective():
-        return quadratic_model(exact)
-
     return ProblemInstance("P6", oracle, reg, phi, "A", d, cfg["x0"],
-                           optimum=optimum, exact_objective_builder=objective,
-                           sampler=sampler, config=cfg)
+                           optimum=optimum, objective=exact, sampler=sampler, config=cfg)
 
 
 _ASSEMBLERS = {

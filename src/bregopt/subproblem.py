@@ -5,14 +5,15 @@ Each outer iteration solves
     argmin_x  model(x) + r(x) + (1/eta) D(x, z)
 
 for a convex (or relatively weakly convex) sampled model, a simple closed
-regularizer r, and the run's Legendre function phi.  A structured model is
-described by its row form (AffineRows, ProxLinearRows, NormTermRows,
-QuadraticRows, AbsQuadraticRows or SmoothRows), and every step goes through
-one dispatch on that form, made once per loop or batch (step_plan): the
-affine or |affine| closed form, the norm shrinkage, the scalar secular
-equation of a quadratic under a radial phi, one kink search and one cubic
-root for a 1-d sum of |quadratic| terms, or one lockstep Newton; a 1-d model
-with none of these takes the certified bisection.  Every returned step
+regularizer r, and the run's Legendre function phi.  A model is its row form
+(AffineRows, ProxLinearRows, NormTermRows, QuadraticRows, AbsQuadraticRows
+or SmoothRows): values and gradients (a subgradient selection) over the
+rows of an (N, d) array.  Every step goes through one dispatch on that form,
+made once per loop or batch (step_plan): the affine or |affine| closed form,
+the norm shrinkage, the scalar secular equation of a quadratic under a
+radial phi, one kink search and one cubic root for a 1-d sum of |quadratic|
+terms, or one lockstep Newton; a 1-d form with none of these takes the
+certified bisection on its values and gradients.  Every returned step
 carries a three-point optimality residual, the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
@@ -38,6 +39,8 @@ ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
 # (float max over e^4, room for the certificate's handful of such sums)
 _FLOAT_MAX = np.finfo(float).max
 _LOG_RECORD_MAX = float(np.log(_FLOAT_MAX)) - 4.0
+# below this norm the squares of a row's entries lose digits in the subnormals
+_NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
 PowerTerms = namedtuple("PowerTerms", "a e pairs closed a1 a3 const terms slopes cap")
 
 
@@ -166,84 +169,6 @@ class EntropyLike(Regularizer):
         return -self.weight * np.log(dim)
 
 
-# ---------------------------------------------------------------------------
-# sampled models, partially applied at the current iterate
-# ---------------------------------------------------------------------------
-
-class PointModel:
-    """One sampled model, already anchored at the base point.
-
-    value/subgradient act on the trial point y.  row_form is the model's
-    structure as a one-row AffineRows (affine or |affine|), NormTermRows
-    (<v, y> + c ||y||), QuadraticRows or AbsQuadraticRows (1-d pieces of
-    sum_i w_i |a_i^2 y^2 - b_i|); a model with none but a hessian_fn is
-    smooth (value, gradient and hessian exact; row form SmoothRows).
-    prox_step dispatches on rows(), and a 1-d model with no path for
-    (r, phi) is bisected.  In 1-d, functions acting elementwise on an (N,)
-    array let prox_points_1d solve N subproblems in one batch; with on_rows
-    they act on the last axis (N values, an (N, d) array and an (N, d, d)
-    stack at an (N, d) array), so prox points share the smooth row form.
-    """
-
-    def __init__(self, value_fn, subgrad_fn, row_form=None, hessian_fn=None,
-                 on_rows=False):
-        self._value_fn = value_fn
-        self._subgrad_fn = subgrad_fn
-        self.row_form = row_form
-        self.hessian_fn = hessian_fn
-        self.on_rows = on_rows
-
-    def value(self, y):
-        v = self._value_fn(np.asarray(y, dtype=float))
-        # an elementwise value function returns a 1-element array here
-        return float(v.reshape(()) if isinstance(v, np.ndarray) and v.ndim else v)
-
-    def subgradient(self, y):
-        return np.asarray(self._subgrad_fn(np.asarray(y, dtype=float)), dtype=float)
-
-    def hessian(self, y):
-        if self.hessian_fn is None:
-            raise InnerSolveError("model does not expose a Hessian")
-        return np.asarray(self.hessian_fn(np.asarray(y, dtype=float)), dtype=float)
-
-    def value_rows(self, Y):
-        """The model at each row of an (N, d) array."""
-        if self.on_rows:
-            return np.asarray(self._value_fn(Y), dtype=float)
-        return np.array([self.value(y) for y in Y])
-
-    def rows(self):
-        """This model on every row of a batch, or None: its row_form, else
-        SmoothRows of a smooth model (its own functions when they act on
-        rows, else one call per row)."""
-        if self.row_form is not None:
-            return self.row_form
-        if self.hessian_fn is None:
-            return None
-        if self.on_rows:
-            return SmoothRows(self._value_fn, self._subgrad_fn, self.hessian_fn)
-
-        def each(fn):
-            return lambda Y: np.array([fn(y) for y in Y])
-
-        return SmoothRows(self.value_rows, each(self.subgradient), each(self.hessian))
-
-
-def linear_model(v, offset=0.0):
-    v = np.asarray(v, dtype=float)
-    return PointModel(lambda y: offset + float(np.dot(v, y)), lambda y: v.copy(),
-                      row_form=AffineRows(v[None, :], np.array([float(offset)]), False))
-
-
-def absolute_affine_model(g, s):
-    """model(y) = |<g, y> + s| with the zero-slope selection at the kink."""
-    g = np.asarray(g, dtype=float)
-    s = float(s)
-    return PointModel(lambda y: abs(float(np.dot(g, y)) + s),
-                      lambda y: np.sign(float(np.dot(g, y)) + s) * g,
-                      row_form=AffineRows(g[None, :], np.array([s]), True))
-
-
 class ProxStepResult:
     """Outcome of one Bregman proximal step z -> y.
 
@@ -333,15 +258,18 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
     and tol, far above u, bounds the residual below by -tol * scale: a step
     with large divergences (an entropic D(y, z) = 4e13) is held to the same
     relative accuracy as a small one.  The arguments may be arrays of a
-    batch.  Raises InnerSolveError below -tol * scale (or at a residual that
-    is not a number), with the first such row as its attribute row, and then
-    DomainError if a center is infeasible; returns the residuals.
+    batch.  Raises InnerSolveError below -tol * scale, or at a residual that
+    is not a finite number from a feasible center (a minimizer outside dom r
+    reads -inf against an infinite scale), with the first such row as its
+    attribute row, and then DomainError if a center is infeasible; returns
+    the residuals.
     """
     d_zy = (1.0 - eta * rho) * d_zy
     res = eta * (psi_z - psi_y) - d_yz - d_zy
     scale = tol * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
                    + np.abs(d_zy))
-    bad = np.flatnonzero(np.logical_not(res >= -scale))
+    bad = np.flatnonzero(np.logical_not((res >= -scale) & (np.abs(res) < np.inf))
+                         & (psi_z != np.inf))
     if bad.size:
         i = bad[0]
         err = InnerSolveError(
@@ -470,10 +398,17 @@ def _radial_solver(power, radius, V, Z, eta):
     monotone power equation of the power_terms power (closed-form start,
     residual-checked), clipped at the ball radius unless it is None (valid
     because the radial objective is increasing in s beyond the
-    unconstrained root).  grad phi at Z is its mirror coordinates.
+    unconstrained root).  grad phi at Z is its mirror coordinates.  A row
+    whose square underflows (norm below _NORM_UNDERFLOW) takes its norm
+    scaled by its largest entry.
     """
-    W = Z.mirror - eta * np.asarray(V, dtype=float)
+    W = Z.mirror - eta * V
     g = norm_rows(W)
+    if np.minimum.reduce(g, initial=np.inf) < _NORM_UNDERFLOW:
+        tiny = np.flatnonzero(g < _NORM_UNDERFLOW)
+        m = np.abs(W[tiny]).max(axis=1, keepdims=True)
+        U = np.divide(W[tiny], m, out=np.zeros((tiny.size, W.shape[1])), where=m > 0.0)
+        g[tiny] = m[:, 0] * norm_rows(U)
     s = solve_monotone_power(power, g)
     if radius is not None:
         s = np.minimum(s, radius)
@@ -658,9 +593,28 @@ class AffineRows(namedtuple("AffineRows", "slopes offsets absolute")):
         v = self.offsets + dot_rows(self.slopes, Y)
         return np.abs(v) if self.absolute else v
 
+    def gradients(self, Y):
+        """Each row's slope at the matching row of Y, times the sign of the
+        level for |affine| (the zero slope at the kink)."""
+        G = np.broadcast_to(self.slopes, np.broadcast_shapes(np.shape(Y), self.slopes.shape))
+        if self.absolute:
+            return np.sign(self.offsets + dot_rows(self.slopes, Y))[..., None] * G
+        return G
+
     def affine(self, X):
         """The slopes and offsets of the rows at the centres X."""
         return self.slopes, self.offsets
+
+
+def linear_model(v, offset=0.0):
+    """The one-row AffineRows of offset + <v, y>."""
+    v = np.asarray(v, dtype=float)
+    return AffineRows(v[None, :], np.array([float(offset)]), False)
+
+
+def absolute_affine_model(g, s):
+    """The one-row AffineRows of |<g, y> + s|."""
+    return AffineRows(np.asarray(g, dtype=float)[None, :], np.array([float(s)]), True)
 
 
 class ProxLinearRows(namedtuple("ProxLinearRows", "a2 b")):
@@ -684,6 +638,11 @@ class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
 
     def values(self, Y):
         return dot_rows(self.slopes, Y) + self.weight * norm_rows(Y)
+
+    def gradients(self, Y):
+        """slopes + weight y / ||y|| at each row of Y, the slopes at y = 0."""
+        n = norm_rows(Y)[..., None]
+        return self.slopes + np.divide(self.weight, n, out=np.zeros(n.shape), where=n > 0.0) * Y
 
 
 class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
@@ -742,6 +701,11 @@ class AbsQuadraticRows(namedtuple("AbsQuadraticRows", "kinks curvatures offsets"
         y = Y[:, 0]
         j = np.searchsorted(self.kinks, y)
         return self.curvatures[j] * y * y + self.offsets[j]
+
+    def gradients(self, Y):
+        """f' = 2 C_j y on each row's piece: at a kink, from its left."""
+        y = Y[:, 0]
+        return (2.0 * self.curvatures[np.searchsorted(self.kinks, y)] * y)[:, None]
 
 
 def _abs_quadratic_rows(a0, a3, phi, rows, Z, eta):
@@ -877,18 +841,6 @@ def _abs_affine_1d(solve, power, phi, g, s, Z, eta):
 # iterative solvers: 1-d bisection and lockstep Newton
 # ---------------------------------------------------------------------------
 
-def _elementwise(fn, ys):
-    """fn at each entry of an (N,) array of 1-d points, as N values; fn sees
-    512 points per call, so a finite-support model's (points, atoms) arrays
-    stay small (80 KB for P1's 20 atoms) however large the batch."""
-    n = 512
-    out = np.concatenate([np.asarray(fn(ys[i:i + n]), dtype=float).ravel()
-                          for i in range(0, ys.size, n)] or [ys[:0]])
-    if out.size != ys.size:
-        raise InnerSolveError("a batch of 1-d points needs elementwise model functions")
-    return out.reshape(ys.shape)
-
-
 def _bracket_open(lo, hi):
     return hi - lo > 1e-15 * (1.0 + np.abs(lo) + np.abs(hi))
 
@@ -923,9 +875,9 @@ def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
     """Lockstep sign bisection from the RowState Z of (N, 1) centers.
 
     Minimizes model + r + (1/eta) D(., z_i) for every center z_i at once by
-    bisection on a subgradient selection (the model's subgradient function
-    acts elementwise on an (N,) array; grad phi at the centres is Z's mirror
-    coordinates).  Each element brackets its own minimizer, moving left from
+    bisection on a subgradient selection (model.gradients of an (N, 1)
+    array; grad phi at the centres is Z's mirror coordinates).  Each element
+    brackets its own minimizer, moving left from
     a positive slope (halving toward 0 on positive domains, else by doubling
     steps) and right from a negative one by doubling steps, and the brackets
     close by _bisection.  Returns the minimizers and each one's bisection
@@ -936,7 +888,7 @@ def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
     gz = phi.gradient_from_mirror(Z.mirror)[:, 0]
 
     def slope(y, idx):
-        s = _elementwise(model._subgrad_fn, y) + reg.subgradient(y)
+        s = model.gradients(y[:, None])[:, 0] + reg.subgradient(y)
         return s + (phi.gradient_rows(y[:, None])[:, 0] - gz[idx]) / eta
 
     positive_dom = phi.domain != "all_space"
@@ -968,9 +920,10 @@ def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
 def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     """Certified argmin model(y) + r(y) + (1/eta) D(y, z) for each 1-d center.
 
-    centers is an (N,) array of 1-d points, and the model's value and
-    subgradient functions must act elementwise on such arrays.  All N
-    problems are bisected in lockstep and certified together; one element
+    centers is an (N,) array of 1-d points, and the model any object with
+    values and gradients (a subgradient selection) on (N, 1) arrays, as the
+    row forms have.  All N problems are bisected in lockstep and certified
+    together; one element
     that fails raises InnerSolveError for the whole batch.  rho is the
     relative weak-convexity modulus of model + r, with eta * rho < 1.
     """
@@ -983,8 +936,8 @@ def _bisection_1d(model, reg, phi, centers, eta, rho, tol):
     _check_step(eta, rho)
     Z = phi.state_rows(np.asarray(centers, dtype=float)[:, None], reg)
     y, its = _solve_1d(model, reg, phi, Z, eta)
-    return _recorded(lambda Y: _elementwise(model._value_fn, Y[:, 0]), reg, phi, Z,
-                     (y[:, None], None, its.max(), "bisection_1d"), eta, rho, tol)
+    return _recorded(model.values, reg, phi, Z, (y[:, None], None, its.max(), "bisection_1d"),
+                     eta, rho, tol)
 
 
 def _newton_directions(H, G):
@@ -1192,7 +1145,8 @@ def _secular(power, rows, state, _eta=None, max_iter=50):
 
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
     """Certified 1-d bisection of min model(x) + r(x) + (1/eta) D(x, center):
-    the one-row case of prox_points_1d, as a one-point ProxStepResult.
+    the one-row case of prox_points_1d (model any object with values and
+    gradients on (N, 1) arrays), as a one-point ProxStepResult.
 
     center is one 1-d point; a d > 1 center raises InnerSolveError (its
     steps go through the row forms, prox_step).  rho is the relative
@@ -1258,45 +1212,28 @@ def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
     return plan and plan(plan.prepare(rows, eta), Z, eta)
 
 
-def _step_rows(rows, values, reg, phi, Z, eta, rho, tol):
-    """The certified steps from the rows of Z, the solve (solve_rows) and
-    the record of one batch, or None.  values gives the models at the rows
-    of an (N, d) array.  Z is the centres' RowState, or their points, whose
-    state is derived once (phi.state_rows)."""
-    Z = phi.state_rows(Z, reg)
-    found = solve_rows(rows, reg, phi, Z, eta, rho, tol)
-    return None if found is None else _recorded(values, reg, phi, Z, found, eta, rho, tol)
-
-
 def _missing_path(rows, reg, phi):
     """The InnerSolveError of a d > 1 model whose step has no path."""
-    if rows is None:
-        return InnerSolveError(
-            "a d > 1 model needs a row form (affine, |affine|, norm term, "
-            "quadratic or smooth) for its prox step; this model has none")
     return InnerSolveError("%s has no batched prox step for r = %s and phi = %s"
                            % (type(rows).__name__, reg.kind, phi.kind))
 
 
-def prox_step(model, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
-    """One Bregman proximal step from the given center.
+def prox_step(rows, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
+    """One Bregman proximal step from the given center: the one-row case of
+    prox_step_rows on the model's row form rows (one row).
 
-    The one-row case of prox_step_rows on the model's row form
-    (model.rows()), certified with the model's own value; a 1-d model with
-    no batched path takes inner_solve's bisection.  Requires eta * rho < 1
-    so the composite subproblem is convex.  Every step is certified by
-    center_certificate at tolerance inner_tol: a residual below it raises
-    InnerSolveError, never a quiet return.  So does a d > 1 model with no
-    row form, or whose row form has no batched path for (r, phi).
+    A 1-d form with no batched path takes inner_solve's bisection on its
+    values and gradients.  Requires eta * rho < 1 so the composite
+    subproblem is convex.  Every step is certified by center_certificate at
+    tolerance inner_tol: a residual below it raises InnerSolveError, never a
+    quiet return.  So does a d > 1 form with no batched path for (r, phi).
     """
     center = np.asarray(center, dtype=float)
-    rows = model.rows()
-    res = _step_rows(rows, model.value_rows, reg, phi, center[None, :], eta, rho,
-                     inner_tol)
+    res = prox_step_rows(rows, reg, phi, center[None, :], eta, rho, inner_tol)
     if res is not None:
         return res.row(0)
     if center.size == 1:
-        return inner_solve(model, reg, phi, center, eta, tol=inner_tol, rho=rho)
+        return inner_solve(rows, reg, phi, center, eta, tol=inner_tol, rho=rho)
     raise _missing_path(rows, reg, phi)
 
 
@@ -1309,9 +1246,13 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     both divergences and the center_certificate, which raises
     InnerSolveError for the batch when one row is below inner_tol).
     centers may be the RowState of the minimizers of the step before (its
-    result's state), which is taken as it is.  Returns a ProxStepResult over
-    the rows with its minimizers' state, or None when (rows, r, phi) has no
-    batched path.  The lockstep loop (driver) takes the same solve per step
-    and the same record per block of steps.
+    result's state), which is taken as it is; fresh centres' state is
+    derived once (phi.state_rows).  Returns a ProxStepResult over the rows
+    with its minimizers' state, or None when (rows, r, phi) has no batched
+    path.  The lockstep loop (driver) takes the same solve per step and the
+    same record per block of steps.
     """
-    return _step_rows(rows, rows.values, reg, phi, centers, eta, rho, inner_tol)
+    Z = phi.state_rows(centers, reg)
+    found = solve_rows(rows, reg, phi, Z, eta, rho, inner_tol)
+    return (None if found is None
+            else _recorded(rows.values, reg, phi, Z, found, eta, rho, inner_tol))

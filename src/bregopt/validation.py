@@ -204,7 +204,7 @@ def _simplex_vertex_min(problem):
 
 def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
     """Deterministic long subgradient descent on the exact objective."""
-    model = problem.exact_objective()
+    model = problem.objective
     reg = problem.regularizer
     phi = problem.phi
     x = problem.x0.copy()
@@ -213,7 +213,7 @@ def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
     if solve is None:
         raise ValueError("no affine prox available for projected descent")
     for k in range(1, iterations + 1):
-        g = model.subgradient(x)
+        g = model.gradients(x[None, :])[0]
         step = step0 / np.sqrt(k)
         x = solve(g[None, :], phi.state_rows(x[None, :], reg), step)[0][0]
         v = problem.exact_F(x)
@@ -234,7 +234,7 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
     """
     d = problem.dimension
     if method is None:
-        rows = problem.exact_objective().rows()
+        rows = problem.objective
         if problem.regularizer.kind == "indicator_simplex" and \
                 isinstance(rows, AffineRows) and not rows.absolute:
             method = "vertex"
@@ -269,14 +269,14 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
         return OracleResult(v, np.array([t]), "golden_section", resolution)
 
     if method == "grid":
-        model = problem.exact_objective()
+        model = problem.objective
         best_v, best_x = np.inf, None
         chunk = max(1, GRID_CHUNK // n)
         for start in range(0, n, chunk):
             rows = axis[start:start + chunk]
             X, Y = np.meshgrid(rows, axis, indexing="ij")
             pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-            vals = model.value_rows(pts) + problem.regularizer.value_rows(pts)
+            vals = model.values(pts) + problem.regularizer.value_rows(pts)
             k = int(np.argmin(vals))
             if vals[k] < best_v:
                 best_v, best_x = vals[k], pts[k]

@@ -66,12 +66,11 @@ def test_criterion_2_three_point_contract_everywhere():
         trace = run_for_regime(prob, SolverConfig(40, seed=12))
         probes = [prob.sample_domain_point(rng) for _ in range(100)]
         for t in range(len(trace.etas)):
-            model = prob.oracle.model_at(trace.iterates[t],
-                                         trace.sampled_xi_ids[t])
+            model = prob.oracle.model_rows(trace.iterates[t], trace.sampled_xi_ids[t])
             eta = float(trace.etas[t])
 
             def g_val(p):
-                return eta * (model.value(p) + prob.regularizer.value(p))
+                return eta * (model.values(p) + prob.regularizer.value(p))
 
             rep = check_three_point(g_val, prob.phi, trace.iterates[t],
                                     trace.iterates[t + 1], probes)
@@ -79,9 +78,9 @@ def test_criterion_2_three_point_contract_everywhere():
     # negative control: an offset step on the unconstrained 1-d problem
     p1 = get_problem("P1")
     trace = run_model_based(p1, SolverConfig(5, seed=3))
-    model = p1.oracle.model_at(trace.iterates[0], trace.sampled_xi_ids[0])
+    model = p1.oracle.model_rows(trace.iterates[0], trace.sampled_xi_ids[0])
     eta = float(trace.etas[0])
-    bad = check_three_point(lambda p: eta * model.value(p), p1.phi,
+    bad = check_three_point(lambda p: eta * model.values(p), p1.phi,
                             trace.iterates[0], trace.iterates[1] + 0.1,
                             [np.array([u]) for u in rng.uniform(-2, 2, 100)])
     report(2, "three-point residual on every recorded step",

@@ -116,7 +116,7 @@ def test_p1_envelope_takes_its_pieces_not_the_bisection(monkeypatch):
     res = sweep(prob, [4, 8], 2, metric_mode="tstar_full")
     assert calls == [] and len(res.rows) == 8
     c = prob.oracle.constants
-    step = subproblem.prox_step(prob.exact_objective(), prob.regularizer, prob.phi,
+    step = subproblem.prox_step(prob.objective, prob.regularizer, prob.phi,
                                 np.array([1.2]), 0.5 / (c.tau + c.rho),
                                 rho=c.tau + c.rho)
     assert step.method == "closed_form_abs_quadratic" and calls == []
@@ -343,7 +343,7 @@ def test_smooth_loop_on_simplex_is_exponentiated_gradient():
     prob = ProblemInstance("EG", oracle, SimplexIndicator(),
                            ShannonEntropy(on_simplex=True), "B", d,
                            np.full(d, 0.25), sampler=oracle.test_point_sampler)
-    prob._objective_builder = lambda: linear_model(cost)
+    prob.objective = linear_model(cost)
     trace = run_mirror_descent_smooth(prob, SolverConfig(10, seed=4))
     assert np.all(trace.iterates > 0)
     x = prob.x0.copy()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from util_problems import halfsq_problem, smooth_problem
+from util_problems import RowModel, halfsq_problem, smooth_problem
 
 from bregopt import envelope
 from bregopt.envelope import (bregman_prox_point, bregman_prox_points,
@@ -13,7 +13,7 @@ from bregopt.driver import default_lambda, sweep
 from bregopt.models import NoisyGradientOracle, OracleConstants
 from bregopt.problems import (ProblemInstance, default_configs, get_problem,
                               instance_from_config)
-from bregopt.subproblem import (InnerSolveError, PointModel, ZeroRegularizer,
+from bregopt.subproblem import (InnerSolveError, SmoothRows, ZeroRegularizer,
                                 absolute_affine_model, prox_step)
 from bregopt.validation import _golden_polish
 
@@ -48,8 +48,8 @@ def test_constant_objective_both_paths():
         test_point_sampler=lambda rng: rng.uniform(-2, 2, d))
     prob = ProblemInstance("CONST", oracle, ZeroRegularizer(), Euclidean(),
                            "B", d, np.zeros(d), sampler=oracle.test_point_sampler)
-    prob._objective_builder = lambda: PointModel(
-        f, lambda y: np.zeros(d), hessian_fn=lambda y: np.zeros((d, d)))
+    prob.objective = SmoothRows(lambda Y: np.full(len(Y), 3.25), np.zeros_like,
+                                lambda Y: np.zeros(Y.shape + (d,)))
     for x in (np.zeros(2), np.array([1.3, -0.2])):
         assert envelope_value(prob, prob.phi, x, 0.9, path="direct") == pytest.approx(3.25, abs=1e-10)
         assert envelope_value(prob, prob.phi, x, 0.9, path="conjugate") == pytest.approx(3.25, abs=1e-10)
@@ -244,7 +244,7 @@ def test_batched_prox_points_in_2d_equal_single_solves():
         X_hat = bregman_prox_points(prob, prob.phi, X, lam)
         for x, y in zip(X, X_hat):
             assert np.array_equal(y, bregman_prox_point(prob, prob.phi, x, lam)), pid
-            step = prox_step(prob.exact_objective(), prob.regularizer, prob.phi, x,
+            step = prox_step(prob.objective, prob.regularizer, prob.phi, x,
                              lam, rho=c.tau + c.rho)
             assert np.allclose(y, step.minimizer, rtol=1e-9, atol=1e-12), pid
 
@@ -252,12 +252,12 @@ def test_batched_prox_points_in_2d_equal_single_solves():
 def test_a_d2_model_with_no_row_form_raises():
     # |y_1| + |y_2| is neither affine, |affine|, a norm term nor smooth: in
     # d > 1 no prox path solves it, so the step and the envelope raise
-    model = PointModel(lambda y: float(np.abs(y).sum()), np.sign)
-    with pytest.raises(InnerSolveError, match="row form"):
+    model = RowModel(lambda Y: np.abs(Y).sum(axis=-1), np.sign)
+    with pytest.raises(InnerSolveError, match="RowModel has no batched prox step"):
         prox_step(model, ZeroRegularizer(), Euclidean(), np.array([0.5, -0.3]), 0.5)
     prob = halfsq_problem()
-    prob._objective_builder = lambda: model
-    with pytest.raises(InnerSolveError, match="row form"):
+    prob.objective = model
+    with pytest.raises(InnerSolveError, match="RowModel has no batched prox step"):
         bregman_prox_points(prob, prob.phi, np.array([[0.5, -0.3], [1.0, 2.0]]), 0.5)
 
 
@@ -266,9 +266,9 @@ def test_a_one_row_form_stands_for_every_row_of_a_batch():
     # it to every prox point (theta = +1, theta = -1 and bisected rows alike),
     # each row bit for bit its own prox step
     prob = halfsq_problem()
-    prob._objective_builder = lambda: absolute_affine_model(np.array([1.0, -2.0]), 0.3)
+    prob.objective = absolute_affine_model(np.array([1.0, -2.0]), 0.3)
     X = np.array([[0.5, 0.5], [2.0, -1.0], [-1.0, 0.2], [-2.0, 1.5]])
     X_hat = bregman_prox_points(prob, prob.phi, X, 0.8)
     for x, y in zip(X, X_hat):
-        step = prox_step(prob.exact_objective(), ZeroRegularizer(), prob.phi, x, 0.8)
+        step = prox_step(prob.objective, ZeroRegularizer(), prob.phi, x, 0.8)
         assert np.array_equal(y, step.minimizer)

@@ -38,11 +38,14 @@ def test_prox_linear_subgradient_chain_rule_and_kink():
     oracle = one_d_robust_oracle()
     x1 = np.array([1.0])
     # chain rule away from the kink: sign(-2) * 2 = -2
-    g = oracle.model_at(x1, 0).subgradient(np.array([0.0]))
+    g = oracle.model_rows(x1, 0).gradients(np.array([0.0]))
     assert np.allclose(g, [-2.0])
     # at the kink the zero-slope selection is returned
-    g = oracle.model_at(x1, 0).subgradient(x1)
+    g = oracle.model_rows(x1, 0).gradients(x1)
     assert np.allclose(g, [0.0])
+    # the same on rows: the one-row form at several points
+    g = oracle.model_rows(x1[None], [0]).gradients(np.array([[0.0], [1.0], [2.0]]))
+    assert np.array_equal(g, [[-2.0], [0.0], [2.0]])
 
 
 def test_linear_mirror_model_is_affine():
@@ -51,14 +54,15 @@ def test_linear_mirror_model_is_affine():
     x = p3.sample_domain_point(rng)
     y1 = p3.sample_domain_point(rng)
     y2 = p3.sample_domain_point(rng)
-    m = p3.oracle.model_at(x, 3)
+    m = p3.oracle.model_rows(x, 3)
     for a in (0.0, 0.25, 0.7, 1.0):
         mix = a * y1 + (1 - a) * y2
-        assert abs(m.value(mix) - (a * m.value(y1) + (1 - a) * m.value(y2))) <= 1e-12
+        assert abs(m.values(mix) - (a * m.values(y1) + (1 - a) * m.values(y2))) <= 1e-12
     # at the base point the model returns f(x)
-    assert abs(m.value(x) - p3.exact_f(x)) <= 1e-12
+    assert abs(m.values(x) - p3.exact_f(x)) <= 1e-12
     # the subgradient is the sampled slope, independent of y
-    assert np.array_equal(m.subgradient(y1), m.subgradient(y2))
+    assert np.array_equal(m.gradients(y1), m.gradients(y2))
+    assert np.array_equal(m.gradients(y1), p3.oracle.slope_table[3])
 
 
 def test_base_point_consistency_all_families():
@@ -79,9 +83,9 @@ def test_midpoint_convexity_of_models():
             y1 = p.sample_domain_point(rng)
             y2 = p.sample_domain_point(rng)
             xi = p.oracle.sample(rng)
-            m = p.oracle.model_at(x, xi)
-            mid = m.value(0.5 * (y1 + y2))
-            assert mid <= 0.5 * (m.value(y1) + m.value(y2)) + 1e-10, pid
+            m = p.oracle.model_rows(x, xi)
+            mid = m.values(0.5 * (y1 + y2))
+            assert mid <= 0.5 * (m.values(y1) + m.values(y2)) + 1e-10, pid
 
 
 def test_sampling_reproducibility():
@@ -363,7 +367,7 @@ def test_array_oracles_equal_the_callback_formulas_bit_for_bit(pid):
             X[0] = np.sqrt(b) / abs(a) * (1.0 if S % 2 else -1.0)
         assert X.shape == (S, d)
         assert _same_rows(oracle.model_rows(X, xi), model_rows(X, xi))
-        # the one-row case, and the PointModel model_at builds from it
+        # the one-point case, and the one-row model of its slope and offset
         for s in range(S):
             one = oracle.model_rows(X[s], int(xi[s]))
             ref = model_rows(X[s], int(xi[s]))
@@ -371,8 +375,7 @@ def test_array_oracles_equal_the_callback_formulas_bit_for_bit(pid):
             make = absolute_affine_model if ref.absolute else linear_model
             ref_model = make(ref.slopes, float(ref.offsets))
             y = p.sample_domain_point(rng)
-            assert oracle.model_at(X[s], int(xi[s])).value(y) == ref_model.value(y)
-            assert oracle.model_value(X[s], y, int(xi[s])) == ref_model.value(y)
+            assert oracle.model_value(X[s], y, int(xi[s])) == ref_model.values(y[None])[0]
             assert oracle.f_exact(X[s]) == f_exact(X[s])
             assert p.exact_f(X[s]) == f_exact(X[s])
     for i in range(oracle.n_atoms):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from bregopt.legendre import Euclidean
+from bregopt.legendre import Euclidean, finite_difference_step, gradient_by_differences
 from bregopt.models import OracleConstants, NoisyGradientOracle
 from bregopt.problems import (ProblemInstance, default_configs, dump_config, get_problem,
                               instance_from_config, load_config, registry)
-from bregopt.subproblem import BallIndicator, PointModel, ZeroRegularizer
+from bregopt.subproblem import BallIndicator, SmoothRows, ZeroRegularizer
 from bregopt.validation import brute_force_min, verify_lipschitz, verify_one_sided
+from util_problems import RowModel
 
 
 def test_registry_contents():
@@ -91,8 +92,8 @@ def test_p5_p6_optima_against_grid():
 
 
 def test_grid_oracle_on_synthetic_quadratic():
-    # the exact objectives act on rows (on_rows), so the grid evaluates
-    # each chunk of points in one call
+    # the exact objectives are row forms, so the grid evaluates each chunk
+    # of points in one call
     d = 2
     f = lambda y: 0.5 * np.sum(y * y, axis=-1)
     oracle = NoisyGradientOracle(
@@ -102,9 +103,8 @@ def test_grid_oracle_on_synthetic_quadratic():
     prob = ProblemInstance("HALFSQ", oracle, ZeroRegularizer(), Euclidean(),
                            "B", d, np.array([0.5, 0.5]),
                            sampler=oracle.test_point_sampler)
-    prob._objective_builder = lambda: PointModel(
-        f, lambda y: y.copy(), on_rows=True,
-        hessian_fn=lambda y: np.broadcast_to(np.eye(d), y.shape + (d,)))
+    prob.objective = SmoothRows(f, lambda y: y.copy(),
+                                lambda y: np.broadcast_to(np.eye(d), y.shape + (d,)))
     res = brute_force_min(prob, domain_box=(-1.0, 1.0), resolution=1e-3)
     assert res.method == "grid"
     assert res.value <= res.resolution ** 2
@@ -117,13 +117,41 @@ def test_grid_oracle_on_synthetic_quadratic():
     ball = ProblemInstance(
         "BALL", oracle, BallIndicator(1.0), Euclidean(), "B", d, np.zeros(d),
         sampler=oracle.test_point_sampler,
-        exact_objective_builder=lambda: PointModel(
-            lambda y: 0.5 * np.sum((y - c) ** 2, axis=-1), lambda y: y - c,
-            on_rows=True))
+        objective=RowModel(lambda y: 0.5 * np.sum((y - c) ** 2, axis=-1), lambda y: y - c))
     res = brute_force_min(ball, domain_box=(-1.0, 1.0), resolution=1e-3)
     assert np.linalg.norm(res.argmin) <= 1.0 + 1e-9
     exact = 0.5 * 2.0 * (2.0 - 1.0 / np.sqrt(2.0)) ** 2
     assert exact <= res.value <= exact + 5e-3
+
+
+def test_each_exact_objective_is_f_with_a_subgradient_selection():
+    # the row form each registry problem holds as its objective: its values
+    # are the oracle's f_exact, its gradients are f's central differences
+    # away from P1's kinks, and at each kink they lie between the one-sided
+    # difference quotients of f_exact (which straddle f's jump there)
+    rng = np.random.default_rng(31)
+    for prob in registry():
+        f, form = prob.oracle.f_exact, prob.objective
+        X = np.array([prob.sample_domain_point(rng) for _ in range(25)])
+        values, G = form.values(X), form.gradients(X)
+        assert values.shape == X.shape[:1] and G.shape == X.shape, prob.id
+        for x, v, g in zip(X, values, G):
+            assert abs(v - f(x)) <= 1e-13 * (1.0 + abs(v)), prob.id
+            h = finite_difference_step(x)
+            if prob.id == "P1" and np.abs(form.kinks - x[0]).min() <= 10.0 * h:
+                continue
+            fd = gradient_by_differences(f, x, h)
+            assert np.allclose(g, fd, rtol=1e-6, atol=1e-6 * (1.0 + abs(v))), prob.id
+    p1 = get_problem("P1")
+    f, form, h = p1.oracle.f_exact, p1.objective, 1e-7
+    assert form.kinks.size == 2 * len(p1.config["a"])
+    for k in form.kinks:
+        g = form.gradients(np.array([[k]]))[0, 0]
+        left = (f(np.array([k])) - f(np.array([k - h]))) / h
+        right = (f(np.array([k + h])) - f(np.array([k]))) / h
+        tol = 1e-6 * (1.0 + abs(g))
+        assert right - left > 100.0 * tol, k
+        assert left - tol <= g <= right + tol, (k, left, g, right)
 
 
 def test_p1_golden_section_beats_fine_grid():

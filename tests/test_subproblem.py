@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bregopt.problems import (abs_quadratic_rows, default_configs, get_problem,
                               instance_from_config, registry)
-from util_problems import root_mirror_excess, secular_mirror_excess
+from util_problems import RowModel, root_mirror_excess, secular_mirror_excess
 
 from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               ShannonEntropy, WeightedSum, build_composite_legendre,
@@ -14,7 +14,7 @@ from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               norm_rows)
 from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 InnerSolveError, L1Regularizer, NormTermRows,
-                                PointModel, ProxLinearRows, QuadraticRegularizer,
+                                ProxLinearRows, QuadraticRegularizer,
                                 QuadraticRows,
                                 SimplexIndicator, SmoothRows, ZeroRegularizer,
                                 absolute_affine_model, center_certificate,
@@ -25,8 +25,13 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 _solve_1d)
 
 
+def _value(model, x):
+    # a one-row form's model at the point x
+    return float(model.values(np.asarray(x, dtype=float)[None, :])[0])
+
+
 def scaled_g(model, reg, eta):
-    return lambda x: eta * (model.value(x) + reg.value(x))
+    return lambda x: eta * (_value(model, x) + reg.value(x))
 
 
 def test_euclidean_gradient_step_is_exact():
@@ -185,7 +190,7 @@ def test_prox_step_precondition_errors():
     with pytest.raises(ValueError):
         prox_step(linear_model(np.array([1.0])), ZeroRegularizer(), Euclidean(), z, -0.1)
     # the batched 1-d solve and inner_solve share prox_step's preconditions
-    model = PointModel(lambda y: 0.5 * y * y, lambda y: y)
+    model = RowModel(lambda Y: 0.5 * Y[:, 0] ** 2, lambda Y: Y)
     for eta, rho in [(0.0, 0.0), (1.0, 2.0), (0.5, -1.0)]:
         with pytest.raises(ValueError):
             prox_points_1d(model, ZeroRegularizer(), Euclidean(), z, eta, rho=rho)
@@ -338,8 +343,7 @@ def test_abs_model_prox_matches_grid():
 
 def test_inner_solve_1d_smooth_matches_golden_section():
     # smooth strongly convex instance: model exp(y) with a Euclidean kernel
-    model = PointModel(lambda y: float(np.exp(y[0])),
-                       lambda y: np.array([np.exp(y[0])]))
+    model = RowModel(lambda Y: np.exp(Y[:, 0]), np.exp)
     z = np.array([0.8])
     eta = 0.7
     res = inner_solve(model, ZeroRegularizer(), Euclidean(), z, eta)
@@ -361,8 +365,8 @@ def test_inner_solve_1d_smooth_matches_golden_section():
 
 def test_inner_solve_1d_matches_golden_section():
     # strongly convex piece plus kink, certified by bisection
-    model = PointModel(lambda y: abs(y[0] ** 2 - 1.0),
-                       lambda y: np.array([np.sign(y[0] ** 2 - 1.0) * 2 * y[0]]))
+    model = RowModel(lambda Y: np.abs(Y[:, 0] ** 2 - 1.0),
+                     lambda Y: np.sign(Y ** 2 - 1.0) * 2 * Y)
     phi = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
     z = np.array([1.6])
     eta = 0.4
@@ -429,9 +433,7 @@ def test_interior_preservation_entropy_and_burg():
 def test_norm_term_closed_form():
     # <v, y> + c|y| with the Euclidean kernel is a shrinkage step
     v = np.array([0.3, 0.1])
-    model = PointModel(lambda y: float(v @ y) + 0.5 * np.linalg.norm(y),
-                       lambda y: v + 0.5 * y / max(np.linalg.norm(y), 1e-300),
-                       row_form=NormTermRows(v, 0.5))
+    model = NormTermRows(v, 0.5)
     z = np.array([1.0, 0.5])
     eta = 0.8
     res = prox_step(model, ZeroRegularizer(), Euclidean(), z, eta)
@@ -439,6 +441,9 @@ def test_norm_term_closed_form():
     expected = (max(np.linalg.norm(u) - eta * 0.5, 0.0) / np.linalg.norm(u)) * u
     assert np.allclose(res.minimizer, expected, atol=1e-12)
     assert res.three_point_residual >= -1e-10
+    # its subgradient selection: v + c y / |y|, and v at y = 0
+    Y = np.array([[3.0, -4.0], [0.0, 0.0]])
+    assert np.allclose(model.gradients(Y), [v + 0.5 * np.array([0.6, -0.8]), v], rtol=1e-15)
 
 
 def test_1d_abs_affine_step_matches_bisection():
@@ -580,7 +585,7 @@ def test_prox_linear_steps_match_the_bisection(kernel):
         rows = oracle.model_rows(X[:2 * m], xi[:2 * m])
         assert np.array_equal(Y[:2 * m, 0], -rows.offsets / rows.slopes[:, 0]), eta
         for i in range(len(X)):
-            model, centre = oracle.model_at(X[i], xi[i]), phi.state_rows(X[i:i + 1], reg)
+            model, centre = oracle.model_rows(X[i:i + 1], xi[i:i + 1]), phi.state_rows(X[i:i + 1], reg)
             ref = _solve_1d(model, reg, phi, centre, eta)[0][0]
             assert abs(Y[i, 0] - ref) <= 1e-12 * (1.0 + abs(ref)), (eta, i)
 
@@ -596,7 +601,7 @@ def test_a_p1_step_from_a_tiny_centre_keeps_its_scale(x):
     eta = 0.5 / p1.oracle.constants.tau
 
     def step(x):
-        model = p1.oracle.model_at(np.array([x]), 3)
+        model = p1.oracle.model_rows(np.array([[x]]), [3])
         return prox_step(model, p1.regularizer, p1.phi, np.array([x]), eta).minimizer[0]
 
     ratio = step(1e-100) / 1e-100
@@ -605,6 +610,40 @@ def test_a_p1_step_from_a_tiny_centre_keeps_its_scale(x):
         assert abs(step(x) / x - ratio) <= 1e-12 * ratio
     else:
         assert 0.0 < step(x) <= 4.0 * x
+
+
+def test_a_minimizer_outside_dom_r_fails_its_certificate():
+    # 0.5 (y - 5)^2 under the unit ball has no batched path: the 1-d
+    # bisection reads no normal of the ball and returns 2.75, where r = inf,
+    # and its residual -inf met the infinite scale (-inf >= -inf) and passed
+    model = QuadraticRows.of(np.ones((1, 1, 1)), np.array([[5.0]]), np.zeros(1))
+    with pytest.raises(InnerSolveError, match="prox step 0 of 1"):
+        prox_step(model, BallIndicator(1.0), Euclidean(), np.array([0.5]), 1.0)
+    # in a batch the error names the first such row; an infeasible centre
+    # (psi(z) = inf, residual +inf) still raises DomainError
+    zero = np.zeros(3)
+    with pytest.raises(InnerSolveError) as err:
+        center_certificate(zero, np.array([0.0, np.inf, 0.0]), zero, zero, 1.0, 0.0, 1e-10)
+    assert err.value.row == 1
+    with pytest.raises(DomainError):
+        center_certificate(np.array([0.0, np.inf, 0.0]), zero, zero, zero, 1.0, 0.0, 1e-10)
+
+
+def test_a_p2_zero_slope_step_from_a_tiny_centre_keeps_it():
+    # with RuntimeWarnings as errors (the suite's setting): the radial step
+    # took the norm of W = grad phi(z) by its square, which underflows, so
+    # from (1e-200, 1e-200) it returned (0, 0); a zero slope keeps the
+    # centre, to a few units (in the subnormals, to a few units of 5e-324)
+    p2 = get_problem("P2")
+    for x in (1e-160, 1e-200, 1e-250, 1e-300, 1e-310, 5e-324):
+        z = np.array([x, -x])
+        step = prox_step(linear_model(np.zeros(2)), p2.regularizer, p2.phi, z, 0.5)
+        assert step.method == "closed_form_affine"
+        if x >= np.finfo(float).tiny:
+            assert np.all(np.abs(step.minimizer - z) <= 1e-15 * x), x
+        else:
+            assert np.all(np.abs(step.minimizer - z) <= 4.0 * 5e-324), x
+            assert np.array_equal(np.sign(step.minimizer), np.sign(z)), x
 
 
 def test_monotone_power_roots_of_empty_zero_and_negative_targets():
@@ -634,31 +673,25 @@ def test_1d_bisection_brackets_far_minimizers():
         assert abs(res.minimizer[0] - closed.minimizer[0]) <= 1e-13 * abs(closed.minimizer[0])
 
 
-def test_a_large_1d_batch_calls_the_model_512_points_at_a_time():
-    # P1's exact objective builds a (points, atoms) array per call; a batch
-    # of 1100 prox points sees calls of at most 512 points, and each point
-    # gets the value of its own one-point batch
+def test_a_large_1d_batch_steps_each_point_as_its_own_batch():
+    # P1's pieces, bisected as a plain (values, gradients) model over a
+    # batch of 1100 prox points: each point gets the minimizer of its own
+    # one-point batch on the pieces themselves
     prob = get_problem("P1")
-    exact = prob.exact_objective()
-    sizes = []
-
-    def counted(fn):
-        return lambda y: sizes.append(y.size) or fn(y)
-
-    model = PointModel(counted(exact._value_fn), counted(exact._subgrad_fn))
+    exact = prob.objective
+    model = RowModel(exact.values, exact.gradients)
     rho = prob.oracle.constants.tau + prob.oracle.constants.rho
     z = np.linspace(-2.0, 2.0, 1100)
     args = prob.regularizer, prob.phi
     y = prox_points_1d(model, *args, z, 0.5 / rho, rho=rho)
-    assert max(sizes) == 512
     for i in (0, 511, 512, 1099):
         assert y[i] == prox_points_1d(exact, *args, z[i:i + 1], 0.5 / rho, rho=rho)[0]
 
 
 def _lying_model():
     # value 0.5 y^2 + 10 on |y| < 0.5, but the subgradient of 0.5 y^2 alone
-    return PointModel(lambda y: 0.5 * y * y + 10.0 * (np.abs(y) < 0.5),
-                      lambda y: y)
+    return RowModel(lambda Y: 0.5 * Y[:, 0] ** 2 + 10.0 * (np.abs(Y[:, 0]) < 0.5),
+                    lambda Y: Y)
 
 
 def test_one_failing_element_fails_the_batch():
@@ -670,7 +703,7 @@ def test_one_failing_element_fails_the_batch():
         prox_points_1d(_lying_model(), reg, phi, np.array([3.0, 0.6, -2.0]), 1.0)
     # an element whose bracket is still open at max_iter fails the batch too;
     # the center 0 is its own minimizer and needs no halving at all
-    model = PointModel(lambda y: 0.5 * y * y, lambda y: y)
+    model = RowModel(lambda Y: 0.5 * Y[:, 0] ** 2, lambda Y: Y)
     Z = phi.state_rows(np.array([[0.0], [1e6]]))
     y, its = _solve_1d(model, reg, phi, Z, 1.0)
     assert y[0] == 0.0 and its[0] == 0 and its[1] > 10
@@ -680,8 +713,8 @@ def test_one_failing_element_fails_the_batch():
 
 def test_newton_raises_when_line_search_fails():
     z = np.array([0.5, -0.5])
-    model = PointModel(lambda y: 0.0 if np.array_equal(y, z) else np.inf,
-                       lambda y: np.ones(2), hessian_fn=lambda y: np.zeros((2, 2)))
+    model = SmoothRows(lambda Y: np.where((Y == z).all(axis=-1), 0.0, np.inf), np.ones_like,
+                       lambda Y: np.zeros(Y.shape + (2,)))
     with pytest.raises(InnerSolveError):
         prox_step(model, ZeroRegularizer(), Euclidean(), z, 0.5)
     # one such row fails a batch whose other rows converge: 0.5 |y|^2, but
@@ -752,8 +785,7 @@ def test_newton_batch_equals_one_row_calls(seed, n_rows, log_eta, lam_frac):
     xi = rng.integers(0, p6.oracle.n_atoms, n_rows)
     cases = [(_smooth(p6.oracle.model_rows(Z, xi)), p6.phi, 10.0 ** log_eta, 0.0,
               lambda i: _smooth(p6.oracle.model_rows(Z[i:i + 1], xi[i:i + 1]))),
-             (p2.exact_objective().rows(), p2.phi, lam_frac / tau, tau,
-              lambda i: p2.exact_objective().rows())]
+             (p2.objective, p2.phi, lam_frac / tau, tau, lambda i: p2.objective)]
     fields = ("minimizer", "three_point_residual", "objective_decrease",
               "divergence", "model_value", "r_value")
     reg = ZeroRegularizer()
@@ -952,17 +984,16 @@ def _reference_residual(model, reg, phi, z, y, eta, rho):
     cert_phi = WeightedSum([phi], [1.0 - eta * rho]) if rho > 0 else phi
 
     def g_val(x):
-        return eta * (model.value(x) + reg.value(x) + rho * phi.bregman(x, z))
+        return eta * (_value(model, x) + reg.value(x) + rho * phi.bregman(x, z))
 
     return check_three_point(g_val, cert_phi, z, y, [z]).min_residual
 
 
 def test_center_certificate_matches_the_probe_audit():
     composite = build_composite_legendre([1.0], [0.0, 0.0, 4.0])
-    kink = PointModel(lambda y: abs(y[0] ** 2 - 1.0),
-                      lambda y: np.array([np.sign(y[0] ** 2 - 1.0) * 2 * y[0]]))
-    smooth = PointModel(lambda y: float(np.sum(np.exp(y))), np.exp,
-                        hessian_fn=lambda y: np.diag(np.exp(y)))
+    kink = RowModel(lambda Y: np.abs(Y[:, 0] ** 2 - 1.0),
+                    lambda Y: np.sign(Y ** 2 - 1.0) * 2 * Y)
+    smooth = _exp_rows()
     cases = [
         ("closed_form_affine", linear_model(np.array([0.7, -1.2])), composite,
          np.array([0.4, 0.9])),
@@ -978,23 +1009,30 @@ def test_center_certificate_matches_the_probe_audit():
             res = prox_step(model, reg, phi, z, eta, rho=rho)
             assert res.method == method
             ref = _reference_residual(model, reg, phi, z, res.minimizer, eta, rho)
-            psi_z = model.value(z) + reg.value(z)
+            psi_z = _value(model, z) + reg.value(z)
             assert abs(res.three_point_residual - ref) <= 1e-12 * (1.0 + abs(psi_z))
             assert res.divergence == phi.bregman(res.minimizer, z)
 
 
+class _LyingAffine(AffineRows):
+    # affine (or |affine|) rows to the closed form, their negation to the
+    # certificate
+    __slots__ = ()
+
+    def values(self, Y):
+        return -super().values(Y)
+
+
 def test_closed_form_with_a_lying_model_value_raises():
-    # the declared structure picks the closed form; the value function the
-    # certificate evaluates disagrees with it, so the step must not pass
+    # the declared structure picks the closed form; the values the
+    # certificate evaluates disagree with it, so the step must not pass
     z = np.array([0.4, -0.3])
     v = np.array([0.9, 0.5])
-    liar = PointModel(lambda y: -float(np.dot(v, y)), lambda y: v,
-                      row_form=AffineRows(v[None, :], np.zeros(1), False))
+    liar = _LyingAffine(v[None, :], np.zeros(1), False)
     with pytest.raises(InnerSolveError):
         prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
     g, s = np.array([1.0, -2.0]), 0.3
-    liar = PointModel(lambda y: -abs(float(np.dot(g, y)) + s), lambda y: g,
-                      row_form=AffineRows(g[None, :], np.array([s]), True))
+    liar = _LyingAffine(g[None, :], np.array([s]), True)
     with pytest.raises(InnerSolveError):
         prox_step(liar, ZeroRegularizer(), Euclidean(), z, 0.5)
 
@@ -1030,13 +1068,13 @@ def test_offset_and_mutated_steps_fail_the_certificate():
     from bregopt.driver import SolverConfig, run_model_based
     p1 = get_problem("P1")
     trace = run_model_based(p1, SolverConfig(5, seed=3))
-    model = p1.oracle.model_at(trace.iterates[0], trace.sampled_xi_ids[0])
+    model = p1.oracle.model_rows(trace.iterates[0], trace.sampled_xi_ids[0])
     eta, rho = float(trace.etas[0]), p1.oracle.constants.rho
     z = trace.iterates[0]
     for off in (0.1, -0.1):
         y = trace.iterates[1] + off
         with pytest.raises(InnerSolveError):
-            center_certificate(model.value(z), model.value(y), p1.phi.bregman(y, z),
+            center_certificate(model.values(z), model.values(y), p1.phi.bregman(y, z),
                                p1.phi.bregman(z, y), eta, rho, 1e-10)
     # a mutated P3 step: the simplex steps taken with step size
     # 0.5 (1 + 1e-6) and certified as steps of 0.5 read -1.1e-7, against a
@@ -1323,17 +1361,17 @@ def test_only_the_entropy_under_the_simplex_or_its_tilt_scans():
 
 
 def _abs_quadratic_model(a, b, w):
-    # sum_i w_i |a_i^2 y^2 - b_i| by its pieces, and by value and subgradient
-    # functions elementwise over (N,) arrays for the bisection
+    # sum_i w_i |a_i^2 y^2 - b_i| by its atoms, as values and a subgradient
+    # selection over (N, 1) arrays: the bisection's reference for its pieces
     a2 = a * a
 
-    def val(y):
-        return np.abs(a2 * y[:, None] ** 2 - b) @ w
+    def values(Y):
+        return np.abs(a2 * Y ** 2 - b) @ w
 
-    def sub(y):
-        return (np.sign(a2 * y[:, None] ** 2 - b) * 2.0 * a2 * y[:, None]) @ w
+    def gradients(Y):
+        return ((np.sign(a2 * Y ** 2 - b) * 2.0 * a2 * Y) @ w)[:, None]
 
-    return PointModel(val, sub, row_form=abs_quadratic_rows(a, b, w))
+    return RowModel(values, gradients)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1354,8 +1392,7 @@ def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit):
     if m > 2:
         a[1], b[1] = -a[0], b[0]
         a[2], b[2] = a[0], b[0]
-    model = _abs_quadratic_model(a, b, w)
-    rows = model.rows()
+    model, rows = _abs_quadratic_model(a, b, w), abs_quadratic_rows(a, b, w)
     kinks = np.sqrt(b[(b > 0) & (a != 0)]) / np.abs(a[(b > 0) & (a != 0)])
     assert np.array_equal(rows.kinks, np.unique(np.concatenate([kinks, -kinks])))
     phi, reg = build_composite_legendre([1.0], [0.0, 0.0, 4.0]), ZeroRegularizer()
@@ -1368,7 +1405,7 @@ def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit):
     Z = z[:, None]
 
     scale = float(w @ (a * a)) * z * z + float(w @ np.abs(b))
-    assert np.all(np.abs(rows.values(Z) - model._value_fn(z)) <= 1e-14 * (1 + scale))
+    assert np.all(np.abs(rows.values(Z) - model.values(Z)) <= 1e-14 * (1 + scale))
     res = prox_step_rows(rows, reg, phi, Z, lam, rho=tau)
     assert res.method == "closed_form_abs_quadratic"
     y = res.minimizer[:, 0]
@@ -1382,25 +1419,29 @@ def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit):
 def test_abs_quadratic_rows_decline_a_nonconvex_piece():
     # |y^2 - 1| under phi = 0.05 y^2 + y^4 at eta = 0.1 leaves
     # 2 c2 + 2 eta C_j = 0.1 - 0.2 < 0 on the piece |y| < 1: the form
-    # declines, and prox_step bisects as prox_points_1d does; at eta = 0.01
+    # declines, and prox_step bisects its pieces as prox_points_1d does, to
+    # within 1e-15 (1 + |y|) of the bisection on the atoms; at eta = 0.01
     # the same kernel closes in form
-    model = _abs_quadratic_model(np.array([1.0]), np.array([1.0]), np.array([1.0]))
-    assert np.array_equal(model.rows().kinks, [-1.0, 1.0])
-    assert np.array_equal(model.rows().curvatures, [1.0, -1.0, 1.0])
+    a = b = w = np.array([1.0])
+    model, rows = _abs_quadratic_model(a, b, w), abs_quadratic_rows(a, b, w)
+    assert np.array_equal(rows.kinks, [-1.0, 1.0])
+    assert np.array_equal(rows.curvatures, [1.0, -1.0, 1.0])
     phi, reg = RadialPowerSum([0.05, 1.0], [2.0, 4.0]), ZeroRegularizer()
     Z = np.array([[1.5], [2.0], [-1.8]])
-    assert prox_step_rows(model.rows(), reg, phi, Z, 0.1) is None
+    assert prox_step_rows(rows, reg, phi, Z, 0.1) is None
     ref = prox_points_1d(model, reg, phi, Z[:, 0], 0.1)
-    for z, y in zip(Z, ref):
-        step = prox_step(model, reg, phi, z, 0.1)
+    own = prox_points_1d(rows, reg, phi, Z[:, 0], 0.1)
+    for z, y, y_own in zip(Z, ref, own):
+        step = prox_step(rows, reg, phi, z, 0.1)
         assert step.method == "bisection_1d"
-        assert abs(step.minimizer[0] - y) <= 1e-15 * (1.0 + abs(y))
-    res = prox_step_rows(model.rows(), reg, phi, Z, 0.01)
+        assert step.minimizer[0] == y_own
+        assert abs(y_own - y) <= 1e-15 * (1.0 + abs(y))
+    res = prox_step_rows(rows, reg, phi, Z, 0.01)
     assert res.method == "closed_form_abs_quadratic"
     ref = prox_points_1d(model, reg, phi, Z[:, 0], 0.01)
     assert np.all(np.abs(res.minimizer[:, 0] - ref) <= 1e-13 * (1.0 + np.abs(ref)))
     # a kernel of other powers has no closed form either
-    assert prox_step_rows(model.rows(), reg, Euclidean(), Z, 0.1) is None
+    assert prox_step_rows(rows, reg, Euclidean(), Z, 0.1) is None
 
 
 class _LyingZero(ZeroRegularizer):

@@ -1,27 +1,38 @@
 """Synthetic problem builders shared across the test modules."""
 
+from collections import namedtuple
+
 import numpy as np
 
 from bregopt.legendre import Euclidean, norm_rows
 from bregopt.models import LinearMirrorOracle, NoisyGradientOracle, OracleConstants
 from bregopt.problems import ProblemInstance
-from bregopt.subproblem import SECULAR_TOL, PointModel, ZeroRegularizer, linear_model
+from bregopt.subproblem import SECULAR_TOL, SmoothRows, ZeroRegularizer
+
+
+class RowModel(namedtuple("RowModel", "values gradients")):
+    """A model by its values and a subgradient selection over the rows of
+    an (N, d) array, and no structure: no batched prox path takes it, so a
+    1-d step bisects it and a d > 1 step raises."""
+
+    __slots__ = ()
 
 
 def smooth_problem(phi, d=2, center=None, tau=0.0):
-    """F(y) = 0.5 |y - center|^2 + 0.1 |y|^4, smooth and convex."""
+    """F(y) = 0.5 |y - center|^2 + 0.1 |y|^4, smooth and convex; f, its
+    gradient and its Hessian act on the last axis."""
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
 
     def f(y):
-        r2 = float(np.sum((y - center) ** 2))
-        return 0.5 * r2 + 0.1 * float(np.sum(y ** 2)) ** 2
+        r2 = np.sum((y - center) ** 2, axis=-1)
+        return 0.5 * r2 + 0.1 * np.sum(y ** 2, axis=-1) ** 2
 
     def grad(y):
-        return (y - center) + 0.4 * float(np.sum(y ** 2)) * y
+        return (y - center) + 0.4 * np.sum(y ** 2, axis=-1)[..., None] * y
 
     def hess(y):
-        return (np.eye(d) * (1.0 + 0.4 * float(np.sum(y ** 2)))
-                + 0.8 * np.outer(y, y))
+        s = np.sum(y ** 2, axis=-1)[..., None, None]
+        return np.eye(d) * (1.0 + 0.4 * s) + 0.8 * y[..., :, None] * y[..., None, :]
 
     if phi.domain == "all_space":
         sampler = lambda rng: rng.uniform(-2.0, 2.0, d)
@@ -33,7 +44,7 @@ def smooth_problem(phi, d=2, center=None, tau=0.0):
         test_point_sampler=sampler)
     prob = ProblemInstance("SMOOTH-" + phi.kind, oracle, ZeroRegularizer(),
                            phi, "B", d, np.full(d, 1.0), sampler=sampler)
-    prob._objective_builder = lambda: PointModel(f, grad, hessian_fn=hess)
+    prob.objective = SmoothRows(f, grad, hess)
     return prob
 
 
@@ -49,8 +60,8 @@ def halfsq_problem():
                            "B", d, np.array([1.0, 1.0]),
                            optimum={"F_star": 0.0, "x_star": np.zeros(d)},
                            sampler=sampler)
-    prob._objective_builder = lambda: PointModel(
-        f, lambda y: y.copy(), hessian_fn=lambda y: np.eye(d))
+    prob.objective = SmoothRows(lambda Y: 0.5 * np.sum(Y * Y, axis=-1), lambda Y: Y.copy(),
+                                lambda Y: np.broadcast_to(np.eye(d), Y.shape + (d,)))
     return prob
 
 
@@ -73,8 +84,8 @@ def quadratic_problem(x0, regime="A", x_star=None):
                            regime, len(x0), x0,
                            optimum={"F_star": 0.0, "x_star": x_star},
                            sampler=sampler)
-    prob._objective_builder = lambda: PointModel(
-        f, lambda x: x - x_star, hessian_fn=lambda x: np.eye(len(x0)))
+    prob.objective = SmoothRows(f, lambda x: x - x_star,
+                                lambda x: np.broadcast_to(np.eye(len(x0)), x.shape + x0.shape))
     return prob
 
 
