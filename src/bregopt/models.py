@@ -13,9 +13,9 @@ divergence.  Four families are implemented:
                   R x / |x| the inner argmax over the l2 ball of radius R
 
 Every family forms its sampled models over rows of points (model_rows),
-the one model form the prox steps and the lockstep loop take.  The
-finite-support families hold their atoms as arrays, with the (m,) array
-lip of the per-atom constants L(xi).
+the one model form the prox steps and the lockstep loop take (model_value
+reads its one-point case).  The finite-support families hold their atoms
+as arrays, with the (m,) array lip of the per-atom constants L(xi).
 
 Constants (tau, rho, mu, L, M, sigma) are declared by the problem builder
 and validated statistically by the verify_* checks (validation), never estimated

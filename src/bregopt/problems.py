@@ -1,8 +1,8 @@
 """Desk-scale problem library (its brute-force ground truth is in validation).
 
 Each registered instance bundles an oracle, a regularizer, a compatible
-Legendre function, declared constants, and a feasible start, and claims one
-assumption regime:
+Legendre function, declared constants, a feasible start and the row form of
+its exact objective, and claims one assumption regime:
 
   P1  A  robust 1-d composite |(a x)^2 - b| with partial-linearization
          models and the composite growth-adapted phi

@@ -585,7 +585,8 @@ def test_prox_linear_steps_match_the_bisection(kernel):
         rows = oracle.model_rows(X[:2 * m], xi[:2 * m])
         assert np.array_equal(Y[:2 * m, 0], -rows.offsets / rows.slopes[:, 0]), eta
         for i in range(len(X)):
-            model, centre = oracle.model_rows(X[i:i + 1], xi[i:i + 1]), phi.state_rows(X[i:i + 1], reg)
+            model = oracle.model_rows(X[i:i + 1], xi[i:i + 1])
+            centre = phi.state_rows(X[i:i + 1], reg)
             ref = _solve_1d(model, reg, phi, centre, eta)[0][0]
             assert abs(Y[i, 0] - ref) <= 1e-12 * (1.0 + abs(ref)), (eta, i)
 
