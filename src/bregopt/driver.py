@@ -168,10 +168,11 @@ def _run_loop(problem, configs):
     step 0's (subproblem.step_plan; _resolve_etas checked every eta).  It
     carries its minimizers' points and mirror coordinates to the next step
     (only x_0's state is derived; phi.mirror_rows when the solve gives none).
-    Models that depend on the sample only (the oracle's model_table), or the
-    atoms that the plan anchors at each step's centres (its atom_table: a P1
-    step is one pass over them in mirror coordinates), are gathered, and
-    prepared by plan.prepare, once per record block.
+    The oracle's atom_table rows of a record block's samples (atom_rows) are
+    gathered, and prepared by plan.prepare, once per block: the models that
+    depend on the sample only (its model_table), or the atoms that anchor
+    them at each step's centres, of which a step reads what its solve needs
+    (P1's kinks and slopes, P2's and P5's slopes alone).
 
     What the traces keep of a step (the model and r at its minimizers,
     D(x_{t+1}, x_t) and its certificate residual) depends on two
@@ -219,8 +220,7 @@ def _run_loop(problem, configs):
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))
     iterates[0] = state.points
-    slopes, table = oracle.slope_table, oracle.model_table
-    gathered = oracle.atom_table if table is None else table
+    slopes, table, gathered = oracle.slope_table, oracle.model_table, oracle.atom_table
     scan = None if slopes is None else _affine_scan(reg, phi)
     # a scanned horizon records whole chunks per block
     block = (max(1, BLOCK_ROWS // S) if scan is None
@@ -246,7 +246,7 @@ def _run_loop(problem, configs):
                 if table is None else take_rows(models, slice(n)))
         try:
             model_y, _, d_yz, res = record_rows(rows.values, phi, Z, Y,
-                                                np.repeat(etas[t0:t1], S), rho, tol)
+                                                etas[t0:t1].repeat(S), rho, tol)
         except InnerSolveError as err:
             # name the loop's step and row instead of the block's row
             step, row = divmod(err.row, S)
@@ -282,10 +282,11 @@ def _run_loop(problem, configs):
                 if gathered is None or not k:
                     # this step's models, or at a block's start the block's
                     models = (oracle.model_rows(centres.points, xi_steps[t]) if gathered is None
-                              else take_rows(gathered, xi_steps[t0:t0 + block].reshape(-1)))
+                              else oracle.atom_rows(xi_steps[t0:t0 + block].reshape(
+                                  (-1,) + xi_steps.shape[2:])))
                     plan = plan or step_plan(models, d, reg, phi, tol)
                     prepared = plan and plan.prepare(models, etas[t] if gathered is None
-                                                     else np.repeat(etas[t0:t0 + block], S))
+                                                     else etas[t0:t0 + block].repeat(S))
                 found = plan and plan(prepared if gathered is None
                                       else take_rows(prepared, slice(k * S, k * S + S)),
                                       centres, float(etas[t]))

@@ -53,10 +53,11 @@ def norm_rows(x):
 
 
 def take_rows(rows, idx):
-    """The rows idx of every field of a row form (a field left None stays None)."""
+    """The rows idx of every array field of a row form (a field that is no
+    array, None, a scalar or a function, stays as it is)."""
     # a list, not a generator: unpacking a generator leaves one 4-tuple
     # on the interpreter's free list per call (about 0.1 MB once full)
-    return type(rows)(*[None if f is None else f[idx] for f in rows])
+    return type(rows)(*[f[idx] if f.__class__ is np.ndarray else f for f in rows])
 
 
 class RowState(namedtuple("RowState", "points mirror values r")):

@@ -24,8 +24,9 @@ implicitly: the step-size rules need them a priori.
 
 import numpy as np
 
-from .legendre import dot_rows, norm_rows, take_rows
-from .subproblem import AffineRows, ProxLinearRows
+from .legendre import dot_rows, take_rows
+from .subproblem import (AffineRows, NoisyGradientRows, NormTangentRows, NormTermRows,
+                         ProxLinearRows)
 
 
 class OracleConstants:
@@ -55,8 +56,9 @@ class ModelOracle:
     # the (m, d) slopes of linear models whose slopes depend on the sample
     # only (LinearMirrorOracle), else None
     slope_table = None
-    # the atoms' row form when the models depend on the sample only (model_table,
-    # ProximalPointOracle) or the centres anchor them (atom_table, ProxLinearOracle)
+    # the models' row form when they depend on the sample only (model_table);
+    # the row form whose rows a block's steps gather (atom_rows): the
+    # model_table, or the atoms that anchor the models at each step's centres
     model_table = atom_table = None
 
     def __init__(self, regime, constants, test_point_sampler=None):
@@ -92,6 +94,10 @@ class ModelOracle:
         if self.model_table is None:
             raise NotImplementedError
         return take_rows(self.model_table, np.asarray(xi))
+
+    def atom_rows(self, xi):
+        """The atom_table's rows at the samples xi."""
+        return take_rows(self.atom_table, xi)
 
     def model_value(self, x, y, xi):
         """f_x(y, xi): the one-point case of model_rows."""
@@ -217,7 +223,8 @@ class NoisyGradientOracle(ModelOracle):
     E||noise||^2 <= sigma^2 / 2.  noise_sampler maps (rng, n) to an (n, d)
     array of n draws, which must be the stream of n one-row draws.  f_fn and
     grad_f_fn act on the last axis: at an (S, d) array of points they return
-    S values and an (S, d) array.
+    S values and an (S, d) array.  A step reads only the slopes grad f(x) +
+    xi (atom_rows: NoisyGradientRows, neither f nor the offsets).
     """
 
     family = "linear_mirror"
@@ -228,8 +235,12 @@ class NoisyGradientOracle(ModelOracle):
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
         self._noise = noise_sampler  # (rng, n) -> (n, d) array
+        self.atom_table = NoisyGradientRows(grad_f_fn, 0.0)  # the noise-free slopes
         super().__init__(regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
+
+    def atom_rows(self, xi):
+        return NoisyGradientRows(self.grad_f, xi)
 
     def sample(self, rng):
         return self.sample_rows(rng, 1)[0]
@@ -297,11 +308,13 @@ class ProxLinearOracle(FiniteSupportOracle):
 
 class SaddleOracle(FiniteSupportOracle):
     """The robust objective f(x) = E[sup_{|w| <= R} <atoms[xi] + w, x>]
-    = <abar, x> + R |x|, abar = E[atoms[xi]].
+    = <abar, x> + R |x|, abar = E[atoms[xi]], the NormTermRows objective.
 
-    The model of sample xi freezes the inner argmax w_hat(x) at the base
-    point: f_x(y, xi) = <atoms[xi] + w_hat(x), y>, linear in y.  An atom's
-    constant is L(xi) = sqrt(2) (|atoms[xi]| + R).
+    The model of sample xi freezes the inner argmax w_hat(x) = R x / |x|
+    (0 at x = 0) at the base point: f_x(y, xi) = <atoms[xi] + w_hat(x), y>,
+    linear in y, the tangent at x of <atoms[xi], y> + R |y| (the
+    atom_table's NormTangentRows).  An atom's constant is
+    L(xi) = sqrt(2) (|atoms[xi]| + R).
     """
 
     family = "saddle"
@@ -310,28 +323,19 @@ class SaddleOracle(FiniteSupportOracle):
                  test_point_sampler=None):
         self.atoms = np.asarray(atoms, dtype=float)
         self.w_radius = float(w_radius)
+        self.atom_table = NormTangentRows(self.atoms, self.w_radius)
         lip = np.sqrt(2.0) * (np.linalg.norm(self.atoms, axis=1) + self.w_radius)
         super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
         self.abar = self.weights @ self.atoms
-
-    def w_hat(self, X):
-        """The inner argmax R x / |x| at each point of X (the last axis), 0 at x = 0."""
-        X = np.asarray(X, dtype=float)
-        n = norm_rows(X)[..., None]
-        return np.divide(self.w_radius, n, out=np.zeros(n.shape), where=n > 0.0) * X
+        self.objective = NormTermRows(self.abar, self.w_radius)
 
     def model_rows(self, X, xi):
-        G = self.atoms[xi] + self.w_hat(X)
+        G = take_rows(self.atom_table, xi).gradients(np.asarray(X, dtype=float))
         return AffineRows(G, np.zeros(G.shape[:-1]), False)
 
-    def f_rows(self, X):
-        """f at each point of X (the last axis)."""
-        X = np.asarray(X, dtype=float)
-        return dot_rows(self.abar, X) + self.w_radius * norm_rows(X)
-
     def f_exact(self, x):
-        return float(self.f_rows(x))
+        return float(self.objective.values(np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +358,7 @@ class ProximalPointOracle(FiniteSupportOracle):
     family = "proximal_point"
 
     def __init__(self, atoms, weights, lip, regime, constants, test_point_sampler=None):
-        self.model_table = atoms
+        self.model_table = self.atom_table = atoms
         super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
 

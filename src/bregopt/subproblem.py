@@ -8,13 +8,15 @@ for a convex (or relatively weakly convex) sampled model, a simple closed
 regularizer r, and the run's Legendre function phi.  A model is its row form
 (AffineRows, ProxLinearRows, NormTermRows, QuadraticRows, AbsQuadraticRows
 or SmoothRows): values and gradients (a subgradient selection) over the
-rows of an (N, d) array.  Every step goes through one dispatch on that form,
-made once per loop or batch (step_plan): the affine or |affine| closed form,
-the norm shrinkage, the scalar secular equation of a quadratic under a
-radial phi, one kink search and one cubic root for a 1-d sum of |quadratic|
-terms, or one lockstep Newton; a 1-d form with none of these takes the
-certified bisection on its values and gradients.  Every returned step
-carries a three-point optimality residual, the runtime contract
+rows of an (N, d) array; the atoms of linear models that move with their
+centres (ProxLinearRows, NormTangentRows, NoisyGradientRows) give their
+slopes there.  Every step goes through one dispatch on that form, made once
+per loop or batch (step_plan): the affine or |affine| closed form, the norm
+shrinkage, the scalar secular equation of a quadratic under a radial phi,
+one kink search and one cubic root for a 1-d sum of |quadratic| terms, or
+one lockstep Newton; a 1-d form with none of these takes the certified
+bisection on its values and gradients.  Every returned step carries a
+three-point optimality residual, the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -41,7 +43,7 @@ _FLOAT_MAX = np.finfo(float).max
 _LOG_RECORD_MAX = float(np.log(_FLOAT_MAX)) - 4.0
 # below this norm the squares of a row's entries lose digits in the subnormals
 _NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
-PowerTerms = namedtuple("PowerTerms", "a e pairs closed a1 a3 const terms slopes cap")
+PowerTerms = namedtuple("PowerTerms", "a e closed a1 a3 const terms slopes cap")
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +58,7 @@ class Regularizer:
     """
 
     kind = "abstract"
+    bounds = (-np.inf, np.inf)  # dom r in one dimension, [lo, hi]
 
     def value_rows(self, X):
         raise NotImplementedError
@@ -88,6 +91,7 @@ class SimplexIndicator(Regularizer):
     """Indicator of the probability simplex {x >= 0, sum x = 1}."""
 
     kind = "indicator_simplex"
+    bounds = (1.0, 1.0)
 
     def __init__(self, tol=1e-9):
         self.tol = tol
@@ -105,6 +109,7 @@ class BallIndicator(Regularizer):
         if radius <= 0:
             raise ValueError("ball radius must be positive")
         self.radius = float(radius)
+        self.bounds = (-self.radius, self.radius)
         self.tol = tol
 
     def value_rows(self, X):
@@ -149,6 +154,7 @@ class EntropyLike(Regularizer):
     """
 
     kind = "entropy_like"
+    bounds = (1.0, 1.0)
 
     def __init__(self, weight, tol=1e-9):
         if weight < 0:
@@ -324,9 +330,9 @@ def _check_step(eta, rho):
 
 def power_terms(coefs, powers):
     """The terms of the kernel sum_k c_k r^p_k (c_k > 0) that its scalar
-    equations read, prepared once: solve_monotone_power's s(r) = sum_k a_k
-    r^e_k (a_k = c_k p_k, e_k = p_k - 1) as the arrays a, e and their pairs,
-    whether the powers are {2, 4} and that case's cubic a1 r + a3 r^3;
+    equations read, prepared once: s(r) = sum_k a_k r^e_k (a_k = c_k p_k,
+    e_k = p_k - 1) as the arrays a, e (solve_monotone_power), whether the
+    powers are {2, 4} and that case's cubic a1 r + a3 r^3 (_radial_root);
     _secular's A(r) = s(r)/r = const + sum_k a_k r^(e_k - 1) over terms
     (e_k > 1) and A'(r) over slopes; cap, up to which s does not overflow,
     with s(cap) >= min(1, a) M / (4 n) (n terms, M the largest float)."""
@@ -335,7 +341,7 @@ def power_terms(coefs, powers):
     pairs = list(zip(a.tolist(), e.tolist()))
     terms = [(ak, ek - 1.0) for ak, ek in pairs if ek > 1.0]
     cap = np.minimum.reduce((_FLOAT_MAX / (4.0 * a.size * np.maximum(a, 1.0))) ** (1.0 / e))
-    return PowerTerms(a, e, pairs, {ek for _, ek in pairs} == {1.0, 3.0},
+    return PowerTerms(a, e, {ek for _, ek in pairs} == {1.0, 3.0},
                       a[e == 1.0].sum(), a[e == 3.0].sum(),
                       sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms,
                       [(ak * ek, ek - 1.0) for ak, ek in terms], cap)
@@ -345,27 +351,22 @@ def solve_monotone_power(power, target, tol=1e-14, max_iter=200):
     """Root of s(r) = sum_k a_k r^e_k = target over r >= 0 for the
     power_terms power, unique since s is increasing and convex.
 
-    Each entry g starts from a closed form, for powers {2, 4} the root of
-    a_1 r + a_3 r^3 = g (_cubic_root, no cancellation for small g), else the
-    upper bound min_k (g/a_k)^(1/e_k), exact for one term, from which Newton
-    descends monotonically.  The start is returned when every entry has
-    |s(r) - g| <= tol (1 + g); the entries above take Newton steps in
-    lockstep.  target may have any shape; entries <= 0 give 0.  A non-finite
-    target, or an entry unsolved after max_iter steps, raises InnerSolveError.
+    Each entry g starts from the upper bound min_k (g/a_k)^(1/e_k), exact
+    for one term, from which Newton descends monotonically.  The start is
+    returned when every entry has |s(r) - g| <= tol (1 + g); the entries
+    above take Newton steps in lockstep.  target may have any shape; entries
+    <= 0 give 0.  A non-finite target, or an entry unsolved after max_iter
+    steps, raises InnerSolveError.  (The radial steps take the closed form
+    of the powers {2, 4} instead, _radial_root.)
     """
-    a, e, pairs, closed, a1, a3 = power[:6]
+    a, e = power[:2]
     target = np.asarray(target, dtype=float)
     g = target.reshape(-1)
     if not np.logical_and.reduce(np.isfinite(g)):
         raise InnerSolveError("radial scale equation needs a finite target")
     g = np.where(g > 0.0, g, 0.0)
-    # the closed-form start's residual term by term, Newton's over the arrays
-    if closed:
-        r = _cubic_root(a1, a3, g)
-        f = _power_sum(0.0, pairs, r) - g
-    else:
-        r = np.minimum.reduce((g[:, None] / a) ** (1.0 / e), axis=1)
-        f = np.add.reduce(a * r[:, None] ** e, axis=1) - g
+    r = np.minimum.reduce((g[:, None] / a) ** (1.0 / e), axis=1)
+    f = np.add.reduce(a * r[:, None] ** e, axis=1) - g
     scale = tol * (1.0 + g)
     busy = np.abs(f) > scale
     if not np.logical_or.reduce(busy):
@@ -390,16 +391,24 @@ def _cubic_root(a1, a3, g):
     return 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
 
 
-def _radial_solver(power, radius, V, Z, eta):
-    """argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial phi.
+def _radial_root(power, g):
+    """The root r >= 0 of s(r) = g >= 0 entrywise for the power_terms power:
+    _cubic_root for the powers {2, 4}, else solve_monotone_power."""
+    return (_cubic_root(power.a1, power.a3, g) if power.closed
+            else solve_monotone_power(power, g))
 
-    Writes the optimality condition grad phi(x) = grad phi(z) - eta v, which
-    forces x = s * u along u = normalize(rhs); the scalar s solves the
-    monotone power equation of the power_terms power (closed-form start,
-    residual-checked), clipped at the ball radius unless it is None (valid
-    because the radial objective is increasing in s beyond the
-    unconstrained root).  grad phi at Z is its mirror coordinates.  A row
-    whose square underflows (norm below _NORM_UNDERFLOW) takes its norm
+
+def _radial_solver(power, radius, V, Z, eta):
+    """argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial
+    phi, and the minimizers' mirror coordinates (None if a row is clipped).
+
+    Writes the optimality condition grad phi(x) = W = grad phi(z) - eta v,
+    which forces x = s * u along u = W / |W|; the scalar s is the root of
+    s(r) = |W| for the power_terms power (_radial_root), clipped at the ball
+    radius unless it is None (valid because the radial objective is
+    increasing in s beyond the unconstrained root).  grad phi at Z is its
+    mirror coordinates, and W is the minimizer's where no row is clipped.  A
+    row whose square underflows (norm below _NORM_UNDERFLOW) takes its norm
     scaled by its largest entry.
     """
     W = Z.mirror - eta * V
@@ -409,10 +418,10 @@ def _radial_solver(power, radius, V, Z, eta):
         m = np.abs(W[tiny]).max(axis=1, keepdims=True)
         U = np.divide(W[tiny], m, out=np.zeros((tiny.size, W.shape[1])), where=m > 0.0)
         g[tiny] = m[:, 0] * norm_rows(U)
-    s = solve_monotone_power(power, g)
-    if radius is not None:
-        s = np.minimum(s, radius)
-    return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W, None
+    s, M = _radial_root(power, g), W
+    if radius is not None and np.logical_or.reduce(s > radius):
+        s, M = np.minimum(s, radius), None
+    return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W, M
 
 
 def _log_softmax(logits):
@@ -551,10 +560,11 @@ def _affine_solver(reg, phi):
             radius = reg.radius
 
             def ball(v, Z, eta):
+                # the points are their own mirror coordinates
                 u = Z.points - eta * v
                 n = norm_rows(u)[..., None]
-                return (np.divide(radius, n, out=np.ones(n.shape), where=n > radius) * u,
-                        None)
+                y = np.divide(radius, n, out=np.ones(n.shape), where=n > radius) * u
+                return y, y
 
             return ball
         if terms is not None:
@@ -643,6 +653,27 @@ class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
         """slopes + weight y / ||y|| at each row of Y, the slopes at y = 0."""
         n = norm_rows(Y)[..., None]
         return self.slopes + np.divide(self.weight, n, out=np.zeros(n.shape), where=n > 0.0) * Y
+
+
+class NormTangentRows(namedtuple("NormTangentRows", "slopes weight")):
+    """The tangents <gradients(x_i), y> of the norm terms NormTermRows(slopes,
+    weight) at the centres x_i over rows (no offset: the terms are positively
+    homogeneous), the saddle models of P5."""
+
+    __slots__ = ()
+    absolute = False
+    gradients = NormTermRows.gradients
+
+
+class NoisyGradientRows(namedtuple("NoisyGradientRows", "grad noise")):
+    """The slopes grad(x_i) + noise[i] at the centres x_i over rows of linear
+    models from an exact gradient plus noise (NoisyGradientOracle)."""
+
+    __slots__ = ()
+    absolute = False
+
+    def gradients(self, X):
+        return self.grad(X) + self.noise
 
 
 class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
@@ -757,7 +788,7 @@ def _abs_affine_rows(solve, power, phi, by_kink, rows, Z, eta):
     """
     G, s = rows.affine(Z.points)
     shape = Z.points.shape
-    if len(G) != shape[0]:
+    if G.shape[0] != shape[0]:
         # a one-row form stands for every row
         G, s = np.broadcast_to(G, shape), np.broadcast_to(s, shape[:1])
     if by_kink:
@@ -805,11 +836,11 @@ def _abs_affine_1d(solve, power, phi, g, s, Z, eta):
     passes k, else at y0.  So its point in the coordinates w - eta theta g
     is W, k clipped to w -+ eta |g|, and y0 where W = k; a row with g = 0
     keeps y = z.  Under a radial phi (power its power_terms) y = sign(W)
-    rho(|W|) (_cubic_root for the powers {2, 4}, else solve_monotone_power)
-    and k = A(|y0|) y0, A(r) = s(r)/r, at |y0| <= power.cap, past which k
-    would pass every w -+ eta g: nothing overflows.  Under any other phi
-    each row takes one affine solve (solve) at its theta, and a kink outside
-    int dom phi (y0 <= 0 on a positive domain) has k = -inf.
+    rho(|W|) (_radial_root) and k = A(|y0|) y0, A(r) = s(r)/r, at
+    |y0| <= power.cap, past which k would pass every w -+ eta g: nothing
+    overflows.  Under any other phi each row takes one affine solve (solve)
+    at its theta, and a kink outside int dom phi (y0 <= 0 on a positive
+    domain) has k = -inf.
     """
     z, w = Z.points[:, 0], phi.gradient_from_mirror(Z.mirror)[:, 0]
     flat = g == 0.0
@@ -831,9 +862,8 @@ def _abs_affine_1d(solve, power, phi, g, s, Z, eta):
         Y[kink, 0] = y0[kink]
         Y[flat] = Z.points[flat]
         return Y, None, 1, "closed_form_abs_affine"
-    r = (_cubic_root(power.a1, power.a3, np.abs(W)) if power.closed
-         else solve_monotone_power(power, np.abs(W)))
-    y = np.where(flat, z, np.where(kink, y0, np.copysign(r, W)))
+    y = np.where(kink, y0, np.copysign(_radial_root(power, np.abs(W)), W))
+    y[flat] = z[flat]
     return y[:, None], W[:, None], 1, "closed_form_abs_affine"
 
 
@@ -880,12 +910,15 @@ def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
     brackets its own minimizer, moving left from
     a positive slope (halving toward 0 on positive domains, else by doubling
     steps) and right from a negative one by doubling steps, and the brackets
-    close by _bisection.  Returns the minimizers and each one's bisection
-    count; raises InnerSolveError if an element finds no bracket, or if a
-    bracket is still open after max_iter halvings.
+    close by _bisection; a move stops at an end of dom r (reg.bounds), where
+    a slope of unchanged sign closes the bracket on that end.  Returns the
+    minimizers and each one's bisection count; raises InnerSolveError if an
+    element finds no bracket, or if a bracket is still open after max_iter
+    halvings.
     """
     z = Z.points[:, 0]
     gz = phi.gradient_from_mirror(Z.mirror)[:, 0]
+    lo_r, hi_r = reg.bounds
 
     def slope(y, idx):
         s = model.gradients(y[:, None])[:, 0] + reg.subgradient(y)
@@ -903,15 +936,17 @@ def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
             break
         r = right[idx]
         left_cand = hi[idx] / 2.0 if positive_dom else hi[idx] - step[idx]
-        cand = np.where(r, lo[idx] + step[idx], left_cand)
+        cand = np.minimum(np.maximum(np.where(r, lo[idx] + step[idx], left_cand), lo_r), hi_r)
         s = slope(cand, idx)
         found = np.where(r, s >= 0, s <= 0)
-        # a found bracket closes on the far side; otherwise the near end moves
-        to_hi = r == found
+        end = ~found & (cand == np.where(r, hi_r, lo_r))
+        # a found bracket closes on the far side, one at an end of dom r on
+        # it; otherwise the near end moves
+        to_hi = (r == found) | end
         hi[idx[to_hi]] = cand[to_hi]
-        lo[idx[~to_hi]] = cand[~to_hi]
+        lo[idx[~to_hi | end]] = cand[~to_hi | end]
         step[idx] *= 2.0
-        pending[idx[found]] = False
+        pending[idx[found | end]] = False
     if np.any(pending):
         raise InnerSolveError("failed to bracket the 1-d minimizer")
     return _bisection(lo, hi, lambda mid, idx: slope(mid, idx) > 0, max_iter)
@@ -1186,12 +1221,14 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
           and reg.kind in ("zero", "indicator_ball")):
         path = partial(_norm_term_rows, reg)
-    elif isinstance(rows, (AffineRows, ProxLinearRows)):
+    elif isinstance(rows, (AffineRows, ProxLinearRows, NormTangentRows, NoisyGradientRows)):
         solve = _affine_solver(reg, phi)
         if solve is not None and rows.absolute:
             path = partial(_abs_affine_rows, solve, power, phi, reg.kind == "zero" and d == 1)
         elif solve is not None:
-            path = lambda rows, Z, eta: (*solve(rows.slopes, Z, eta), 1, "closed_form_affine")
+            # an affine model's slope at the centre is its gradient there
+            path = lambda rows, Z, eta: (*solve(rows.gradients(Z.points), Z, eta), 1,
+                                         "closed_form_affine")
     elif (isinstance(rows, AbsQuadraticRows) and reg.kind == "zero"
           and power is not None and power.closed):
         path = partial(_abs_quadratic_rows, power.a1, power.a3, phi)

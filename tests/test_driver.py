@@ -18,7 +18,7 @@ from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog
                             stationarity_over_tstar_law, sweep, _resolve_etas,
                             _run_loop)
 from bregopt.envelope import bregman_prox_point, stationarity
-from bregopt.legendre import norm_rows
+from bregopt.legendre import Euclidean, norm_rows
 from bregopt.problems import get_problem, registry
 from bregopt.subproblem import SECULAR_TOL, InnerSolveError, prox_step_rows, record_rows
 
@@ -495,14 +495,15 @@ def _reference_loop(problem, configs, carry=False):
             # the state a step returns is that of a fresh centre at its
             # minimizer; the secular step (P6) returns its own mirror
             # coordinates, within SECULAR_TOL of grad phi (secular_mirror_excess),
-            # and so does P1's 1-d |affine| step, within 2 tol (1 + |W|) of
-            # phi'(y) for solve_monotone_power's tol (root_mirror_excess)
+            # and so do the radial root steps, P1's 1-d |affine| and P2's
+            # affine steps, within root_mirror_excess's bound of grad phi(y);
+            # the Euclidean steps' points are their mirror coordinates
             state = res.state
             assert np.array_equal(state.points, X)
             assert np.array_equal(state.values, phi.value_rows(X))
             if res.method == "secular":
                 assert (secular_mirror_excess(state.mirror, phi, X) <= 0.0).all()
-            elif res.method == "closed_form_abs_affine":
+            elif res.method.startswith("closed_form") and not isinstance(phi, Euclidean):
                 assert (root_mirror_excess(state.mirror, phi, X) <= 0.0).all()
             else:
                 assert np.array_equal(state.mirror, phi.gradient_rows(X))
@@ -531,11 +532,12 @@ def _records_of(problem, configs, iterates, logs):
 
 
 def test_carried_state_reproduces_a_loop_that_rederives_it():
-    # bit for bit on the radial kernels of P2 and P5.  P1 carries the
-    # mirror coordinates W of its 1-d |affine| steps, which lie within
-    # 2 tol (1 + |W|) of a re-derived phi'(y) for solve_monotone_power's
-    # tol (root_mirror_excess), at every step of the loop's iterates (those
-    # of step-by-step steps from the carried state).  The entropic steps
+    # bit for bit on P5's Euclidean kernel, whose points are their mirror
+    # coordinates.  P1 and P2 carry the mirror coordinates W of their radial
+    # root steps (1-d |affine| and d = 2 affine), which lie within
+    # root_mirror_excess's bound of a re-derived grad phi(y), at every step
+    # of the loop's iterates (those of step-by-step steps from the carried
+    # state).  The entropic steps
     # (P3, P4) carry log x, which a re-derived log(exp(log x)) matches to
     # float64 rounding, so their tolerance comes from the dtype, not the
     # data.  P6 carries the secular solve's mirror coordinates, which differ
@@ -549,11 +551,12 @@ def test_carried_state_reproduces_a_loop_that_rederives_it():
         ref = _reference_loop(problem, configs)[0]
         if problem.id == "P6":
             assert (norm_rows(carried - ref) <= SECULAR_TOL * norm_rows(ref)).all()
-        elif problem.id == "P1":
+        elif problem.id in ("P1", "P2"):
             iterates, _, mirrors = _reference_loop(problem, configs, carry=True)
-            assert np.array_equal(carried, iterates)
-            Y = iterates.transpose(1, 0, 2).reshape(-1, 1)
-            assert (root_mirror_excess(mirrors.reshape(-1, 1), problem.phi, Y) <= 0.0).all()
+            assert np.array_equal(carried, iterates), problem.id
+            d = problem.dimension
+            Y = iterates.transpose(1, 0, 2).reshape(-1, d)
+            assert (root_mirror_excess(mirrors.reshape(-1, d), problem.phi, Y) <= 0.0).all()
         elif problem.phi.radial_terms() is not None:
             assert np.array_equal(carried, ref), problem.id
         else:
@@ -720,8 +723,13 @@ def test_a_reused_plan_steps_as_one_use_solves():
 # gathered atoms in one pass in mirror coordinates: 34.54, where model_rows,
 # the AffineRows path and phi.mirror_rows per step took 94.52; the radial
 # root's closed-form start returns at once and _secular reduces through
-# ufuncs, not ndarray methods: P2 65.20 and P6 61.57, where 84.18 and 83.57
-CALLS_PER_STEP = {"P1": 34.6, "P2": 65.3, "P3": 26.0, "P4": 26.4, "P5": 44.4,
+# ufuncs, not ndarray methods: P2 65.20 and P6 61.57, where 84.18 and 83.57.
+# P2 and P5 step from their gathered slopes (grad f + noise, and the atoms
+# plus the inner argmax), and P2's radial root and P5's ball step return
+# the minimizers' mirror coordinates: 36.35 and 39.94, where model_rows and
+# phi.mirror_rows per step took 65.20 and 44.31 (the block's step sizes
+# repeat by the array method: P1 33.00, P6 61.03)
+CALLS_PER_STEP = {"P1": 34.6, "P2": 36.4, "P3": 26.0, "P4": 26.4, "P5": 40.0,
                   "P6": 61.6}
 
 

@@ -154,6 +154,32 @@ def test_each_exact_objective_is_f_with_a_subgradient_selection():
         assert left - tol <= g <= right + tol, (k, left, g, right)
 
 
+def test_p2_gradient_takes_products_within_rounding_of_the_power_form():
+    # grad f = A' (4 w (z^2 - b) z), z = A x, evaluates (z z - b) z where
+    # the power form evaluated z ** 3 - b z.  Per atom both are within 3 u
+    # c_i of the exact (z^2 - b) z, c_i = |z_i|^3 + |b_i z_i| (u = eps / 2;
+    # the pow within one unit), the factor 4 w adds u to each and each
+    # product with A' rounds its sum by at most m u sum_i |A_ij| |term_i|:
+    # the two gradients differ by at most (2 m + 9) u sum_i |A_ij| 4 w_i c_i.
+    # Points near the plant, where z^2 ~ b cancels, and far out; each row
+    # is bit for bit its one-point call
+    p2 = get_problem("P2")
+    A, b, w = (np.asarray(p2.config[k], dtype=float) for k in ("a", "b", "weights"))
+    rng = np.random.default_rng(7)
+    X = np.concatenate([rng.uniform(-1.5, 1.5, (200, 2)),
+                        np.array([0.9, -0.6]) + 1e-9 * rng.normal(size=(50, 2)),
+                        rng.uniform(-1e3, 1e3, (50, 2)), np.zeros((1, 2))])
+    grad = p2.oracle.grad_f(X)
+    z = (A @ X[..., None])[..., 0]
+    power_form = (A.T @ (w * 4.0 * (z ** 3 - b * z))[..., None])[..., 0]
+    u = np.finfo(float).eps / 2.0
+    bound = (2 * len(b) + 9) * u * (np.abs(z) ** 3 + np.abs(b * z)) * 4.0 * w @ np.abs(A)
+    assert (np.abs(grad - power_form) <= bound).all()
+    assert (grad != power_form).any()
+    for i in range(0, len(X), 37):
+        assert np.array_equal(p2.oracle.grad_f(X[i]), grad[i])
+
+
 def test_p1_golden_section_beats_fine_grid():
     p1 = get_problem("P1")
     res = brute_force_min(p1, domain_box=(-2.5, 2.5), resolution=1e-3)

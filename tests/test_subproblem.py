@@ -614,12 +614,15 @@ def test_a_p1_step_from_a_tiny_centre_keeps_its_scale(x):
 
 
 def test_a_minimizer_outside_dom_r_fails_its_certificate():
-    # 0.5 (y - 5)^2 under the unit ball has no batched path: the 1-d
-    # bisection reads no normal of the ball and returns 2.75, where r = inf,
-    # and its residual -inf met the infinite scale (-inf >= -inf) and passed
+    # the step of 0.5 (y - 5)^2 under the unit ball from 0.5 (eta = 1) to
+    # 2.75, the unconstrained minimizer, where r = inf: its residual -inf
+    # met the infinite scale (-inf >= -inf) and passed
     model = QuadraticRows.of(np.ones((1, 1, 1)), np.array([[5.0]]), np.zeros(1))
+    reg, phi = BallIndicator(1.0), Euclidean()
+    Z = phi.state_rows(np.array([[0.5]]), reg)
+    Y = phi.state_rows(np.array([[2.75]]))._replace(r=reg.value_rows(np.array([[2.75]])))
     with pytest.raises(InnerSolveError, match="prox step 0 of 1"):
-        prox_step(model, BallIndicator(1.0), Euclidean(), np.array([0.5]), 1.0)
+        record_rows(model.values, phi, Z, Y, 1.0)
     # in a batch the error names the first such row; an infeasible centre
     # (psi(z) = inf, residual +inf) still raises DomainError
     zero = np.zeros(3)
@@ -628,6 +631,24 @@ def test_a_minimizer_outside_dom_r_fails_its_certificate():
     assert err.value.row == 1
     with pytest.raises(DomainError):
         center_certificate(np.array([0.0, np.inf, 0.0]), zero, zero, zero, 1.0, 0.0, 1e-10)
+
+
+def test_a_constrained_1d_bisection_stops_at_the_end_of_dom_r():
+    # the 1-d bisection brackets inside dom r (reg.bounds): 0.5 (y -+ 5)^2
+    # under the unit ball from 0.5 (eta = 1) steps to the ends +-1 exactly,
+    # where the normal cone takes up the slope, and an interior minimizer
+    # is bisected as before; under the simplex in 1-d the step stays at 1
+    phi = Euclidean()
+    for c, y in ((5.0, 1.0), (-5.0, -1.0), (0.3, 0.4)):
+        model = QuadraticRows.of(np.ones((1, 1, 1)), np.array([[c]]), np.zeros(1))
+        step = prox_step(model, BallIndicator(1.0), phi, np.array([0.5]), 1.0)
+        assert step.method == "bisection_1d"
+        if abs(y) == 1.0:
+            assert step.minimizer[0] == y and step.three_point_residual >= 0.0, c
+        else:
+            assert abs(step.minimizer[0] - y) <= 1e-14, c
+    model = QuadraticRows.of(np.ones((1, 1, 1)), np.array([[3.0]]), np.zeros(1))
+    assert prox_step(model, SimplexIndicator(), phi, np.array([1.0]), 1.0).minimizer[0] == 1.0
 
 
 def test_a_p2_zero_slope_step_from_a_tiny_centre_keeps_it():

@@ -127,14 +127,38 @@ def secular_mirror_excess(mirror, phi, Y):
 
 
 def root_mirror_excess(mirror, phi, Y, tol=1e-14):
-    """Per row, how far the mirror coordinates W that a 1-d radial |affine|
-    step returns lie outside |W - phi'(y)| <= 2 tol (1 + |W|) (> 0: outside),
-    tol solve_monotone_power's default.  A root row's y = sign(W) r passed
-    the check |s(r) - |W|| <= tol (1 + |W|) on the float sum s(r); that sum
-    and phi'(y) = A(|y|) y, A(r) = sum_k c_k p_k r^(p_k - 2), each round to
-    within 8 u |W| of the exact s(r) for the registry's two-term kernels,
-    and 16 u = 3.6e-15 < tol.  A kink row's W = s(|y0|) and phi'(y0) differ
-    by those two roundings only, and a row with g = 0 keeps the W and y of
-    the step before."""
+    """Per row, how far the mirror coordinates W that a radial root step
+    returns (subproblem._radial_root: P1's 1-d |affine| steps, P2's affine
+    steps) lie outside ||W - grad phi(y)|| <= b(W), in row norms (> 0:
+    outside).
+
+    A root row's y = (r / ||W||) W, r the root of s(r) = ||W||, s(r) =
+    sum_k a_k r^e_k and grad phi(y) = A(||y||) y, A(t) = s(t) / t.  In
+    units u = eps / 2, for the powers {2, 4}: s(r) = a1 r + a3 r^3 and r is
+    _cubic_root's 2 q sinh(v), q = sqrt(a1 / (3 a3)), v = asinh(x) / 3,
+    x = 1.5 sqrt(3 a3 / a1) ||W|| / a1.  x is within 5 u relative (its
+    constant 3 u, ||W|| 2 u), asinh adds u (its condition number
+    x / (sqrt(1 + x^2) asinh x) is at most 1) and the division by 3 one
+    more, so v is within 7 u; sinh's condition number v coth v is at most
+    1 + v, so sinh(v) is within 7 u (1 + v) + u, and r, after q (2 u) and
+    the product, within 7 u (1 + v) + 4 u.  s has condition number at most
+    3 in r: s(r) = ||W|| (1 + d), |d| <= 21 u (1 + v) + 12 u.  y = (r /
+    ||W||) W adds 3 u (the norm, the quotient, the product) to ||y||, A
+    (condition number at most 2) 6 u for that and 4 u for its evaluation,
+    so grad phi(y) = W (1 + d') entry by entry, |d'| <= 21 u (1 + v) + 25 u,
+    and the subtraction adds u ||W||: b(W) = 24 u (2 + v) (1 + ||W||)
+    covers it (the 1 for rows near 0).  Every other kernel's root passed
+    solve_monotone_power's check |s(r) - ||W||| <= tol (1 + ||W||) on the
+    float sum s(r), and b(W) = 2 tol (1 + ||W||).  A 1-d kink row's W =
+    A(|y0|) y0 and phi'(y0) differ by their two evaluations' rounding only,
+    and a row with g = 0 keeps the W and y of the step before."""
+    from bregopt.subproblem import power_terms
     W = np.asarray(mirror, dtype=float)
-    return np.abs(W - phi.gradient_rows(Y)) - 2.0 * tol * (1.0 + np.abs(W))
+    n = norm_rows(W)
+    power = power_terms(*phi.radial_terms())
+    if power.closed:
+        v = np.arcsinh(1.5 * np.sqrt(3.0 * power.a3 / power.a1) * n / power.a1) / 3.0
+        bound = 24.0 * np.finfo(float).eps / 2.0 * (2.0 + v) * (1.0 + n)
+    else:
+        bound = 2.0 * tol * (1.0 + n)
+    return norm_rows(W - phi.gradient_rows(Y)) - bound
