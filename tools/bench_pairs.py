@@ -113,6 +113,29 @@ def summarize(runs):
     return summary
 
 
+def bench_file(pr, title, claim, revs, pairs, seconds, runs):
+    """The BENCH_<pr>.json contents of runs of the commits revs (by side)."""
+    first = {side: next(r for r in runs if r["side"] == side)["info"]["info"]["env"]
+             for side in SIDES}
+    return {
+        "pr": pr,
+        "title": title,
+        "parent_commit": revs["parent"],
+        "change_commit": revs["change"],
+        "src_sha256": {side: first[side]["src_sha256"] for side in SIDES},
+        "command": COMMAND % seconds,
+        "procedure": ("each side from `git archive` of its commit, in the sibling directories "
+                      "parent/ and change/; alternating pairs (the parent first in odd pairs); "
+                      "every workload %s; Python %s, numpy %s, nproc %s"
+                      % (" and ".join("%d pairs at seed %d" % (c, s) for s, c in pairs),
+                         first["change"]["python"], first["change"]["numpy"],
+                         first["change"]["nproc"])),
+        "claim": claim,
+        "summary": summarize(runs),
+        "runs": runs,
+    }
+
+
 def _run_pairs(trees, workloads, pairs, seconds):
     runs = []
     for workload in workloads:
@@ -160,25 +183,7 @@ def main(argv=None):
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir)
-    first = {side: next(r for r in runs if r["side"] == side)["info"]["info"]["env"]
-             for side in SIDES}
-    out = {
-        "pr": args.pr,
-        "title": args.title,
-        "parent_commit": revs["parent"],
-        "change_commit": revs["change"],
-        "src_sha256": {side: first[side]["src_sha256"] for side in SIDES},
-        "command": COMMAND % args.seconds,
-        "procedure": ("each side from `git archive` of its commit, in the sibling directories "
-                      "parent/ and change/; alternating pairs (the parent first in odd pairs); "
-                      "every workload %s; Python %s, numpy %s, nproc %s"
-                      % (" and ".join("%d pairs at seed %d" % (c, s) for s, c in pairs),
-                         first["change"]["python"], first["change"]["numpy"],
-                         first["change"]["nproc"])),
-        "claim": args.claim,
-        "summary": summarize(runs),
-        "runs": runs,
-    }
+    out = bench_file(args.pr, args.title, args.claim, revs, pairs, args.seconds, runs)
     with open(args.out or "BENCH_%d.json" % args.pr, "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")
