@@ -168,9 +168,9 @@ def _run_loop(problem, configs):
     step 0's (subproblem.step_plan; _resolve_etas checked every eta).  It
     carries its minimizers' points and mirror coordinates to the next step
     (only x_0's state is derived; phi.mirror_rows when the solve gives none).
-    The oracle's atom_table rows of a record block's samples (atom_rows) are
-    gathered, and prepared by plan.prepare, once per block: the models that
-    depend on the sample only (its model_table), or the atoms that anchor
+    What a step reads of its samples is gathered (oracle.atom_rows), and
+    prepared by plan.prepare, once per record block: the models that depend
+    on the sample only (the oracle's model_table), or the atoms that anchor
     them at each step's centres, of which a step reads what its solve needs
     (P1's kinks and slopes, P2's and P5's slopes alone).
 
@@ -220,7 +220,7 @@ def _run_loop(problem, configs):
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))
     iterates[0] = state.points
-    slopes, table, gathered = oracle.slope_table, oracle.model_table, oracle.atom_table
+    slopes, table, gather = oracle.slope_table, oracle.model_table, oracle.atom_rows
     scan = None if slopes is None else _affine_scan(reg, phi)
     # a scanned horizon records whole chunks per block
     block = (max(1, BLOCK_ROWS // S) if scan is None
@@ -279,15 +279,15 @@ def _run_loop(problem, configs):
             k = t - t0
             try:
                 centres = RowState(iterates[t], mirror[k], None, None)
-                if gathered is None or not k:
+                if gather is None or not k:
                     # this step's models, or at a block's start the block's
-                    models = (oracle.model_rows(centres.points, xi_steps[t]) if gathered is None
-                              else oracle.atom_rows(xi_steps[t0:t0 + block].reshape(
+                    models = (oracle.model_rows(centres.points, xi_steps[t]) if gather is None
+                              else gather(xi_steps[t0:t0 + block].reshape(
                                   (-1,) + xi_steps.shape[2:])))
                     plan = plan or step_plan(models, d, reg, phi, tol)
-                    prepared = plan and plan.prepare(models, etas[t] if gathered is None
+                    prepared = plan and plan.prepare(models, etas[t] if gather is None
                                                      else etas[t0:t0 + block].repeat(S))
-                found = plan and plan(prepared if gathered is None
+                found = plan and plan(prepared if gather is None
                                       else take_rows(prepared, slice(k * S, k * S + S)),
                                       centres, float(etas[t]))
                 if found is None:
@@ -409,7 +409,11 @@ def fit_loglog(horizons, means):
         return {"slope": None, "intercept": None, "r2": None, "converged": False}
     lx = np.log(horizons + 1.0)
     ly = np.log(means)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    # in closed form: np.polyfit's LAPACK least squares pages in about 0.9 MB
+    # of the BLAS library to fit a line through a few points
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    slope = (dx * dy).sum() / (dx * dx).sum()
+    intercept = ly.mean() - slope * lx.mean()
     pred = slope * lx + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))

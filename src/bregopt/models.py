@@ -25,8 +25,7 @@ implicitly: the step-size rules need them a priori.
 import numpy as np
 
 from .legendre import dot_rows, take_rows
-from .subproblem import (AffineRows, NoisyGradientRows, NormTangentRows, NormTermRows,
-                         ProxLinearRows)
+from .subproblem import AffineRows, NormTermRows, ProxLinearRows, TangentRows
 
 
 class OracleConstants:
@@ -56,10 +55,13 @@ class ModelOracle:
     # the (m, d) slopes of linear models whose slopes depend on the sample
     # only (LinearMirrorOracle), else None
     slope_table = None
-    # the models' row form when they depend on the sample only (model_table);
-    # the row form whose rows a block's steps gather (atom_rows): the
-    # model_table, or the atoms that anchor the models at each step's centres
-    model_table = atom_table = None
+    # the models' row form when they depend on the sample only, else None
+    model_table = None
+    # atom_rows(xi): what a record block's steps read of the samples xi,
+    # gathered once per block (the model_table's rows, or the atoms that
+    # anchor the models at each step's centres); None where each step takes
+    # its models from model_rows
+    atom_rows = None
 
     def __init__(self, regime, constants, test_point_sampler=None):
         if regime not in ("A", "B", "C"):
@@ -94,10 +96,6 @@ class ModelOracle:
         if self.model_table is None:
             raise NotImplementedError
         return take_rows(self.model_table, np.asarray(xi))
-
-    def atom_rows(self, xi):
-        """The atom_table's rows at the samples xi."""
-        return take_rows(self.atom_table, xi)
 
     def model_value(self, x, y, xi):
         """f_x(y, xi): the one-point case of model_rows."""
@@ -224,7 +222,7 @@ class NoisyGradientOracle(ModelOracle):
     array of n draws, which must be the stream of n one-row draws.  f_fn and
     grad_f_fn act on the last axis: at an (S, d) array of points they return
     S values and an (S, d) array.  A step reads only the slopes grad f(x) +
-    xi (atom_rows: NoisyGradientRows, neither f nor the offsets).
+    xi (atom_rows: TangentRows, neither f nor the offsets).
     """
 
     family = "linear_mirror"
@@ -235,12 +233,11 @@ class NoisyGradientOracle(ModelOracle):
         self.grad_f = grad_f_fn
         self.hess_f = hess_f_fn
         self._noise = noise_sampler  # (rng, n) -> (n, d) array
-        self.atom_table = NoisyGradientRows(grad_f_fn, 0.0)  # the noise-free slopes
         super().__init__(regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
 
     def atom_rows(self, xi):
-        return NoisyGradientRows(self.grad_f, xi)
+        return TangentRows(self.grad_f, xi)
 
     def sample(self, rng):
         return self.sample_rows(rng, 1)[0]
@@ -250,7 +247,7 @@ class NoisyGradientOracle(ModelOracle):
 
     def model_rows(self, X, xi):
         X = np.asarray(X, dtype=float)
-        return _tangent_rows(X, self.grad_f(X) + np.asarray(xi, dtype=float),
+        return _tangent_rows(X, self.atom_rows(np.asarray(xi, dtype=float)).gradients(X),
                              self._f(X))
 
     def lip_L(self, xi):
@@ -276,7 +273,7 @@ class ProxLinearOracle(FiniteSupportOracle):
     a2[xi] x^2 - b[xi]: convex in y, rho = 0.
 
     The models are |affine| rows (model_rows) of slope c' = 2 a2[xi] x, the
-    atom_table's rows (a2, b) at x.  The outer |.| is 1-Lipschitz, c' is
+    atoms' rows (a2, b) at x.  The outer |.| is 1-Lipschitz, c' is
     a2[xi] (p(|x|) + p(|y|))-Lipschitz for p = 1, and |c'| = a2[xi]
     sqrt(q(|x|)) for q(u) = 4 u^2, the growth polynomials that shape phi
     (build_composite_legendre); so an atom's constant is L(xi) = sqrt(2) a2[xi].
@@ -285,13 +282,16 @@ class ProxLinearOracle(FiniteSupportOracle):
     family = "prox_linear"
 
     def __init__(self, a2, b, weights, regime, constants, test_point_sampler=None):
-        self.atom_table = ProxLinearRows(np.asarray(a2, dtype=float), np.asarray(b, dtype=float))
-        self.a2, self.b = self.atom_table
+        self.atoms = ProxLinearRows(np.asarray(a2, dtype=float), np.asarray(b, dtype=float))
+        self.a2, self.b = self.atoms
         super().__init__(weights=weights, lip=np.sqrt(2.0) * self.a2, regime=regime,
                          constants=constants, test_point_sampler=test_point_sampler)
 
+    def atom_rows(self, xi):
+        return take_rows(self.atoms, xi)
+
     def model_rows(self, X, xi):
-        return AffineRows(*take_rows(self.atom_table, xi).affine(np.asarray(X, dtype=float)), True)
+        return AffineRows(*self.atom_rows(xi).affine(np.asarray(X, dtype=float)), True)
 
     def f_exact(self, x):
         x = np.asarray(x, dtype=float)
@@ -312,9 +312,9 @@ class SaddleOracle(FiniteSupportOracle):
 
     The model of sample xi freezes the inner argmax w_hat(x) = R x / |x|
     (0 at x = 0) at the base point: f_x(y, xi) = <atoms[xi] + w_hat(x), y>,
-    linear in y, the tangent at x of <atoms[xi], y> + R |y| (the
-    atom_table's NormTangentRows).  An atom's constant is
-    L(xi) = sqrt(2) (|atoms[xi]| + R).
+    linear in y, the tangent at x of <atoms[xi], y> + R |y|, whose slopes a
+    step reads (atom_rows: TangentRows, the objective's norm term plus the
+    atoms).  An atom's constant is L(xi) = sqrt(2) (|atoms[xi]| + R).
     """
 
     family = "saddle"
@@ -323,15 +323,17 @@ class SaddleOracle(FiniteSupportOracle):
                  test_point_sampler=None):
         self.atoms = np.asarray(atoms, dtype=float)
         self.w_radius = float(w_radius)
-        self.atom_table = NormTangentRows(self.atoms, self.w_radius)
         lip = np.sqrt(2.0) * (np.linalg.norm(self.atoms, axis=1) + self.w_radius)
         super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
         self.abar = self.weights @ self.atoms
         self.objective = NormTermRows(self.abar, self.w_radius)
 
+    def atom_rows(self, xi):
+        return TangentRows(self.objective.weight_slopes, self.atoms[xi])
+
     def model_rows(self, X, xi):
-        G = take_rows(self.atom_table, xi).gradients(np.asarray(X, dtype=float))
+        G = self.atom_rows(xi).gradients(np.asarray(X, dtype=float))
         return AffineRows(G, np.zeros(G.shape[:-1]), False)
 
     def f_exact(self, x):
@@ -358,9 +360,12 @@ class ProximalPointOracle(FiniteSupportOracle):
     family = "proximal_point"
 
     def __init__(self, atoms, weights, lip, regime, constants, test_point_sampler=None):
-        self.model_table = self.atom_table = atoms
+        self.model_table = atoms
         super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
+
+    def atom_rows(self, xi):
+        return take_rows(self.model_table, xi)
 
     def f_rows(self, X):
         """f at each point of X (the last axis)."""

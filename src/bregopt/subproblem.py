@@ -9,14 +9,14 @@ regularizer r, and the run's Legendre function phi.  A model is its row form
 (AffineRows, ProxLinearRows, NormTermRows, QuadraticRows, AbsQuadraticRows
 or SmoothRows): values and gradients (a subgradient selection) over the
 rows of an (N, d) array; the atoms of linear models that move with their
-centres (ProxLinearRows, NormTangentRows, NoisyGradientRows) give their
-slopes there.  Every step goes through one dispatch on that form, made once
-per loop or batch (step_plan): the affine or |affine| closed form, the norm
-shrinkage, the scalar secular equation of a quadratic under a radial phi,
-one kink search and one cubic root for a 1-d sum of |quadratic| terms, or
-one lockstep Newton; a 1-d form with none of these takes the certified
-bisection on its values and gradients.  Every returned step carries a
-three-point optimality residual, the runtime contract
+centres (ProxLinearRows, TangentRows) give their slopes there.  Every step
+goes through one dispatch on that form, made once per loop or batch
+(step_plan): the affine or |affine| closed form, the norm shrinkage, the
+scalar secular equation of a quadratic under a radial phi, one kink search
+and one cubic root for a 1-d sum of |quadratic| terms, or one lockstep
+Newton; a 1-d form with none of these takes the certified bisection on its
+values and gradients.  Every returned step carries a three-point
+optimality residual, the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -651,29 +651,25 @@ class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
 
     def gradients(self, Y):
         """slopes + weight y / ||y|| at each row of Y, the slopes at y = 0."""
+        return self.slopes + self.weight_slopes(Y)
+
+    def weight_slopes(self, Y):
+        """weight y / ||y|| at each row of Y (0 at y = 0): the norm term's part."""
         n = norm_rows(Y)[..., None]
-        return self.slopes + np.divide(self.weight, n, out=np.zeros(n.shape), where=n > 0.0) * Y
+        return np.divide(self.weight, n, out=np.zeros(n.shape), where=n > 0.0) * Y
 
 
-class NormTangentRows(namedtuple("NormTangentRows", "slopes weight")):
-    """The tangents <gradients(x_i), y> of the norm terms NormTermRows(slopes,
-    weight) at the centres x_i over rows (no offset: the terms are positively
-    homogeneous), the saddle models of P5."""
-
-    __slots__ = ()
-    absolute = False
-    gradients = NormTermRows.gradients
-
-
-class NoisyGradientRows(namedtuple("NoisyGradientRows", "grad noise")):
-    """The slopes grad(x_i) + noise[i] at the centres x_i over rows of linear
-    models from an exact gradient plus noise (NoisyGradientOracle)."""
+class TangentRows(namedtuple("TangentRows", "slope_fn shift")):
+    """Linear models over rows whose slopes at the centres x_i are
+    slope_fn(x_i) + shift[i], given without their offsets: what a step reads
+    of models that its centres anchor (P2's gradient plus noise, P5's inner
+    argmax plus atom)."""
 
     __slots__ = ()
     absolute = False
 
     def gradients(self, X):
-        return self.grad(X) + self.noise
+        return self.slope_fn(X) + self.shift
 
 
 class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
@@ -1221,7 +1217,7 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
           and reg.kind in ("zero", "indicator_ball")):
         path = partial(_norm_term_rows, reg)
-    elif isinstance(rows, (AffineRows, ProxLinearRows, NormTangentRows, NoisyGradientRows)):
+    elif isinstance(rows, (AffineRows, ProxLinearRows, TangentRows)):
         solve = _affine_solver(reg, phi)
         if solve is not None and rows.absolute:
             path = partial(_abs_affine_rows, solve, power, phi, reg.kind == "zero" and d == 1)

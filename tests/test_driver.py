@@ -212,10 +212,17 @@ def test_fit_loglog_converged_and_slope():
     fit = fit_loglog(ts, 3.0 / (ts + 1.0))
     assert fit["slope"] == pytest.approx(-1.0, abs=1e-12)
     assert fit["r2"] == pytest.approx(1.0)
+    # the closed-form line is numpy's least-squares one
+    means = 3.0 / (ts + 1.0) ** 0.5 * np.array([1.3, 0.8, 1.1, 0.9])
+    fit = fit_loglog(ts, means)
+    slope, intercept = np.polyfit(np.log(ts + 1.0), np.log(means), 1)
+    assert fit["slope"] == pytest.approx(slope, rel=1e-12)
+    assert fit["intercept"] == pytest.approx(intercept, rel=1e-12)
+    assert 0.0 < fit["r2"] < 1.0
 
 
 def test_one_horizon_fits_no_line():
-    # a line through one point has no slope (np.polyfit would warn RankWarning)
+    # a line through one point has no slope (and raises no warning)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = sweep(get_problem("P1"), [64], 2)
@@ -724,12 +731,12 @@ def test_a_reused_plan_steps_as_one_use_solves():
 # the AffineRows path and phi.mirror_rows per step took 94.52; the radial
 # root's closed-form start returns at once and _secular reduces through
 # ufuncs, not ndarray methods: P2 65.20 and P6 61.57, where 84.18 and 83.57.
-# P2 and P5 step from their gathered slopes (grad f + noise, and the atoms
-# plus the inner argmax), and P2's radial root and P5's ball step return
-# the minimizers' mirror coordinates: 36.35 and 39.94, where model_rows and
-# phi.mirror_rows per step took 65.20 and 44.31 (the block's step sizes
-# repeat by the array method: P1 33.00, P6 61.03)
-CALLS_PER_STEP = {"P1": 34.6, "P2": 36.4, "P3": 26.0, "P4": 26.4, "P5": 40.0,
+# P2 and P5 step from their gathered slopes (TangentRows: grad f + noise,
+# and the inner argmax plus the atoms), and P2's radial root and P5's ball
+# step return the minimizers' mirror coordinates: 36.66 and 40.78, where
+# model_rows and phi.mirror_rows per step took 65.20 and 44.31 (the block's
+# step sizes repeat by the array method: P1 33.08, P6 61.03)
+CALLS_PER_STEP = {"P1": 34.6, "P2": 36.7, "P3": 26.0, "P4": 26.4, "P5": 40.8,
                   "P6": 61.6}
 
 

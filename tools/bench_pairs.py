@@ -2,26 +2,25 @@
 """Alternating paired benchmark runs of two commits, written as BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent REV --change REV --pr N --title TEXT \\
-        [--workload W ...] [--pairs SEED:COUNT ...] [--seconds 20] \\
-        [--workdir DIR] [--claim TEXT] [--out FILE]
+        [--claim TEXT] [--workdir DIR] [--out FILE]
 
 Run from the repository root; it uses the standard library only and edits
 nothing in the checkout but the output file.  Each side is a `git archive`
 tree of its commit, extracted into the sibling directories parent/ and
 change/ of the work directory: names of equal length, so that the two
-trees' paths have equal lengths too.  For every workload (all of
-BENCHMARK.json's by default) and every SEED:COUNT (default 11:5 and 4242:2)
-it runs COUNT pairs, the parent first in odd pairs and the change first in
-even ones; a run is
+trees' paths have equal lengths too.  For every workload of BENCHMARK.json
+it runs PAIRS: 10 pairs at seed 11 and 2 at the held-out seed 4242, the
+parent first in odd pairs and the change first in even ones; a run is
 
     PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W \\
         --seed S --seconds N --trace 0
 
-in its side's tree, removed at the end unless --workdir names it.  The
-output has the keys of the earlier BENCH_*.json files: the runs with their
-information and result lines, and a summary per workload and seed (and
-over all seeds) of each end-to-end metric's quartiles on each side and the
-ratio of the medians, change over parent.
+in its side's tree, N being BENCHMARK.json's run_seconds.  The trees are
+removed at the end unless --workdir names their directory.  The output has
+the keys of the earlier BENCH_*.json files: the runs with their information
+and result lines, and a summary per workload and seed (and over all seeds)
+of each end-to-end metric's quartiles on each side and the ratio of the
+medians, change over parent.
 """
 
 import argparse
@@ -37,6 +36,7 @@ import tempfile
 
 METRICS = ("steps_per_s", "us_per_step_p50", "peak_rss_mb", "setup_s")
 SIDES = ("parent", "change")
+PAIRS = ((11, 10), (4242, 2))  # (seed, number of pairs)
 COMMAND = ("PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload WORKLOAD "
            "--seed SEED --seconds %g --trace 0")
 
@@ -163,27 +163,24 @@ def main(argv=None):
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--title", required=True)
     ap.add_argument("--claim", default="none")
-    ap.add_argument("--workload", action="append")
-    ap.add_argument("--pairs", action="append", help="SEED:COUNT")
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--workdir", help="a new directory for the trees (default: a "
                     "temporary one, removed at the end)")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in
-                                  json.load(open("BENCHMARK.json"))["workloads"]]
-    pairs = [tuple(int(v) for v in p.split(":")) for p in args.pairs or ["11:5", "4242:2"]]
+    with open("BENCHMARK.json") as f:
+        bench = json.load(f)
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     revs = {"parent": _rev(args.parent), "change": _rev(args.change)}
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pairs_")
     trees = {side: os.path.join(workdir, side) for side in SIDES}
     for side in SIDES:
         extract(revs[side], trees[side])
     try:
-        runs = _run_pairs(trees, workloads, pairs, args.seconds)
+        runs = _run_pairs(trees, workloads, PAIRS, seconds)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir)
-    out = bench_file(args.pr, args.title, args.claim, revs, pairs, args.seconds, runs)
+    out = bench_file(args.pr, args.title, args.claim, revs, PAIRS, seconds, runs)
     with open(args.out or "BENCH_%d.json" % args.pr, "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")
