@@ -43,7 +43,7 @@ _FLOAT_MAX = np.finfo(float).max
 _LOG_RECORD_MAX = float(np.log(_FLOAT_MAX)) - 4.0
 # below this norm the squares of a row's entries lose digits in the subnormals
 _NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
-PowerTerms = namedtuple("PowerTerms", "a e closed a1 a3 const terms slopes cap")
+PowerTerms = namedtuple("PowerTerms", "a e closed a1 a3 const terms cap")
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +333,9 @@ def power_terms(coefs, powers):
     equations read, prepared once: s(r) = sum_k a_k r^e_k (a_k = c_k p_k,
     e_k = p_k - 1) as the arrays a, e (solve_monotone_power), whether the
     powers are {2, 4} and that case's cubic a1 r + a3 r^3 (_radial_root);
-    _secular's A(r) = s(r)/r = const + sum_k a_k r^(e_k - 1) over terms
-    (e_k > 1) and A'(r) over slopes; cap, up to which s does not overflow,
-    with s(cap) >= min(1, a) M / (4 n) (n terms, M the largest float)."""
+    A(r) = s(r)/r = const + sum_k a_k r^(e_k - 1) over terms (e_k > 1);
+    cap, up to which s does not overflow, with s(cap) >= min(1, a) M / (4 n)
+    (n terms, M the largest float)."""
     c, p = np.asarray(coefs, dtype=float), np.asarray(powers, dtype=float)
     a, e = (c * p)[c > 0.0], (p - 1.0)[c > 0.0]
     pairs = list(zip(a.tolist(), e.tolist()))
@@ -343,8 +343,7 @@ def power_terms(coefs, powers):
     cap = np.minimum.reduce((_FLOAT_MAX / (4.0 * a.size * np.maximum(a, 1.0))) ** (1.0 / e))
     return PowerTerms(a, e, {ek for _, ek in pairs} == {1.0, 3.0},
                       a[e == 1.0].sum(), a[e == 3.0].sum(),
-                      sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms,
-                      [(ak * ek, ek - 1.0) for ak, ek in terms], cap)
+                      sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms, cap)
 
 
 def solve_monotone_power(power, target, tol=1e-14, max_iter=200):
@@ -1070,23 +1069,22 @@ def _newton(rows, phi, state, eta, tol, max_iter=120):
 
 
 SECULAR_TOL = 1e-14  # relative KKT residual at which a secular row stops
+_HOUSEHOLDER_POWERS = np.arange(2.0, 6.0)[:, None]  # the k of _secular's sums b^2 / D^k
 # what _secular reads of QuadraticRows under step sizes eta: eta lam, eta Q c, U
 SecularRows = namedtuple("SecularRows", "eigvals weights eigvecs")
 
 
-def _isotropic_roots(const, terms, kappa, g):
+def _isotropic_roots(power, kappa, g):
     """Roots r of (kappa + const) r + sum_k a_k r^(e_k + 1) = g, entrywise
-    over kappa >= 0 and g >= 0 (terms holds the (a_k, e_k), e_k > 0), and
-    whether they are exact: with every e_k = 2 the equation is linear or a
-    depressed cubic (_cubic_root); otherwise the term-wise upper bound
-    min(g / (kappa + const), (g / a_k)^(1/(e_k + 1))) of the root."""
-    a1 = kappa + const
-    if all(e == 2.0 for _, e in terms):
-        if not terms:
-            return g / a1, True
-        return _cubic_root(a1, sum(a for a, _ in terms), g), True
+    over kappa >= 0 and g >= 0 ((a_k, e_k), e_k > 0, the power_terms power's
+    terms), and whether they are exact: with every e_k = 2 the equation is
+    linear or a depressed cubic (_cubic_root); otherwise the term-wise upper
+    bound min(g / (kappa + const), (g / a_k)^(1/(e_k + 1))) of the root."""
+    a1 = kappa + power.const
+    if power.closed or all(e == 2.0 for _, e in power.terms):
+        return (_cubic_root(a1, power.a3, g) if power.terms else g / a1), True
     bound = g / a1
-    for a, e in terms:
+    for a, e in power.terms:
         bound = np.minimum(bound, (g / a) ** (1.0 / (e + 1.0)))
     return bound, False
 
@@ -1107,30 +1105,46 @@ def _secular_rows(rows, eta):
                        eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1), rows.eigvecs)
 
 
-def _secular(power, rows, state, _eta=None, max_iter=50):
+def _growth(power):
+    """t -> (A, 2 dA/dt) at t = r^2 >= 0, entrywise, for the power_terms
+    power: A = const + sum_k a_k t^(e_k / 2) over its terms (a_k, e_k), with
+    one number for the slope where A is affine in t (every e_k = 2)."""
+    const, terms = power.const, power.terms
+    if all(e == 2.0 for _, e in terms):
+        a3 = sum(a for a, _ in terms)
+        return lambda t: (const + a3 * t, 2.0 * a3)
+    half, slopes = [(a, e / 2.0) for a, e in terms], [(a * e, e / 2.0 - 1.0) for a, e in terms]
+    return lambda t: (_power_sum(const, half, t), _power_sum(0.0, slopes, t))
+
+
+def _secular(power, growth, rows, state, _eta=None, max_iter=50):
     """argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
     RowState, for quadratics q under a radial phi = sum_k c_k ||y||^p_k
-    (r = 0, power its power_terms); rows are their SecularRows
-    (_secular_rows), which hold eta (the plan's _eta is not read).
+    (r = 0, power its power_terms, growth its _growth); rows are their
+    SecularRows (_secular_rows), which hold eta (the plan's _eta is unread).
 
     grad phi(y) = A(||y||) y with A(r) = sum_k c_k p_k r^(p_k - 2), so with
     Q_i = U diag(lam) U' the optimality condition
-    eta Q_i (y - c_i) + A(||y||) y = grad phi(z_i) gives
-    y = U (b / (eta lam + A(r))), b = U' (eta Q_i c_i + grad phi(z_i)), where
-    r = ||y|| is the root of F(r) = r - ||b / (eta lam + A(r))||, strictly
-    increasing as A is nondecreasing.  Newton on F runs in lockstep over the
-    rows from the isotropic root (lam replaced by its b^2-weighted mean),
-    each step clipped to the bracket of the isotropic roots with lam_max and
-    lam_min.  The KKT residual of y at r, U ((A(||y||) - A(r)) v), v = U' y,
-    has norm at most |A(||y||) - A(r)| ||b|| / (eta lam_min + A(r)); a row
-    stops on its own once that ratio is at most SECULAR_TOL, so its bits do
-    not depend on the batch (with A constant, Euclidean, the first pass is
-    exact).  Non-finite data, or a row above the tolerance after max_iter
-    Newton steps, raises InnerSolveError.  Returns solve_rows' (minimizers,
-    their mirror coordinates A(||v||) y from the last pass, the passes
-    (Newton steps + 1), "secular").
+    eta Q_i (y - c_i) + A(||y||) y = grad phi(z_i) gives y = U v,
+    v = b / (eta lam + u), b = U' (eta Q_i c_i + grad phi(z_i)), where
+    u = A(||y||) is the root of H(u) = u - A(||v||), increasing as A is
+    nondecreasing; A(||v||) is const + a3 sum v^2 for the powers {2, 4}, with
+    no square root.  The start, A at the isotropic root (lam replaced by its
+    b^2-weighted mean), takes one Householder step of order 3 in u from the
+    sums of b^2 / (eta lam + u)^k, k = 2..5 (with A's tangent in ||v||^2
+    where A is not affine in it).  Newton steps in u follow in lockstep,
+    clipped below at A(0) (H(A(0)) <= 0): for the powers {2, 4} H is
+    concave, so a step lands at or below the root and the steps climb to
+    it; other kernels clip to the bracket of A at the isotropic roots with
+    lam_max and lam_min.  The KKT residual of y at u,
+    U ((A(||v||) - u) v), has norm at most |A(||v||) - u| ||b|| /
+    (eta lam_min + u); a row stops on its own once that ratio is at most
+    SECULAR_TOL, so its bits do not depend on the batch (with A constant,
+    Euclidean, the first pass is exact).  Non-finite data, or a row above
+    the tolerance after max_iter Newton steps, raises InnerSolveError.
+    Returns solve_rows' (minimizers, their mirror coordinates A(||v||) y
+    from the last pass, the passes (Newton steps + 1), "secular").
     """
-    const, terms, slopes = power.const, power.terms, power.slopes
     lam, W, U = rows
     Z = state.points
     # eigh sorts each row's eigenvalues in ascending order; a one-row form
@@ -1141,37 +1155,43 @@ def _secular(power, rows, state, _eta=None, max_iter=50):
         raise InnerSolveError("secular equation needs finite data")
     BB = B * B
     g2 = np.add.reduce(BB, axis=1)
-    # the isotropic roots with lam_max, the b^2-weighted mean and lam_min
-    kappa = lam[:, [-1, 0, 0]]
-    np.divide(np.add.reduce(BB * lam, axis=1), g2, out=kappa[:, 1], where=g2 > 0.0)
-    roots, exact = _isotropic_roots(const, terms, kappa, np.sqrt(g2)[:, None])
-    lo, r, hi = roots[:, 0], roots[:, 1], roots[:, 2]
-    # margins for the rounding of the closed forms; 0 is below every root
-    lo = lo * (1.0 - 1e-12) if exact else np.zeros(len(Z))
-    hi = hi * (1.0 + 1e-12)
-    floor = SECULAR_TOL * lam[:, 0]
+    # A at the isotropic roots of the b^2-weighted mean of lam (and lam_max, lam_min)
+    kappa = lam[:, :1].copy() if power.closed else lam[:, [0, -1, 0]]
+    np.divide(np.add.reduce(BB * lam, axis=1), g2, out=kappa[:, 0], where=g2 > 0.0)
+    roots, exact = _isotropic_roots(power, kappa, np.sqrt(g2)[:, None])
+    u = _power_sum(power.const, power.terms, roots)
+    # A(0) is below every root; the bracket's margins are for the rounding
+    lo, hi = ((power.const, np.inf) if power.closed else
+              (u[:, 1] * (1.0 - 1e-12) if exact else power.const, u[:, 2] * (1.0 + 1e-12)))
+    u, floor = u[:, 0], SECULAR_TOL * lam[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
+        S2, S3, S4, S5 = np.add.reduce(BB[:, None, :] / (lam + u[:, None])[:, None, :]
+                                       ** _HOUSEHOLDER_POWERS, axis=2).T
+        # H = h, H' = h1, H'' = -3 w S4, H''' = 12 w S5 in Householder's step
+        # (6 H H'^2 - 3 H^2 H'') / (6 H'^3 - 6 H H' H'' + H^2 H'''); at b = 0
+        # the step is 0, or NaN (A'(0) infinite) that fmax turns into lo = A(0)
+        a, w = growth(S2)
+        h, h1 = u - a, 1.0 + w * S3
+        wh, h2 = w * h, h1 * h1
+        p, q = 1.5 * wh * S4, 2.0 * wh * h * S5
+        u = np.fmin(np.fmax(u - h * (h2 + p) / (h1 * (h2 + p + p) + q), lo), hi)
         for it in range(max_iter + 1):
-            a = _power_sum(const, terms, r)
-            den = lam + a[:, None]
-            V = B / den
-            vv = V * V
-            nv = np.sqrt(np.add.reduce(vv, axis=1))
-            a_v = _power_sum(const, terms, nv)
-            ok = np.abs(a_v - a) <= floor + SECULAR_TOL * a
+            D = lam + u[:, None]
+            V = B / D
+            VV = V * V
+            a, w = growth(np.add.reduce(VV, axis=1))
+            ok = np.abs(a - u) <= floor + SECULAR_TOL * u
             if np.logical_and.reduce(ok):
                 break
             if it == max_iter:
                 raise InnerSolveError(
                     "secular equation of row %d unsolved after %d Newton steps"
                     % (np.flatnonzero(~ok)[0], max_iter))
-            slope = _power_sum(0.0, slopes, r)
-            step = r - (r - nv) / (1.0 + slope * np.add.reduce(vv / den, axis=1) / nv)
-            # a stopped row keeps its r, and so recomputes its V bit for bit
-            # (a row with b = 0 divides 0 by 0 here, and stops at r = 0)
-            r = np.where(ok, r, np.minimum(np.maximum(step, lo), hi))
+            step = u - (u - a) / (1.0 + w * np.add.reduce(VV / D, axis=1))
+            # a stopped row keeps its u, and so recomputes its V bit for bit
+            u = np.where(ok, u, np.fmin(np.fmax(step, lo), hi))
     Y = (U @ V[:, :, None])[:, :, 0]
-    return Y, a_v[:, None] * Y, it + 1, "secular"
+    return Y, a[:, None] * Y, it + 1, "secular"
 
 
 def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
@@ -1211,7 +1231,7 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     path, prepare = None, lambda rows, eta: rows
     if isinstance(rows, (SmoothRows, QuadraticRows)) and reg.kind == "zero":
         if isinstance(rows, QuadraticRows) and power is not None:
-            path, prepare = partial(_secular, power), _secular_rows
+            path, prepare = partial(_secular, power, _growth(power)), _secular_rows
         else:
             path = lambda rows, Z, eta: _newton(rows, phi, Z, eta, tol)
     elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)

@@ -90,3 +90,56 @@ def test_a_bench_file_has_the_keys_of_the_earlier_ones():
         earlier["summary"]["closed_form_steps/all"])
     assert set(out["runs"][0]) == set(earlier["runs"][0])
     assert out["command"] == earlier["command"]
+
+
+def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
+    # main on canned perfbench output: the fourth run (the second pair's
+    # parent) exits 3, so the file holds the three runs before it and names
+    # the failed one, and main returns 1 with no further run started
+    from types import SimpleNamespace
+    cmds = []
+
+    def run(cmd, **kw):
+        cmds.append((cmd, kw["cwd"]))
+        if len(cmds) == 4:
+            return SimpleNamespace(returncode=3, stdout="perfbench: failed\n")
+        return SimpleNamespace(returncode=0, stdout=_lines(100.0 + len(cmds), 5.0, 42.0, 0.2))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "_rev", lambda rev: rev + "0" * 8)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 20, "workloads": [{"name": "closed_form_steps"},
+                                          {"name": "newton_inner"}]}))
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", "a", "--change", "b", "--pr", "7", "--title", "t",
+                             "--workdir", str(tmp_path / "w"), "--out", str(out)])
+    assert code == 1 and len(cmds) == 4
+    assert [c[1].endswith(side) for c, side in zip(cmds, ("parent", "change", "change",
+                                                          "parent"))] == [True] * 4
+    written = json.loads(out.read_text())
+    assert written["failed_run"] == {"workload": "closed_form_steps", "seed": 11,
+                                     "side": "parent", "returncode": 3}
+    assert [(r["side"], r["result"]["metrics"]["steps_per_s"]["value"])
+            for r in written["runs"]] == [("parent", 101.0), ("change", 102.0),
+                                          ("change", 103.0)]
+    steps = written["summary"]["closed_form_steps/11"]["steps_per_s"]
+    assert steps["parent"]["median"] == 101.0 and steps["change"]["median"] == 102.5
+    assert steps["change_over_parent"] == 102.5 / 101.0
+    assert written["src_sha256"] == {"parent": "abc", "change": "abc"}
+
+
+def test_a_first_run_that_fails_writes_an_empty_file(monkeypatch):
+    def run_once(*args):
+        raise bench_pairs.RunFailed("perfbench exited 2", 2)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    runs, failed = bench_pairs._run_pairs({"parent": "p", "change": "c"}, ["newton_inner"],
+                                          [(11, 1)], 20.0)
+    assert runs == [] and failed == {"workload": "newton_inner", "seed": 11,
+                                     "side": "parent", "returncode": 2}
+    out = bench_pairs.bench_file(25, "t", "none", {"parent": "a", "change": "b"},
+                                 [(11, 1)], 20.0, runs, failed)
+    assert out["runs"] == [] and out["summary"] == {} and out["failed_run"] == failed
+    assert out["src_sha256"] == {"parent": None, "change": None}

@@ -20,7 +20,8 @@ from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog
 from bregopt.envelope import bregman_prox_point, stationarity
 from bregopt.legendre import Euclidean, norm_rows
 from bregopt.problems import get_problem, registry
-from bregopt.subproblem import SECULAR_TOL, InnerSolveError, prox_step_rows, record_rows
+from bregopt.subproblem import (SECULAR_TOL, InnerSolveError, power_terms, prox_step_rows,
+                                record_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,6 +103,72 @@ def test_p6_steps_take_the_secular_equation_and_p2_newton(monkeypatch):
     assert calls == [] and len(res.rows) == 8
     sweep(get_problem("P2"), [4], 2, metric_mode="tstar_full")
     assert calls == [10]
+
+
+def _secular_reference(power, rows, mirror, steps=60):
+    # the root of s = sum b^2 / (eta lam + A(sqrt s))^2 in s = r^2, where
+    # A(sqrt s) = a1 + a3 s for the powers {2, 4}, by Newton steps from
+    # s = 0: s minus that sum is concave and increasing in s and negative at
+    # 0, so the steps climb to the root; returns the minimizers U (b / D),
+    # eta lam_min and A at the root, row by row
+    lam, W, U = rows
+    lam = np.broadcast_to(lam, mirror.shape)
+    B = ((W + mirror)[:, None, :] @ U)[:, 0, :]
+    BB, s = B * B, np.zeros(len(B))
+    for _ in range(steps):
+        D = lam + (power.a1 + power.a3 * s)[:, None]
+        f = s - (BB / (D * D)).sum(axis=1)
+        s = s - f / (1.0 + 2.0 * power.a3 * (BB / D ** 3).sum(axis=1))
+    u = power.a1 + power.a3 * s
+    return (U @ (B / (lam + u[:, None]))[:, :, None])[:, :, 0], lam[:, 0], u
+
+
+def test_registry_p6_secular_steps_take_one_pass(monkeypatch):
+    """Every secular solve of the registry's P6 sweeps (T = 64 and 256, 8
+    seeds: the outer steps and the envelope's t*-law batches) stops after
+    one pass: the Householder-corrected start meets the stop at once.  Each
+    minimizer y lies within
+
+        ||y - y_ref|| <= (SECULAR_TOL (eta lam_min + A(r_ref))
+                          / (eta lam_min + A(0)) + 32 eps) ||y_ref||
+
+    of the reference root y_ref of 60 Newton steps in s = r^2
+    (_secular_reference): the stop bounds the KKT residual by
+    SECULAR_TOL (eta lam_min + u) ||y||, the KKT map
+    y -> eta Q y + grad phi(y) is strongly monotone with modulus
+    eta lam_min + A(0), and each of the two solves rounds y by a few ulps
+    in d = 2."""
+    from bregopt import driver, subproblem
+    calls = []
+    step_plan = subproblem.step_plan
+
+    def recording(*args, **kwargs):
+        plan = step_plan(*args, **kwargs)
+
+        def recorded(rows, Z, eta):
+            out = plan(rows, Z, eta)
+            if out[3] == "secular":
+                # the loop's buffers are written again at each record block
+                calls.append((tuple(np.array(f) for f in rows), Z.mirror.copy(), out))
+            return out
+
+        recorded.prepare = plan.prepare
+        return plan and recorded
+
+    monkeypatch.setattr(driver, "step_plan", recording)
+    monkeypatch.setattr(subproblem, "step_plan", recording)
+    prob = get_problem("P6")
+    sweep(prob, [64, 256], 8)
+    power = power_terms(*prob.phi.radial_terms())
+    assert power.closed
+    # 65 + 257 outer steps and one envelope batch per horizon
+    assert len(calls) == 65 + 257 + 2
+    eps = np.finfo(float).eps
+    for rows, mirror, (Y, M, passes, method) in calls:
+        assert passes == 1
+        ref, lam_min, u = _secular_reference(power, rows, mirror)
+        bound = (SECULAR_TOL * (lam_min + u) / (lam_min + power.a1) + 32 * eps) * norm_rows(ref)
+        assert np.all(norm_rows(Y - ref) <= bound)
 
 
 def test_p1_envelope_takes_its_pieces_not_the_bisection(monkeypatch):
@@ -735,9 +802,12 @@ def test_a_reused_plan_steps_as_one_use_solves():
 # and the inner argmax plus the atoms), and P2's radial root and P5's ball
 # step return the minimizers' mirror coordinates: 36.66 and 40.78, where
 # model_rows and phi.mirror_rows per step took 65.20 and 44.31 (the block's
-# step sizes repeat by the array method: P1 33.08, P6 61.03)
+# step sizes repeat by the array method: P1 33.08, P6 61.03).  P6's
+# secular solve takes one pass in A(r) from its Householder-corrected start:
+# 44.12, where three passes in r from the bracket of three isotropic roots
+# took 61.03
 CALLS_PER_STEP = {"P1": 34.6, "P2": 36.7, "P3": 26.0, "P4": 26.4, "P5": 40.8,
-                  "P6": 61.6}
+                  "P6": 44.2}
 
 
 @pytest.mark.parametrize("pid", sorted(CALLS_PER_STEP))

@@ -21,7 +21,7 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 check_three_point, inner_solve, linear_model,
                                 power_terms, prox_points_1d, prox_step, prox_step_rows,
                                 record_rows, solve_monotone_power, solve_rows,
-                                _affine_solver, _newton, _secular, _secular_rows,
+                                _affine_solver, _growth, _newton, _secular, _secular_rows,
                                 _solve_1d)
 
 
@@ -444,6 +444,72 @@ def test_norm_term_closed_form():
     # its subgradient selection: v + c y / |y|, and v at y = 0
     Y = np.array([[3.0, -4.0], [0.0, 0.0]])
     assert np.allclose(model.gradients(Y), [v + 0.5 * np.array([0.6, -0.8]), v], rtol=1e-15)
+
+
+def _polar_prox(u, scale, radius):
+    # an independent reference in d = 2 for argmin 0.5 |x|^2 - <u, x> + scale |x|
+    # over |x| <= radius (inf: no ball), which is eta times <v, x> + c |x|
+    # + D(x, z) / eta less a constant, for u = z - eta v and scale = eta c.
+    # Along the direction e(theta) the radial problem is the 1-d quadratic
+    # 0.5 rho^2 - rho k, k = <e, u> - scale, whose minimizer over
+    # [0, radius] is k clipped to it; the direction comes from a 3600-point
+    # grid over the circle, refined by bounded Brent in the offset from the
+    # best grid angle.  Returns the point and its objective.
+    from scipy.optimize import minimize_scalar
+
+    def point(theta):
+        e = np.array([np.cos(theta), np.sin(theta)])
+        return np.clip(e @ u - scale, 0.0, radius) * e
+
+    def objective(x):
+        return 0.5 * x @ x - u @ x + scale * np.linalg.norm(x)
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
+    k = np.cos(grid) * u[0] + np.sin(grid) * u[1] - scale
+    rho = np.clip(k, 0.0, radius)
+    best, step = grid[np.argmin(0.5 * rho * rho - rho * k)], grid[1]
+    tau = minimize_scalar(lambda tau: objective(point(best + tau)), bounds=(-step, step),
+                          method="bounded", options={"xatol": 1e-15}).x
+    x = point(best + tau)
+    return x, objective(x)
+
+
+@pytest.mark.parametrize("case", ["ball", "norm", "norm_ball"])
+def test_ball_and_norm_term_steps_match_a_polar_search(case):
+    # P5's outer step (the Euclidean ball step of a linear model) and its
+    # envelope's step (the norm term <v, x> + c |x>, with and without the
+    # ball) against _polar_prox, from centres on and near the sphere of the
+    # ball and step sizes up to 1e6.  Tolerances, fixed before the first
+    # run: the points agree to 1e-6 (1 + |x_ref|) (the reference's angle is
+    # good to about sqrt(eps)); the closed form's objective is at most the
+    # reference's plus 1e-13 (|u| |x_ref| + |x_ref|^2 + eta c |x_ref| + 1),
+    # the rounding of the terms; a ball step lies in the ball to 8 eps
+    rng = np.random.default_rng({"ball": 31, "norm": 32, "norm_ball": 33}[case])
+    eps = np.finfo(float).eps
+    radius = 2.0
+    reg = ZeroRegularizer() if case == "norm" else BallIndicator(radius)
+    for eta in 10.0 ** np.array([-3.0, -1.0, 0.0, 2.0, 4.0, 6.0]):
+        n = 12
+        gap = 10.0 ** rng.uniform(-14.0, -1.0, n)
+        gap[:3] = 0.0
+        angle = rng.uniform(0.0, 2.0 * np.pi, (2, n))
+        Z = (radius * (1.0 - gap) * [np.cos(angle[0]), np.sin(angle[0])]).T
+        V = (10.0 ** rng.uniform(-7.0, 1.0, n) * [np.cos(angle[1]), np.sin(angle[1])]).T
+        c = 0.0 if case == "ball" else float(rng.uniform(0.0, 1.0))
+        rows = AffineRows(V, np.zeros(n), False) if case == "ball" else NormTermRows(V, c)
+        res = prox_step_rows(rows, reg, Euclidean(), Z, eta)
+        assert res.method == ("closed_form_affine" if case == "ball" else "closed_form_norm")
+        Y = res.minimizer
+        if case != "norm":
+            assert np.all(norm_rows(Y) <= radius * (1.0 + 8.0 * eps)), eta
+        for i in range(n):
+            u = Z[i] - eta * V[i]
+            ref, ref_value = _polar_prox(u, eta * c, radius if case != "norm" else np.inf)
+            size = np.linalg.norm(ref)
+            assert np.linalg.norm(Y[i] - ref) <= 1e-6 * (1.0 + size), (eta, i)
+            value = 0.5 * Y[i] @ Y[i] - u @ Y[i] + eta * c * np.linalg.norm(Y[i])
+            slack = 1e-13 * (np.linalg.norm(u) * size + size * size + eta * c * size + 1.0)
+            assert value <= ref_value + slack, (eta, i)
 
 
 def test_1d_abs_affine_step_matches_bisection():
@@ -910,20 +976,28 @@ def test_secular_steps_solve_the_kkt_system(phi_kind, seed, d, n_rows, log_eta):
     assert np.array_equal(M, np.concatenate([o.state.mirror for o in ones]))
 
 
+def _secular_solve(phi, rows, Z, eta, max_iter):
+    # _secular as the step plan binds it, with a bound on its Newton steps
+    power = power_terms(*phi.radial_terms())
+    return _secular(power, _growth(power), _secular_rows(rows, eta), phi.state_rows(Z),
+                    max_iter=max_iter)
+
+
 def test_secular_step_raises_when_unsolved():
+    # the three-term kernel (powers 2, 3 and 4) is not affine in r^2, so its
+    # Householder start is not exact and these rows take Newton steps after it
     rng = np.random.default_rng(5)
     rows = _random_quadratic_rows(rng, 3, 2)
     Z = rng.uniform(-3.0, 3.0, (3, 2))
-    phi, reg = _SECULAR_PHIS["p6"], ZeroRegularizer()
+    phi, reg = _SECULAR_PHIS["three_terms"], ZeroRegularizer()
     res = prox_step_rows(rows, reg, phi, Z, 0.5)
     assert res.inner_iterations >= 2
+    assert _secular_solve(phi, rows, Z, 0.5, res.inner_iterations - 1)[2] == res.inner_iterations
     with pytest.raises(InnerSolveError, match="unsolved"):
-        _secular(power_terms(*phi.radial_terms()), _secular_rows(rows, 0.5),
-                 phi.state_rows(Z), max_iter=res.inner_iterations - 2)
+        _secular_solve(phi, rows, Z, 0.5, res.inner_iterations - 2)
     # the Euclidean step needs no Newton step at all
-    euclid = Euclidean()
-    assert _secular(power_terms(*euclid.radial_terms()), _secular_rows(rows, 0.5),
-                    euclid.state_rows(Z), max_iter=0)[2] == 1
+    assert _secular_solve(Euclidean(), rows, Z, 0.5, 0)[2] == 1
+    phi = _SECULAR_PHIS["p6"]
     Z[1, 0] = np.nan
     with pytest.raises(InnerSolveError, match="finite"):
         prox_step_rows(rows, reg, phi, Z, 0.5)

@@ -118,10 +118,10 @@ def scan_tolerance(logs, etas, slopes, mu=0.0):
 def secular_mirror_excess(mirror, phi, Y):
     """Per row, how far a secular step's mirror coordinates lie outside the
     bound ||mirror - grad phi(y)|| <= SECULAR_TOL ||grad phi(y)|| (> 0:
-    outside).  The solve stops a row once A(||v||) and A(r) agree to
-    SECULAR_TOL relative (to eta lam_min + A(r)), so it knows y's mirror
-    coordinates A(||y||) y to no better than that; its A(||v||) y differs
-    from grad phi(y) only by the rounding of ||U v|| against ||v||."""
+    outside).  The solve stops a row once A(||v||) and its unknown u = A(r)
+    agree to SECULAR_TOL relative (to eta lam_min + u), so it knows y's
+    mirror coordinates A(||y||) y to no better than that; its A(||v||) y
+    differs from grad phi(y) only by the rounding of ||U v|| against ||v||."""
     G = phi.gradient_rows(Y)
     return norm_rows(mirror - G) - SECULAR_TOL * norm_rows(G)
 

@@ -20,7 +20,9 @@ removed at the end unless --workdir names their directory.  The output has
 the keys of the earlier BENCH_*.json files: the runs with their information
 and result lines, and a summary per workload and seed (and over all seeds)
 of each end-to-end metric's quartiles on each side and the ratio of the
-medians, change over parent.
+medians, change over parent.  When a run exits nonzero, no further run
+starts: the output holds the runs before it, and "failed_run" names its
+workload, seed, side and exit code, and the tool exits with 1.
 """
 
 import argparse
@@ -72,20 +74,32 @@ def parse_output(text):
     return info, result
 
 
+class RunFailed(RuntimeError):
+    """A perfbench run that exited nonzero; returncode is its exit code."""
+
+    def __init__(self, message, returncode):
+        super().__init__(message)
+        self.returncode = returncode
+
+
 def run_once(tree, workload, seed, seconds):
-    """(information line, result line) of one perfbench run in tree."""
+    """(information line, result line) of one perfbench run in tree; raises
+    RunFailed when the run exits nonzero."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", "%g" % seconds, "--trace", "0"],
                          cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     if out.returncode != 0:
-        raise RuntimeError("perfbench exited %d in %s (%s, seed %d)"
-                           % (out.returncode, tree, workload, seed))
+        raise RunFailed("perfbench exited %d in %s (%s, seed %d)"
+                        % (out.returncode, tree, workload, seed), out.returncode)
     return parse_output(out.stdout)
 
 
 def quartiles(values):
-    """q1, median and q3 of values (inclusive method; one value is all three)."""
+    """q1, median and q3 of values (inclusive method; one value is all three,
+    and no value gives None)."""
+    if not values:
+        return None
     if len(values) == 1:
         return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -107,48 +121,62 @@ def summarize(runs):
             stats = {side: quartiles([r["result"]["metrics"][metric]["value"]
                                       for r in group if r["side"] == side])
                      for side in SIDES}
-            stats["change_over_parent"] = stats["change"]["median"] / stats["parent"]["median"]
+            stats["change_over_parent"] = (
+                stats["change"]["median"] / stats["parent"]["median"]
+                if stats["change"] and stats["parent"] else None)
             entry[metric] = stats
         summary[key] = entry
     return summary
 
 
-def bench_file(pr, title, claim, revs, pairs, seconds, runs):
-    """The BENCH_<pr>.json contents of runs of the commits revs (by side)."""
-    first = {side: next(r for r in runs if r["side"] == side)["info"]["info"]["env"]
+def bench_file(pr, title, claim, revs, pairs, seconds, runs, failed_run=None):
+    """The BENCH_<pr>.json contents of runs of the commits revs (by side);
+    failed_run, when a run failed, names it (its workload, seed, side and
+    exit code) under the key "failed_run", and runs are those before it."""
+    first = {side: next((r["info"]["info"]["env"] for r in runs if r["side"] == side), {})
              for side in SIDES}
-    return {
+    env = first["change"] or first["parent"]
+    out = {
         "pr": pr,
         "title": title,
         "parent_commit": revs["parent"],
         "change_commit": revs["change"],
-        "src_sha256": {side: first[side]["src_sha256"] for side in SIDES},
+        "src_sha256": {side: first[side].get("src_sha256") for side in SIDES},
         "command": COMMAND % seconds,
         "procedure": ("each side from `git archive` of its commit, in the sibling directories "
                       "parent/ and change/; alternating pairs (the parent first in odd pairs); "
                       "every workload %s; Python %s, numpy %s, nproc %s"
                       % (" and ".join("%d pairs at seed %d" % (c, s) for s, c in pairs),
-                         first["change"]["python"], first["change"]["numpy"],
-                         first["change"]["nproc"])),
+                         env.get("python"), env.get("numpy"), env.get("nproc"))),
         "claim": claim,
         "summary": summarize(runs),
         "runs": runs,
     }
+    if failed_run is not None:
+        out["failed_run"] = failed_run
+    return out
 
 
 def _run_pairs(trees, workloads, pairs, seconds):
+    """The runs of every pair in order, and the first run that failed
+    ({workload, seed, side, returncode}) or None; no run follows it."""
     runs = []
     for workload in workloads:
         for seed, count in pairs:
             for order in pair_orders(count):
                 for side in order:
-                    info, result = run_once(trees[side], workload, seed, seconds)
+                    try:
+                        info, result = run_once(trees[side], workload, seed, seconds)
+                    except RunFailed as err:
+                        print(err, file=sys.stderr, flush=True)
+                        return runs, {"workload": workload, "seed": seed, "side": side,
+                                      "returncode": err.returncode}
                     runs.append({"workload": workload, "seed": seed, "seconds": seconds,
                                  "pair_order": "%s first" % order[0], "side": side,
                                  "info": info, "result": result})
                     print("%s seed %d %s: %s" % (workload, seed, side, json.dumps(
                         {m: v["value"] for m, v in result["metrics"].items()})), flush=True)
-    return runs
+    return runs, None
 
 
 def _rev(rev):
@@ -176,15 +204,15 @@ def main(argv=None):
     for side in SIDES:
         extract(revs[side], trees[side])
     try:
-        runs = _run_pairs(trees, workloads, PAIRS, seconds)
+        runs, failed_run = _run_pairs(trees, workloads, PAIRS, seconds)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir)
-    out = bench_file(args.pr, args.title, args.claim, revs, PAIRS, seconds, runs)
+    out = bench_file(args.pr, args.title, args.claim, revs, PAIRS, seconds, runs, failed_run)
     with open(args.out or "BENCH_%d.json" % args.pr, "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")
-    return 0
+    return 0 if failed_run is None else 1
 
 
 if __name__ == "__main__":
