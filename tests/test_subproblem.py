@@ -477,13 +477,13 @@ def _polar_prox(u, scale, radius):
 @pytest.mark.parametrize("case", ["ball", "norm", "norm_ball"])
 def test_ball_and_norm_term_steps_match_a_polar_search(case):
     # P5's outer step (the Euclidean ball step of a linear model) and its
-    # envelope's step (the norm term <v, x> + c |x>, with and without the
+    # envelope's step (the norm term <v, x> + c |x|, with and without the
     # ball) against _polar_prox, from centres on and near the sphere of the
-    # ball and step sizes up to 1e6.  Tolerances, fixed before the first
-    # run: the points agree to 1e-6 (1 + |x_ref|) (the reference's angle is
-    # good to about sqrt(eps)); the closed form's objective is at most the
-    # reference's plus 1e-13 (|u| |x_ref| + |x_ref|^2 + eta c |x_ref| + 1),
-    # the rounding of the terms; a ball step lies in the ball to 8 eps
+    # ball and step sizes up to 1e6.  Tolerances: the points agree to
+    # 1e-6 (1 + |x_ref|) (the reference's angle is good to about
+    # sqrt(eps)); the closed form's objective is at most the reference's
+    # plus 1e-13 (|u| |x_ref| + |x_ref|^2 + eta c |x_ref| + 1), the rounding
+    # of the terms; a ball step lies in the ball to 8 eps
     rng = np.random.default_rng({"ball": 31, "norm": 32, "norm_ball": 33}[case])
     eps = np.finfo(float).eps
     radius = 2.0
