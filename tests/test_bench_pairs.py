@@ -130,7 +130,7 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
     assert written["src_sha256"] == {"parent": "abc", "change": "abc"}
 
 
-def test_a_first_run_that_fails_writes_an_empty_file(monkeypatch):
+def test_a_first_run_that_fails_leaves_an_empty_summary(monkeypatch):
     def run_once(*args):
         raise bench_pairs.RunFailed("perfbench exited 2", 2)
 
