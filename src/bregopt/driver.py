@@ -17,10 +17,9 @@ import time
 
 import numpy as np
 
-from .legendre import RowState, take_rows
+from .legendre import dot_rows, take_rows
 # prox_step stays bound here: perfbench/tracing.py wraps driver.prox_step
-from .subproblem import (InnerSolveError, _affine_scan, prox_step,  # noqa: F401
-                         record_rows, step_plan)
+from .subproblem import InnerSolveError, prox_step, record_rows, step_plan  # noqa: F401
 from . import envelope as envelope_mod
 
 
@@ -98,6 +97,8 @@ def _resolve_etas(problem, config, regime):
     kind = config.schedule[0]
     if kind == "constant":
         alpha = float(config.schedule[1])
+        if not np.isfinite(alpha):
+            raise ValueError("alpha must be finite, got %r" % (alpha,))
         lam = config.lam
         if lam is None:
             lam = default_lambda(problem)
@@ -121,6 +122,9 @@ def _resolve_etas(problem, config, regime):
     else:
         raise ValueError("unknown schedule %r" % (kind,))
 
+    # every comparison below is False at NaN, which would let it through
+    if not np.isfinite(lam) or not np.isfinite(etas).all():
+        raise ValueError("lam and the step sizes must be finite")
     wm = c.tau + c.rho
     if wm > 0 and lam * wm >= 1.0:
         raise ValueError("lam violates lam * (tau + rho) < 1")
@@ -154,54 +158,41 @@ _ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
 
 
 BLOCK_ROWS = 128  # the most rows (steps x runs) one record pass covers
-SCAN_STEPS = 16   # the steps of one scanned chunk, whatever the number of runs
 
 
 def _run_loop(problem, configs):
     """Advance the runs of configs in lockstep, one (S, d) state.
 
     The S configs must share their horizon, step sizes, lam and inner_tol
-    (the seeds of one sweep horizon do).  Each run draws its T+1 samples up
-    front, which is the same stream, and leaves its generator in the same
-    state for the t* draw, as one draw per step.  A step is the oracle's
-    models over rows and one solve over all rows by the plan built from
-    step 0's (subproblem.step_plan; _resolve_etas checked every eta).  It
-    carries its minimizers' points and mirror coordinates to the next step
-    (only x_0's state is derived; phi.mirror_rows when the solve gives none).
-    What a step reads of its samples is gathered (oracle.atom_rows), and
-    prepared by plan.prepare, once per record block: the models that depend
-    on the sample only (the oracle's model_table), or the atoms that anchor
-    them at each step's centres, of which a step reads what its solve needs
-    (P1's kinks and slopes, P2's and P5's slopes alone).
+    (those that share the first one's schedule object, lam, inner_tol and
+    horizon, as a sweep horizon's do, are not resolved again).  Each run
+    draws its T+1 samples up front, the stream of one draw per step.  One
+    loop runs over record blocks of at most BLOCK_ROWS rows: a block gathers
+    what its steps read of their samples (oracle.atom_rows) and takes its
+    steps in one plan.block call, which writes their points and mirror
+    coordinates into (n + 1, S, d) views of the loop's arrays; the plan is
+    built once per horizon from step 0's gathered models
+    (subproblem.step_plan).  A scanned plan gets blocks of whole chunks
+    (plan.chunk steps), so its chunks start at fixed step indices whatever S.
 
-    What the traces keep of a step (the model and r at its minimizers,
-    D(x_{t+1}, x_t) and its certificate residual) depends on two
-    consecutive iterates only, so the steps are recorded in blocks of at
-    most BLOCK_ROWS rows, each as soon as its steps are taken: one
-    model_rows call over the block's (centre, sample) rows (or its gathered
-    models), one state pass
-    (phi.state_at), one divergence pass and one center_certificate call
-    (subproblem.record_rows), bit for bit the record of step-by-step
-    prox_step_rows calls.  A step that fails its certificate raises
-    InnerSolveError naming the step and the row; when a later step of the
-    same block raises first, the block's completed steps are recorded
-    before that error propagates, so the certificate's failure is the one
-    reported.  Models whose row form has no batched step for (r, phi) raise
-    ValueError.  Returns S RunTraces; in the convex regime each carries its
-    averaged iterates.
-
-    When the oracle's slopes depend on the sample only (its slope_table)
-    and (r, phi) has a scan (subproblem._affine_scan: the entropy under the
-    simplex or its tilt), the steps are taken SCAN_STEPS at a time, one
-    scan call per chunk, and recorded in blocks of whole chunks.  The chunks
-    start at fixed step indices, so a run's trace does not depend on how
-    many runs step with it.
+    Each block is then recorded in one pass (model_rows over its (centre,
+    sample) rows, or its gathered models; phi.state_at; record_rows), bit
+    for bit the record of step-by-step prox_step_rows calls.  A step that
+    fails its certificate raises InnerSolveError naming the step and the
+    row; when a later step of the block raises first, the block's completed
+    steps (the exception's block_steps) are recorded before that error
+    propagates.  Models whose row form has no batched step for (r, phi)
+    raise ValueError.  Returns S RunTraces; in the convex regime each
+    carries its averaged iterates.
     """
     regime = problem.regime
-    lam, etas = _resolve_etas(problem, configs[0], regime)
-    T = configs[0].horizon_T
-    tol = configs[0].inner_tol
+    first = configs[0]
+    lam, etas = _resolve_etas(problem, first, regime)
+    T, tol = first.horizon_T, first.inner_tol
     for c in configs[1:]:
+        if (c.schedule is first.schedule and (c.lam, c.inner_tol, c.horizon_T)
+                == (first.lam, tol, T)):
+            continue
         lam_c, etas_c = _resolve_etas(problem, c, regime)
         if (lam_c != lam or c.inner_tol != tol or c.horizon_T != T
                 or not np.array_equal(etas_c, etas)):
@@ -213,18 +204,20 @@ def _run_loop(problem, configs):
     rngs = [np.random.default_rng(c.seed) for c in configs]
     xis = [oracle.sample_rows(rng, T + 1) for rng in rngs]
     xi_steps = np.stack(xis, axis=1)            # step t -> one sample per run
+    xi_shape = (-1,) + xi_steps.shape[2:]
 
     S = len(configs)
     state = phi.state_rows(np.tile(np.asarray(problem.x0, dtype=float), (S, 1)), reg)
     d = state.points.shape[1]
+    models = oracle.atom_rows(xi_steps[0])
+    plan = step_plan(models, d, reg, phi, tol)
+    if plan is None:
+        raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
+                         % (problem.id, type(models).__name__, reg.kind, phi.kind))
+    block = plan.chunk * max(1, BLOCK_ROWS // (plan.chunk * S))
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))
     iterates[0] = state.points
-    slopes, table, gather = oracle.slope_table, oracle.model_table, oracle.atom_rows
-    scan = None if slopes is None else _affine_scan(reg, phi)
-    # a scanned horizon records whole chunks per block
-    block = (max(1, BLOCK_ROWS // S) if scan is None
-             else SCAN_STEPS * max(1, BLOCK_ROWS // (SCAN_STEPS * S)))
     # the mirror coordinates of the block's first centre and its minimizers
     mirror = np.empty((block + 1, S, d))
     mirror[0] = state.mirror
@@ -233,8 +226,9 @@ def _run_loop(problem, configs):
     r_values[0] = state.r
     divergences = np.empty((T + 1, S))
     residuals = np.empty((T + 1, S))
+    table = oracle.model_table
 
-    def record(t0, t1):
+    def record(t0, t1, models):
         # steps t0 .. t1 - 1 from the states of x_t0 .. x_t1
         n = (t1 - t0) * S
         if not n:
@@ -242,7 +236,7 @@ def _run_loop(problem, configs):
         states = phi.state_at(iterates[t0:t1 + 1].reshape(-1, d),
                               mirror[:t1 - t0 + 1].reshape(-1, d), reg)
         Z, Y = states.take(slice(None, n)), states.take(slice(S, None))
-        rows = (oracle.model_rows(Z.points, xi_steps[t0:t1].reshape((n,) + xi_steps.shape[2:]))
+        rows = (oracle.model_rows(Z.points, xi_steps[t0:t1].reshape(xi_shape))
                 if table is None else take_rows(models, slice(n)))
         try:
             model_y, _, d_yz, res = record_rows(rows.values, phi, Z, Y,
@@ -258,51 +252,16 @@ def _run_loop(problem, configs):
         divergences[t0:t1] = d_yz.reshape(-1, S)
         residuals[t0:t1] = res.reshape(-1, S)
 
-    t0, plan = 0, None
-    if scan is not None:
-        for t in range(0, T + 1, SCAN_STEPS):
-            t1, k = min(t + SCAN_STEPS, T + 1), t - t0
-            try:
-                centres = RowState(iterates[t], mirror[k], None, None)
-                Y, M = scan(slopes[xi_steps[t:t1]], centres, etas[t:t1])
-                iterates[t + 1:t1 + 1] = Y
-                mirror[k + 1:k + 1 + t1 - t] = M
-            except Exception:
-                record(t0, t)
-                raise
-            if t1 - t0 == block or t1 == T + 1:
-                record(t0, t1)
-                mirror[0] = mirror[t1 - t0]
-                t0 = t1
-    else:
-        for t in range(T + 1):
-            k = t - t0
-            try:
-                centres = RowState(iterates[t], mirror[k], None, None)
-                if gather is None or not k:
-                    # this step's models, or at a block's start the block's
-                    models = (oracle.model_rows(centres.points, xi_steps[t]) if gather is None
-                              else gather(xi_steps[t0:t0 + block].reshape(
-                                  (-1,) + xi_steps.shape[2:])))
-                    plan = plan or step_plan(models, d, reg, phi, tol)
-                    prepared = plan and plan.prepare(models, etas[t] if gather is None
-                                                     else etas[t0:t0 + block].repeat(S))
-                found = plan and plan(prepared if gather is None
-                                      else take_rows(prepared, slice(k * S, k * S + S)),
-                                      centres, float(etas[t]))
-                if found is None:
-                    raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
-                                     % (problem.id, type(models).__name__, reg.kind, phi.kind))
-                Y, M = found[:2]
-                iterates[t + 1] = Y
-                mirror[k + 1] = phi.mirror_rows(Y) if M is None else M
-            except Exception:
-                record(t0, t)
-                raise
-            if k + 1 == block or t == T:
-                record(t0, t + 1)
-                mirror[0] = mirror[k + 1]
-                t0 = t + 1
+    for t0 in range(0, T + 1, block):
+        t1 = min(t0 + block, T + 1)
+        models = oracle.atom_rows(xi_steps[t0:t1].reshape(xi_shape))
+        try:
+            plan.block(models, iterates[t0:t1 + 1], mirror[:t1 - t0 + 1], etas[t0:t1])
+        except Exception as err:
+            record(t0, t0 + getattr(err, "block_steps", 0), models)
+            raise
+        record(t0, t1, models)
+        mirror[0] = mirror[t1 - t0]
 
     traces, law = [], tstar_weights(etas, rho)
     for s, (config, rng) in enumerate(zip(configs, rngs)):
@@ -353,16 +312,22 @@ def run_for_regime(problem, config):
     return _run_loop(problem, [config])[0]
 
 
-def convex_gap(problem, trace):
-    """F(x_bar) - F*, at the average the regime's rate bound controls."""
+def convex_gaps(problem, traces):
+    """F(x_bar) - F* of each trace, at the average the regime's rate bound
+    controls, in one row pass (problem.exact_F_rows)."""
     if problem.optimum is None:
         raise ValueError("problem has no recorded optimum")
-    if trace.weighted_average is None:
+    if any(tr.weighted_average is None for tr in traces):
         raise ValueError("trace carries no averaged point")
-    point = trace.weighted_average
-    if problem.oracle.constants.mu > 0:
-        point = trace.plain_average
-    return problem.exact_F(point) - problem.optimum["F_star"]
+    field = "plain_average" if problem.oracle.constants.mu > 0 else "weighted_average"
+    points = np.array([getattr(tr, field) for tr in traces])
+    return problem.exact_F_rows(points) - problem.optimum["F_star"]
+
+
+def convex_gap(problem, trace):
+    """F(x_bar) - F*, at the average the regime's rate bound controls: the
+    one-trace case of convex_gaps."""
+    return float(convex_gaps(problem, [trace])[0])
 
 
 CSV_COLUMNS = "regime,problem_id,T,seed,eta0,lambda,metric_name,metric_value,wall_ms"
@@ -528,47 +493,38 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
     """eta0, lambda, the (n_seeds, k) metric values (_metric_names) and the
     n_seeds wall times of the cells of one horizon.
 
-    The cells run in lockstep.  In the stationarity regimes the prox points
-    are solved in one bregman_prox_points batch per horizon: those of the
-    returned points ("tstar_draw"), or those of x_0..x_T of every cell, from
-    which each cell also takes its returned point ("tstar_full").  Each
-    cell's wall_ms is its share (1/S) of the loop and of that batch, plus
-    the time of its own metric.
+    The cells run in lockstep, and their metrics are one row pass over the
+    S cells: envelope.stationarity_rows at the returned points, whose prox
+    points it solves in one batch ("tstar_draw") or takes from the t*-law
+    batch of x_0..x_T of every cell, whose certified record also holds
+    D(prox(x_t), x_t) ("tstar_full"); in the convex regime one convex_gaps
+    pass.  Each cell's wall_ms is its share (1/S) of the loop and of the
+    metric batch.
     """
     if schedule_kind == "strongly_convex":
         schedule = ("strongly_convex",)
     else:
         schedule = ("constant", alpha)
-    # each cell derives an independent generator state from (T, seed index)
+    # each cell derives an independent generator state from (T, seed index);
+    # the cells share one schedule, so the loop resolves their steps once
     configs = [SolverConfig(T, seed=[s, T], lam=lam, schedule=schedule,
                             inner_tol=inner_tol) for s in range(n_seeds)]
     t0 = time.perf_counter()
     traces = _run_loop(problem, configs)
-    by_envelope = problem.regime in ("A", "B")
-    if by_envelope and metric_mode == "tstar_full":
-        w, X_law, divs = _tstar_law(problem, traces, inner_tol)
-    elif by_envelope:
-        X_hat = envelope_mod.bregman_prox_points(
-            problem, problem.phi, np.array([tr.returned_point for tr in traces]),
-            traces[0].lam, tol=inner_tol)
-    shared_ms = (time.perf_counter() - t0) * 1000.0 / n_seeds
     # cells in lockstep share their step sizes and lam
     eta0, cell_lam = float(traces[0].etas[0]), float(traces[0].lam)
-    values = np.empty((n_seeds, len(_metric_names(problem))))
-    walls = np.empty(n_seeds)
-    for s, trace in enumerate(traces):
-        t1 = time.perf_counter()
-        if by_envelope:
-            x_hat = X_law[s, trace.t_star] if metric_mode == "tstar_full" else X_hat[s]
-            report = envelope_mod.stationarity(problem, problem.phi,
-                                               trace.returned_point, trace.lam,
-                                               tol=inner_tol, x_hat=x_hat)
-            metric = (float(w @ divs[s]) if metric_mode == "tstar_full"
-                      else float(report.divergence))
-            values[s] = metric, report.local_dual_norm_of_gradient
-        else:
-            values[s] = convex_gap(problem, trace)
-        walls[s] = shared_ms + (time.perf_counter() - t1) * 1000.0
+    if problem.regime in ("A", "B"):
+        X, X_hat = np.array([tr.returned_point for tr in traces]), None
+        if metric_mode == "tstar_full":
+            w, X_law, divs = _tstar_law(problem, traces, inner_tol)
+            X_hat = X_law[np.arange(n_seeds), [tr.t_star for tr in traces]]
+        report = envelope_mod.stationarity_rows(problem, problem.phi, X, traces[0].lam,
+                                                tol=inner_tol, X_hat=X_hat)
+        metric = dot_rows(divs, w) if metric_mode == "tstar_full" else report.divergence
+        values = np.stack((metric, report.local_dual_norm_of_gradient), axis=1)
+    else:
+        values = convex_gaps(problem, traces)[:, None]
+    walls = np.full(n_seeds, (time.perf_counter() - t0) * 1000.0 / n_seeds)
     return eta0, cell_lam, values, walls
 
 
@@ -615,14 +571,14 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
 
 def _tstar_law(problem, traces, tol):
     """Weights of the t* law and, over S lockstep traces (same steps and lam)
-    in one bregman_prox_points batch, the prox points of x_0..x_T,
-    (S, T + 1, d), and D(prox(x_t), x_t), (S, T + 1)."""
+    in one envelope batch (envelope.prox_records), the prox points of
+    x_0..x_T, (S, T + 1, d), and D(prox(x_t), x_t), (S, T + 1), which the
+    batch's certified record holds."""
     w = tstar_weights(traces[0].etas, problem.oracle.constants.rho)
     X = np.concatenate([tr.iterates[:w.size] for tr in traces])
-    X_hat = envelope_mod.bregman_prox_points(problem, problem.phi, X,
-                                             traces[0].lam, tol=tol)
-    divs = problem.phi.bregman_rows(X_hat, X)
-    return w, X_hat.reshape(len(traces), w.size, -1), divs.reshape(len(traces), -1)
+    res = envelope_mod.prox_records(problem, problem.phi, X, traces[0].lam, tol=tol)
+    return (w, res.minimizer.reshape(len(traces), w.size, -1),
+            res.divergence.reshape(len(traces), -1))
 
 
 def stationarity_over_tstar_law(problem, trace, tol=1e-10):

@@ -24,30 +24,29 @@ always computed offline on recorded iterates, never inside an algorithm
 loop.  The prox points of many iterates are one batch through the exact
 objective's row form, problem.objective (P1's pieces, P2's smooth rows,
 P5's norm term, P6's quadratic); only a 1-d form with no batched path is
-bisected.
+bisected.  The reports of many points are one row pass too
+(stationarity_rows), of which the report at one point is the one-row case.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
-from .legendre import DomainError
+from .legendre import DomainError, dot_rows, take_rows
 # prox_step stays bound here: perfbench/tracing.py wraps envelope.prox_step
-from .subproblem import (prox_points_1d, prox_step, prox_step_rows,  # noqa: F401
+from .subproblem import (_bisection_1d, prox_step, prox_step_rows,  # noqa: F401
                          _missing_path)
 
 
-class EnvelopeReport:
-    """Stationarity diagnostics at one point."""
+class EnvelopeReport(namedtuple("EnvelopeReport", "prox_point divergence envelope_value_direct "
+                                 "envelope_value_conjugate envelope_gradient "
+                                 "local_dual_norm_of_gradient lower_bound_check")):
+    """Stationarity diagnostics at one point, or at the rows of an (N, d)
+    array with one entry (one row of the points and gradients) per point."""
 
-    def __init__(self, prox_point, divergence, envelope_value_direct,
-                 envelope_value_conjugate, envelope_gradient,
-                 local_dual_norm_of_gradient, lower_bound_check):
-        self.prox_point = prox_point
-        self.divergence = divergence
-        self.envelope_value_direct = envelope_value_direct
-        self.envelope_value_conjugate = envelope_value_conjugate
-        self.envelope_gradient = envelope_gradient
-        self.local_dual_norm_of_gradient = local_dual_norm_of_gradient
-        self.lower_bound_check = lower_bound_check
+    __slots__ = ()
+
+    row = take_rows  # the report of the rows idx
 
 
 def _weak_modulus(problem):
@@ -63,8 +62,10 @@ def _check_lambda(problem, lam):
         raise ValueError("need lam * (tau + rho) < 1 for a convex prox subproblem")
 
 
-def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
-    """argmin_y { F(y) + (1/lam) D(y, x) } for each row x of an (N, d) array.
+def prox_records(problem, phi, X, lam, tol=1e-10):
+    """The certified steps x -> argmin_y { F(y) + (1/lam) D(y, x) } from each
+    row x of an (N, d) array, as one batch ProxStepResult: its minimizers
+    are the prox points and its divergences D(prox(x), x).
 
     All N subproblems are solved and certified in one batch by
     prox_step_rows on the exact objective's row form (problem.objective), in
@@ -72,9 +73,9 @@ def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     |quadratic| pieces, the secular equation for a quadratic (P6), one
     lockstep Newton for a smooth objective (P2) and the shrinkage for a norm
     term (P5).  A 1-d form with no batched path takes one lockstep bisection
-    on its values and gradients (prox_points_1d); in d > 1 such a form
-    raises InnerSolveError.  Every batch is certified by center_certificate
-    with rho = tau + rho of the oracle.
+    on its values and gradients (subproblem._bisection_1d); in d > 1 such a
+    form raises InnerSolveError.  Every batch is certified by
+    center_certificate with rho = tau + rho of the oracle.
     """
     _check_lambda(problem, lam)
     X = np.asarray(X, dtype=float)
@@ -83,10 +84,16 @@ def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
     rho = _weak_modulus(problem)
     res = prox_step_rows(rows, reg, phi, X, lam, rho=rho, inner_tol=tol)
     if res is not None:
-        return res.minimizer
+        return res
     if X.shape[1] == 1:
-        return prox_points_1d(rows, reg, phi, X[:, 0], lam, rho=rho, tol=tol)[:, None]
+        return _bisection_1d(rows, reg, phi, X[:, 0], lam, rho, tol)
     raise _missing_path(rows, reg, phi)
+
+
+def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
+    """argmin_y { F(y) + (1/lam) D(y, x) } for each row x of an (N, d)
+    array: the minimizers of prox_records."""
+    return prox_records(problem, phi, X, lam, tol=tol).minimizer
 
 
 def bregman_prox_point(problem, phi, x, lam, tol=1e-10):
@@ -95,20 +102,21 @@ def bregman_prox_point(problem, phi, x, lam, tol=1e-10):
     return bregman_prox_points(problem, phi, x[None, :], lam, tol=tol)[0]
 
 
-def _envelope_values(problem, phi, x, x_hat, lam):
-    """D(x_hat, x) and the direct and conjugate envelope values at x, from
-    one value pass over (x, x_hat) and one gradient at x."""
-    F_hat = problem.exact_F(x_hat)
-    vx, v_hat = phi.value_rows(np.array([x, x_hat])).tolist()
-    if not np.isfinite(v_hat):
+def _envelope_values(problem, phi, X, X_hat, lam):
+    """D(x_hat, x) and the direct and conjugate envelope values at the rows
+    x of X, from one value pass over (X, X_hat), one gradient pass at X and
+    F at X_hat in one row pass (problem.exact_F_rows)."""
+    F_hat = problem.exact_F_rows(X_hat)
+    vx, v_hat = phi.value_rows(np.concatenate((X, X_hat))).reshape(2, -1)
+    if not np.isfinite(v_hat).all():
         raise DomainError("the proximal point must lie in dom(phi)")
-    gx = phi.gradient(x)
-    div = v_hat - vx - float(np.dot(gx, x_hat - x))
+    GX = phi.gradient_rows(X)
+    div = v_hat - vx - dot_rows(GX, X_hat - X)
     direct = F_hat + div / lam
-    u = gx / lam
+    U = GX / lam
     # (F + phi/lam)^* at u; the supremum is attained at the proximal point
-    conj = float(np.dot(u, x_hat)) - F_hat - v_hat / lam
-    conjugate = -conj - vx / lam + float(np.dot(gx, x)) / lam
+    conj = dot_rows(U, X_hat) - F_hat - v_hat / lam
+    conjugate = -conj - vx / lam + dot_rows(GX, X) / lam
     return div, direct, conjugate
 
 
@@ -116,10 +124,10 @@ def envelope_value(problem, phi, x, lam, path="direct", tol=1e-10):
     """The envelope at x by the requested evaluation path."""
     if path not in ("direct", "conjugate"):
         raise ValueError("path must be 'direct' or 'conjugate'")
-    x = np.asarray(x, dtype=float)
-    x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
+    x = np.asarray(x, dtype=float)[None, :]
+    x_hat = bregman_prox_points(problem, phi, x, lam, tol=tol)
     _, direct, conjugate = _envelope_values(problem, phi, x, x_hat, lam)
-    return direct if path == "direct" else conjugate
+    return float(direct[0] if path == "direct" else conjugate[0])
 
 
 def envelope_gradient(problem, phi, x, lam, tol=1e-10):
@@ -129,29 +137,43 @@ def envelope_gradient(problem, phi, x, lam, tol=1e-10):
     return phi.hessian_apply(x, x - x_hat) / lam
 
 
-def stationarity(problem, phi, x, lam, tol=1e-10, x_hat=None):
-    """Full stationarity report at x.
+def stationarity_rows(problem, phi, X, lam, tol=1e-10, X_hat=None):
+    """The stationarity reports at the rows of an (N, d) array X, as one
+    EnvelopeReport over the rows, each row's bit for bit (every pass is row
+    by row).
 
     The divergence field D(prox(x), x) is the convergence metric of the
     weakly convex rate theory.  lower_bound_check is
     sqrt(D) - (lam/sqrt(2)) * ||grad env||_x^* when phi declares a strong
     convexity modulus >= 1, and None otherwise (the bound is then not
-    claimed, so it is flagged rather than guessed).  x_hat is prox(x) when
-    the caller has already solved it (bregman_prox_points), else it is
-    solved here.
+    claimed, so it is flagged rather than guessed).  X_hat holds the prox
+    points when the caller has already solved them, else they are solved
+    here in one batch.  A row whose direct and conjugate envelope values
+    disagree raises RuntimeError.
     """
-    x = np.asarray(x, dtype=float)
-    if x_hat is None:
-        x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
-    div, direct, conjugate = _envelope_values(problem, phi, x, x_hat, lam)
-    if abs(direct - conjugate) > 1e-6 * (1.0 + abs(direct)):
+    X = np.asarray(X, dtype=float)
+    if X_hat is None:
+        X_hat = bregman_prox_points(problem, phi, X, lam, tol=tol)
+    div, direct, conjugate = _envelope_values(problem, phi, X, X_hat, lam)
+    bad = np.flatnonzero(np.abs(direct - conjugate) > 1e-6 * (1.0 + np.abs(direct)))
+    if bad.size:
+        i = bad[0]
         raise RuntimeError(
-            "direct and conjugate envelope values disagree: %.12g vs %.12g"
-            % (direct, conjugate))
-    grad = phi.hessian_apply(x, x - x_hat) / lam
-    dual = phi.local_dual_norm(x, grad)
+            "direct and conjugate envelope values disagree: %.12g vs %.12g (row %d)"
+            % (direct[i], conjugate[i], i))
+    grad = phi.hessian_apply(X, X - X_hat) / lam
+    dual = phi.local_dual_norm_rows(X, grad)
     modulus = phi.strong_convexity_modulus
     check = None
     if modulus is not None and modulus >= 1.0:
-        check = float(np.sqrt(max(div, 0.0)) - (lam / np.sqrt(2.0)) * dual)
-    return EnvelopeReport(x_hat, div, direct, conjugate, grad, dual, check)
+        check = np.sqrt(np.maximum(div, 0.0)) - (lam / np.sqrt(2.0)) * dual
+    return EnvelopeReport(X_hat, div, direct, conjugate, grad, dual, check)
+
+
+def stationarity(problem, phi, x, lam, tol=1e-10, x_hat=None):
+    """Full stationarity report at x: the one-row case of stationarity_rows.
+    x_hat is prox(x) when the caller has already solved it, else it is
+    solved here."""
+    x = np.asarray(x, dtype=float)[None, :]
+    x_hat = None if x_hat is None else np.asarray(x_hat, dtype=float)[None, :]
+    return stationarity_rows(problem, phi, x, lam, tol=tol, X_hat=x_hat).row(0)

@@ -33,9 +33,8 @@ OPEN_POSITIVE_ORTHANT = "open_positive_orthant"
 
 
 def primal_norm(v, kind):
-    if kind == "l1":
-        return float(np.sum(np.abs(v)))
-    return float(np.linalg.norm(v))
+    """The l1 or l2 norm over the last axis: of one vector, or row by row."""
+    return np.abs(v).sum(axis=-1) if kind == "l1" else norm_rows(v)
 
 
 def dot_rows(a, b):
@@ -116,7 +115,7 @@ class LocalNormContext:
         self.norm = norm
 
     def local_dual_norm(self, v):
-        return primal_norm(_solve_hessian(self.hessian_factor, v), self.norm)
+        return float(primal_norm(_solve_hessian(self.hessian_factor, v), self.norm))
 
 
 class LegendreFunction:
@@ -124,11 +123,12 @@ class LegendreFunction:
 
     Subclasses write each formula once, as a row form over an (N, d) array of
     points -- value_rows, gradient_rows and hessian_rows -- with
-    hessian_apply / hessian_solve in closed form, and declare their domain,
-    primal norm, and (when known) a strong convexity modulus with respect to
-    that norm.  The pointwise value, gradient, bregman, hessian_matrix and
-    in_interior are the one-row case of the row forms, so a point and a row
-    give the same bits.  Instances are immutable after construction and all
+    hessian_apply / hessian_solve in closed form over the last axis (one
+    point, or the rows of (N, d) arrays), and declare their domain, primal
+    norm, and (when known) a strong convexity modulus with respect to that
+    norm.  The pointwise value, gradient, bregman, hessian_matrix,
+    local_dual_norm and in_interior are the one-row case of the row forms,
+    so a point and a row give the same bits.  Instances are immutable after construction and all
     operations are pure, so they are safe to share across concurrent
     workers.
     """
@@ -151,9 +151,12 @@ class LegendreFunction:
         raise NotImplementedError
 
     def hessian_apply(self, x, v):
+        """hessian(x) v over the last axis: at one point, or row by row at
+        the rows of two (N, d) arrays."""
         raise NotImplementedError
 
     def hessian_solve(self, x, v):
+        """hessian(x)^-1 v over the last axis, as hessian_apply."""
         raise NotImplementedError
 
     def value(self, x):
@@ -235,8 +238,11 @@ class LegendreFunction:
 
     def local_dual_norm(self, x, v):
         """||hessian(x)^-1 v|| in the declared primal norm."""
-        u = self.hessian_solve(x, np.asarray(v, dtype=float))
-        return primal_norm(u, self.norm)
+        return float(self.local_dual_norm_rows(_one_row(x), _one_row(v))[0])
+
+    def local_dual_norm_rows(self, X, V):
+        """local_dual_norm at the rows of two (N, d) arrays."""
+        return primal_norm(self.hessian_solve(X, V), self.norm)
 
     def local_norm_context(self, x):
         self.check_interior(x)
@@ -454,18 +460,18 @@ class RadialPowerSum(LegendreFunction):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         a, b = self._hessian_coefs(norm_rows(x)[..., None])
-        return a * v + b * np.dot(x, v) * x
+        return a[..., None] * v + (b * dot_rows(x, v))[..., None] * x
 
     def hessian_solve(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         r = norm_rows(x)
         a, b = self._hessian_coefs(r[..., None])
-        if a == 0.0:
+        if not np.all(a):
             raise SingularHessianError(
                 "hessian of a pure high-order radial phi is singular at 0")
         # Sherman-Morrison on a*I + b*x*x^T
-        return v / a - (b * np.dot(x, v) / (a * (a + b * r * r))) * x
+        return v / a[..., None] - (b * dot_rows(x, v) / (a * (a + b * r * r)))[..., None] * x
 
     def radial_terms(self):
         return self.coefs.copy(), self.powers.copy()
@@ -524,7 +530,9 @@ class WeightedSum(LegendreFunction):
         return self._sum(c.hessian_apply(x, v) for c in self.children)
 
     def hessian_solve(self, x, v):
-        return _solve_hessian(self.hessian_matrix(x), v)
+        x = np.asarray(x, dtype=float)
+        H = self.hessian_rows(x.reshape(-1, x.shape[-1])).reshape(x.shape + x.shape[-1:])
+        return _solve_hessian(H, np.asarray(v, dtype=float)[..., None])[..., 0]
 
     def to_config(self):
         return {

@@ -57,11 +57,6 @@ class ModelOracle:
     slope_table = None
     # the models' row form when they depend on the sample only, else None
     model_table = None
-    # atom_rows(xi): what a record block's steps read of the samples xi,
-    # gathered once per block (the model_table's rows, or the atoms that
-    # anchor the models at each step's centres); None where each step takes
-    # its models from model_rows
-    atom_rows = None
 
     def __init__(self, regime, constants, test_point_sampler=None):
         if regime not in ("A", "B", "C"):
@@ -97,6 +92,12 @@ class ModelOracle:
             raise NotImplementedError
         return take_rows(self.model_table, np.asarray(xi))
 
+    def atom_rows(self, xi):
+        """What the steps of a record block read of their samples xi,
+        gathered once per block: the model_table's rows xi by default, or
+        the atoms that anchor the models at each step's centres."""
+        return take_rows(self.model_table, xi)
+
     def model_value(self, x, y, xi):
         """f_x(y, xi): the one-point case of model_rows."""
         return float(self.model_rows(np.asarray(x, dtype=float), xi).values(
@@ -109,6 +110,10 @@ class ModelOracle:
     # -- exact expectations ---------------------------------------------------
     def f_exact(self, x):
         """The true objective component f (exact or frozen-empirical)."""
+        return float(self.f_rows(x))
+
+    def f_rows(self, X):
+        """f at each point of X (the last axis), bit for bit f_exact of each."""
         raise NotImplementedError
 
     def expected_model_value(self, x, y):
@@ -176,6 +181,16 @@ def _tangent_rows(X, slopes, values):
     return AffineRows(slopes, values - dot_rows(slopes, X), False)
 
 
+class _MappedSlopes(TangentRows):
+    """TangentRows whose slopes at the centres X are slope_fn(X, shift): a
+    grad_map's at the samples shift."""
+
+    __slots__ = ()
+
+    def gradients(self, X):
+        return self.slope_fn(X, self.shift)
+
+
 class LinearMirrorOracle(FiniteSupportOracle):
     """f_x(y, xi) = f(x) + <G(x, xi), y - x> over a finite sample space.
 
@@ -204,13 +219,19 @@ class LinearMirrorOracle(FiniteSupportOracle):
         super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
 
+    def atom_rows(self, xi):
+        """The slopes: TangentRows of the slope_table's rows xi, or the
+        grad_map's slopes at the samples xi (_MappedSlopes)."""
+        if self.slope_table is None:
+            return _MappedSlopes(self._G, xi)
+        return TangentRows(None, self.slope_table[xi])
+
     def model_rows(self, X, xi):
         X = np.asarray(X, dtype=float)
-        G = self._G(X, xi) if self.slope_table is None else self.slope_table[xi]
-        return _tangent_rows(X, G, self._f(X))
+        return _tangent_rows(X, self.atom_rows(xi).gradients(X), self._f(X))
 
-    def f_exact(self, x):
-        return float(self._f(np.asarray(x, dtype=float)))
+    def f_rows(self, X):
+        return self._f(np.asarray(X, dtype=float))
 
 
 class NoisyGradientOracle(ModelOracle):
@@ -254,8 +275,8 @@ class NoisyGradientOracle(ModelOracle):
         raise NotImplementedError(
             "noisy-gradient oracles claim a variance bound, not a Lipschitz one")
 
-    def f_exact(self, x):
-        return float(self._f(np.asarray(x, dtype=float)))
+    def f_rows(self, X):
+        return self._f(np.asarray(X, dtype=float))
 
     def expected_model_value(self, x, y):
         # the noise is mean-zero, so the expected model is the exact tangent
@@ -293,9 +314,9 @@ class ProxLinearOracle(FiniteSupportOracle):
     def model_rows(self, X, xi):
         return AffineRows(*self.atom_rows(xi).affine(np.asarray(X, dtype=float)), True)
 
-    def f_exact(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(self.weights @ np.abs(self.a2 * x * x - self.b))
+    def f_rows(self, X):
+        X = np.asarray(X, dtype=float)
+        return dot_rows(np.abs(self.a2 * X * X - self.b), self.weights)
 
     def tau_from_accuracy(self):
         """tau = (4/3) E[a2[xi]] for the accuracy-adapted Legendre function."""
@@ -336,8 +357,8 @@ class SaddleOracle(FiniteSupportOracle):
         G = self.atom_rows(xi).gradients(np.asarray(X, dtype=float))
         return AffineRows(G, np.zeros(G.shape[:-1]), False)
 
-    def f_exact(self, x):
-        return float(self.objective.values(np.asarray(x, dtype=float)))
+    def f_rows(self, X):
+        return self.objective.values(np.asarray(X, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +385,9 @@ class ProximalPointOracle(FiniteSupportOracle):
         super().__init__(weights=weights, lip=lip, regime=regime, constants=constants,
                          test_point_sampler=test_point_sampler)
 
-    def atom_rows(self, xi):
-        return take_rows(self.model_table, xi)
-
     def f_rows(self, X):
-        """f at each point of X (the last axis)."""
-        return self.model_table.values(np.asarray(X, dtype=float)[..., None, :]) @ self.weights
-
-    def f_exact(self, x):
-        return float(self.f_rows(x))
+        return dot_rows(self.model_table.values(np.asarray(X, dtype=float)[..., None, :]),
+                        self.weights)
 
     def grad_f(self, x):
         x = np.asarray(x, dtype=float)

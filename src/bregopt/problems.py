@@ -60,10 +60,13 @@ class ProblemInstance:
         return self.oracle.f_exact(x)
 
     def exact_F(self, x):
-        r = self.regularizer.value(x)
-        if not np.isfinite(r):
-            return np.inf
-        return self.exact_f(x) + r
+        return float(self.exact_F_rows(np.asarray(x, dtype=float)[None, :])[0])
+
+    def exact_F_rows(self, X):
+        """F at each row of an (N, d) array, +inf outside dom r; exact_F is
+        its one-row case."""
+        r = self.regularizer.value_rows(X)
+        return np.where(np.isfinite(r), self.oracle.f_rows(X) + r, np.inf)
 
     def sample_domain_point(self, rng):
         return np.asarray(self._sampler(rng), dtype=float)

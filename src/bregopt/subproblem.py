@@ -23,13 +23,14 @@ optimality residual, the runtime contract
 which holds with residual >= 0 exactly when z+ is the true minimizer.
 """
 
+import weakref
 from collections import namedtuple
 from functools import partial
 
 import numpy as np
 
 from .legendre import (Burg, DomainError, Euclidean, RowState, ShannonEntropy, dot_rows,
-                       norm_rows)
+                       norm_rows, take_rows)
 
 
 class InnerSolveError(RuntimeError):
@@ -37,6 +38,7 @@ class InnerSolveError(RuntimeError):
 
 
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
+SCAN_STEPS = 16    # the steps of one scanned chunk, whatever the number of runs
 # the log of the largest total magnitude an entropic step's record may sum
 # (float max over e^4, room for the certificate's handful of such sums)
 _FLOAT_MAX = np.finfo(float).max
@@ -346,6 +348,18 @@ def power_terms(coefs, powers):
                       sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms, cap)
 
 
+_KERNEL_POWERS = weakref.WeakKeyDictionary()  # phi -> its power_terms, or None
+
+
+def _kernel_power(phi):
+    """phi's power_terms, prepared once per kernel (phi is immutable), or
+    None when phi is not radial."""
+    if phi not in _KERNEL_POWERS:
+        terms = phi.radial_terms()
+        _KERNEL_POWERS[phi] = None if terms is None else power_terms(*terms)
+    return _KERNEL_POWERS[phi]
+
+
 def solve_monotone_power(power, target, tol=1e-14, max_iter=200):
     """Root of s(r) = sum_k a_k r^e_k = target over r >= 0 for the
     power_terms power, unique since s is increasing and convex.
@@ -527,7 +541,7 @@ def _affine_solver(reg, phi):
     """
     euclid = isinstance(phi, Euclidean)
     entropy = isinstance(phi, ShannonEntropy)
-    terms = phi.radial_terms()
+    power = _kernel_power(phi)
 
     if reg.kind == "zero":
         if euclid:
@@ -548,8 +562,8 @@ def _affine_solver(reg, phi):
                 return 1.0 / w, None
 
             return burg
-        if terms is not None:
-            return partial(_radial_solver, power_terms(*terms), None)
+        if power is not None:
+            return partial(_radial_solver, power, None)
     elif reg.kind == "indicator_simplex" and entropy:
         return lambda v, Z, eta: _log_softmax(Z.mirror - eta * v)
     elif reg.kind == "entropy_like" and entropy:
@@ -566,8 +580,8 @@ def _affine_solver(reg, phi):
                 return y, y
 
             return ball
-        if terms is not None:
-            return partial(_radial_solver, power_terms(*terms), reg.radius)
+        if power is not None:
+            return partial(_radial_solver, power, reg.radius)
     elif reg.kind == "l1" and euclid:
         def l1(v, Z, eta):
             u = Z.points - eta * v
@@ -634,9 +648,15 @@ class ProxLinearRows(namedtuple("ProxLinearRows", "a2 b")):
     absolute = True
 
     def affine(self, X):
-        a2, x = self.a2, X[..., 0]
-        g = 2.0 * a2 * x
-        return g[..., None], a2 * x * x - self.b - g * x
+        g, s = _kink_slopes(self.a2, self.b, X[..., 0])
+        return g[..., None], s
+
+
+def _kink_slopes(a2, b, x):
+    """The slopes c' = 2 a2 x and offsets c - c' x of the models
+    |c + c'(y - x)|, c = a2 x^2 - b, at the 1-d centres x, entrywise."""
+    g = 2.0 * a2 * x
+    return g, a2 * x * x - b - g * x
 
 
 class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
@@ -660,15 +680,16 @@ class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
 
 class TangentRows(namedtuple("TangentRows", "slope_fn shift")):
     """Linear models over rows whose slopes at the centres x_i are
-    slope_fn(x_i) + shift[i], given without their offsets: what a step reads
-    of models that its centres anchor (P2's gradient plus noise, P5's inner
-    argmax plus atom)."""
+    slope_fn(x_i) + shift[i], or shift[i] when slope_fn is None, given
+    without their offsets: what a step reads of models that its centres
+    anchor (P2's gradient plus noise, P5's inner argmax plus atom), or of
+    linear models whose slopes depend on the sample only (P3's and P4's)."""
 
     __slots__ = ()
     absolute = False
 
     def gradients(self, X):
-        return self.slope_fn(X) + self.shift
+        return self.shift if self.slope_fn is None else self.slope_fn(X) + self.shift
 
 
 class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
@@ -787,7 +808,8 @@ def _abs_affine_rows(solve, power, phi, by_kink, rows, Z, eta):
         # a one-row form stands for every row
         G, s = np.broadcast_to(G, shape), np.broadcast_to(s, shape[:1])
     if by_kink:
-        return _abs_affine_1d(solve, power, phi, G[:, 0], s, Z, eta)
+        y, W = _abs_affine_1d(solve, power, phi, G[:, 0], s, Z.points[:, 0], Z.mirror[:, 0], eta)
+        return y[:, None], None if W is None else W[:, None], 1, "closed_form_abs_affine"
     lo, hi = _theta_bounds(phi, Z.points, G, eta)
 
     def level(theta, idx):
@@ -821,9 +843,11 @@ def _theta_bounds(phi, Z, G, eta):
             np.where(G < 0.0, t, np.inf).min(axis=1))
 
 
-def _abs_affine_1d(solve, power, phi, g, s, Z, eta):
+def _abs_affine_1d(solve, power, phi, g, s, z, m, eta):
     """The path of |g_i y + s_i| + (1/eta) D(y, z_i) over 1-d rows, r = 0,
-    with the minimizers' mirror coordinates under a radial phi (else None).
+    from the centres z and their mirror coordinates m, (S,) arrays: the
+    minimizers y and, under a radial phi, their mirror coordinates (else
+    None), (S,) arrays.
 
     With w = phi'(z), the kink y0 = -s/g and k = phi'(y0), the level of the
     affine step of the slope theta g has the sign of g (w - eta theta g - k),
@@ -837,7 +861,7 @@ def _abs_affine_1d(solve, power, phi, g, s, Z, eta):
     at its theta, and a kink outside int dom phi (y0 <= 0 on a positive
     domain) has k = -inf.
     """
-    z, w = Z.points[:, 0], phi.gradient_from_mirror(Z.mirror)[:, 0]
+    w = phi.gradient_from_mirror(m)
     flat = g == 0.0
     if power is not None:
         y0 = -s / np.copysign(np.maximum(np.abs(g) + flat, np.abs(s) / power.cap), g)
@@ -853,13 +877,33 @@ def _abs_affine_1d(solve, power, phi, g, s, Z, eta):
     kink = W == k
     if power is None:
         theta = np.where(kink, 0.0, np.where(W == w - step, 1.0, -1.0))
-        Y = solve((theta * g)[:, None], Z, eta)[0]
-        Y[kink, 0] = y0[kink]
-        Y[flat] = Z.points[flat]
-        return Y, None, 1, "closed_form_abs_affine"
+        y = solve((theta * g)[:, None], RowState(z[:, None], m[:, None], None, None), eta)[0][:, 0]
+        y[kink] = y0[kink]
+        y[flat] = z[flat]
+        return y, None
     y = np.where(kink, y0, np.copysign(_radial_root(power, np.abs(W)), W))
     y[flat] = z[flat]
-    return y[:, None], W[:, None], 1, "closed_form_abs_affine"
+    return y, W
+
+
+def _kink_step(solve, power, phi, rows, P, M, etas, k, S):
+    """Step k of a record block of 1-d prox-linear models (ProxLinearRows,
+    r = 0; plan.block): _abs_affine_1d on row k of the (n, S) views of the
+    block's atoms (a2, b), from P[k] and M[k] to P[k + 1] and M[k + 1]."""
+    z, i = P[k, :, 0], slice(k * S, k * S + S)
+    y, W = _abs_affine_1d(solve, power, phi, *_kink_slopes(rows.a2[i], rows.b[i], z), z,
+                          M[k, :, 0], etas[k])
+    P[k + 1, :, 0] = y
+    M[k + 1] = phi.mirror_rows(P[k + 1]) if W is None else W[:, None]
+
+
+def _scan_chunk(scan, rows, P, M, etas, k, S):
+    """Steps k .. k + SCAN_STEPS - 1 of a record block of linear models
+    whose slopes rows.shift depend on the sample only (plan.block): one
+    _affine_scan call."""
+    k1 = min(k + SCAN_STEPS, len(etas))
+    P[k + 1:k1 + 1], M[k + 1:k1 + 1] = scan(rows.shift[k * S:k1 * S].reshape(k1 - k, S, -1),
+                                            RowState(P[k], M[k], None, None), etas[k:k1])
 
 
 # ---------------------------------------------------------------------------
@@ -1225,10 +1269,21 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     iterations, method), the centres when eta < ETA_FLOOR, or None when
     AbsQuadraticRows fail their coefficient condition.  It reads its rows as
     plan.prepare(rows, eta) gives them (eta one, or one per row), so many
-    steps prepare in one pass: SecularRows for the secular step, else rows."""
-    terms = phi.radial_terms()
-    power = None if terms is None else power_terms(*terms)
-    path, prepare = None, lambda rows, eta: rows
+    steps prepare in one pass: SecularRows for the secular step, else rows.
+
+    plan.block(rows, P, M, etas) takes the n = len(etas) steps of a record
+    block: rows are their n S gathered rows, step-major, and P and M
+    (n + 1, S, d) arrays whose first entries hold the first centres' points
+    and mirror coordinates; step k writes its minimizers' to P[k + 1] and
+    M[k + 1].  1-d prox-linear models step from their atoms (_kink_step);
+    slopes that depend on the sample only (TangentRows with no slope_fn)
+    under the entropy and the simplex or its tilt are scanned plan.chunk =
+    SCAN_STEPS steps per call (_scan_chunk) from the block's start; every
+    other path takes its one-step solve per step.  When a step raises, the
+    exception's block_steps counts the block's steps written before it.
+    """
+    power = _kernel_power(phi)
+    path, prepare, unit, chunk = None, lambda rows, eta: rows, None, 1
     if isinstance(rows, (SmoothRows, QuadraticRows)) and reg.kind == "zero":
         if isinstance(rows, QuadraticRows) and power is not None:
             path, prepare = partial(_secular, power, _growth(power)), _secular_rows
@@ -1239,12 +1294,19 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
         path = partial(_norm_term_rows, reg)
     elif isinstance(rows, (AffineRows, ProxLinearRows, TangentRows)):
         solve = _affine_solver(reg, phi)
+        by_kink = reg.kind == "zero" and d == 1
         if solve is not None and rows.absolute:
-            path = partial(_abs_affine_rows, solve, power, phi, reg.kind == "zero" and d == 1)
+            path = partial(_abs_affine_rows, solve, power, phi, by_kink)
+            if by_kink and isinstance(rows, ProxLinearRows):
+                unit = partial(_kink_step, solve, power, phi)
         elif solve is not None:
             # an affine model's slope at the centre is its gradient there
             path = lambda rows, Z, eta: (*solve(rows.gradients(Z.points), Z, eta), 1,
                                          "closed_form_affine")
+            scan = (isinstance(rows, TangentRows) and rows.slope_fn is None
+                    and _affine_scan(reg, phi))
+            if scan:
+                unit, chunk = partial(_scan_chunk, scan), SCAN_STEPS
     elif (isinstance(rows, AbsQuadraticRows) and reg.kind == "zero"
           and power is not None and power.closed):
         path = partial(_abs_quadratic_rows, power.a1, power.a3, phi)
@@ -1254,7 +1316,26 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
             return Z.points, Z.mirror, 0, "degenerate_eta"
         return path(rows, Z, eta)
 
-    plan.prepare = prepare
+    def step(rows, P, M, etas, k, S):
+        Y, mirror = path(take_rows(rows, slice(k * S, k * S + S)),
+                         RowState(P[k], M[k], None, None), etas[k])[:2]
+        P[k + 1] = Y
+        M[k + 1] = phi.mirror_rows(Y) if mirror is None else mirror
+
+    def block(rows, P, M, etas):
+        S, k = P.shape[1], 0
+        rows = prepare(rows, etas.repeat(S))
+        try:
+            for k in range(0, len(etas), chunk):
+                if chunk == 1 and etas[k] < ETA_FLOOR:
+                    P[k + 1], M[k + 1] = P[k], M[k]  # degenerate_eta
+                else:
+                    (unit or step)(rows, P, M, etas, k, S)
+        except Exception as err:
+            err.block_steps = k
+            raise
+
+    plan.prepare, plan.chunk, plan.block = prepare, chunk, block
     return path and plan
 
 

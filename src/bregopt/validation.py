@@ -191,15 +191,10 @@ def _golden_polish(f, lo, hi, tol=1e-12, max_iter=300):
 
 
 def _simplex_vertex_min(problem):
-    d = problem.dimension
-    best_v, best_x = np.inf, None
-    for k in range(d):
-        x = np.zeros(d)
-        x[k] = 1.0
-        v = problem.exact_F(x)
-        if v < best_v:
-            best_v, best_x = v, x
-    return OracleResult(best_v, best_x, "grid", 0.0)
+    vertices = np.eye(problem.dimension)
+    values = problem.exact_F_rows(vertices)
+    k = int(np.argmin(values))
+    return OracleResult(float(values[k]), vertices[k], "grid", 0.0)
 
 
 def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
@@ -261,7 +256,7 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
     axis = np.linspace(lo, hi, n)
 
     if method == "golden_section":
-        vals = np.array([problem.exact_F(np.array([t])) for t in axis])
+        vals = problem.exact_F_rows(axis[:, None])
         k = int(np.argmin(vals))
         a = axis[max(k - 1, 0)]
         b = axis[min(k + 1, n - 1)]

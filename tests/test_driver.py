@@ -138,25 +138,18 @@ def test_registry_p6_secular_steps_take_one_pass(monkeypatch):
     y -> eta Q y + grad phi(y) is strongly monotone with modulus
     eta lam_min + A(0), and each of the two solves rounds y by a few ulps
     in d = 2."""
-    from bregopt import driver, subproblem
+    from bregopt import subproblem
     calls = []
-    step_plan = subproblem.step_plan
+    secular = subproblem._secular
 
-    def recording(*args, **kwargs):
-        plan = step_plan(*args, **kwargs)
+    def recorded(power, growth, rows, state, *args):
+        out = secular(power, growth, rows, state, *args)
+        # the loop's buffers are written again at each record block
+        calls.append((tuple(np.array(f) for f in rows), state.mirror.copy(), out))
+        return out
 
-        def recorded(rows, Z, eta):
-            out = plan(rows, Z, eta)
-            if out[3] == "secular":
-                # the loop's buffers are written again at each record block
-                calls.append((tuple(np.array(f) for f in rows), Z.mirror.copy(), out))
-            return out
-
-        recorded.prepare = plan.prepare
-        return plan and recorded
-
-    monkeypatch.setattr(driver, "step_plan", recording)
-    monkeypatch.setattr(subproblem, "step_plan", recording)
+    # the plans bind the solve when they are built
+    monkeypatch.setattr(subproblem, "_secular", recorded)
     prob = get_problem("P6")
     sweep(prob, [64, 256], 8)
     power = power_terms(*prob.phi.radial_terms())
@@ -258,6 +251,24 @@ def test_config_validation():
                              schedule=("explicit", [cap, cap, cap])))
     with pytest.raises(ValueError):
         run_model_based(p3, SolverConfig(3, seed=0))  # wrong regime for loop
+
+
+@pytest.mark.parametrize("lam, schedule", [
+    (np.nan, ("constant", 1.0)),
+    (None, ("constant", np.nan)),
+    (None, ("explicit", [0.1, np.nan, 0.05])),
+])
+def test_a_step_size_that_is_not_finite_raises_before_the_loop(monkeypatch, lam, schedule):
+    # every comparison with NaN is False, so the range checks alone let a NaN
+    # lam, alpha or step size through to the loop's certificate
+    from bregopt import driver
+
+    def no_plan(*args):
+        raise AssertionError("the loop started")
+
+    monkeypatch.setattr(driver, "step_plan", no_plan)
+    with pytest.raises(ValueError, match="finite"):
+        run_model_based(get_problem("P1"), SolverConfig(2, seed=0, lam=lam, schedule=schedule))
 
 
 def test_nonincreasing_sequence_lemma():
@@ -497,13 +508,14 @@ def test_sweep_rows_equal_metrics_of_separate_runs():
 def test_tstar_full_solves_the_returned_point_once(monkeypatch):
     # no cell solves its returned point alone: tstar_full takes it from the
     # horizon's t*-law batch (S (T + 1) rows), tstar_draw from one batch of
-    # the S returned points per horizon
+    # the S returned points per horizon (bregman_prox_points, whose batch is
+    # prox_records')
     calls, batches = [], []
     single = envelope.bregman_prox_point
-    batch = envelope.bregman_prox_points
+    batch = envelope.prox_records
     monkeypatch.setattr(envelope, "bregman_prox_point",
                         lambda *a, **k: calls.append(1) or single(*a, **k))
-    monkeypatch.setattr(envelope, "bregman_prox_points",
+    monkeypatch.setattr(envelope, "prox_records",
                         lambda *a, **k: batches.append(len(a[2])) or batch(*a, **k))
     sweep(get_problem("P1"), [4, 8], 2, metric_mode="tstar_full")
     assert calls == [] and batches == [10, 18]
@@ -651,16 +663,16 @@ def test_block_records_equal_the_step_by_step_records(S, T, monkeypatch):
     # ones within the scan's rounding (util_problems.scan_tolerance), and
     # their records are bit for bit the step-by-step records of the scan's
     # own iterates and logs
-    from bregopt import driver
+    from bregopt import subproblem
     from bregopt.legendre import Burg
     from util_problems import scan_tolerance
-    build, scanned = driver._affine_scan, []
+    build, scanned = subproblem._affine_scan, []
 
     def kept(reg, phi):
         scan = build(reg, phi)
         return scan and (lambda *args: scanned.append(scan(*args)) or scanned[-1])
 
-    monkeypatch.setattr(driver, "_affine_scan", kept)
+    monkeypatch.setattr(subproblem, "_affine_scan", kept)
     newton = get_problem("P6")
     newton.phi, newton.x0 = Burg(), np.array([1.5, 2.0])
     for problem in registry() + [newton]:
@@ -673,7 +685,7 @@ def test_block_records_equal_the_step_by_step_records(S, T, monkeypatch):
         iterates, records, ref_logs = _reference_loop(problem, configs, carry=True)
         got = np.array([tr.iterates for tr in traces])
         if problem.id in ("P3", "P4"):
-            assert len(scanned) == -(-(T + 1) // driver.SCAN_STEPS), problem.id
+            assert len(scanned) == -(-(T + 1) // subproblem.SCAN_STEPS), problem.id
             logs = np.concatenate([ref_logs[:1]] + [L for _, L in scanned])
             assert np.array_equal(got.transpose(1, 0, 2)[1:], np.exp(logs[1:])), problem.id
             slopes = problem.oracle.slope_table[np.array([tr.sampled_xi_ids for tr in traces]).T]
@@ -702,8 +714,8 @@ def test_a_step_that_fails_its_certificate_raises_from_the_loop(monkeypatch, lat
     # block's second chunk (from step 16) raising first, the completed chunk
     # is recorded and the certificate's failure is still the one reported.
     # The mutation is in the horizon's one scan.
-    from bregopt import driver
-    build, builds, calls = driver._affine_scan, [], []
+    from bregopt import subproblem
+    build, builds, calls = subproblem._affine_scan, [], []
 
     def mutated_scan(*args):
         scan = build(*args)
@@ -712,7 +724,7 @@ def test_a_step_that_fails_its_certificate_raises_from_the_loop(monkeypatch, lat
         def mutated(V, Z, etas):
             c = len(calls)
             calls.append(c)
-            if later is not None and c * driver.SCAN_STEPS == later:
+            if later is not None and c * subproblem.SCAN_STEPS == later:
                 raise InnerSolveError("a later chunk failed")
             Y, L = scan(V, Z, etas)
             if c == 0:
@@ -722,7 +734,7 @@ def test_a_step_that_fails_its_certificate_raises_from_the_loop(monkeypatch, lat
 
         return mutated
 
-    monkeypatch.setattr(driver, "_affine_scan", mutated_scan)
+    monkeypatch.setattr(subproblem, "_affine_scan", mutated_scan)
     failed = "lockstep step 5, row 2 missed tolerance: "
     with pytest.raises(InnerSolveError, match=failed) as info:
         sweep(get_problem("P3"), [64], 4)
@@ -734,7 +746,7 @@ def test_a_step_that_fails_its_certificate_raises_from_the_loop(monkeypatch, lat
 
 def test_each_horizon_and_each_batch_builds_one_plan(monkeypatch):
     # the loop picks its path and constants once per horizon, from step 0's
-    # models (or its scan, when the oracle's slopes are a slope table), and
+    # models (with its scan, when the oracle's slopes are a slope table), and
     # each envelope batch (prox_step_rows) once
     from bregopt import driver, subproblem
     builds = []
@@ -744,16 +756,16 @@ def test_each_horizon_and_each_batch_builds_one_plan(monkeypatch):
 
     monkeypatch.setattr(driver, "step_plan", counted("loop", driver.step_plan))
     monkeypatch.setattr(subproblem, "step_plan", counted("batch", subproblem.step_plan))
-    monkeypatch.setattr(driver, "_affine_scan", counted("scan", driver._affine_scan))
+    monkeypatch.setattr(subproblem, "_affine_scan", counted("scan", subproblem._affine_scan))
     for pid in ("P1", "P2", "P6"):
         builds.clear()
         sweep(get_problem(pid), [4, 8, 16], 3, metric_mode="tstar_full")
         assert builds == ["loop", "batch"] * 3, pid
-    # P3's slopes depend on the sample only: each horizon builds its scan,
-    # and no per-step plan
+    # P3's slopes depend on the sample only: each horizon's plan builds its
+    # scan
     builds.clear()
     sweep(get_problem("P3"), [4, 8], 3)
-    assert builds == ["scan"] * 2
+    assert builds == ["loop", "scan"] * 2
 
 
 def test_a_reused_plan_steps_as_one_use_solves():
@@ -783,6 +795,91 @@ def test_a_reused_plan_steps_as_one_use_solves():
         assert found[2:] == (0, "degenerate_eta"), problem.id
 
 
+def _block_and_steps(problem, S, etas):
+    # plan.block over one record block of S runs and len(etas) steps from
+    # x_0, and the same steps by the plan's one-step solve (plan.prepare,
+    # then one plan call per step from the carried state)
+    from bregopt.legendre import RowState
+    from bregopt.subproblem import step_plan
+    oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
+    n = len(etas)
+    xi = oracle.sample_rows(np.random.default_rng(5), n * S)
+    rows = oracle.atom_rows(xi)
+    Z = phi.state_rows(np.tile(problem.x0, (S, 1)), reg)
+    plan = step_plan(rows, Z.points.shape[1], reg, phi, 1e-10)
+    P, M = np.empty((n + 1,) + Z.points.shape), np.empty((n + 1,) + Z.points.shape)
+    P[0], M[0] = Z.points, Z.mirror
+    plan.block(rows, P, M, etas)
+    steps = [(Z.points, Z.mirror)]
+    for k, eta in enumerate(etas):
+        rows_k = plan.prepare(oracle.atom_rows(xi[k * S:k * S + S]), eta)
+        Y, mirror = plan(rows_k, RowState(*steps[-1], None, None), float(eta))[:2]
+        steps.append((Y, phi.mirror_rows(Y) if mirror is None else mirror))
+    return plan, P, M, steps
+
+
+def test_a_block_steps_as_its_one_step_plan():
+    # plan.block, bit for bit the plan's step-by-step solves on every path of
+    # the registry that is not scanned (P1's kink block from its atoms'
+    # views, P2's radial root, P5's ball, P6's secular solve), step 3 with a
+    # step size below ETA_FLOOR (degenerate_eta: the step keeps its centres);
+    # P3's and P4's blocks scan SCAN_STEPS steps per chunk from the block's
+    # first step, bit for bit their chunks' scans
+    from bregopt.legendre import RowState
+    from bregopt.subproblem import ETA_FLOOR, SCAN_STEPS, _affine_scan
+    for problem in registry():
+        _, etas = _resolve_etas(problem, SolverConfig(39, seed=0), problem.regime)
+        etas = etas * np.linspace(1.0, 0.5, 40)
+        etas[3] = ETA_FLOOR / 2.0
+        plan, P, M, steps = _block_and_steps(problem, 4, etas)
+        assert np.array_equal(P[4], P[3]) and np.array_equal(M[4], M[3]), problem.id
+        if plan.chunk == 1:
+            for k, (Y, mirror) in enumerate(steps):
+                assert np.array_equal(P[k], Y) and np.array_equal(M[k], mirror), (problem.id, k)
+            continue
+        assert plan.chunk == SCAN_STEPS and problem.id in ("P3", "P4")
+        scan = _affine_scan(problem.regularizer, problem.phi)
+        xi = problem.oracle.sample_rows(np.random.default_rng(5), 40 * 4)
+        V = problem.oracle.slope_table[xi].reshape(40, 4, -1)
+        for k in range(0, 40, SCAN_STEPS):
+            Y, L = scan(V[k:k + SCAN_STEPS], RowState(P[k], M[k], None, None),
+                        etas[k:k + SCAN_STEPS])
+            assert np.array_equal(P[k + 1:k + 1 + len(Y)], Y), (problem.id, k)
+            assert np.array_equal(M[k + 1:k + 1 + len(L)], L), (problem.id, k)
+
+
+@pytest.mark.parametrize("later", [None, 9])
+def test_a_step_that_fails_its_certificate_in_a_block_raises_from_the_loop(
+        monkeypatch, later):
+    # row 2 of step 5 of a P1 sweep (4 runs: steps 0-31 are one record block
+    # of the kink block) is taken with step size eta (1 + 1e-3) and
+    # certified as eta, which fails at the centre probe: the loop names the
+    # step and the row.  With step 9 of the same block raising first, the
+    # block's 9 completed steps are recorded before that error propagates,
+    # so the certificate's failure is still the one reported
+    from bregopt import subproblem
+    solve, calls = subproblem._abs_affine_1d, []
+
+    def mutated(solve_, power, phi, g, s, z, m, eta):
+        k = len(calls)
+        calls.append(k)
+        if k == later:
+            raise InnerSolveError("a later step failed")
+        y, W = solve(solve_, power, phi, g, s, z, m, eta)
+        if k == 5:
+            off = solve(solve_, power, phi, g, s, z, m, eta * (1.0 + 1e-3))
+            y[2], W[2] = off[0][2], off[1][2]
+        return y, W
+
+    monkeypatch.setattr(subproblem, "_abs_affine_1d", mutated)
+    failed = "lockstep step 5, row 2 missed tolerance: "
+    with pytest.raises(InnerSolveError, match=failed) as info:
+        sweep(get_problem("P1"), [64], 4)
+    assert len(calls) == (32 if later is None else later + 1)
+    if later is not None:
+        assert str(info.value.__context__) == "a later step failed"
+
+
 # the Python and C function calls per lockstep step of one _run_loop
 # (T = 64, 8 runs; sys.setprofile call and c_call events) with one plan per
 # horizon: 99.05 (P1), 84.40 (P2) and 112.55 (P6), where the dispatch
@@ -805,9 +902,13 @@ def test_a_reused_plan_steps_as_one_use_solves():
 # step sizes repeat by the array method: P1 33.08, P6 61.03).  P6's
 # secular solve takes one pass in A(r) from its Householder-corrected start:
 # 44.12, where three passes in r from the bracket of three isotropic roots
-# took 61.03
-CALLS_PER_STEP = {"P1": 34.6, "P2": 36.7, "P3": 26.0, "P4": 26.4, "P5": 40.8,
-                  "P6": 44.2}
+# took 61.03.  A plan call per record block (plan.block), P1's steps from
+# their gathered atoms and one check of the configs per horizon: P1 21.71,
+# P2 31.54, P3 22.83, P4 23.29, P5 36.62 and P6 39.98, where a plan call per
+# step (a scan call per chunk for P3 and P4) took 33.05, 36.63, 25.60,
+# 26.06, 40.77 and 44.12
+CALLS_PER_STEP = {"P1": 21.8, "P2": 31.6, "P3": 22.9, "P4": 23.3, "P5": 36.7,
+                  "P6": 40.0}
 
 
 @pytest.mark.parametrize("pid", sorted(CALLS_PER_STEP))
@@ -845,9 +946,12 @@ def test_a_horizon_peaks_little_above_what_its_traces_keep():
     # record pass over the whole horizon would reach 3.7x and 512-row blocks
     # 1.46x (tracemalloc, numpy 2.4).  P6 gathers its models and prepares
     # its secular steps per block too: 1.34x, where gathering them once per
-    # horizon fails this bound
+    # horizon fails this bound.  With a plan call per block: P1 1.26x, P3
+    # 1.24x, P5 1.24x and P6 1.29x (P3 and P6 read 1.43x and 1.51x with
+    # 256-row blocks).  P2 peaks at 1.71x: its record evaluates grad f again
+    # at every centre through (rows, 20) temporaries, so it is left out
     import tracemalloc
-    for pid in ("P3", "P6"):
+    for pid in ("P1", "P3", "P5", "P6"):
         prob = get_problem(pid)
         configs = [SolverConfig(256, seed=[s, 256]) for s in range(8)]
         _run_loop(prob, configs)

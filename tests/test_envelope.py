@@ -6,10 +6,11 @@ from util_problems import RowModel, halfsq_problem, smooth_problem
 
 from bregopt import envelope
 from bregopt.envelope import (bregman_prox_point, bregman_prox_points,
-                              envelope_gradient, envelope_value, stationarity)
+                              envelope_gradient, envelope_value, stationarity,
+                              stationarity_rows)
 from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
-from bregopt.driver import default_lambda, sweep
+from bregopt.driver import SolverConfig, default_lambda, run_for_regime, sweep
 from bregopt.models import NoisyGradientOracle, OracleConstants
 from bregopt.problems import (ProblemInstance, default_configs, get_problem,
                               instance_from_config)
@@ -117,6 +118,48 @@ def test_local_norm_lower_bound():
     assert rep.lower_bound_check is None
 
 
+@pytest.mark.parametrize("pid", ["P1", "P2", "P5", "P6"])
+def test_row_reports_equal_the_reports_at_each_point(pid):
+    # the S points' reports in one row pass, bit for bit the report at each
+    # point and the pointwise divergence and local dual norm of
+    # (1/lam) hessian(x) (x - prox(x)), with the prox points solved here or
+    # given
+    prob = get_problem(pid)
+    tr = run_for_regime(prob, SolverConfig(20, seed=3))
+    X, lam, phi = tr.iterates[::3], tr.lam, prob.phi
+    rows = stationarity_rows(prob, phi, X, lam)
+    given = stationarity_rows(prob, phi, X, lam, X_hat=rows.prox_point)
+    for i, x in enumerate(X):
+        one = stationarity(prob, phi, x, lam)
+        x_hat = one.prox_point
+        assert np.array_equal(rows.prox_point[i], x_hat), (pid, i)
+        dual = phi.local_dual_norm(x, phi.hessian_apply(x, x - x_hat) / lam)
+        for rep in (rows, given):
+            assert rep.divergence[i] == one.divergence == phi.bregman(x_hat, x), (pid, i)
+            assert rep.local_dual_norm_of_gradient[i] == one.local_dual_norm_of_gradient \
+                == dual, (pid, i)
+            assert rep.envelope_value_direct[i] == one.envelope_value_direct, (pid, i)
+            assert np.array_equal(rep.envelope_gradient[i], one.envelope_gradient), (pid, i)
+
+
+def test_a_row_whose_envelope_paths_disagree_raises(monkeypatch):
+    # the direct/conjugate cross-check holds for every row of a batch
+    prob = get_problem("P6")
+    values = envelope._envelope_values
+
+    def skewed(*args):
+        div, direct, conjugate = values(*args)
+        conjugate = conjugate.copy()
+        conjugate[2] += 1e-3 * (1.0 + abs(direct[2]))
+        return div, direct, conjugate
+
+    X = prob.x0 * np.linspace(0.5, 1.5, 4)[:, None]
+    stationarity_rows(prob, prob.phi, X, 0.5)
+    monkeypatch.setattr(envelope, "_envelope_values", skewed)
+    with pytest.raises(RuntimeError, match=r"disagree: .* \(row 2\)"):
+        stationarity_rows(prob, prob.phi, X, 0.5)
+
+
 def test_monotone_in_lambda():
     rng = np.random.default_rng(4)
     for prob in phi_cases():
@@ -198,13 +241,13 @@ def test_euclidean_p1_envelope_takes_the_1d_bisection(monkeypatch):
     p1 = instance_from_config(dict(cfg, phi={"kind": "euclidean"}))
     lam = default_lambda(p1)
     batches = []
-    bisection = envelope.prox_points_1d
+    bisection = envelope._bisection_1d
 
     def counted(model, reg, phi, centers, *args, **kwargs):
         batches.append(len(centers))
         return bisection(model, reg, phi, centers, *args, **kwargs)
 
-    monkeypatch.setattr(envelope, "prox_points_1d", counted)
+    monkeypatch.setattr(envelope, "_bisection_1d", counted)
     xs = np.array([-2.4, -0.9, 0.0, 0.35, 1.7, 2.5])
     ys = bregman_prox_points(p1, p1.phi, xs[:, None], lam)[:, 0]
     assert batches == [xs.size]

@@ -49,9 +49,10 @@ def smooth_problem(phi, d=2, center=None, tau=0.0):
 
 
 def halfsq_problem():
-    """F = 0.5 |y|^2 with Euclidean phi; every quantity has a closed form."""
+    """F = 0.5 |y|^2 with Euclidean phi; every quantity has a closed form.
+    f acts on the last axis."""
     d = 2
-    f = lambda y: 0.5 * float(y @ y)
+    f = lambda y: 0.5 * np.sum(y * y, axis=-1)
     sampler = lambda rng: rng.uniform(-2, 2, d)
     oracle = NoisyGradientOracle(
         f, lambda y: y.copy(), lambda rng, n: np.zeros((n, d)), regime="B",
@@ -108,7 +109,7 @@ def scan_tolerance(logs, etas, slopes, mu=0.0):
     |log y_scan - log y_step| <= 4 SCAN_STEPS eps sum_{j<=k} m_j, with
     m_j = ||log y_{j-1}|| + ||log y_j|| + eta_j ||v_j|| / (1 + eta_j mu) + d
     in sup norms."""
-    from bregopt.driver import SCAN_STEPS
+    from bregopt.subproblem import SCAN_STEPS
     etas = np.asarray(etas, dtype=float)[:, None]
     m = (np.abs(logs[:-1]).max(axis=-1) + np.abs(logs[1:]).max(axis=-1)
          + etas * np.abs(slopes).max(axis=-1) / (1.0 + etas * mu) + logs.shape[-1])
