@@ -23,7 +23,6 @@ optimality residual, the runtime contract
 which holds with residual >= 0 exactly when z+ is the true minimizer.
 """
 
-import weakref
 from collections import namedtuple
 from functools import partial
 
@@ -348,16 +347,13 @@ def power_terms(coefs, powers):
                       sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms, cap)
 
 
-_KERNEL_POWERS = weakref.WeakKeyDictionary()  # phi -> its power_terms, or None
-
-
 def _kernel_power(phi):
-    """phi's power_terms, prepared once per kernel (phi is immutable), or
-    None when phi is not radial."""
-    if phi not in _KERNEL_POWERS:
+    """phi's power_terms, or None when phi is not radial, prepared once per
+    kernel and kept with it (a Legendre function is immutable)."""
+    if "_power_terms" not in phi.__dict__:
         terms = phi.radial_terms()
-        _KERNEL_POWERS[phi] = None if terms is None else power_terms(*terms)
-    return _KERNEL_POWERS[phi]
+        phi._power_terms = None if terms is None else power_terms(*terms)
+    return phi._power_terms
 
 
 def solve_monotone_power(power, target, tol=1e-14, max_iter=200):

@@ -903,11 +903,11 @@ def test_a_step_that_fails_its_certificate_in_a_block_raises_from_the_loop(
 # secular solve takes one pass in A(r) from its Householder-corrected start:
 # 44.12, where three passes in r from the bracket of three isotropic roots
 # took 61.03.  A plan call per record block (plan.block), P1's steps from
-# their gathered atoms and one check of the configs per horizon: P1 21.71,
-# P2 31.54, P3 22.83, P4 23.29, P5 36.62 and P6 39.98, where a plan call per
+# their gathered atoms and one check of the configs per horizon: P1 21.65,
+# P2 31.48, P3 22.77, P4 23.23, P5 36.55 and P6 39.95, where a plan call per
 # step (a scan call per chunk for P3 and P4) took 33.05, 36.63, 25.60,
 # 26.06, 40.77 and 44.12
-CALLS_PER_STEP = {"P1": 21.8, "P2": 31.6, "P3": 22.9, "P4": 23.3, "P5": 36.7,
+CALLS_PER_STEP = {"P1": 21.7, "P2": 31.5, "P3": 22.8, "P4": 23.3, "P5": 36.6,
                   "P6": 40.0}
 
 
