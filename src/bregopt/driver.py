@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from .legendre import dot_rows, take_rows
+from .models import choice_cdf
 # prox_step stays bound here: perfbench/tracing.py wraps driver.prox_step
 from .subproblem import InnerSolveError, prox_step, record_rows, step_plan  # noqa: F401
 from . import envelope as envelope_mod
@@ -166,24 +167,28 @@ def _run_loop(problem, configs):
     The S configs must share their horizon, step sizes, lam and inner_tol
     (those that share the first one's schedule object, lam, inner_tol and
     horizon, as a sweep horizon's do, are not resolved again).  Each run
-    draws its T+1 samples up front, the stream of one draw per step.  One
+    draws its T+1 samples up front, the stream of one draw per step, into
+    the one (T + 1, S, ...) array the loop reads and the traces view.  One
     loop runs over record blocks of at most BLOCK_ROWS rows: a block gathers
     what its steps read of their samples (oracle.atom_rows) and takes its
     steps in one plan.block call, which writes their points and mirror
-    coordinates into (n + 1, S, d) views of the loop's arrays; the plan is
-    built once per horizon from step 0's gathered models
-    (subproblem.step_plan).  A scanned plan gets blocks of whole chunks
-    (plan.chunk steps), so its chunks start at fixed step indices whatever S.
+    coordinates into (n + 1, S, d) views of the loop's arrays and, on the
+    paths of linear models that move with their centres (plan.slopes),
+    their slopes into an (n, S, d) buffer; the plan is built once per
+    horizon from step 0's gathered models (subproblem.step_plan).  A
+    scanned plan gets blocks of whole chunks (plan.chunk steps), so its
+    chunks start at fixed step indices whatever S.
 
-    Each block is then recorded in one pass (model_rows over its (centre,
-    sample) rows, or its gathered models; phi.state_at; record_rows), bit
+    Each block is then recorded in one pass (oracle.block_models from its
+    gathered atoms and its steps' slopes; phi.state_at; record_rows), bit
     for bit the record of step-by-step prox_step_rows calls.  A step that
     fails its certificate raises InnerSolveError naming the step and the
     row; when a later step of the block raises first, the block's completed
     steps (the exception's block_steps) are recorded before that error
     propagates.  Models whose row form has no batched step for (r, phi)
-    raise ValueError.  Returns S RunTraces; in the convex regime each
-    carries its averaged iterates.
+    raise ValueError.  Returns S RunTraces, each with its t* drawn from the
+    horizon's one CDF of the t* law (rng.choice's draw); in the convex
+    regime each carries its averaged iterates.
     """
     regime = problem.regime
     first = configs[0]
@@ -201,12 +206,17 @@ def _run_loop(problem, configs):
     reg = problem.regularizer
     phi = problem.phi
     rho = oracle.constants.rho
+    S = len(configs)
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    xis = [oracle.sample_rows(rng, T + 1) for rng in rngs]
-    xi_steps = np.stack(xis, axis=1)            # step t -> one sample per run
+    # step t -> one sample per run: the one copy of the draws, which the
+    # traces view
+    first = oracle.sample_rows(rngs[0], T + 1)
+    xi_steps = np.empty((T + 1, S) + first.shape[1:], first.dtype)
+    xi_steps[:, 0] = first
+    for s in range(1, S):
+        xi_steps[:, s] = oracle.sample_rows(rngs[s], T + 1)
     xi_shape = (-1,) + xi_steps.shape[2:]
 
-    S = len(configs)
     state = phi.state_rows(np.tile(np.asarray(problem.x0, dtype=float), (S, 1)), reg)
     d = state.points.shape[1]
     models = oracle.atom_rows(xi_steps[0])
@@ -226,7 +236,8 @@ def _run_loop(problem, configs):
     r_values[0] = state.r
     divergences = np.empty((T + 1, S))
     residuals = np.empty((T + 1, S))
-    table = oracle.model_table
+    # the slopes a block's steps took, on the paths that keep them
+    slopes = np.empty((block, S, d)) if plan.slopes else None
 
     def record(t0, t1, models):
         # steps t0 .. t1 - 1 from the states of x_t0 .. x_t1
@@ -236,8 +247,8 @@ def _run_loop(problem, configs):
         states = phi.state_at(iterates[t0:t1 + 1].reshape(-1, d),
                               mirror[:t1 - t0 + 1].reshape(-1, d), reg)
         Z, Y = states.take(slice(None, n)), states.take(slice(S, None))
-        rows = (oracle.model_rows(Z.points, xi_steps[t0:t1].reshape(xi_shape))
-                if table is None else take_rows(models, slice(n)))
+        rows = oracle.block_models(Z.points, take_rows(models, slice(n)),
+                                   None if slopes is None else slopes[:t1 - t0].reshape(n, d))
         try:
             model_y, _, d_yz, res = record_rows(rows.values, phi, Z, Y,
                                                 etas[t0:t1].repeat(S), rho, tol)
@@ -256,26 +267,28 @@ def _run_loop(problem, configs):
         t1 = min(t0 + block, T + 1)
         models = oracle.atom_rows(xi_steps[t0:t1].reshape(xi_shape))
         try:
-            plan.block(models, iterates[t0:t1 + 1], mirror[:t1 - t0 + 1], etas[t0:t1])
+            plan.block(models, iterates[t0:t1 + 1], mirror[:t1 - t0 + 1], etas[t0:t1], slopes)
         except Exception as err:
             record(t0, t0 + getattr(err, "block_steps", 0), models)
             raise
         record(t0, t1, models)
         mirror[0] = mirror[t1 - t0]
 
-    traces, law = [], tstar_weights(etas, rho)
+    traces, cdf = [], choice_cdf(tstar_weights(etas, rho))
+    w = (etas / etas.sum()).reshape(1, -1)
     for s, (config, rng) in enumerate(zip(configs, rngs)):
-        t_star = int(rng.choice(law.size, p=law))
+        # rng.choice(T + 1, p=the t* law) from the horizon's one CDF
+        t_star = int(cdf.searchsorted(rng.random(), side="right"))
         trace = RunTrace(problem.id, _ALGORITHMS[regime], iterates[:, s], etas.copy(),
-                         xis[s], t_star, lam, model_values[:, s], r_values[:, s],
+                         xi_steps[:, s], t_star, lam, model_values[:, s], r_values[:, s],
                          divergences[:, s], residuals[:, s], seed=config.seed)
         if regime == "C":
             # the eta-weighted average is the point the plain-convexity rate
             # bound controls; under the 1/(mu (t+1)) schedule the guarantee is
             # for the plain average, so both are recorded
+            # (np.tensordot(w, xs, axes=1) is this dot of the same operands)
             xs = trace.iterates[:-1]                      # x_0 .. x_T
-            w = trace.etas / trace.etas.sum()
-            trace.weighted_average = np.tensordot(w, xs, axes=1)
+            trace.weighted_average = np.dot(w, xs)[0]
             trace.plain_average = xs.mean(axis=0)
         traces.append(trace)
     return traces

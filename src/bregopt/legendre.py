@@ -40,10 +40,10 @@ def primal_norm(v, kind):
 def dot_rows(a, b):
     """np.dot of the last axes of a and b, row by row (broadcasting).
 
-    Each row pair goes through the same BLAS dot as np.dot on one pair, so a
-    row of the result is bit-identical to np.dot of that row.
+    np.vecdot takes each row pair through the same BLAS dot as np.dot on one
+    pair, so a row of the result is bit-identical to np.dot of that row.
     """
-    return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def norm_rows(x):

@@ -14,7 +14,8 @@ divergence.  Four families are implemented:
 
 Every family forms its sampled models over rows of points (model_rows),
 the one model form the prox steps and the lockstep loop take (model_value
-reads its one-point case).  The finite-support families hold their atoms
+reads its one-point case); the loop's record forms them from what its steps
+gathered (block_models).  The finite-support families hold their atoms
 as arrays, with the (m,) array lip of the per-atom constants L(xi).
 
 Constants (tau, rho, mu, L, M, sigma) are declared by the problem builder
@@ -86,17 +87,24 @@ class ModelOracle:
         AffineRows hold affine models offsets[i] + <slopes[i], y>, or their
         absolute values; QuadraticRows hold the full sampled quadratics of
         proximal_point.  The fields act on the last axis, so one point and
-        one sample give the one-row case.  By default: the model_table's rows xi.
+        one sample give the one-row case: block_models of the atom_rows.
         """
-        if self.model_table is None:
-            raise NotImplementedError
-        return take_rows(self.model_table, np.asarray(xi))
+        return self.block_models(X, self.atom_rows(xi))
 
     def atom_rows(self, xi):
         """What the steps of a record block read of their samples xi,
         gathered once per block: the model_table's rows xi by default, or
         the atoms that anchor the models at each step's centres."""
-        return take_rows(self.model_table, xi)
+        if self.model_table is None:
+            raise NotImplementedError
+        return take_rows(self.model_table, np.asarray(xi))
+
+    def block_models(self, X, atoms, slopes=None):
+        """The models at the centres X of the samples whose atom_rows are
+        atoms.  slopes, when given, are the (N, d) slopes of linear models
+        that move with their centres, as a record block's steps took them
+        at X; else the atoms give them.  By default: the atoms."""
+        return atoms
 
     def model_value(self, x, y, xi):
         """f_x(y, xi): the one-point case of model_rows."""
@@ -125,6 +133,16 @@ class ModelOracle:
         raise NotImplementedError
 
 
+def choice_cdf(p):
+    """The CDF that Generator.choice(len(p), p=p, size=n) draws from, by its
+    own algorithm: cdf.searchsorted(rng.random(n), side="right") gives the
+    same indices, dtype and generator state after, without choice's checks
+    of p at every call."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
 class FiniteSupportOracle(ModelOracle):
     """Mixin for oracles whose sample space is {0..m-1} with given weights;
     lip holds the per-atom constants L(xi)."""
@@ -135,14 +153,17 @@ class FiniteSupportOracle(ModelOracle):
             raise ValueError("weights must be a probability vector")
         self.weights = weights
         self.n_atoms = weights.size
+        self.cdf = choice_cdf(weights)
         self.lip = np.asarray(lip, dtype=float)
         super().__init__(**kw)
 
     def sample(self, rng):
-        return int(rng.choice(self.n_atoms, p=self.weights))
+        return int(self.sample_rows(rng, None))
 
     def sample_rows(self, rng, n):
-        return rng.choice(self.n_atoms, p=self.weights, size=n)
+        """rng.choice(n_atoms, p=weights, size=n) from the weights' CDF, kept
+        once (choice_cdf)."""
+        return self.cdf.searchsorted(rng.random(n), side="right")
 
     def lip_L(self, xi):
         return float(self.lip[xi])
@@ -162,15 +183,17 @@ class FiniteSupportOracle(ModelOracle):
 # linear models from a stochastic (sub)gradient map
 # ---------------------------------------------------------------------------
 
-def _tangent_rows(X, slopes, values):
-    """AffineRows of the affine models values + <slopes, y - X>.
+def _tangent_rows(f, X, atoms, slopes):
+    """AffineRows of the tangents f(X) + <slopes, y - X> of f at X, with
+    the slopes of the TangentRows atoms at X when slopes is None.
 
-    X is one point or an (S, d) array of points, and values must hold one
-    entry per point; points and slopes broadcast against each other, so one
-    point with an (S, d) array of slopes gives S rows.
+    X is one point or an (S, d) array of points, and f must give one value
+    per point; points and slopes broadcast against each other, so one point
+    with an (S, d) array of slopes gives S rows.
     """
     X = np.asarray(X, dtype=float)
-    values = np.asarray(values, dtype=float)
+    slopes = atoms.gradients(X) if slopes is None else slopes
+    values = np.asarray(f(X), dtype=float)
     if values.shape != X.shape[:-1]:
         raise ValueError("model callbacks must act on the last axis of the points")
     slopes = np.asarray(slopes, dtype=float)
@@ -187,8 +210,9 @@ class _MappedSlopes(TangentRows):
 
     __slots__ = ()
 
-    def gradients(self, X):
-        return self.slope_fn(X, self.shift)
+    @staticmethod
+    def slopes(slope_fn, X, shift):
+        return slope_fn(X, shift)
 
 
 class LinearMirrorOracle(FiniteSupportOracle):
@@ -226,9 +250,8 @@ class LinearMirrorOracle(FiniteSupportOracle):
             return _MappedSlopes(self._G, xi)
         return TangentRows(None, self.slope_table[xi])
 
-    def model_rows(self, X, xi):
-        X = np.asarray(X, dtype=float)
-        return _tangent_rows(X, self.atom_rows(xi).gradients(X), self._f(X))
+    def block_models(self, X, atoms, slopes=None):
+        return _tangent_rows(self._f, X, atoms, slopes)
 
     def f_rows(self, X):
         return self._f(np.asarray(X, dtype=float))
@@ -258,7 +281,7 @@ class NoisyGradientOracle(ModelOracle):
                          test_point_sampler=test_point_sampler)
 
     def atom_rows(self, xi):
-        return TangentRows(self.grad_f, xi)
+        return TangentRows(self.grad_f, np.asarray(xi, dtype=float))
 
     def sample(self, rng):
         return self.sample_rows(rng, 1)[0]
@@ -266,10 +289,8 @@ class NoisyGradientOracle(ModelOracle):
     def sample_rows(self, rng, n):
         return np.asarray(self._noise(rng, n), dtype=float)
 
-    def model_rows(self, X, xi):
-        X = np.asarray(X, dtype=float)
-        return _tangent_rows(X, self.atom_rows(np.asarray(xi, dtype=float)).gradients(X),
-                             self._f(X))
+    def block_models(self, X, atoms, slopes=None):
+        return _tangent_rows(self._f, X, atoms, slopes)
 
     def lip_L(self, xi):
         raise NotImplementedError(
@@ -311,8 +332,8 @@ class ProxLinearOracle(FiniteSupportOracle):
     def atom_rows(self, xi):
         return take_rows(self.atoms, xi)
 
-    def model_rows(self, X, xi):
-        return AffineRows(*self.atom_rows(xi).affine(np.asarray(X, dtype=float)), True)
+    def block_models(self, X, atoms, slopes=None):
+        return AffineRows(*atoms.affine(np.asarray(X, dtype=float)), True)
 
     def f_rows(self, X):
         X = np.asarray(X, dtype=float)
@@ -353,8 +374,8 @@ class SaddleOracle(FiniteSupportOracle):
     def atom_rows(self, xi):
         return TangentRows(self.objective.weight_slopes, self.atoms[xi])
 
-    def model_rows(self, X, xi):
-        G = self.atom_rows(xi).gradients(np.asarray(X, dtype=float))
+    def block_models(self, X, atoms, slopes=None):
+        G = atoms.gradients(np.asarray(X, dtype=float)) if slopes is None else slopes
         return AffineRows(G, np.zeros(G.shape[:-1]), False)
 
     def f_rows(self, X):

@@ -170,8 +170,12 @@ def _assemble_p2(cfg):
     # the envelope's prox points of many points at once); a row's matrix
     # products are the BLAS calls of one point
     def f(x):
+        # (z z - b)^2 in place: the record evaluates f at a block's centres
         z = (A @ x[..., None])[..., 0]
-        return dot_rows(weights, (z * z - b) ** 2)
+        z *= z
+        z -= b
+        z *= z
+        return dot_rows(weights, z)
 
     def grad(x):
         # (z z - b) z, not z ** 3 - b z: numpy's pow on negative bases is

@@ -5,11 +5,12 @@ Each outer iteration solves
     argmin_x  model(x) + r(x) + (1/eta) D(x, z)
 
 for a convex (or relatively weakly convex) sampled model, a simple closed
-regularizer r, and the run's Legendre function phi.  A model is its row form
-(AffineRows, ProxLinearRows, NormTermRows, QuadraticRows, AbsQuadraticRows
-or SmoothRows): values and gradients (a subgradient selection) over the
-rows of an (N, d) array; the atoms of linear models that move with their
-centres (ProxLinearRows, TangentRows) give their slopes there.  Every step
+regularizer r (regularizers), and the run's Legendre function phi.  A model
+is its row form (rowforms: AffineRows, ProxLinearRows, NormTermRows,
+QuadraticRows, AbsQuadraticRows or SmoothRows): values and gradients (a
+subgradient selection) over the rows of an (N, d) array; the atoms of
+linear models that move with their centres (ProxLinearRows, TangentRows)
+give their slopes there.  Both modules' names are imported here too.  Every step
 goes through one dispatch on that form, made once per loop or batch
 (step_plan): the affine or |affine| closed form, the norm shrinkage, the
 scalar secular equation of a quadratic under a radial phi, one kink search
@@ -24,12 +25,19 @@ which holds with residual >= 0 exactly when z+ is the true minimizer.
 """
 
 from collections import namedtuple
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
 
 from .legendre import (Burg, DomainError, Euclidean, RowState, ShannonEntropy, dot_rows,
                        norm_rows, take_rows)
+from .rowforms import (AbsQuadraticRows, AffineRows, NormTermRows,  # noqa: F401
+                       ProxLinearRows, QuadraticRows, SmoothRows, TangentRows,
+                       _kink_slopes, absolute_affine_model, linear_model)
+from .regularizers import (BallIndicator, EntropyLike, L1Regularizer,  # noqa: F401
+                           QuadraticRegularizer, Regularizer, SimplexIndicator,
+                           ZeroRegularizer)
 
 
 class InnerSolveError(RuntimeError):
@@ -45,135 +53,8 @@ _LOG_RECORD_MAX = float(np.log(_FLOAT_MAX)) - 4.0
 # below this norm the squares of a row's entries lose digits in the subnormals
 _NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
 PowerTerms = namedtuple("PowerTerms", "a e closed a1 a3 const terms cap")
-
-
-# ---------------------------------------------------------------------------
-# regularizers
-# ---------------------------------------------------------------------------
-
-class Regularizer:
-    """Closed convex regularizer r with a simple prox structure.
-
-    value_rows gives r at each row of an (N, d) array; value is its one-row
-    case.
-    """
-
-    kind = "abstract"
-    bounds = (-np.inf, np.inf)  # dom r in one dimension, [lo, hi]
-
-    def value_rows(self, X):
-        raise NotImplementedError
-
-    def value(self, x):
-        return float(self.value_rows(np.asarray(x, dtype=float)[None, :])[0])
-
-    def subgradient(self, x):
-        """A subgradient selection at an interior point of dom r."""
-        return np.zeros(np.asarray(x, dtype=float).shape)
-
-    def inf_value(self, dim):
-        """inf r over points of dimension dim, used by the theoretical rate
-        bounds."""
-        return 0.0
-
-
-def _on_simplex(X, tol):
-    return (X >= -tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= tol)
-
-
-class ZeroRegularizer(Regularizer):
-    kind = "zero"
-
-    def value_rows(self, X):
-        return np.zeros(len(X))
-
-
-class SimplexIndicator(Regularizer):
-    """Indicator of the probability simplex {x >= 0, sum x = 1}."""
-
-    kind = "indicator_simplex"
-    bounds = (1.0, 1.0)
-
-    def __init__(self, tol=1e-9):
-        self.tol = tol
-
-    def value_rows(self, X):
-        return np.where(_on_simplex(np.asarray(X, dtype=float), self.tol), 0.0, np.inf)
-
-
-class BallIndicator(Regularizer):
-    """Indicator of the centered Euclidean ball of the given radius."""
-
-    kind = "indicator_ball"
-
-    def __init__(self, radius, tol=1e-9):
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        self.radius = float(radius)
-        self.bounds = (-self.radius, self.radius)
-        self.tol = tol
-
-    def value_rows(self, X):
-        return np.where(norm_rows(X) <= self.radius * (1 + self.tol), 0.0, np.inf)
-
-
-class L1Regularizer(Regularizer):
-    kind = "l1"
-
-    def __init__(self, weight):
-        if weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
-        self.weight = float(weight)
-
-    def value_rows(self, X):
-        return self.weight * np.sum(np.abs(X), axis=1)
-
-    def subgradient(self, x):
-        return self.weight * np.sign(np.asarray(x, dtype=float))
-
-
-class QuadraticRegularizer(Regularizer):
-    kind = "quadratic"
-
-    def __init__(self, weight):
-        if weight < 0:
-            raise ValueError("quadratic weight must be nonnegative")
-        self.weight = float(weight)
-
-    def value_rows(self, X):
-        return 0.5 * self.weight * dot_rows(X, X)
-
-    def subgradient(self, x):
-        return self.weight * np.asarray(x, dtype=float)
-
-
-class EntropyLike(Regularizer):
-    """weight * sum_i x_i log x_i restricted to the probability simplex.
-
-    Relative to the entropy Legendre function this is exactly weight-strongly
-    convex, which is what the strongly convex rate regime exercises.
-    """
-
-    kind = "entropy_like"
-    bounds = (1.0, 1.0)
-
-    def __init__(self, weight, tol=1e-9):
-        if weight < 0:
-            raise ValueError("entropy tilt weight must be nonnegative")
-        self.weight = float(weight)
-        self.tol = tol
-        self._entropy = ShannonEntropy()
-
-    def value_rows(self, X, entropy=None):
-        """r at the rows of X; entropy, when given, is their sum x log x."""
-        X = np.asarray(X, dtype=float)
-        if entropy is None:
-            entropy = self._entropy.value_rows(np.maximum(X, 0.0))
-        return np.where(_on_simplex(X, self.tol), self.weight * entropy, np.inf)
-
-    def inf_value(self, dim):
-        # entropy over the simplex is minimized at the uniform distribution
-        return -self.weight * np.log(dim)
+# the division and invalid-value flags that the secular solve may raise
+_quiet = partial(np.errstate, divide="ignore", invalid="ignore")
 
 
 class ProxStepResult:
@@ -407,7 +288,7 @@ def _radial_root(power, g):
             else solve_monotone_power(power, g))
 
 
-def _radial_solver(power, radius, V, Z, eta):
+def _radial_solver(power, radius, V, Z, M, eta):
     """argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial
     phi, and the minimizers' mirror coordinates (None if a row is clipped).
 
@@ -415,12 +296,12 @@ def _radial_solver(power, radius, V, Z, eta):
     which forces x = s * u along u = W / |W|; the scalar s is the root of
     s(r) = |W| for the power_terms power (_radial_root), clipped at the ball
     radius unless it is None (valid because the radial objective is
-    increasing in s beyond the unconstrained root).  grad phi at Z is its
-    mirror coordinates, and W is the minimizer's where no row is clipped.  A
-    row whose square underflows (norm below _NORM_UNDERFLOW) takes its norm
-    scaled by its largest entry.
+    increasing in s beyond the unconstrained root).  grad phi at the centres
+    Z is their mirror coordinates M, and W is the minimizer's where no row
+    is clipped.  A row whose square underflows (norm below _NORM_UNDERFLOW)
+    takes its norm scaled by its largest entry.
     """
-    W = Z.mirror - eta * V
+    W = M - eta * V
     g = norm_rows(W)
     if np.minimum.reduce(g, initial=np.inf) < _NORM_UNDERFLOW:
         tiny = np.flatnonzero(g < _NORM_UNDERFLOW)
@@ -440,7 +321,7 @@ def _log_softmax(logits):
     return np.exp(L), L
 
 
-def _check_entropic_range(log_y, Z, v, eta):
+def _check_entropic_range(log_y, log_z, v, eta):
     """Refuse zero-r entropic steps z -> y = exp(log y) whose record could
     overflow, before anything is computed from y.
 
@@ -452,8 +333,8 @@ def _check_entropic_range(log_y, Z, v, eta):
     max_i (log(y_i + z_i) + log w_i) + log d, and a row above
     _LOG_RECORD_MAX raises InnerSolveError.
     """
-    w = 1.0 + np.abs(log_y) + np.abs(Z.mirror) + (1.0 + eta) * np.abs(v)
-    bound = (np.logaddexp(log_y, Z.mirror) + np.log(w)).max(axis=-1) + np.log(log_y.shape[-1])
+    w = 1.0 + np.abs(log_y) + np.abs(log_z) + (1.0 + eta) * np.abs(v)
+    bound = (np.logaddexp(log_y, log_z) + np.log(w)).max(axis=-1) + np.log(log_y.shape[-1])
     if not (bound <= _LOG_RECORD_MAX).all():
         raise InnerSolveError(
             "entropic prox step leaves the float range: its record sums terms up "
@@ -526,12 +407,13 @@ def _affine_scan(reg, phi):
 # ---------------------------------------------------------------------------
 
 def _affine_solver(reg, phi):
-    """(V, Z, eta) -> (argmin <v_i, x> + r(x) + (1/eta) D(x, z_i), its mirror
-    coordinates or None) in closed form, chosen once for (r, phi), or None.
+    """(V, Z, M, eta) -> (argmin <v_i, x> + r(x) + (1/eta) D(x, z_i), its
+    mirror coordinates or None) in closed form, chosen once for (r, phi), or
+    None.
 
-    Z is the RowState of (S, d) centers and V an (S, d) array of slopes, one
-    subproblem per row.  The entropic steps are taken in log space from
-    log z, Z's mirror coordinates, and return log y with y = exp(log y):
+    Z is an (S, d) array of centers, M their mirror coordinates and V an
+    (S, d) array of slopes, one subproblem per row.  The entropic steps are
+    taken in log space from log z = M and return log y with y = exp(log y):
     log z - eta v (r = 0), its log-softmax (simplex), and the log-softmax of
     (log z - eta v)/(1 + eta mu) (entropy-like tilt).
     """
@@ -541,18 +423,18 @@ def _affine_solver(reg, phi):
 
     if reg.kind == "zero":
         if euclid:
-            return lambda v, Z, eta: (Z.points - eta * v, None)
+            return lambda v, Z, M, eta: (Z - eta * v, None)
         if entropy:
-            def entropic(v, Z, eta):
-                log_y = Z.mirror - eta * v
-                _check_entropic_range(log_y, Z, v, eta)
+            def entropic(v, Z, M, eta):
+                log_y = M - eta * v
+                _check_entropic_range(log_y, M, v, eta)
                 return np.exp(log_y), log_y
 
             return entropic
         if isinstance(phi, Burg):
-            def burg(v, Z, eta):
+            def burg(v, Z, M, eta):
                 # grad phi(z) = -1/z
-                w = eta * v - Z.mirror
+                w = eta * v - M
                 if np.any(w <= 0):
                     raise InnerSolveError("Burg prox subproblem is unbounded below")
                 return 1.0 / w, None
@@ -561,31 +443,31 @@ def _affine_solver(reg, phi):
         if power is not None:
             return partial(_radial_solver, power, None)
     elif reg.kind == "indicator_simplex" and entropy:
-        return lambda v, Z, eta: _log_softmax(Z.mirror - eta * v)
+        return lambda v, Z, M, eta: _log_softmax(M - eta * v)
     elif reg.kind == "entropy_like" and entropy:
-        return lambda v, Z, eta: _log_softmax((Z.mirror - eta * v) / (1.0 + eta * reg.weight))
+        return lambda v, Z, M, eta: _log_softmax((M - eta * v) / (1.0 + eta * reg.weight))
     elif reg.kind == "indicator_ball":
         if euclid:
             radius = reg.radius
 
-            def ball(v, Z, eta):
+            def ball(v, Z, M, eta):
                 # the points are their own mirror coordinates
-                u = Z.points - eta * v
-                n = norm_rows(u)[..., None]
-                y = np.divide(radius, n, out=np.ones(n.shape), where=n > radius) * u
+                u = Z - eta * v
+                # radius / n past the radius, radius / radius = 1 inside
+                y = radius / np.maximum(norm_rows(u)[..., None], radius) * u
                 return y, y
 
             return ball
         if power is not None:
             return partial(_radial_solver, power, reg.radius)
     elif reg.kind == "l1" and euclid:
-        def l1(v, Z, eta):
-            u = Z.points - eta * v
+        def l1(v, Z, M, eta):
+            u = Z - eta * v
             return np.sign(u) * np.maximum(np.abs(u) - eta * reg.weight, 0.0), None
 
         return l1
     elif reg.kind == "quadratic" and euclid:
-        return lambda v, Z, eta: ((Z.points - eta * v) / (1.0 + eta * reg.weight), None)
+        return lambda v, Z, M, eta: ((Z - eta * v) / (1.0 + eta * reg.weight), None)
     return None
 
 
@@ -598,157 +480,6 @@ def _norm_term_rows(reg, rows, Z, eta):
         s = np.minimum(s, reg.radius)
     Y = np.divide(s, n, out=np.zeros(n.shape), where=n > 0.0)[:, None] * U
     return Y, None, 1, "closed_form_norm"
-
-
-class AffineRows(namedtuple("AffineRows", "slopes offsets absolute")):
-    """Sampled models over rows: row i's model is offsets[i] + <slopes[i], y>,
-    or its absolute value when absolute is True (the prox-linear model of an
-    absolute outer function)."""
-
-    __slots__ = ()
-
-    def values(self, Y):
-        """Each row's model at the matching row of Y."""
-        v = self.offsets + dot_rows(self.slopes, Y)
-        return np.abs(v) if self.absolute else v
-
-    def gradients(self, Y):
-        """Each row's slope at the matching row of Y, times the sign of the
-        level for |affine| (the zero slope at the kink)."""
-        G = np.broadcast_to(self.slopes, np.broadcast_shapes(np.shape(Y), self.slopes.shape))
-        if self.absolute:
-            return np.sign(self.offsets + dot_rows(self.slopes, Y))[..., None] * G
-        return G
-
-    def affine(self, X):
-        """The slopes and offsets of the rows at the centres X."""
-        return self.slopes, self.offsets
-
-
-def linear_model(v, offset=0.0):
-    """The one-row AffineRows of offset + <v, y>."""
-    v = np.asarray(v, dtype=float)
-    return AffineRows(v[None, :], np.array([float(offset)]), False)
-
-
-def absolute_affine_model(g, s):
-    """The one-row AffineRows of |<g, y> + s|."""
-    return AffineRows(np.asarray(g, dtype=float)[None, :], np.array([float(s)]), True)
-
-
-class ProxLinearRows(namedtuple("ProxLinearRows", "a2 b")):
-    """The atoms of 1-d prox-linear models |c + c'(y - x)|, c = a2 x^2 - b,
-    over rows; affine gives them at the centres X as |affine| AffineRows."""
-
-    __slots__ = ()
-    absolute = True
-
-    def affine(self, X):
-        g, s = _kink_slopes(self.a2, self.b, X[..., 0])
-        return g[..., None], s
-
-
-def _kink_slopes(a2, b, x):
-    """The slopes c' = 2 a2 x and offsets c - c' x of the models
-    |c + c'(y - x)|, c = a2 x^2 - b, at the 1-d centres x, entrywise."""
-    g = 2.0 * a2 * x
-    return g, a2 * x * x - b - g * x
-
-
-class NormTermRows(namedtuple("NormTermRows", "slopes weight")):
-    """Models <slopes[i], y> + weight ||y|| over rows; one slope row stands
-    for every row."""
-
-    __slots__ = ()
-
-    def values(self, Y):
-        return dot_rows(self.slopes, Y) + self.weight * norm_rows(Y)
-
-    def gradients(self, Y):
-        """slopes + weight y / ||y|| at each row of Y, the slopes at y = 0."""
-        return self.slopes + self.weight_slopes(Y)
-
-    def weight_slopes(self, Y):
-        """weight y / ||y|| at each row of Y (0 at y = 0): the norm term's part."""
-        n = norm_rows(Y)[..., None]
-        return np.divide(self.weight, n, out=np.zeros(n.shape), where=n > 0.0) * Y
-
-
-class TangentRows(namedtuple("TangentRows", "slope_fn shift")):
-    """Linear models over rows whose slopes at the centres x_i are
-    slope_fn(x_i) + shift[i], or shift[i] when slope_fn is None, given
-    without their offsets: what a step reads of models that its centres
-    anchor (P2's gradient plus noise, P5's inner argmax plus atom), or of
-    linear models whose slopes depend on the sample only (P3's and P4's)."""
-
-    __slots__ = ()
-    absolute = False
-
-    def gradients(self, X):
-        return self.shift if self.slope_fn is None else self.slope_fn(X) + self.shift
-
-
-class SmoothRows(namedtuple("SmoothRows", "values gradients hessians")):
-    """Smooth models over rows: values, gradients and hessians map an (N, d)
-    array Y to the N values, the (N, d) gradients and the (N, d, d) Hessians
-    of row i's model at row i of Y."""
-
-    __slots__ = ()
-
-
-class QuadraticRows(namedtuple("QuadraticRows", "Q centers offsets eigvals eigvecs")):
-    """Convex quadratic models over rows: row i's model is
-    offsets[i] + (1/2) (y - centers[i])' Q[i] (y - centers[i]), with the
-    eigenpairs Q[i] = eigvecs[i] diag(eigvals[i]) eigvecs[i]' of its
-    symmetric positive definite Q[i].  Every field acts on the last axes
-    (one point and one atom give the one-row case), and one row stands for
-    every row of a batch.  values, gradients and hessians are the
-    SmoothRows callbacks, for a phi that has no secular step."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, Q, centers, offsets):
-        """The rows of the given quadratics, with their eigenpairs."""
-        Q = np.asarray(Q, dtype=float)
-        lam, U = np.linalg.eigh(Q)
-        return cls(Q, np.asarray(centers, dtype=float), np.asarray(offsets, dtype=float),
-                   lam, U)
-
-    def gradients(self, Y):
-        # elementwise products summed over the last axis: one row's
-        # arithmetic whatever the batch
-        return (self.Q * (Y - self.centers)[..., None, :]).sum(axis=-1)
-
-    def values(self, Y):
-        D = Y - self.centers
-        QD = (self.Q * D[..., None, :]).sum(axis=-1)
-        return self.offsets + 0.5 * (D * QD).sum(axis=-1)
-
-    def hessians(self, Y):
-        shape = np.broadcast_shapes(np.shape(Y), self.centers.shape)
-        return np.broadcast_to(self.Q, shape + shape[-1:])
-
-
-class AbsQuadraticRows(namedtuple("AbsQuadraticRows", "kinks curvatures offsets")):
-    """The 1-d model f(y) = sum_i w_i |a_i^2 y^2 - b_i| (robust phase
-    retrieval) as its pieces: kinks is the sorted array K of its n distinct
-    kinks +-sqrt(b_i)/|a_i|, and on piece j (K_{j-1} < y <= K_j, with
-    K_{-1} = -inf and K_n = +inf) f(y) = curvatures[j] y^2 + offsets[j].
-    f' jumps up at every kink.  One form stands for every row of a batch;
-    problems.abs_quadratic_rows builds it from the atoms."""
-
-    __slots__ = ()
-
-    def values(self, Y):
-        y = Y[:, 0]
-        j = np.searchsorted(self.kinks, y)
-        return self.curvatures[j] * y * y + self.offsets[j]
-
-    def gradients(self, Y):
-        """f' = 2 C_j y on each row's piece: at a kink, from its left."""
-        y = Y[:, 0]
-        return (2.0 * self.curvatures[np.searchsorted(self.kinks, y)] * y)[:, None]
 
 
 def _abs_quadratic_rows(a0, a3, phi, rows, Z, eta):
@@ -809,7 +540,7 @@ def _abs_affine_rows(solve, power, phi, by_kink, rows, Z, eta):
     lo, hi = _theta_bounds(phi, Z.points, G, eta)
 
     def level(theta, idx):
-        y = solve(theta[:, None] * G[idx], Z.take(idx), eta)[0]
+        y = solve(theta[:, None] * G[idx], Z.points[idx], Z.mirror[idx], eta)[0]
         return dot_rows(G[idx], y) + s[idx]
 
     theta = np.ones(shape[0])
@@ -823,7 +554,7 @@ def _abs_affine_rows(solve, power, phi, by_kink, rows, Z, eta):
     theta[left], halvings = _bisection(np.maximum(-1.0, lo[left]), np.minimum(1.0, hi[left]),
                                        lambda mid, idx: level(mid, left[idx]) <= 0.0)
     its = 1 + (up.size > 0) + (down.size > 0) + halvings.max(initial=0)
-    return (*solve(theta[:, None] * G, Z, eta), its, "closed_form_abs_affine")
+    return (*solve(theta[:, None] * G, Z.points, Z.mirror, eta), its, "closed_form_abs_affine")
 
 
 def _theta_bounds(phi, Z, G, eta):
@@ -873,7 +604,7 @@ def _abs_affine_1d(solve, power, phi, g, s, z, m, eta):
     kink = W == k
     if power is None:
         theta = np.where(kink, 0.0, np.where(W == w - step, 1.0, -1.0))
-        y = solve((theta * g)[:, None], RowState(z[:, None], m[:, None], None, None), eta)[0][:, 0]
+        y = solve((theta * g)[:, None], z[:, None], m[:, None], eta)[0][:, 0]
         y[kink] = y0[kink]
         y[flat] = z[flat]
         return y, None
@@ -882,24 +613,60 @@ def _abs_affine_1d(solve, power, phi, g, s, z, m, eta):
     return y, W
 
 
-def _kink_step(solve, power, phi, rows, P, M, etas, k, S):
-    """Step k of a record block of 1-d prox-linear models (ProxLinearRows,
-    r = 0; plan.block): _abs_affine_1d on row k of the (n, S) views of the
-    block's atoms (a2, b), from P[k] and M[k] to P[k + 1] and M[k + 1]."""
-    z, i = P[k, :, 0], slice(k * S, k * S + S)
-    y, W = _abs_affine_1d(solve, power, phi, *_kink_slopes(rows.a2[i], rows.b[i], z), z,
+def _step_views(rows, n, S):
+    """The row form rows of n S rows (step-major) with each array field
+    viewed as (n, S, ...), row k of a field step k's: the steps that the
+    block kernels below read.  kernel(steps, P, M, etas, k, V) takes step k
+    of a record block (or the chunk from it) from P[k] and M[k] to P[k + 1]
+    and M[k + 1] (plan.block)."""
+    return type(rows)(*[f.reshape((n, S) + f.shape[1:]) if f.__class__ is np.ndarray else f
+                        for f in rows])
+
+
+def _kink_step(solve, power, phi, steps, P, M, etas, k, V):
+    """1-d prox-linear models (ProxLinearRows, r = 0): _abs_affine_1d on
+    step k's atoms (a2, b)."""
+    z = P[k, :, 0]
+    y, W = _abs_affine_1d(solve, power, phi, *_kink_slopes(steps.a2[k], steps.b[k], z), z,
                           M[k, :, 0], etas[k])
     P[k + 1, :, 0] = y
     M[k + 1] = phi.mirror_rows(P[k + 1]) if W is None else W[:, None]
 
 
-def _scan_chunk(scan, rows, P, M, etas, k, S):
-    """Steps k .. k + SCAN_STEPS - 1 of a record block of linear models
-    whose slopes rows.shift depend on the sample only (plan.block): one
-    _affine_scan call."""
+def _tangent_step(solve, phi, steps, P, M, etas, k, V):
+    """Linear models that move with their centres (TangentRows): their
+    slopes at P[k], kept in V[k] for the record, and the affine solve; a
+    step with eta < ETA_FLOOR keeps its centres (degenerate_eta)."""
+    V[k] = steps.slopes(steps.slope_fn, P[k], steps.shift[k])
+    if etas[k] < ETA_FLOOR:
+        P[k + 1], M[k + 1] = P[k], M[k]
+    else:
+        P[k + 1], mirror = solve(V[k], P[k], M[k], etas[k])
+        M[k + 1] = phi.mirror_rows(P[k + 1]) if mirror is None else mirror
+
+
+def _secular_step(power, growth, steps, P, M, etas, k, V):
+    """Quadratic models under a radial phi: _secular on step k's
+    SecularRows (the block enters its np.errstate)."""
+    lam, W, U = steps
+    P[k + 1], M[k + 1] = _secular(power, growth, lam[k], W[k], U[k], M[k])[:2]
+
+
+def _scan_chunk(scan, steps, P, M, etas, k, V):
+    """Linear models whose slopes steps.shift depend on the sample only:
+    steps k .. k + SCAN_STEPS - 1 in one _affine_scan call."""
     k1 = min(k + SCAN_STEPS, len(etas))
-    P[k + 1:k1 + 1], M[k + 1:k1 + 1] = scan(rows.shift[k * S:k1 * S].reshape(k1 - k, S, -1),
-                                            RowState(P[k], M[k], None, None), etas[k:k1])
+    P[k + 1:k1 + 1], M[k + 1:k1 + 1] = scan(steps.shift[k:k1], RowState(P[k], M[k], None, None),
+                                            etas[k:k1])
+
+
+def _form_step(path, phi, steps, P, M, etas, k, V):
+    """A path whose solve evaluates its models' row form (the lockstep
+    Newton, the norm term, |affine| rows off the kink path): the path on
+    step k's form of the views."""
+    Y, mirror = path(take_rows(steps, k), RowState(P[k], M[k], None, None), etas[k])[:2]
+    P[k + 1] = Y
+    M[k + 1] = phi.mirror_rows(Y) if mirror is None else mirror
 
 
 # ---------------------------------------------------------------------------
@@ -1157,11 +924,13 @@ def _growth(power):
     return lambda t: (_power_sum(const, half, t), _power_sum(0.0, slopes, t))
 
 
-def _secular(power, growth, rows, state, _eta=None, max_iter=50):
-    """argmin q_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
-    RowState, for quadratics q under a radial phi = sum_k c_k ||y||^p_k
-    (r = 0, power its power_terms, growth its _growth); rows are their
-    SecularRows (_secular_rows), which hold eta (the plan's _eta is unread).
+def _secular(power, growth, lam, W, U, mirror, max_iter=50):
+    """argmin q_i(y) + (1/eta) D(y, z_i) for each centre z_i, of mirror
+    coordinates mirror, for quadratics q under a radial phi = sum_k c_k
+    ||y||^p_k (r = 0, power its power_terms, growth its _growth); lam, W and
+    U are their SecularRows (_secular_rows), which hold eta.  The caller
+    enters np.errstate(divide="ignore", invalid="ignore") (_quiet): a plan
+    once per call or per record block.
 
     grad phi(y) = A(||y||) y with A(r) = sum_k c_k p_k r^(p_k - 2), so with
     Q_i = U diag(lam) U' the optimality condition
@@ -1185,12 +954,10 @@ def _secular(power, growth, rows, state, _eta=None, max_iter=50):
     Returns solve_rows' (minimizers, their mirror coordinates A(||v||) y
     from the last pass, the passes (Newton steps + 1), "secular").
     """
-    lam, W, U = rows
-    Z = state.points
     # eigh sorts each row's eigenvalues in ascending order; a one-row form
     # stands for every row
-    lam = lam if lam.shape == Z.shape else np.broadcast_to(lam, Z.shape)
-    B = ((W + state.mirror)[:, None, :] @ U)[:, 0, :]
+    lam = lam if lam.shape == mirror.shape else np.broadcast_to(lam, mirror.shape)
+    B = ((W + mirror)[:, None, :] @ U)[:, 0, :]
     if not np.logical_and.reduce(np.isfinite(B), axis=None):
         raise InnerSolveError("secular equation needs finite data")
     BB = B * B
@@ -1204,32 +971,31 @@ def _secular(power, growth, rows, state, _eta=None, max_iter=50):
     lo, hi = ((power.const, np.inf) if power.closed else
               (u[:, 1] * (1.0 - 1e-12) if exact else power.const, u[:, 2] * (1.0 + 1e-12)))
     u, floor = u[:, 0], SECULAR_TOL * lam[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S2, S3, S4, S5 = np.add.reduce(BB[:, None, :] / (lam + u[:, None])[:, None, :]
-                                       ** _HOUSEHOLDER_POWERS, axis=2).T
-        # H = h, H' = h1, H'' = -3 w S4, H''' = 12 w S5 in Householder's step
-        # (6 H H'^2 - 3 H^2 H'') / (6 H'^3 - 6 H H' H'' + H^2 H'''); at b = 0
-        # the step is 0, or NaN (A'(0) infinite) that fmax turns into lo = A(0)
-        a, w = growth(S2)
-        h, h1 = u - a, 1.0 + w * S3
-        wh, h2 = w * h, h1 * h1
-        p, q = 1.5 * wh * S4, 2.0 * wh * h * S5
-        u = np.fmin(np.fmax(u - h * (h2 + p) / (h1 * (h2 + p + p) + q), lo), hi)
-        for it in range(max_iter + 1):
-            D = lam + u[:, None]
-            V = B / D
-            VV = V * V
-            a, w = growth(np.add.reduce(VV, axis=1))
-            ok = np.abs(a - u) <= floor + SECULAR_TOL * u
-            if np.logical_and.reduce(ok):
-                break
-            if it == max_iter:
-                raise InnerSolveError(
-                    "secular equation of row %d unsolved after %d Newton steps"
-                    % (np.flatnonzero(~ok)[0], max_iter))
-            step = u - (u - a) / (1.0 + w * np.add.reduce(VV / D, axis=1))
-            # a stopped row keeps its u, and so recomputes its V bit for bit
-            u = np.where(ok, u, np.fmin(np.fmax(step, lo), hi))
+    S2, S3, S4, S5 = np.add.reduce(BB[:, None, :] / (lam + u[:, None])[:, None, :]
+                                   ** _HOUSEHOLDER_POWERS, axis=2).T
+    # H = h, H' = h1, H'' = -3 w S4, H''' = 12 w S5 in Householder's step
+    # (6 H H'^2 - 3 H^2 H'') / (6 H'^3 - 6 H H' H'' + H^2 H'''); at b = 0
+    # the step is 0, or NaN (A'(0) infinite) that fmax turns into lo = A(0)
+    a, w = growth(S2)
+    h, h1 = u - a, 1.0 + w * S3
+    wh, h2 = w * h, h1 * h1
+    p, q = 1.5 * wh * S4, 2.0 * wh * h * S5
+    u = np.fmin(np.fmax(u - h * (h2 + p) / (h1 * (h2 + p + p) + q), lo), hi)
+    for it in range(max_iter + 1):
+        D = lam + u[:, None]
+        V = B / D
+        VV = V * V
+        a, w = growth(np.add.reduce(VV, axis=1))
+        ok = np.abs(a - u) <= floor + SECULAR_TOL * u
+        if np.logical_and.reduce(ok):
+            break
+        if it == max_iter:
+            raise InnerSolveError(
+                "secular equation of row %d unsolved after %d Newton steps"
+                % (np.flatnonzero(~ok)[0], max_iter))
+        step = u - (u - a) / (1.0 + w * np.add.reduce(VV / D, axis=1))
+        # a stopped row keeps its u, and so recomputes its V bit for bit
+        u = np.where(ok, u, np.fmin(np.fmax(step, lo), hi))
     Y = (U @ V[:, :, None])[:, :, 0]
     return Y, a[:, None] * Y, it + 1, "secular"
 
@@ -1267,22 +1033,32 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     plan.prepare(rows, eta) gives them (eta one, or one per row), so many
     steps prepare in one pass: SecularRows for the secular step, else rows.
 
-    plan.block(rows, P, M, etas) takes the n = len(etas) steps of a record
-    block: rows are their n S gathered rows, step-major, and P and M
+    plan.block(rows, P, M, etas, V) takes the n = len(etas) steps of a
+    record block: rows are their n S gathered rows, step-major, and P and M
     (n + 1, S, d) arrays whose first entries hold the first centres' points
     and mirror coordinates; step k writes its minimizers' to P[k + 1] and
-    M[k + 1].  1-d prox-linear models step from their atoms (_kink_step);
-    slopes that depend on the sample only (TangentRows with no slope_fn)
-    under the entropy and the simplex or its tilt are scanned plan.chunk =
-    SCAN_STEPS steps per call (_scan_chunk) from the block's start; every
-    other path takes its one-step solve per step.  When a step raises, the
-    exception's block_steps counts the block's steps written before it.
+    M[k + 1].  The block prepares its rows once and views them as (n, S,
+    ...) (_step_views); its path's kernel reads step k's row of the views,
+    with no row form or RowState per step: 1-d prox-linear models step from
+    their atoms (_kink_step), linear models that move with their centres
+    from their slopes there (_tangent_step, which keeps them in V, an
+    (n, S, d) array, for the record: plan.slopes), quadratics under a
+    radial phi by the secular equation (_secular_step, in one np.errstate
+    per block), and slopes that depend on the sample only under the entropy
+    and the simplex or its tilt are scanned plan.chunk = SCAN_STEPS steps
+    per call (_scan_chunk).  The paths whose solve evaluates the row form
+    (Newton, the norm term, |affine| rows off the kink path) take step k's
+    form of the views (_form_step).  When a step raises, the exception's
+    block_steps counts the block's steps written before it.
     """
     power = _kernel_power(phi)
-    path, prepare, unit, chunk = None, lambda rows, eta: rows, None, 1
+    path, prepare, kernel, chunk, quiet = None, lambda rows, eta: rows, None, 1, nullcontext
+    slopes = False
     if isinstance(rows, (SmoothRows, QuadraticRows)) and reg.kind == "zero":
         if isinstance(rows, QuadraticRows) and power is not None:
-            path, prepare = partial(_secular, power, _growth(power)), _secular_rows
+            growth = _growth(power)
+            path = lambda rows, Z, eta: _secular(power, growth, *rows, Z.mirror)
+            prepare, kernel, quiet = _secular_rows, partial(_secular_step, power, growth), _quiet
         else:
             path = lambda rows, Z, eta: _newton(rows, phi, Z, eta, tol)
     elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
@@ -1294,15 +1070,17 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
         if solve is not None and rows.absolute:
             path = partial(_abs_affine_rows, solve, power, phi, by_kink)
             if by_kink and isinstance(rows, ProxLinearRows):
-                unit = partial(_kink_step, solve, power, phi)
+                kernel = partial(_kink_step, solve, power, phi)
         elif solve is not None:
             # an affine model's slope at the centre is its gradient there
-            path = lambda rows, Z, eta: (*solve(rows.gradients(Z.points), Z, eta), 1,
-                                         "closed_form_affine")
-            scan = (isinstance(rows, TangentRows) and rows.slope_fn is None
-                    and _affine_scan(reg, phi))
-            if scan:
-                unit, chunk = partial(_scan_chunk, scan), SCAN_STEPS
+            path = lambda rows, Z, eta: (*solve(rows.gradients(Z.points), Z.points, Z.mirror,
+                                                eta), 1, "closed_form_affine")
+            if isinstance(rows, TangentRows):
+                scan = rows.slope_fn is None and _affine_scan(reg, phi)
+                if scan:
+                    kernel, chunk = partial(_scan_chunk, scan), SCAN_STEPS
+                else:
+                    kernel, slopes = partial(_tangent_step, solve, phi), True
     elif (isinstance(rows, AbsQuadraticRows) and reg.kind == "zero"
           and power is not None and power.closed):
         path = partial(_abs_quadratic_rows, power.a1, power.a3, phi)
@@ -1310,28 +1088,29 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     def plan(rows, Z, eta):
         if eta < ETA_FLOOR:
             return Z.points, Z.mirror, 0, "degenerate_eta"
-        return path(rows, Z, eta)
+        with quiet():
+            return path(rows, Z, eta)
 
-    def step(rows, P, M, etas, k, S):
-        Y, mirror = path(take_rows(rows, slice(k * S, k * S + S)),
-                         RowState(P[k], M[k], None, None), etas[k])[:2]
-        P[k + 1] = Y
-        M[k + 1] = phi.mirror_rows(Y) if mirror is None else mirror
+    # the block keeps the centres of degenerate steps (eta < ETA_FLOOR) but
+    # those of a scanned chunk or of a tangent step, which keeps its slopes
+    keeps = chunk == 1 and not slopes
+    kernel = kernel or partial(_form_step, path, phi)
 
-    def block(rows, P, M, etas):
-        S, k = P.shape[1], 0
-        rows = prepare(rows, etas.repeat(S))
+    def block(rows, P, M, etas, V=None):
+        S, n, k = P.shape[1], len(etas), 0
+        steps = _step_views(prepare(rows, etas.repeat(S)), n, S)
         try:
-            for k in range(0, len(etas), chunk):
-                if chunk == 1 and etas[k] < ETA_FLOOR:
-                    P[k + 1], M[k + 1] = P[k], M[k]  # degenerate_eta
-                else:
-                    (unit or step)(rows, P, M, etas, k, S)
+            with quiet():
+                for k in range(0, n, chunk):
+                    if keeps and etas[k] < ETA_FLOOR:
+                        P[k + 1], M[k + 1] = P[k], M[k]  # degenerate_eta
+                    else:
+                        kernel(steps, P, M, etas, k, V)
         except Exception as err:
             err.block_steps = k
             raise
 
-    plan.prepare, plan.chunk, plan.block = prepare, chunk, block
+    plan.prepare, plan.chunk, plan.block, plan.slopes = prepare, chunk, block, slopes
     return path and plan
 
 

@@ -210,7 +210,8 @@ def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
     for k in range(1, iterations + 1):
         g = model.gradients(x[None, :])[0]
         step = step0 / np.sqrt(k)
-        x = solve(g[None, :], phi.state_rows(x[None, :], reg), step)[0][0]
+        Z = phi.state_rows(x[None, :], reg)
+        x = solve(g[None, :], Z.points, Z.mirror, step)[0][0]
         v = problem.exact_F(x)
         if v < best_v:
             best_v, best_x = v, x.copy()

@@ -15,10 +15,11 @@ from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog
                             format_csv_rows, parse_csv_rows, run_convex,
                             run_for_regime, run_mirror_descent_smooth,
                             run_model_based, sample_tstar, stepsize_constant,
-                            stationarity_over_tstar_law, sweep, _resolve_etas,
-                            _run_loop)
+                            stationarity_over_tstar_law, sweep, tstar_weights,
+                            _resolve_etas, _run_loop)
 from bregopt.envelope import bregman_prox_point, stationarity
-from bregopt.legendre import Euclidean, norm_rows
+from bregopt.legendre import Euclidean, dot_rows, norm_rows
+from bregopt.models import LinearMirrorOracle, choice_cdf
 from bregopt.problems import get_problem, registry
 from bregopt.subproblem import (SECULAR_TOL, InnerSolveError, power_terms, prox_step_rows,
                                 record_rows)
@@ -142,13 +143,14 @@ def test_registry_p6_secular_steps_take_one_pass(monkeypatch):
     calls = []
     secular = subproblem._secular
 
-    def recorded(power, growth, rows, state, *args):
-        out = secular(power, growth, rows, state, *args)
-        # the loop's buffers are written again at each record block
-        calls.append((tuple(np.array(f) for f in rows), state.mirror.copy(), out))
+    def recorded(power, growth, lam, W, U, mirror, *args):
+        out = secular(power, growth, lam, W, U, mirror, *args)
+        # the loop's buffers and the block's views are written again at each
+        # record block
+        calls.append(((np.array(lam), np.array(W), np.array(U)), mirror.copy(), out))
         return out
 
-    # the plans bind the solve when they are built
+    # the plans and the block's secular steps call the solve
     monkeypatch.setattr(subproblem, "_secular", recorded)
     prob = get_problem("P6")
     sweep(prob, [64, 256], 8)
@@ -809,29 +811,97 @@ def _block_and_steps(problem, S, etas):
     plan = step_plan(rows, Z.points.shape[1], reg, phi, 1e-10)
     P, M = np.empty((n + 1,) + Z.points.shape), np.empty((n + 1,) + Z.points.shape)
     P[0], M[0] = Z.points, Z.mirror
-    plan.block(rows, P, M, etas)
+    V = np.empty(P[1:].shape) if plan.slopes else None
+    plan.block(rows, P, M, etas, V)
     steps = [(Z.points, Z.mirror)]
     for k, eta in enumerate(etas):
         rows_k = plan.prepare(oracle.atom_rows(xi[k * S:k * S + S]), eta)
         Y, mirror = plan(rows_k, RowState(*steps[-1], None, None), float(eta))[:2]
         steps.append((Y, phi.mirror_rows(Y) if mirror is None else mirror))
-    return plan, P, M, steps
+    return plan, P, M, steps, (xi, rows, V)
+
+
+def test_a_block_records_the_models_of_its_steps_slopes(monkeypatch):
+    # the models that a record block builds (block_models) from the slopes
+    # its steps took (P2, P5 and a grad_map oracle: V) or from its gathered
+    # atoms (P3's scanned shift) are model_rows at its centres bit for bit;
+    # a registry loop's record never calls model_rows
+    for problem in [get_problem(pid) for pid in ("P2", "P3", "P5")] + [_grad_map_problem()]:
+        _, etas = _resolve_etas(problem, SolverConfig(15, seed=0), problem.regime)
+        plan, P, M, _, (xi, atoms, V) = _block_and_steps(problem, 4, etas)
+        assert plan.slopes == (problem.oracle.slope_table is None), problem.id
+        d = P.shape[-1]
+        Z = P[:-1].reshape(-1, d)
+        got = problem.oracle.block_models(Z, atoms, None if V is None else V.reshape(-1, d))
+        ref = problem.oracle.model_rows(Z, xi)
+        assert got.absolute == ref.absolute, problem.id
+        assert np.array_equal(got.slopes, ref.slopes), problem.id
+        assert np.array_equal(got.offsets, ref.offsets), problem.id
+
+    def refused(*args):
+        raise AssertionError("the record called model_rows")
+
+    for problem in registry():
+        monkeypatch.setattr(problem.oracle, "model_rows", refused)
+        _run_loop(problem, [SolverConfig(40, seed=[s, 40]) for s in range(3)])
+
+
+def test_the_tstar_draw_is_generator_choice_from_one_cdf():
+    # the loop draws t* from the horizon's one CDF (choice_cdf, searchsorted
+    # of one uniform): the index and the generator state after are those of
+    # rng.choice(T + 1, p=the t* law); a loop's draws replay as rng.choice
+    # calls, its samples first
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        T = int(rng.integers(0, 300))
+        etas = np.sort(rng.uniform(0.01, 0.5, T + 1))[::-1]
+        law = tstar_weights(etas, rng.uniform(0.0, 1.9))
+        seed = int(rng.integers(1 << 30))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert int(choice_cdf(law).searchsorted(a.random(), side="right")) == b.choice(
+            law.size, p=law)
+        assert a.bit_generator.state == b.bit_generator.state
+    problem = get_problem("P1")
+    oracle = problem.oracle
+    configs = [SolverConfig(40, seed=[s, 40]) for s in range(4)]
+    for config, tr in zip(configs, _run_loop(problem, configs)):
+        law = tstar_weights(tr.etas, oracle.constants.rho)
+        replay = np.random.default_rng(config.seed)
+        xi = replay.choice(oracle.n_atoms, p=oracle.weights, size=41)
+        assert np.array_equal(tr.sampled_xi_ids, xi) and tr.sampled_xi_ids.dtype == xi.dtype
+        assert tr.t_star == replay.choice(law.size, p=law)
+
+
+def _grad_map_problem():
+    # P3's data with slopes that move with their centres: a grad_map
+    # LinearMirrorOracle, whose atom rows are _MappedSlopes (the tangent
+    # block, not the scan)
+    import copy
+    problem = copy.copy(get_problem("P3"))
+    p3 = problem.oracle
+    atoms = p3.slope_table
+    problem.oracle = LinearMirrorOracle(
+        f_fn=lambda X: dot_rows(X, X) + dot_rows(p3.weights @ atoms, X),
+        grad_map=lambda X, xi: atoms[xi] + 2.0 * X, weights=p3.weights, lip=p3.lip,
+        regime="C", constants=p3.constants)
+    return problem
 
 
 def test_a_block_steps_as_its_one_step_plan():
     # plan.block, bit for bit the plan's step-by-step solves on every path of
     # the registry that is not scanned (P1's kink block from its atoms'
-    # views, P2's radial root, P5's ball, P6's secular solve), step 3 with a
-    # step size below ETA_FLOOR (degenerate_eta: the step keeps its centres);
-    # P3's and P4's blocks scan SCAN_STEPS steps per chunk from the block's
-    # first step, bit for bit their chunks' scans
+    # views, P2's radial root, P5's ball, P6's secular solve) and on a
+    # grad_map oracle's slopes, step 3 with a step size below ETA_FLOOR
+    # (degenerate_eta: the step keeps its centres); P3's and P4's blocks
+    # scan SCAN_STEPS steps per chunk from the block's first step, bit for
+    # bit their chunks' scans
     from bregopt.legendre import RowState
     from bregopt.subproblem import ETA_FLOOR, SCAN_STEPS, _affine_scan
-    for problem in registry():
+    for problem in registry() + [_grad_map_problem()]:
         _, etas = _resolve_etas(problem, SolverConfig(39, seed=0), problem.regime)
         etas = etas * np.linspace(1.0, 0.5, 40)
         etas[3] = ETA_FLOOR / 2.0
-        plan, P, M, steps = _block_and_steps(problem, 4, etas)
+        plan, P, M, steps, _ = _block_and_steps(problem, 4, etas)
         assert np.array_equal(P[4], P[3]) and np.array_equal(M[4], M[3]), problem.id
         if plan.chunk == 1:
             for k, (Y, mirror) in enumerate(steps):
@@ -906,9 +976,13 @@ def test_a_step_that_fails_its_certificate_in_a_block_raises_from_the_loop(
 # their gathered atoms and one check of the configs per horizon: P1 21.65,
 # P2 31.48, P3 22.77, P4 23.23, P5 36.55 and P6 39.95, where a plan call per
 # step (a scan call per chunk for P3 and P4) took 33.05, 36.63, 25.60,
-# 26.06, 40.77 and 44.12
-CALLS_PER_STEP = {"P1": 21.7, "P2": 31.5, "P3": 22.8, "P4": 23.3, "P5": 36.6,
-                  "P6": 40.0}
+# 26.06, 40.77 and 44.12.  Block kernels that read step k from (n, S, ...)
+# views (no row form, RowState or errstate per step), a record that reads
+# the slopes its steps took, draws from stored CDFs, and the convex
+# averages by one np.dot each: P1 18.15, P2 20.60, P3 15.31, P4 15.77, P5
+# 18.46 and P6 25.40
+CALLS_PER_STEP = {"P1": 18.2, "P2": 20.6, "P3": 15.4, "P4": 15.8, "P5": 18.5,
+                  "P6": 25.4}
 
 
 @pytest.mark.parametrize("pid", sorted(CALLS_PER_STEP))
@@ -948,10 +1022,12 @@ def test_a_horizon_peaks_little_above_what_its_traces_keep():
     # its secular steps per block too: 1.34x, where gathering them once per
     # horizon fails this bound.  With a plan call per block: P1 1.26x, P3
     # 1.24x, P5 1.24x and P6 1.29x (P3 and P6 read 1.43x and 1.51x with
-    # 256-row blocks).  P2 peaks at 1.71x: its record evaluates grad f again
-    # at every centre through (rows, 20) temporaries, so it is left out
+    # 256-row blocks).  With the draws kept once (the traces view them), the
+    # record reading the steps' slopes and P2's f in place: P1 1.15x, P2
+    # 1.26x, P3 1.18x, P4 1.18x, P5 1.17x and P6 1.17x (P2 read 1.71x when
+    # its record evaluated grad f again through (rows, 20) temporaries)
     import tracemalloc
-    for pid in ("P1", "P3", "P5", "P6"):
+    for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
         prob = get_problem(pid)
         configs = [SolverConfig(256, seed=[s, 256]) for s in range(8)]
         _run_loop(prob, configs)

@@ -6,8 +6,8 @@ from bregopt.legendre import (Burg, DomainError, Euclidean, LegendreFunction,
                               SingularHessianError, WeightedSum,
                               build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre,
-                              finite_difference_step, gradient_by_differences,
-                              legendre_from_config)
+                              dot_rows, finite_difference_step,
+                              gradient_by_differences, legendre_from_config)
 
 
 def zoo():
@@ -365,3 +365,22 @@ def test_raw_radial_power_sum_has_no_config():
     assert raw.value([2.0]) == 8.0
     with pytest.raises(ValueError):
         raw.to_config()
+
+
+def test_dot_rows_is_np_dot_row_by_row_over_layouts():
+    # np.vecdot takes each row pair through np.dot's inner loop: bit for bit
+    # np.dot of every row pair, over C, strided, Fortran, broadcast and 3-d
+    # operands, at dimensions where the BLAS dot unrolls differently
+    rng = np.random.default_rng(4)
+    for d in list(range(1, 40)) + [64, 100, 257]:
+        a, b = rng.standard_normal((7, d)), rng.standard_normal((7, d))
+        layouts = [(a, b), (rng.standard_normal((7, 2 * d))[:, ::2], b),
+                   (np.asfortranarray(a), b), (a[0], b),
+                   (rng.standard_normal((3, 7, d)), b),
+                   (a, np.asfortranarray(rng.standard_normal((d, 7))).T)]
+        for x, y in layouts:
+            X, Y = np.broadcast_arrays(x, y)
+            ref = np.array([np.dot(u, v) for u, v in zip(X.reshape(-1, d), Y.reshape(-1, d))])
+            got = dot_rows(x, y)
+            assert got.shape == X.shape[:-1], d
+            assert got.reshape(-1).tobytes() == ref.tobytes(), d

@@ -977,10 +977,12 @@ def test_secular_steps_solve_the_kkt_system(phi_kind, seed, d, n_rows, log_eta):
 
 
 def _secular_solve(phi, rows, Z, eta, max_iter):
-    # _secular as the step plan binds it, with a bound on its Newton steps
+    # _secular as the step plan calls it (in its np.errstate), with a bound
+    # on its Newton steps
     power = power_terms(*phi.radial_terms())
-    return _secular(power, _growth(power), _secular_rows(rows, eta), phi.state_rows(Z),
-                    max_iter=max_iter)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _secular(power, _growth(power), *_secular_rows(rows, eta),
+                        phi.state_rows(Z).mirror, max_iter=max_iter)
 
 
 def test_secular_step_raises_when_unsolved():
@@ -1319,7 +1321,7 @@ def test_an_entropic_step_from_tiny_centres_stays_in_the_floats():
     eta = 1e3
     with np.errstate(over="raise"):
         phi = _ROW_PHIS["entropy"]
-        Y = _affine_solver(_ROW_REGS["zero"], phi)(V, phi.state_rows(Z), eta)[0]
+        Y = _affine_solver(_ROW_REGS["zero"], phi)(V, Z, phi.mirror_rows(Z), eta)[0]
     assert np.isfinite(Y).all()
     assert np.array_equal(Y, np.exp(np.log(Z) - eta * V))
 
