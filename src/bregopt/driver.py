@@ -409,11 +409,12 @@ def _metric_names(problem):
 
 class SweepResult(np.ndarray):
     """A sweep's outputs, one array whose row h is [T, eta0, lambda, the
-    (S, k) metric values of its S seeds and k metrics, the S cell wall times
-    in ms] for horizon h, of the class (of) that holds its regime, problem
-    id and metric names.  A kept result is this one small array (328 B for
-    one horizon of 8 seeds, which the benchmark keeps per call, where a
-    wrapper object around it took 376 B); cells is it as a plain
+    (S, k) metric values of its S seeds and k metrics, the wall time in ms
+    of each cell] for horizon h (one time: every cell's is its share of the
+    horizon's), of the class (of) that holds its regime, problem id and
+    metric names.  A kept result is this one small array (272 B for one
+    horizon of 8 seeds, which the benchmark keeps per call, where S wall
+    times took 328 B and a wrapper object 376 B); cells is it as a plain
     array, and horizons, eta0, lam, values (H, S, k), walls (H, S), rows,
     means, std_errs and fit are derived on access."""
 
@@ -437,7 +438,7 @@ class SweepResult(np.ndarray):
 
     @property
     def n_seeds(self):
-        return (self.cells.shape[1] - 3) // (len(self.metric_names) + 1)
+        return (self.cells.shape[1] - 4) // len(self.metric_names)
 
     @property
     def horizons(self):
@@ -458,7 +459,7 @@ class SweepResult(np.ndarray):
 
     @property
     def walls(self):
-        return self.cells[:, self.cells.shape[1] - self.n_seeds:]
+        return np.repeat(self.cells[:, -1:], self.n_seeds, axis=1)
 
     @property
     def metric_name(self):
@@ -504,7 +505,7 @@ class SweepResult(np.ndarray):
 def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
                    metric_mode):
     """eta0, lambda, the (n_seeds, k) metric values (_metric_names) and the
-    n_seeds wall times of the cells of one horizon.
+    wall time in ms of each cell of one horizon.
 
     The cells run in lockstep, and their metrics are one row pass over the
     S cells: envelope.stationarity_rows at the returned points, whose prox
@@ -537,8 +538,7 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
         values = np.stack((metric, report.local_dual_norm_of_gradient), axis=1)
     else:
         values = convex_gaps(problem, traces)[:, None]
-    walls = np.full(n_seeds, (time.perf_counter() - t0) * 1000.0 / n_seeds)
-    return eta0, cell_lam, values, walls
+    return eta0, cell_lam, values, (time.perf_counter() - t0) * 1000.0 / n_seeds
 
 
 def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
@@ -577,7 +577,7 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     else:
         results = [work(T) for T in horizons]
 
-    cells = np.array([np.concatenate(([T, eta0, cell_lam], vals.ravel(), ms))
+    cells = np.array([np.concatenate(([T, eta0, cell_lam], vals.ravel(), [ms]))
                       for T, (eta0, cell_lam, vals, ms) in zip(horizons, results)])
     return SweepResult.of(problem.regime, problem.id, _metric_names(problem), cells)
 
