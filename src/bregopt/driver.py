@@ -210,9 +210,9 @@ def _run_loop(problem, configs):
     rngs = [np.random.default_rng(c.seed) for c in configs]
     # step t -> one sample per run: the one copy of the draws, which the
     # traces view
-    first = oracle.sample_rows(rngs[0], T + 1)
-    xi_steps = np.empty((T + 1, S) + first.shape[1:], first.dtype)
-    xi_steps[:, 0] = first
+    draws = oracle.sample_rows(rngs[0], T + 1)
+    xi_steps = np.empty((T + 1, S) + draws.shape[1:], draws.dtype)
+    xi_steps[:, 0] = draws
     for s in range(1, S):
         xi_steps[:, s] = oracle.sample_rows(rngs[s], T + 1)
     xi_shape = (-1,) + xi_steps.shape[2:]
@@ -286,7 +286,6 @@ def _run_loop(problem, configs):
             # the eta-weighted average is the point the plain-convexity rate
             # bound controls; under the 1/(mu (t+1)) schedule the guarantee is
             # for the plain average, so both are recorded
-            # (np.tensordot(w, xs, axes=1) is this dot of the same operands)
             xs = trace.iterates[:-1]                      # x_0 .. x_T
             trace.weighted_average = np.dot(w, xs)[0]
             trace.plain_average = xs.mean(axis=0)
@@ -412,9 +411,9 @@ class SweepResult(np.ndarray):
     (S, k) metric values of its S seeds and k metrics, the wall time in ms
     of each cell] for horizon h (one time: every cell's is its share of the
     horizon's), of the class (of) that holds its regime, problem id and
-    metric names.  A kept result is this one small array (272 B for one
-    horizon of 8 seeds, which the benchmark keeps per call, where S wall
-    times took 328 B and a wrapper object 376 B); cells is it as a plain
+    metric names.  A kept result is this one small array (304 B for one
+    horizon of 8 seeds and 2 metrics, which the benchmark keeps per call,
+    where S wall times took 360 B); cells is it as a plain
     array, and horizons, eta0, lam, values (H, S, k), walls (H, S), rows,
     means, std_errs and fit are derived on access."""
 
