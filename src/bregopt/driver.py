@@ -185,10 +185,11 @@ def _run_loop(problem, configs):
     fails its certificate raises InnerSolveError naming the step and the
     row; when a later step of the block raises first, the block's completed
     steps (the exception's block_steps) are recorded before that error
-    propagates.  Models whose row form has no batched step for (r, phi)
-    raise ValueError.  Returns S RunTraces, each with its t* drawn from the
-    horizon's one CDF of the t* law (rng.choice's draw); in the convex
-    regime each carries its averaged iterates.
+    propagates.  The plan bisects a 1-d form with no closed form, and a
+    d > 1 form with no path raises InnerSolveError.  Returns S RunTraces,
+    each with its t* drawn from the horizon's one CDF of the t* law
+    (rng.choice's draw); in the convex regime each carries its averaged
+    iterates.
     """
     regime = problem.regime
     first = configs[0]
@@ -221,9 +222,6 @@ def _run_loop(problem, configs):
     d = state.points.shape[1]
     models = oracle.atom_rows(xi_steps[0])
     plan = step_plan(models, d, reg, phi, tol)
-    if plan is None:
-        raise ValueError("%s: %s has no batched prox step for r = %s and phi = %s"
-                         % (problem.id, type(models).__name__, reg.kind, phi.kind))
     block = plan.chunk * max(1, BLOCK_ROWS // (plan.chunk * S))
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))

@@ -23,8 +23,8 @@ whose agreement is enforced as a runtime cross-check.  The diagnostic is
 always computed offline on recorded iterates, never inside an algorithm
 loop.  The prox points of many iterates are one batch through the exact
 objective's row form, problem.objective (P1's pieces, P2's smooth rows,
-P5's norm term, P6's quadratic); only a 1-d form with no batched path is
-bisected.  The reports of many points are one row pass too
+P5's norm term, P6's quadratic), by the path subproblem.step_plan picks.
+The reports of many points are one row pass too
 (stationarity_rows), of which the report at one point is the one-row case.
 """
 
@@ -34,8 +34,7 @@ import numpy as np
 
 from .legendre import DomainError, dot_rows, take_rows
 # prox_step stays bound here: perfbench/tracing.py wraps envelope.prox_step
-from .subproblem import (_bisection_1d, prox_step, prox_step_rows,  # noqa: F401
-                         _missing_path)
+from .subproblem import prox_step, prox_step_rows  # noqa: F401
 
 
 class EnvelopeReport(namedtuple("EnvelopeReport", "prox_point divergence envelope_value_direct "
@@ -72,22 +71,15 @@ def prox_records(problem, phi, X, lam, tol=1e-10):
     every dimension: one kink search and one cubic root per point for P1's
     |quadratic| pieces, the secular equation for a quadratic (P6), one
     lockstep Newton for a smooth objective (P2) and the shrinkage for a norm
-    term (P5).  A 1-d form with no batched path takes one lockstep bisection
-    on its values and gradients (subproblem._bisection_1d); in d > 1 such a
-    form raises InnerSolveError.  Every batch is certified by
+    term (P5).  A 1-d form with no closed form takes one lockstep bisection
+    on its values and gradients; in d > 1 such a form raises
+    InnerSolveError (subproblem.step_plan).  Every batch is certified by
     center_certificate with rho = tau + rho of the oracle.
     """
     _check_lambda(problem, lam)
-    X = np.asarray(X, dtype=float)
-    rows = problem.objective
-    reg = problem.regularizer
-    rho = _weak_modulus(problem)
-    res = prox_step_rows(rows, reg, phi, X, lam, rho=rho, inner_tol=tol)
-    if res is not None:
-        return res
-    if X.shape[1] == 1:
-        return _bisection_1d(rows, reg, phi, X[:, 0], lam, rho, tol)
-    raise _missing_path(rows, reg, phi)
+    return prox_step_rows(problem.objective, problem.regularizer, phi,
+                          np.asarray(X, dtype=float), lam, rho=_weak_modulus(problem),
+                          inner_tol=tol)
 
 
 def bregman_prox_points(problem, phi, X, lam, tol=1e-10):

@@ -142,6 +142,10 @@ def abs_quadratic_rows(a, b, weights):
 
 
 def _assemble_p1(cfg):
+    # tau below bounds the models' error in the divergence of this kernel only
+    if cfg["phi"] != build_composite_legendre(cfg["p"], cfg["q"]).to_config():
+        raise ValueError("P1's tau holds for the composite kernel of its p and q, not phi = %r"
+                         % (cfg["phi"],))
     a = np.asarray(cfg["a"], dtype=float)
     b = np.asarray(cfg["b"], dtype=float)
     weights = np.asarray(cfg["weights"], dtype=float)

@@ -12,12 +12,13 @@ subgradient selection) over the rows of an (N, d) array; the atoms of
 linear models that move with their centres (ProxLinearRows, TangentRows)
 give their slopes there.  Both modules' names are imported here too.  Every step
 goes through one dispatch on that form, made once per loop or batch
-(step_plan): the affine or |affine| closed form, the norm shrinkage, the
-scalar secular equation of a quadratic under a radial phi, one kink search
-and one cubic root for a 1-d sum of |quadratic| terms, or one lockstep
-Newton; a 1-d form with none of these takes the certified bisection on its
-values and gradients.  Every returned step carries a three-point
-optimality residual, the runtime contract
+(step_plan), as a block of steps (a batch is a block of one step): the
+affine or |affine| closed form, the norm shrinkage, the scalar secular
+equation of a quadratic under a radial phi, one kink search and one cubic
+root for a 1-d sum of |quadratic| terms, or one lockstep Newton; a 1-d form
+with none of these takes the certified bisection on its values and
+gradients.  Every returned step carries a three-point optimality residual,
+the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -482,7 +483,7 @@ def _norm_term_rows(reg, rows, Z, eta):
     return Y, None, 1, "closed_form_norm"
 
 
-def _abs_quadratic_rows(a0, a3, phi, rows, Z, eta):
+def _abs_quadratic_rows(reg, a0, a3, phi, rows, Z, eta):
     """The path of AbsQuadraticRows: r = 0, phi = c2 y^2 + c4 y^4, a0 = 2 c2, a3 = 4 c4.
 
     The minimizer y of eta f + D(., z) solves h(y) = c = phi'(z) for the
@@ -494,14 +495,14 @@ def _abs_quadratic_rows(a0, a3, phi, rows, Z, eta):
     with j = searchsorted(h_+(K), c) the point is K_j when h_-(K_j) <= c,
     else the root sign(c) _cubic_root(2 c2 + 2 eta C_j, 4 c4, |c|) on piece
     j: one search and one root per row, whatever the batch.  The condition
-    2 c2 + 2 eta min C > 0 is checked here (None when it fails); for P1
+    2 c2 + 2 eta min C > 0 is checked here (else _bisection_rows); for P1
     (c2 = 7/2, tau = (4/3) sum w a^2, min C >= -sum w a^2) it holds at every
     envelope step, as eta (tau + rho) < 1 gives eta sum w a^2 < 3/4 < c2.
     """
     K, C = rows.kinks, rows.curvatures
     a1 = a0 + 2.0 * eta * C
     if not a1.min() > 0.0:
-        return None
+        return _bisection_rows(reg, phi, rows, Z, eta)
     c = Z.mirror[:, 0]
     gk = phi.gradient_rows(K[:, None])[:, 0]
     j = np.searchsorted(2.0 * eta * C[1:] * K + gk, c)
@@ -613,13 +614,14 @@ def _abs_affine_1d(solve, power, phi, g, s, z, m, eta):
     return y, W
 
 
-def _step_views(rows, n, S):
+def _step_views(rows, n):
     """The row form rows of n S rows (step-major) with each array field
-    viewed as (n, S, ...), row k of a field step k's: the steps that the
-    block kernels below read.  kernel(steps, P, M, etas, k, V) takes step k
-    of a record block (or the chunk from it) from P[k] and M[k] to P[k + 1]
-    and M[k + 1] (plan.block)."""
-    return type(rows)(*[f.reshape((n, S) + f.shape[1:]) if f.__class__ is np.ndarray else f
+    viewed as (n, S, ...), row k of a field step k's (one step views any
+    form as (1, ...)): the steps that the block kernels below read.
+    kernel(steps, P, M, etas, k, V) takes step k of a record block (or the
+    chunk from it) from P[k] and M[k] to P[k + 1] and M[k + 1] and returns
+    its (inner iterations, method) (plan.block)."""
+    return type(rows)(*[f.reshape((n, -1) + f.shape[1:]) if f.__class__ is np.ndarray else f
                         for f in rows])
 
 
@@ -631,42 +633,49 @@ def _kink_step(solve, power, phi, steps, P, M, etas, k, V):
                           M[k, :, 0], etas[k])
     P[k + 1, :, 0] = y
     M[k + 1] = phi.mirror_rows(P[k + 1]) if W is None else W[:, None]
+    return 1, "closed_form_abs_affine"
 
 
 def _tangent_step(solve, phi, steps, P, M, etas, k, V):
-    """Linear models that move with their centres (TangentRows): their
-    slopes at P[k], kept in V[k] for the record, and the affine solve; a
-    step with eta < ETA_FLOOR keeps its centres (degenerate_eta)."""
+    """Linear models (TangentRows): their slopes at P[k], kept in V[k] for
+    the record, and the affine solve; a step with eta < ETA_FLOOR keeps its
+    centres (degenerate_eta)."""
     V[k] = steps.slopes(steps.slope_fn, P[k], steps.shift[k])
     if etas[k] < ETA_FLOOR:
         P[k + 1], M[k + 1] = P[k], M[k]
-    else:
-        P[k + 1], mirror = solve(V[k], P[k], M[k], etas[k])
-        M[k + 1] = phi.mirror_rows(P[k + 1]) if mirror is None else mirror
+        return 0, "degenerate_eta"
+    P[k + 1], mirror = solve(V[k], P[k], M[k], etas[k])
+    M[k + 1] = phi.mirror_rows(P[k + 1]) if mirror is None else mirror
+    return 1, "closed_form_affine"
 
 
 def _secular_step(power, growth, steps, P, M, etas, k, V):
     """Quadratic models under a radial phi: _secular on step k's
     SecularRows (the block enters its np.errstate)."""
     lam, W, U = steps
-    P[k + 1], M[k + 1] = _secular(power, growth, lam[k], W[k], U[k], M[k])[:2]
+    P[k + 1], M[k + 1], its, method = _secular(power, growth, lam[k], W[k], U[k], M[k])
+    return its, method
 
 
 def _scan_chunk(scan, steps, P, M, etas, k, V):
     """Linear models whose slopes steps.shift depend on the sample only:
-    steps k .. k + SCAN_STEPS - 1 in one _affine_scan call."""
+    steps k .. k + SCAN_STEPS - 1 in one _affine_scan call (affine steps)."""
     k1 = min(k + SCAN_STEPS, len(etas))
     P[k + 1:k1 + 1], M[k + 1:k1 + 1] = scan(steps.shift[k:k1], RowState(P[k], M[k], None, None),
                                             etas[k:k1])
+    if k1 - k == 1 and etas[k] < ETA_FLOOR:
+        return 0, "degenerate_eta"
+    return 1, "closed_form_affine"
 
 
 def _form_step(path, phi, steps, P, M, etas, k, V):
     """A path whose solve evaluates its models' row form (the lockstep
     Newton, the norm term, |affine| rows off the kink path): the path on
     step k's form of the views."""
-    Y, mirror = path(take_rows(steps, k), RowState(P[k], M[k], None, None), etas[k])[:2]
-    P[k + 1] = Y
-    M[k + 1] = phi.mirror_rows(Y) if mirror is None else mirror
+    found = path(take_rows(steps, k), RowState(P[k], M[k], None, None), etas[k])
+    P[k + 1] = found[0]
+    M[k + 1] = phi.mirror_rows(found[0]) if found[1] is None else found[1]
+    return found[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +781,16 @@ def _bisection_1d(model, reg, phi, centers, eta, rho, tol):
     centers."""
     _check_step(eta, rho)
     Z = phi.state_rows(np.asarray(centers, dtype=float)[:, None], reg)
-    y, its = _solve_1d(model, reg, phi, Z, eta)
-    return _recorded(model.values, reg, phi, Z, (y[:, None], None, its.max(), "bisection_1d"),
+    return _recorded(model.values, reg, phi, Z, _bisection_rows(reg, phi, model, Z, eta),
                      eta, rho, tol)
+
+
+def _bisection_rows(reg, phi, rows, Z, eta):
+    """The last path, of a 1-d form with no other: _solve_1d's bisection on
+    the form's values and gradients, as solve_rows' (minimizers, None, the
+    most halvings of a row, "bisection_1d")."""
+    y, its = _solve_1d(rows, reg, phi, Z, eta)
+    return y[:, None], None, its.max(), "bisection_1d"
 
 
 def _newton_directions(H, G):
@@ -905,9 +921,10 @@ def _power_sum(const, terms, s):
 
 
 def _secular_rows(rows, eta):
-    """The SecularRows of QuadraticRows under step sizes eta (one, or one per
-    row), row by row: a block of steps prepares bit for bit as each step."""
-    eta = np.asarray(eta, dtype=float)[..., None]
+    """The SecularRows of QuadraticRows under the array eta of step sizes,
+    one per row, row by row: a block of steps prepares bit for bit as each
+    step."""
+    eta = eta[:, None]
     return SecularRows(eta * rows.eigvals,
                        eta * (rows.Q * rows.centers[..., None, :]).sum(axis=-1), rows.eigvecs)
 
@@ -1022,43 +1039,42 @@ def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
 # the outer-facing prox steps
 # ---------------------------------------------------------------------------
 
-def step_plan(rows, d, reg, phi, tol=1e-10):
-    """The solve of all batches of steps on models of the row form of rows
-    (its type, and AffineRows' absolute flag) in dimension d under r and
-    phi, chosen once with its constants (power_terms), or None when the form
-    has no batched path.  The plan maps (rows, Z, eta), Z the centres'
-    RowState, to (minimizers, their mirror coordinates or None, inner
-    iterations, method), the centres when eta < ETA_FLOOR, or None when
-    AbsQuadraticRows fail their coefficient condition.  It reads its rows as
-    plan.prepare(rows, eta) gives them (eta one, or one per row), so many
-    steps prepare in one pass: SecularRows for the secular step, else rows.
+StepPlan = namedtuple("StepPlan", "block chunk slopes")
 
-    plan.block(rows, P, M, etas, V) takes the n = len(etas) steps of a
-    record block: rows are their n S gathered rows, step-major, and P and M
-    (n + 1, S, d) arrays whose first entries hold the first centres' points
-    and mirror coordinates; step k writes its minimizers' to P[k + 1] and
-    M[k + 1].  The block prepares its rows once and views them as (n, S,
-    ...) (_step_views); its path's kernel reads step k's row of the views,
-    with no row form or RowState per step: 1-d prox-linear models step from
-    their atoms (_kink_step), linear models that move with their centres
-    from their slopes there (_tangent_step, which keeps them in V, an
-    (n, S, d) array, for the record: plan.slopes), quadratics under a
-    radial phi by the secular equation (_secular_step, in one np.errstate
-    per block), and slopes that depend on the sample only under the entropy
-    and the simplex or its tilt are scanned plan.chunk = SCAN_STEPS steps
-    per call (_scan_chunk).  The paths whose solve evaluates the row form
-    (Newton, the norm term, |affine| rows off the kink path) take step k's
-    form of the views (_form_step).  When a step raises, the exception's
-    block_steps counts the block's steps written before it.
+
+def step_plan(rows, d, reg, phi, tol=1e-10):
+    """The path of all steps on models of the row form of rows (its type,
+    and AffineRows' absolute flag) in dimension d under r and phi, chosen
+    once with its constants (power_terms): the only code that chooses one.
+    A 1-d form with no other path, or AbsQuadraticRows that fail their
+    coefficient condition, bisect (_bisection_rows); in d > 1 such a form
+    raises InnerSolveError.
+
+    The plan's one entry, plan.block(rows, P, M, etas, V), takes the n =
+    len(etas) steps of a record block and returns its last step's (inner
+    iterations, method): rows are their n S gathered rows, step-major, and
+    P and M (n + 1, S, d) arrays whose first entries hold the first centres'
+    points and mirror coordinates; step k writes its minimizers' to P[k + 1]
+    and M[k + 1], its centres' when eta < ETA_FLOOR (degenerate_eta).  The
+    block prepares its rows once (SecularRows; an affine model's slopes as
+    TangentRows) and views them as (n, S, ...) (_step_views); its path's
+    kernel reads step k's row of the views: 1-d prox-linear models step
+    from their atoms (_kink_step), linear models from their slopes at the
+    centres (_tangent_step, which keeps them in V, an (n, S, d) array, for
+    the record: plan.slopes), quadratics under a radial phi by the secular
+    equation (_secular_step, in one np.errstate per block), and slopes that
+    depend on the sample only under the entropy and the simplex or its tilt
+    are scanned plan.chunk = SCAN_STEPS steps per call (_scan_chunk).  The
+    other paths evaluate step k's form of the views (_form_step).  When a
+    step raises, the exception's block_steps counts the block's steps
+    written before it.
     """
     power = _kernel_power(phi)
-    path, prepare, kernel, chunk, quiet = None, lambda rows, eta: rows, None, 1, nullcontext
-    slopes = False
+    path, prepare, kernel, chunk, quiet, slopes = None, None, None, 1, nullcontext, False
     if isinstance(rows, (SmoothRows, QuadraticRows)) and reg.kind == "zero":
         if isinstance(rows, QuadraticRows) and power is not None:
-            growth = _growth(power)
-            path = lambda rows, Z, eta: _secular(power, growth, *rows, Z.mirror)
-            prepare, kernel, quiet = _secular_rows, partial(_secular_step, power, growth), _quiet
+            prepare, kernel, quiet = (_secular_rows, partial(_secular_step, power, _growth(power)),
+                                      _quiet)
         else:
             path = lambda rows, Z, eta: _newton(rows, phi, Z, eta, tol)
     elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
@@ -1072,96 +1088,89 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
             if by_kink and isinstance(rows, ProxLinearRows):
                 kernel = partial(_kink_step, solve, power, phi)
         elif solve is not None:
-            # an affine model's slope at the centre is its gradient there
-            path = lambda rows, Z, eta: (*solve(rows.gradients(Z.points), Z.points, Z.mirror,
-                                                eta), 1, "closed_form_affine")
-            if isinstance(rows, TangentRows):
-                scan = rows.slope_fn is None and _affine_scan(reg, phi)
-                if scan:
-                    kernel, chunk = partial(_scan_chunk, scan), SCAN_STEPS
-                else:
-                    kernel, slopes = partial(_tangent_step, solve, phi), True
+            scan = (isinstance(rows, TangentRows) and rows.slope_fn is None
+                    and _affine_scan(reg, phi))
+            if scan:
+                kernel, chunk = partial(_scan_chunk, scan), SCAN_STEPS
+            else:
+                kernel, slopes = partial(_tangent_step, solve, phi), True
+            if isinstance(rows, AffineRows):
+                # an affine model's step reads its slopes only
+                prepare = lambda rows, eta: TangentRows(None, rows.slopes)
     elif (isinstance(rows, AbsQuadraticRows) and reg.kind == "zero"
           and power is not None and power.closed):
-        path = partial(_abs_quadratic_rows, power.a1, power.a3, phi)
-
-    def plan(rows, Z, eta):
-        if eta < ETA_FLOOR:
-            return Z.points, Z.mirror, 0, "degenerate_eta"
-        with quiet():
-            return path(rows, Z, eta)
-
+        path = partial(_abs_quadratic_rows, reg, power.a1, power.a3, phi)
+    if kernel is None and path is None:
+        if d > 1:
+            raise InnerSolveError("%s has no batched prox step for r = %s and phi = %s"
+                                  % (type(rows).__name__, reg.kind, phi.kind))
+        path = partial(_bisection_rows, reg, phi)
+    kernel = kernel or partial(_form_step, path, phi)
     # the block keeps the centres of degenerate steps (eta < ETA_FLOOR) but
     # those of a scanned chunk or of a tangent step, which keeps its slopes
     keeps = chunk == 1 and not slopes
-    kernel = kernel or partial(_form_step, path, phi)
 
     def block(rows, P, M, etas, V=None):
-        S, n, k = P.shape[1], len(etas), 0
-        steps = _step_views(prepare(rows, etas.repeat(S)), n, S)
+        n, k = len(etas), 0
+        if prepare is not None:
+            rows = prepare(rows, etas.repeat(P.shape[1]))
+        steps = _step_views(rows, n)
         try:
             with quiet():
                 for k in range(0, n, chunk):
                     if keeps and etas[k] < ETA_FLOOR:
-                        P[k + 1], M[k + 1] = P[k], M[k]  # degenerate_eta
+                        P[k + 1], M[k + 1] = P[k], M[k]
+                        found = 0, "degenerate_eta"
                     else:
-                        kernel(steps, P, M, etas, k, V)
+                        found = kernel(steps, P, M, etas, k, V)
         except Exception as err:
             err.block_steps = k
             raise
+        return found
 
-    plan.prepare, plan.chunk, plan.block, plan.slopes = prepare, chunk, block, slopes
-    return path and plan
+    return StepPlan(block, chunk, slopes)
 
 
 def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
-    """A one-use step_plan from the centres' RowState Z, after checking eta and rho."""
+    """The step from the centres' RowState Z as a block of one step of a
+    one-use step_plan, after checking eta and rho: (minimizers, their mirror
+    coordinates, inner iterations, method)."""
     _check_step(eta, rho)
     plan = step_plan(rows, Z.points.shape[1], reg, phi, tol)
-    return plan and plan(plan.prepare(rows, eta), Z, eta)
-
-
-def _missing_path(rows, reg, phi):
-    """The InnerSolveError of a d > 1 model whose step has no path."""
-    return InnerSolveError("%s has no batched prox step for r = %s and phi = %s"
-                           % (type(rows).__name__, reg.kind, phi.kind))
+    P, M = np.stack((Z.points, Z.points)), np.stack((Z.mirror, Z.mirror))
+    V = np.empty(P[1:].shape) if plan.slopes else None
+    return (P[1], M[1]) + plan.block(rows, P, M, np.array([eta], dtype=float), V)
 
 
 def prox_step(rows, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
     """One Bregman proximal step from the given center: the one-row case of
     prox_step_rows on the model's row form rows (one row).
 
-    A 1-d form with no batched path takes inner_solve's bisection on its
-    values and gradients.  Requires eta * rho < 1 so the composite
-    subproblem is convex.  Every step is certified by center_certificate at
-    tolerance inner_tol: a residual below it raises InnerSolveError, never a
-    quiet return.  So does a d > 1 form with no batched path for (r, phi).
+    Requires eta * rho < 1 so the composite subproblem is convex.  Every
+    step is certified by center_certificate at tolerance inner_tol: a
+    residual below it raises InnerSolveError, never a quiet return.  A 1-d
+    form with no closed form is bisected, and a d > 1 form with no path
+    raises InnerSolveError (step_plan).
     """
     center = np.asarray(center, dtype=float)
-    res = prox_step_rows(rows, reg, phi, center[None, :], eta, rho, inner_tol)
-    if res is not None:
-        return res.row(0)
-    if center.size == 1:
-        return inner_solve(rows, reg, phi, center, eta, tol=inner_tol, rho=rho)
-    raise _missing_path(rows, reg, phi)
+    return prox_step_rows(rows, reg, phi, center[None, :], eta, rho, inner_tol).row(0)
 
 
 def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     """One Bregman proximal step from each row of an (S, d) array of centers.
 
     Row i has the model of row i of rows (a one-row form stands for every
-    row).  A step is its solve (solve_rows, the path step_plan picks) and
-    its record (record_rows: the minimizers' state, the models at both ends,
-    both divergences and the center_certificate, which raises
-    InnerSolveError for the batch when one row is below inner_tol).
-    centers may be the RowState of the minimizers of the step before (its
-    result's state), which is taken as it is; fresh centres' state is
-    derived once (phi.state_rows).  Returns a ProxStepResult over the rows
-    with its minimizers' state, or None when (rows, r, phi) has no batched
-    path.  The lockstep loop (driver) takes the same solve per step and the
-    same record per block of steps.
+    row).  A step is its solve (solve_rows, the path step_plan picks, which
+    raises InnerSolveError for a d > 1 form with no path) and its record
+    (record_rows: the minimizers' state, the models at both ends, both
+    divergences and the center_certificate, which raises InnerSolveError
+    for the batch when one row is below inner_tol).  centers may be the
+    RowState of the minimizers of the step before (its result's state),
+    which is taken as it is; fresh centres' state is derived once
+    (phi.state_rows).  Returns a ProxStepResult over the rows with its
+    minimizers' state.  The lockstep loop (driver) takes the same plan per
+    horizon and the same record per block of steps.
     """
     Z = phi.state_rows(centers, reg)
-    found = solve_rows(rows, reg, phi, Z, eta, rho, inner_tol)
-    return (None if found is None
-            else _recorded(rows.values, reg, phi, Z, found, eta, rho, inner_tol))
+    return _recorded(rows.values, reg, phi, Z, solve_rows(rows, reg, phi, Z, eta, rho, inner_tol),
+                     eta, rho, inner_tol)

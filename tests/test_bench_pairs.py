@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+SPECS = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def _lines(steps, p50, rss, setup, correct=True, failed=0):
@@ -57,7 +58,7 @@ def test_summary_gives_quartiles_and_the_ratio_of_medians():
         runs += [_run("parent", 11, order, *p), _run("change", 11, order, *c)]
     runs += [_run("parent", 4242, "parent first", 120.0, 5.0, 42.0, 0.2),
              _run("change", 4242, "parent first", 170.0, 4.0, 42.2, 0.2, failed=1)]
-    summary = bench_pairs.summarize(runs)
+    summary = bench_pairs.summarize(runs, SPECS)
     assert set(summary) == {"closed_form_steps/11", "closed_form_steps/4242",
                             "closed_form_steps/all"}
     s11 = summary["closed_form_steps/11"]
@@ -79,12 +80,44 @@ def test_summary_gives_quartiles_and_the_ratio_of_medians():
         [v[3] for v in parent] + [0.2])
 
 
+def test_summary_counts_the_pairs_won_and_tied_and_checks_the_bound():
+    # per pair, by BENCHMARK.json's "better": steps_per_s (higher) wins 2
+    # pairs, ties 1 and loses 1; us_per_step_p50 (lower) wins the pair
+    # whose value fell; the ratio of medians is within the bound when it is
+    # worse by at most the bound (peak_rss_mb: 1%), and a better ratio is
+    # always within
+    parent = [(100.0, 5.0, 40.0, 0.20), (110.0, 5.0, 40.0, 0.20), (90.0, 5.0, 40.0, 0.20),
+              (105.0, 5.0, 40.0, 0.20)]
+    change = [(120.0, 4.0, 40.3, 0.30), (110.0, 6.0, 40.6, 0.30), (80.0, 6.0, 40.6, 0.30),
+              (130.0, 6.0, 40.6, 0.10)]
+    runs = []
+    for p, c in zip(parent, change):
+        runs += [_run("parent", 11, "parent first", *p), _run("change", 11, "parent first", *c)]
+    s = bench_pairs.summarize(runs, SPECS)["closed_form_steps/11"]
+    steps, p50 = s["steps_per_s"], s["us_per_step_p50"]
+    assert (steps["pairs_won"], steps["pairs_tied"], steps["within_bound"]) == (2, 1, True)
+    assert steps["change_over_parent"] == 115.0 / 102.5
+    # 6/5 = 1.2 is worse than its bound 0.15 allows
+    assert (p50["pairs_won"], p50["pairs_tied"], p50["within_bound"]) == (1, 0, False)
+    # 40.6/40 = 1.015 against a bound of 1%
+    rss = s["peak_rss_mb"]
+    assert (rss["pairs_won"], rss["pairs_tied"], rss["within_bound"]) == (0, 0, False)
+    # 0.3/0.2 = 1.5 against 0.25
+    assert s["setup_s"]["pairs_won"] == 1 and s["setup_s"]["within_bound"] is False
+    runs = [dict(r, result=dict(r["result"], metrics=dict(
+        r["result"]["metrics"], peak_rss_mb={"value": 40.3 if r["side"] == "change" else 40.0,
+                                             "unit": "MB"})))
+            for r in runs]
+    rss = bench_pairs.summarize(runs, SPECS)["closed_form_steps/all"]["peak_rss_mb"]
+    assert rss["change_over_parent"] == 40.3 / 40.0 and rss["within_bound"] is True
+
+
 def test_a_bench_file_has_the_keys_of_the_earlier_ones():
     # BENCH_23.json was written before the tool
     earlier = json.loads((ROOT / "BENCH_23.json").read_text())
     runs = [_run(side, 11, "parent first", 1.0, 2.0, 3.0, 4.0) for side in ("parent", "change")]
     out = bench_pairs.bench_file(24, "title", "none", {"parent": "a", "change": "b"},
-                                 [(11, 1)], 20.0, runs)
+                                 [(11, 1)], 20.0, runs, SPECS)
     assert set(out) == set(earlier)
     assert set(out["summary"]["closed_form_steps/all"]) == set(
         earlier["summary"]["closed_form_steps/all"])
@@ -111,7 +144,8 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 20, "workloads": [{"name": "closed_form_steps"},
-                                          {"name": "newton_inner"}]}))
+                                          {"name": "newton_inner"}],
+         "end_to_end": list(SPECS.values())}))
     out = tmp_path / "bench.json"
     code = bench_pairs.main(["--parent", "a", "--change", "b", "--pr", "7", "--title", "t",
                              "--workdir", str(tmp_path / "w"), "--out", str(out)])
@@ -140,6 +174,6 @@ def test_a_first_run_that_fails_leaves_an_empty_summary(monkeypatch):
     assert runs == [] and failed == {"workload": "newton_inner", "seed": 11,
                                      "side": "parent", "returncode": 2}
     out = bench_pairs.bench_file(25, "t", "none", {"parent": "a", "change": "b"},
-                                 [(11, 1)], 20.0, runs, failed)
+                                 [(11, 1)], 20.0, runs, SPECS, failed)
     assert out["runs"] == [] and out["summary"] == {} and out["failed_run"] == failed
     assert out["src_sha256"] == {"parent": None, "change": None}

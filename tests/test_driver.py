@@ -527,15 +527,15 @@ def test_tstar_full_solves_the_returned_point_once(monkeypatch):
 
 
 def test_lockstep_loop_needs_a_batched_step():
-    # an l1 term under a radial kernel has no affine closed form, so the
-    # loop, which steps every row at once, refuses the problem
+    # an l1 term under a radial kernel has no affine closed form, so in
+    # d = 2 the loop's plan (step_plan) refuses the problem
     from bregopt.legendre import build_poly_legendre
     from bregopt.subproblem import L1Regularizer
 
     prob = quadratic_problem(np.array([1.0, -0.5]))
     prob.regularizer = L1Regularizer(0.1)
     prob.phi = build_poly_legendre([1.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="no batched prox step"):
+    with pytest.raises(InnerSolveError, match="no batched prox step"):
         run_model_based(prob, SolverConfig(3, seed=0))
 
 
@@ -770,11 +770,20 @@ def test_each_horizon_and_each_batch_builds_one_plan(monkeypatch):
     assert builds == ["loop", "scan"] * 2
 
 
+def _one_step(plan, rows, points, mirror, eta):
+    # a step from the centres' points and mirror coordinates as the plan's
+    # block of one step: (minimizers, their mirror coordinates, inner
+    # iterations, method)
+    P, M = np.empty((2,) + points.shape), np.empty((2,) + points.shape)
+    P[0], M[0] = points, mirror
+    V = np.empty(P[1:].shape) if plan.slopes else None
+    return (P[1], M[1]) + plan.block(rows, P, M, np.array([eta]), V)
+
+
 def test_a_reused_plan_steps_as_one_use_solves():
-    # the first steps of P1-P6 by one plan, bit for bit those of solve_rows,
-    # which builds a plan per call; below ETA_FLOOR the plan returns the
-    # centres
-    from bregopt.legendre import RowState
+    # the first steps of P1-P6 by one plan's blocks of one step, bit for bit
+    # those of solve_rows, which builds a plan per call, (its, method)
+    # included; the last step, below ETA_FLOOR, keeps its centres
     from bregopt.subproblem import solve_rows, step_plan
     for problem in registry():
         oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
@@ -782,26 +791,24 @@ def test_a_reused_plan_steps_as_one_use_solves():
         rho, rng = oracle.constants.rho, np.random.default_rng(3)
         Z = phi.state_rows(np.tile(problem.x0, (4, 1)), reg)
         plan = None
-        for t, eta in enumerate(etas):
+        for t, eta in enumerate(np.append(etas, 1e-15)):
             rows = oracle.model_rows(Z.points, oracle.sample_rows(rng, 4))
             plan = plan or step_plan(rows, Z.points.shape[1], reg, phi, 1e-10)
-            Y, M, its, method = plan(plan.prepare(rows, eta), Z, float(eta))
+            Y, M, its, method = _one_step(plan, rows, Z.points, Z.mirror, eta)
             ref = solve_rows(rows, reg, phi, Z, float(eta), rho, 1e-10)
             assert np.array_equal(Y, ref[0]) and (its, method) == ref[2:], (problem.id, t)
-            assert (M is None) == (ref[1] is None), (problem.id, t)
-            if M is not None:
-                assert np.array_equal(M, ref[1]), (problem.id, t)
-            Z = RowState(Y, phi.mirror_rows(Y) if M is None else M, None, None)
-        found = plan(plan.prepare(rows, 1e-15), Z, 1e-15)
-        assert found[0] is Z.points and found[1] is Z.mirror, problem.id
-        assert found[2:] == (0, "degenerate_eta"), problem.id
+            assert np.array_equal(M, ref[1]), (problem.id, t)
+            if t == len(etas):
+                assert np.array_equal(Y, Z.points) and np.array_equal(M, Z.mirror), problem.id
+                assert (its, method) == (0, "degenerate_eta"), problem.id
+            Z = phi.state_at(Y, M, reg)
 
 
 def _block_and_steps(problem, S, etas):
     # plan.block over one record block of S runs and len(etas) steps from
-    # x_0, and the same steps by the plan's one-step solve (plan.prepare,
-    # then one plan call per step from the carried state)
-    from bregopt.legendre import RowState
+    # x_0, the (its, method) it returns, and the same steps by the plan's
+    # blocks of one step from the carried points and mirror coordinates,
+    # with each step's (its, method)
     from bregopt.subproblem import step_plan
     oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
     n = len(etas)
@@ -812,13 +819,14 @@ def _block_and_steps(problem, S, etas):
     P, M = np.empty((n + 1,) + Z.points.shape), np.empty((n + 1,) + Z.points.shape)
     P[0], M[0] = Z.points, Z.mirror
     V = np.empty(P[1:].shape) if plan.slopes else None
-    plan.block(rows, P, M, etas, V)
-    steps = [(Z.points, Z.mirror)]
+    last = plan.block(rows, P, M, etas, V)
+    steps, found = [(Z.points, Z.mirror)], []
     for k, eta in enumerate(etas):
-        rows_k = plan.prepare(oracle.atom_rows(xi[k * S:k * S + S]), eta)
-        Y, mirror = plan(rows_k, RowState(*steps[-1], None, None), float(eta))[:2]
-        steps.append((Y, phi.mirror_rows(Y) if mirror is None else mirror))
-    return plan, P, M, steps, (xi, rows, V)
+        Y, mirror, *its_method = _one_step(plan, oracle.atom_rows(xi[k * S:k * S + S]),
+                                           *steps[-1], eta)
+        steps.append((Y, mirror))
+        found.append(tuple(its_method))
+    return plan, P, M, (steps, last, found), (xi, rows, V)
 
 
 def test_a_block_records_the_models_of_its_steps_slopes(monkeypatch):
@@ -888,24 +896,27 @@ def _grad_map_problem():
 
 
 def test_a_block_steps_as_its_one_step_plan():
-    # plan.block, bit for bit the plan's step-by-step solves on every path of
-    # the registry that is not scanned (P1's kink block from its atoms'
-    # views, P2's radial root, P5's ball, P6's secular solve) and on a
-    # grad_map oracle's slopes, step 3 with a step size below ETA_FLOOR
-    # (degenerate_eta: the step keeps its centres); P3's and P4's blocks
-    # scan SCAN_STEPS steps per chunk from the block's first step, bit for
-    # bit their chunks' scans
+    # plan.block, bit for bit the plan's blocks of one step, step by step, on
+    # every path of the registry that is not scanned (P1's kink block from
+    # its atoms' views, P2's radial root, P5's ball, P6's secular solve) and
+    # on a grad_map oracle's slopes, step 3 with a step size below ETA_FLOOR
+    # (degenerate_eta: the step keeps its centres), and the block returns
+    # its last step's (its, method); P3's and P4's blocks scan SCAN_STEPS
+    # steps per chunk from the block's first step, bit for bit their chunks'
+    # scans
     from bregopt.legendre import RowState
     from bregopt.subproblem import ETA_FLOOR, SCAN_STEPS, _affine_scan
     for problem in registry() + [_grad_map_problem()]:
         _, etas = _resolve_etas(problem, SolverConfig(39, seed=0), problem.regime)
         etas = etas * np.linspace(1.0, 0.5, 40)
         etas[3] = ETA_FLOOR / 2.0
-        plan, P, M, steps, _ = _block_and_steps(problem, 4, etas)
+        plan, P, M, (steps, last, found), _ = _block_and_steps(problem, 4, etas)
         assert np.array_equal(P[4], P[3]) and np.array_equal(M[4], M[3]), problem.id
+        assert found[3] == (0, "degenerate_eta"), problem.id
         if plan.chunk == 1:
             for k, (Y, mirror) in enumerate(steps):
                 assert np.array_equal(P[k], Y) and np.array_equal(M[k], mirror), (problem.id, k)
+            assert last == found[-1] and last[1] != "degenerate_eta", problem.id
             continue
         assert plan.chunk == SCAN_STEPS and problem.id in ("P3", "P4")
         scan = _affine_scan(problem.regularizer, problem.phi)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from util_problems import RowModel, halfsq_problem, smooth_problem
+from util_problems import (RowModel, euclidean_p1, halfsq_problem, row_model_problem,
+                           smooth_problem)
 
 from bregopt import envelope
 from bregopt.envelope import (bregman_prox_point, bregman_prox_points,
@@ -10,12 +11,13 @@ from bregopt.envelope import (bregman_prox_point, bregman_prox_points,
                               stationarity_rows)
 from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
-from bregopt.driver import SolverConfig, default_lambda, run_for_regime, sweep
+from bregopt.driver import SolverConfig, _run_loop, default_lambda, run_for_regime, sweep
 from bregopt.models import NoisyGradientOracle, OracleConstants
 from bregopt.problems import (ProblemInstance, default_configs, get_problem,
                               instance_from_config)
 from bregopt.subproblem import (InnerSolveError, SmoothRows, ZeroRegularizer,
-                                absolute_affine_model, prox_step)
+                                absolute_affine_model, prox_points_1d, prox_step,
+                                prox_step_rows)
 from bregopt.validation import _golden_polish
 
 
@@ -236,21 +238,28 @@ def test_batched_1d_prox_agrees_with_single_solves(centers, lam_frac):
 
 def test_euclidean_p1_envelope_takes_the_1d_bisection(monkeypatch):
     # P1's pieces have a closed form only under phi = c2 y^2 + c4 y^4, so
-    # with phi = y^2 / 2 the envelope's prox points take the 1-d bisection
+    # with phi = y^2 / 2 (and that kernel's tau, euclidean_p1) the
+    # envelope's prox points take the 1-d bisection
+    from bregopt import subproblem
     cfg = next(c for c in default_configs() if c["id"] == "P1")
-    p1 = instance_from_config(dict(cfg, phi={"kind": "euclidean"}))
+    p1 = euclidean_p1()
     lam = default_lambda(p1)
     batches = []
-    bisection = envelope._bisection_1d
+    bisection = subproblem._bisection_rows
 
-    def counted(model, reg, phi, centers, *args, **kwargs):
-        batches.append(len(centers))
-        return bisection(model, reg, phi, centers, *args, **kwargs)
+    def counted(reg, phi, rows, Z, eta):
+        batches.append(len(Z.points))
+        return bisection(reg, phi, rows, Z, eta)
 
-    monkeypatch.setattr(envelope, "_bisection_1d", counted)
+    monkeypatch.setattr(subproblem, "_bisection_rows", counted)
     xs = np.array([-2.4, -0.9, 0.0, 0.35, 1.7, 2.5])
     ys = bregman_prox_points(p1, p1.phi, xs[:, None], lam)[:, 0]
     assert batches == [xs.size]
+    # one certified batch over the sampler's box, the centres near 0 too
+    grid = np.linspace(-2.5, 2.5, 2001)[:, None]
+    res = envelope.prox_records(p1, p1.phi, grid, lam)
+    assert res.method == "bisection_1d" and batches[-1] == grid.shape[0]
+    assert (res.three_point_residual >= -1e-10).all()
 
     # each point minimizes F(y) + (y - x)^2 / (2 lam): a 60001-point grid of
     # F from the atoms, then a golden-section polish around its best point
@@ -294,14 +303,44 @@ def test_batched_prox_points_in_2d_equal_single_solves():
 
 def test_a_d2_model_with_no_row_form_raises():
     # |y_1| + |y_2| is neither affine, |affine|, a norm term nor smooth: in
-    # d > 1 no prox path solves it, so the step and the envelope raise
+    # d > 1 no prox path solves it, so the step, the batch, the envelope and
+    # the lockstep loop raise the one error of step_plan
     model = RowModel(lambda Y: np.abs(Y).sum(axis=-1), np.sign)
-    with pytest.raises(InnerSolveError, match="RowModel has no batched prox step"):
-        prox_step(model, ZeroRegularizer(), Euclidean(), np.array([0.5, -0.3]), 0.5)
-    prob = halfsq_problem()
-    prob.objective = model
-    with pytest.raises(InnerSolveError, match="RowModel has no batched prox step"):
-        bregman_prox_points(prob, prob.phi, np.array([[0.5, -0.3], [1.0, 2.0]]), 0.5)
+    prob = row_model_problem(model, [0.5, -0.3])
+    X, reg, phi = np.array([[0.5, -0.3], [1.0, 2.0]]), prob.regularizer, prob.phi
+    entries = [lambda: prox_step(model, reg, phi, X[0], 0.5),
+               lambda: prox_step_rows(model, reg, phi, X, 0.5),
+               lambda: envelope.prox_records(prob, phi, X, 0.5),
+               lambda: _run_loop(prob, [SolverConfig(3, seed=s) for s in range(2)])]
+    for entry in entries:
+        with pytest.raises(InnerSolveError) as info:
+            entry()
+        assert str(info.value) == ("RowModel has no batched prox step for r = zero and "
+                                   "phi = euclidean")
+
+
+def test_a_1d_model_with_no_closed_form_bisects_from_every_entry():
+    # |y - 1/2| + y^4 under phi = y^2 / 2 has no closed form: the step, the
+    # batch, the envelope and the lockstep loop take the 1-d bisection, bit
+    # for bit prox_points_1d's; the loop's trace is checked step by step
+    model = RowModel(lambda Y: np.abs(Y[:, 0] - 0.5) + Y[:, 0] ** 4,
+                     lambda Y: (np.sign(Y[:, 0] - 0.5) + 4.0 * Y[:, 0] ** 3)[:, None])
+    prob = row_model_problem(model, [1.3])
+    reg, phi = prob.regularizer, prob.phi
+    X = np.array([[-1.2], [0.0], [0.5], [0.9], [2.0]])
+    ref = prox_points_1d(model, reg, phi, X[:, 0], 0.3)
+    step = prox_step(model, reg, phi, X[3], 0.3)
+    assert step.method == "bisection_1d" and step.minimizer[0] == ref[3]
+    res = prox_step_rows(model, reg, phi, X, 0.3)
+    assert res.method == "bisection_1d" and np.array_equal(res.minimizer[:, 0], ref)
+    res = envelope.prox_records(prob, phi, X, 0.3)
+    assert res.method == "bisection_1d" and np.array_equal(res.minimizer[:, 0], ref)
+    traces = _run_loop(prob, [SolverConfig(20, seed=s) for s in range(3)])
+    for tr in traces:
+        for t, eta in enumerate(tr.etas):
+            x = tr.iterates[t]
+            assert tr.iterates[t + 1][0] == prox_points_1d(model, reg, phi, x, eta)[0], t
+            assert tr.model_values[t] == model.values(tr.iterates[t + 1][None, :])[0], t
 
 
 def test_a_one_row_form_stands_for_every_row_of_a_batch():

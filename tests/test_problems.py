@@ -39,6 +39,18 @@ def test_p1_constants_follow_the_composite_formulas():
         np.sqrt(float(w @ (2.0 * a2 ** 2))))
 
 
+def test_p1_refuses_a_kernel_other_than_its_composite_one():
+    # tau = (4/3) E[a^2] bounds P1's model error in the divergence of the
+    # composite kernel of its p and q only: under phi = y^2 / 2 (whose tau
+    # is 2 E[a^2]) the envelope's certificates at lam = 1/(2 tau) failed
+    # near 0.  The registry's config passes, also after a round trip
+    cfg = next(c for c in default_configs() if c["id"] == "P1")
+    for bad in (dict(cfg, phi={"kind": "euclidean"}), dict(cfg, q=[0.0, 0.0, 2.0])):
+        with pytest.raises(ValueError, match="composite kernel"):
+            instance_from_config(bad)
+    assert instance_from_config(load_config(dump_config(cfg))).phi.to_config() == cfg["phi"]
+
+
 def test_every_instance_passes_its_verify_suite():
     rng = np.random.default_rng(0)
     for p in registry():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bregopt.problems import (abs_quadratic_rows, default_configs, get_problem,
                               instance_from_config, registry)
-from util_problems import RowModel, root_mirror_excess, secular_mirror_excess
+from util_problems import RowModel, euclidean_p1, root_mirror_excess, secular_mirror_excess
 
 from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               ShannonEntropy, WeightedSum, build_composite_legendre,
@@ -628,9 +628,7 @@ def test_prox_linear_steps_match_the_bisection(kernel):
     # root_mirror_excess's bound of phi'(y).  The Euclidean kernel has no
     # closed-form root
     cfg = next(c for c in default_configs() if c["id"] == "P1")
-    if kernel == "euclidean":
-        cfg = dict(cfg, phi={"kind": "euclidean"})
-    p1 = instance_from_config(cfg)
+    p1 = euclidean_p1() if kernel == "euclidean" else instance_from_config(cfg)
     oracle, reg, phi = p1.oracle, p1.regularizer, p1.phi
     a, b = np.asarray(cfg["a"]), np.asarray(cfg["b"])
     m = a.size
@@ -981,7 +979,7 @@ def _secular_solve(phi, rows, Z, eta, max_iter):
     # on its Newton steps
     power = power_terms(*phi.radial_terms())
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _secular(power, _growth(power), *_secular_rows(rows, eta),
+        return _secular(power, _growth(power), *_secular_rows(rows, np.full(len(Z), eta)),
                         phi.state_rows(Z).mirror, max_iter=max_iter)
 
 
@@ -1517,18 +1515,19 @@ def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit):
 def test_abs_quadratic_rows_decline_a_nonconvex_piece():
     # |y^2 - 1| under phi = 0.05 y^2 + y^4 at eta = 0.1 leaves
     # 2 c2 + 2 eta C_j = 0.1 - 0.2 < 0 on the piece |y| < 1: the form
-    # declines, and prox_step bisects its pieces as prox_points_1d does, to
-    # within 1e-15 (1 + |y|) of the bisection on the atoms; at eta = 0.01
-    # the same kernel closes in form
+    # declines, and prox_step_rows and prox_step bisect its pieces bit for
+    # bit as prox_points_1d does, to within 1e-15 (1 + |y|) of the bisection
+    # on the atoms; at eta = 0.01 the same kernel closes in form
     a = b = w = np.array([1.0])
     model, rows = _abs_quadratic_model(a, b, w), abs_quadratic_rows(a, b, w)
     assert np.array_equal(rows.kinks, [-1.0, 1.0])
     assert np.array_equal(rows.curvatures, [1.0, -1.0, 1.0])
     phi, reg = RadialPowerSum([0.05, 1.0], [2.0, 4.0]), ZeroRegularizer()
     Z = np.array([[1.5], [2.0], [-1.8]])
-    assert prox_step_rows(rows, reg, phi, Z, 0.1) is None
+    res = prox_step_rows(rows, reg, phi, Z, 0.1)
     ref = prox_points_1d(model, reg, phi, Z[:, 0], 0.1)
     own = prox_points_1d(rows, reg, phi, Z[:, 0], 0.1)
+    assert res.method == "bisection_1d" and np.array_equal(res.minimizer[:, 0], own)
     for z, y, y_own in zip(Z, ref, own):
         step = prox_step(rows, reg, phi, z, 0.1)
         assert step.method == "bisection_1d"
@@ -1539,7 +1538,9 @@ def test_abs_quadratic_rows_decline_a_nonconvex_piece():
     ref = prox_points_1d(model, reg, phi, Z[:, 0], 0.01)
     assert np.all(np.abs(res.minimizer[:, 0] - ref) <= 1e-13 * (1.0 + np.abs(ref)))
     # a kernel of other powers has no closed form either
-    assert prox_step_rows(rows, reg, Euclidean(), Z, 0.1) is None
+    res = prox_step_rows(rows, reg, Euclidean(), Z, 0.1)
+    assert res.method == "bisection_1d"
+    assert np.array_equal(res.minimizer[:, 0], prox_points_1d(rows, reg, Euclidean(), Z[:, 0], 0.1))
 
 
 class _LyingZero(ZeroRegularizer):

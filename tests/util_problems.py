@@ -5,8 +5,8 @@ from collections import namedtuple
 import numpy as np
 
 from bregopt.legendre import Euclidean, norm_rows
-from bregopt.models import LinearMirrorOracle, NoisyGradientOracle, OracleConstants
-from bregopt.problems import ProblemInstance
+from bregopt.models import LinearMirrorOracle, ModelOracle, NoisyGradientOracle, OracleConstants
+from bregopt.problems import ProblemInstance, get_problem
 from bregopt.subproblem import SECULAR_TOL, SmoothRows, ZeroRegularizer
 
 
@@ -16,6 +16,39 @@ class RowModel(namedtuple("RowModel", "values gradients")):
     1-d step bisects it and a d > 1 step raises."""
 
     __slots__ = ()
+
+
+class _RowModelOracle(ModelOracle):
+    """Every sample's model is the one row form model_table; the samples
+    are zeros."""
+
+    def __init__(self, model):
+        super().__init__("A", OracleConstants())
+        self.model_table = model
+
+    def sample_rows(self, rng, n):
+        return np.zeros(n, dtype=int)
+
+
+def row_model_problem(model, x0):
+    """A regime-A problem whose sampled models and exact objective are all
+    the RowModel model, under Euclidean phi and r = 0, from x0."""
+    return ProblemInstance("ROWS", _RowModelOracle(model), ZeroRegularizer(), Euclidean(), "A",
+                           len(x0), x0, objective=model)
+
+
+def euclidean_p1():
+    """A copy of the registry's P1 under phi = y^2 / 2, with that kernel's
+    tau = 2 E[a^2]: P1's own tau = (4/3) E[a^2] holds for its composite
+    kernel only (at lam = 1/(2 tau) of that tau the Euclidean envelope's
+    certificates fail near 0)."""
+    import copy
+    p1 = copy.copy(get_problem("P1"))
+    oracle = p1.oracle = copy.copy(p1.oracle)
+    oracle.constants = OracleConstants(tau=2.0 * float(oracle.weights @ oracle.a2),
+                                       lip_bound_L=oracle.constants.lip_bound_L)
+    p1.phi, p1.config = Euclidean(), None
+    return p1
 
 
 def smooth_problem(phi, d=2, center=None, tau=0.0):

@@ -19,8 +19,10 @@ in its side's tree, N being BENCHMARK.json's run_seconds.  The trees are
 removed at the end unless --workdir names their directory.  The output has
 the keys of the earlier BENCH_*.json files: the runs with their information
 and result lines, and a summary per workload and seed (and over all seeds)
-of each end-to-end metric's quartiles on each side and the ratio of the
-medians, change over parent.  When a run exits nonzero, no further run
+of each end-to-end metric's quartiles on each side, the ratio of the
+medians, change over parent, the pairs that the change won and tied by the
+metric's "better" in BENCHMARK.json, and whether the ratio stays within the
+metric's "bound" there.  When a run exits nonzero, no further run
 starts: the output holds the runs before it, and "failed_run" names its
 workload, seed, side and exit code, and the tool exits with 1.
 """
@@ -106,8 +108,13 @@ def quartiles(values):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(runs):
-    """The summary of runs per "workload/seed" and per "workload/all"."""
+def summarize(runs, specs):
+    """The summary of runs per "workload/seed" and per "workload/all".
+
+    specs maps each metric to its entry of BENCHMARK.json's end_to_end (its
+    "better" and "bound").  A group's i-th parent and i-th change runs are
+    its i-th pair, as _run_pairs appends them.
+    """
     groups = {}
     for run in runs:
         for key in ("%s/%s" % (run["workload"], run["seed"]), "%s/all" % run["workload"]):
@@ -118,21 +125,29 @@ def summarize(runs):
                  "all_correct": all(r["result"]["correct"] for r in group),
                  "failed": sum(r["result"]["failed"] for r in group)}
         for metric in METRICS:
-            stats = {side: quartiles([r["result"]["metrics"][metric]["value"]
-                                      for r in group if r["side"] == side])
-                     for side in SIDES}
-            stats["change_over_parent"] = (
+            values = {side: [r["result"]["metrics"][metric]["value"]
+                             for r in group if r["side"] == side] for side in SIDES}
+            stats = {side: quartiles(values[side]) for side in SIDES}
+            ratio = stats["change_over_parent"] = (
                 stats["change"]["median"] / stats["parent"]["median"]
                 if stats["change"] and stats["parent"] else None)
+            # +1 where a higher value is better, -1 where a lower one is
+            sign = 1.0 if specs[metric]["better"] == "higher" else -1.0
+            pairs = list(zip(values["parent"], values["change"]))
+            stats["pairs_won"] = sum(sign * (c - p) > 0.0 for p, c in pairs)
+            stats["pairs_tied"] = sum(c == p for p, c in pairs)
+            stats["within_bound"] = (None if ratio is None
+                                     else sign * (ratio - 1.0) >= -specs[metric]["bound"])
             entry[metric] = stats
         summary[key] = entry
     return summary
 
 
-def bench_file(pr, title, claim, revs, pairs, seconds, runs, failed_run=None):
-    """The BENCH_<pr>.json contents of runs of the commits revs (by side);
-    failed_run, when a run failed, names it (its workload, seed, side and
-    exit code) under the key "failed_run", and runs are those before it."""
+def bench_file(pr, title, claim, revs, pairs, seconds, runs, specs, failed_run=None):
+    """The BENCH_<pr>.json contents of runs of the commits revs (by side),
+    summarized by the metrics' specs (summarize); failed_run, when a run
+    failed, names it (its workload, seed, side and exit code) under the key
+    "failed_run", and runs are those before it."""
     first = {side: next((r["info"]["info"]["env"] for r in runs if r["side"] == side), {})
              for side in SIDES}
     env = first["change"] or first["parent"]
@@ -149,7 +164,7 @@ def bench_file(pr, title, claim, revs, pairs, seconds, runs, failed_run=None):
                       % (" and ".join("%d pairs at seed %d" % (c, s) for s, c in pairs),
                          env.get("python"), env.get("numpy"), env.get("nproc"))),
         "claim": claim,
-        "summary": summarize(runs),
+        "summary": summarize(runs, specs),
         "runs": runs,
     }
     if failed_run is not None:
@@ -198,6 +213,7 @@ def main(argv=None):
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
+    specs = {m["name"]: m for m in bench["end_to_end"]}
     revs = {"parent": _rev(args.parent), "change": _rev(args.change)}
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pairs_")
     trees = {side: os.path.join(workdir, side) for side in SIDES}
@@ -208,7 +224,8 @@ def main(argv=None):
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir)
-    out = bench_file(args.pr, args.title, args.claim, revs, PAIRS, seconds, runs, failed_run)
+    out = bench_file(args.pr, args.title, args.claim, revs, PAIRS, seconds, runs, specs,
+                     failed_run)
     with open(args.out or "BENCH_%d.json" % args.pr, "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")
