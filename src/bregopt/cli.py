@@ -184,24 +184,33 @@ def _show_config(args):
     return 2
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    return value
+def _number(kind, ok, expected):
+    """An argparse type: text read as kind (int or float) for which ok holds."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_int = _number(int, lambda n: n >= 0, "an integer >= 0")
+_positive_float = _number(float, lambda x: 0.0 < x < np.inf, "a finite number > 0")
 
 
 def _horizons(text):
     try:
-        horizons = [int(t) for t in text.split(",")]
-    except ValueError:
+        horizons = [_nonnegative_int(t) for t in text.split(",")]
+    except argparse.ArgumentTypeError:
         horizons = []
     if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise argparse.ArgumentTypeError(
-            "expected strictly increasing comma-separated integers, got %r" % text)
+            "expected strictly increasing comma-separated integers >= 0, got %r" % text)
     return horizons
 
 
@@ -213,15 +222,15 @@ def build_parser():
 
     v = sub.add_parser("validate", help="run the verify suite for a problem")
     v.add_argument("problem_id")
-    v.add_argument("--n-pairs", type=int, default=200)
+    v.add_argument("--n-pairs", type=_positive_int, default=200)
     v.add_argument("--seed", type=int, default=0)
 
     r = sub.add_parser("run", help="one algorithm run plus envelope report")
     r.add_argument("problem_id")
-    r.add_argument("--T", type=int, required=True)
+    r.add_argument("--T", type=_nonnegative_int, required=True)
     r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--lambda", dest="lam", type=float, default=None)
-    r.add_argument("--alpha", type=float, default=1.0)
+    r.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
+    r.add_argument("--alpha", type=_positive_float, default=1.0)
     r.add_argument("--out", default=None, help="trace CSV path (default stdout)")
     r.add_argument("--envelope-json", default=None)
 
@@ -229,8 +238,8 @@ def build_parser():
     s.add_argument("problem_id")
     s.add_argument("--horizons", type=_horizons, default="64,256,1024,4096")
     s.add_argument("--seeds", type=_positive_int, default=20)
-    s.add_argument("--alpha", type=float, default=1.0)
-    s.add_argument("--lambda", dest="lam", type=float, default=None)
+    s.add_argument("--alpha", type=_positive_float, default=1.0)
+    s.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
     s.add_argument("--strongly-convex", action="store_true",
                    help="use the 1/(mu (t+1)) schedule")
     s.add_argument("--tstar-full", action="store_true",
@@ -241,10 +250,10 @@ def build_parser():
 
     o = sub.add_parser("oracle", help="brute-force ground truth")
     o.add_argument("problem_id")
-    o.add_argument("--resolution", type=float, default=1e-3)
+    o.add_argument("--resolution", type=_positive_float, default=1e-3)
     o.add_argument("--box-lo", type=float, default=-2.5)
     o.add_argument("--box-hi", type=float, default=2.5)
-    o.add_argument("--descent-iterations", type=int, default=1_000_000)
+    o.add_argument("--descent-iterations", type=_nonnegative_int, default=1_000_000)
 
     c = sub.add_parser("config", help="print a problem's frozen JSON config")
     c.add_argument("problem_id")

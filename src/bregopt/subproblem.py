@@ -14,7 +14,7 @@ give their slopes there.  Both modules' names are imported here too.  Every step
 goes through one dispatch on that form, made once per loop or batch
 (step_plan), as a block of steps (a batch is a block of one step): the
 affine or |affine| closed form, the norm shrinkage, the scalar secular
-equation of a quadratic under a radial phi, one kink search and one cubic
+equation of a quadratic under a radial phi, one kink search and one radial
 root for a 1-d sum of |quadratic| terms, or one lockstep Newton; a 1-d form
 with none of these takes the certified bisection on its values and
 gradients.  Every returned step carries a three-point optimality residual,
@@ -53,7 +53,7 @@ _FLOAT_MAX = np.finfo(float).max
 _LOG_RECORD_MAX = float(np.log(_FLOAT_MAX)) - 4.0
 # below this norm the squares of a row's entries lose digits in the subnormals
 _NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
-PowerTerms = namedtuple("PowerTerms", "a e closed a1 a3 const terms cap")
+PowerTerms = namedtuple("PowerTerms", "a e closed a3 const terms cap")
 # the division and invalid-value flags that the secular solve may raise
 _quiet = partial(np.errstate, divide="ignore", invalid="ignore")
 
@@ -213,20 +213,21 @@ def _check_step(eta, rho):
 
 def power_terms(coefs, powers):
     """The terms of the kernel sum_k c_k r^p_k (c_k > 0) that its scalar
-    equations read, prepared once: s(r) = sum_k a_k r^e_k (a_k = c_k p_k,
-    e_k = p_k - 1) as the arrays a, e (solve_monotone_power), whether the
-    powers are {2, 4} and that case's cubic a1 r + a3 r^3 (_radial_root);
-    A(r) = s(r)/r = const + sum_k a_k r^(e_k - 1) over terms (e_k > 1);
-    cap, up to which s does not overflow, with s(cap) >= min(1, a) M / (4 n)
-    (n terms, M the largest float)."""
+    equations read, prepared once.  With a_k = c_k p_k and e_k = p_k - 1,
+    phi'(r) = s(r) = sum_k a_k r^e_k = A(r) r, A(r) = const + sum_k a_k
+    r^(e_k - 1) over the terms e_k > 1 and const = A(0) the sum of the
+    other a_k: those terms as the arrays a, e (solve_monotone_power) and as
+    the pairs (a_k, e_k - 1) of terms (_power_sum); whether the powers are
+    {2, 4}, and a3, the a_k of e_k = 3 (_cubic_root); cap, up to which s
+    does not overflow, with s(cap) >= min(1, a) M / (4 n) (n terms, M the
+    largest float)."""
     c, p = np.asarray(coefs, dtype=float), np.asarray(powers, dtype=float)
     a, e = (c * p)[c > 0.0], (p - 1.0)[c > 0.0]
-    pairs = list(zip(a.tolist(), e.tolist()))
-    terms = [(ak, ek - 1.0) for ak, ek in pairs if ek > 1.0]
     cap = np.minimum.reduce((_FLOAT_MAX / (4.0 * a.size * np.maximum(a, 1.0))) ** (1.0 / e))
-    return PowerTerms(a, e, {ek for _, ek in pairs} == {1.0, 3.0},
-                      a[e == 1.0].sum(), a[e == 3.0].sum(),
-                      sum((ak for ak, ek in pairs if ek == 1.0), 0.0), terms, cap)
+    high = e > 1.0
+    return PowerTerms(a[high], e[high], set(e.tolist()) == {1.0, 3.0}, a[e == 3.0].sum(),
+                      sum(a[~high].tolist(), 0.0),
+                      list(zip(a[high].tolist(), (e[high] - 1.0).tolist())), cap)
 
 
 def _kernel_power(phi):
@@ -238,35 +239,40 @@ def _kernel_power(phi):
     return phi._power_terms
 
 
-def solve_monotone_power(power, target, tol=1e-14, max_iter=200):
-    """Root of s(r) = sum_k a_k r^e_k = target over r >= 0 for the
-    power_terms power, unique since s is increasing and convex.
+def solve_monotone_power(power, target, shift=0.0, tol=1e-14, max_iter=200):
+    """Root of f(r) = (shift + A(r)) r = (shift + const) r + sum_k a_k r^e_k
+    = target over r >= 0 (the power_terms power's terms e_k > 1), unique
+    where shift + A(0) >= 0 (> 0 for a kernel of power 2 alone), as f is
+    then increasing and convex.
 
-    Each entry g starts from the upper bound min_k (g/a_k)^(1/e_k), exact
-    for one term, from which Newton descends monotonically.  The start is
-    returned when every entry has |s(r) - g| <= tol (1 + g); the entries
-    above take Newton steps in lockstep.  target may have any shape; entries
-    <= 0 give 0.  A non-finite target, or an entry unsolved after max_iter
-    steps, raises InnerSolveError.  (The radial steps take the closed form
-    of the powers {2, 4} instead, _radial_root.)
+    Each entry g starts from the upper bound min(g / (shift + A(0)),
+    (g/a_k)^(1/e_k) over the terms), exact for one term, from which Newton
+    descends monotonically, so every root lies at or above the true one.
+    The start is returned when every entry has |f(r) - g| <= tol (1 + g);
+    the entries above take Newton steps in lockstep.  target and shift
+    broadcast to the roots' shape; entries g <= 0 give 0.  A non-finite
+    target or shift, shift + A(0) < 0, or an entry unsolved after max_iter
+    steps raises InnerSolveError.  (The radial steps take the closed form of
+    the powers {2, 4} instead, _radial_root.)
     """
     a, e = power[:2]
-    target = np.asarray(target, dtype=float)
-    g = target.reshape(-1)
-    if not np.logical_and.reduce(np.isfinite(g)):
-        raise InnerSolveError("radial scale equation needs a finite target")
+    target, lin = np.broadcast_arrays(np.asarray(target, dtype=float), power.const + shift)
+    g, lin = target.reshape(-1), lin.reshape(-1)
+    if not np.logical_and.reduce(np.isfinite(g) & (lin >= 0.0) & (lin < np.inf)):
+        raise InnerSolveError("radial scale equation needs finite g and shift + A(0) >= 0")
     g = np.where(g > 0.0, g, 0.0)
-    r = np.minimum.reduce((g[:, None] / a) ** (1.0 / e), axis=1)
-    f = np.add.reduce(a * r[:, None] ** e, axis=1) - g
+    r = np.minimum(np.minimum.reduce((g[:, None] / a) ** (1.0 / e), axis=1, initial=np.inf),
+                   np.divide(g, lin, out=np.full(g.shape, np.inf), where=lin > 0.0))
+    f = lin * r + np.add.reduce(a * r[:, None] ** e, axis=1) - g
     scale = tol * (1.0 + g)
     busy = np.abs(f) > scale
     if not np.logical_or.reduce(busy):
         return r.reshape(target.shape)
     idx = np.flatnonzero(busy)
     for _ in range(max_iter):
-        ri = r[idx]
-        r[idx] = ri = ri - f[busy] / np.add.reduce(a * e * ri[:, None] ** (e - 1.0), axis=1)
-        f = np.add.reduce(a * ri[:, None] ** e, axis=1) - g[idx]
+        ri, li = r[idx], lin[idx]
+        r[idx] = ri = ri - f[busy] / (li + np.add.reduce(a * e * ri[:, None] ** (e - 1.0), axis=1))
+        f = li * ri + np.add.reduce(a * ri[:, None] ** e, axis=1) - g[idx]
         busy = np.abs(f) > scale[idx]
         if not np.logical_or.reduce(busy):
             return r.reshape(target.shape)
@@ -282,11 +288,15 @@ def _cubic_root(a1, a3, g):
     return 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
 
 
-def _radial_root(power, g):
-    """The root r >= 0 of s(r) = g >= 0 entrywise for the power_terms power:
-    _cubic_root for the powers {2, 4}, else solve_monotone_power."""
-    return (_cubic_root(power.a1, power.a3, g) if power.closed
-            else solve_monotone_power(power, g))
+def _radial_root(power, g, shift=0.0):
+    """The root r >= 0 of (shift + A(r)) r = g >= 0 entrywise for the
+    power_terms power, where shift + A(0) > 0: the library's one solver of
+    a radial scalar equation (the steps of _radial_solver and _abs_affine_1d
+    at shift 0, the pieces of _abs_quadratic_rows, _secular's start).  For
+    the powers {2, 4} it is _cubic_root(const + shift, a3, g), else
+    solve_monotone_power."""
+    return (_cubic_root(power.const + shift, power.a3, g) if power.closed
+            else solve_monotone_power(power, g, shift=shift))
 
 
 def _radial_solver(power, radius, V, Z, M, eta):
@@ -483,33 +493,33 @@ def _norm_term_rows(reg, rows, Z, eta):
     return Y, None, 1, "closed_form_norm"
 
 
-def _abs_quadratic_rows(reg, a0, a3, phi, rows, Z, eta):
-    """The path of AbsQuadraticRows: r = 0, phi = c2 y^2 + c4 y^4, a0 = 2 c2, a3 = 4 c4.
+def _abs_quadratic_rows(reg, power, phi, rows, Z, eta):
+    """The path of AbsQuadraticRows: r = 0, phi radial of power_terms power.
 
     The minimizer y of eta f + D(., z) solves h(y) = c = phi'(z) for the
     monotone subdifferential h = eta f' + phi'.  On piece j,
-    h(y) = (2 c2 + 2 eta C_j) y + 4 c4 y^3, odd and increasing when
-    2 c2 + 2 eta C_j > 0; at a kink K, h jumps up from h_-(K) = 2 eta C_j K +
+    h(y) = (2 eta C_j + A(|y|)) y, odd and increasing when
+    2 eta C_j + A(0) > 0; at a kink K, h jumps up from h_-(K) = 2 eta C_j K +
     phi'(K) to h_+(K) = 2 eta C_{j+1} K + phi'(K) (crossing +-k_i into
     |y| > k_i raises the slope of |a_i^2 y^2 - b_i| by 2 w_i a_i^2 |y|).  So
     with j = searchsorted(h_+(K), c) the point is K_j when h_-(K_j) <= c,
-    else the root sign(c) _cubic_root(2 c2 + 2 eta C_j, 4 c4, |c|) on piece
-    j: one search and one root per row, whatever the batch.  The condition
-    2 c2 + 2 eta min C > 0 is checked here (else _bisection_rows); for P1
-    (c2 = 7/2, tau = (4/3) sum w a^2, min C >= -sum w a^2) it holds at every
-    envelope step, as eta (tau + rho) < 1 gives eta sum w a^2 < 3/4 < c2.
+    else the root sign(c) _radial_root(power, |c|, 2 eta C_j) on piece j:
+    one search and one root per row, whatever the batch.  The condition
+    2 eta min C + A(0) > 0 is checked here (else _bisection_rows); for P1
+    (A(0) = 2 c2 = 7, tau = (4/3) sum w a^2, min C >= -sum w a^2) it holds at
+    every envelope step, as eta (tau + rho) < 1 gives eta sum w a^2 < 3/4.
     """
     K, C = rows.kinks, rows.curvatures
-    a1 = a0 + 2.0 * eta * C
-    if not a1.min() > 0.0:
+    shift = 2.0 * eta * C
+    if not power.const + shift.min() > 0.0:
         return _bisection_rows(reg, phi, rows, Z, eta)
     c = Z.mirror[:, 0]
     gk = phi.gradient_rows(K[:, None])[:, 0]
-    j = np.searchsorted(2.0 * eta * C[1:] * K + gk, c)
+    j = np.searchsorted(shift[1:] * K + gk, c)
     # h_-(K_j), +inf past the last kink
-    low = np.append(2.0 * eta * C[:-1] * K + gk, np.inf)[j]
+    low = np.append(shift[:-1] * K + gk, np.inf)[j]
     y = np.where(low <= c, np.append(K, 0.0)[j],
-                 np.sign(c) * _cubic_root(a1[j], a3, np.abs(c)))
+                 np.sign(c) * _radial_root(power, np.abs(c), shift[j]))
     return y[:, None], None, 1, "closed_form_abs_quadratic"
 
 
@@ -807,7 +817,7 @@ def _newton_directions(H, G):
 
 def _newton(rows, phi, state, eta, tol, max_iter=120):
     """argmin model_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
-    RowState (phi at the centres is derived when the state carries none).
+    RowState (phi at the centres is evaluated once here).
 
     rows is a SmoothRows (r = 0).  One damped Newton runs over all rows in
     lockstep (batched gradients, one np.linalg.solve over the (S, d, d)
@@ -821,7 +831,7 @@ def _newton(rows, phi, state, eta, tol, max_iter=120):
     solve_rows' (minimizers, None, iterations, "newton").
     """
     Z, gz = state.points, phi.gradient_from_mirror(state.mirror)
-    vz = phi.value_rows(Z) if state.values is None else state.values
+    vz = phi.value_rows(Z)
     S = len(Z)
 
     def psi(Y):
@@ -897,21 +907,6 @@ _HOUSEHOLDER_POWERS = np.arange(2.0, 6.0)[:, None]  # the k of _secular's sums b
 SecularRows = namedtuple("SecularRows", "eigvals weights eigvecs")
 
 
-def _isotropic_roots(power, kappa, g):
-    """Roots r of (kappa + const) r + sum_k a_k r^(e_k + 1) = g, entrywise
-    over kappa >= 0 and g >= 0 ((a_k, e_k), e_k > 0, the power_terms power's
-    terms), and whether they are exact: with every e_k = 2 the equation is
-    linear or a depressed cubic (_cubic_root); otherwise the term-wise upper
-    bound min(g / (kappa + const), (g / a_k)^(1/(e_k + 1))) of the root."""
-    a1 = kappa + power.const
-    if power.closed or all(e == 2.0 for _, e in power.terms):
-        return (_cubic_root(a1, power.a3, g) if power.terms else g / a1), True
-    bound = g / a1
-    for a, e in power.terms:
-        bound = np.minimum(bound, (g / a) ** (1.0 / (e + 1.0)))
-    return bound, False
-
-
 def _power_sum(const, terms, s):
     """const + sum_k a_k s^e_k over the (a_k, e_k) of terms, entrywise."""
     out = const if terms else np.full(s.shape, const)
@@ -956,13 +951,14 @@ def _secular(power, growth, lam, W, U, mirror, max_iter=50):
     u = A(||y||) is the root of H(u) = u - A(||v||), increasing as A is
     nondecreasing; A(||v||) is const + a3 sum v^2 for the powers {2, 4}, with
     no square root.  The start, A at the isotropic root (lam replaced by its
-    b^2-weighted mean), takes one Householder step of order 3 in u from the
-    sums of b^2 / (eta lam + u)^k, k = 2..5 (with A's tangent in ||v||^2
-    where A is not affine in it).  Newton steps in u follow in lockstep,
-    clipped below at A(0) (H(A(0)) <= 0): for the powers {2, 4} H is
-    concave, so a step lands at or below the root and the steps climb to
-    it; other kernels clip to the bracket of A at the isotropic roots with
-    lam_max and lam_min.  The KKT residual of y at u,
+    b^2-weighted mean: _radial_root with shift eta lam), takes one
+    Householder step of order 3 in u from the sums of b^2 / (eta lam + u)^k,
+    k = 2..5 (with A's tangent in ||v||^2 where A is not affine in it).
+    Newton steps in u follow in lockstep, clipped below at A(0)
+    (H(A(0)) <= 0): for the powers {2, 4} H is concave, so a step lands at
+    or below the root and the steps climb to it; other kernels clip above
+    at A of the isotropic root with lam_min, which bounds u from above, as
+    does solve_monotone_power's root of it.  The KKT residual of y at u,
     U ((A(||v||) - u) v), has norm at most |A(||v||) - u| ||b|| /
     (eta lam_min + u); a row stops on its own once that ratio is at most
     SECULAR_TOL, so its bits do not depend on the batch (with A constant,
@@ -979,14 +975,12 @@ def _secular(power, growth, lam, W, U, mirror, max_iter=50):
         raise InnerSolveError("secular equation needs finite data")
     BB = B * B
     g2 = np.add.reduce(BB, axis=1)
-    # A at the isotropic roots of the b^2-weighted mean of lam (and lam_max, lam_min)
-    kappa = lam[:, :1].copy() if power.closed else lam[:, [0, -1, 0]]
+    # A at the isotropic roots of the b^2-weighted mean of lam (and of lam_min)
+    kappa = lam[:, :1].copy() if power.closed else lam[:, [0, 0]]
     np.divide(np.add.reduce(BB * lam, axis=1), g2, out=kappa[:, 0], where=g2 > 0.0)
-    roots, exact = _isotropic_roots(power, kappa, np.sqrt(g2)[:, None])
-    u = _power_sum(power.const, power.terms, roots)
-    # A(0) is below every root; the bracket's margins are for the rounding
-    lo, hi = ((power.const, np.inf) if power.closed else
-              (u[:, 1] * (1.0 - 1e-12) if exact else power.const, u[:, 2] * (1.0 + 1e-12)))
+    u = _power_sum(power.const, power.terms, _radial_root(power, np.sqrt(g2)[:, None], kappa))
+    # A(0) is below every root; the margin is for the rounding
+    lo, hi = power.const, np.inf if power.closed else u[:, 1] * (1.0 + 1e-12)
     u, floor = u[:, 0], SECULAR_TOL * lam[:, 0]
     S2, S3, S4, S5 = np.add.reduce(BB[:, None, :] / (lam + u[:, None])[:, None, :]
                                    ** _HOUSEHOLDER_POWERS, axis=2).T
@@ -1046,8 +1040,9 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     """The path of all steps on models of the row form of rows (its type,
     and AffineRows' absolute flag) in dimension d under r and phi, chosen
     once with its constants (power_terms): the only code that chooses one.
-    A 1-d form with no other path, or AbsQuadraticRows that fail their
-    coefficient condition, bisect (_bisection_rows); in d > 1 such a form
+    AbsQuadraticRows take their path under every radial phi with r = 0.
+    A 1-d form with no other path, or AbsQuadraticRows with a piece of
+    2 eta C_j + A(0) <= 0, bisect (_bisection_rows); in d > 1 such a form
     raises InnerSolveError.
 
     The plan's one entry, plan.block(rows, P, M, etas, V), takes the n =
@@ -1097,9 +1092,8 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
             if isinstance(rows, AffineRows):
                 # an affine model's step reads its slopes only
                 prepare = lambda rows, eta: TangentRows(None, rows.slopes)
-    elif (isinstance(rows, AbsQuadraticRows) and reg.kind == "zero"
-          and power is not None and power.closed):
-        path = partial(_abs_quadratic_rows, reg, power.a1, power.a3, phi)
+    elif isinstance(rows, AbsQuadraticRows) and reg.kind == "zero" and power is not None:
+        path = partial(_abs_quadratic_rows, reg, power, phi)
     if kernel is None and path is None:
         if d > 1:
             raise InnerSolveError("%s has no batched prox step for r = %s and phi = %s"

@@ -30,10 +30,27 @@ def test_a_library_key_error_is_not_a_usage_error(monkeypatch):
 
 @pytest.mark.parametrize("args", [["--seeds", "0"], ["--seeds", "-2"],
                                   ["--seeds", "two"], ["--horizons", "4,x"],
-                                  ["--horizons", "8,4"], ["--threads", "2"]])
+                                  ["--horizons", "8,4"], ["--horizons=-3,4"],
+                                  ["--alpha", "0"], ["--lambda", "-1"], ["--threads", "2"]])
 def test_bad_sweep_arguments_are_usage_errors(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["sweep", "P1", "--horizons", "4", "--seeds", "1"] + args)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["run", "P1", "--T", "-2", "--seed", "0"],
+                                  ["run", "P1", "--T", "4", "--seed", "0", "--lambda", "-1"],
+                                  ["run", "P1", "--T", "4", "--seed", "0", "--alpha", "0"],
+                                  ["validate", "P1", "--n-pairs", "0"],
+                                  ["validate", "P1", "--n-pairs", "-4"],
+                                  ["oracle", "P1", "--resolution", "0"],
+                                  ["oracle", "P1", "--resolution", "-0.01"],
+                                  ["oracle", "P1", "--descent-iterations", "-5"]])
+def test_bad_numbers_are_usage_errors(args, capsys):
+    # rejected at parse time, before any problem is built or run
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
     assert exc.value.code == 2
     assert "error: " in capsys.readouterr().err
 

@@ -108,7 +108,7 @@ def test_p6_steps_take_the_secular_equation_and_p2_newton(monkeypatch):
 
 def _secular_reference(power, rows, mirror, steps=60):
     # the root of s = sum b^2 / (eta lam + A(sqrt s))^2 in s = r^2, where
-    # A(sqrt s) = a1 + a3 s for the powers {2, 4}, by Newton steps from
+    # A(sqrt s) = const + a3 s for the powers {2, 4}, by Newton steps from
     # s = 0: s minus that sum is concave and increasing in s and negative at
     # 0, so the steps climb to the root; returns the minimizers U (b / D),
     # eta lam_min and A at the root, row by row
@@ -117,10 +117,10 @@ def _secular_reference(power, rows, mirror, steps=60):
     B = ((W + mirror)[:, None, :] @ U)[:, 0, :]
     BB, s = B * B, np.zeros(len(B))
     for _ in range(steps):
-        D = lam + (power.a1 + power.a3 * s)[:, None]
+        D = lam + (power.const + power.a3 * s)[:, None]
         f = s - (BB / (D * D)).sum(axis=1)
         s = s - f / (1.0 + 2.0 * power.a3 * (BB / D ** 3).sum(axis=1))
-    u = power.a1 + power.a3 * s
+    u = power.const + power.a3 * s
     return (U @ (B / (lam + u[:, None]))[:, :, None])[:, :, 0], lam[:, 0], u
 
 
@@ -162,7 +162,7 @@ def test_registry_p6_secular_steps_take_one_pass(monkeypatch):
     for rows, mirror, (Y, M, passes, method) in calls:
         assert passes == 1
         ref, lam_min, u = _secular_reference(power, rows, mirror)
-        bound = (SECULAR_TOL * (lam_min + u) / (lam_min + power.a1) + 32 * eps) * norm_rows(ref)
+        bound = (SECULAR_TOL * (lam_min + u) / (lam_min + power.const) + 32 * eps) * norm_rows(ref)
         assert np.all(norm_rows(Y - ref) <= bound)
 
 

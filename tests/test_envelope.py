@@ -236,10 +236,11 @@ def test_batched_1d_prox_agrees_with_single_solves(centers, lam_frac):
         assert abs(y[0] - one[0]) <= 1e-14 * (1.0 + abs(one[0]))
 
 
-def test_euclidean_p1_envelope_takes_the_1d_bisection(monkeypatch):
-    # P1's pieces have a closed form only under phi = c2 y^2 + c4 y^4, so
-    # with phi = y^2 / 2 (and that kernel's tau, euclidean_p1) the
-    # envelope's prox points take the 1-d bisection
+def test_euclidean_p1_envelope_closes_in_form(monkeypatch):
+    # under phi = y^2 / 2 (and that kernel's tau, euclidean_p1) each of
+    # P1's pieces is the linear (2 eta C_j + 1) y = c with 2 eta C_j + 1 > 0,
+    # so the envelope's prox points close in form and no batch bisects;
+    # each lies within 1e-13 (1 + |y|) of prox_points_1d on the same rows
     from bregopt import subproblem
     cfg = next(c for c in default_configs() if c["id"] == "P1")
     p1 = euclidean_p1()
@@ -254,12 +255,19 @@ def test_euclidean_p1_envelope_takes_the_1d_bisection(monkeypatch):
     monkeypatch.setattr(subproblem, "_bisection_rows", counted)
     xs = np.array([-2.4, -0.9, 0.0, 0.35, 1.7, 2.5])
     ys = bregman_prox_points(p1, p1.phi, xs[:, None], lam)[:, 0]
-    assert batches == [xs.size]
     # one certified batch over the sampler's box, the centres near 0 too
-    grid = np.linspace(-2.5, 2.5, 2001)[:, None]
-    res = envelope.prox_records(p1, p1.phi, grid, lam)
-    assert res.method == "bisection_1d" and batches[-1] == grid.shape[0]
+    grid = np.linspace(-2.5, 2.5, 2001)
+    res = envelope.prox_records(p1, p1.phi, grid[:, None], lam)
+    assert res.method == "closed_form_abs_quadratic"
     assert (res.three_point_residual >= -1e-10).all()
+    # a sweep whose metric averages over the whole t* law completes
+    swept = sweep(p1, [4, 8], 2, metric_mode="tstar_full")
+    assert batches == [] and np.isfinite(swept.values).all()
+    c = p1.oracle.constants
+    ref = prox_points_1d(p1.objective, p1.regularizer, p1.phi, np.concatenate([xs, grid]), lam,
+                         rho=c.tau + c.rho)
+    y = np.concatenate([ys, res.minimizer[:, 0]])
+    assert np.all(np.abs(y - ref) <= 1e-13 * (1.0 + np.abs(ref)))
 
     # each point minimizes F(y) + (y - x)^2 / (2 lam): a 60001-point grid of
     # F from the atoms, then a golden-section polish around its best point
@@ -276,10 +284,6 @@ def test_euclidean_p1_envelope_takes_the_1d_bisection(monkeypatch):
         t, g = _golden_polish(total, grid[k - 1], grid[k + 1])
         assert total(y) - g <= 1e-12 * (1.0 + abs(g)), x
         assert abs(y - t) <= 1e-6, x
-
-    # a sweep whose metric averages over the whole t* law completes
-    res = sweep(p1, [4, 8], 2, metric_mode="tstar_full")
-    assert len(batches) > 1 and np.isfinite(res.values).all()
 
 
 def test_batched_prox_points_in_2d_equal_single_solves():

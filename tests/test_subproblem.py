@@ -101,12 +101,11 @@ _random_kernel = st.lists(
         lambda terms: ([c for c, _ in terms], [float(p) for _, p in terms]))
 
 
-def _bisected_root(coefs, powers, g):
-    """Root of sum_k c_k p_k r^(p_k - 1) = g by plain float bisection."""
-    terms = [(c * p, p - 1.0) for c, p in zip(coefs, powers) if c > 0]
-
+def _bisected_root(lin, terms, g):
+    """Root of lin r + sum_k a_k r^e_k = g over the (a_k, e_k) of terms by
+    plain float bisection, and the slope of the left side there."""
     def s(r):
-        return sum(a * r ** e for a, e in terms)
+        return lin * r + sum(a * r ** e for a, e in terms)
 
     lo, hi = 0.0, 1.0
     while s(hi) < g:
@@ -114,7 +113,7 @@ def _bisected_root(coefs, powers, g):
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return hi, sum(a * e * hi ** (e - 1.0) for a, e in terms)
+            return hi, lin + sum(a * e * hi ** (e - 1.0) for a, e in terms)
         lo, hi = (mid, hi) if s(mid) < g else (lo, mid)
 
 
@@ -122,27 +121,36 @@ def _bisected_root(coefs, powers, g):
 @given(kernel=st.one_of(st.sampled_from(_REGISTRY_KERNELS), _random_kernel),
        targets=st.lists(st.one_of(st.just(0.0),
                                   st.floats(-200.0, 200.0).map(lambda u: 10.0 ** u)),
-                        min_size=1, max_size=8))
-def test_monotone_power_root_matches_bisection(kernel, targets):
-    # every entry meets the stopping contract |s(r) - g| <= tol (1 + g) and
-    # so lies within tol (1 + g) / s'(r_ref) (plus rounding) of the root,
-    # with no overflow in sinh, asinh or the powers
+                        min_size=1, max_size=8),
+       shift=st.sampled_from(["zero", "positive", "negative"]),
+       fracs=st.lists(st.floats(0.0, 0.999), min_size=8, max_size=8))
+def test_monotone_power_root_matches_bisection(kernel, targets, shift, fracs):
+    # the root of (shift + A(r)) r = g, with shift 0, a positive array
+    # (1e-3 to 1e3) or a negative array (down to -0.999 A(0)): every entry
+    # meets the stopping contract |lin r + sum_k a_k r^e_k - g| <= tol (1 + g)
+    # over the terms e_k > 1, lin = shift + A(0), and so lies within
+    # tol (1 + g) / slope(r_ref) (plus rounding) of the root, with no
+    # overflow in the powers
     coefs, powers = kernel
     tol = 1e-14
+    terms = [(c * p, p - 1.0) for c, p in zip(coefs, powers) if c > 0 and p > 2.0]
+    a0 = sum(c * p for c, p in zip(coefs, powers) if c > 0 and p == 2.0)
+    fracs = np.array(fracs[:len(targets)])
+    shifts = {"zero": 0.0, "positive": 10.0 ** (6.0 * fracs - 3.0),
+              "negative": -fracs * a0}[shift]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         r = solve_monotone_power(power_terms(coefs, powers), np.array(targets),
-                                 tol=tol)
-    a = np.array(coefs) * np.array(powers)
-    e = np.array(powers) - 1.0
-    for ri, g in zip(r, targets):
+                                 shift=shifts, tol=tol)
+    assert r.shape == (len(targets),)
+    for ri, g, lin in zip(r, targets, a0 + np.broadcast_to(shifts, r.shape)):
         if g == 0.0:
             assert ri == 0.0
             continue
-        residual = sum(ak * ri ** ek for ak, ek in zip(a, e) if ak > 0) - g
-        assert abs(residual) <= tol * (1.0 + g) + 1e-15 * g, (ri, g)
-        ref, slope = _bisected_root(coefs, powers, g)
-        assert abs(ri - ref) <= tol * (1.0 + g) / slope + 1e-14 * ref, (ri, ref, g)
+        residual = lin * ri + sum(ak * ri ** ek for ak, ek in terms) - g
+        assert abs(residual) <= tol * (1.0 + g) + 1e-15 * g, (ri, g, lin)
+        ref, slope = _bisected_root(lin, terms, g)
+        assert abs(ri - ref) <= tol * (1.0 + g) / slope + 1e-14 * ref, (ri, ref, g, lin)
 
 
 def test_monotone_power_raises_when_unsolved():
@@ -152,6 +160,9 @@ def test_monotone_power_raises_when_unsolved():
                              np.array([5.0]), max_iter=1)
     with pytest.raises(InnerSolveError, match="finite"):
         solve_monotone_power(power_terms([3.5, 1.0], [2.0, 4.0]), np.inf)
+    # A(0) = 7: a shift below -7 leaves no increasing equation
+    with pytest.raises(InnerSolveError, match="A\\(0\\) >= 0"):
+        solve_monotone_power(power_terms([3.5, 1.0], [2.0, 4.0]), 1.0, shift=np.array([0.0, -8.0]))
 
 
 def test_ball_and_l1_and_quadratic_closed_forms():
@@ -1472,13 +1483,18 @@ def _abs_quadratic_model(a, b, w):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8),
-       lam_unit=st.floats(0.0, 1.0))
-@example(seed=0, m=8, lam_unit=1.0)
-def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit):
+       lam_unit=st.floats(0.0, 1.0),
+       kernel=st.sampled_from([None, ([0.5], [2.0]), ([1.0, 1.0], [2.0, 3.0]),
+                               ([1.0, 0.5], [2.0, 6.0])]))
+@example(seed=0, m=8, lam_unit=1.0, kernel=None)
+def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit, kernel):
     # atoms with a = 0 (a constant), b <= 0 (no kink) and duplicate kinks
     # (a repeated atom, and one with -a); centres on the kinks, within 1e-12
     # of them, and at random; lam from 1e-3 up to 0.999 / tau, with P1's
-    # kernel and weak-convexity modulus tau = (4/3) sum w a^2
+    # kernel (None) and weak-convexity modulus tau = (4/3) sum w a^2, or a
+    # radial kernel c_2 y^2 + ... of other powers and
+    # tau = 2 sum w a^2 / A(0) (f'' >= -2 sum w a^2, phi'' >= A(0) = 2 c_2),
+    # under which every piece has 2 lam C_j + A(0) > 0
     rng = np.random.default_rng(seed)
     a = rng.choice([-1.0, 1.0], m) * rng.uniform(0.3, 2.0, m)
     b = rng.uniform(-0.5, 2.0, m)
@@ -1491,8 +1507,11 @@ def test_abs_quadratic_steps_match_bisection(seed, m, lam_unit):
     model, rows = _abs_quadratic_model(a, b, w), abs_quadratic_rows(a, b, w)
     kinks = np.sqrt(b[(b > 0) & (a != 0)]) / np.abs(a[(b > 0) & (a != 0)])
     assert np.array_equal(rows.kinks, np.unique(np.concatenate([kinks, -kinks])))
-    phi, reg = build_composite_legendre([1.0], [0.0, 0.0, 4.0]), ZeroRegularizer()
-    tau = 4.0 / 3.0 * float(w @ (a * a))
+    reg = ZeroRegularizer()
+    if kernel is None:
+        phi, tau = build_composite_legendre([1.0], [0.0, 0.0, 4.0]), 4.0 / 3.0 * float(w @ (a * a))
+    else:
+        phi, tau = RadialPowerSum(*kernel), float(w @ (a * a)) / kernel[0][0]
     top = np.log10(0.999 / tau) if tau > 0 else 3.0
     lam = 10.0 ** (-3.0 + lam_unit * (top + 3.0))
     K = rows.kinks
@@ -1517,7 +1536,8 @@ def test_abs_quadratic_rows_decline_a_nonconvex_piece():
     # 2 c2 + 2 eta C_j = 0.1 - 0.2 < 0 on the piece |y| < 1: the form
     # declines, and prox_step_rows and prox_step bisect its pieces bit for
     # bit as prox_points_1d does, to within 1e-15 (1 + |y|) of the bisection
-    # on the atoms; at eta = 0.01 the same kernel closes in form
+    # on the atoms; at eta = 0.01 the same kernel closes in form, within
+    # 1e-13 (1 + |y|) of it
     a = b = w = np.array([1.0])
     model, rows = _abs_quadratic_model(a, b, w), abs_quadratic_rows(a, b, w)
     assert np.array_equal(rows.kinks, [-1.0, 1.0])
@@ -1537,10 +1557,17 @@ def test_abs_quadratic_rows_decline_a_nonconvex_piece():
     assert res.method == "closed_form_abs_quadratic"
     ref = prox_points_1d(model, reg, phi, Z[:, 0], 0.01)
     assert np.all(np.abs(res.minimizer[:, 0] - ref) <= 1e-13 * (1.0 + np.abs(ref)))
-    # a kernel of other powers has no closed form either
+    # the Euclidean kernel closes at eta = 0.1 (2 eta C_j + A(0) >= 0.8 on
+    # every piece), within the same bound
     res = prox_step_rows(rows, reg, Euclidean(), Z, 0.1)
+    assert res.method == "closed_form_abs_quadratic"
+    ref = prox_points_1d(model, reg, Euclidean(), Z[:, 0], 0.1)
+    assert np.all(np.abs(res.minimizer[:, 0] - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+    # the pure quartic has A(0) = 0, so the piece |y| < 1 (C = -1) declines
+    quartic = RadialPowerSum([1.0], [4.0])
+    res = prox_step_rows(rows, reg, quartic, Z, 0.1)
     assert res.method == "bisection_1d"
-    assert np.array_equal(res.minimizer[:, 0], prox_points_1d(rows, reg, Euclidean(), Z[:, 0], 0.1))
+    assert np.array_equal(res.minimizer[:, 0], prox_points_1d(rows, reg, quartic, Z[:, 0], 0.1))
 
 
 class _LyingZero(ZeroRegularizer):

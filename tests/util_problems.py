@@ -168,7 +168,8 @@ def root_mirror_excess(mirror, phi, Y, tol=1e-14):
 
     A root row's y = (r / ||W||) W, r the root of s(r) = ||W||, s(r) =
     sum_k a_k r^e_k and grad phi(y) = A(||y||) y, A(t) = s(t) / t.  In
-    units u = eps / 2, for the powers {2, 4}: s(r) = a1 r + a3 r^3 and r is
+    units u = eps / 2, for the powers {2, 4}: s(r) = a1 r + a3 r^3 (a1 the
+    power_terms const) and r is
     _cubic_root's 2 q sinh(v), q = sqrt(a1 / (3 a3)), v = asinh(x) / 3,
     x = 1.5 sqrt(3 a3 / a1) ||W|| / a1.  x is within 5 u relative (its
     constant 3 u, ||W|| 2 u), asinh adds u (its condition number
@@ -191,7 +192,7 @@ def root_mirror_excess(mirror, phi, Y, tol=1e-14):
     n = norm_rows(W)
     power = power_terms(*phi.radial_terms())
     if power.closed:
-        v = np.arcsinh(1.5 * np.sqrt(3.0 * power.a3 / power.a1) * n / power.a1) / 3.0
+        v = np.arcsinh(1.5 * np.sqrt(3.0 * power.a3 / power.const) * n / power.const) / 3.0
         bound = 24.0 * np.finfo(float).eps / 2.0 * (2.0 + v) * (1.0 + n)
     else:
         bound = 2.0 * tol * (1.0 + n)
