@@ -30,8 +30,8 @@ def test_a_library_key_error_is_not_a_usage_error(monkeypatch):
 
 @pytest.mark.parametrize("args", [["--seeds", "0"], ["--seeds", "-2"],
                                   ["--seeds", "two"], ["--horizons", "4,x"],
-                                  ["--horizons", "8,4"], ["--horizons=-3,4"],
-                                  ["--alpha", "0"], ["--lambda", "-1"], ["--threads", "2"]])
+                                  ["--horizons", "8,4"], ["--threads", "2"],
+                                  ["--horizons=-3,4"], ["--alpha", "0"], ["--lambda", "-1"]])
 def test_bad_sweep_arguments_are_usage_errors(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["sweep", "P1", "--horizons", "4", "--seeds", "1"] + args)
