@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import envelope as envelope_mod
-from .driver import (SolverConfig, default_lambda, format_csv_rows,
+from .driver import (SolverConfig, _resolve_etas, default_lambda, format_csv_rows,
                      run_for_regime, sweep)
 from .legendre import gradient_by_differences
 from .problems import default_configs, dump_config, get_problem
@@ -201,6 +201,7 @@ def _number(kind, ok, expected):
 _positive_int = _number(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _number(int, lambda n: n >= 0, "an integer >= 0")
 _positive_float = _number(float, lambda x: 0.0 < x < np.inf, "a finite number > 0")
+_finite_float = _number(float, np.isfinite, "a finite number")
 
 
 def _horizons(text):
@@ -251,13 +252,30 @@ def build_parser():
     o = sub.add_parser("oracle", help="brute-force ground truth")
     o.add_argument("problem_id")
     o.add_argument("--resolution", type=_positive_float, default=1e-3)
-    o.add_argument("--box-lo", type=float, default=-2.5)
-    o.add_argument("--box-hi", type=float, default=2.5)
+    o.add_argument("--box-lo", type=_finite_float, default=-2.5)
+    o.add_argument("--box-hi", type=_finite_float, default=2.5)
     o.add_argument("--descent-iterations", type=_nonnegative_int, default=1_000_000)
 
     c = sub.add_parser("config", help="print a problem's frozen JSON config")
     c.add_argument("problem_id")
     return parser
+
+
+def _check_inputs(parser, problem, args):
+    """Usage errors that depend on two options or on the problem: an oracle
+    box with lo > hi, and a horizon of run or sweep whose steps the
+    library's own rule (driver._resolve_etas) refuses."""
+    if args.command == "oracle" and args.box_lo > args.box_hi:
+        parser.error("--box-lo %r exceeds --box-hi %r" % (args.box_lo, args.box_hi))
+    if args.command not in ("run", "sweep"):
+        return
+    strongly = args.command == "sweep" and args.strongly_convex
+    schedule = ("strongly_convex",) if strongly else ("constant", args.alpha)
+    for T in args.horizons if args.command == "sweep" else [args.T]:
+        try:
+            _resolve_etas(problem, SolverConfig(T, None, args.lam, schedule), problem.regime)
+        except ValueError as exc:
+            parser.error("%s at T = %d: %s" % (problem.id, T, exc))
 
 
 def cli_main(argv=None):
@@ -273,6 +291,7 @@ def cli_main(argv=None):
         # unknown problem id is a usage error
         print("error: %s" % (exc.args[0],), file=sys.stderr)
         return 2
+    _check_inputs(parser, problem, args)
     return handlers[args.command](problem, args)
 
 

@@ -35,15 +35,13 @@ class SolverConfig:
     tau + rho = 0); in the convex regime it only needs to dominate eta_0.
     """
 
-    def __init__(self, horizon_T, seed, lam=None, schedule=("constant", 1.0),
-                 inner_tol=1e-10):
+    def __init__(self, horizon_T, seed, lam=None, schedule=("constant", 1.0)):
         if horizon_T < 0:
             raise ValueError("horizon must be nonnegative")
         self.horizon_T = int(horizon_T)
         self.seed = seed
         self.lam = lam
         self.schedule = schedule
-        self.inner_tol = float(inner_tol)
 
 
 class RunTrace:
@@ -161,23 +159,22 @@ _ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
 BLOCK_ROWS = 128  # the most rows (steps x runs) one record pass covers
 
 
-def _run_loop(problem, configs):
-    """Advance the runs of configs in lockstep, one (S, d) state.
+def _run_loop(problem, config, seeds):
+    """Advance S runs of one config in lockstep, one (S, d) state.
 
-    The S configs must share their horizon, step sizes, lam and inner_tol
-    (those that share the first one's schedule object, lam, inner_tol and
-    horizon, as a sweep horizon's do, are not resolved again).  Each run
-    draws its T+1 samples up front, the stream of one draw per step, into
-    the one (T + 1, S, ...) array the loop reads and the traces view.  One
-    loop runs over record blocks of at most BLOCK_ROWS rows: a block gathers
-    what its steps read of their samples (oracle.atom_rows) and takes its
-    steps in one plan.block call, which writes their points and mirror
-    coordinates into (n + 1, S, d) views of the loop's arrays and, on the
-    paths of linear models that move with their centres (plan.slopes),
-    their slopes into an (n, S, d) buffer; the plan is built once per
-    horizon from step 0's gathered models (subproblem.step_plan).  A
-    scanned plan gets blocks of whole chunks (plan.chunk steps), so its
-    chunks start at fixed step indices whatever S.
+    The S runs share the config's horizon, lam and step sizes, resolved
+    once; run s draws from np.random.default_rng(seeds[s]), not from
+    config.seed.  Each run draws its T+1 samples up front, the stream of one
+    draw per step, into the one (T + 1, S, ...) array the loop reads and the
+    traces view.  One loop runs over record blocks of at most BLOCK_ROWS
+    rows: a block gathers what its steps read of their samples
+    (oracle.atom_rows) and takes its steps in one plan.block call, which
+    writes their points and mirror coordinates into (n + 1, S, d) views of
+    the loop's arrays and, on the paths of linear models that move with
+    their centres (plan.slopes), their slopes into an (n, S, d) buffer; the
+    plan is built once per horizon from step 0's gathered models
+    (subproblem.step_plan).  A scanned plan gets blocks of whole chunks
+    (plan.chunk steps), so its chunks start at fixed step indices whatever S.
 
     Each block is then recorded in one pass (oracle.block_models from its
     gathered atoms and its steps' slopes; phi.state_at; record_rows), bit
@@ -192,23 +189,14 @@ def _run_loop(problem, configs):
     iterates.
     """
     regime = problem.regime
-    first = configs[0]
-    lam, etas = _resolve_etas(problem, first, regime)
-    T, tol = first.horizon_T, first.inner_tol
-    for c in configs[1:]:
-        if (c.schedule is first.schedule and (c.lam, c.inner_tol, c.horizon_T)
-                == (first.lam, tol, T)):
-            continue
-        lam_c, etas_c = _resolve_etas(problem, c, regime)
-        if (lam_c != lam or c.inner_tol != tol or c.horizon_T != T
-                or not np.array_equal(etas_c, etas)):
-            raise ValueError("runs in lockstep must share T, step sizes, lam and inner_tol")
+    lam, etas = _resolve_etas(problem, config, regime)
+    T = config.horizon_T
     oracle = problem.oracle
     reg = problem.regularizer
     phi = problem.phi
     rho = oracle.constants.rho
-    S = len(configs)
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+    S = len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # step t -> one sample per run: the one copy of the draws, which the
     # traces view
     draws = oracle.sample_rows(rngs[0], T + 1)
@@ -221,7 +209,7 @@ def _run_loop(problem, configs):
     state = phi.state_rows(np.tile(np.asarray(problem.x0, dtype=float), (S, 1)), reg)
     d = state.points.shape[1]
     models = oracle.atom_rows(xi_steps[0])
-    plan = step_plan(models, d, reg, phi, tol)
+    plan = step_plan(models, d, reg, phi)
     block = plan.chunk * max(1, BLOCK_ROWS // (plan.chunk * S))
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))
@@ -249,7 +237,7 @@ def _run_loop(problem, configs):
                                    None if slopes is None else slopes[:t1 - t0].reshape(n, d))
         try:
             model_y, _, d_yz, res = record_rows(rows.values, phi, Z, Y,
-                                                etas[t0:t1].repeat(S), rho, tol)
+                                                etas[t0:t1].repeat(S), rho)
         except InnerSolveError as err:
             # name the loop's step and row instead of the block's row
             step, row = divmod(err.row, S)
@@ -274,12 +262,12 @@ def _run_loop(problem, configs):
 
     traces, cdf = [], choice_cdf(tstar_weights(etas, rho))
     w = (etas / etas.sum()).reshape(1, -1)
-    for s, (config, rng) in enumerate(zip(configs, rngs)):
+    for s, (seed, rng) in enumerate(zip(seeds, rngs)):
         # rng.choice(T + 1, p=the t* law) from the horizon's one CDF
         t_star = int(cdf.searchsorted(rng.random(), side="right"))
         trace = RunTrace(problem.id, _ALGORITHMS[regime], iterates[:, s], etas.copy(),
                          xi_steps[:, s], t_star, lam, model_values[:, s], r_values[:, s],
-                         divergences[:, s], residuals[:, s], seed=config.seed)
+                         divergences[:, s], residuals[:, s], seed=seed)
         if regime == "C":
             # the eta-weighted average is the point the plain-convexity rate
             # bound controls; under the 1/(mu (t+1)) schedule the guarantee is
@@ -294,7 +282,7 @@ def _run_loop(problem, configs):
 def _run_one(problem, config, regime, name):
     if problem.regime != regime:
         raise ValueError("%s expects a regime-%s problem" % (name, regime))
-    return _run_loop(problem, [config])[0]
+    return _run_loop(problem, config, [config.seed])[0]
 
 
 def run_model_based(problem, config):
@@ -319,7 +307,7 @@ def run_convex(problem, config):
 
 def run_for_regime(problem, config):
     """One run of the problem's regime loop: the one-config case of the lockstep loop."""
-    return _run_loop(problem, [config])[0]
+    return _run_loop(problem, config, [config.seed])[0]
 
 
 def convex_gaps(problem, traces):
@@ -499,8 +487,7 @@ class SweepResult(np.ndarray):
                 "n_seeds": self.n_seeds}
 
 
-def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
-                   metric_mode):
+def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, metric_mode):
     """eta0, lambda, the (n_seeds, k) metric values (_metric_names) and the
     wall time in ms of each cell of one horizon.
 
@@ -512,25 +499,21 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
     pass.  Each cell's wall_ms is its share (1/S) of the loop and of the
     metric batch.
     """
-    if schedule_kind == "strongly_convex":
-        schedule = ("strongly_convex",)
-    else:
-        schedule = ("constant", alpha)
-    # each cell derives an independent generator state from (T, seed index);
-    # the cells share one schedule, so the loop resolves their steps once
-    configs = [SolverConfig(T, seed=[s, T], lam=lam, schedule=schedule,
-                            inner_tol=inner_tol) for s in range(n_seeds)]
+    schedule = ("strongly_convex",) if schedule_kind == "strongly_convex" else ("constant", alpha)
+    # one config for the horizon; each cell derives an independent generator
+    # state from (seed index, T)
+    config = SolverConfig(T, seed=None, lam=lam, schedule=schedule)
     t0 = time.perf_counter()
-    traces = _run_loop(problem, configs)
+    traces = _run_loop(problem, config, [[s, T] for s in range(n_seeds)])
     # cells in lockstep share their step sizes and lam
     eta0, cell_lam = float(traces[0].etas[0]), float(traces[0].lam)
     if problem.regime in ("A", "B"):
         X, X_hat = np.array([tr.returned_point for tr in traces]), None
         if metric_mode == "tstar_full":
-            w, X_law, divs = _tstar_law(problem, traces, inner_tol)
+            w, X_law, divs = _tstar_law(problem, traces)
             X_hat = X_law[np.arange(n_seeds), [tr.t_star for tr in traces]]
         report = envelope_mod.stationarity_rows(problem, problem.phi, X, traces[0].lam,
-                                                tol=inner_tol, X_hat=X_hat)
+                                                X_hat=X_hat)
         metric = dot_rows(divs, w) if metric_mode == "tstar_full" else report.divergence
         values = np.stack((metric, report.local_dual_norm_of_gradient), axis=1)
     else:
@@ -539,8 +522,7 @@ def _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, inner_tol,
 
 
 def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
-          schedule_kind="constant", inner_tol=1e-10, threads=1,
-          metric_mode="tstar_draw"):
+          schedule_kind="constant", threads=1, metric_mode="tstar_draw"):
     """Run the horizon grid across seeds and fit the empirical rate.
 
     Returns a SweepResult with one CSV row per (T, seed, metric) and the
@@ -562,8 +544,7 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
         raise ValueError("n_seeds must be at least 1, got %r" % (n_seeds,))
 
     def work(T):
-        return _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind,
-                              inner_tol, metric_mode)
+        return _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, metric_mode)
 
     if threads > 1:
         # imported here: only concurrent horizons need it, and it pulls in
@@ -579,20 +560,20 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     return SweepResult.of(problem.regime, problem.id, _metric_names(problem), cells)
 
 
-def _tstar_law(problem, traces, tol):
+def _tstar_law(problem, traces):
     """Weights of the t* law and, over S lockstep traces (same steps and lam)
     in one envelope batch (envelope.prox_records), the prox points of
     x_0..x_T, (S, T + 1, d), and D(prox(x_t), x_t), (S, T + 1), which the
     batch's certified record holds."""
     w = tstar_weights(traces[0].etas, problem.oracle.constants.rho)
     X = np.concatenate([tr.iterates[:w.size] for tr in traces])
-    res = envelope_mod.prox_records(problem, problem.phi, X, traces[0].lam, tol=tol)
+    res = envelope_mod.prox_records(problem, problem.phi, X, traces[0].lam)
     return (w, res.minimizer.reshape(len(traces), w.size, -1),
             res.divergence.reshape(len(traces), -1))
 
 
-def stationarity_over_tstar_law(problem, trace, tol=1e-10):
+def stationarity_over_tstar_law(problem, trace):
     """Variance-reduced metric: average D(prox(x_t), x_t) over the full
     t*-distribution instead of the single drawn index (same expectation)."""
-    w, _, divs = _tstar_law(problem, [trace], tol)
+    w, _, divs = _tstar_law(problem, [trace])
     return float(w @ divs[0])

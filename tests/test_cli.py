@@ -55,6 +55,35 @@ def test_bad_numbers_are_usage_errors(args, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "P1", "--box-lo", "1", "--box-hi", "-1", "--resolution", "0.1"],
+    ["oracle", "P1", "--box-lo", "nan"],
+    ["oracle", "P1", "--box-lo", "inf"],
+    ["run", "P1", "--T", "4", "--seed", "0", "--lambda", "100"],
+    ["sweep", "P1", "--horizons", "4", "--seeds", "2", "--lambda", "100"],
+    ["run", "P3", "--T", "0", "--seed", "0", "--lambda", "0.1"],
+    ["sweep", "P4", "--horizons", "0,4", "--seeds", "1", "--lambda", "0.1",
+     "--strongly-convex"]])
+def test_inputs_across_options_or_the_problem_are_usage_errors(args, capsys, monkeypatch):
+    # an empty box, a non-finite box end, and steps the library refuses for
+    # the problem (driver._resolve_etas) end before any run
+    def started(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("run_for_regime", "sweep", "brute_force_min"):
+        monkeypatch.setattr("bregopt.cli." + name, started)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_an_oracle_box_of_one_point_runs(capsys):
+    assert cli_main(["oracle", "P1", "--box-lo", "1", "--box-hi", "1",
+                     "--resolution", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["argmin"] == ["1.0"]
+
+
 def test_bad_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli_main(["frobnicate"])

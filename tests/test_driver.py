@@ -273,6 +273,18 @@ def test_a_step_size_that_is_not_finite_raises_before_the_loop(monkeypatch, lam,
         run_model_based(get_problem("P1"), SolverConfig(2, seed=0, lam=lam, schedule=schedule))
 
 
+@pytest.mark.parametrize("schedule, message", [
+    (("strongly_convex",), "convex-regime rule"),
+    (("explicit", [0.1, 0.1, 0.1]), r"T\+1 entries"),
+    (("explicit", [0.1, 0.05, 0.08, 0.02]), "nonincreasing"),
+])
+def test_a_schedule_outside_its_rule_raises(schedule, message):
+    # the 1/(mu (t+1)) schedule outside regime C, an explicit schedule of
+    # the wrong length and an increasing one (P1 is regime A, T = 3)
+    with pytest.raises(ValueError, match=message):
+        _resolve_etas(get_problem("P1"), SolverConfig(3, seed=0, schedule=schedule), "A")
+
+
 def test_nonincreasing_sequence_lemma():
     # sum a_t (b_t - b_{t+1}) <= a_0 (b_0 - min_t b_t) for nonincreasing a > 0
     rng = np.random.default_rng(3)
@@ -467,10 +479,10 @@ def test_lockstep_runs_equal_separate_runs():
     for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
         prob = get_problem(pid)
         for T in (12, 130):
-            configs = [SolverConfig(T, seed=[s, T]) for s in range(3)]
-            together = _run_loop(prob, configs)
-            for config, tr in zip(configs, together):
-                alone = run_for_regime(prob, config)
+            seeds = [[s, T] for s in range(3)]
+            together = _run_loop(prob, SolverConfig(T, seed=None), seeds)
+            for seed, tr in zip(seeds, together):
+                alone = run_for_regime(prob, SolverConfig(T, seed=seed))
                 assert tr.t_star == alone.t_star, (pid, T)
                 assert np.array_equal(np.asarray(tr.sampled_xi_ids),
                                       np.asarray(alone.sampled_xi_ids)), (pid, T)
@@ -539,15 +551,6 @@ def test_lockstep_loop_needs_a_batched_step():
         run_model_based(prob, SolverConfig(3, seed=0))
 
 
-def test_lockstep_configs_must_share_their_steps():
-    p3 = get_problem("P3")
-    with pytest.raises(ValueError):
-        _run_loop(p3, [SolverConfig(8, seed=0), SolverConfig(9, seed=1)])
-    with pytest.raises(ValueError):
-        _run_loop(p3, [SolverConfig(8, seed=0),
-                       SolverConfig(8, seed=1, schedule=("constant", 0.5))])
-
-
 @pytest.mark.parametrize("pid", ["P3", "P4"])
 @pytest.mark.parametrize("alpha", [100.0, 1000.0])
 def test_large_entropic_steps_complete(pid, alpha):
@@ -557,17 +560,17 @@ def test_large_entropic_steps_complete(pid, alpha):
     assert np.isfinite(res.values).all() and (res.values >= 0.0).all()
 
 
-def _reference_loop(problem, configs, carry=False):
+def _reference_loop(problem, config, seeds, carry=False):
     # _run_loop's iterates and records by step-by-step prox_step_rows calls,
     # with the same samples and step sizes; each centre's state is
     # re-derived from its points, or with carry is the state the step before
     # returned, as the loop carries it
-    _, etas = _resolve_etas(problem, configs[0], problem.regime)
+    _, etas = _resolve_etas(problem, config, problem.regime)
     oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
-    T = configs[0].horizon_T
-    xis = np.stack([oracle.sample_rows(np.random.default_rng(c.seed), T + 1)
-                    for c in configs], axis=1)
-    X = np.tile(problem.x0, (len(configs), 1))
+    T = config.horizon_T
+    xis = np.stack([oracle.sample_rows(np.random.default_rng(seed), T + 1)
+                    for seed in seeds], axis=1)
+    X = np.tile(problem.x0, (len(seeds), 1))
     centres = X
     out, logs, records = [X], [phi.state_rows(X, reg).mirror], []
     for t in range(T + 1):
@@ -600,14 +603,14 @@ def _reference_loop(problem, configs, carry=False):
             np.array(logs))
 
 
-def _records_of(problem, configs, iterates, logs):
+def _records_of(problem, config, seeds, iterates, logs):
     # record_rows of each step alone from the states of the given (S, T + 2,
     # d) iterates and (T + 2, S, d) mirror coordinates, with the loop's
     # samples and step sizes
-    _, etas = _resolve_etas(problem, configs[0], problem.regime)
+    _, etas = _resolve_etas(problem, config, problem.regime)
     oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
-    xis = np.stack([oracle.sample_rows(np.random.default_rng(c.seed), len(etas))
-                    for c in configs], axis=1)
+    xis = np.stack([oracle.sample_rows(np.random.default_rng(seed), len(etas))
+                    for seed in seeds], axis=1)
     states = [phi.state_at(np.ascontiguousarray(iterates[:, t]), logs[t], reg)
               for t in range(len(logs))]
     records = []
@@ -634,13 +637,13 @@ def test_carried_state_reproduces_a_loop_that_rederives_it():
     # iterates by at most 2.8e-15 relative here, within the same bound.  It
     # builds up over longer horizons (4.4e-14 at T = 1024)
     for problem in registry():
-        configs = [SolverConfig(40, seed=[s, 40]) for s in range(3)]
-        carried = np.array([tr.iterates for tr in _run_loop(problem, configs)])
-        ref = _reference_loop(problem, configs)[0]
+        config, seeds = SolverConfig(40, seed=None), [[s, 40] for s in range(3)]
+        carried = np.array([tr.iterates for tr in _run_loop(problem, config, seeds)])
+        ref = _reference_loop(problem, config, seeds)[0]
         if problem.id == "P6":
             assert (norm_rows(carried - ref) <= SECULAR_TOL * norm_rows(ref)).all()
         elif problem.id in ("P1", "P2"):
-            iterates, _, mirrors = _reference_loop(problem, configs, carry=True)
+            iterates, _, mirrors = _reference_loop(problem, config, seeds, carry=True)
             assert np.array_equal(carried, iterates), problem.id
             d = problem.dimension
             Y = iterates.transpose(1, 0, 2).reshape(-1, d)
@@ -680,11 +683,11 @@ def test_block_records_equal_the_step_by_step_records(S, T, monkeypatch):
     for problem in registry() + [newton]:
         lam, etas = _resolve_etas(problem, SolverConfig(T, seed=0), problem.regime)
         schedule = ("explicit", etas * np.linspace(1.0, 0.5, T + 1))
-        configs = [SolverConfig(T, seed=[s, T], lam=lam, schedule=schedule)
-                   for s in range(S)]
+        config = SolverConfig(T, seed=None, lam=lam, schedule=schedule)
+        seeds = [[s, T] for s in range(S)]
         del scanned[:]
-        traces = _run_loop(problem, configs)
-        iterates, records, ref_logs = _reference_loop(problem, configs, carry=True)
+        traces = _run_loop(problem, config, seeds)
+        iterates, records, ref_logs = _reference_loop(problem, config, seeds, carry=True)
         got = np.array([tr.iterates for tr in traces])
         if problem.id in ("P3", "P4"):
             assert len(scanned) == -(-(T + 1) // subproblem.SCAN_STEPS), problem.id
@@ -694,7 +697,7 @@ def test_block_records_equal_the_step_by_step_records(S, T, monkeypatch):
             tol = scan_tolerance(ref_logs, schedule[1], slopes,
                                  getattr(problem.regularizer, "weight", 0.0))
             assert (np.abs(logs[1:] - ref_logs[1:]) <= tol[..., None]).all(), problem.id
-            records = _records_of(problem, configs, got, logs)
+            records = _records_of(problem, config, seeds, got, logs)
         else:
             assert not scanned, problem.id
             assert np.array_equal(got, iterates), problem.id
@@ -851,7 +854,7 @@ def test_a_block_records_the_models_of_its_steps_slopes(monkeypatch):
 
     for problem in registry():
         monkeypatch.setattr(problem.oracle, "model_rows", refused)
-        _run_loop(problem, [SolverConfig(40, seed=[s, 40]) for s in range(3)])
+        _run_loop(problem, SolverConfig(40, seed=None), [[s, 40] for s in range(3)])
 
 
 def test_the_tstar_draw_is_generator_choice_from_one_cdf():
@@ -871,10 +874,10 @@ def test_the_tstar_draw_is_generator_choice_from_one_cdf():
         assert a.bit_generator.state == b.bit_generator.state
     problem = get_problem("P1")
     oracle = problem.oracle
-    configs = [SolverConfig(40, seed=[s, 40]) for s in range(4)]
-    for config, tr in zip(configs, _run_loop(problem, configs)):
+    seeds = [[s, 40] for s in range(4)]
+    for seed, tr in zip(seeds, _run_loop(problem, SolverConfig(40, seed=None), seeds)):
         law = tstar_weights(tr.etas, oracle.constants.rho)
-        replay = np.random.default_rng(config.seed)
+        replay = np.random.default_rng(seed)
         xi = replay.choice(oracle.n_atoms, p=oracle.weights, size=41)
         assert np.array_equal(tr.sampled_xi_ids, xi) and tr.sampled_xi_ids.dtype == xi.dtype
         assert tr.t_star == replay.choice(law.size, p=law)
@@ -1002,8 +1005,8 @@ def test_a_lockstep_step_stays_within_its_call_budget(pid):
     # or any other per-step call, fails here
     import gc
     problem = get_problem(pid)
-    configs = [SolverConfig(64, seed=[s, 64]) for s in range(8)]
-    _run_loop(problem, configs)
+    config, seeds = SolverConfig(64, seed=None), [[s, 64] for s in range(8)]
+    _run_loop(problem, config, seeds)
     calls = []
 
     def count(frame, event, arg):
@@ -1016,7 +1019,7 @@ def test_a_lockstep_step_stays_within_its_call_budget(pid):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        _run_loop(problem, configs)
+        _run_loop(problem, config, seeds)
     finally:
         sys.setprofile(previous)
         gc.enable()
@@ -1040,12 +1043,12 @@ def test_a_horizon_peaks_little_above_what_its_traces_keep():
     import tracemalloc
     for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
         prob = get_problem(pid)
-        configs = [SolverConfig(256, seed=[s, 256]) for s in range(8)]
-        _run_loop(prob, configs)
+        config, seeds = SolverConfig(256, seed=None), [[s, 256] for s in range(8)]
+        _run_loop(prob, config, seeds)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            traces = _run_loop(prob, configs)
+            traces = _run_loop(prob, config, seeds)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

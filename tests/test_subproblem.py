@@ -21,8 +21,8 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 check_three_point, inner_solve, linear_model,
                                 power_terms, prox_points_1d, prox_step, prox_step_rows,
                                 record_rows, solve_monotone_power, solve_rows,
-                                _affine_solver, _growth, _newton, _secular, _secular_rows,
-                                _solve_1d)
+                                _affine_solver, _growth, _newton, _newton_directions,
+                                _secular, _secular_rows, _solve_1d)
 
 
 def _value(model, x):
@@ -1599,3 +1599,51 @@ def test_one_bad_row_fails_the_batched_step():
         with pytest.raises(DomainError):
             prox_step_rows(AffineRows(V, np.zeros(3), absolute), BallIndicator(1.0),
                            phi, Z, 1.0)
+
+
+def test_a_singular_newton_row_takes_the_negative_gradient():
+    # one singular Hessian in the stack: that row's direction is -g, and
+    # every other row is its own one-row solve
+    H = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 2.0], [2.0, 4.0]], [[3.0, 0.0], [0.0, 0.5]]])
+    G = np.array([[1.0, -2.0], [0.3, 0.7], [-1.5, 0.25]])
+    P = _newton_directions(H, G)
+    assert np.array_equal(P[1], -G[1])
+    for i in (0, 2):
+        assert np.array_equal(P[i], np.linalg.solve(H[i:i + 1], -G[i:i + 1, :, None])[0, :, 0])
+
+
+def test_inner_solve_refuses_a_center_of_more_than_one_coordinate():
+    with pytest.raises(InnerSolveError, match="1-d subproblems only, not d = 2"):
+        inner_solve(linear_model(np.array([0.5, -1.0])), ZeroRegularizer(), Euclidean(),
+                    np.array([1.0, 2.0]), 0.5)
+
+
+def test_three_point_check_needs_a_feasible_probe():
+    # probes where g is infinite are skipped; none left, or none given, is an error
+    def g(x):
+        return 0.0 if x[0] <= 0.0 else np.inf
+
+    z = np.array([0.0])
+    for probes in ([np.array([1.0]), np.array([2.0])], []):
+        with pytest.raises(ValueError, match="no feasible probe points supplied"):
+            check_three_point(g, Euclidean(), z, z, probes)
+
+
+@pytest.mark.parametrize("reg", [L1Regularizer(0.7), QuadraticRegularizer(0.7)],
+                         ids=["l1", "quadratic"])
+def test_1d_quadratic_rows_under_a_regularizer_bisect_to_the_closed_form(reg):
+    # a 1-d quadratic model under a nonzero r has no closed-form path, so
+    # the plan's last path, the bisection, takes it; under phi = y^2 / 2 the
+    # model (a/2) (y - c)^2 has the closed forms sign(B) max(|B| - w, 0) / A
+    # (l1) and B / (A + w) (quadratic), A = a + 1/eta, B = a c + z/eta
+    a, c, eta, w = 1.3, 0.4, 0.6, reg.weight
+    Z = np.linspace(-3.0, 3.0, 50)[:, None]
+    res = prox_step_rows(QuadraticRows.of([[a]], [c], 0.0), reg, Euclidean(), Z, eta)
+    assert res.method == "bisection_1d"
+    A, B = a + 1.0 / eta, a * c + Z[:, 0] / eta
+    if isinstance(reg, L1Regularizer):
+        y = np.sign(B) * np.maximum(np.abs(B) - w, 0.0) / A
+        assert (y == 0.0).any() and (y != 0.0).any()
+    else:
+        y = B / (A + w)
+    assert (np.abs(res.minimizer[:, 0] - y) <= 1e-13 * (1.0 + np.abs(y))).all()
