@@ -529,10 +529,11 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
     log-log slope of the seed-averaged target metric.  metric_mode selects
     the single drawn t* ("tstar_draw") or the variance-reduced average over
     the full t* distribution ("tstar_full"); both estimate the same
-    expectation.  The seeds of a horizon run in lockstep; horizons may
-    execute concurrently, and rows are assembled in sorted (T, seed) order
-    either way.
+    expectation.  The seeds of a horizon run in lockstep, and the horizons
+    one after another; threads must be 1.
     """
+    if threads != 1:
+        raise ValueError("threads must be 1, got %r" % (threads,))
     if metric_mode not in ("tstar_draw", "tstar_full"):
         raise ValueError("unknown metric mode %r" % (metric_mode,))
     horizons = list(horizons)
@@ -542,19 +543,8 @@ def sweep(problem, horizons, n_seeds, alpha=1.0, lam=None,
         raise ValueError("horizons must be strictly increasing")
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1, got %r" % (n_seeds,))
-
-    def work(T):
-        return _sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, metric_mode)
-
-    if threads > 1:
-        # imported here: only concurrent horizons need it, and it pulls in
-        # logging (about 0.5 MB and 8 ms of import)
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, horizons))
-    else:
-        results = [work(T) for T in horizons]
-
+    results = [_sweep_horizon(problem, T, n_seeds, alpha, lam, schedule_kind, metric_mode)
+               for T in horizons]
     cells = np.array([np.concatenate(([T, eta0, cell_lam], vals.ravel(), [ms]))
                       for T, (eta0, cell_lam, vals, ms) in zip(horizons, results)])
     return SweepResult.of(problem.regime, problem.id, _metric_names(problem), cells)

@@ -70,11 +70,11 @@ def prox_records(problem, phi, X, lam, tol=1e-10):
     prox_step_rows on the exact objective's row form (problem.objective), in
     every dimension: one kink search and one cubic root per point for P1's
     |quadratic| pieces, the secular equation for a quadratic (P6), one
-    lockstep Newton for a smooth objective (P2) and the shrinkage for a norm
-    term (P5).  A 1-d form with no closed form takes one lockstep bisection
-    on its values and gradients; in d > 1 such a form raises
-    InnerSolveError (subproblem.step_plan).  Every batch is certified by
-    center_certificate with rho = tau + rho of the oracle.
+    lockstep Newton for a smooth objective (P2) and the radial solve with the
+    norm-term weight for a norm term (P5).  A 1-d form with no closed form
+    takes one lockstep bisection on its values and gradients; in d > 1 such
+    a form raises InnerSolveError (subproblem.step_plan).  Every batch is
+    certified by center_certificate with rho = tau + rho of the oracle.
     """
     _check_lambda(problem, lam)
     return prox_step_rows(problem.objective, problem.regularizer, phi,

@@ -124,11 +124,12 @@ class LegendreFunction:
     Subclasses write each formula once, as a row form over an (N, d) array of
     points -- value_rows, gradient_rows and hessian_rows -- with
     hessian_apply / hessian_solve in closed form over the last axis (one
-    point, or the rows of (N, d) arrays), and declare their domain, primal
-    norm, and (when known) a strong convexity modulus with respect to that
-    norm.  The pointwise value, gradient, bregman, hessian_matrix,
-    local_dual_norm and in_interior are the one-row case of the row forms,
-    so a point and a row give the same bits.  Instances are immutable after construction and all
+    point, or the rows of (N, d) arrays; a DiagonalLegendre writes its
+    inverse curvature instead), and declare their domain, primal norm, and
+    (when known) a strong convexity modulus with respect to that norm.  The
+    pointwise value, gradient, bregman, hessian_matrix, local_dual_norm and
+    in_interior are the one-row case of the row forms, so a point and a row
+    give the same bits.  Instances are immutable after construction and all
     operations are pure, so they are safe to share across concurrent
     workers.
     """
@@ -256,7 +257,25 @@ class LegendreFunction:
         raise NotImplementedError
 
 
-class Euclidean(LegendreFunction):
+class DiagonalLegendre(LegendreFunction):
+    """A separable phi: each kind writes its inverse curvature c = 1 / phi''
+    entrywise at a point or the rows of an (N, d) array (checking them
+    interior), from which the Hessian's diag(1 / c), v / c and v * c derive."""
+
+    def inverse_curvature(self, X):
+        raise NotImplementedError
+
+    def hessian_rows(self, X):
+        return _diagonal_rows(1.0 / self.inverse_curvature(X))
+
+    def hessian_apply(self, x, v):
+        return np.asarray(v, dtype=float) / self.inverse_curvature(x)
+
+    def hessian_solve(self, x, v):
+        return np.asarray(v, dtype=float) * self.inverse_curvature(x)
+
+
+class Euclidean(DiagonalLegendre):
     """phi(x) = (1/2)||x||^2, the classical proximal geometry."""
 
     kind = "euclidean"
@@ -268,14 +287,8 @@ class Euclidean(LegendreFunction):
     def gradient_rows(self, X):
         return np.array(X, dtype=float)
 
-    def hessian_rows(self, X):
-        return _diagonal_rows(np.ones(np.shape(X)))
-
-    def hessian_apply(self, x, v):
-        return np.array(v, dtype=float)
-
-    def hessian_solve(self, x, v):
-        return np.array(v, dtype=float)
+    def inverse_curvature(self, X):
+        return np.ones(np.shape(X))
 
     def radial_terms(self):
         return np.array([0.5]), np.array([2.0])
@@ -284,7 +297,7 @@ class Euclidean(LegendreFunction):
         return {"kind": "euclidean"}
 
 
-class ShannonEntropy(LegendreFunction):
+class ShannonEntropy(DiagonalLegendre):
     """phi(x) = sum_i x_i log x_i on the nonnegative orthant (0 log 0 = 0).
 
     Restricted to the probability simplex the divergence is the KL
@@ -312,9 +325,9 @@ class ShannonEntropy(LegendreFunction):
         self.check_interior(X)
         return 1.0 + np.log(np.asarray(X, dtype=float))
 
-    def hessian_rows(self, X):
+    def inverse_curvature(self, X):
         self.check_interior(X)
-        return _diagonal_rows(1.0 / np.asarray(X, dtype=float))
+        return np.asarray(X, dtype=float)
 
     # The mirror coordinates are log x, in which the entropic prox steps are
     # taken (entropic mirror descent in its dual coordinates): an entry that
@@ -339,19 +352,11 @@ class ShannonEntropy(LegendreFunction):
         return ((Y.points * (Y.mirror - Z.mirror)).sum(axis=1) - sy + sz,
                 (Z.points * (Z.mirror - Y.mirror)).sum(axis=1) - sz + sy)
 
-    def hessian_apply(self, x, v):
-        self.check_interior(x)
-        return np.asarray(v, dtype=float) / np.asarray(x, dtype=float)
-
-    def hessian_solve(self, x, v):
-        self.check_interior(x)
-        return np.asarray(v, dtype=float) * np.asarray(x, dtype=float)
-
     def to_config(self):
         return {"kind": "shannon_entropy", "on_simplex": self.on_simplex}
 
 
-class Burg(LegendreFunction):
+class Burg(DiagonalLegendre):
     """phi(x) = -sum_i log x_i on the open positive orthant."""
 
     kind = "burg"
@@ -368,20 +373,9 @@ class Burg(LegendreFunction):
         self.check_interior(X)
         return -1.0 / np.asarray(X, dtype=float)
 
-    def hessian_rows(self, X):
+    def inverse_curvature(self, X):
         self.check_interior(X)
-        X = np.asarray(X, dtype=float)
-        return _diagonal_rows(1.0 / (X * X))
-
-    def hessian_apply(self, x, v):
-        self.check_interior(x)
-        x = np.asarray(x, dtype=float)
-        return np.asarray(v, dtype=float) / (x * x)
-
-    def hessian_solve(self, x, v):
-        self.check_interior(x)
-        x = np.asarray(x, dtype=float)
-        return np.asarray(v, dtype=float) * (x * x)
+        return np.square(np.asarray(X, dtype=float))
 
     def to_config(self):
         return {"kind": "burg"}

@@ -5,6 +5,8 @@ import numpy as np
 
 from .legendre import ShannonEntropy, dot_rows, norm_rows
 
+FEASIBILITY_TOL = 1e-9  # the relative slack of the simplex and ball indicators
+
 
 class Regularizer:
     """Closed convex regularizer r with a simple prox structure.
@@ -32,8 +34,8 @@ class Regularizer:
         return 0.0
 
 
-def _on_simplex(X, tol):
-    return (X >= -tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= tol)
+def _on_simplex(X):
+    return (X >= -FEASIBILITY_TOL).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= FEASIBILITY_TOL)
 
 
 class ZeroRegularizer(Regularizer):
@@ -49,11 +51,8 @@ class SimplexIndicator(Regularizer):
     kind = "indicator_simplex"
     bounds = (1.0, 1.0)
 
-    def __init__(self, tol=1e-9):
-        self.tol = tol
-
     def value_rows(self, X):
-        return np.where(_on_simplex(np.asarray(X, dtype=float), self.tol), 0.0, np.inf)
+        return np.where(_on_simplex(np.asarray(X, dtype=float)), 0.0, np.inf)
 
 
 class BallIndicator(Regularizer):
@@ -61,15 +60,14 @@ class BallIndicator(Regularizer):
 
     kind = "indicator_ball"
 
-    def __init__(self, radius, tol=1e-9):
+    def __init__(self, radius):
         if radius <= 0:
             raise ValueError("ball radius must be positive")
         self.radius = float(radius)
         self.bounds = (-self.radius, self.radius)
-        self.tol = tol
 
     def value_rows(self, X):
-        return np.where(norm_rows(X) <= self.radius * (1 + self.tol), 0.0, np.inf)
+        return np.where(norm_rows(X) <= self.radius * (1 + FEASIBILITY_TOL), 0.0, np.inf)
 
 
 class L1Regularizer(Regularizer):
@@ -112,11 +110,10 @@ class EntropyLike(Regularizer):
     kind = "entropy_like"
     bounds = (1.0, 1.0)
 
-    def __init__(self, weight, tol=1e-9):
+    def __init__(self, weight):
         if weight < 0:
             raise ValueError("entropy tilt weight must be nonnegative")
         self.weight = float(weight)
-        self.tol = tol
         self._entropy = ShannonEntropy()
 
     def value_rows(self, X, entropy=None):
@@ -124,7 +121,7 @@ class EntropyLike(Regularizer):
         X = np.asarray(X, dtype=float)
         if entropy is None:
             entropy = self._entropy.value_rows(np.maximum(X, 0.0))
-        return np.where(_on_simplex(X, self.tol), self.weight * entropy, np.inf)
+        return np.where(_on_simplex(X), self.weight * entropy, np.inf)
 
     def inf_value(self, dim):
         # entropy over the simplex is minimized at the uniform distribution

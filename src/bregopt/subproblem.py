@@ -13,12 +13,12 @@ linear models that move with their centres (ProxLinearRows, TangentRows)
 give their slopes there.  Both modules' names are imported here too.  Every step
 goes through one dispatch on that form, made once per loop or batch
 (step_plan), as a block of steps (a batch is a block of one step): the
-affine or |affine| closed form, the norm shrinkage, the scalar secular
-equation of a quadratic under a radial phi, one kink search and one radial
-root for a 1-d sum of |quadratic| terms, or one lockstep Newton; a 1-d form
-with none of these takes the certified bisection on its values and
-gradients.  Every returned step carries a three-point optimality residual,
-the runtime contract
+affine or |affine| closed form, the radial solve with the norm-term weight,
+the scalar secular equation of a quadratic under a radial phi, one kink
+search and one radial root for a 1-d sum of |quadratic| terms, or one
+lockstep Newton; a 1-d form with none of these takes the certified
+bisection on its values and gradients.  Every returned step carries a
+three-point optimality residual, the runtime contract
 
     g(x) + D(x, z) >= g(z+) + D(z+, z) + D(x, z+)   for all feasible x,
 
@@ -63,10 +63,11 @@ class ProxStepResult:
 
     divergence is D(y, z); model_value and r_value are the model and r at y.
     method names the path: closed_form_affine, closed_form_abs_affine,
-    closed_form_norm, closed_form_abs_quadratic, bisection_1d, secular,
-    newton or degenerate_eta.  For a batch of steps (prox_step_rows) every
-    field but method and inner_iterations (the most any row used) holds one
-    entry per row, and state is the minimizers' RowState (the next centres).
+    closed_form_norm (the radial solve with the norm-term weight),
+    closed_form_abs_quadratic, bisection_1d, secular, newton or degenerate_eta.
+    For a batch of steps (prox_step_rows) every field but method and
+    inner_iterations (the most any row used) holds one entry per row, and
+    state is the minimizers' RowState (the next centres).
     """
 
     def __init__(self, minimizer, inner_iterations, three_point_residual,
@@ -292,25 +293,30 @@ def _radial_root(power, g, shift=0.0):
     """The root r >= 0 of (shift + A(r)) r = g >= 0 entrywise for the
     power_terms power, where shift + A(0) > 0: the library's one solver of
     a radial scalar equation (the steps of _radial_solver and _abs_affine_1d
-    at shift 0, the pieces of _abs_quadratic_rows, _secular's start).  For
-    the powers {2, 4} it is _cubic_root(const + shift, a3, g), else
+    at shift 0, the pieces of _abs_quadratic_rows, _secular's start): for a
+    kernel of power 2 alone g / (const + shift), solve_monotone_power's exact
+    start, for the powers {2, 4} _cubic_root(const + shift, a3, g), else
     solve_monotone_power."""
+    if not power.terms:
+        return g / (power.const + shift)
     return (_cubic_root(power.const + shift, power.a3, g) if power.closed
             else solve_monotone_power(power, g, shift=shift))
 
 
-def _radial_solver(power, radius, V, Z, M, eta):
-    """argmin <v_i, x> + (1/eta) D(x, z_i) (+ ball indicator) per row, radial
-    phi, and the minimizers' mirror coordinates (None if a row is clipped).
+def _radial_solver(power, radius, weight, V, Z, M, eta):
+    """argmin <v_i, x> + weight ||x|| + (1/eta) D(x, z_i) (+ ball indicator)
+    per row, radial phi, and the minimizers' mirror coordinates (None if
+    the weight is nonzero or a row is clipped).
 
-    Writes the optimality condition grad phi(x) = W = grad phi(z) - eta v,
-    which forces x = s * u along u = W / |W|; the scalar s is the root of
-    s(r) = |W| for the power_terms power (_radial_root), clipped at the ball
-    radius unless it is None (valid because the radial objective is
-    increasing in s beyond the unconstrained root).  grad phi at the centres
-    Z is their mirror coordinates M, and W is the minimizer's where no row
-    is clipped.  A row whose square underflows (norm below _NORM_UNDERFLOW)
-    takes its norm scaled by its largest entry.
+    Writes the optimality condition grad phi(x) = W - eta weight x / |x|,
+    W = grad phi(z) - eta v, which forces x = s * u along u = W / |W|; the
+    scalar s is the root of s(r) = max(|W| - eta weight, 0) for the
+    power_terms power (_radial_root), clipped at the ball radius unless it
+    is None (valid because the radial objective is increasing in s beyond
+    the unconstrained root).  grad phi at the centres Z is their mirror
+    coordinates M, and W is the minimizer's where the weight is 0 and no
+    row is clipped.  A row whose square underflows (norm below
+    _NORM_UNDERFLOW) takes its norm scaled by its largest entry.
     """
     W = M - eta * V
     g = norm_rows(W)
@@ -319,7 +325,8 @@ def _radial_solver(power, radius, V, Z, M, eta):
         m = np.abs(W[tiny]).max(axis=1, keepdims=True)
         U = np.divide(W[tiny], m, out=np.zeros((tiny.size, W.shape[1])), where=m > 0.0)
         g[tiny] = m[:, 0] * norm_rows(U)
-    s, M = _radial_root(power, g), W
+    s = _radial_root(power, np.maximum(g - eta * weight, 0.0) if weight else g)
+    M = None if weight else W
     if radius is not None and np.logical_or.reduce(s > radius):
         s, M = np.minimum(s, radius), None
     return np.divide(s, g, out=np.zeros(g.shape), where=g > 0.0)[:, None] * W, M
@@ -433,8 +440,6 @@ def _affine_solver(reg, phi):
     power = _kernel_power(phi)
 
     if reg.kind == "zero":
-        if euclid:
-            return lambda v, Z, M, eta: (Z - eta * v, None)
         if entropy:
             def entropic(v, Z, M, eta):
                 log_y = M - eta * v
@@ -452,7 +457,7 @@ def _affine_solver(reg, phi):
 
             return burg
         if power is not None:
-            return partial(_radial_solver, power, None)
+            return partial(_radial_solver, power, None, 0.0)
     elif reg.kind == "indicator_simplex" and entropy:
         return lambda v, Z, M, eta: _log_softmax(M - eta * v)
     elif reg.kind == "entropy_like" and entropy:
@@ -470,7 +475,7 @@ def _affine_solver(reg, phi):
 
             return ball
         if power is not None:
-            return partial(_radial_solver, power, reg.radius)
+            return partial(_radial_solver, power, reg.radius, 0.0)
     elif reg.kind == "l1" and euclid:
         def l1(v, Z, M, eta):
             u = Z - eta * v
@@ -480,17 +485,6 @@ def _affine_solver(reg, phi):
     elif reg.kind == "quadratic" and euclid:
         return lambda v, Z, M, eta: ((Z - eta * v) / (1.0 + eta * reg.weight), None)
     return None
-
-
-def _norm_term_rows(reg, rows, Z, eta):
-    """The path of NormTermRows <v_i, x> + c||x||: Euclidean phi, r zero or a ball."""
-    U = Z.points - eta * np.asarray(rows.slopes, dtype=float)
-    n = norm_rows(U)
-    s = np.maximum(n - eta * rows.weight, 0.0)
-    if reg.kind == "indicator_ball":
-        s = np.minimum(s, reg.radius)
-    Y = np.divide(s, n, out=np.zeros(n.shape), where=n > 0.0)[:, None] * U
-    return Y, None, 1, "closed_form_norm"
 
 
 def _abs_quadratic_rows(reg, power, phi, rows, Z, eta):
@@ -1040,10 +1034,12 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     """The path of all steps on models of the row form of rows (its type,
     and AffineRows' absolute flag) in dimension d under r and phi, chosen
     once with its constants (power_terms): the only code that chooses one.
-    AbsQuadraticRows take their path under every radial phi with r = 0.
-    A 1-d form with no other path, or AbsQuadraticRows with a piece of
-    2 eta C_j + A(0) <= 0, bisect (_bisection_rows); in d > 1 such a form
-    raises InnerSolveError.
+    AbsQuadraticRows take their path under every radial phi with r = 0, and
+    NormTermRows the radial solve with the norm-term weight (_radial_solver,
+    closed_form_norm) under every radial phi with r zero or a ball.  A 1-d
+    form with no other path, or AbsQuadraticRows with a piece of 2 eta C_j
+    + A(0) <= 0, bisect (_bisection_rows); in d > 1 such a form raises
+    InnerSolveError.
 
     The plan's one entry, plan.block(rows, P, M, etas, V), takes the n =
     len(etas) steps of a record block and returns its last step's (inner
@@ -1072,9 +1068,12 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
                                       _quiet)
         else:
             path = lambda rows, Z, eta: _newton(rows, phi, Z, eta, tol)
-    elif (isinstance(rows, NormTermRows) and isinstance(phi, Euclidean)
+    elif (isinstance(rows, NormTermRows) and power is not None
           and reg.kind in ("zero", "indicator_ball")):
-        path = partial(_norm_term_rows, reg)
+        radius = reg.radius if reg.kind == "indicator_ball" else None
+        path = lambda rows, Z, eta: (*_radial_solver(power, radius, rows.weight, rows.slopes,
+                                                     Z.points, Z.mirror, eta),
+                                     1, "closed_form_norm")
     elif isinstance(rows, (AffineRows, ProxLinearRows, TangentRows)):
         solve = _affine_solver(reg, phi)
         by_kink = reg.kind == "zero" and d == 1

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bregopt.legendre import (Burg, DomainError, Euclidean, LegendreFunction,
-                              RadialPowerSum, ShannonEntropy,
+from bregopt.legendre import (Burg, DiagonalLegendre, DomainError, Euclidean,
+                              LegendreFunction, RadialPowerSum, ShannonEntropy,
                               SingularHessianError, WeightedSum,
                               build_composite_legendre,
                               build_norm_power_legendre, build_poly_legendre,
@@ -162,16 +162,26 @@ def test_row_forms_match_the_pointwise_methods():
 
 def test_each_kind_writes_its_formulas_once_as_row_forms():
     # a kind implements the row forms; the pointwise operations are the base
-    # class's one-row case, so a second formula cannot come back unnoticed
+    # class's one-row case, so a second formula cannot come back unnoticed.
+    # A diagonal kind writes its inverse curvature only, from which
+    # DiagonalLegendre derives its Hessian's row form, action and solve
     for cls in (Euclidean, ShannonEntropy, Burg, RadialPowerSum, WeightedSum):
-        for op in ("value_rows", "gradient_rows", "hessian_rows"):
+        for op in ("value_rows", "gradient_rows"):
             assert op in cls.__dict__, (cls.__name__, op)
         for op in ("value", "gradient", "bregman", "hessian_matrix", "in_interior"):
             assert op not in cls.__dict__, (cls.__name__, op)
+    for cls in (Euclidean, ShannonEntropy, Burg):
+        assert issubclass(cls, DiagonalLegendre) and "inverse_curvature" in cls.__dict__
+        for op in ("hessian_rows", "hessian_apply", "hessian_solve"):
+            assert op not in cls.__dict__, (cls.__name__, op)
+    for cls in (RadialPowerSum, WeightedSum):
+        assert "hessian_rows" in cls.__dict__, cls.__name__
     X = np.ones((2, 3))
     for op in ("value_rows", "gradient_rows", "hessian_rows"):
         with pytest.raises(NotImplementedError):
             getattr(LegendreFunction(), op)(X)
+    with pytest.raises(NotImplementedError):
+        DiagonalLegendre().hessian_rows(X)
 
 
 def test_bregman_pair_equals_two_bregman_rows_calls():

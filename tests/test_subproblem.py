@@ -523,6 +523,103 @@ def test_ball_and_norm_term_steps_match_a_polar_search(case):
             assert value <= ref_value + slack, (eta, i)
 
 
+def _radial_polar_prox(w, scale, radius, coefs, powers):
+    # _polar_prox for the radial kernel Phi(|x|), Phi(rho) = sum_k c_k rho^p_k
+    # (p_k >= 2): argmin Phi(|x|) - <w, x> + scale |x| over |x| <= radius in
+    # d = 2, which is eta times <v, x> + c |x| + D(x, z) / eta less a
+    # constant, for w = grad phi(z) - eta v and scale = eta c.  Along e(theta)
+    # the radial problem Phi(rho) - rho k, k = <e, w> - scale, is convex, and
+    # its minimizer over [0, radius] is the root of Phi'(rho) = k (0 for
+    # k <= 0) clipped to it, below min_k (k / (c_k p_k))^(1/(p_k - 1)): by
+    # lockstep bisection on the 3600-point grid over the circle, and by brentq
+    # in the bounded Brent refinement of the best grid angle.  Returns the
+    # point and its objective.
+    from scipy.optimize import brentq, minimize_scalar
+
+    def Phi(rho):
+        return (coefs * np.asarray(rho)[..., None] ** powers).sum(axis=-1)
+
+    def dPhi(rho):
+        return (coefs * powers * np.asarray(rho)[..., None] ** (powers - 1.0)).sum(axis=-1)
+
+    def upper(k):
+        top = ((np.maximum(k, 0.0)[..., None] / (coefs * powers)) ** (1.0 / (powers - 1.0)))
+        return np.minimum(top.min(axis=-1), radius)
+
+    def size(theta):
+        k = np.cos(theta) * w[0] + np.sin(theta) * w[1] - scale
+        hi = float(upper(k))
+        if k <= 0.0 or dPhi(hi) <= k:
+            return max(hi, 0.0)
+        return brentq(lambda rho: dPhi(rho) - k, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+    def point(theta):
+        return size(theta) * np.array([np.cos(theta), np.sin(theta)])
+
+    def objective(x):
+        n = np.linalg.norm(x)
+        return float(Phi(n)) - w @ x + scale * n
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
+    k = np.cos(grid) * w[0] + np.sin(grid) * w[1] - scale
+    lo, hi = np.zeros(grid.size), upper(k)
+    for _ in range(1100):
+        mid = 0.5 * (lo + hi)
+        below = dPhi(mid) < k
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if np.all((hi - lo) <= 4 * np.finfo(float).eps * hi):
+            break
+    rho = 0.5 * (lo + hi)
+    best, step = grid[np.argmin(Phi(rho) - rho * k)], grid[1]
+    tau = minimize_scalar(lambda tau: objective(point(best + tau)), bounds=(-step, step),
+                          method="bounded", options={"xatol": 1e-15}).x
+    x = point(best + tau)
+    return x, objective(x)
+
+
+@pytest.mark.parametrize("pid", ["P1", "P6"])
+@pytest.mark.parametrize("case", ["norm", "norm_ball"])
+def test_norm_term_steps_under_radial_kernels_match_a_polar_search(pid, case):
+    # the norm term <v, x> + c |x| under P1's composite kernel and P6's poly
+    # kernel (2-d here), with and without the ball, is the radial solve with
+    # the norm-term weight: against _radial_polar_prox, from centres on and
+    # near the sphere of the ball and step sizes up to 1e6.  Tolerances as in
+    # the Euclidean test above, with Phi(|x_ref|) for |x_ref|^2
+    phi = get_problem(pid).phi
+    coefs, powers = phi.radial_terms()
+    rng = np.random.default_rng({"norm": 41, "norm_ball": 43}[case] + (pid == "P6"))
+    eps = np.finfo(float).eps
+    radius = 2.0
+    reg = ZeroRegularizer() if case == "norm" else BallIndicator(radius)
+    for eta in 10.0 ** np.array([-3.0, -1.0, 0.0, 2.0, 4.0, 6.0]):
+        n = 8
+        gap = 10.0 ** rng.uniform(-14.0, -1.0, n)
+        gap[:2] = 0.0
+        angle = rng.uniform(0.0, 2.0 * np.pi, (2, n))
+        Z = (radius * (1.0 - gap) * [np.cos(angle[0]), np.sin(angle[0])]).T
+        V = (10.0 ** rng.uniform(-7.0, 1.0, n) * [np.cos(angle[1]), np.sin(angle[1])]).T
+        c = float(rng.uniform(0.0, 1.0))
+        res = prox_step_rows(NormTermRows(V, c), reg, phi, Z, eta)
+        assert res.method == "closed_form_norm"
+        Y = res.minimizer
+        if case == "norm_ball":
+            assert np.all(norm_rows(Y) <= radius * (1.0 + 8.0 * eps)), eta
+        # grad phi(z) = Phi'(|z|) z / |z|, written out here
+        r = np.linalg.norm(Z, axis=1)
+        W = (coefs * powers * r[:, None] ** (powers - 2.0)).sum(axis=1)[:, None] * Z - eta * V
+        for i in range(n):
+            ref, ref_value = _radial_polar_prox(W[i], eta * c,
+                                                radius if case == "norm_ball" else np.inf,
+                                                coefs, powers)
+            size = np.linalg.norm(ref)
+            assert np.linalg.norm(Y[i] - ref) <= 1e-6 * (1.0 + size), (eta, i)
+            m = np.linalg.norm(Y[i])
+            value = (coefs * m ** powers).sum() - W[i] @ Y[i] + eta * c * m
+            slack = 1e-13 * (np.linalg.norm(W[i]) * size + (coefs * size ** powers).sum()
+                             + eta * c * size + 1.0)
+            assert value <= ref_value + slack, (eta, i)
+
+
 def test_1d_abs_affine_step_matches_bisection():
     # one batch of |g y + s| rows that stop at theta = +1, at theta = -1 and
     # at the kink; the certified bisection is the reference
