@@ -130,8 +130,7 @@ def main(argv=None):
     if args.against is None:
         return 0
     theirs = digests_at(args.against)
-    differ = sorted(set(mine) ^ set(theirs)
-                    | {g for g in set(mine) & set(theirs) if mine[g] != theirs[g]})
+    differ = sorted(g for g in set(mine) | set(theirs) if mine.get(g) != theirs.get(g))
     for group in differ:
         print("differs from %s: %s" % (args.against, group))
     print("%d of %d groups differ from %s" % (len(differ), len(set(mine) | set(theirs)),
