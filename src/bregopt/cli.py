@@ -1,7 +1,7 @@
 """Command-line harness: validate, run, sweep, and oracle subcommands.
 
 Exit codes: 0 when every executed check passes, 1 on a failed check, 2 on
-usage errors.  BREGOPT_SEED overrides any configured seed.
+usage errors.  BREGOPT_SEED overrides the --seed of validate and run.
 """
 
 import argparse
@@ -21,13 +21,6 @@ from .validation import (brute_force_min, verify_lipschitz, verify_one_sided,
                          verify_relative_smoothness, verify_variance)
 
 
-def _seed_override(seed):
-    env = os.environ.get("BREGOPT_SEED")
-    if env is not None:
-        return int(env)
-    return seed
-
-
 def _print_check(name, ok, detail=""):
     print("%s %s%s" % ("PASS" if ok else "FAIL", name,
                        "  (%s)" % detail if detail else ""))
@@ -35,7 +28,7 @@ def _print_check(name, ok, detail=""):
 
 
 def _validate(problem, args):
-    rng = np.random.default_rng(_seed_override(args.seed))
+    rng = np.random.default_rng(args.seed)
     phi = problem.phi
     ok = True
 
@@ -77,7 +70,7 @@ def _validate(problem, args):
                                                          rep.claimed_L))
 
     # a short run obeying the three-point contract at every step
-    config = SolverConfig(20, seed=_seed_override(args.seed))
+    config = SolverConfig(20, seed=args.seed)
     trace = run_for_regime(problem, config)
     res_ok = True
     probes = [problem.sample_domain_point(rng) for _ in range(50)]
@@ -108,7 +101,7 @@ def _trace_csv(problem, trace):
 
 
 def _run(problem, args):
-    config = SolverConfig(args.T, seed=_seed_override(args.seed), lam=args.lam,
+    config = SolverConfig(args.T, seed=args.seed, lam=args.lam,
                           schedule=("constant", args.alpha))
     trace = run_for_regime(problem, config)
     text = _trace_csv(problem, trace)
@@ -224,12 +217,12 @@ def build_parser():
     v = sub.add_parser("validate", help="run the verify suite for a problem")
     v.add_argument("problem_id")
     v.add_argument("--n-pairs", type=_positive_int, default=200)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_nonnegative_int, default=0)
 
     r = sub.add_parser("run", help="one algorithm run plus envelope report")
     r.add_argument("problem_id")
     r.add_argument("--T", type=_nonnegative_int, required=True)
-    r.add_argument("--seed", type=int, required=True)
+    r.add_argument("--seed", type=_nonnegative_int, required=True)
     r.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
     r.add_argument("--alpha", type=_positive_float, default=1.0)
     r.add_argument("--out", default=None, help="trace CSV path (default stdout)")
@@ -262,9 +255,17 @@ def build_parser():
 
 
 def _check_inputs(parser, problem, args):
-    """Usage errors that depend on two options or on the problem: an oracle
-    box with lo > hi, and a horizon of run or sweep whose steps the
-    library's own rule (driver._resolve_etas) refuses."""
+    """Usage errors that depend on two options, on the environment or on the
+    problem: an oracle box with lo > hi, a BREGOPT_SEED that is not an
+    integer >= 0 (it replaces the --seed of validate and run here), and a
+    horizon of run or sweep whose steps the library's own rule
+    (driver._resolve_etas) refuses."""
+    env = os.environ.get("BREGOPT_SEED")
+    if env is not None and "seed" in args:
+        try:
+            args.seed = _nonnegative_int(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error("BREGOPT_SEED: %s" % exc)
     if args.command == "oracle" and args.box_lo > args.box_hi:
         parser.error("--box-lo %r exceeds --box-hi %r" % (args.box_lo, args.box_hi))
     if args.command not in ("run", "sweep"):

@@ -61,7 +61,7 @@ def _check_lambda(problem, lam):
         raise ValueError("need lam * (tau + rho) < 1 for a convex prox subproblem")
 
 
-def prox_records(problem, phi, X, lam, tol=1e-10):
+def prox_records(problem, phi, X, lam):
     """The certified steps x -> argmin_y { F(y) + (1/lam) D(y, x) } from each
     row x of an (N, d) array, as one batch ProxStepResult: its minimizers
     are the prox points and its divergences D(prox(x), x).
@@ -74,24 +74,24 @@ def prox_records(problem, phi, X, lam, tol=1e-10):
     norm-term weight for a norm term (P5).  A 1-d form with no closed form
     takes one lockstep bisection on its values and gradients; in d > 1 such
     a form raises InnerSolveError (subproblem.step_plan).  Every batch is
-    certified by center_certificate with rho = tau + rho of the oracle.
+    certified by center_certificate, at subproblem.INNER_TOL, with rho = tau
+    + rho of the oracle.
     """
     _check_lambda(problem, lam)
     return prox_step_rows(problem.objective, problem.regularizer, phi,
-                          np.asarray(X, dtype=float), lam, rho=_weak_modulus(problem),
-                          inner_tol=tol)
+                          np.asarray(X, dtype=float), lam, rho=_weak_modulus(problem))
 
 
-def bregman_prox_points(problem, phi, X, lam, tol=1e-10):
+def bregman_prox_points(problem, phi, X, lam):
     """argmin_y { F(y) + (1/lam) D(y, x) } for each row x of an (N, d)
     array: the minimizers of prox_records."""
-    return prox_records(problem, phi, X, lam, tol=tol).minimizer
+    return prox_records(problem, phi, X, lam).minimizer
 
 
-def bregman_prox_point(problem, phi, x, lam, tol=1e-10):
+def bregman_prox_point(problem, phi, x, lam):
     """argmin_y { F(y) + (1/lam) D(y, x) } for the exact objective F."""
     x = np.asarray(x, dtype=float)
-    return bregman_prox_points(problem, phi, x[None, :], lam, tol=tol)[0]
+    return bregman_prox_points(problem, phi, x[None, :], lam)[0]
 
 
 def _envelope_values(problem, phi, X, X_hat, lam):
@@ -112,24 +112,24 @@ def _envelope_values(problem, phi, X, X_hat, lam):
     return div, direct, conjugate
 
 
-def envelope_value(problem, phi, x, lam, path="direct", tol=1e-10):
+def envelope_value(problem, phi, x, lam, path="direct"):
     """The envelope at x by the requested evaluation path."""
     if path not in ("direct", "conjugate"):
         raise ValueError("path must be 'direct' or 'conjugate'")
     x = np.asarray(x, dtype=float)[None, :]
-    x_hat = bregman_prox_points(problem, phi, x, lam, tol=tol)
+    x_hat = bregman_prox_points(problem, phi, x, lam)
     _, direct, conjugate = _envelope_values(problem, phi, x, x_hat, lam)
     return float(direct[0] if path == "direct" else conjugate[0])
 
 
-def envelope_gradient(problem, phi, x, lam, tol=1e-10):
+def envelope_gradient(problem, phi, x, lam):
     """grad env(x) = (1/lam) hessian_phi(x) (x - prox(x))."""
     x = np.asarray(x, dtype=float)
-    x_hat = bregman_prox_point(problem, phi, x, lam, tol=tol)
+    x_hat = bregman_prox_point(problem, phi, x, lam)
     return phi.hessian_apply(x, x - x_hat) / lam
 
 
-def stationarity_rows(problem, phi, X, lam, tol=1e-10, X_hat=None):
+def stationarity_rows(problem, phi, X, lam, *, X_hat=None):
     """The stationarity reports at the rows of an (N, d) array X, as one
     EnvelopeReport over the rows, each row's bit for bit (every pass is row
     by row).
@@ -145,7 +145,7 @@ def stationarity_rows(problem, phi, X, lam, tol=1e-10, X_hat=None):
     """
     X = np.asarray(X, dtype=float)
     if X_hat is None:
-        X_hat = bregman_prox_points(problem, phi, X, lam, tol=tol)
+        X_hat = bregman_prox_points(problem, phi, X, lam)
     div, direct, conjugate = _envelope_values(problem, phi, X, X_hat, lam)
     bad = np.flatnonzero(np.abs(direct - conjugate) > 1e-6 * (1.0 + np.abs(direct)))
     if bad.size:
@@ -162,10 +162,10 @@ def stationarity_rows(problem, phi, X, lam, tol=1e-10, X_hat=None):
     return EnvelopeReport(X_hat, div, direct, conjugate, grad, dual, check)
 
 
-def stationarity(problem, phi, x, lam, tol=1e-10, x_hat=None):
+def stationarity(problem, phi, x, lam, *, x_hat=None):
     """Full stationarity report at x: the one-row case of stationarity_rows.
     x_hat is prox(x) when the caller has already solved it, else it is
     solved here."""
     x = np.asarray(x, dtype=float)[None, :]
     x_hat = None if x_hat is None else np.asarray(x_hat, dtype=float)[None, :]
-    return stationarity_rows(problem, phi, x, lam, tol=tol, X_hat=x_hat).row(0)
+    return stationarity_rows(problem, phi, x, lam, X_hat=x_hat).row(0)

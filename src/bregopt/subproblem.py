@@ -47,6 +47,10 @@ class InnerSolveError(RuntimeError):
 
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
 SCAN_STEPS = 16    # the steps of one scanned chunk, whatever the number of runs
+# the library's one step tolerance, relative: center_certificate's scale and
+# the half Newton decrement at which _newton stops
+INNER_TOL = 1e-10
+RADIAL_TOL = 1e-14  # the relative residual at which solve_monotone_power stops
 # the log of the largest total magnitude an entropic step's record may sum
 # (float max over e^4, room for the certificate's handful of such sums)
 _FLOAT_MAX = np.finfo(float).max
@@ -127,7 +131,7 @@ def check_three_point(g_value, phi, z, z_plus, probe_points):
     return ThreePointReport(res[i], probes[used[i]], used.size)
 
 
-def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
+def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho):
     """Certified three-point residual of prox steps z -> y at the probe x = z.
 
     psi = model + r.  A rho-weakly convex objective is certified through the
@@ -145,19 +149,19 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
 
         scale = 1 + eta |psi(z)| + eta |psi(y)| + D(y, z) + (1 - eta rho) D(z, y),
 
-    and tol, far above u, bounds the residual below by -tol * scale: a step
-    with large divergences (an entropic D(y, z) = 4e13) is held to the same
-    relative accuracy as a small one.  The arguments may be arrays of a
-    batch.  Raises InnerSolveError below -tol * scale, or at a residual that
-    is not a finite number from a feasible center (a minimizer outside dom r
-    reads -inf against an infinite scale), with the first such row as its
-    attribute row, and then DomainError if a center is infeasible; returns
-    the residuals.
+    and INNER_TOL, far above u, bounds the residual below by -INNER_TOL *
+    scale: a step with large divergences (an entropic D(y, z) = 4e13) is held
+    to the same relative accuracy as a small one.  The arguments may be arrays
+    of a batch.  Raises InnerSolveError below -INNER_TOL * scale, or at a
+    residual that is not a finite number from a feasible center (a minimizer
+    outside dom r reads -inf against an infinite scale), with the first such
+    row as its attribute row, and then DomainError if a center is
+    infeasible; returns the residuals.
     """
     d_zy = (1.0 - eta * rho) * d_zy
     res = eta * (psi_z - psi_y) - d_yz - d_zy
-    scale = tol * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
-                   + np.abs(d_zy))
+    scale = INNER_TOL * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
+                         + np.abs(d_zy))
     bad = np.flatnonzero(np.logical_not((res >= -scale) & (np.abs(res) < np.inf))
                          & (psi_z != np.inf))
     if bad.size:
@@ -172,29 +176,29 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho, tol):
     return res
 
 
-def record_rows(values, phi, Z, Y, eta, rho=0.0, tol=1e-10):
+def record_rows(values, phi, Z, Y, eta, rho=0.0):
     """The record of prox steps from the centres' RowState Z to the
     minimizers' RowState Y: (the models at Y, psi = model + r at Z,
     D(y, z), the center_certificate residuals).  values maps an (N, d) array
     to the models at its rows, row i's model at row i.  Every pass is row by
     row, so several steps' rows record in one call bit for bit as each step
     would alone, and eta may hold one step size per row.  Raises as
-    center_certificate.
+    center_certificate, at INNER_TOL.
     """
     d_yz, d_zy = phi.bregman_pair(Y, Z)
     model_y = values(Y.points)
     psi_z = values(Z.points) + Z.r
     return (model_y, psi_z, d_yz,
-            center_certificate(psi_z, model_y + Y.r, d_yz, d_zy, eta, rho, tol))
+            center_certificate(psi_z, model_y + Y.r, d_yz, d_zy, eta, rho))
 
 
-def _recorded(values, reg, phi, Z, found, eta, rho, tol):
+def _recorded(values, reg, phi, Z, found, eta, rho):
     """The ProxStepResult of a solve's found = (minimizers, their mirror
     coordinates or None, inner iterations, method) from the centres'
     RowState Z: the minimizers' state (phi.state_at) and record_rows."""
     Y, mirror, its, method = found
     Y = phi.state_at(Y, phi.mirror_rows(Y) if mirror is None else mirror, reg)
-    model_y, psi_z, d_yz, res = record_rows(values, phi, Z, Y, eta, rho, tol)
+    model_y, psi_z, d_yz, res = record_rows(values, phi, Z, Y, eta, rho)
     return ProxStepResult(Y.points, its, res, psi_z - (model_y + Y.r + d_yz / eta),
                           d_yz, method, model_y, Y.r, Y)
 
@@ -240,7 +244,7 @@ def _kernel_power(phi):
     return phi._power_terms
 
 
-def solve_monotone_power(power, target, shift=0.0, tol=1e-14, max_iter=200):
+def solve_monotone_power(power, target, shift=0.0, *, max_iter=200):
     """Root of f(r) = (shift + A(r)) r = (shift + const) r + sum_k a_k r^e_k
     = target over r >= 0 (the power_terms power's terms e_k > 1), unique
     where shift + A(0) >= 0 (> 0 for a kernel of power 2 alone), as f is
@@ -249,12 +253,12 @@ def solve_monotone_power(power, target, shift=0.0, tol=1e-14, max_iter=200):
     Each entry g starts from the upper bound min(g / (shift + A(0)),
     (g/a_k)^(1/e_k) over the terms), exact for one term, from which Newton
     descends monotonically, so every root lies at or above the true one.
-    The start is returned when every entry has |f(r) - g| <= tol (1 + g);
-    the entries above take Newton steps in lockstep.  target and shift
-    broadcast to the roots' shape; entries g <= 0 give 0.  A non-finite
-    target or shift, shift + A(0) < 0, or an entry unsolved after max_iter
-    steps raises InnerSolveError.  (The radial steps take the closed form of
-    the powers {2, 4} instead, _radial_root.)
+    The start is returned when every entry has |f(r) - g| <= RADIAL_TOL
+    (1 + g); the entries above take Newton steps in lockstep.  target and
+    shift broadcast to the roots' shape; entries g <= 0 give 0.  A
+    non-finite target or shift, shift + A(0) < 0, or an entry unsolved after
+    max_iter steps raises InnerSolveError.  (The radial steps take the
+    closed form of the powers {2, 4} instead, _radial_root.)
     """
     a, e = power[:2]
     target, lin = np.broadcast_arrays(np.asarray(target, dtype=float), power.const + shift)
@@ -265,7 +269,7 @@ def solve_monotone_power(power, target, shift=0.0, tol=1e-14, max_iter=200):
     r = np.minimum(np.minimum.reduce((g[:, None] / a) ** (1.0 / e), axis=1, initial=np.inf),
                    np.divide(g, lin, out=np.full(g.shape, np.inf), where=lin > 0.0))
     f = lin * r + np.add.reduce(a * r[:, None] ** e, axis=1) - g
-    scale = tol * (1.0 + g)
+    scale = RADIAL_TOL * (1.0 + g)
     busy = np.abs(f) > scale
     if not np.logical_or.reduce(busy):
         return r.reshape(target.shape)
@@ -767,7 +771,7 @@ def _solve_1d(model, reg, phi, Z, eta, max_iter=220):
     return _bisection(lo, hi, lambda mid, idx: slope(mid, idx) > 0, max_iter)
 
 
-def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
+def prox_points_1d(model, reg, phi, centers, eta, rho=0.0):
     """Certified argmin model(y) + r(y) + (1/eta) D(y, z) for each 1-d center.
 
     centers is an (N,) array of 1-d points, and the model any object with
@@ -777,16 +781,16 @@ def prox_points_1d(model, reg, phi, centers, eta, rho=0.0, tol=1e-10):
     that fails raises InnerSolveError for the whole batch.  rho is the
     relative weak-convexity modulus of model + r, with eta * rho < 1.
     """
-    return _bisection_1d(model, reg, phi, centers, eta, rho, tol).minimizer[:, 0]
+    return _bisection_1d(model, reg, phi, centers, eta, rho).minimizer[:, 0]
 
 
-def _bisection_1d(model, reg, phi, centers, eta, rho, tol):
+def _bisection_1d(model, reg, phi, centers, eta, rho):
     """The certified steps of prox_points_1d, as a ProxStepResult over the
     centers."""
     _check_step(eta, rho)
     Z = phi.state_rows(np.asarray(centers, dtype=float)[:, None], reg)
     return _recorded(model.values, reg, phi, Z, _bisection_rows(reg, phi, model, Z, eta),
-                     eta, rho, tol)
+                     eta, rho)
 
 
 def _bisection_rows(reg, phi, rows, Z, eta):
@@ -809,7 +813,7 @@ def _newton_directions(H, G):
                                for i in range(len(G))])
 
 
-def _newton(rows, phi, state, eta, tol, max_iter=120):
+def _newton(rows, phi, state, eta, max_iter=120):
     """argmin model_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
     RowState (phi at the centres is evaluated once here).
 
@@ -817,9 +821,9 @@ def _newton(rows, phi, state, eta, tol, max_iter=120):
     lockstep (batched gradients, one np.linalg.solve over the (S, d, d)
     Hessian stack, a backtracking Armijo search per row as masks over the
     rows still searching), each row stopping on its own half Newton
-    decrement: below tol (1 + |psi_i(z_i)|) it is polished by up to two more
-    full steps (until below 1e-30, or a full step fails the Armijo test), so
-    every row takes the iterates of its own one-row call.  A row whose line
+    decrement: below INNER_TOL (1 + |psi_i(z_i)|) it is polished by up to
+    two more full steps (until below 1e-30, or a full step fails the Armijo
+    test), so every row takes the iterates of its own one-row call.  A row whose line
     search fails after 60 halvings, or still above the tolerance after
     max_iter iterations, raises InnerSolveError for the batch.  Returns
     solve_rows' (minimizers, None, iterations, "newton").
@@ -833,7 +837,7 @@ def _newton(rows, phi, state, eta, tol, max_iter=120):
 
     Y = Z.copy()
     fy = psi(Y)
-    tol_obj = tol * (1.0 + np.abs(fy))
+    tol_obj = INNER_TOL * (1.0 + np.abs(fy))
     its = np.full(S, max_iter)
     polish = np.zeros(S, dtype=int)
     active = np.ones(S, dtype=bool)
@@ -1005,7 +1009,7 @@ def _secular(power, growth, lam, W, U, mirror, max_iter=50):
     return Y, a[:, None] * Y, it + 1, "secular"
 
 
-def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
+def inner_solve(model, reg, phi, center, eta, *, rho=0.0):
     """Certified 1-d bisection of min model(x) + r(x) + (1/eta) D(x, center):
     the one-row case of prox_points_1d (model any object with values and
     gradients on (N, 1) arrays), as a one-point ProxStepResult.
@@ -1014,13 +1018,13 @@ def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
     steps go through the row forms, prox_step).  rho is the relative
     weak-convexity modulus of model + r (0 for convex).  The minimizer is
     certified by center_certificate, which raises InnerSolveError below
-    -tol times the magnitudes of the terms its residual sums.
+    -INNER_TOL times the magnitudes of the terms its residual sums.
     """
     center = np.asarray(center, dtype=float)
     if center.size != 1:
         raise InnerSolveError("inner_solve bisects 1-d subproblems only, not d = %d"
                               % center.size)
-    return _bisection_1d(model, reg, phi, center, eta, rho, tol).row(0)
+    return _bisection_1d(model, reg, phi, center, eta, rho).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,16 +1034,17 @@ def inner_solve(model, reg, phi, center, eta, tol=1e-10, rho=0.0):
 StepPlan = namedtuple("StepPlan", "block chunk slopes")
 
 
-def step_plan(rows, d, reg, phi, tol=1e-10):
+def step_plan(rows, d, reg, phi):
     """The path of all steps on models of the row form of rows (its type,
     and AffineRows' absolute flag) in dimension d under r and phi, chosen
     once with its constants (power_terms): the only code that chooses one.
-    AbsQuadraticRows take their path under every radial phi with r = 0, and
-    NormTermRows the radial solve with the norm-term weight (_radial_solver,
-    closed_form_norm) under every radial phi with r zero or a ball.  A 1-d
-    form with no other path, or AbsQuadraticRows with a piece of 2 eta C_j
-    + A(0) <= 0, bisect (_bisection_rows); in d > 1 such a form raises
-    InnerSolveError.
+    SmoothRows with r = 0 take the lockstep Newton (_newton, which stops at
+    INNER_TOL), and QuadraticRows too unless phi is radial.  AbsQuadraticRows
+    take their path under every radial phi with r = 0, and NormTermRows the
+    radial solve with the norm-term weight (_radial_solver, closed_form_norm)
+    under every radial phi with r zero or a ball.  A 1-d form with no other
+    path, or AbsQuadraticRows with a piece of 2 eta C_j + A(0) <= 0, bisect
+    (_bisection_rows); in d > 1 such a form raises InnerSolveError.
 
     The plan's one entry, plan.block(rows, P, M, etas, V), takes the n =
     len(etas) steps of a record block and returns its last step's (inner
@@ -1067,7 +1072,7 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
             prepare, kernel, quiet = (_secular_rows, partial(_secular_step, power, _growth(power)),
                                       _quiet)
         else:
-            path = lambda rows, Z, eta: _newton(rows, phi, Z, eta, tol)
+            path = lambda rows, Z, eta: _newton(rows, phi, Z, eta)
     elif (isinstance(rows, NormTermRows) and power is not None
           and reg.kind in ("zero", "indicator_ball")):
         radius = reg.radius if reg.kind == "indicator_ball" else None
@@ -1124,32 +1129,32 @@ def step_plan(rows, d, reg, phi, tol=1e-10):
     return StepPlan(block, chunk, slopes)
 
 
-def solve_rows(rows, reg, phi, Z, eta, rho=0.0, tol=1e-10):
+def solve_rows(rows, reg, phi, Z, eta, rho=0.0):
     """The step from the centres' RowState Z as a block of one step of a
     one-use step_plan, after checking eta and rho: (minimizers, their mirror
     coordinates, inner iterations, method)."""
     _check_step(eta, rho)
-    plan = step_plan(rows, Z.points.shape[1], reg, phi, tol)
+    plan = step_plan(rows, Z.points.shape[1], reg, phi)
     P, M = np.stack((Z.points, Z.points)), np.stack((Z.mirror, Z.mirror))
     V = np.empty(P[1:].shape) if plan.slopes else None
     return (P[1], M[1]) + plan.block(rows, P, M, np.array([eta], dtype=float), V)
 
 
-def prox_step(rows, reg, phi, center, eta, rho=0.0, inner_tol=1e-10):
+def prox_step(rows, reg, phi, center, eta, rho=0.0):
     """One Bregman proximal step from the given center: the one-row case of
     prox_step_rows on the model's row form rows (one row).
 
     Requires eta * rho < 1 so the composite subproblem is convex.  Every
-    step is certified by center_certificate at tolerance inner_tol: a
-    residual below it raises InnerSolveError, never a quiet return.  A 1-d
-    form with no closed form is bisected, and a d > 1 form with no path
-    raises InnerSolveError (step_plan).
+    step is certified by center_certificate at INNER_TOL: a residual below
+    it raises InnerSolveError, never a quiet return.  A 1-d form with no
+    closed form is bisected, and a d > 1 form with no path raises
+    InnerSolveError (step_plan).
     """
     center = np.asarray(center, dtype=float)
-    return prox_step_rows(rows, reg, phi, center[None, :], eta, rho, inner_tol).row(0)
+    return prox_step_rows(rows, reg, phi, center[None, :], eta, rho).row(0)
 
 
-def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
+def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0):
     """One Bregman proximal step from each row of an (S, d) array of centers.
 
     Row i has the model of row i of rows (a one-row form stands for every
@@ -1157,7 +1162,7 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     raises InnerSolveError for a d > 1 form with no path) and its record
     (record_rows: the minimizers' state, the models at both ends, both
     divergences and the center_certificate, which raises InnerSolveError
-    for the batch when one row is below inner_tol).  centers may be the
+    for the batch when one row is below INNER_TOL).  centers may be the
     RowState of the minimizers of the step before (its result's state),
     which is taken as it is; fresh centres' state is derived once
     (phi.state_rows).  Returns a ProxStepResult over the rows with its
@@ -1165,5 +1170,5 @@ def prox_step_rows(rows, reg, phi, centers, eta, rho=0.0, inner_tol=1e-10):
     horizon and the same record per block of steps.
     """
     Z = phi.state_rows(centers, reg)
-    return _recorded(rows.values, reg, phi, Z, solve_rows(rows, reg, phi, Z, eta, rho, inner_tol),
-                     eta, rho, inner_tol)
+    return _recorded(rows.values, reg, phi, Z, solve_rows(rows, reg, phi, Z, eta, rho),
+                     eta, rho)

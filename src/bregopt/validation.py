@@ -218,32 +218,21 @@ def _projected_descent_long(problem, iterations=1_000_000, step0=0.5):
     return OracleResult(best_v, best_x, "projected_descent_long", step0 / np.sqrt(iterations))
 
 
-def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
-                    descent_iterations=1_000_000):
-    """Certified-resolution minimizer of the exact objective F.
-
-    Grid search (d <= 2) and bracketed golden-section polish (d = 1); for
-    linear objectives on the simplex the grid degenerates to exact vertex
-    enumeration; any other dimension falls back to a long projected
-    subgradient descent with diminishing steps.  A grid that cannot honor
-    the requested resolution raises instead of silently degrading.
+def brute_force_min(problem, domain_box=None, resolution=1e-3, descent_iterations=1_000_000):
+    """Certified-resolution minimizer of the exact objective F, by the
+    method that the problem alone decides: exact vertex enumeration for a
+    linear objective on the simplex; otherwise a grid search in d <= 2 (in
+    d = 1 polished by a bracketed golden section) and a long projected
+    subgradient descent with diminishing steps in higher dimensions.  A
+    grid that cannot honor the requested resolution raises instead of
+    silently degrading.
     """
     d = problem.dimension
-    if method is None:
-        rows = problem.objective
-        if problem.regularizer.kind == "indicator_simplex" and \
-                isinstance(rows, AffineRows) and not rows.absolute:
-            method = "vertex"
-        elif d == 1:
-            method = "golden_section"
-        elif d == 2:
-            method = "grid"
-        else:
-            method = "projected_descent_long"
-
-    if method == "vertex":
+    rows = problem.objective
+    if problem.regularizer.kind == "indicator_simplex" and \
+            isinstance(rows, AffineRows) and not rows.absolute:
         return _simplex_vertex_min(problem)
-    if method == "projected_descent_long":
+    if d > 2:
         return _projected_descent_long(problem, iterations=descent_iterations)
 
     if domain_box is None:
@@ -256,7 +245,7 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
             % (resolution, n ** d, GRID_POINT_CAP))
     axis = np.linspace(lo, hi, n)
 
-    if method == "golden_section":
+    if d == 1:
         vals = problem.exact_F_rows(axis[:, None])
         k = int(np.argmin(vals))
         a = axis[max(k - 1, 0)]
@@ -264,18 +253,13 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, method=None,
         t, v = _golden_polish(lambda s: problem.exact_F(np.array([s])), a, b)
         return OracleResult(v, np.array([t]), "golden_section", resolution)
 
-    if method == "grid":
-        model = problem.objective
-        best_v, best_x = np.inf, None
-        chunk = max(1, GRID_CHUNK // n)
-        for start in range(0, n, chunk):
-            rows = axis[start:start + chunk]
-            X, Y = np.meshgrid(rows, axis, indexing="ij")
-            pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-            vals = model.values(pts) + problem.regularizer.value_rows(pts)
-            k = int(np.argmin(vals))
-            if vals[k] < best_v:
-                best_v, best_x = vals[k], pts[k]
-        return OracleResult(best_v, best_x, "grid", resolution)
-
-    raise ValueError("unknown brute force method %r" % (method,))
+    best_v, best_x = np.inf, None
+    chunk = max(1, GRID_CHUNK // n)
+    for start in range(0, n, chunk):
+        X, Y = np.meshgrid(axis[start:start + chunk], axis, indexing="ij")
+        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        vals = rows.values(pts) + problem.regularizer.value_rows(pts)
+        k = int(np.argmin(vals))
+        if vals[k] < best_v:
+            best_v, best_x = vals[k], pts[k]
+    return OracleResult(best_v, best_x, "grid", resolution)

@@ -46,13 +46,31 @@ def test_bad_sweep_arguments_are_usage_errors(args, capsys):
                                   ["validate", "P1", "--n-pairs", "-4"],
                                   ["oracle", "P1", "--resolution", "0"],
                                   ["oracle", "P1", "--resolution", "-0.01"],
-                                  ["oracle", "P1", "--descent-iterations", "-5"]])
+                                  ["oracle", "P1", "--descent-iterations", "-5"],
+                                  ["run", "P1", "--T", "5", "--seed", "-1"],
+                                  ["validate", "P1", "--seed", "-1"],
+                                  ["validate", "P1", "--seed", "one"]])
 def test_bad_numbers_are_usage_errors(args, capsys):
     # rejected at parse time, before any problem is built or run
     with pytest.raises(SystemExit) as exc:
         cli_main(args)
     assert exc.value.code == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, seed", [(["run", "P1", "--T", "5", "--seed", "0"], "abc"),
+                                           (["validate", "P1"], "-1")])
+def test_a_bad_seed_in_the_environment_is_a_usage_error(command, seed, capsys, monkeypatch):
+    # BREGOPT_SEED is read by the rule of --seed, before any run
+    def started(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("bregopt.cli.run_for_regime", started)
+    monkeypatch.setenv("BREGOPT_SEED", seed)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(command)
+    assert exc.value.code == 2
+    assert "BREGOPT_SEED" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

@@ -796,9 +796,9 @@ def test_a_reused_plan_steps_as_one_use_solves():
         plan = None
         for t, eta in enumerate(np.append(etas, 1e-15)):
             rows = oracle.model_rows(Z.points, oracle.sample_rows(rng, 4))
-            plan = plan or step_plan(rows, Z.points.shape[1], reg, phi, 1e-10)
+            plan = plan or step_plan(rows, Z.points.shape[1], reg, phi)
             Y, M, its, method = _one_step(plan, rows, Z.points, Z.mirror, eta)
-            ref = solve_rows(rows, reg, phi, Z, float(eta), rho, 1e-10)
+            ref = solve_rows(rows, reg, phi, Z, float(eta), rho)
             assert np.array_equal(Y, ref[0]) and (its, method) == ref[2:], (problem.id, t)
             assert np.array_equal(M, ref[1]), (problem.id, t)
             if t == len(etas):
@@ -818,7 +818,7 @@ def _block_and_steps(problem, S, etas):
     xi = oracle.sample_rows(np.random.default_rng(5), n * S)
     rows = oracle.atom_rows(xi)
     Z = phi.state_rows(np.tile(problem.x0, (S, 1)), reg)
-    plan = step_plan(rows, Z.points.shape[1], reg, phi, 1e-10)
+    plan = step_plan(rows, Z.points.shape[1], reg, phi)
     P, M = np.empty((n + 1,) + Z.points.shape), np.empty((n + 1,) + Z.points.shape)
     P[0], M[0] = Z.points, Z.mirror
     V = np.empty(P[1:].shape) if plan.slopes else None

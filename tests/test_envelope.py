@@ -91,14 +91,14 @@ def test_gradient_formula_matches_finite_differences():
     for prob in phi_cases():
         for _ in range(8):
             x = prob.sample_domain_point(rng)
-            g = envelope_gradient(prob, prob.phi, x, lam, tol=1e-12)
+            g = envelope_gradient(prob, prob.phi, x, lam)
             h = finite_difference_step(x)
             fd = np.zeros_like(x)
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h
-                fd[i] = (envelope_value(prob, prob.phi, x + e, lam, tol=1e-12)
-                         - envelope_value(prob, prob.phi, x - e, lam, tol=1e-12)) / (2 * h)
+                fd[i] = (envelope_value(prob, prob.phi, x + e, lam)
+                         - envelope_value(prob, prob.phi, x - e, lam)) / (2 * h)
             err = np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(fd))
             assert err <= 1e-5, prob.id
 
@@ -204,7 +204,7 @@ def test_piecewise_1d_prox_matches_golden_oracle():
     p1 = get_problem("P1")
     lam = 0.25
     x = np.array([1.4])
-    x_hat = bregman_prox_point(p1, p1.phi, x, lam, tol=1e-12)
+    x_hat = bregman_prox_point(p1, p1.phi, x, lam)
     assert abs(x_hat[0] - _golden_prox_1d(p1, x, lam)) <= 1e-8
 
     # one batch through P1's pieces: centers within 1e-9 of the kinks
@@ -214,11 +214,11 @@ def test_piecewise_1d_prox_matches_golden_oracle():
     kinks = np.sqrt(b[:4]) / a[:4]
     centers = np.concatenate([kinks + 3e-10, -kinks - 7e-10, [2.5, -2.5, 1.4]])
     X = centers[:, None]
-    X_hat = bregman_prox_points(p1, p1.phi, X, lam, tol=1e-12)
+    X_hat = bregman_prox_points(p1, p1.phi, X, lam)
     assert X_hat.shape == X.shape
     for x, y in zip(X, X_hat):
         assert abs(y[0] - _golden_prox_1d(p1, x, lam)) <= 1e-8, x
-        one = bregman_prox_point(p1, p1.phi, x, lam, tol=1e-12)
+        one = bregman_prox_point(p1, p1.phi, x, lam)
         assert abs(y[0] - one[0]) <= 1e-14 * (1.0 + abs(one[0])), x
 
 

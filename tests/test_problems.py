@@ -92,14 +92,12 @@ def test_p4_optimum_satisfies_stationarity():
 
 def test_p5_p6_optima_against_grid():
     p5 = get_problem("P5")
-    res = brute_force_min(p5, domain_box=(-2.0, 2.0), resolution=4e-3,
-                          method="grid")
+    res = brute_force_min(p5, domain_box=(-2.0, 2.0), resolution=4e-3)
     assert res.value >= p5.optimum["F_star"] - 1e-12
     assert res.value - p5.optimum["F_star"] <= 2e-2
     p6 = get_problem("P6")
     assert np.linalg.norm(p6.oracle.grad_f(p6.optimum["x_star"])) <= 1e-10
-    res = brute_force_min(p6, domain_box=(-2.0, 2.0), resolution=4e-3,
-                          method="grid")
+    res = brute_force_min(p6, domain_box=(-2.0, 2.0), resolution=4e-3)
     assert 0 <= res.value - p6.optimum["F_star"] <= 1e-4
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from bregopt.legendre import Euclidean, norm_rows
 from bregopt.models import LinearMirrorOracle, ModelOracle, NoisyGradientOracle, OracleConstants
 from bregopt.problems import ProblemInstance, get_problem
-from bregopt.subproblem import SECULAR_TOL, SmoothRows, ZeroRegularizer
+from bregopt.subproblem import RADIAL_TOL, SECULAR_TOL, SmoothRows, ZeroRegularizer
 
 
 class RowModel(namedtuple("RowModel", "values gradients")):
@@ -160,7 +160,7 @@ def secular_mirror_excess(mirror, phi, Y):
     return norm_rows(mirror - G) - SECULAR_TOL * norm_rows(G)
 
 
-def root_mirror_excess(mirror, phi, Y, tol=1e-14):
+def root_mirror_excess(mirror, phi, Y):
     """Per row, how far the mirror coordinates W that a radial root step
     returns (subproblem._radial_root: P1's 1-d |affine| steps, P2's affine
     steps) lie outside ||W - grad phi(y)|| <= b(W), in row norms (> 0:
@@ -183,8 +183,8 @@ def root_mirror_excess(mirror, phi, Y, tol=1e-14):
     so grad phi(y) = W (1 + d') entry by entry, |d'| <= 21 u (1 + v) + 25 u,
     and the subtraction adds u ||W||: b(W) = 24 u (2 + v) (1 + ||W||)
     covers it (the 1 for rows near 0).  Every other kernel's root passed
-    solve_monotone_power's check |s(r) - ||W||| <= tol (1 + ||W||) on the
-    float sum s(r), and b(W) = 2 tol (1 + ||W||).  A 1-d kink row's W =
+    solve_monotone_power's check |s(r) - ||W||| <= RADIAL_TOL (1 + ||W||)
+    on the float sum s(r), and b(W) = 2 RADIAL_TOL (1 + ||W||).  A 1-d kink row's W =
     A(|y0|) y0 and phi'(y0) differ by their two evaluations' rounding only,
     and a row with g = 0 keeps the W and y of the step before."""
     from bregopt.subproblem import power_terms
@@ -195,5 +195,5 @@ def root_mirror_excess(mirror, phi, Y, tol=1e-14):
         v = np.arcsinh(1.5 * np.sqrt(3.0 * power.a3 / power.const) * n / power.const) / 3.0
         bound = 24.0 * np.finfo(float).eps / 2.0 * (2.0 + v) * (1.0 + n)
     else:
-        bound = 2.0 * tol * (1.0 + n)
+        bound = 2.0 * RADIAL_TOL * (1.0 + n)
     return norm_rows(W - phi.gradient_rows(Y)) - bound
