@@ -9,8 +9,7 @@ against central finite differences, and shows it saturating at a minimizer.
 
 import numpy as np
 
-from bregopt import (bregman_prox_point, envelope_gradient, envelope_value,
-                     get_problem, stationarity)
+from bregopt import get_problem, stationarity
 from bregopt.legendre import finite_difference_step
 
 p2 = get_problem("P2")
@@ -19,20 +18,20 @@ lam = 0.5 / p2.oracle.constants.tau
 x = np.array([1.1, -0.3])
 print("lam = %.4f (tau = %.3f)" % (lam, p2.oracle.constants.tau))
 
-x_hat = bregman_prox_point(p2, p2.phi, x, lam)
-direct = envelope_value(p2, p2.phi, x, lam, path="direct")
-conj = envelope_value(p2, p2.phi, x, lam, path="conjugate")
-print("prox point            :", x_hat)
+# one report holds the prox point, both envelope paths and the gradient
+rep = stationarity(p2, p2.phi, x, lam)
+direct, conj = rep.envelope_value_direct, rep.envelope_value_conjugate
+print("prox point            :", rep.prox_point)
 print("envelope, direct path :", direct)
 print("envelope, conjugate   :", conj)
 print("agreement             : %.2e" % abs(direct - conj))
 print("minorant check        : env = %.6f <= F = %.6f" % (direct, p2.exact_F(x)))
 
-g = envelope_gradient(p2, p2.phi, x, lam)
+g = rep.envelope_gradient
 h = finite_difference_step(x)
 fd = np.array([
-    (envelope_value(p2, p2.phi, x + np.eye(2)[i] * h, lam)
-     - envelope_value(p2, p2.phi, x - np.eye(2)[i] * h, lam)) / (2 * h)
+    (stationarity(p2, p2.phi, x + np.eye(2)[i] * h, lam).envelope_value_direct
+     - stationarity(p2, p2.phi, x - np.eye(2)[i] * h, lam).envelope_value_direct) / (2 * h)
     for i in range(2)])
 print("\ngradient formula      :", g)
 print("central differences   :", fd)

@@ -48,5 +48,4 @@ print("\ncomposite phi(x) = 3.5 x^2 + x^4;  phi(1) =", comp.value([1.0]))
 ent = ShannonEntropy()
 print("\nentropy local dual norm at (2,2) of (1,0):",
       ent.local_dual_norm([2.0, 2.0], [1.0, 0.0]))  # diag(x) v -> 2
-ctx = comp.local_norm_context(np.array([0.5]))
-print("composite local norm context at 0.5: H =", ctx.hessian_factor)
+print("composite Hessian at 0.5: H =", comp.hessian_matrix([0.5]))

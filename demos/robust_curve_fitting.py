@@ -8,7 +8,7 @@ for the constant step size 1/(1/lam + sqrt(T+1)/alpha).
 
 import numpy as np
 
-from bregopt import SolverConfig, get_problem, run_model_based, stationarity, sweep
+from bregopt import SolverConfig, get_problem, run_for_regime, stationarity, sweep
 
 problem = get_problem("P1")
 c = problem.oracle.constants
@@ -16,7 +16,7 @@ print("constants: tau = %.4f (= 4/3 E[L1 L2]), L = %.4f" % (c.tau, c.lip_bound_L
 print("phi(x) = 3.5 x^2 + x^4 (accuracy + growth adapted), x0 =", problem.x0)
 
 # one run, watching the step sizes and the returned iterate
-trace = run_model_based(problem, SolverConfig(200, seed=7))
+trace = run_for_regime(problem, SolverConfig(200, seed=7))
 report = stationarity(problem, problem.phi, trace.returned_point, trace.lam)
 print("\nT = 200, eta = %.4f: returned x_{t*} = %.5f (t* = %d)"
       % (trace.etas[0], trace.returned_point[0], trace.t_star))

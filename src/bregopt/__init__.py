@@ -9,7 +9,7 @@ problem registry and CLI used to validate every claimed inequality and rate.
 """
 
 from .legendre import (Burg, DomainError, Euclidean, LegendreFunction,
-                       LocalNormContext, RadialPowerSum, RowState, ShannonEntropy,
+                       RadialPowerSum, RowState, ShannonEntropy,
                        SingularHessianError, WeightedSum,
                        build_composite_legendre, build_norm_power_legendre,
                        build_poly_legendre, legendre_from_config)
@@ -25,11 +25,10 @@ from .subproblem import (AffineRows, BallIndicator, EntropyLike,
                          linear_model, power_terms, prox_points_1d, prox_step,
                          prox_step_rows, solve_monotone_power)
 from .driver import (RunTrace, SolverConfig, default_lambda, fit_loglog,
-                     format_csv_rows, parse_csv_rows, run_convex,
-                     run_for_regime, run_mirror_descent_smooth,
-                     run_model_based, sample_tstar, stepsize_constant, sweep)
+                     format_csv_rows, parse_csv_rows, run_for_regime,
+                     sample_tstar, stepsize_constant, sweep)
 from .envelope import (EnvelopeReport, bregman_prox_point, bregman_prox_points,
-                       envelope_gradient, envelope_value, stationarity)
+                       stationarity)
 from .problems import (ProblemInstance, default_configs, dump_config, get_problem,
                        instance_from_config, load_config, registry)
 

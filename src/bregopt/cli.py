@@ -37,8 +37,8 @@ def _validate(problem, args):
     worst_div = np.inf
     worst_grad = 0.0
     for _ in range(args.n_pairs):
-        x = problem.sample_domain_point(rng)
-        y = problem.sample_domain_point(rng)
+        x = problem.oracle.draw_test_point(rng)
+        y = problem.oracle.draw_test_point(rng)
         worst_div = min(worst_div, phi.bregman(y, x))
         x_in = x if phi.domain == "all_space" else np.maximum(x, 0.05)
         fd = gradient_by_differences(phi.value, x_in)
@@ -52,8 +52,8 @@ def _validate(problem, args):
     # the regime's statistical verification suite
     one_ok = True
     for _ in range(args.n_pairs):
-        x = problem.sample_domain_point(rng)
-        y = problem.sample_domain_point(rng)
+        x = problem.oracle.draw_test_point(rng)
+        y = problem.oracle.draw_test_point(rng)
         one_ok &= verify_one_sided(problem.oracle, phi, x, y, rng=rng,
                                    n_samples=2000).passed
     ok &= _print_check("one-sided accuracy", one_ok)
@@ -73,7 +73,7 @@ def _validate(problem, args):
     config = SolverConfig(20, seed=args.seed)
     trace = run_for_regime(problem, config)
     res_ok = True
-    probes = [problem.sample_domain_point(rng) for _ in range(50)]
+    probes = [problem.oracle.draw_test_point(rng) for _ in range(50)]
     for t in range(len(trace.etas)):
         model = problem.oracle.model_rows(trace.iterates[t], trace.sampled_xi_ids[t])
         eta = float(trace.etas[t])
@@ -247,7 +247,7 @@ def build_parser():
     o.add_argument("--resolution", type=_positive_float, default=1e-3)
     o.add_argument("--box-lo", type=_finite_float, default=-2.5)
     o.add_argument("--box-hi", type=_finite_float, default=2.5)
-    o.add_argument("--descent-iterations", type=_nonnegative_int, default=1_000_000)
+    o.add_argument("--descent-iterations", type=_positive_int, default=1_000_000)
 
     c = sub.add_parser("config", help="print a problem's frozen JSON config")
     c.add_argument("problem_id")
@@ -274,7 +274,7 @@ def _check_inputs(parser, problem, args):
     schedule = ("strongly_convex",) if strongly else ("constant", args.alpha)
     for T in args.horizons if args.command == "sweep" else [args.T]:
         try:
-            _resolve_etas(problem, SolverConfig(T, None, args.lam, schedule), problem.regime)
+            _resolve_etas(problem, SolverConfig(T, None, args.lam, schedule))
         except ValueError as exc:
             parser.error("%s at T = %d: %s" % (problem.id, T, exc))
 

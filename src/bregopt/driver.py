@@ -6,9 +6,11 @@ Implements the sampled model-based iteration
                                          + (1/eta_t) D(x, x_t) },
 
 returning a randomly selected iterate x_{t*} with P(t* = t) proportional to
-eta_t / (1 - eta_t rho), together with its smooth-gradient specialization
-(linear models with a step cap below lam/(1 + lam M)) and the convex-regime
-variant that additionally reports averaged iterates.  The sweep harness runs
+eta_t / (1 - eta_t rho).  The regime is the problem's (problem.regime, its
+oracle's): it picks the step-size rule, the smooth regime's step cap below
+lam/(1 + lam M), and, in the convex regime, the averaged iterates the trace
+also reports.  run_for_regime is the one single-run entry; it and the sweep
+harness both run the one lockstep loop (_run_loop).  The sweep harness runs
 a horizon grid across seeds, evaluates the regime's convergence metric, and
 fits a log-log rate slope.
 """
@@ -90,7 +92,9 @@ def stepsize_constant(lam, alpha, T, regime, M=0.0):
     raise ValueError("unknown regime %r" % (regime,))
 
 
-def _resolve_etas(problem, config, regime):
+def _resolve_etas(problem, config):
+    """lam and the T+1 step sizes of config under the problem's regime."""
+    regime = problem.regime
     c = problem.oracle.constants
     T = config.horizon_T
     kind = config.schedule[0]
@@ -189,7 +193,7 @@ def _run_loop(problem, config, seeds):
     iterates.
     """
     regime = problem.regime
-    lam, etas = _resolve_etas(problem, config, regime)
+    lam, etas = _resolve_etas(problem, config)
     T = config.horizon_T
     oracle = problem.oracle
     reg = problem.regularizer
@@ -279,34 +283,12 @@ def _run_loop(problem, config, seeds):
     return traces
 
 
-def _run_one(problem, config, regime, name):
-    if problem.regime != regime:
-        raise ValueError("%s expects a regime-%s problem" % (name, regime))
-    return _run_loop(problem, config, [config.seed])[0]
-
-
-def run_model_based(problem, config):
-    """The weakly convex loop (regime A)."""
-    return _run_one(problem, config, "A", "run_model_based")
-
-
-def run_mirror_descent_smooth(problem, config):
-    """The smooth stochastic-gradient loop (regime B)."""
-    return _run_one(problem, config, "B", "run_mirror_descent_smooth")
-
-
-def run_convex(problem, config):
-    """The convex-regime loop, reporting averaged iterates.
-
-    The trace carries the eta-weighted average, the point the
-    plain-convexity rate bound controls, and the plain average, which the
-    1/(mu (t+1)) schedule's guarantee is for.
-    """
-    return _run_one(problem, config, "C", "run_convex")
-
-
 def run_for_regime(problem, config):
-    """One run of the problem's regime loop: the one-config case of the lockstep loop."""
+    """One run of the problem's regime (RunTrace.algorithm names the
+    paper's algorithm): the one-config case of the lockstep loop.  In the
+    convex regime the trace carries the eta-weighted average, the point the
+    plain-convexity rate bound controls, and the plain average, which the
+    1/(mu (t+1)) schedule's guarantee is for."""
     return _run_loop(problem, config, [config.seed])[0]
 
 

@@ -12,9 +12,11 @@ is differentiable with
     grad env(x) = (1/lam) hessian_phi(x) (x - x_hat),
 
 and when phi is 1-strongly convex the square root of D(x_hat, x) dominates
-(lam/sqrt(2)) times the local dual norm of that gradient.  Two independent
-evaluation paths are provided: the direct infimum and the convex-conjugate
-assembly
+(lam/sqrt(2)) times the local dual norm of that gradient.  One report
+(stationarity, or stationarity_rows over many points) holds every quantity
+from one prox point per point: D(x_hat, x), the gradient above and the
+envelope by two independent evaluation paths, the direct infimum and the
+convex-conjugate assembly
 
     env(x) = -(F + phi/lam)^*(grad phi(x)/lam) - phi(x)/lam
              + <grad phi(x), x>/lam,
@@ -23,9 +25,9 @@ whose agreement is enforced as a runtime cross-check.  The diagnostic is
 always computed offline on recorded iterates, never inside an algorithm
 loop.  The prox points of many iterates are one batch through the exact
 objective's row form, problem.objective (P1's pieces, P2's smooth rows,
-P5's norm term, P6's quadratic), by the path subproblem.step_plan picks.
-The reports of many points are one row pass too
-(stationarity_rows), of which the report at one point is the one-row case.
+P5's norm term, P6's quadratic), by the path subproblem.step_plan picks,
+and their reports one row pass, of which the report at one point is the
+one-row case.
 """
 
 from collections import namedtuple
@@ -110,23 +112,6 @@ def _envelope_values(problem, phi, X, X_hat, lam):
     conj = dot_rows(U, X_hat) - F_hat - v_hat / lam
     conjugate = -conj - vx / lam + dot_rows(GX, X) / lam
     return div, direct, conjugate
-
-
-def envelope_value(problem, phi, x, lam, path="direct"):
-    """The envelope at x by the requested evaluation path."""
-    if path not in ("direct", "conjugate"):
-        raise ValueError("path must be 'direct' or 'conjugate'")
-    x = np.asarray(x, dtype=float)[None, :]
-    x_hat = bregman_prox_points(problem, phi, x, lam)
-    _, direct, conjugate = _envelope_values(problem, phi, x, x_hat, lam)
-    return float(direct[0] if path == "direct" else conjugate[0])
-
-
-def envelope_gradient(problem, phi, x, lam):
-    """grad env(x) = (1/lam) hessian_phi(x) (x - prox(x))."""
-    x = np.asarray(x, dtype=float)
-    x_hat = bregman_prox_point(problem, phi, x, lam)
-    return phi.hessian_apply(x, x - x_hat) / lam
 
 
 def stationarity_rows(problem, phi, X, lam, *, X_hat=None):

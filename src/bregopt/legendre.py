@@ -101,23 +101,6 @@ def _solve_hessian(H, v):
         raise SingularHessianError(str(exc)) from exc
 
 
-class LocalNormContext:
-    """Local norm data at an interior base point.
-
-    Carries the symmetric positive definite factor H = hessian of phi at the
-    base point.  The local dual norm of v is ||H^-1 v|| in the primal norm
-    declared by phi.
-    """
-
-    def __init__(self, base_point, hessian_factor, norm="l2"):
-        self.base_point = np.asarray(base_point, dtype=float)
-        self.hessian_factor = np.asarray(hessian_factor, dtype=float)
-        self.norm = norm
-
-    def local_dual_norm(self, v):
-        return float(primal_norm(_solve_hessian(self.hessian_factor, v), self.norm))
-
-
 class LegendreFunction:
     """Base class for the phi zoo.
 
@@ -244,10 +227,6 @@ class LegendreFunction:
     def local_dual_norm_rows(self, X, V):
         """local_dual_norm at the rows of two (N, d) arrays."""
         return primal_norm(self.hessian_solve(X, V), self.norm)
-
-    def local_norm_context(self, x):
-        self.check_interior(x)
-        return LocalNormContext(x, self.hessian_matrix(x), norm=self.norm)
 
     def radial_terms(self):
         """(coefs, powers) arrays when phi(x) = sum_k c_k ||x||^p_k, else None."""

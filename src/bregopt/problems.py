@@ -33,31 +33,29 @@ from .subproblem import (AbsQuadraticRows, BallIndicator, EntropyLike, L1Regular
 
 
 class ProblemInstance:
-    """One optimization problem min F = f + r with its assumption regime.
+    """One optimization problem min F = f + r.
 
-    objective is the exact f's row form, which the envelope's prox points
-    and the brute-force ground truth take.
+    Its regime is its oracle's (oracle.regime), its dimension that of its
+    start x0, and its test points are the oracle's (oracle.draw_test_point),
+    as is the exact f (oracle.f_exact).  objective is the exact f's row
+    form, which the envelope's prox points and the brute-force ground truth
+    take.
     """
 
-    def __init__(self, id, oracle, regularizer, phi, regime, dimension, x0,
-                 optimum=None, objective=None, sampler=None, config=None):
+    def __init__(self, id, oracle, regularizer, phi, x0, optimum=None, objective=None,
+                 config=None):
         self.id = id
         self.oracle = oracle
         self.regularizer = regularizer
         self.phi = phi
-        self.regime = regime
-        self.dimension = int(dimension)
+        self.regime = oracle.regime
         self.x0 = np.asarray(x0, dtype=float)
+        self.dimension = self.x0.size
         self.optimum = optimum
         self.objective = objective
-        self._sampler = sampler
         self.config = config
         if not phi.in_interior(self.x0) or not np.isfinite(regularizer.value(self.x0)):
             raise ValueError("x0 must lie in int(dom phi) and dom r")
-
-    # f is evaluated exactly (finite support or frozen empirical measure)
-    def exact_f(self, x):
-        return self.oracle.f_exact(x)
 
     def exact_F(self, x):
         return float(self.exact_F_rows(np.asarray(x, dtype=float)[None, :])[0])
@@ -67,9 +65,6 @@ class ProblemInstance:
         its one-row case."""
         r = self.regularizer.value_rows(X)
         return np.where(np.isfinite(r), self.oracle.f_rows(X) + r, np.inf)
-
-    def sample_domain_point(self, rng):
-        return np.asarray(self._sampler(rng), dtype=float)
 
     def r_initial_gap(self):
         """r(x0) - inf r, the regularizer term of the rate bounds."""
@@ -153,14 +148,12 @@ def _assemble_p1(cfg):
     tau = float(4.0 / 3.0 * np.dot(weights, a2))
     lip = float(np.sqrt(2.0 * np.dot(weights, a2 * a2)))
     constants = OracleConstants(tau=tau, rho=0.0, lip_bound_L=lip)
-    sampler = _make_sampler(cfg["sampler"], 1)
-    oracle = ProxLinearOracle(a2, b, weights, regime="A",
-                              constants=constants, test_point_sampler=sampler)
+    oracle = ProxLinearOracle(a2, b, weights, regime="A", constants=constants,
+                              test_point_sampler=_make_sampler(cfg["sampler"], 1))
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
-    return ProblemInstance("P1", oracle, reg, phi, "A", 1, cfg["x0"],
-                           objective=abs_quadratic_rows(a, b, weights), sampler=sampler,
-                           config=cfg)
+    return ProblemInstance("P1", oracle, reg, phi, cfg["x0"],
+                           objective=abs_quadratic_rows(a, b, weights), config=cfg)
 
 
 def _assemble_p2(cfg):
@@ -203,14 +196,13 @@ def _assemble_p2(cfg):
     M = 4.0 * amax * amax * max(3.0 * amax * amax, bmax)
     constants = OracleConstants(tau=tau, rho=0.0, smooth_M=M,
                                 variance_sigma=sigma)
-    sampler = _make_sampler(cfg["sampler"], d)
     oracle = NoisyGradientOracle(f, grad, noise, regime="B",
                                  constants=constants, hess_f_fn=hess,
-                                 test_point_sampler=sampler)
+                                 test_point_sampler=_make_sampler(cfg["sampler"], d))
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
-    return ProblemInstance("P2", oracle, reg, phi, "B", d, cfg["x0"],
-                           objective=SmoothRows(f, grad, hess), sampler=sampler, config=cfg)
+    return ProblemInstance("P2", oracle, reg, phi, cfg["x0"],
+                           objective=SmoothRows(f, grad, hess), config=cfg)
 
 
 def _assemble_simplex_linear(cfg):
@@ -223,12 +215,11 @@ def _assemble_simplex_linear(cfg):
     constants = OracleConstants(
         mu=float(cfg.get("mu", 0.0)),
         lip_bound_L=float(np.sqrt(np.dot(weights, lip * lip))))
-    sampler = _make_sampler(cfg["sampler"], d)
     oracle = LinearMirrorOracle(
         f_fn=lambda x: dot_rows(abar, x),
         slope_table=atoms, weights=weights, lip=lip, regime="C",
         constants=constants, grad_f_fn=lambda x: abar.copy(),
-        test_point_sampler=sampler)
+        test_point_sampler=_make_sampler(cfg["sampler"], d))
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
 
@@ -244,9 +235,8 @@ def _assemble_simplex_linear(cfg):
         x_star = np.zeros(d)
         x_star[k] = 1.0
         optimum = {"F_star": float(abar[k]), "x_star": x_star}
-    return ProblemInstance(cfg["id"], oracle, reg, phi, "C", d, cfg["x0"],
-                           optimum=optimum, objective=linear_model(abar),
-                           sampler=sampler, config=cfg)
+    return ProblemInstance(cfg["id"], oracle, reg, phi, cfg["x0"],
+                           optimum=optimum, objective=linear_model(abar), config=cfg)
 
 
 def _assemble_p5(cfg):
@@ -257,9 +247,8 @@ def _assemble_p5(cfg):
 
     # the declared L is sqrt(E[L(xi)^2]) of the oracle's per-atom constants
     constants = OracleConstants(tau=0.0, rho=0.0)
-    sampler = _make_sampler(cfg["sampler"], d)
     oracle = SaddleOracle(atoms, w_radius, weights, regime="A",
-                          constants=constants, test_point_sampler=sampler)
+                          constants=constants, test_point_sampler=_make_sampler(cfg["sampler"], d))
     constants.lip_bound_L = float(np.sqrt(np.dot(weights, oracle.lip * oracle.lip)))
     abar = oracle.abar
     phi = legendre_from_config(cfg["phi"])
@@ -274,9 +263,8 @@ def _assemble_p5(cfg):
         x_star = np.zeros(d)
         F_star = 0.0
     optimum = {"F_star": F_star, "x_star": x_star}
-    return ProblemInstance("P5", oracle, reg, phi, "A", d, cfg["x0"],
-                           optimum=optimum, objective=oracle.objective,
-                           sampler=sampler, config=cfg)
+    return ProblemInstance("P5", oracle, reg, phi, cfg["x0"],
+                           optimum=optimum, objective=oracle.objective, config=cfg)
 
 
 def _assemble_p6(cfg):
@@ -292,9 +280,8 @@ def _assemble_p6(cfg):
     constants = OracleConstants(
         tau=0.0, rho=0.0,
         lip_bound_L=float(np.sqrt(np.dot(weights, lip * lip))))
-    sampler = _make_sampler(cfg["sampler"], d)
-    oracle = ProximalPointOracle(atoms, weights, lip=lip, regime="A",
-                                 constants=constants, test_point_sampler=sampler)
+    oracle = ProximalPointOracle(atoms, weights, lip=lip, regime="A", constants=constants,
+                                 test_point_sampler=_make_sampler(cfg["sampler"], d))
     phi = legendre_from_config(cfg["phi"])
     reg = _make_regularizer(cfg["regularizer"])
 
@@ -306,8 +293,8 @@ def _assemble_p6(cfg):
     optimum = {"F_star": oracle.f_exact(x_star), "x_star": x_star}
     exact = QuadraticRows(Qbar[None], x_star[None], np.array([optimum["F_star"]]),
                           lam[None], U[None])
-    return ProblemInstance("P6", oracle, reg, phi, "A", d, cfg["x0"],
-                           optimum=optimum, objective=exact, sampler=sampler, config=cfg)
+    return ProblemInstance("P6", oracle, reg, phi, cfg["x0"],
+                           optimum=optimum, objective=exact, config=cfg)
 
 
 _ASSEMBLERS = {

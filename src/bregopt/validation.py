@@ -225,8 +225,11 @@ def brute_force_min(problem, domain_box=None, resolution=1e-3, descent_iteration
     d = 1 polished by a bracketed golden section) and a long projected
     subgradient descent with diminishing steps in higher dimensions.  A
     grid that cannot honor the requested resolution raises instead of
-    silently degrading.
+    silently degrading, as does a descent_iterations below 1.
     """
+    if descent_iterations < 1:
+        raise ValueError("descent_iterations must be at least 1, got %r"
+                         % (descent_iterations,))
     d = problem.dimension
     rows = problem.objective
     if problem.regularizer.kind == "indicator_simplex" and \

@@ -13,9 +13,8 @@ from scipy import stats
 
 from util_problems import quadratic_problem, smooth_problem
 
-from bregopt.driver import (SolverConfig, run_for_regime, run_model_based,
-                            sample_tstar, sweep)
-from bregopt.envelope import envelope_value, envelope_gradient
+from bregopt.driver import SolverConfig, run_for_regime, sample_tstar, sweep
+from bregopt.envelope import stationarity
 from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, build_poly_legendre,
                               finite_difference_step)
@@ -64,7 +63,7 @@ def test_criterion_2_three_point_contract_everywhere():
     worst = np.inf
     for prob in registry():
         trace = run_for_regime(prob, SolverConfig(40, seed=12))
-        probes = [prob.sample_domain_point(rng) for _ in range(100)]
+        probes = [prob.oracle.draw_test_point(rng) for _ in range(100)]
         for t in range(len(trace.etas)):
             model = prob.oracle.model_rows(trace.iterates[t], trace.sampled_xi_ids[t])
             eta = float(trace.etas[t])
@@ -77,7 +76,7 @@ def test_criterion_2_three_point_contract_everywhere():
             worst = min(worst, rep.min_residual)
     # negative control: an offset step on the unconstrained 1-d problem
     p1 = get_problem("P1")
-    trace = run_model_based(p1, SolverConfig(5, seed=3))
+    trace = run_for_regime(p1, SolverConfig(5, seed=3))
     model = p1.oracle.model_rows(trace.iterates[0], trace.sampled_xi_ids[0])
     eta = float(trace.etas[0])
     bad = check_three_point(lambda p: eta * model.values(p), p1.phi,
@@ -103,19 +102,20 @@ def test_criterion_3_envelope_gradient_and_dual_path():
         for _ in range(34):
             if n_points >= 100:
                 break
-            x = prob.sample_domain_point(rng)
-            g = envelope_gradient(prob, prob.phi, x, lam)
+            x = prob.oracle.draw_test_point(rng)
+            rep = stationarity(prob, prob.phi, x, lam)
+            g = rep.envelope_gradient
             h = finite_difference_step(x)
             fd = np.zeros_like(x)
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h
-                fd[i] = (envelope_value(prob, prob.phi, x + e, lam)
-                         - envelope_value(prob, prob.phi, x - e, lam)) / (2 * h)
+                fd[i] = (stationarity(prob, prob.phi, x + e, lam).envelope_value_direct
+                         - stationarity(prob, prob.phi, x - e, lam).envelope_value_direct
+                         ) / (2 * h)
             worst_grad = max(worst_grad, np.linalg.norm(fd - g)
                              / (1.0 + np.linalg.norm(fd)))
-            a = envelope_value(prob, prob.phi, x, lam, path="direct")
-            b = envelope_value(prob, prob.phi, x, lam, path="conjugate")
+            a, b = rep.envelope_value_direct, rep.envelope_value_conjugate
             worst_pair = max(worst_pair, abs(a - b) / (1.0 + abs(a)))
             n_points += 1
     report(3, "envelope gradient formula and conjugate identity",
@@ -190,8 +190,8 @@ def test_criterion_8_model_constant_verification():
     n_pairs = 10000
     one_ok = True
     for _ in range(n_pairs):
-        x = p1.sample_domain_point(rng)
-        y = p1.sample_domain_point(rng)
+        x = p1.oracle.draw_test_point(rng)
+        y = p1.oracle.draw_test_point(rng)
         one_ok &= verify_one_sided(p1.oracle, p1.phi, x, y).passed
     lip = verify_lipschitz(p1.oracle, p1.phi, n_pairs, rng)
     tau_formula = abs(p1.oracle.tau_from_accuracy()
@@ -224,8 +224,8 @@ def test_criterion_10_reduction_to_gradient_descent():
     x0 = np.array([1.7, -0.4, 0.9])
     prob = quadratic_problem(x0, x_star=np.array([0.2, 0.0, -0.3]))
     etas = [0.5, 0.4, 0.4, 0.25, 0.2, 0.1, 0.05, 0.05]
-    trace = run_model_based(prob, SolverConfig(7, seed=0, lam=1.0,
-                                               schedule=("explicit", etas)))
+    trace = run_for_regime(prob, SolverConfig(7, seed=0, lam=1.0,
+                                              schedule=("explicit", etas)))
     x = x0.copy()
     exact = True
     for t, eta in enumerate(etas):

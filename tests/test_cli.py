@@ -49,7 +49,8 @@ def test_bad_sweep_arguments_are_usage_errors(args, capsys):
                                   ["oracle", "P1", "--descent-iterations", "-5"],
                                   ["run", "P1", "--T", "5", "--seed", "-1"],
                                   ["validate", "P1", "--seed", "-1"],
-                                  ["validate", "P1", "--seed", "one"]])
+                                  ["validate", "P1", "--seed", "one"],
+                                  ["oracle", "P4", "--descent-iterations", "0"]])
 def test_bad_numbers_are_usage_errors(args, capsys):
     # rejected at parse time, before any problem is built or run
     with pytest.raises(SystemExit) as exc:

@@ -12,9 +12,8 @@ from util_problems import quadratic_problem, root_mirror_excess, secular_mirror_
 
 from bregopt import envelope
 from bregopt.driver import (SolverConfig, convex_gap, default_lambda, fit_loglog,
-                            format_csv_rows, parse_csv_rows, run_convex,
-                            run_for_regime, run_mirror_descent_smooth,
-                            run_model_based, sample_tstar, stepsize_constant,
+                            format_csv_rows, parse_csv_rows, run_for_regime,
+                            sample_tstar, stepsize_constant,
                             stationarity_over_tstar_law, sweep, tstar_weights,
                             _resolve_etas, _run_loop)
 from bregopt.envelope import bregman_prox_point, stationarity
@@ -67,7 +66,7 @@ def test_reduction_to_explicit_gradient_descent():
     prob = quadratic_problem(x0)
     etas = [0.5, 0.4, 0.3, 0.3, 0.2, 0.1]
     config = SolverConfig(5, seed=0, lam=1.0, schedule=("explicit", etas))
-    trace = run_model_based(prob, config)
+    trace = run_for_regime(prob, config)
     x = x0.copy()
     for t, eta in enumerate(etas):
         assert np.array_equal(trace.iterates[t], x)
@@ -77,12 +76,12 @@ def test_reduction_to_explicit_gradient_descent():
 
 def test_seed_determinism():
     p1 = get_problem("P1")
-    a = run_model_based(p1, SolverConfig(30, seed=42))
-    b = run_model_based(p1, SolverConfig(30, seed=42))
+    a = run_for_regime(p1, SolverConfig(30, seed=42))
+    b = run_for_regime(p1, SolverConfig(30, seed=42))
     assert np.array_equal(a.iterates, b.iterates)
     assert np.array_equal(a.sampled_xi_ids, b.sampled_xi_ids)
     assert a.t_star == b.t_star
-    c = run_model_based(p1, SolverConfig(30, seed=43))
+    c = run_for_regime(p1, SolverConfig(30, seed=43))
     assert not np.array_equal(a.iterates, c.iterates)
 
 
@@ -188,7 +187,7 @@ def test_tstar_law_metric_matches_a_loop_over_iterates():
     # P1 solves its prox points from its pieces, P6 in one secular solve
     for pid in ("P1", "P6"):
         prob = get_problem(pid)
-        tr = run_model_based(prob, SolverConfig(20, seed=5))
+        tr = run_for_regime(prob, SolverConfig(20, seed=5))
         w = tr.etas / (1.0 - tr.etas * prob.oracle.constants.rho)
         w = w / w.sum()
         ref = 0.0
@@ -201,17 +200,17 @@ def test_tstar_law_metric_matches_a_loop_over_iterates():
 
 def test_feasibility_of_iterates():
     p3 = get_problem("P3")
-    tr = run_convex(p3, SolverConfig(60, seed=7))
+    tr = run_for_regime(p3, SolverConfig(60, seed=7))
     assert np.all(tr.iterates > 0)
     assert np.allclose(tr.iterates.sum(axis=1), 1.0, atol=1e-9)
     p5 = get_problem("P5")
-    tr = run_model_based(p5, SolverConfig(60, seed=7))
+    tr = run_for_regime(p5, SolverConfig(60, seed=7))
     assert np.all(np.linalg.norm(tr.iterates, axis=1) <= 2.0 + 1e-9)
 
 
 def test_trace_shapes_and_t0():
     p1 = get_problem("P1")
-    tr = run_model_based(p1, SolverConfig(0, seed=1))
+    tr = run_for_regime(p1, SolverConfig(0, seed=1))
     assert tr.iterates.shape == (2, 1)          # x_0 and x_1
     assert len(tr.etas) == 1 and len(tr.sampled_xi_ids) == 1
     assert tr.t_star == 0
@@ -220,15 +219,15 @@ def test_trace_shapes_and_t0():
 
 def test_run_convex_averages():
     p3 = get_problem("P3")
-    tr = run_convex(p3, SolverConfig(40, seed=2))
+    tr = run_for_regime(p3, SolverConfig(40, seed=2))
     # constant steps make the weighted average the plain average
     assert np.allclose(tr.weighted_average, tr.plain_average, atol=1e-12)
     assert np.allclose(tr.weighted_average, tr.iterates[:-1].mean(axis=0))
-    tr0 = run_convex(p3, SolverConfig(0, seed=2))
+    tr0 = run_for_regime(p3, SolverConfig(0, seed=2))
     assert np.allclose(tr0.weighted_average, p3.x0)
     # the strongly convex schedule is eta_t = 1/(mu (t+1))
     p4 = get_problem("P4")
-    tr4 = run_convex(p4, SolverConfig(2, seed=2, schedule=("strongly_convex",)))
+    tr4 = run_for_regime(p4, SolverConfig(2, seed=2, schedule=("strongly_convex",)))
     assert np.allclose(tr4.etas, [1.0, 0.5, 1.0 / 3.0])
 
 
@@ -237,24 +236,21 @@ def test_config_validation():
     c = p1.oracle.constants
     bad_lam = 1.0 / (c.tau + c.rho) * 1.01
     with pytest.raises(ValueError, match=r"lam violates lam \* \(tau \+ rho\) < 1"):
-        run_model_based(p1, SolverConfig(3, seed=0, lam=bad_lam))
+        run_for_regime(p1, SolverConfig(3, seed=0, lam=bad_lam))
     # an increasing schedule whose steps all lie in (0, lam)
     lam = default_lambda(p1)
     with pytest.raises(ValueError, match="step sizes must be nonincreasing"):
-        run_model_based(p1, SolverConfig(2, seed=0, lam=lam,
-                                         schedule=("explicit", [0.4 * lam, 0.6 * lam, 0.4 * lam])))
+        run_for_regime(p1, SolverConfig(2, seed=0, lam=lam,
+                                        schedule=("explicit", [0.4 * lam, 0.6 * lam, 0.4 * lam])))
     p3 = get_problem("P3")
     with pytest.raises(ValueError, match="strongly convex schedule requires mu > 0"):
-        run_convex(p3, SolverConfig(3, seed=0, schedule=("strongly_convex",)))
+        run_for_regime(p3, SolverConfig(3, seed=0, schedule=("strongly_convex",)))
     p2 = get_problem("P2")
     lam = default_lambda(p2)
     cap = lam / (1.0 + lam * p2.oracle.constants.smooth_M)
     with pytest.raises(ValueError, match="smooth regime requires eta < lam"):
-        run_mirror_descent_smooth(
-            p2, SolverConfig(2, seed=0, lam=lam,
-                             schedule=("explicit", [cap, cap, cap])))
-    with pytest.raises(ValueError, match="expects a regime-A problem"):
-        run_model_based(p3, SolverConfig(3, seed=0))  # wrong regime for loop
+        run_for_regime(p2, SolverConfig(2, seed=0, lam=lam,
+                                        schedule=("explicit", [cap, cap, cap])))
 
 
 @pytest.mark.parametrize("lam, schedule", [
@@ -272,7 +268,7 @@ def test_a_step_size_that_is_not_finite_raises_before_the_loop(monkeypatch, lam,
 
     monkeypatch.setattr(driver, "step_plan", no_plan)
     with pytest.raises(ValueError, match="finite"):
-        run_model_based(get_problem("P1"), SolverConfig(2, seed=0, lam=lam, schedule=schedule))
+        run_for_regime(get_problem("P1"), SolverConfig(2, seed=0, lam=lam, schedule=schedule))
 
 
 @pytest.mark.parametrize("schedule, message", [
@@ -284,7 +280,7 @@ def test_a_schedule_outside_its_rule_raises(schedule, message):
     # the 1/(mu (t+1)) schedule outside regime C, an explicit schedule of
     # the wrong length and an increasing one (P1 is regime A, T = 3)
     with pytest.raises(ValueError, match=message):
-        _resolve_etas(get_problem("P1"), SolverConfig(3, seed=0, schedule=schedule), "A")
+        _resolve_etas(get_problem("P1"), SolverConfig(3, seed=0, schedule=schedule))
 
 
 def test_nonincreasing_sequence_lemma():
@@ -440,10 +436,9 @@ def test_smooth_loop_on_simplex_is_exponentiated_gradient():
         grad_f_fn=lambda x: cost.copy(),
         test_point_sampler=lambda rng: rng.dirichlet(np.ones(d)))
     prob = ProblemInstance("EG", oracle, SimplexIndicator(),
-                           ShannonEntropy(on_simplex=True), "B", d,
-                           np.full(d, 0.25), sampler=oracle.test_point_sampler)
+                           ShannonEntropy(on_simplex=True), np.full(d, 0.25))
     prob.objective = linear_model(cost)
-    trace = run_mirror_descent_smooth(prob, SolverConfig(10, seed=4))
+    trace = run_for_regime(prob, SolverConfig(10, seed=4))
     assert np.all(trace.iterates > 0)
     x = prob.x0.copy()
     for t in range(11):
@@ -457,8 +452,8 @@ def test_deterministic_strongly_convex_descent_is_monotone():
     # sigma = 0 sanity check: after the first few steps the objective is
     # nonincreasing along the iterates
     prob = quadratic_problem(np.array([2.0, -1.5]))
-    trace = run_model_based(prob, SolverConfig(30, seed=0, lam=1.0,
-                                               schedule=("constant", 1.0)))
+    trace = run_for_regime(prob, SolverConfig(30, seed=0, lam=1.0,
+                                              schedule=("constant", 1.0)))
     vals = [prob.exact_F(x) for x in trace.iterates]
     assert all(b <= a + 1e-12 for a, b in zip(vals[2:], vals[3:]))
 
@@ -548,7 +543,7 @@ def test_lockstep_loop_needs_a_batched_step():
     prob.regularizer = L1Regularizer(0.1)
     prob.phi = build_poly_legendre([1.0, 0.0, 1.0])
     with pytest.raises(InnerSolveError, match="no batched prox step"):
-        run_model_based(prob, SolverConfig(3, seed=0))
+        run_for_regime(prob, SolverConfig(3, seed=0))
 
 
 @pytest.mark.parametrize("pid", ["P3", "P4"])
@@ -565,7 +560,7 @@ def _reference_loop(problem, config, seeds, carry=False):
     # with the same samples and step sizes; each centre's state is
     # re-derived from its points, or with carry is the state the step before
     # returned, as the loop carries it
-    _, etas = _resolve_etas(problem, config, problem.regime)
+    _, etas = _resolve_etas(problem, config)
     oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
     T = config.horizon_T
     xis = np.stack([oracle.sample_rows(np.random.default_rng(seed), T + 1)
@@ -607,7 +602,7 @@ def _records_of(problem, config, seeds, iterates, logs):
     # record_rows of each step alone from the states of the given (S, T + 2,
     # d) iterates and (T + 2, S, d) mirror coordinates, with the loop's
     # samples and step sizes
-    _, etas = _resolve_etas(problem, config, problem.regime)
+    _, etas = _resolve_etas(problem, config)
     oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
     xis = np.stack([oracle.sample_rows(np.random.default_rng(seed), len(etas))
                     for seed in seeds], axis=1)
@@ -681,7 +676,7 @@ def test_block_records_equal_the_step_by_step_records(S, T, monkeypatch):
     newton = get_problem("P6")
     newton.phi, newton.x0 = Burg(), np.array([1.5, 2.0])
     for problem in registry() + [newton]:
-        lam, etas = _resolve_etas(problem, SolverConfig(T, seed=0), problem.regime)
+        lam, etas = _resolve_etas(problem, SolverConfig(T, seed=0))
         schedule = ("explicit", etas * np.linspace(1.0, 0.5, T + 1))
         config = SolverConfig(T, seed=None, lam=lam, schedule=schedule)
         seeds = [[s, T] for s in range(S)]
@@ -790,7 +785,7 @@ def test_a_reused_plan_steps_as_one_use_solves():
     from bregopt.subproblem import solve_rows, step_plan
     for problem in registry():
         oracle, reg, phi = problem.oracle, problem.regularizer, problem.phi
-        _, etas = _resolve_etas(problem, SolverConfig(6, seed=0), problem.regime)
+        _, etas = _resolve_etas(problem, SolverConfig(6, seed=0))
         rho, rng = oracle.constants.rho, np.random.default_rng(3)
         Z = phi.state_rows(np.tile(problem.x0, (4, 1)), reg)
         plan = None
@@ -838,7 +833,7 @@ def test_a_block_records_the_models_of_its_steps_slopes(monkeypatch):
     # atoms (P3's scanned shift) are model_rows at its centres bit for bit;
     # a registry loop's record never calls model_rows
     for problem in [get_problem(pid) for pid in ("P2", "P3", "P5")] + [_grad_map_problem()]:
-        _, etas = _resolve_etas(problem, SolverConfig(15, seed=0), problem.regime)
+        _, etas = _resolve_etas(problem, SolverConfig(15, seed=0))
         plan, P, M, _, (xi, atoms, V) = _block_and_steps(problem, 4, etas)
         assert plan.slopes == (problem.oracle.slope_table is None), problem.id
         d = P.shape[-1]
@@ -910,7 +905,7 @@ def test_a_block_steps_as_its_one_step_plan():
     from bregopt.legendre import RowState
     from bregopt.subproblem import ETA_FLOOR, SCAN_STEPS, _affine_scan
     for problem in registry() + [_grad_map_problem()]:
-        _, etas = _resolve_etas(problem, SolverConfig(39, seed=0), problem.regime)
+        _, etas = _resolve_etas(problem, SolverConfig(39, seed=0))
         etas = etas * np.linspace(1.0, 0.5, 40)
         etas[3] = ETA_FLOOR / 2.0
         plan, P, M, (steps, last, found), _ = _block_and_steps(problem, 4, etas)

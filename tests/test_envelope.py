@@ -6,8 +6,7 @@ from util_problems import (RowModel, euclidean_p1, halfsq_problem, row_model_pro
                            smooth_problem)
 
 from bregopt import envelope
-from bregopt.envelope import (bregman_prox_point, bregman_prox_points,
-                              envelope_gradient, envelope_value, stationarity,
+from bregopt.envelope import (bregman_prox_point, bregman_prox_points, stationarity,
                               stationarity_rows)
 from bregopt.legendre import (Euclidean, ShannonEntropy,
                               build_norm_power_legendre, finite_difference_step)
@@ -26,10 +25,9 @@ def test_halfsq_closed_forms():
     x = np.array([2.0, 0.0])
     x_hat = bregman_prox_point(prob, prob.phi, x, 1.0)
     assert np.allclose(x_hat, [1.0, 0.0], atol=1e-10)
-    assert envelope_value(prob, prob.phi, x, 1.0) == pytest.approx(1.0, abs=1e-10)
-    g = envelope_gradient(prob, prob.phi, x, 1.0)
-    assert np.allclose(g, [1.0, 0.0], atol=1e-10)
     rep = stationarity(prob, prob.phi, x, 1.0)
+    assert rep.envelope_value_direct == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(rep.envelope_gradient, [1.0, 0.0], atol=1e-10)
     assert rep.divergence == pytest.approx(0.5, abs=1e-10)
     # the local-norm estimate is tight in the Euclidean case
     assert abs(rep.lower_bound_check) <= 1e-9
@@ -49,13 +47,13 @@ def test_constant_objective_both_paths():
         f, lambda y: np.zeros(d), lambda rng, n: np.zeros((n, d)), regime="B",
         constants=OracleConstants(),
         test_point_sampler=lambda rng: rng.uniform(-2, 2, d))
-    prob = ProblemInstance("CONST", oracle, ZeroRegularizer(), Euclidean(),
-                           "B", d, np.zeros(d), sampler=oracle.test_point_sampler)
+    prob = ProblemInstance("CONST", oracle, ZeroRegularizer(), Euclidean(), np.zeros(d))
     prob.objective = SmoothRows(lambda Y: np.full(len(Y), 3.25), np.zeros_like,
                                 lambda Y: np.zeros(Y.shape + (d,)))
     for x in (np.zeros(2), np.array([1.3, -0.2])):
-        assert envelope_value(prob, prob.phi, x, 0.9, path="direct") == pytest.approx(3.25, abs=1e-10)
-        assert envelope_value(prob, prob.phi, x, 0.9, path="conjugate") == pytest.approx(3.25, abs=1e-10)
+        rep = stationarity(prob, prob.phi, x, 0.9)
+        assert rep.envelope_value_direct == pytest.approx(3.25, abs=1e-10)
+        assert rep.envelope_value_conjugate == pytest.approx(3.25, abs=1e-10)
 
 
 def phi_cases():
@@ -70,8 +68,8 @@ def test_envelope_is_a_minorant():
     rng = np.random.default_rng(0)
     for prob in phi_cases():
         for _ in range(20):
-            x = prob.sample_domain_point(rng)
-            env = envelope_value(prob, prob.phi, x, 0.5)
+            x = prob.oracle.draw_test_point(rng)
+            env = stationarity(prob, prob.phi, x, 0.5).envelope_value_direct
             assert env <= prob.exact_F(x) + 1e-10
 
 
@@ -79,9 +77,9 @@ def test_direct_and_conjugate_paths_agree():
     rng = np.random.default_rng(1)
     for prob in phi_cases():
         for _ in range(15):
-            x = prob.sample_domain_point(rng)
-            a = envelope_value(prob, prob.phi, x, 0.5, path="direct")
-            b = envelope_value(prob, prob.phi, x, 0.5, path="conjugate")
+            x = prob.oracle.draw_test_point(rng)
+            rep = stationarity(prob, prob.phi, x, 0.5)
+            a, b = rep.envelope_value_direct, rep.envelope_value_conjugate
             assert abs(a - b) <= 1e-6 * (1.0 + abs(a)), prob.id
 
 
@@ -90,15 +88,16 @@ def test_gradient_formula_matches_finite_differences():
     lam = 0.5
     for prob in phi_cases():
         for _ in range(8):
-            x = prob.sample_domain_point(rng)
-            g = envelope_gradient(prob, prob.phi, x, lam)
+            x = prob.oracle.draw_test_point(rng)
+            g = stationarity(prob, prob.phi, x, lam).envelope_gradient
             h = finite_difference_step(x)
             fd = np.zeros_like(x)
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h
-                fd[i] = (envelope_value(prob, prob.phi, x + e, lam)
-                         - envelope_value(prob, prob.phi, x - e, lam)) / (2 * h)
+                fd[i] = (stationarity(prob, prob.phi, x + e, lam).envelope_value_direct
+                         - stationarity(prob, prob.phi, x - e, lam).envelope_value_direct
+                         ) / (2 * h)
             err = np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(fd))
             assert err <= 1e-5, prob.id
 
@@ -110,7 +109,7 @@ def test_local_norm_lower_bound():
         if prob.phi.strong_convexity_modulus is None:
             continue
         for _ in range(20):
-            x = prob.sample_domain_point(rng)
+            x = prob.oracle.draw_test_point(rng)
             rep = stationarity(prob, prob.phi, x, lam)
             assert rep.lower_bound_check is not None
             assert rep.lower_bound_check >= -1e-9
@@ -165,9 +164,9 @@ def test_a_row_whose_envelope_paths_disagree_raises(monkeypatch):
 def test_monotone_in_lambda():
     rng = np.random.default_rng(4)
     for prob in phi_cases():
-        x = prob.sample_domain_point(rng)
+        x = prob.oracle.draw_test_point(rng)
         lams = [0.05, 0.1, 0.2, 0.4, 0.8]
-        vals = [envelope_value(prob, prob.phi, x, lam) for lam in lams]
+        vals = [stationarity(prob, prob.phi, x, lam).envelope_value_direct for lam in lams]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-10
 
@@ -178,7 +177,7 @@ def test_lambda_admissibility_enforced():
     with pytest.raises(ValueError):
         bregman_prox_point(p1, p1.phi, p1.x0, 1.0 / tau)
     with pytest.raises(ValueError):
-        envelope_value(p1, p1.phi, p1.x0, -0.1)
+        stationarity(p1, p1.phi, p1.x0, -0.1)
 
 
 def _golden_prox_1d(problem, x, lam):
@@ -296,7 +295,7 @@ def test_batched_prox_points_in_2d_equal_single_solves():
         prob = get_problem(pid)
         c = prob.oracle.constants
         lam = 0.5 / (c.tau + c.rho) if c.tau + c.rho > 0 else 0.7
-        X = np.array([prob.sample_domain_point(rng) for _ in range(6)])
+        X = np.array([prob.oracle.draw_test_point(rng) for _ in range(6)])
         X_hat = bregman_prox_points(prob, prob.phi, X, lam)
         for x, y in zip(X, X_hat):
             assert np.array_equal(y, bregman_prox_point(prob, prob.phi, x, lam)), pid

@@ -51,15 +51,15 @@ def test_prox_linear_subgradient_chain_rule_and_kink():
 def test_linear_mirror_model_is_affine():
     p3 = get_problem("P3")
     rng = np.random.default_rng(0)
-    x = p3.sample_domain_point(rng)
-    y1 = p3.sample_domain_point(rng)
-    y2 = p3.sample_domain_point(rng)
+    x = p3.oracle.draw_test_point(rng)
+    y1 = p3.oracle.draw_test_point(rng)
+    y2 = p3.oracle.draw_test_point(rng)
     m = p3.oracle.model_rows(x, 3)
     for a in (0.0, 0.25, 0.7, 1.0):
         mix = a * y1 + (1 - a) * y2
         assert abs(m.values(mix) - (a * m.values(y1) + (1 - a) * m.values(y2))) <= 1e-12
     # at the base point the model returns f(x)
-    assert abs(m.values(x) - p3.exact_f(x)) <= 1e-12
+    assert abs(m.values(x) - p3.oracle.f_exact(x)) <= 1e-12
     # the subgradient is the sampled slope, independent of y
     assert np.array_equal(m.gradients(y1), m.gradients(y2))
     assert np.array_equal(m.gradients(y1), p3.oracle.slope_table[3])
@@ -69,9 +69,9 @@ def test_base_point_consistency_all_families():
     rng = np.random.default_rng(1)
     for p in registry():
         for _ in range(20):
-            x = p.sample_domain_point(rng)
-            gap = p.oracle.expected_model_value(x, x) - p.exact_f(x)
-            assert abs(gap) <= 1e-9 * (1.0 + abs(p.exact_f(x))), p.id
+            x = p.oracle.draw_test_point(rng)
+            gap = p.oracle.expected_model_value(x, x) - p.oracle.f_exact(x)
+            assert abs(gap) <= 1e-9 * (1.0 + abs(p.oracle.f_exact(x))), p.id
 
 
 def test_midpoint_convexity_of_models():
@@ -79,9 +79,9 @@ def test_midpoint_convexity_of_models():
     for pid in ("P1", "P5", "P6"):
         p = get_problem(pid)
         for _ in range(200):
-            x = p.sample_domain_point(rng)
-            y1 = p.sample_domain_point(rng)
-            y2 = p.sample_domain_point(rng)
+            x = p.oracle.draw_test_point(rng)
+            y1 = p.oracle.draw_test_point(rng)
+            y2 = p.oracle.draw_test_point(rng)
             xi = p.oracle.sample(rng)
             m = p.oracle.model_rows(x, xi)
             mid = m.values(0.5 * (y1 + y2))
@@ -140,8 +140,8 @@ def test_verify_one_sided_regime_c():
     rng = np.random.default_rng(3)
     p3 = get_problem("P3")
     for _ in range(50):
-        x = p3.sample_domain_point(rng)
-        y = p3.sample_domain_point(rng)
+        x = p3.oracle.draw_test_point(rng)
+        y = p3.oracle.draw_test_point(rng)
         rep = verify_one_sided(p3.oracle, p3.phi, x, y)
         assert rep.passed
         assert rep.bound_rhs == 0.0
@@ -235,8 +235,8 @@ def test_prop2_accuracy_constant_matches_declaration():
     accuracy_phi = build_poly_legendre(p1.config["p"])
     rng = np.random.default_rng(8)
     for _ in range(300):
-        x = p1.sample_domain_point(rng)
-        y = p1.sample_domain_point(rng)
+        x = p1.oracle.draw_test_point(rng)
+        y = p1.oracle.draw_test_point(rng)
         assert verify_one_sided(p1.oracle, p1.phi, x, y).passed
         assert verify_one_sided(p1.oracle, accuracy_phi, x, y).passed
 
@@ -278,8 +278,8 @@ def test_saddle_model_dominance_and_argmax():
 
     rng = np.random.default_rng(9)
     for _ in range(200):
-        x = p5.sample_domain_point(rng)
-        y = p5.sample_domain_point(rng)
+        x = p5.oracle.draw_test_point(rng)
+        y = p5.oracle.draw_test_point(rng)
         xi = oracle.sample(rng)
         w_hat = argmax(x, xi)
         assert np.linalg.norm(w_hat) <= radius + 1e-12
@@ -360,7 +360,7 @@ def test_array_oracles_equal_the_callback_formulas_bit_for_bit(pid):
     rng = np.random.default_rng(21)
     d = p.dimension
     for S in (1, 7, 64):
-        X = np.stack([p.sample_domain_point(rng) for _ in range(S)])
+        X = np.stack([p.oracle.draw_test_point(rng) for _ in range(S)])
         xi = oracle.sample_rows(rng, S)
         if pid == "P5":
             X[0] = 0.0                  # w_hat's zero branch
@@ -378,10 +378,10 @@ def test_array_oracles_equal_the_callback_formulas_bit_for_bit(pid):
             assert _same_rows(one, ref)
             make = absolute_affine_model if ref.absolute else linear_model
             ref_model = make(ref.slopes, float(ref.offsets))
-            y = p.sample_domain_point(rng)
+            y = p.oracle.draw_test_point(rng)
             assert oracle.model_value(X[s], y, int(xi[s])) == ref_model.values(y[None])[0]
             assert oracle.f_exact(X[s]) == f_exact(X[s])
-            assert p.exact_f(X[s]) == f_exact(X[s])
+            assert p.oracle.f_exact(X[s]) == f_exact(X[s])
     for i in range(oracle.n_atoms):
         assert oracle.lip_L(i) == lip_L(i)
     assert oracle.expected_lip_sq() == expected_lip_sq

@@ -12,7 +12,8 @@ _spec = importlib.util.spec_from_file_location("output_digest",
 output_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(output_digest)
 
-TINY = dict(horizons=(2, 4), n_seeds=2, trace_T=3, trace_seeds=(0, 4242), n_points=3, cli_T=3)
+TINY = dict(horizons=(2, 4), n_seeds=2, trace_T=3, trace_seeds=(0, 4242), n_points=3, cli_T=3,
+            validate_pairs=1)
 
 
 def test_two_runs_give_the_same_digests_of_every_problem():
@@ -23,14 +24,17 @@ def test_two_runs_give_the_same_digests_of_every_problem():
     assert {group.split("/")[1] for group in first} == set(pids)
     for pid in pids:
         assert "trace/%s/0" % pid in first and "trace/%s/4242" % pid in first
-        assert "cli_run/%s" % pid in first
+        assert "cli_run/%s" % pid in first and "cli_validate/%s" % pid in first
     for pid in ("P1", "P2", "P5", "P6"):
         for group in ("sweep/%s/tstar_draw", "sweep/%s/tstar_full", "stationarity/%s"):
             assert group % pid in first
     assert {"sweep/P3/tstar_draw", "sweep/P4/tstar_draw", "sweep/P4/strongly_convex",
             "bisection/P1"} <= set(first)
-    assert len(first) == 34
-    assert len(set(first.values())) == len(first)
+    assert len(first) == 40
+    # P3 and P4 share their oracle, kernel and test points, and validate
+    # prints nothing of their regularizers; every other group differs
+    assert first["cli_validate/P3"] == first["cli_validate/P4"]
+    assert len(set(first.values())) == len(first) - 1
 
 
 def test_a_digest_reads_dtype_shape_and_bits():

@@ -55,8 +55,8 @@ def test_every_instance_passes_its_verify_suite():
     rng = np.random.default_rng(0)
     for p in registry():
         for _ in range(40):
-            x = p.sample_domain_point(rng)
-            y = p.sample_domain_point(rng)
+            x = p.oracle.draw_test_point(rng)
+            y = p.oracle.draw_test_point(rng)
             assert verify_one_sided(p.oracle, p.phi, x, y, rng=rng,
                                     n_samples=1000).passed, p.id
         if p.id != "P2":
@@ -90,6 +90,13 @@ def test_p4_optimum_satisfies_stationarity():
     assert res.value <= p4.optimum["F_star"] + 1e-6
 
 
+def test_brute_force_min_refuses_a_descent_of_no_iterations():
+    # with no iteration the descent would return x0, at resolution inf
+    for pid in ("P4", "P1"):
+        with pytest.raises(ValueError, match="descent_iterations must be at least 1"):
+            brute_force_min(get_problem(pid), descent_iterations=0)
+
+
 def test_p5_p6_optima_against_grid():
     p5 = get_problem("P5")
     res = brute_force_min(p5, domain_box=(-2.0, 2.0), resolution=4e-3)
@@ -111,8 +118,7 @@ def test_grid_oracle_on_synthetic_quadratic():
         constants=OracleConstants(),
         test_point_sampler=lambda rng: rng.uniform(-1, 1, d))
     prob = ProblemInstance("HALFSQ", oracle, ZeroRegularizer(), Euclidean(),
-                           "B", d, np.array([0.5, 0.5]),
-                           sampler=oracle.test_point_sampler)
+                           np.array([0.5, 0.5]))
     prob.objective = SmoothRows(f, lambda y: y.copy(),
                                 lambda y: np.broadcast_to(np.eye(d), y.shape + (d,)))
     res = brute_force_min(prob, domain_box=(-1.0, 1.0), resolution=1e-3)
@@ -125,8 +131,7 @@ def test_grid_oracle_on_synthetic_quadratic():
     # is least at (1, 1)/sqrt(2), not at the box corner (1, 1)
     c = np.array([2.0, 2.0])
     ball = ProblemInstance(
-        "BALL", oracle, BallIndicator(1.0), Euclidean(), "B", d, np.zeros(d),
-        sampler=oracle.test_point_sampler,
+        "BALL", oracle, BallIndicator(1.0), Euclidean(), np.zeros(d),
         objective=RowModel(lambda y: 0.5 * np.sum((y - c) ** 2, axis=-1), lambda y: y - c))
     res = brute_force_min(ball, domain_box=(-1.0, 1.0), resolution=1e-3)
     assert np.linalg.norm(res.argmin) <= 1.0 + 1e-9
@@ -142,7 +147,7 @@ def test_each_exact_objective_is_f_with_a_subgradient_selection():
     rng = np.random.default_rng(31)
     for prob in registry():
         f, form = prob.oracle.f_exact, prob.objective
-        X = np.array([prob.sample_domain_point(rng) for _ in range(25)])
+        X = np.array([prob.oracle.draw_test_point(rng) for _ in range(25)])
         values, G = form.values(X), form.gradients(X)
         assert values.shape == X.shape[:1] and G.shape == X.shape, prob.id
         for x, v, g in zip(X, values, G):
@@ -211,7 +216,7 @@ def test_config_round_trip_is_bit_exact():
         q = instance_from_config(back)
         rng = np.random.default_rng(1)
         for _ in range(10):
-            x = p.sample_domain_point(rng)
+            x = p.oracle.draw_test_point(rng)
             assert p.exact_F(x) == q.exact_F(x)
 
 

@@ -1290,9 +1290,9 @@ def test_a_large_entropic_step_passes_its_certificate_on_rounding():
 def test_offset_and_mutated_steps_fail_the_certificate():
     # criterion 2's negative control, P1's first step offset by +-0.1,
     # reads about -0.4 at the centre
-    from bregopt.driver import SolverConfig, run_model_based
+    from bregopt.driver import SolverConfig, run_for_regime
     p1 = get_problem("P1")
-    trace = run_model_based(p1, SolverConfig(5, seed=3))
+    trace = run_for_regime(p1, SolverConfig(5, seed=3))
     model = p1.oracle.model_rows(trace.iterates[0], trace.sampled_xi_ids[0])
     eta, rho = float(trace.etas[0]), p1.oracle.constants.rho
     z = trace.iterates[0]
@@ -1328,6 +1328,27 @@ def test_a_mutated_p4_step_fails_the_certificate():
     step = prox_step_rows(rows, reg, phi, Z, 0.5 * (1.0 + 1e-4))
     with pytest.raises(InnerSolveError):
         record_rows(rows.values, phi, phi.state_rows(Z, reg), step.state, 0.5)
+
+
+@pytest.mark.xfail(strict=True, raises=InnerSolveError,
+                   reason="the lockstep Newton stops on its half-decrement, not on the "
+                          "residual its certificate bounds, so larger steps miss the bound")
+def test_the_lockstep_newton_meets_its_certificate_at_large_steps():
+    # P2's kernel on the path of P2's envelope (a smooth objective under a
+    # radial kernel takes the lockstep Newton).  This valid convex step
+    # passes at eta = 0.4 and 1 but fails its certificate at eta = 3
+    # (residual -4.066e-09 < -3.003e-10) and at eta = 10 (-1.385e-09 <
+    # -1.206e-09), as do 20 of 200 uniform draws of (z, v) at eta = 10.  A
+    # stop on the KKT residual would let every step pass; then this test
+    # passes and turns plain.
+    phi = build_norm_power_legendre([1.0, 0.0, 1.0])
+    z = np.array([0.45710733476396315, -0.7964693949905282])
+    v = np.array([-0.3874534875045337, -0.027296288232877775])
+    for eta in (0.4, 1.0, 3.0, 10.0):
+        res = prox_step_rows(_linear_smooth_rows(v), ZeroRegularizer(), phi, z[None], eta)
+        y = res.minimizer[0]
+        # grad phi(y) = grad phi(z) - eta v at the minimizer
+        assert np.abs(phi.gradient(y) - phi.gradient(z) + eta * v).max() <= 1e-8, eta
 
 
 # (regularizer, phi) pairs with an affine closed form; the radial kernels are

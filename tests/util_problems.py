@@ -33,8 +33,8 @@ class _RowModelOracle(ModelOracle):
 def row_model_problem(model, x0):
     """A regime-A problem whose sampled models and exact objective are all
     the RowModel model, under Euclidean phi and r = 0, from x0."""
-    return ProblemInstance("ROWS", _RowModelOracle(model), ZeroRegularizer(), Euclidean(), "A",
-                           len(x0), x0, objective=model)
+    return ProblemInstance("ROWS", _RowModelOracle(model), ZeroRegularizer(), Euclidean(), x0,
+                           objective=model)
 
 
 def euclidean_p1():
@@ -76,7 +76,7 @@ def smooth_problem(phi, d=2, center=None, tau=0.0):
         constants=OracleConstants(tau=tau, variance_sigma=0.0),
         test_point_sampler=sampler)
     prob = ProblemInstance("SMOOTH-" + phi.kind, oracle, ZeroRegularizer(),
-                           phi, "B", d, np.full(d, 1.0), sampler=sampler)
+                           phi, np.full(d, 1.0))
     prob.objective = SmoothRows(f, grad, hess)
     return prob
 
@@ -86,14 +86,12 @@ def halfsq_problem():
     f acts on the last axis."""
     d = 2
     f = lambda y: 0.5 * np.sum(y * y, axis=-1)
-    sampler = lambda rng: rng.uniform(-2, 2, d)
     oracle = NoisyGradientOracle(
         f, lambda y: y.copy(), lambda rng, n: np.zeros((n, d)), regime="B",
-        constants=OracleConstants(), test_point_sampler=sampler)
+        constants=OracleConstants(), test_point_sampler=lambda rng: rng.uniform(-2, 2, d))
     prob = ProblemInstance("HALFSQ", oracle, ZeroRegularizer(), Euclidean(),
-                           "B", d, np.array([1.0, 1.0]),
-                           optimum={"F_star": 0.0, "x_star": np.zeros(d)},
-                           sampler=sampler)
+                           np.array([1.0, 1.0]),
+                           optimum={"F_star": 0.0, "x_star": np.zeros(d)})
     prob.objective = SmoothRows(lambda Y: 0.5 * np.sum(Y * Y, axis=-1), lambda Y: Y.copy(),
                                 lambda Y: np.broadcast_to(np.eye(d), Y.shape + (d,)))
     return prob
@@ -108,16 +106,14 @@ def quadratic_problem(x0, regime="A", x_star=None):
     x0 = np.asarray(x0, dtype=float)
     x_star = np.zeros(len(x0)) if x_star is None else np.asarray(x_star)
     f = lambda x: 0.5 * np.sum((x - x_star) ** 2, axis=-1)
-    sampler = lambda rng: rng.uniform(-2, 2, len(x0))
     oracle = LinearMirrorOracle(
         f_fn=f, grad_map=lambda x, xi: x - x_star, weights=[1.0],
         lip=[10.0], regime=regime,
         constants=OracleConstants(tau=0.0, rho=0.0, lip_bound_L=10.0),
-        grad_f_fn=lambda x: x - x_star, test_point_sampler=sampler)
-    prob = ProblemInstance("QUAD", oracle, ZeroRegularizer(), Euclidean(),
-                           regime, len(x0), x0,
-                           optimum={"F_star": 0.0, "x_star": x_star},
-                           sampler=sampler)
+        grad_f_fn=lambda x: x - x_star,
+        test_point_sampler=lambda rng: rng.uniform(-2, 2, len(x0)))
+    prob = ProblemInstance("QUAD", oracle, ZeroRegularizer(), Euclidean(), x0,
+                           optimum={"F_star": 0.0, "x_star": x_star})
     prob.objective = SmoothRows(f, lambda x: x - x_star,
                                 lambda x: np.broadcast_to(np.eye(len(x0)), x.shape + x0.shape))
     return prob

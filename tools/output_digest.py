@@ -15,12 +15,14 @@ and imports bregopt from the src/ beside this file's tools/.  The groups are
   - trace/<id>/<seed>: run_for_regime at T = 50 for the seeds 0 and 4242,
     every field of the RunTrace;
   - stationarity/<id>: stationarity_rows of a regime-A/B problem at 20 points
-    drawn by its sampler (seed 7), at its default lambda;
+    drawn by its oracle's test-point sampler (seed 7), at its default lambda;
   - bisection/P1: prox_points_1d, the certified 1-d bisection, on P1's
     objective from the same 20 points, at its default lambda and with
     rho = tau + rho of its oracle;
   - cli_run/<id>: the standard output of `bregopt run <id> --T 20 --seed 0`
-    (the trace CSV and the envelope JSON).
+    (the trace CSV and the envelope JSON);
+  - cli_validate/<id>: the standard output of
+    `bregopt validate <id> --n-pairs 5 --seed 0` (its PASS/FAIL lines).
 
 --against REV also computes the digests in a `git archive` tree of the
 commit REV (extracted to a temporary directory, as tools/bench_pairs.py
@@ -50,6 +52,7 @@ TRACE_SEEDS = (0, 4242)
 N_POINTS = 20
 POINT_SEED = 7
 CLI_T = 20
+VALIDATE_PAIRS = 5
 TRACE_FIELDS = ("iterates", "etas", "sampled_xi_ids", "t_star", "lam", "model_values",
                 "r_values", "step_divergences", "step_residuals", "weighted_average",
                 "plain_average")
@@ -69,7 +72,7 @@ def _digest(*parts):
 
 
 def digests(horizons=HORIZONS, n_seeds=N_SEEDS, trace_T=TRACE_T, trace_seeds=TRACE_SEEDS,
-            n_points=N_POINTS, cli_T=CLI_T):
+            n_points=N_POINTS, cli_T=CLI_T, validate_pairs=VALIDATE_PAIRS):
     """{group: sha256} of the registry's outputs on the given grid."""
     from bregopt import driver, envelope, problems, subproblem
     from bregopt.cli import cli_main
@@ -90,7 +93,7 @@ def digests(horizons=HORIZONS, n_seeds=N_SEEDS, trace_T=TRACE_T, trace_seeds=TRA
                 *[getattr(tr, name) for name in TRACE_FIELDS])
         if problem.regime in ("A", "B"):
             rng = np.random.default_rng(POINT_SEED)
-            X = np.array([problem.sample_domain_point(rng) for _ in range(n_points)])
+            X = np.array([problem.oracle.draw_test_point(rng) for _ in range(n_points)])
             lam = driver.default_lambda(problem)
             report = envelope.stationarity_rows(problem, problem.phi, X, lam)
             out["stationarity/%s" % pid] = _digest(*report)
@@ -99,10 +102,13 @@ def digests(horizons=HORIZONS, n_seeds=N_SEEDS, trace_T=TRACE_T, trace_seeds=TRA
                 out["bisection/P1"] = _digest(subproblem.prox_points_1d(
                     problem.objective, problem.regularizer, problem.phi, X[:, 0], lam,
                     rho=c.tau + c.rho))
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text):
-            cli_main(["run", pid, "--T", str(cli_T), "--seed", "0"])
-        out["cli_run/%s" % pid] = hashlib.sha256(text.getvalue().encode()).hexdigest()
+        for group, argv in (("cli_run", ["run", pid, "--T", str(cli_T), "--seed", "0"]),
+                            ("cli_validate", ["validate", pid, "--n-pairs", str(validate_pairs),
+                                              "--seed", "0"])):
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                cli_main(argv)
+            out["%s/%s" % (group, pid)] = hashlib.sha256(text.getvalue().encode()).hexdigest()
     return out
 
 
