@@ -160,7 +160,9 @@ def sample_tstar(etas, rho, rng, size=None):
 _ALGORITHMS = {"A": "model_based", "B": "mirror_descent_smooth", "C": "convex"}
 
 
-BLOCK_ROWS = 128  # the most rows (steps x runs) one record pass covers
+# the rows (steps x runs) one record pass covers; a horizon's tail of fewer
+# than half as many joins the block before it (under 1.5 times as many)
+BLOCK_ROWS = 128
 
 
 def _run_loop(problem, config, seeds):
@@ -179,6 +181,9 @@ def _run_loop(problem, config, seeds):
     plan is built once per horizon from step 0's gathered models
     (subproblem.step_plan).  A scanned plan gets blocks of whole chunks
     (plan.chunk steps), so its chunks start at fixed step indices whatever S.
+    A tail of fewer than half a block's steps joins the block before it (a
+    horizon of T + 1 = 2^k + 1 steps would end in a block of one step), so
+    block starts stay multiples of the block and of the chunk.
 
     Each block is then recorded in one pass (oracle.block_models from its
     gathered atoms and its steps' slopes; phi.state_at; record_rows), bit
@@ -215,11 +220,16 @@ def _run_loop(problem, config, seeds):
     models = oracle.atom_rows(xi_steps[0])
     plan = step_plan(models, d, reg, phi)
     block = plan.chunk * max(1, BLOCK_ROWS // (plan.chunk * S))
+    starts = list(range(0, T + 1, block))
+    if len(starts) > 1 and 2 * (T + 1 - starts[-1]) < block:
+        del starts[-1]
+    ends = starts[1:] + [T + 1]
+    longest = max(block, T + 1 - starts[-1])
     # time-major, so a block's centres and minimizers are views
     iterates = np.empty((T + 2, S, d))
     iterates[0] = state.points
     # the mirror coordinates of the block's first centre and its minimizers
-    mirror = np.empty((block + 1, S, d))
+    mirror = np.empty((longest + 1, S, d))
     mirror[0] = state.mirror
     model_values = np.empty((T + 1, S))
     r_values = np.empty((T + 2, S))
@@ -227,7 +237,7 @@ def _run_loop(problem, config, seeds):
     divergences = np.empty((T + 1, S))
     residuals = np.empty((T + 1, S))
     # the slopes a block's steps took, on the paths that keep them
-    slopes = np.empty((block, S, d)) if plan.slopes else None
+    slopes = np.empty((longest, S, d)) if plan.slopes else None
 
     def record(t0, t1, models):
         # steps t0 .. t1 - 1 from the states of x_t0 .. x_t1
@@ -253,8 +263,7 @@ def _run_loop(problem, config, seeds):
         divergences[t0:t1] = d_yz.reshape(-1, S)
         residuals[t0:t1] = res.reshape(-1, S)
 
-    for t0 in range(0, T + 1, block):
-        t1 = min(t0 + block, T + 1)
+    for t0, t1 in zip(starts, ends):
         models = oracle.atom_rows(xi_steps[t0:t1].reshape(xi_shape))
         try:
             plan.block(models, iterates[t0:t1 + 1], mirror[:t1 - t0 + 1], etas[t0:t1], slopes)

@@ -307,7 +307,16 @@ _ASSEMBLERS = {
 
 
 def instance_from_config(cfg):
-    return _ASSEMBLERS[cfg["family"]](cfg)
+    """The ProblemInstance of a config in the registry's format.  Its
+    regime and dimension fields restate the built instance's (the oracle's
+    regime, the size of x0): one that disagrees raises ValueError naming
+    the field."""
+    problem = _ASSEMBLERS[cfg["family"]](cfg)
+    for field in ("regime", "dimension"):
+        if field in cfg and cfg[field] != getattr(problem, field):
+            raise ValueError("config field %s = %r disagrees with the %s instance's %r"
+                             % (field, cfg[field], cfg["family"], getattr(problem, field)))
+    return problem
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ _FLOAT_MAX = np.finfo(float).max
 _LOG_RECORD_MAX = float(np.log(_FLOAT_MAX)) - 4.0
 # below this norm the squares of a row's entries lose digits in the subnormals
 _NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
-PowerTerms = namedtuple("PowerTerms", "a e closed a3 const terms cap")
+PowerTerms = namedtuple("PowerTerms", "a e closed a3 const terms cap cubic")
 # the division and invalid-value flags that the secular solve may raise
 _quiet = partial(np.errstate, divide="ignore", invalid="ignore")
 
@@ -156,24 +156,26 @@ def center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho):
     residual that is not a finite number from a feasible center (a minimizer
     outside dom r reads -inf against an infinite scale), with the first such
     row as its attribute row, and then DomainError if a center is
-    infeasible; returns the residuals.
+    infeasible; returns the residuals.  A finite residual needs a finite
+    psi(z), so the passing path reduces one mask.
     """
-    d_zy = (1.0 - eta * rho) * d_zy
+    if rho:
+        d_zy = (1.0 - eta * rho) * d_zy
     res = eta * (psi_z - psi_y) - d_yz - d_zy
-    scale = INNER_TOL * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
-                         + np.abs(d_zy))
-    bad = np.flatnonzero(np.logical_not((res >= -scale) & (np.abs(res) < np.inf))
-                         & (psi_z != np.inf))
+    floor = -INNER_TOL * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
+                          + np.abs(d_zy))
+    good = (res >= floor) & np.isfinite(res)
+    if np.logical_and.reduce(good, axis=None):
+        return res
+    bad = np.flatnonzero(~good & (psi_z != np.inf))
     if bad.size:
         i = bad[0]
         err = InnerSolveError(
             "prox step %d of %d missed tolerance: three-point residual "
-            "%.3e < -%.3e" % (i, np.size(res), np.ravel(res)[i], np.ravel(scale)[i]))
+            "%.3e < -%.3e" % (i, np.size(res), np.ravel(res)[i], -np.ravel(floor)[i]))
         err.row = int(i)
         raise err
-    if not np.isfinite(psi_z).all():
-        raise DomainError("prox centers must be feasible for the objective")
-    return res
+    raise DomainError("prox centers must be feasible for the objective")
 
 
 def record_rows(values, phi, Z, Y, eta, rho=0.0):
@@ -223,16 +225,19 @@ def power_terms(coefs, powers):
     r^(e_k - 1) over the terms e_k > 1 and const = A(0) the sum of the
     other a_k: those terms as the arrays a, e (solve_monotone_power) and as
     the pairs (a_k, e_k - 1) of terms (_power_sum); whether the powers are
-    {2, 4}, and a3, the a_k of e_k = 3 (_cubic_root); cap, up to which s
-    does not overflow, with s(cap) >= min(1, a) M / (4 n) (n terms, M the
-    largest float)."""
+    {2, 4} (closed), a3, the a_k of e_k = 3, and, when closed, cubic,
+    the two factors of _radial_root's closed form at shift 0
+    (_cubic_factors(const, a3)); cap, up to which s does not overflow,
+    with s(cap) >= min(1, a) M / (4 n) (n terms, M the largest float)."""
     c, p = np.asarray(coefs, dtype=float), np.asarray(powers, dtype=float)
     a, e = (c * p)[c > 0.0], (p - 1.0)[c > 0.0]
     cap = np.minimum.reduce((_FLOAT_MAX / (4.0 * a.size * np.maximum(a, 1.0))) ** (1.0 / e))
     high = e > 1.0
-    return PowerTerms(a[high], e[high], set(e.tolist()) == {1.0, 3.0}, a[e == 3.0].sum(),
-                      sum(a[~high].tolist(), 0.0),
-                      list(zip(a[high].tolist(), (e[high] - 1.0).tolist())), cap)
+    closed, a3 = set(e.tolist()) == {1.0, 3.0}, a[e == 3.0].sum()
+    const = sum(a[~high].tolist(), 0.0)
+    return PowerTerms(a[high], e[high], closed, a3, const,
+                      list(zip(a[high].tolist(), (e[high] - 1.0).tolist())), cap,
+                      _cubic_factors(const, a3) if closed else None)
 
 
 def _kernel_power(phi):
@@ -285,26 +290,34 @@ def solve_monotone_power(power, target, shift=0.0, *, max_iter=200):
     raise InnerSolveError("radial scale equation unsolved after %d Newton steps" % max_iter)
 
 
-def _cubic_root(a1, a3, g):
-    """Root of a1 r + a3 r^3 = g (a1, a3 > 0, g >= 0, entrywise) in the
-    hyperbolic form 2 sqrt(P/3) sinh(asinh(1.5 sqrt(3/P) g/a1) / 3),
-    P = a1/a3, which has no cancellation for small g."""
-    x = 1.5 * (3.0 * a3 / a1) ** 0.5 * g / a1
-    return 2.0 * (a1 / (3.0 * a3)) ** 0.5 * np.sinh(np.arcsinh(x) / 3.0)
+def _cubic_factors(a1, a3):
+    """The factors 1.5 sqrt(3 a3 / a1) and 2 sqrt(a1 / (3 a3)) of the root
+    of a1 r + a3 r^3 = g in _radial_root, entrywise."""
+    return 1.5 * (3.0 * a3 / a1) ** 0.5, 2.0 * (a1 / (3.0 * a3)) ** 0.5
 
 
-def _radial_root(power, g, shift=0.0):
-    """The root r >= 0 of (shift + A(r)) r = g >= 0 entrywise for the
-    power_terms power, where shift + A(0) > 0: the library's one solver of
-    a radial scalar equation (the steps of _radial_solver and _abs_affine_1d
-    at shift 0, the pieces of _abs_quadratic_rows, _secular's start): for a
-    kernel of power 2 alone g / (const + shift), solve_monotone_power's exact
-    start, for the powers {2, 4} _cubic_root(const + shift, a3, g), else
-    solve_monotone_power."""
+def _radial_root(power, g, shift=None):
+    """The root r of (shift + A(|r|)) r = g entrywise for the power_terms
+    power, where shift + A(0) > 0, odd in g bit for bit (signed zeros
+    included): the library's one solver of a radial scalar equation (the
+    steps of _radial_solver and _abs_affine_1d, the pieces of
+    _abs_quadratic_rows, _secular's start).  shift None is shift 0.
+
+    For a kernel of power 2 alone it is g / (const + shift),
+    solve_monotone_power's exact start.  For the powers {2, 4}, a1 r + a3
+    r^3 = g with a1 = const + shift, it is the hyperbolic form
+    2 sqrt(P/3) sinh(asinh(1.5 sqrt(3/P) g/a1) / 3), P = a1/a3, which has no
+    cancellation for small g; its two factors (_cubic_factors) are power's
+    cubic at shift 0.  Any other kernel takes copysign(solve_monotone_power
+    of |g|, g).
+    """
+    a1 = power.const if shift is None else power.const + shift
     if not power.terms:
-        return g / (power.const + shift)
-    return (_cubic_root(power.const + shift, power.a3, g) if power.closed
-            else solve_monotone_power(power, g, shift=shift))
+        return g / a1
+    if power.closed:
+        inner, outer = power.cubic if shift is None else _cubic_factors(a1, power.a3)
+        return outer * np.sinh(np.arcsinh(inner * g / a1) / 3.0)
+    return np.copysign(solve_monotone_power(power, np.abs(g), 0.0 if shift is None else shift), g)
 
 
 def _radial_solver(power, radius, weight, V, Z, M, eta):
@@ -501,7 +514,7 @@ def _abs_quadratic_rows(reg, power, phi, rows, Z, eta):
     phi'(K) to h_+(K) = 2 eta C_{j+1} K + phi'(K) (crossing +-k_i into
     |y| > k_i raises the slope of |a_i^2 y^2 - b_i| by 2 w_i a_i^2 |y|).  So
     with j = searchsorted(h_+(K), c) the point is K_j when h_-(K_j) <= c,
-    else the root sign(c) _radial_root(power, |c|, 2 eta C_j) on piece j:
+    else the root _radial_root(power, c, 2 eta C_j) on piece j (odd in c):
     one search and one root per row, whatever the batch.  The condition
     2 eta min C + A(0) > 0 is checked here (else _bisection_rows); for P1
     (A(0) = 2 c2 = 7, tau = (4/3) sum w a^2, min C >= -sum w a^2) it holds at
@@ -516,8 +529,7 @@ def _abs_quadratic_rows(reg, power, phi, rows, Z, eta):
     j = np.searchsorted(shift[1:] * K + gk, c)
     # h_-(K_j), +inf past the last kink
     low = np.append(shift[:-1] * K + gk, np.inf)[j]
-    y = np.where(low <= c, np.append(K, 0.0)[j],
-                 np.sign(c) * _radial_root(power, np.abs(c), shift[j]))
+    y = np.where(low <= c, np.append(K, 0.0)[j], _radial_root(power, c, shift[j]))
     return y[:, None], None, 1, "closed_form_abs_quadratic"
 
 
@@ -590,17 +602,19 @@ def _abs_affine_1d(solve, power, phi, g, s, z, m, eta):
     phi' being increasing: a row stops at theta = +-1 where w -+ eta g
     passes k, else at y0.  So its point in the coordinates w - eta theta g
     is W, k clipped to w -+ eta |g|, and y0 where W = k; a row with g = 0
-    keeps y = z.  Under a radial phi (power its power_terms) y = sign(W)
-    rho(|W|) (_radial_root) and k = A(|y0|) y0, A(r) = s(r)/r, at
-    |y0| <= power.cap, past which k would pass every w -+ eta g: nothing
-    overflows.  Under any other phi each row takes one affine solve (solve)
-    at its theta, and a kink outside int dom phi (y0 <= 0 on a positive
-    domain) has k = -inf.
+    keeps y = z (one np.where).  Under a radial phi (power its power_terms)
+    y = rho(W), the root that _radial_root takes at shift 0 with the
+    factors power holds, odd in W, and k = A(|y0|) y0, A(r) = s(r)/r, at
+    |y0| <= power.cap (the bound is taken in the denominator, so no
+    quotient overflows), past which k would pass every w -+ eta g.  Under
+    any other phi each row takes one affine solve (solve) at its theta, and
+    a kink outside int dom phi (y0 <= 0 on a positive domain) has k = -inf.
     """
     w = phi.gradient_from_mirror(m)
     flat = g == 0.0
+    size = np.abs(g)
     if power is not None:
-        y0 = -s / np.copysign(np.maximum(np.abs(g) + flat, np.abs(s) / power.cap), g)
+        y0 = -s / np.copysign(np.maximum(size + flat, np.abs(s) / power.cap), g)
         k = _power_sum(power.const, power.terms, np.abs(y0)) * y0
     else:
         y0 = -s / (g + flat)
@@ -608,18 +622,16 @@ def _abs_affine_1d(solve, power, phi, g, s, z, m, eta):
         # 1.0 stands in for the kinks outside: it is interior to every domain
         k = np.where(inside, phi.gradient_rows(np.where(inside, y0, 1.0)[:, None])[:, 0],
                      -np.inf)
-    step = eta * g
-    W = np.minimum(np.maximum(k, w - np.abs(step)), w + np.abs(step))
+    # |eta g|, eta > 0
+    step = eta * size
+    W = np.minimum(np.maximum(k, w - step), w + step)
     kink = W == k
     if power is None:
-        theta = np.where(kink, 0.0, np.where(W == w - step, 1.0, -1.0))
-        y = solve((theta * g)[:, None], z[:, None], m[:, None], eta)[0][:, 0]
-        y[kink] = y0[kink]
-        y[flat] = z[flat]
-        return y, None
-    y = np.where(kink, y0, np.copysign(_radial_root(power, np.abs(W)), W))
-    y[flat] = z[flat]
-    return y, W
+        theta = np.where(kink, 0.0, np.where(W == w - eta * g, 1.0, -1.0))
+        y, W = solve((theta * g)[:, None], z[:, None], m[:, None], eta)[0][:, 0], None
+    else:
+        y = _radial_root(power, W)
+    return np.where(flat, z, np.where(kink, y0, y)), W
 
 
 def _step_views(rows, n):
@@ -637,10 +649,13 @@ def _kink_step(solve, power, phi, steps, P, M, etas, k, V):
     """1-d prox-linear models (ProxLinearRows, r = 0): _abs_affine_1d on
     step k's atoms (a2, b)."""
     z = P[k, :, 0]
-    y, W = _abs_affine_1d(solve, power, phi, *_kink_slopes(steps.a2[k], steps.b[k], z), z,
-                          M[k, :, 0], etas[k])
-    P[k + 1, :, 0] = y
-    M[k + 1] = phi.mirror_rows(P[k + 1]) if W is None else W[:, None]
+    P[k + 1, :, 0], W = _abs_affine_1d(solve, power, phi,
+                                       *_kink_slopes(steps.a2[k], steps.b[k], z), z,
+                                       M[k, :, 0], etas[k])
+    if W is None:
+        M[k + 1] = phi.mirror_rows(P[k + 1])
+    else:
+        M[k + 1, :, 0] = W
     return 1, "closed_form_abs_affine"
 
 
@@ -1113,10 +1128,13 @@ def step_plan(rows, d, reg, phi):
         if prepare is not None:
             rows = prepare(rows, etas.repeat(P.shape[1]))
         steps = _step_views(rows, n)
+        # a step's ETA_FLOOR test runs only in a block whose smallest step
+        # size is below it
+        degenerate = keeps and np.minimum.reduce(etas) < ETA_FLOOR
         try:
             with quiet():
                 for k in range(0, n, chunk):
-                    if keeps and etas[k] < ETA_FLOOR:
+                    if degenerate and etas[k] < ETA_FLOOR:
                         P[k + 1], M[k + 1] = P[k], M[k]
                         found = 0, "degenerate_eta"
                     else:

@@ -51,6 +51,19 @@ def test_p1_refuses_a_kernel_other_than_its_composite_one():
     assert instance_from_config(load_config(dump_config(cfg))).phi.to_config() == cfg["phi"]
 
 
+def test_a_config_whose_regime_or_dimension_disagrees_is_refused():
+    # a config's regime and dimension restate the built instance's (the
+    # oracle's regime, the size of x0): one that disagrees raises naming
+    # the field, and every registry config agrees
+    cfg = next(c for c in default_configs() if c["id"] == "P1")
+    for field, value in (("regime", "C"), ("dimension", 7)):
+        with pytest.raises(ValueError, match="config field %s = %r" % (field, value)):
+            instance_from_config(dict(cfg, **{field: value}))
+    for cfg in default_configs():
+        problem = instance_from_config(cfg)
+        assert (problem.regime, problem.dimension) == (cfg["regime"], cfg["dimension"])
+
+
 def test_every_instance_passes_its_verify_suite():
     rng = np.random.default_rng(0)
     for p in registry():

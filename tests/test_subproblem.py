@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from bregopt.legendre import (Burg, DomainError, Euclidean, RadialPowerSum,
                               build_norm_power_legendre, build_poly_legendre,
                               norm_rows)
 from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
-                                InnerSolveError, L1Regularizer, NormTermRows,
+                                INNER_TOL, InnerSolveError, L1Regularizer, NormTermRows,
                                 ProxLinearRows, QuadraticRegularizer,
                                 QuadraticRows, RADIAL_TOL,
                                 SimplexIndicator, SmoothRows, ZeroRegularizer,
@@ -22,7 +23,7 @@ from bregopt.subproblem import (AffineRows, BallIndicator, EntropyLike,
                                 power_terms, prox_points_1d, prox_step, prox_step_rows,
                                 record_rows, solve_monotone_power, solve_rows,
                                 _affine_solver, _growth, _newton, _newton_directions,
-                                _secular, _secular_rows, _solve_1d)
+                                _radial_root, _secular, _secular_rows, _solve_1d)
 
 
 def _value(model, x):
@@ -782,6 +783,90 @@ def test_prox_linear_steps_match_the_bisection(kernel):
             centre = phi.state_rows(X[i:i + 1], reg)
             ref = _solve_1d(model, reg, phi, centre, eta)[0][0]
             assert abs(Y[i, 0] - ref) <= 1e-12 * (1.0 + abs(ref)), (eta, i)
+
+
+def _bits(a):
+    # the float64 entries as integers: equal bits, signed zeros included
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_the_radial_root_is_odd_bit_for_bit():
+    # _radial_root(power, -g) is -_radial_root(power, g) in every bit, the
+    # sign of a zero included, and the root of g >= +0 is >= +0: the closed
+    # form of the powers {2, 4} (P1's, P2's and P6's kernels), the
+    # Euclidean quotient (P5's) and solve_monotone_power (powers {2, 3}),
+    # at shift 0 and at array shifts, from +-0 through the subnormals to
+    # 1e300.  solve_monotone_power alone solves for |g| and restores the sign
+    g = np.array([0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-200, 1e-8, 0.3, 1.0, 7.5,
+                  1e8, 1e150, 1e300])
+    kernels = [power_terms(*get_problem(pid).phi.radial_terms())
+               for pid in ("P1", "P2", "P5", "P6")]
+    kernels.append(power_terms([1.0, 1.0], [2.0, 3.0]))
+    for power in kernels:
+        for shift in (None, np.linspace(0.0, 3.0, g.size), np.full(g.size, 0.25)):
+            r = _radial_root(power, g, shift)
+            assert np.isfinite(r).all() and not np.signbit(r).any(), (power, shift)
+            assert np.array_equal(_bits(_radial_root(power, -g, shift)), _bits(-r)), (power, shift)
+            assert np.array_equal(_bits(_radial_root(power, -g[::-1], shift)),
+                                  _bits(-_radial_root(power, g[::-1], shift)))
+
+
+def test_a_p1_step_from_minus_z_is_minus_the_step_from_z():
+    # P1's models |a^2 y^2 - b| and its radial kernel are even, so its step
+    # is odd in the centre: from -z it is -y bit for bit and so are its
+    # mirror coordinates, through the loop's kernel (_kink_step, from the
+    # atoms) and through prox_step_rows (the |affine| model rows), whose
+    # record is even; the centres include 0 (g = 0), tiny ones, kinks of
+    # their own atoms and step sizes up to 1e6.  The one exception is the
+    # sign of W = 0 at the centres +-0, whose clip w + eta |g| = -0 + 0
+    # rounds to +0 from either side
+    p1 = get_problem("P1")
+    oracle, reg, phi = p1.oracle, p1.regularizer, p1.phi
+    rng = np.random.default_rng(11)
+    kinks = np.sqrt(oracle.b / oracle.a2)
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-120], kinks[:4], rng.uniform(0.0, 2.5, 12)])
+    xi = np.concatenate([rng.integers(0, kinks.size, 4), np.arange(4),
+                         rng.integers(0, kinks.size, 12)])
+    atoms = ProxLinearRows(oracle.a2[xi], oracle.b[xi])
+    for eta in (1e-3, 0.3, 10.0, 1e3, 1e6):
+        (Y, W, its, method), neg = [solve_rows(atoms, reg, phi,
+                                               phi.state_rows(sign * x[:, None], reg), eta)
+                                    for sign in (1.0, -1.0)]
+        assert (its, method) == (1, "closed_form_abs_affine")
+        assert np.array_equal(_bits(neg[0]), _bits(-Y)), eta
+        assert np.array_equal(_bits(neg[1][1:]), _bits(-W[1:])) and W[0, 0] == neg[1][0, 0] == 0.0
+        plus, minus = [prox_step_rows(oracle.model_rows(sign * x[:, None], xi), reg, phi,
+                                      sign * x[:, None], eta) for sign in (1.0, -1.0)]
+        assert np.array_equal(_bits(plus.minimizer), _bits(Y)), eta
+        assert np.array_equal(_bits(minus.minimizer), _bits(-plus.minimizer)), eta
+        assert np.array_equal(_bits(minus.state.mirror[1:]), _bits(-plus.state.mirror[1:])), eta
+        for field in ("three_point_residual", "divergence", "model_value"):
+            assert np.array_equal(getattr(minus, field), getattr(plus, field)), (eta, field)
+
+
+def test_center_certificate_keeps_its_formula_bit_for_bit():
+    # the residual eta (psi(z) - psi(y)) - D(y, z) - (1 - eta rho) D(z, y)
+    # bit for bit, with rho = 0 or not, and a failing row named with the
+    # scale INNER_TOL (1 + eta |psi(z)| + eta |psi(y)| + D(y, z)
+    # + (1 - eta rho) D(z, y)) in its message
+    rng = np.random.default_rng(3)
+    psi_z = rng.uniform(-2.0, 2.0, 6)
+    d_yz, d_zy = rng.uniform(0.0, 0.1, 6), rng.uniform(0.0, 0.1, 6)
+    eta = np.linspace(0.1, 0.4, 6)
+    for rho in (0.0, 1.5):
+        d = (1.0 - eta * rho) * d_zy
+        psi_y = psi_z - (d_yz + d + 1e-3) / eta
+        res = center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho)
+        assert np.array_equal(_bits(res), _bits(eta * (psi_z - psi_y) - d_yz - d)), rho
+        psi_y[[2, 4]] += 0.1
+        ref = eta * (psi_z - psi_y) - d_yz - d
+        scale = INNER_TOL * (1.0 + eta * (np.abs(psi_z) + np.abs(psi_y)) + np.abs(d_yz)
+                             + np.abs(d))
+        message = ("prox step 2 of 6 missed tolerance: three-point residual %.3e < -%.3e"
+                   % (ref[2], scale[2]))
+        with pytest.raises(InnerSolveError, match=re.escape(message)) as err:
+            center_certificate(psi_z, psi_y, d_yz, d_zy, eta, rho)
+        assert err.value.row == 2
 
 
 @pytest.mark.parametrize("x", [1e-120, 1e-160, 1e-200, 1e-300, -1e-300, 5e-324])

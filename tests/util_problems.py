@@ -165,8 +165,8 @@ def root_mirror_excess(mirror, phi, Y):
     A root row's y = (r / ||W||) W, r the root of s(r) = ||W||, s(r) =
     sum_k a_k r^e_k and grad phi(y) = A(||y||) y, A(t) = s(t) / t.  In
     units u = eps / 2, for the powers {2, 4}: s(r) = a1 r + a3 r^3 (a1 the
-    power_terms const) and r is
-    _cubic_root's 2 q sinh(v), q = sqrt(a1 / (3 a3)), v = asinh(x) / 3,
+    power_terms const) and r is _radial_root's closed form 2 q sinh(v),
+    q = sqrt(a1 / (3 a3)), v = asinh(x) / 3,
     x = 1.5 sqrt(3 a3 / a1) ||W|| / a1.  x is within 5 u relative (its
     constant 3 u, ||W|| 2 u), asinh adds u (its condition number
     x / (sqrt(1 + x^2) asinh x) is at most 1) and the division by 3 one
