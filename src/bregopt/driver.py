@@ -73,8 +73,7 @@ class RunTrace:
 
 def default_lambda(problem):
     """lam = 1/(2 (tau + rho)), the midpoint of the admissible interval."""
-    c = problem.oracle.constants
-    wm = c.tau + c.rho
+    wm = envelope_mod.weak_modulus(problem)
     return 1.0 if wm == 0.0 else 1.0 / (2.0 * wm)
 
 
@@ -128,9 +127,7 @@ def _resolve_etas(problem, config):
     # every comparison below is False at NaN, which would let it through
     if not np.isfinite(lam) or not np.isfinite(etas).all():
         raise ValueError("lam and the step sizes must be finite")
-    wm = c.tau + c.rho
-    if wm > 0 and lam * wm >= 1.0:
-        raise ValueError("lam violates lam * (tau + rho) < 1")
+    envelope_mod.check_lambda(problem, lam)
     if np.any(etas <= 0) or np.any(etas >= lam):
         raise ValueError("step sizes must lie in (0, lam)")
     if np.any(np.diff(etas) > 0):

@@ -50,17 +50,20 @@ class EnvelopeReport(namedtuple("EnvelopeReport", "prox_point divergence envelop
     row = take_rows  # the report of the rows idx
 
 
-def _weak_modulus(problem):
+def weak_modulus(problem):
+    """tau + rho of the problem's oracle, which bounds lam (check_lambda)."""
     c = problem.oracle.constants
     return c.tau + c.rho
 
 
-def _check_lambda(problem, lam):
-    if lam <= 0:
-        raise ValueError("smoothing parameter must be positive")
-    wm = _weak_modulus(problem)
-    if wm > 0 and lam * wm >= 1.0:
-        raise ValueError("need lam * (tau + rho) < 1 for a convex prox subproblem")
+def check_lambda(problem, lam):
+    """Refuse lam unless finite, positive and lam (tau + rho) < 1 (a convex
+    prox subproblem): the one rule of runs (driver._resolve_etas) and envelopes."""
+    # NaN fails these tests, where it would pass a test for the bad side
+    if not (0.0 < lam < np.inf):
+        raise ValueError("smoothing parameter lam must be finite and positive, got %r" % (lam,))
+    if lam * weak_modulus(problem) >= 1.0:
+        raise ValueError("lam violates lam * (tau + rho) < 1")
 
 
 def prox_records(problem, phi, X, lam):
@@ -79,9 +82,9 @@ def prox_records(problem, phi, X, lam):
     certified by center_certificate, at subproblem.INNER_TOL, with rho = tau
     + rho of the oracle.
     """
-    _check_lambda(problem, lam)
+    check_lambda(problem, lam)
     return prox_step_rows(problem.objective, problem.regularizer, phi,
-                          np.asarray(X, dtype=float), lam, rho=_weak_modulus(problem))
+                          np.asarray(X, dtype=float), lam, rho=weak_modulus(problem))
 
 
 def bregman_prox_points(problem, phi, X, lam):

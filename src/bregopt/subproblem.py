@@ -48,9 +48,9 @@ class InnerSolveError(RuntimeError):
 ETA_FLOOR = 1e-14  # below this the prox step is a numerical no-op
 SCAN_STEPS = 16    # the steps of one scanned chunk, whatever the number of runs
 # the library's one step tolerance, relative: center_certificate's scale and
-# the half Newton decrement at which _newton stops
+# the half Newton decrement within which _newton's rows take full steps
 INNER_TOL = 1e-10
-RADIAL_TOL = 1e-14  # the relative residual at which solve_monotone_power stops
+RADIAL_TOL = 1e-14  # relative residual at which a scalar root stops (radial scale, secular u)
 # the log of the largest total magnitude an entropic step's record may sum
 # (float max over e^4, room for the certificate's handful of such sums)
 _FLOAT_MAX = np.finfo(float).max
@@ -206,10 +206,11 @@ def _recorded(values, reg, phi, Z, found, eta, rho):
 
 
 def _check_step(eta, rho):
-    if eta <= 0:
-        raise ValueError("step size eta must be positive")
-    if rho < 0:
-        raise ValueError("weak convexity constant rho must be nonnegative")
+    # NaN fails these tests, where it would pass a test for the bad side
+    if not (0.0 < eta < np.inf):
+        raise ValueError("step size eta must be finite and positive, got %r" % (eta,))
+    if not (0.0 <= rho < np.inf):
+        raise ValueError("weak convexity constant rho must be finite and nonnegative")
     if eta * rho >= 1.0:
         raise ValueError("need eta * rho < 1 for a convex subproblem")
 
@@ -817,31 +818,35 @@ def _bisection_rows(reg, phi, rows, Z, eta):
 
 
 def _newton_directions(H, G):
-    """Solve H_i p_i = -g_i for each row, with -g_i where H_i is singular;
-    a row's direction does not depend on the other rows."""
+    """Solve H_i p_i = -g_i for each row, with -g_i where H_i is singular or
+    p_i is no descent direction (<g_i, p_i> not negative); a row's direction
+    does not depend on the other rows."""
     try:
-        return np.linalg.solve(H, -G[:, :, None])[:, :, 0]
+        P = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         if len(G) == 1:
             return -G
         return np.concatenate([_newton_directions(H[i:i + 1], G[i:i + 1])
                                for i in range(len(G))])
+    return np.where((dot_rows(G, P) < 0.0)[:, None], P, -G)
 
 
 def _newton(rows, phi, state, eta, max_iter=120):
     """argmin model_i(y) + (1/eta) D(y, z_i) for each row z_i of the centres'
     RowState (phi at the centres is evaluated once here).
 
-    rows is a SmoothRows (r = 0).  One damped Newton runs over all rows in
-    lockstep (batched gradients, one np.linalg.solve over the (S, d, d)
-    Hessian stack, a backtracking Armijo search per row as masks over the
-    rows still searching), each row stopping on its own half Newton
-    decrement: below INNER_TOL (1 + |psi_i(z_i)|) it is polished by up to
-    two more full steps (until below 1e-30, or a full step fails the Armijo
-    test), so every row takes the iterates of its own one-row call.  A row whose line
-    search fails after 60 halvings, or still above the tolerance after
-    max_iter iterations, raises InnerSolveError for the batch.  Returns
-    solve_rows' (minimizers, None, iterations, "newton").
+    rows is a SmoothRows (r = 0).  One Newton runs over all rows in lockstep
+    (batched gradients, one np.linalg.solve over the (S, d, d) Hessian
+    stack), with one stop rule per row.  A row whose half Newton decrement
+    is within INNER_TOL (1 + |psi_i(z_i)|) converges quadratically, and
+    takes full steps with no line search (a decrease test cannot tell their
+    gain from rounding) until a step would not move it, after two, or where
+    one would leave int dom phi.  The other rows take a backtracking Armijo
+    search, as masks over the rows still searching, so every row takes the
+    iterates of its own one-row call.  A search that fails after 60
+    halvings, or a row above the tolerance after max_iter iterations,
+    raises InnerSolveError for the batch.  Returns solve_rows' (minimizers,
+    None, iterations, "newton").
     """
     Z, gz = state.points, phi.gradient_from_mirror(state.mirror)
     vz = phi.value_rows(Z)
@@ -853,58 +858,47 @@ def _newton(rows, phi, state, eta, max_iter=120):
     Y = Z.copy()
     fy = psi(Y)
     tol_obj = INNER_TOL * (1.0 + np.abs(fy))
-    its = np.full(S, max_iter)
-    polish = np.zeros(S, dtype=int)
-    active = np.ones(S, dtype=bool)
-    dec = np.zeros(S)
+    its, full_steps = np.full(S, max_iter), np.zeros(S, dtype=int)
+    active, dec = np.ones(S, dtype=bool), np.full(S, np.inf)
     for it in range(1, max_iter + 1):
         G = rows.gradients(Y) + (phi.gradient_rows(Y) - gz) / eta
         P = _newton_directions(rows.hessians(Y) + phi.hessian_rows(Y) / eta, G)
-        dec = np.where(active, -dot_rows(G, P), dec)
-        ascent = active & ~(dec > 0)
-        if ascent.any():
-            P[ascent] = -G[ascent]
-            dec[ascent] = dot_rows(G[ascent], G[ascent])
+        dec = -dot_rows(G, P)
         small = active & (0.5 * dec <= tol_obj)
-        polish += small
-        done = small & ((polish > 2) | (0.5 * dec <= 1e-30))
+        cand = Y + P
+        done = small & ((full_steps == 2) | (cand == Y).all(axis=1) | ~phi.interior_rows(cand))
         its[done] = it
         active &= ~done
+        full = small & ~done
+        Y = np.where(full[:, None], cand, Y)
+        full_steps += full
         if not active.any():
             break
+        searching = active & ~small
+        if not searching.any():
+            continue
+        # a row back above the tolerance after full steps searches from psi there
+        back = searching & (full_steps > 0)
+        if back.any():
+            fy = np.where(back, psi(Y), fy)
         t = np.ones(S)
-        searching = active.copy()
-        failed = np.zeros(S, dtype=bool)
-        floor = fy - 1e-16 * (1 + np.abs(fy))
-        for trial in range(60):
+        for _ in range(60):
             cand = Y + t[:, None] * P
             ok = searching & phi.interior_rows(cand)
             # the model is evaluated at interior candidates only
             fc = psi(np.where(ok[:, None], cand, Y))
-            take = ok & ((fc <= fy - 1e-4 * t * dec) | (fc < floor))
+            take = ok & (fc <= fy - 1e-4 * t * dec)
             Y = np.where(take[:, None], cand, Y)
             fy = np.where(take, fc, fy)
             searching &= ~take
-            if trial == 0:
-                # a row already within tolerance polishes with the full step
-                # only: shorter steps move it by rounding noise
-                failed |= searching & small
-                searching &= ~small
             if not searching.any():
                 break
             t[searching] *= 0.5
-        failed |= searching
-        if failed.any():
-            bad = np.flatnonzero(failed & (0.5 * dec > tol_obj))
-            if bad.size:
-                i = bad[0]
-                raise InnerSolveError(
-                    "Newton line search of row %d failed with half decrement "
-                    "%.3e > %.3e" % (i, 0.5 * dec[i], tol_obj[i]))
-            its[failed] = it
-            active &= ~failed
-            if not active.any():
-                break
+        else:
+            i = np.flatnonzero(searching)[0]
+            raise InnerSolveError(
+                "Newton line search of row %d failed with half decrement "
+                "%.3e > %.3e" % (i, 0.5 * dec[i], tol_obj[i]))
     failed = np.flatnonzero(active & (0.5 * dec > tol_obj))
     if failed.size:
         i = failed[0]
@@ -914,7 +908,6 @@ def _newton(rows, phi, state, eta, max_iter=120):
     return Y, None, its.max(), "newton"
 
 
-SECULAR_TOL = 1e-14  # relative KKT residual at which a secular row stops
 _HOUSEHOLDER_POWERS = np.arange(2.0, 6.0)[:, None]  # the k of _secular's sums b^2 / D^k
 # what _secular reads of QuadraticRows under step sizes eta: eta lam, eta Q c, U
 SecularRows = namedtuple("SecularRows", "eigvals weights eigvecs")
@@ -974,7 +967,7 @@ def _secular(power, growth, lam, W, U, mirror, max_iter=50):
     does solve_monotone_power's root of it.  The KKT residual of y at u,
     U ((A(||v||) - u) v), has norm at most |A(||v||) - u| ||b|| /
     (eta lam_min + u); a row stops on its own once that ratio is at most
-    SECULAR_TOL, so its bits do not depend on the batch (with A constant,
+    RADIAL_TOL, so its bits do not depend on the batch (with A constant,
     Euclidean, the first pass is exact).  Non-finite data, or a row above
     the tolerance after max_iter Newton steps, raises InnerSolveError.
     Returns solve_rows' (minimizers, their mirror coordinates A(||v||) y
@@ -994,7 +987,7 @@ def _secular(power, growth, lam, W, U, mirror, max_iter=50):
     u = _power_sum(power.const, power.terms, _radial_root(power, np.sqrt(g2)[:, None], kappa))
     # A(0) is below every root; the margin is for the rounding
     lo, hi = power.const, np.inf if power.closed else u[:, 1] * (1.0 + 1e-12)
-    u, floor = u[:, 0], SECULAR_TOL * lam[:, 0]
+    u, floor = u[:, 0], RADIAL_TOL * lam[:, 0]
     S2, S3, S4, S5 = np.add.reduce(BB[:, None, :] / (lam + u[:, None])[:, None, :]
                                    ** _HOUSEHOLDER_POWERS, axis=2).T
     # H = h, H' = h1, H'' = -3 w S4, H''' = 12 w S5 in Householder's step
@@ -1010,7 +1003,7 @@ def _secular(power, growth, lam, W, U, mirror, max_iter=50):
         V = B / D
         VV = V * V
         a, w = growth(np.add.reduce(VV, axis=1))
-        ok = np.abs(a - u) <= floor + SECULAR_TOL * u
+        ok = np.abs(a - u) <= floor + RADIAL_TOL * u
         if np.logical_and.reduce(ok):
             break
         if it == max_iter:
@@ -1053,9 +1046,10 @@ def step_plan(rows, d, reg, phi):
     """The path of all steps on models of the row form of rows (its type,
     and AffineRows' absolute flag) in dimension d under r and phi, chosen
     once with its constants (power_terms): the only code that chooses one.
-    SmoothRows with r = 0 take the lockstep Newton (_newton, which stops at
-    INNER_TOL), and QuadraticRows too unless phi is radial.  AbsQuadraticRows
-    take their path under every radial phi with r = 0, and NormTermRows the
+    SmoothRows with r = 0 take the lockstep Newton (_newton, whose rows take
+    full steps within INNER_TOL), and QuadraticRows too unless phi is
+    radial.  AbsQuadraticRows take their path under every radial phi with
+    r = 0, and NormTermRows the
     radial solve with the norm-term weight (_radial_solver, closed_form_norm)
     under every radial phi with r zero or a ball.  A 1-d form with no other
     path, or AbsQuadraticRows with a piece of 2 eta C_j + A(0) <= 0, bisect

@@ -20,7 +20,7 @@ from bregopt.envelope import bregman_prox_point, stationarity
 from bregopt.legendre import Euclidean, dot_rows, norm_rows
 from bregopt.models import LinearMirrorOracle, choice_cdf
 from bregopt.problems import get_problem, registry
-from bregopt.subproblem import (SECULAR_TOL, InnerSolveError, power_terms, prox_step_rows,
+from bregopt.subproblem import (RADIAL_TOL, InnerSolveError, power_terms, prox_step_rows,
                                 record_rows)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,12 +129,12 @@ def test_registry_p6_secular_steps_take_one_pass(monkeypatch):
     one pass: the Householder-corrected start meets the stop at once.  Each
     minimizer y lies within
 
-        ||y - y_ref|| <= (SECULAR_TOL (eta lam_min + A(r_ref))
+        ||y - y_ref|| <= (RADIAL_TOL (eta lam_min + A(r_ref))
                           / (eta lam_min + A(0)) + 32 eps) ||y_ref||
 
     of the reference root y_ref of 60 Newton steps in s = r^2
     (_secular_reference): the stop bounds the KKT residual by
-    SECULAR_TOL (eta lam_min + u) ||y||, the KKT map
+    RADIAL_TOL (eta lam_min + u) ||y||, the KKT map
     y -> eta Q y + grad phi(y) is strongly monotone with modulus
     eta lam_min + A(0), and each of the two solves rounds y by a few ulps
     in d = 2."""
@@ -161,7 +161,7 @@ def test_registry_p6_secular_steps_take_one_pass(monkeypatch):
     for rows, mirror, (Y, M, passes, method) in calls:
         assert passes == 1
         ref, lam_min, u = _secular_reference(power, rows, mirror)
-        bound = (SECULAR_TOL * (lam_min + u) / (lam_min + power.const) + 32 * eps) * norm_rows(ref)
+        bound = (RADIAL_TOL * (lam_min + u) / (lam_min + power.const) + 32 * eps) * norm_rows(ref)
         assert np.all(norm_rows(Y - ref) <= bound)
 
 
@@ -580,7 +580,7 @@ def _reference_loop(problem, config, seeds, carry=False):
         if phi.radial_terms() is not None:
             # the state a step returns is that of a fresh centre at its
             # minimizer; the secular step (P6) returns its own mirror
-            # coordinates, within SECULAR_TOL of grad phi (secular_mirror_excess),
+            # coordinates, within RADIAL_TOL of grad phi (secular_mirror_excess),
             # and so do the radial root steps, P1's 1-d |affine| and P2's
             # affine steps, within root_mirror_excess's bound of grad phi(y);
             # the Euclidean steps' points are their mirror coordinates
@@ -627,7 +627,7 @@ def test_carried_state_reproduces_a_loop_that_rederives_it():
     # (P3, P4) carry log x, which a re-derived log(exp(log x)) matches to
     # float64 rounding, so their tolerance comes from the dtype, not the
     # data.  P6 carries the secular solve's mirror coordinates, which differ
-    # from a re-derived grad phi by rounding (bounded by SECULAR_TOL
+    # from a re-derived grad phi by rounding (bounded by RADIAL_TOL
     # relative, secular_mirror_excess); that rounding moves its 41 steps'
     # iterates by at most 2.8e-15 relative here, within the same bound.  It
     # builds up over longer horizons (4.4e-14 at T = 1024)
@@ -636,7 +636,7 @@ def test_carried_state_reproduces_a_loop_that_rederives_it():
         carried = np.array([tr.iterates for tr in _run_loop(problem, config, seeds)])
         ref = _reference_loop(problem, config, seeds)[0]
         if problem.id == "P6":
-            assert (norm_rows(carried - ref) <= SECULAR_TOL * norm_rows(ref)).all()
+            assert (norm_rows(carried - ref) <= RADIAL_TOL * norm_rows(ref)).all()
         elif problem.id in ("P1", "P2"):
             iterates, _, mirrors = _reference_loop(problem, config, seeds, carry=True)
             assert np.array_equal(carried, iterates), problem.id

@@ -15,8 +15,8 @@ from bregopt.models import NoisyGradientOracle, OracleConstants
 from bregopt.problems import (ProblemInstance, default_configs, get_problem,
                               instance_from_config)
 from bregopt.subproblem import (InnerSolveError, SmoothRows, ZeroRegularizer,
-                                absolute_affine_model, prox_points_1d, prox_step,
-                                prox_step_rows)
+                                absolute_affine_model, inner_solve, linear_model,
+                                prox_points_1d, prox_step, prox_step_rows)
 from bregopt.validation import _golden_polish
 
 
@@ -174,10 +174,33 @@ def test_monotone_in_lambda():
 def test_lambda_admissibility_enforced():
     p1 = get_problem("P1")
     tau = p1.oracle.constants.tau
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"lam violates lam \* \(tau \+ rho\) < 1"):
         bregman_prox_point(p1, p1.phi, p1.x0, 1.0 / tau)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
         stationarity(p1, p1.phi, p1.x0, -0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_step_size_or_lambda_that_is_not_finite_raises(bad):
+    # NaN fails every comparison, so range checks alone let it through: a
+    # prox step of eta = NaN or inf ended in its certificate ("three-point
+    # residual nan < -nan"), P1's envelope at lam = NaN in "failed to bracket
+    # the 1-d minimizer", and P5's at lam = inf in a RuntimeWarning
+    model, reg, phi = linear_model([1.0]), ZeroRegularizer(), Euclidean()
+    steps = (lambda eta, rho: prox_step(model, reg, phi, [0.5], eta, rho),
+             lambda eta, rho: prox_step_rows(model, reg, phi, [[0.5], [1.0]], eta, rho),
+             lambda eta, rho: inner_solve(model, reg, phi, [0.5], eta, rho=rho),
+             lambda eta, rho: prox_points_1d(model, reg, phi, np.array([0.5]), eta, rho))
+    for step in steps:
+        with pytest.raises(ValueError, match="step size eta must be finite and positive"):
+            step(bad, 0.0)
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            step(0.5, abs(bad))
+    for pid in ("P1", "P5"):
+        prob = get_problem(pid)
+        for report in (stationarity, bregman_prox_point):
+            with pytest.raises(ValueError, match="lam must be finite and positive"):
+                report(prob, prob.phi, prob.x0, bad)
 
 
 def _golden_prox_1d(problem, x, lam):

@@ -7,7 +7,7 @@ import numpy as np
 from bregopt.legendre import Euclidean, norm_rows
 from bregopt.models import LinearMirrorOracle, ModelOracle, NoisyGradientOracle, OracleConstants
 from bregopt.problems import ProblemInstance, get_problem
-from bregopt.subproblem import RADIAL_TOL, SECULAR_TOL, SmoothRows, ZeroRegularizer
+from bregopt.subproblem import RADIAL_TOL, SmoothRows, ZeroRegularizer
 
 
 class RowModel(namedtuple("RowModel", "values gradients")):
@@ -147,13 +147,13 @@ def scan_tolerance(logs, etas, slopes, mu=0.0):
 
 def secular_mirror_excess(mirror, phi, Y):
     """Per row, how far a secular step's mirror coordinates lie outside the
-    bound ||mirror - grad phi(y)|| <= SECULAR_TOL ||grad phi(y)|| (> 0:
+    bound ||mirror - grad phi(y)|| <= RADIAL_TOL ||grad phi(y)|| (> 0:
     outside).  The solve stops a row once A(||v||) and its unknown u = A(r)
-    agree to SECULAR_TOL relative (to eta lam_min + u), so it knows y's
+    agree to RADIAL_TOL relative (to eta lam_min + u), so it knows y's
     mirror coordinates A(||y||) y to no better than that; its A(||v||) y
     differs from grad phi(y) only by the rounding of ||U v|| against ||v||."""
     G = phi.gradient_rows(Y)
-    return norm_rows(mirror - G) - SECULAR_TOL * norm_rows(G)
+    return norm_rows(mirror - G) - RADIAL_TOL * norm_rows(G)
 
 
 def root_mirror_excess(mirror, phi, Y):

@@ -27,8 +27,10 @@ and imports bregopt from the src/ beside this file's tools/.  The groups are
 --against REV also computes the digests in a `git archive` tree of the
 commit REV (extracted to a temporary directory, as tools/bench_pairs.py
 does, and run by a copy of this script placed in it), prints the groups
-whose digests differ, and exits 1 if any do.
---json prints the digests as one JSON object instead of one line per group.
+whose digests differ, each with the largest relative difference of its
+values (drift), and exits 1 if any do.
+--json prints one JSON object instead of one line per group: each group's
+sha256 and the values it hashes (the numbers in a CLI group's text).
 """
 
 import argparse
@@ -37,6 +39,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,9 +61,13 @@ TRACE_FIELDS = ("iterates", "etas", "sampled_xi_ids", "t_star", "lam", "model_va
                 "plain_average")
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def _digest(*parts):
-    """sha256 of the parts: each array's dtype, shape and bytes, None as such."""
-    h = hashlib.sha256()
+    """The group of the parts: {"sha256": the sha256 of each array's dtype,
+    shape and bytes (None as such), "values": their entries as floats}."""
+    h, values = hashlib.sha256(), []
     for part in parts:
         if part is None:
             h.update(b"None")
@@ -68,12 +75,32 @@ def _digest(*parts):
         a = np.ascontiguousarray(part)
         h.update(("%s%s" % (a.dtype.str, a.shape)).encode())
         h.update(a.tobytes())
-    return h.hexdigest()
+        values += a.astype(float).ravel().tolist()
+    return {"sha256": h.hexdigest(), "values": values}
+
+
+def _text_digest(text):
+    """The group of a command's standard output: its sha256 and its numbers."""
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "values": [float(x) for x in _NUMBER.findall(text)]}
+
+
+def drift(mine, theirs):
+    """The largest relative difference |a - b| / max(|a|, |b|) between the
+    values of two groups (0 where they are equal, NaN with NaN included;
+    inf where only one is infinite or the counts differ)."""
+    a, b = np.array(mine["values"], dtype=float), np.array(theirs["values"], dtype=float)
+    if a.shape != b.shape:
+        return np.inf
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.where(same, 0.0, np.nan_to_num(rel, nan=np.inf)).max(initial=0.0))
 
 
 def digests(horizons=HORIZONS, n_seeds=N_SEEDS, trace_T=TRACE_T, trace_seeds=TRACE_SEEDS,
             n_points=N_POINTS, cli_T=CLI_T, validate_pairs=VALIDATE_PAIRS):
-    """{group: sha256} of the registry's outputs on the given grid."""
+    """{group: _digest} of the registry's outputs on the given grid."""
     from bregopt import driver, envelope, problems, subproblem
     from bregopt.cli import cli_main
 
@@ -108,7 +135,7 @@ def digests(horizons=HORIZONS, n_seeds=N_SEEDS, trace_T=TRACE_T, trace_seeds=TRA
             text = io.StringIO()
             with contextlib.redirect_stdout(text):
                 cli_main(argv)
-            out["%s/%s" % (group, pid)] = hashlib.sha256(text.getvalue().encode()).hexdigest()
+            out["%s/%s" % (group, pid)] = _text_digest(text.getvalue())
     return out
 
 
@@ -149,13 +176,17 @@ def main(argv=None):
         print(json.dumps(mine, sort_keys=True))
     else:
         for group, value in mine.items():
-            print("%s  %s" % (value, group))
+            print("%s  %s" % (value["sha256"], group))
     if args.against is None:
         return 0
     theirs = digests_at(args.against)
-    differ = sorted(g for g in set(mine) | set(theirs) if mine.get(g) != theirs.get(g))
+    # a group on one side only has no values on the other: drift inf
+    missing = {"sha256": None, "values": []}
+    differ = sorted(g for g in set(mine) | set(theirs)
+                    if mine.get(g, missing)["sha256"] != theirs.get(g, missing)["sha256"])
     for group in differ:
-        print("differs from %s: %s" % (args.against, group))
+        print("differs from %s: %s (drift %.3g)" % (
+            args.against, group, drift(mine.get(group, missing), theirs.get(group, missing))))
     print("%d of %d groups differ from %s" % (len(differ), len(set(mine) | set(theirs)),
                                               args.against))
     return 1 if differ else 0
